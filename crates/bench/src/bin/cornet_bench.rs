@@ -1594,6 +1594,43 @@ mod gate_tests {
     }
 
     #[test]
+    fn report_rendering_is_byte_stable() {
+        let body = render_report(
+            "orchestrator",
+            "smoke",
+            4,
+            &[
+                Scenario {
+                    name: "straggler_heavy_dispatch",
+                    params: vec![
+                        ("instances", "200".into()),
+                        ("winner", "exact \"portfolio\"".into()),
+                        ("p99_ms", "1.250".into()),
+                    ],
+                    baseline_ms: 500.0,
+                    optimized_ms: 125.0,
+                    trace_summary: Some("{\"block\": {\"count\": 3}}".into()),
+                },
+                Scenario {
+                    name: "empty",
+                    params: vec![],
+                    baseline_ms: 0.0004,
+                    optimized_ms: 3.0,
+                    trace_summary: None,
+                },
+            ],
+        );
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/bench_report.json"
+        );
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(path, &body).unwrap();
+        }
+        assert_eq!(body, std::fs::read_to_string(path).unwrap());
+    }
+
+    #[test]
     fn parse_speedups_rejects_malformed_reports() {
         assert!(parse_speedups("{}").is_err());
         assert!(parse_speedups("{\"scenarios\": [{\"name\": \"x\"}]}").is_err());
