@@ -8,6 +8,7 @@
 //! or JSON lines (one object per diagnostic — greppable, diffable, and
 //! reusable as a [`crate::Baseline`]).
 
+use cornet_types::json::JsonWriter;
 use serde::Serialize;
 use std::fmt;
 
@@ -219,29 +220,23 @@ impl Diagnostic {
         out
     }
 
-    /// One-line JSON object rendering (hand-rolled: the vendored
-    /// `serde_json` cannot emit real JSON).
+    /// One-line JSON object rendering.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(128);
-        out.push_str("{\"code\":");
-        json_string(&mut out, self.code.0);
-        out.push_str(",\"severity\":");
-        json_string(&mut out, self.severity.label());
-        out.push_str(",\"category\":");
-        json_string(&mut out, self.code.category());
-        out.push_str(",\"where\":");
-        json_string(&mut out, &self.source.to_string());
-        out.push_str(",\"message\":");
-        json_string(&mut out, &self.message);
+        let mut w = JsonWriter::compact(&mut out);
+        w.begin_object();
+        w.key("code").str(self.code.0);
+        w.key("severity").str(self.severity.label());
+        w.key("category").str(self.code.category());
+        w.key("where").display(&self.source);
+        w.key("message").str(&self.message);
         if let Some(hint) = &self.hint {
-            out.push_str(",\"hint\":");
-            json_string(&mut out, hint);
+            w.key("hint").str(hint);
         }
         if !self.pass.is_empty() {
-            out.push_str(",\"pass\":");
-            json_string(&mut out, &self.pass);
+            w.key("pass").str(&self.pass);
         }
-        out.push('}');
+        w.end_object();
         out
     }
 
@@ -252,23 +247,6 @@ impl Diagnostic {
     pub fn fingerprint(&self) -> String {
         format!("{}\u{1}{}", self.code, self.source)
     }
-}
-
-/// Append `s` as a JSON string literal (with escapes) to `out`.
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Aggregated findings of one analysis run.
@@ -367,67 +345,59 @@ impl Report {
 
     /// SARIF 2.1.0 rendering (one run, logical locations), for code-review
     /// tooling that ingests the standard static-analysis interchange
-    /// format. Like every other wire rendering here it is hand-rolled and
-    /// bit-stable: same report in, same bytes out.
+    /// format. Bit-stable: same report in, same bytes out.
     pub fn render_sarif(&self) -> String {
-        let mut out = String::from(
-            "{\"version\":\"2.1.0\",\"$schema\":\
-             \"https://json.schemastore.org/sarif-2.1.0.json\",\
-             \"runs\":[{\"tool\":{\"driver\":{\"name\":\"cornet\",\
-             \"informationUri\":\"https://example.invalid/cornet\",\"rules\":[",
-        );
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        w.begin_object();
+        w.key("version").str("2.1.0");
+        w.key("$schema")
+            .str("https://json.schemastore.org/sarif-2.1.0.json");
+        w.key("runs").begin_array().begin_object();
+        w.key("tool").begin_object().key("driver").begin_object();
+        w.key("name").str("cornet");
+        w.key("informationUri")
+            .str("https://example.invalid/cornet");
+        w.key("rules").begin_array();
         let mut rules: Vec<&Code> = Vec::new();
         for d in &self.diagnostics {
             if !rules.contains(&&d.code) {
                 rules.push(&d.code);
+                w.begin_object();
+                w.key("id").str(d.code.0);
+                w.key("shortDescription").begin_object();
+                w.key("text").str(d.code.category());
+                w.end_object().end_object();
             }
         }
-        for (i, code) in rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            json_string(&mut out, code.0);
-            out.push_str(",\"shortDescription\":{\"text\":");
-            json_string(&mut out, code.category());
-            out.push_str("}}");
-        }
-        out.push_str("]}},\"results\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"ruleId\":");
-            json_string(&mut out, d.code.0);
-            out.push_str(",\"level\":");
-            json_string(
-                &mut out,
-                match d.severity {
-                    Severity::Error => "error",
-                    Severity::Warning => "warning",
-                    Severity::Info => "note",
-                },
-            );
-            out.push_str(",\"message\":{\"text\":");
-            let text = match &d.hint {
-                Some(hint) => format!("{} (help: {hint})", d.message),
-                None => d.message.clone(),
+        w.end_array().end_object().end_object();
+        w.key("results").begin_array();
+        for d in &self.diagnostics {
+            w.begin_object();
+            w.key("ruleId").str(d.code.0);
+            w.key("level").str(match d.severity {
+                Severity::Error => "error",
+                Severity::Warning => "warning",
+                Severity::Info => "note",
+            });
+            w.key("message").begin_object().key("text");
+            match &d.hint {
+                Some(hint) => w.display(format_args!("{} (help: {hint})", d.message)),
+                None => w.str(&d.message),
             };
-            json_string(&mut out, &text);
-            out.push_str(
-                "},\"locations\":[{\"logicalLocations\":[{\
-                          \"fullyQualifiedName\":",
-            );
-            json_string(&mut out, &d.source.to_string());
-            out.push_str("}]}]");
+            w.end_object();
+            w.key("locations").begin_array().begin_object();
+            w.key("logicalLocations").begin_array().begin_object();
+            w.key("fullyQualifiedName").display(&d.source);
+            w.end_object().end_array().end_object().end_array();
             if !d.pass.is_empty() {
-                out.push_str(",\"properties\":{\"pass\":");
-                json_string(&mut out, &d.pass);
-                out.push('}');
+                w.key("properties").begin_object();
+                w.key("pass").str(&d.pass);
+                w.end_object();
             }
-            out.push('}');
+            w.end_object();
         }
-        out.push_str("]}]}");
+        w.end_array().end_object().end_array().end_object();
         out
     }
 }

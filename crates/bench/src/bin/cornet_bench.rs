@@ -56,6 +56,7 @@ use cornet_planner::{
 use cornet_stats::{
     median, quantile, robust_rank_order, robust_rank_order_naive, theil_sen, theil_sen_exact,
 };
+use cornet_types::json::{parse, FloatFmt, JsonWriter};
 use cornet_types::{
     Attributes, Granularity, Inventory, NfType, NodeId, ParamValue, Schedule, Timeslot, Topology,
 };
@@ -1178,94 +1179,52 @@ fn bench_streaming_verify(min_reps: usize) -> Scenario {
 
 // --- reporting ----------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Hand-rendered JSON: the vendored serde_json stub cannot parse external
-/// JSON, so the report is emitted (and structurally validated) without it.
 fn render_report(bench: &str, mode: &str, cpus: usize, scenarios: &[Scenario]) -> String {
     let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(mode)));
-    out.push_str(&format!("  \"cpu_count\": {cpus},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, s) in scenarios.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(s.name)));
-        out.push_str("      \"params\": {");
-        for (j, (k, v)) in s.params.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
+    let mut w = JsonWriter::spaced(&mut out);
+    w.begin_object();
+    w.line(2).key("bench").str(bench);
+    w.line(2).key("mode").str(mode);
+    w.line(2).key("cpu_count").int(cpus);
+    w.line(2).key("scenarios").begin_array();
+    for s in scenarios {
+        w.line(4).begin_object();
+        w.line(6).key("name").str(s.name);
+        w.line(6).key("params").begin_object();
+        for (k, v) in &s.params {
             // Numeric param values render bare; anything else as a string.
-            if v.parse::<f64>().is_ok() {
-                out.push_str(&format!("\"{}\": {}", json_escape(k), v));
+            if v.parse::<f64>().is_ok_and(f64::is_finite) {
+                w.key(k).raw(v);
             } else {
-                out.push_str(&format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)));
+                w.key(k).str(v);
             }
         }
-        out.push_str("},\n");
-        out.push_str(&format!("      \"baseline_ms\": {:.3},\n", s.baseline_ms));
-        out.push_str(&format!("      \"optimized_ms\": {:.3},\n", s.optimized_ms));
+        w.end_object();
+        let ms = FloatFmt::Fixed(3);
+        w.line(6).key("baseline_ms").float(s.baseline_ms, ms);
+        w.line(6).key("optimized_ms").float(s.optimized_ms, ms);
         if let Some(summary) = &s.trace_summary {
             // Already-rendered JSON from TraceSummary::render_json.
-            out.push_str(&format!("      \"trace_summary\": {summary},\n"));
+            w.line(6).key("trace_summary").raw(summary);
         }
-        out.push_str(&format!("      \"speedup\": {:.3}\n", s.speedup()));
-        out.push_str(if i + 1 < scenarios.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+        w.line(6).key("speedup").float(s.speedup(), ms);
+        w.line(4).end_object();
     }
-    out.push_str("  ]\n}\n");
+    w.line(2).end_array();
+    w.line(0).end_object();
+    out.push('\n');
     out
 }
 
 fn write_report(out_dir: &str, bench: &str, mode: &str, cpus: usize, scenarios: &[Scenario]) {
     let body = render_report(bench, mode, cpus, scenarios);
-    validate_report(&body, scenarios.len());
+    // Self-check: the report reads back with one speedup per scenario.
+    let read_back = parse_speedups(&body).unwrap_or_else(|e| panic!("emitted report: {e}"));
+    assert_eq!(read_back.len(), scenarios.len());
     std::fs::create_dir_all(out_dir).unwrap_or_else(|e| panic!("create {out_dir}: {e}"));
     let path = format!("{out_dir}/BENCH_{bench}.json");
     std::fs::write(&path, &body).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("wrote {path}");
-}
-
-/// Structural self-check of the emitted JSON: balanced braces/brackets
-/// outside strings, required keys present, one object per scenario.
-fn validate_report(body: &str, scenario_count: usize) {
-    let (mut depth, mut brackets, mut in_str, mut esc) = (0i64, 0i64, false, false);
-    for c in body.chars() {
-        if in_str {
-            match (esc, c) {
-                (true, _) => esc = false,
-                (false, '\\') => esc = true,
-                (false, '"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth += 1,
-            '}' => depth -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0 && brackets >= 0, "malformed report JSON");
-    }
-    assert_eq!((depth, brackets, in_str), (0, 0, false), "unbalanced JSON");
-    for key in ["\"bench\"", "\"mode\"", "\"cpu_count\"", "\"scenarios\""] {
-        assert!(body.contains(key), "report missing {key}");
-    }
-    assert_eq!(
-        body.matches("\"speedup\"").count(),
-        scenario_count,
-        "one speedup per scenario"
-    );
 }
 
 // --- daemon -------------------------------------------------------------
@@ -1282,10 +1241,15 @@ fn bench_daemon_submit_latency(smoke: bool, min_reps: usize) -> Scenario {
     const CAMPAIGNS: usize = 4;
     const POOL: usize = 8;
     const QUOTA: usize = 2;
-    let spec = format!(
-        "{{\"name\":\"bench\",\"scenario\":{{\"nodes\":{nodes},\"latency_ms\":1,\
-         \"fault_rate_milli\":0}}}}"
-    );
+    let mut spec = String::new();
+    let mut w = JsonWriter::compact(&mut spec);
+    w.begin_object();
+    w.key("name").str("bench");
+    w.key("scenario").begin_object();
+    w.key("nodes").int(nodes);
+    w.key("latency_ms").int(1);
+    w.key("fault_rate_milli").int(0);
+    w.end_object().end_object();
     let tenants: Vec<String> = (0..CAMPAIGNS).map(|i| format!("tenant{i}")).collect();
 
     let manager_at = |state: &std::path::Path, max_campaigns: usize| {
@@ -1387,7 +1351,7 @@ fn bench_daemon_submit_latency(smoke: bool, min_reps: usize) -> Scenario {
 /// (parsed with the same hand-rolled JSON reader the intent parser uses —
 /// the vendored `serde_json` is a stub).
 fn parse_speedups(body: &str) -> Result<Vec<(String, f64)>, String> {
-    let doc = cornet_planner::json::parse(body).map_err(|e| e.to_string())?;
+    let doc = parse(body).map_err(|e| e.to_string())?;
     let scenarios = doc
         .get("scenarios")
         .and_then(|s| s.as_array())
@@ -1464,7 +1428,7 @@ struct ManifestEntry {
 /// group) cannot silently skip the gate by leaving one of the two
 /// hand-pinned lists stale.
 fn parse_manifest(body: &str) -> Result<Vec<ManifestEntry>, String> {
-    let doc = cornet_planner::json::parse(body).map_err(|e| e.to_string())?;
+    let doc = parse(body).map_err(|e| e.to_string())?;
     let benches = doc
         .get("benches")
         .and_then(|b| b.as_array())

@@ -29,7 +29,7 @@
 use crate::check::MopBundle;
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_catalog::StateDim;
-use cornet_obs::json_escape;
+use cornet_types::json::JsonWriter;
 use cornet_types::NodeId;
 use cornet_workflow::workflow_effects;
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,42 +80,36 @@ pub struct CampaignBlast {
 }
 
 impl CampaignBlast {
-    /// Render the blast summary as a JSON object (hand-rolled like every
-    /// other wire rendering in the workspace).
+    /// Render the blast summary as a JSON object.
     pub fn render_json(&self) -> String {
-        let dims = |set: &BTreeSet<StateDim>| {
-            let inner = set
-                .iter()
-                .map(|d| format!("\"{d}\""))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("[{inner}]")
-        };
-        let mut out = format!(
-            "{{\"workflow\":\"{}\",\"writes\":{},\"must_writes\":{},\"reads\":{},\
-             \"backout_writes\":{},\"assumed\":{},\"nodes\":[",
-            json_escape(&self.workflow),
-            dims(&self.writes),
-            dims(&self.must_writes),
-            dims(&self.reads),
-            dims(&self.backout_writes),
-            self.assumed,
-        );
-        for (i, t) in self.touches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        w.begin_object();
+        w.key("workflow").str(&self.workflow);
+        for (key, dims) in [
+            ("writes", &self.writes),
+            ("must_writes", &self.must_writes),
+            ("reads", &self.reads),
+            ("backout_writes", &self.backout_writes),
+        ] {
+            w.key(key).begin_array();
+            for d in dims {
+                w.display(d);
             }
-            let _ = write!(
-                out,
-                "{{\"node\":\"{}\",\"slot\":{},\"window\":[{},{}],\"basis\":\"{}\"}}",
-                json_escape(&t.name),
-                t.slot,
-                t.window.0,
-                t.window.1,
-                if t.wall { "minutes" } else { "slots" },
-            );
+            w.end_array();
         }
-        out.push_str("]}");
+        w.key("assumed").bool(self.assumed);
+        w.key("nodes").begin_array();
+        for t in &self.touches {
+            w.begin_object();
+            w.key("node").str(&t.name);
+            w.key("slot").int(t.slot);
+            w.key("window").begin_array();
+            w.int(t.window.0).int(t.window.1).end_array();
+            w.key("basis").str(if t.wall { "minutes" } else { "slots" });
+            w.end_object();
+        }
+        w.end_array().end_object();
         out
     }
 }

@@ -425,7 +425,10 @@ fn load_campaign(spec: &JsonValue) -> Result<Campaign> {
     ))
 }
 
-fn bundle_from_value(root: &JsonValue) -> Result<MopBundle> {
+/// Build a bundle from an already-parsed specification — for callers that
+/// hold the [`JsonValue`] anyway (the daemon reads `name` and `scenario`
+/// from the same submission); [`load_bundle`] is the text entry point.
+pub fn bundle_from_value(root: &JsonValue) -> Result<MopBundle> {
     let mut bundle = MopBundle::default();
     if let Some(workflows) = root.get("workflows").and_then(JsonValue::as_array) {
         for spec in workflows {

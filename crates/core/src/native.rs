@@ -15,6 +15,7 @@
 use cornet_orchestrator::executor::{ExecutorRegistry, GlobalState};
 use cornet_planner::{intent::parse_display_id, translate, PlanIntent, TranslateOptions};
 use cornet_solver::{solve, SolverConfig};
+use cornet_types::json::{parse, FloatFmt, JsonValue, JsonWriter};
 use cornet_types::{CornetError, Inventory, NodeId, ParamValue, Result, Topology};
 use cornet_verifier::{
     derive_control_group, verify_rule, ChangeScope, DataAdapter, GoNoGo, VerificationRule,
@@ -25,16 +26,10 @@ use std::sync::Arc;
 
 /// Parse external JSON text into a workflow-state [`ParamValue`] — the
 /// entry point for feeding intents (or any operator-supplied document)
-/// into a workflow's global state. Tries `serde_json` first and falls
-/// back to the planner's self-contained reader, mirroring
-/// `PlanIntent::from_json`. JSON `null` has no `ParamValue` analogue and
-/// is rejected.
+/// into a workflow's global state. JSON `null` has no `ParamValue`
+/// analogue and is rejected.
 pub fn param_value_from_json(json: &str) -> Result<ParamValue> {
-    if let Ok(v) = serde_json::from_str::<ParamValue>(json) {
-        return Ok(v);
-    }
-    fn convert(v: &cornet_planner::json::JsonValue) -> Result<ParamValue> {
-        use cornet_planner::json::JsonValue;
+    fn convert(v: &JsonValue) -> Result<ParamValue> {
         Ok(match v {
             JsonValue::Null => {
                 return Err(CornetError::Parse(
@@ -61,62 +56,38 @@ pub fn param_value_from_json(json: &str) -> Result<ParamValue> {
             ),
         })
     }
-    convert(&cornet_planner::json::parse(json)?)
+    convert(&parse(json)?)
 }
 
 /// Render a workflow-state [`ParamValue`] as JSON text — the inverse of
 /// [`param_value_from_json`], used to hand state values to JSON-speaking
-/// consumers like `PlanIntent::from_json` without relying on `serde_json`
-/// being able to serialize externally-constructed values.
+/// consumers like `PlanIntent::from_json`. Non-finite floats render as
+/// `null`.
 pub fn param_value_to_json(value: &ParamValue) -> String {
-    fn escape(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-    fn render(v: &ParamValue, out: &mut String) {
+    fn write(w: &mut JsonWriter<'_>, v: &ParamValue) {
         match v {
-            ParamValue::Str(s) => escape(s, out),
-            ParamValue::Int(i) => out.push_str(&i.to_string()),
-            ParamValue::Float(f) if f.is_finite() => out.push_str(&format!("{f:?}")),
-            ParamValue::Float(_) => out.push_str("null"),
-            ParamValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            ParamValue::Str(s) => w.str(s),
+            ParamValue::Int(i) => w.int(*i),
+            ParamValue::Float(f) => w.float(*f, FloatFmt::Debug),
+            ParamValue::Bool(b) => w.bool(*b),
             ParamValue::List(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render(item, out);
+                w.begin_array();
+                for item in items {
+                    write(w, item);
                 }
-                out.push(']');
+                w.end_array()
             }
             ParamValue::Map(entries) => {
-                out.push('{');
-                for (i, (k, item)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    escape(k, out);
-                    out.push(':');
-                    render(item, out);
+                w.begin_object();
+                for (k, item) in entries {
+                    write(w.key(k), item);
                 }
-                out.push('}');
+                w.end_object()
             }
-        }
+        };
     }
     let mut out = String::new();
-    render(value, &mut out);
+    write(&mut JsonWriter::compact(&mut out), value);
     out
 }
 
@@ -540,6 +511,16 @@ mod tests {
         );
         let model = engine.state_var("model").and_then(|v| v.as_str()).unwrap();
         assert!(model.contains("COMMON_ID_SCHEDULED"));
+    }
+
+    #[test]
+    fn state_values_round_trip_and_malformed_text_is_positioned() {
+        let v = param_value_from_json(r#"{"a": [1, 2.5, "x\n"], "b": true}"#).unwrap();
+        assert_eq!(param_value_to_json(&v), r#"{"a":[1,2.5,"x\n"],"b":true}"#);
+        let Err(CornetError::Parse(msg)) = param_value_from_json("[1, }") else {
+            panic!("malformed text must be a parse error");
+        };
+        assert_eq!(msg, "JSON at byte 4: expected a JSON value");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 use crate::http::{Handler, HttpServer, Reply, Request, Response};
 use crate::manager::{ApiError, CampaignManager, CampaignSnapshot, SubmitOutcome};
 use crate::stream::StreamHub;
-use cornet_obs::{json_escape, Tracer};
-use std::fmt::Write as _;
+use cornet_obs::Tracer;
+use cornet_types::json::JsonWriter;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -101,14 +101,16 @@ fn route(
         }),
         ("POST", ["campaigns"]) => {
             with_tenant(&req, |tenant| match manager.submit(tenant, &req.body) {
-                Ok(SubmitOutcome::Accepted { id, report }) => full(Response::json(
-                    201,
-                    format!(
-                        "{{\"id\":\"{}\",\"warnings\":{},\"phase\":\"queued\"}}",
-                        json_escape(&id),
-                        report.warning_count()
-                    ),
-                )),
+                Ok(SubmitOutcome::Accepted { id, report }) => {
+                    let mut body = String::new();
+                    let mut w = JsonWriter::compact(&mut body);
+                    w.begin_object();
+                    w.key("id").str(&id);
+                    w.key("warnings").int(report.warning_count());
+                    w.key("phase").str("queued");
+                    w.end_object();
+                    full(Response::json(201, body))
+                }
                 Ok(SubmitOutcome::Rejected { report }) => {
                     full(Response::jsonl(422, report.render_jsonl()))
                 }
@@ -119,14 +121,13 @@ fn route(
             })
         }
         ("GET", ["campaigns"]) => with_tenant(&req, |tenant| {
-            let mut body = String::from("[");
-            for (i, snap) in manager.list(tenant).iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&render_snapshot(snap));
+            let mut body = String::new();
+            let mut w = JsonWriter::compact(&mut body);
+            w.begin_array();
+            for snap in &manager.list(tenant) {
+                write_snapshot(&mut w, snap);
             }
-            body.push(']');
+            w.end_array();
             full(Response::json(200, body))
         }),
         ("GET", ["campaigns", id]) => {
@@ -179,7 +180,7 @@ fn route(
             ))),
         }),
         (_, ["healthz" | "shutdown" | "quotas" | "campaigns" | "ingest", ..]) => {
-            full(Response::json(405, r#"{"error":"method not allowed"}"#))
+            full(Response::error(405, "method not allowed"))
         }
         _ => full(error_response(&ApiError::NotFound(req.path.clone()))),
     }
@@ -192,10 +193,7 @@ fn full(response: Response) -> Reply {
 fn with_tenant(req: &Request, f: impl FnOnce(&str) -> Reply) -> Reply {
     match req.header("x-cornet-tenant") {
         Some(tenant) if !tenant.is_empty() => f(tenant),
-        _ => full(Response::json(
-            400,
-            r#"{"error":"missing X-Cornet-Tenant header"}"#,
-        )),
+        _ => full(Response::error(400, "missing X-Cornet-Tenant header")),
     }
 }
 
@@ -246,68 +244,73 @@ fn error_response(e: &ApiError) -> Response {
         ApiError::Conflict(_) => 409,
         ApiError::Internal(_) => 500,
     };
-    Response::json(
-        status,
-        format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string())),
-    )
+    Response::error(status, e)
 }
 
 fn render_quotas(manager: &CampaignManager, tenant: &str) -> String {
     let (in_flight, high_water, pool) = manager.pool_usage();
-    let mut body = format!(
-        "{{\"global\":{{\"in_flight\":{in_flight},\"high_water\":{high_water},\"pool\":{pool}}}"
-    );
-    if let Some(snap) = manager.quotas().get(tenant) {
-        let _ = write!(
-            body,
-            ",\"tenant\":{{\"in_flight\":{},\"high_water\":{},\"quota\":{},\"waiting\":{}}}",
-            snap.in_flight, snap.high_water, snap.quota, snap.waiting
-        );
-    } else {
-        body.push_str(",\"tenant\":null");
-    }
-    body.push('}');
+    let mut body = String::new();
+    let mut w = JsonWriter::compact(&mut body);
+    w.begin_object();
+    w.key("global").begin_object();
+    w.key("in_flight").int(in_flight);
+    w.key("high_water").int(high_water);
+    w.key("pool").int(pool);
+    w.end_object();
+    match manager.quotas().get(tenant) {
+        Some(snap) => {
+            w.key("tenant").begin_object();
+            w.key("in_flight").int(snap.in_flight);
+            w.key("high_water").int(snap.high_water);
+            w.key("quota").int(snap.quota);
+            w.key("waiting").int(snap.waiting);
+            w.end_object()
+        }
+        None => w.key("tenant").null(),
+    };
+    w.end_object();
     body
 }
 
 /// Render one campaign snapshot as a JSON object.
 pub fn render_snapshot(snap: &CampaignSnapshot) -> String {
-    let mut out = format!(
-        "{{\"id\":\"{}\",\"tenant\":\"{}\",\"name\":\"{}\",\"phase\":\"{}\",\
-         \"total_instances\":{},\"instances_done\":{},\"blocks_live\":{},\
-         \"blocks_recovered\":{},\"events\":{}",
-        json_escape(&snap.id),
-        json_escape(&snap.tenant),
-        json_escape(&snap.name),
-        snap.phase.label(),
-        snap.total_instances,
-        snap.instances_done,
-        snap.blocks_live,
-        snap.blocks_recovered,
-        snap.events,
-    );
+    let mut out = String::new();
+    write_snapshot(&mut JsonWriter::compact(&mut out), snap);
+    out
+}
+
+fn write_snapshot(w: &mut JsonWriter<'_>, snap: &CampaignSnapshot) {
+    w.begin_object();
+    w.key("id").str(&snap.id);
+    w.key("tenant").str(&snap.tenant);
+    w.key("name").str(&snap.name);
+    w.key("phase").str(snap.phase.label());
+    w.key("total_instances").int(snap.total_instances);
+    w.key("instances_done").int(snap.instances_done);
+    w.key("blocks_live").int(snap.blocks_live);
+    w.key("blocks_recovered").int(snap.blocks_recovered);
+    w.key("events").int(snap.events);
     match &snap.outcome {
         Some(o) => {
-            let _ = write!(
-                out,
-                ",\"outcome\":{{\"fingerprint\":\"{:016x}\",\"completed\":{},\"failed\":{},\
-                 \"rolled_back\":{},\"cancelled\":{}",
-                o.fingerprint, o.completed, o.failed, o.rolled_back, o.cancelled
-            );
-            match &o.trip {
-                Some(t) => {
-                    let _ = write!(out, ",\"trip\":\"{}\"}}", json_escape(t));
-                }
-                None => out.push_str(",\"trip\":null}"),
-            }
+            w.key("outcome").begin_object();
+            w.key("fingerprint")
+                .display(format_args!("{:016x}", o.fingerprint));
+            w.key("completed").int(o.completed);
+            w.key("failed").int(o.failed);
+            w.key("rolled_back").int(o.rolled_back);
+            w.key("cancelled").bool(o.cancelled);
+            write_opt_str(w.key("trip"), o.trip.as_deref());
+            w.end_object()
         }
-        None => out.push_str(",\"outcome\":null"),
-    }
-    match &snap.error {
-        Some(e) => {
-            let _ = write!(out, ",\"error\":\"{}\"}}", json_escape(e));
-        }
-        None => out.push_str(",\"error\":null}"),
-    }
-    out
+        None => w.key("outcome").null(),
+    };
+    write_opt_str(w.key("error"), snap.error.as_deref());
+    w.end_object();
+}
+
+fn write_opt_str(w: &mut JsonWriter<'_>, s: Option<&str>) {
+    match s {
+        Some(s) => w.str(s),
+        None => w.null(),
+    };
 }

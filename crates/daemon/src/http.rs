@@ -8,6 +8,7 @@
 //! A fixed worker pool drains an accept queue; slow or hostile peers are
 //! bounded by read timeouts and header/body size caps.
 
+use cornet_types::json::JsonWriter;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -65,6 +66,14 @@ impl Response {
             content_type: "application/json",
             body: body.into(),
         }
+    }
+
+    /// The error body every non-2xx JSON answer carries: `{"error":"…"}`.
+    pub(crate) fn error(status: u16, message: impl std::fmt::Display) -> Response {
+        let mut body = String::new();
+        let mut w = JsonWriter::compact(&mut body);
+        w.begin_object().key("error").display(message).end_object();
+        Response::json(status, body)
     }
 
     /// A JSON-lines response (one JSON document per line).
@@ -187,13 +196,7 @@ fn serve_connection(stream: TcpStream, handler: &Handler) {
             let _ = write_reply(&mut stream, reply);
         }
         Err(e) => {
-            let _ = write_reply(
-                &mut stream,
-                Reply::Full(Response::json(
-                    400,
-                    format!("{{\"error\":\"{}\"}}", cornet_obs::json_escape(&e)),
-                )),
-            );
+            let _ = write_reply(&mut stream, Reply::Full(Response::error(400, e)));
         }
     }
     let _ = stream.flush();

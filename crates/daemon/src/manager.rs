@@ -16,11 +16,11 @@ use crate::quota::{QuotaBook, QuotaSnapshot};
 use crate::scenario::{report_fingerprint, JournalScenario};
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_core::blast::{campaign_blasts, conflicts_between, BlastConflict, CampaignBlast};
-use cornet_core::{gate, load_bundle};
+use cornet_core::{bundle_from_value, gate, load_bundle};
 use cornet_journal::{CampaignStore, FsyncPolicy, Journal, JournalEvent, Manifest};
 use cornet_obs::Tracer;
 use cornet_orchestrator::{recover_campaign, CampaignControl, DispatchReport, Dispatcher};
-use cornet_types::json::parse;
+use cornet_types::json::{parse, JsonWriter};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -391,7 +391,7 @@ impl CampaignManager {
             Some(value) => JournalScenario::from_json(value).map_err(ApiError::Invalid)?,
             None => JournalScenario::default(),
         };
-        let bundle = load_bundle(body).map_err(|e| ApiError::Invalid(e.to_string()))?;
+        let bundle = bundle_from_value(&spec).map_err(|e| ApiError::Invalid(e.to_string()))?;
         let report = match gate(&bundle) {
             Ok(report) => report,
             Err(report) => {
@@ -501,14 +501,15 @@ impl CampaignManager {
     pub fn blast(&self, tenant: &str, id: &str) -> Result<String, ApiError> {
         let state = self.lock();
         let entry = owned_entry(&state, tenant, id)?;
-        let mut out = format!("{{\"id\":\"{}\",\"campaigns\":[", entry.manifest.id);
-        for (i, b) in entry.blast.iter().flatten().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.render_json());
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        w.begin_object();
+        w.key("id").str(&entry.manifest.id);
+        w.key("campaigns").begin_array();
+        for b in entry.blast.iter().flatten() {
+            w.raw(&b.render_json());
         }
-        out.push_str("]}");
+        w.end_array().end_object();
         Ok(out)
     }
 

@@ -20,15 +20,14 @@
 //!
 //! [`JournalScenario`]: crate::scenario::JournalScenario
 
-use cornet_obs::{json_escape, Tracer};
-use cornet_types::json::{parse, JsonValue};
+use cornet_obs::Tracer;
+use cornet_types::json::{parse, FloatFmt, JsonValue, JsonWriter};
 use cornet_types::{Attributes, Inventory, NfType, NodeId, Topology};
 use cornet_verifier::{
     ChangeScope, Expectation, GoNoGo, KpiQuery, StreamConfig, StreamDetection, StreamSample,
     StreamingVerifier, VerificationRule,
 };
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Detections retained per session for `GET /v1/ingest`.
@@ -298,14 +297,16 @@ impl StreamHub {
                 recent.push_back(d);
             }
         }
-        Ok(format!(
-            "{{\"accepted\":{},\"rejected\":{},\"shed\":{},\"detections\":{},\"streams\":{}}}",
-            receipt.accepted,
-            receipt.rejected,
-            receipt.shed,
-            receipt.detections,
-            session.engine.store().stream_count(),
-        ))
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        w.begin_object();
+        w.key("accepted").int(receipt.accepted);
+        w.key("rejected").int(receipt.rejected);
+        w.key("shed").int(receipt.shed);
+        w.key("detections").int(receipt.detections);
+        w.key("streams").int(session.engine.store().stream_count());
+        w.end_object();
+        Ok(out)
     }
 
     /// Render the tenant's session snapshot: counters, recent
@@ -314,93 +315,82 @@ impl StreamHub {
     pub fn snapshot(&self, tenant: &str) -> Option<String> {
         let session = self.session_of(tenant)?;
         let stats = session.engine.stats();
-        let mut out = format!(
-            "{{\"spec\":{{\"nodes\":{},\"kpi\":\"{}\",\"change_minute\":{},\
-             \"step_minutes\":{},\"window\":{},\"threshold\":{}}},\
-             \"stats\":{{\"accepted\":{},\"shed\":{},\"processed\":{},\
-             \"rejected\":{},\"detections\":{}}}",
-            session.spec.nodes,
-            json_escape(&session.spec.kpi),
-            session.spec.change_minute,
-            session.spec.step_minutes,
-            session.spec.window,
-            session.spec.threshold,
-            stats.accepted,
-            stats.shed,
-            stats.processed,
-            stats.rejected,
-            stats.detections,
-        );
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        w.begin_object();
+        w.key("spec").begin_object();
+        w.key("nodes").int(session.spec.nodes);
+        w.key("kpi").str(&session.spec.kpi);
+        w.key("change_minute").int(session.spec.change_minute);
+        w.key("step_minutes").int(session.spec.step_minutes);
+        w.key("window").int(session.spec.window);
+        w.key("threshold")
+            .float(session.spec.threshold, FloatFmt::Display);
+        w.end_object();
+        w.key("stats").begin_object();
+        w.key("accepted").int(stats.accepted);
+        w.key("shed").int(stats.shed);
+        w.key("processed").int(stats.processed);
+        w.key("rejected").int(stats.rejected);
+        w.key("detections").int(stats.detections);
+        w.end_object();
         match session.engine.detection_latency_quantile(0.99) {
-            Some(p99) => {
-                let _ = write!(out, ",\"detection_latency_p99_ms\":{:.3}", p99 * 1e3);
-            }
-            None => out.push_str(",\"detection_latency_p99_ms\":null"),
-        }
-        out.push_str(",\"detections\":[");
+            Some(p99) => w
+                .key("detection_latency_p99_ms")
+                .float(p99 * 1e3, FloatFmt::Fixed(3)),
+            None => w.key("detection_latency_p99_ms").null(),
+        };
+        w.key("detections").begin_array();
         {
             let recent = session.recent.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, d) in recent.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let name = node_name(&session.nodes_by_name, d.node);
-                let _ = write!(
-                    out,
-                    "{{\"node\":\"{}\",\"kpi\":\"{}\",\"timescale\":{},\
-                     \"minute\":{},\"delta\":{:.6},\"score\":{:.3}}}",
-                    json_escape(&name),
-                    json_escape(&d.kpi),
-                    d.timescale,
-                    d.minute,
-                    d.delta,
-                    d.score,
-                );
+            for d in recent.iter() {
+                w.begin_object();
+                w.key("node")
+                    .str(&node_name(&session.nodes_by_name, d.node));
+                w.key("kpi").str(&d.kpi);
+                w.key("timescale").int(d.timescale);
+                w.key("minute").int(d.minute);
+                w.key("delta").float(d.delta, FloatFmt::Fixed(6));
+                w.key("score").float(d.score, FloatFmt::Fixed(3));
+                w.end_object();
             }
         }
-        out.push_str("],\"verdicts\":");
+        w.end_array();
         match session.engine.poll_verdicts() {
             Ok(reports) => {
-                out.push('[');
-                for (i, report) in reports.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+                w.key("verdicts").begin_array();
+                for report in &reports {
+                    w.begin_object();
+                    w.key("rule").str(&report.rule);
+                    w.key("decision").str(match report.decision {
+                        GoNoGo::Go => "go",
+                        GoNoGo::NoGo => "no-go",
+                    });
+                    w.key("kpis").begin_array();
+                    for kr in &report.kpis {
+                        w.begin_object();
+                        w.key("kpi").str(&kr.query.kpi);
+                        w.key("verdict")
+                            .display(format_args!("{:?}", kr.overall.verdict));
+                        w.key("p_value").float(kr.overall.p_value, FloatFmt::Exp);
+                        w.key("relative_shift")
+                            .float(kr.overall.relative_shift, FloatFmt::Fixed(6));
+                        w.key("meets_expectation").bool(kr.meets_expectation);
+                        w.end_object();
                     }
-                    let _ = write!(
-                        out,
-                        "{{\"rule\":\"{}\",\"decision\":\"{}\",\"kpis\":[",
-                        json_escape(&report.rule),
-                        match report.decision {
-                            GoNoGo::Go => "go",
-                            GoNoGo::NoGo => "no-go",
-                        }
-                    );
-                    for (j, kr) in report.kpis.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(
-                            out,
-                            "{{\"kpi\":\"{}\",\"verdict\":\"{:?}\",\"p_value\":{:e},\
-                             \"relative_shift\":{:.6},\"meets_expectation\":{}}}",
-                            json_escape(&kr.query.kpi),
-                            kr.overall.verdict,
-                            kr.overall.p_value,
-                            kr.overall.relative_shift,
-                            kr.meets_expectation,
-                        );
-                    }
-                    out.push_str("]}");
+                    w.end_array().end_object();
                 }
-                out.push(']');
-                out.push_str(",\"error\":null}");
+                w.end_array();
+                w.key("error").null();
             }
             Err(e) => {
                 // Not enough data yet (or an integrity failure): surface
                 // it as a field, not an HTTP error — the feed is healthy.
-                let _ = write!(out, "null,\"error\":\"{}\"}}", json_escape(&e.to_string()));
+                w.key("verdicts").null();
+                w.key("error").display(e);
             }
         }
+        w.end_object();
         Some(out)
     }
 }
@@ -538,6 +528,27 @@ mod tests {
         assert!(snap.contains("\"error\":null"), "{snap}");
         // The step also fired the live detectors.
         assert!(!snap.contains("\"detections\":[]"), "{snap}");
+        parse(&snap).expect("snapshot is JSON");
+
+        // Every post-change study sample is an explicit gap: no rank
+        // test has data, so no finite p-value exists and the snapshot
+        // must say `null`, not `inf`.
+        let gapped: String = (0..100u64)
+            .flat_map(|k| {
+                ["study-0", "study-1", "control-0", "control-1"].map(|node| {
+                    if node.starts_with("study") && k * 60 >= 3000 {
+                        line(node, k * 60, f64::NAN).replace("NaN", "null") + "\n"
+                    } else {
+                        line(node, k * 60, 100.0 + (k % 5) as f64) + "\n"
+                    }
+                })
+            })
+            .collect();
+        hub.ingest("gapped", params.iter().cloned(), &gapped)
+            .unwrap();
+        let snap = hub.snapshot("gapped").unwrap();
+        assert!(snap.contains("\"p_value\":null"), "{snap}");
+        parse(&snap).expect("snapshot with a non-finite p-value is JSON");
     }
 
     #[test]

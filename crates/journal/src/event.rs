@@ -5,18 +5,15 @@
 //! the log can be decoded without any orchestrator types in scope. The
 //! orchestrator owns the translation to and from its richer structures.
 //!
-//! The vendored `serde_json` is a same-process round-trip shim, so events
-//! render their own JSON and decode through `cornet_types::json::parse`.
-//! Numbers that must survive the reader's f64 representation exactly
+//! Events are written and read through `cornet_types::json`. Numbers
+//! that must survive the reader's f64 representation exactly
 //! (i64 params, durations in nanoseconds) are carried as strings; the
 //! tagged parameter encoding (`{"i":"42"}` vs `{"f":"42"}`) keeps int and
 //! float values distinct where untagged JSON could not.
 
-use cornet_obs::json_escape;
-use cornet_types::json::{parse, JsonValue};
+use cornet_types::json::{parse, JsonValue, JsonWriter};
 use cornet_types::{CornetError, ParamValue, Result};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Global state snapshot as stored in the journal — identical in shape to
 /// the orchestrator's `GlobalState`.
@@ -132,52 +129,41 @@ impl JournalEvent {
     /// Render the event as a single JSON document (one journal payload).
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(64);
-        let _ = write!(s, "{{\"ev\":\"{}\"", self.kind());
+        let mut w = JsonWriter::compact(&mut s);
+        w.begin_object();
+        w.key("ev").str(self.kind());
         match self {
             JournalEvent::CampaignOpened {
                 meta,
                 assignments,
                 concurrency,
             } => {
-                s.push_str(",\"meta\":");
-                encode_string_map(&mut s, meta);
-                s.push_str(",\"assignments\":[");
-                for (i, (node, slot)) in assignments.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "[{node},{slot}]");
+                write_string_map(w.key("meta"), meta);
+                w.key("assignments").begin_array();
+                for &(node, slot) in assignments {
+                    w.begin_array().int(node).int(slot).end_array();
                 }
-                let _ = write!(s, "],\"concurrency\":{concurrency}");
+                w.end_array();
+                w.key("concurrency").int(*concurrency);
             }
-            JournalEvent::CampaignResumed { meta } => {
-                s.push_str(",\"meta\":");
-                encode_string_map(&mut s, meta);
-            }
+            JournalEvent::CampaignResumed { meta } => write_string_map(w.key("meta"), meta),
             JournalEvent::InstanceAdmitted { node, slot } => {
-                let _ = write!(s, ",\"node\":{node},\"slot\":{slot}");
+                w.key("node").int(*node).key("slot").int(*slot);
             }
             JournalEvent::BlockCompleted(r) => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{},\"slot\":{},\"block\":\"{}\",\"status\":\"{}\",\
-                     \"attempts\":{},\"duration_ns\":\"{}\",\"backoff_ns\":\"{}\"",
-                    r.node,
-                    r.slot,
-                    json_escape(&r.block),
-                    json_escape(&r.status),
-                    r.attempts,
-                    r.duration_ns,
-                    r.backoff_ns,
-                );
+                w.key("node").int(r.node).key("slot").int(r.slot);
+                w.key("block").str(&r.block);
+                w.key("status").str(&r.status);
+                w.key("attempts").int(r.attempts);
+                w.key("duration_ns").display(r.duration_ns);
+                w.key("backoff_ns").display(r.backoff_ns);
                 if let Some(err) = &r.error {
-                    let _ = write!(s, ",\"error\":\"{}\"", json_escape(err));
+                    w.key("error").str(err);
                 }
                 if r.backout {
-                    s.push_str(",\"backout\":true");
+                    w.key("backout").bool(true);
                 }
-                s.push_str(",\"state\":");
-                encode_state(&mut s, &r.state);
+                write_state(w.key("state"), &r.state);
             }
             JournalEvent::InstanceFinished {
                 node,
@@ -185,13 +171,10 @@ impl JournalEvent {
                 status,
                 detail,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"slot\":{slot},\"status\":\"{}\"",
-                    json_escape(status)
-                );
+                w.key("node").int(*node).key("slot").int(*slot);
+                w.key("status").str(status);
                 if let Some(d) = detail {
-                    let _ = write!(s, ",\"detail\":\"{}\"", json_escape(d));
+                    w.key("detail").str(d);
                 }
             }
             JournalEvent::BreakerTripped {
@@ -199,15 +182,13 @@ impl JournalEvent {
                 failure_rate,
                 samples,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"block\":\"{}\",\"failure_rate\":\"{failure_rate}\",\"samples\":{samples}",
-                    json_escape(block)
-                );
+                w.key("block").str(block);
+                w.key("failure_rate").display(failure_rate);
+                w.key("samples").int(*samples);
             }
             JournalEvent::CampaignClosed => {}
         }
-        s.push('}');
+        w.end_object();
         s
     }
 
@@ -320,15 +301,12 @@ fn req_str_or_num_u64(v: &JsonValue, key: &str) -> Result<u64> {
     num_u32(v).map(u64::from)
 }
 
-fn encode_string_map(s: &mut String, map: &BTreeMap<String, String>) {
-    s.push('{');
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+pub(crate) fn write_string_map(w: &mut JsonWriter<'_>, map: &BTreeMap<String, String>) {
+    w.begin_object();
+    for (k, v) in map {
+        w.key(k).str(v);
     }
-    s.push('}');
+    w.end_object();
 }
 
 fn decode_string_map(v: &JsonValue) -> Result<BTreeMap<String, String>> {
@@ -346,51 +324,42 @@ fn decode_string_map(v: &JsonValue) -> Result<BTreeMap<String, String>> {
         .collect()
 }
 
-fn encode_state(s: &mut String, state: &StateMap) {
-    s.push('{');
-    for (i, (k, v)) in state.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":", json_escape(k));
-        encode_param(s, v);
+fn write_state(w: &mut JsonWriter<'_>, state: &StateMap) {
+    w.begin_object();
+    for (k, v) in state {
+        write_param(w.key(k), v);
     }
-    s.push('}');
+    w.end_object();
 }
 
 /// Type-tagged parameter encoding. Int and float payloads are carried as
 /// strings so `i64` precision and non-finite floats (`NaN`, `inf`) survive
 /// the reader's f64-only number representation.
-fn encode_param(s: &mut String, v: &ParamValue) {
+fn write_param(w: &mut JsonWriter<'_>, v: &ParamValue) {
+    w.begin_object();
     match v {
         ParamValue::Str(x) => {
-            let _ = write!(s, "{{\"s\":\"{}\"}}", json_escape(x));
+            w.key("s").str(x);
         }
         ParamValue::Int(x) => {
-            let _ = write!(s, "{{\"i\":\"{x}\"}}");
+            w.key("i").display(x);
         }
         ParamValue::Float(x) => {
-            let _ = write!(s, "{{\"f\":\"{x}\"}}");
+            w.key("f").display(x);
         }
         ParamValue::Bool(x) => {
-            let _ = write!(s, "{{\"b\":{x}}}");
+            w.key("b").bool(*x);
         }
         ParamValue::List(items) => {
-            s.push_str("{\"l\":[");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                encode_param(s, item);
+            w.key("l").begin_array();
+            for item in items {
+                write_param(w, item);
             }
-            s.push_str("]}");
+            w.end_array();
         }
-        ParamValue::Map(map) => {
-            s.push_str("{\"m\":");
-            encode_state(s, map);
-            s.push('}');
-        }
+        ParamValue::Map(map) => write_state(w.key("m"), map),
     }
+    w.end_object();
 }
 
 fn decode_state(v: &JsonValue) -> Result<StateMap> {

@@ -20,12 +20,11 @@
 //! readable manifest is skipped (a crash between `mkdir` and the manifest
 //! write leaves an empty shell that never held journal records).
 
+use crate::event::write_string_map;
 use crate::writer::Journal;
-use cornet_obs::json_escape;
-use cornet_types::json::{parse, JsonValue};
+use cornet_types::json::{parse, JsonValue, JsonWriter};
 use cornet_types::{CornetError, Result};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -46,20 +45,13 @@ impl Manifest {
     /// Render as a single-line JSON object.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"tenant\":\"{}\",\"name\":\"{}\",\"meta\":{{",
-            json_escape(&self.id),
-            json_escape(&self.tenant),
-            json_escape(&self.name)
-        );
-        for (i, (k, v)) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
-        }
-        out.push_str("}}");
+        let mut w = JsonWriter::compact(&mut out);
+        w.begin_object();
+        w.key("id").str(&self.id);
+        w.key("tenant").str(&self.tenant);
+        w.key("name").str(&self.name);
+        write_string_map(w.key("meta"), &self.meta);
+        w.end_object();
         out
     }
 

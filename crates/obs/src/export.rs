@@ -13,13 +13,12 @@
 //!
 //! Rendering is deterministic: field order is fixed, spans render in
 //! finish order, metrics name-sorted — the property the golden-file test
-//! pins. No external JSON crate is involved (the vendored `serde_json`
-//! is a stub); values are escaped by hand exactly like the intent
-//! reader's grammar expects.
+//! pins. The text itself is written by [`cornet_types::json::JsonWriter`].
 
+use crate::metrics::Histogram;
 use crate::span::{AttrValue, Span, SpanId, Trace};
+use cornet_types::json::{FloatFmt, JsonWriter};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Renders a [`Trace`] to an exportable text document.
 pub trait TraceSink {
@@ -32,54 +31,23 @@ pub trait TraceSink {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render an f64 as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+fn write_attrs(w: &mut JsonWriter<'_>, attrs: &[(&'static str, AttrValue)]) {
+    for (k, v) in attrs {
+        w.key(k);
+        match v {
+            AttrValue::Str(s) => w.str(s),
+            AttrValue::Int(i) => w.int(*i),
+            AttrValue::Float(x) => w.float(*x, FloatFmt::Display),
+            AttrValue::Bool(b) => w.bool(*b),
+        };
     }
 }
 
-fn json_attr_value(v: &AttrValue) -> String {
-    match v {
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
-        AttrValue::Int(i) => format!("{i}"),
-        AttrValue::Float(x) => json_f64(*x),
-        AttrValue::Bool(b) => format!("{b}"),
-    }
-}
-
-fn json_attrs(attrs: &[(&'static str, AttrValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in attrs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\": {}", json_escape(k), json_attr_value(v));
-    }
-    out.push('}');
-    out
+fn write_histogram_totals(w: &mut JsonWriter<'_>, h: &Histogram) {
+    w.key("count").int(h.count);
+    w.key("sum").float(h.sum, FloatFmt::Display);
+    w.key("min").float(h.min, FloatFmt::Display);
+    w.key("max").float(h.max, FloatFmt::Display);
 }
 
 /// One JSON object per line: spans in finish order, then counters, then
@@ -90,45 +58,49 @@ impl TraceSink for JsonLinesSink {
     fn render(&self, trace: &Trace) -> String {
         let mut out = String::new();
         for s in &trace.spans {
-            let parent = s
-                .parent
-                .map(|p| p.0.to_string())
-                .unwrap_or_else(|| "null".into());
-            let _ = writeln!(
-                out,
-                "{{\"type\": \"span\", \"id\": {}, \"parent\": {}, \"name\": \"{}\", \
-                 \"start_ns\": {}, \"end_ns\": {}, \"attrs\": {}}}",
-                s.id.0,
-                parent,
-                json_escape(&s.name),
-                s.start_ns,
-                s.end_ns,
-                json_attrs(&s.attrs),
-            );
+            let mut w = JsonWriter::spaced(&mut out);
+            w.begin_object();
+            w.key("type").str("span");
+            w.key("id").int(s.id.0);
+            match s.parent {
+                Some(p) => w.key("parent").int(p.0),
+                None => w.key("parent").null(),
+            };
+            w.key("name").str(&s.name);
+            w.key("start_ns").int(s.start_ns);
+            w.key("end_ns").int(s.end_ns);
+            w.key("attrs").begin_object();
+            write_attrs(&mut w, &s.attrs);
+            w.end_object().end_object();
+            out.push('\n');
         }
         for (name, value) in &trace.metrics.counters {
-            let _ = writeln!(
-                out,
-                "{{\"type\": \"counter\", \"name\": \"{}\", \"value\": {}}}",
-                json_escape(name),
-                value
-            );
+            let mut w = JsonWriter::spaced(&mut out);
+            w.begin_object();
+            w.key("type").str("counter");
+            w.key("name").str(name);
+            w.key("value").int(*value);
+            w.end_object();
+            out.push('\n');
         }
         for (name, h) in &trace.metrics.histograms {
-            let bounds: Vec<String> = h.bounds.iter().map(|b| json_f64(*b)).collect();
-            let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{{\"type\": \"histogram\", \"name\": \"{}\", \"bounds\": [{}], \
-                 \"counts\": [{}], \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                json_escape(name),
-                bounds.join(", "),
-                counts.join(", "),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-            );
+            let mut w = JsonWriter::spaced(&mut out);
+            w.begin_object();
+            w.key("type").str("histogram");
+            w.key("name").str(name);
+            w.key("bounds").begin_array();
+            for b in &h.bounds {
+                w.float(*b, FloatFmt::Display);
+            }
+            w.end_array();
+            w.key("counts").begin_array();
+            for c in &h.counts {
+                w.int(*c);
+            }
+            w.end_array();
+            write_histogram_totals(&mut w, h);
+            w.end_object();
+            out.push('\n');
         }
         out
     }
@@ -178,57 +150,49 @@ impl TraceSink for ChromeTraceSink {
             let next = tid_of.len() as u64 + 1;
             tid_of.entry(root).or_insert(next);
         }
-        let mut out = String::from("{\n  \"traceEvents\": [\n");
-        for (i, s) in trace.spans.iter().enumerate() {
+        let mut out = String::new();
+        let mut w = JsonWriter::spaced(&mut out);
+        w.begin_object();
+        w.line(2).key("traceEvents").begin_array();
+        for s in &trace.spans {
+            w.line(4).begin_object();
+            w.key("name").str(&s.name);
+            w.key("cat").str("cornet");
+            w.key("ph").str("X");
             // trace_event timestamps are microseconds; keep nanosecond
             // precision with 3 decimals.
-            let ts = s.start_ns as f64 / 1_000.0;
-            let dur = s.duration_ns() as f64 / 1_000.0;
-            let mut args = format!("\"span_id\": {}", s.id.0);
+            w.key("ts")
+                .float(s.start_ns as f64 / 1_000.0, FloatFmt::Fixed(3));
+            w.key("dur")
+                .float(s.duration_ns() as f64 / 1_000.0, FloatFmt::Fixed(3));
+            w.key("pid").int(1);
+            w.key("tid").int(tid_of[&roots[&s.id]]);
+            w.key("args").begin_object();
+            w.key("span_id").int(s.id.0);
             if let Some(p) = s.parent {
-                let _ = write!(args, ", \"parent_id\": {}", p.0);
+                w.key("parent_id").int(p.0);
             }
-            for (k, v) in &s.attrs {
-                let _ = write!(args, ", \"{}\": {}", json_escape(k), json_attr_value(v));
-            }
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"cat\": \"cornet\", \"ph\": \"X\", \
-                 \"ts\": {ts:.3}, \"dur\": {dur:.3}, \"pid\": 1, \"tid\": {}, \
-                 \"args\": {{{args}}}}}",
-                json_escape(&s.name),
-                tid_of[&roots[&s.id]],
-            );
-            out.push_str(if i + 1 < trace.spans.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            write_attrs(&mut w, &s.attrs);
+            w.end_object().end_object();
         }
-        out.push_str("  ],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\n");
-        out.push_str("    \"counters\": {");
-        for (i, (name, value)) in trace.metrics.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", json_escape(name), value);
+        w.line(2).end_array();
+        w.line(2).key("displayTimeUnit").str("ms");
+        w.line(2).key("otherData").begin_object();
+        w.line(4).key("counters").begin_object();
+        for (name, value) in &trace.metrics.counters {
+            w.key(name).int(*value);
         }
-        out.push_str("},\n    \"histograms\": {");
-        for (i, (name, h)) in trace.metrics.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                json_escape(name),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-            );
+        w.end_object();
+        w.line(4).key("histograms").begin_object();
+        for (name, h) in &trace.metrics.histograms {
+            w.key(name).begin_object();
+            write_histogram_totals(&mut w, h);
+            w.end_object();
         }
-        out.push_str("}\n  }\n}\n");
+        w.end_object();
+        w.line(2).end_object();
+        w.line(0).end_object();
+        out.push('\n');
         out
     }
 }
@@ -329,11 +293,5 @@ mod tests {
         let body = ChromeTraceSink.render(&t.snapshot());
         assert!(body.contains("\"tid\": 1"));
         assert!(body.contains("\"tid\": 2"));
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,8 +1,9 @@
 //! CORNET observability: spans, metrics, exportable traces.
 //!
-//! This crate is the repo's tracing seam. It is deliberately
-//! dependency-free (the container vendors stub crates only) and cheap
-//! enough to leave compiled into every subsystem:
+//! This crate is the repo's tracing seam. It depends on nothing outside
+//! the workspace (only on `cornet-types`, for the JSON writer the sinks
+//! render through) and is cheap enough to leave compiled into every
+//! subsystem:
 //!
 //! * [`Tracer`] — a cloneable handle that is either *attached* (records
 //!   into a shared collector) or a *noop* (`Tracer::default()`); the noop
@@ -50,7 +51,7 @@ pub mod span;
 pub mod summary;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use export::{json_escape, write_trace, ChromeTraceSink, JsonLinesSink, TraceSink};
+pub use export::{write_trace, ChromeTraceSink, JsonLinesSink, TraceSink};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS_MS};
 pub use span::{ActiveSpan, AttrValue, Span, SpanId, Trace, Tracer};
 pub use summary::{SpanKindStats, TraceSummary};

@@ -8,6 +8,7 @@
 //! as the span-level breakdown.
 
 use crate::span::Trace;
+use cornet_types::json::{FloatFmt, JsonWriter};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -110,27 +111,25 @@ impl TraceSummary {
     }
 
     /// Deterministic JSON object mapping span kind → stats, for embedding
-    /// in BENCH reports (rendered by hand; the vendored `serde_json` is a
-    /// stub).
+    /// in BENCH reports.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, k) in self.kinds.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        let mut out = String::new();
+        let mut w = JsonWriter::spaced(&mut out);
+        w.begin_object();
+        for k in &self.kinds {
+            w.key(&k.name).begin_object();
+            w.key("count").int(k.count);
+            for (name, ms) in [
+                ("p50_ms", k.p50_ms),
+                ("p95_ms", k.p95_ms),
+                ("max_ms", k.max_ms),
+                ("total_ms", k.total_ms),
+            ] {
+                w.key(name).float(ms, FloatFmt::Fixed(3));
             }
-            let _ = write!(
-                out,
-                "\"{}\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-                 \"max_ms\": {:.3}, \"total_ms\": {:.3}}}",
-                crate::export::json_escape(&k.name),
-                k.count,
-                k.p50_ms,
-                k.p95_ms,
-                k.max_ms,
-                k.total_ms
-            );
+            w.end_object();
         }
-        out.push('}');
+        w.end_object();
         out
     }
 }

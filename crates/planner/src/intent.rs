@@ -5,30 +5,26 @@
 //! constraint templates" (§3.3). This module parses that JSON into typed
 //! rules; [`crate::translate()`] maps the rules onto constraint templates.
 
-use crate::json::JsonValue;
+use cornet_types::json::{parse, JsonValue};
 use cornet_types::{
     ConflictEntry, ConflictTable, CornetError, Granularity, MaintenanceWindow, NodeId, Result,
     SchedulingWindow, SimTime, TimeUnit,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Conflict tolerance (Listing 1's `conflict_handling`): zero-tolerance
 /// schedules must avoid every ticketed busy period; minimize-conflicts
 /// trades conflicts against completion (emergency roll-outs, §3.3.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConflictTolerance {
     /// No conflicts permitted (risking leftovers / longer makespan).
-    #[serde(rename = "zero-tolerance")]
     Zero,
     /// Schedule as much as possible, minimizing generated conflicts.
-    #[serde(rename = "minimize-conflicts")]
     Minimize,
 }
 
 /// One high-level constraint rule (the paper's six templates).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "name", rename_all = "snake_case")]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ConstraintRule {
     /// Conflict tolerance selection.
     ConflictHandling {
@@ -41,7 +37,6 @@ pub enum ConstraintRule {
         base_attribute: String,
         /// When present, the capacity applies *within each* value of this
         /// attribute (Listing 1's per-pool/per-market variant).
-        #[serde(default)]
         aggregate_attribute: Option<String>,
         /// Comparison operator (the paper always uses `"<="`).
         operator: String,
@@ -78,34 +73,30 @@ pub enum ConstraintRule {
 
 /// A frozen element: an attribute selector plus an optional busy period.
 /// Without a period the element is frozen for the whole window.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FrozenElement {
     /// Optional freeze start.
-    #[serde(default)]
     pub start: Option<String>,
     /// Optional freeze end.
-    #[serde(default)]
     pub end: Option<String>,
     /// Attribute selector, e.g. `{"common_id": "id000041"}` or
     /// `{"market": "NYC"}`. Exactly one key is expected.
-    #[serde(flatten)]
     pub selector: BTreeMap<String, String>,
 }
 
 /// A conflict-table entry in the JSON API.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConflictPeriod {
     /// Busy-period start.
     pub start: String,
     /// Busy-period end.
     pub end: String,
     /// Tickets responsible.
-    #[serde(default)]
     pub tickets: Vec<String>,
 }
 
 /// Scheduling window section of the intent.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WindowSpec {
     /// Window start, `"YYYY-MM-DD HH:MM:SS"`.
     pub start: String,
@@ -117,22 +108,20 @@ pub struct WindowSpec {
 
 /// Maintenance window section (times-of-day; timezone is informational —
 /// the generated schedule interprets slots in each node's local time).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MaintenanceSpec {
     /// Start time-of-day, `"H:MM"`.
     pub start: String,
     /// End time-of-day, `"H:MM"`.
     pub end: String,
     /// Granularity label (informational).
-    #[serde(default)]
     pub granularity: Option<String>,
     /// `"local"` or a fixed zone (informational).
-    #[serde(default)]
     pub timezone: Option<String>,
 }
 
 /// Excluded calendar period.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PeriodSpec {
     /// Period start.
     pub start: String,
@@ -141,43 +130,31 @@ pub struct PeriodSpec {
 }
 
 /// The full high-level intent (Listing 1).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanIntent {
     /// Calendar horizon and slot granularity.
     pub scheduling_window: WindowSpec,
     /// Nightly execution window.
     pub maintenance_window: MaintenanceSpec,
     /// Holidays / special events with no scheduling.
-    #[serde(default)]
     pub excluded_periods: Vec<PeriodSpec>,
     /// Elementary schedulable attribute (ESA, §3.3.2).
     pub schedulable_attribute: String,
     /// Conflict attribute (CA).
     pub conflict_attribute: String,
     /// Elements that must not be touched.
-    #[serde(default)]
     pub frozen_elements: Vec<FrozenElement>,
     /// Ticketed busy periods keyed by element id (e.g. `"id000001"`).
-    #[serde(default)]
     pub conflict_table: BTreeMap<String, Vec<ConflictPeriod>>,
     /// High-level constraint rules.
     pub constraints: Vec<ConstraintRule>,
 }
 
 impl PlanIntent {
-    /// Parse the JSON intent API.
-    ///
-    /// Tries `serde_json` first, then falls back to the dependency-free
-    /// reader in [`crate::json`] — the vendored `serde_json` in offline
-    /// builds is a round-trip shim that cannot parse external JSON text.
+    /// Parse the JSON intent API (Listing 1). Malformed text is a
+    /// [`CornetError::Parse`] naming the byte offset.
     pub fn from_json(json: &str) -> Result<Self> {
-        match serde_json::from_str(json) {
-            Ok(intent) => Ok(intent),
-            Err(serde_err) => from_json_value(
-                &crate::json::parse(json)
-                    .map_err(|_| CornetError::Parse(format!("intent JSON: {serde_err}")))?,
-            ),
-        }
+        from_json_value(&parse(json)?)
     }
 
     /// Build an intent from an already-parsed [`JsonValue`] document —
@@ -300,8 +277,7 @@ impl PlanIntent {
     }
 }
 
-/// Map a parsed [`JsonValue`] document onto [`PlanIntent`] — the manual
-/// twin of the serde derive, used when serde's parser is unavailable.
+/// Map a parsed [`JsonValue`] document onto [`PlanIntent`].
 fn from_json_value(root: &JsonValue) -> Result<PlanIntent> {
     let obj = |v: &JsonValue, what: &str| -> Result<()> {
         if v.entries().is_some() {
@@ -651,10 +627,10 @@ mod tests {
 
     #[test]
     fn bad_json_is_a_parse_error() {
-        assert!(matches!(
-            PlanIntent::from_json("{ not json"),
-            Err(CornetError::Parse(_))
-        ));
+        let Err(CornetError::Parse(msg)) = PlanIntent::from_json("{ not json") else {
+            panic!("malformed intent must be a parse error");
+        };
+        assert_eq!(msg, "JSON at byte 2: expected '\"'");
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod campaigns;
 pub mod decompose;
 pub mod heuristic;
 pub mod intent;
-pub mod json;
 pub mod lint;
 pub mod plan;
 pub mod translate;

@@ -11,10 +11,10 @@
 //! the delta is actually searched. With an empty delta the re-solve
 //! expands a single node and returns the prior plan bit-identically.
 
-use crate::json::{parse, JsonValue};
 use crate::plan::PlanResult;
 use crate::translate::Translation;
 use cornet_solver::search::WarmStartHint;
+use cornet_types::json::{parse, JsonValue, JsonWriter};
 use cornet_types::{CornetError, Inventory, Result};
 use std::collections::BTreeMap;
 
@@ -37,22 +37,6 @@ pub struct PlanSnapshot {
     pub assignments: Vec<(String, u32)>,
     /// Nodes the producing run left unscheduled.
     pub leftovers: Vec<String>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl PlanSnapshot {
@@ -82,31 +66,28 @@ impl PlanSnapshot {
     /// Serialize to the `cornet-plan/v1` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{PLAN_SCHEMA}\",\n"));
-        out.push_str(&format!("  \"backend\": \"{}\",\n", esc(&self.backend)));
-        out.push_str(&format!("  \"outcome\": \"{}\",\n", esc(&self.outcome)));
-        out.push_str("  \"assignments\": [");
-        for (i, (name, slot)) in self.assignments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"node\": \"{}\", \"slot\": {slot}}}",
-                esc(name)
-            ));
+        let mut w = JsonWriter::spaced(&mut out);
+        w.begin_object();
+        w.line(2).key("schema").str(PLAN_SCHEMA);
+        w.line(2).key("backend").str(&self.backend);
+        w.line(2).key("outcome").str(&self.outcome);
+        w.line(2).key("assignments").begin_array();
+        for (name, slot) in &self.assignments {
+            w.line(4).begin_object();
+            w.key("node").str(name).key("slot").int(*slot);
+            w.end_object();
         }
         if !self.assignments.is_empty() {
-            out.push_str("\n  ");
+            w.line(2);
         }
-        out.push_str("],\n  \"leftovers\": [");
-        for (i, name) in self.leftovers.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", esc(name)));
+        w.end_array();
+        w.line(2).key("leftovers").begin_array();
+        for name in &self.leftovers {
+            w.str(name);
         }
-        out.push_str("]\n}\n");
+        w.end_array();
+        w.line(0).end_object();
+        out.push('\n');
         out
     }
 

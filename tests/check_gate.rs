@@ -118,4 +118,14 @@ fn load_errors_exit_two() {
         Some(2),
         "load errors are not diagnostics"
     );
+    // 300 KB of '[' is a load error too, not a stack overflow.
+    let deep_path = std::env::temp_dir().join("cornet-check-gate-deep.json");
+    std::fs::write(&deep_path, "[".repeat(300_000)).unwrap();
+    let out = run(&[deep_path.to_str().unwrap()]);
+    std::fs::remove_file(&deep_path).ok();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("nesting deeper than"),
+        "{out:?}"
+    );
 }

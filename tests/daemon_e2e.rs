@@ -12,7 +12,7 @@
 
 use cornet::daemon::DaemonClient;
 use cornet::journal::{Journal, JournalEvent};
-use cornet::planner::json::{parse, JsonValue};
+use cornet::types::json::{parse, JsonValue};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -359,4 +359,47 @@ impl WaitWithDeadline for Child {
             std::thread::sleep(Duration::from_millis(25));
         }
     }
+}
+
+/// Hostile bodies are refused with a 400, never a dead process: 300 KB of
+/// `[` (one stack frame per bracket in a recursive reader) and a body at
+/// the 8 MiB cap (minutes of re-validation in a quadratic one). Another
+/// tenant's next submission is served by the same daemon.
+#[test]
+fn hostile_bodies_get_400_and_the_daemon_keeps_serving() {
+    let dir = state_dir("hostile");
+    let daemon = Daemon::start(&dir);
+    let mallory = daemon.client("mallory");
+
+    let resp = mallory
+        .post("/v1/campaigns", &"[".repeat(300_000))
+        .expect("daemon answers a deeply nested body");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+
+    let filler = "\"enb-0001 – Zürich\",".repeat((8 << 20) / 24 - 8);
+    let big = format!("{{\"junk\": [{filler}\"end\"], \"workflows\": [\"no_such_flow\"]}}");
+    assert!(big.len() > 8_000_000 && big.len() <= 8 << 20);
+    let started = Instant::now();
+    let resp = mallory
+        .post("/v1/campaigns", &big)
+        .expect("daemon answers a body at the size cap");
+    assert_eq!(
+        resp.status,
+        400,
+        "{}",
+        &resp.body[..resp.body.len().min(200)]
+    );
+    assert!(resp.body.contains("no_such_flow"), "{}", resp.body);
+    assert!(started.elapsed() < Duration::from_secs(60));
+
+    let alice = daemon.client("alice");
+    let id = submit(
+        &alice,
+        "{\"name\":\"after\",\"scenario\":{\"nodes\":4,\"latency_ms\":1,\"fault_rate_milli\":0}}",
+    );
+    let snap = wait_terminal(&alice, &id, Duration::from_secs(60));
+    assert_eq!(phase_of(&snap), "completed");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
 }

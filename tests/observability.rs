@@ -14,7 +14,7 @@ use cornet::catalog::builtin_catalog;
 use cornet::obs::{ChromeTraceSink, ManualClock, TraceSink, Tracer};
 use cornet::orchestrator::resilience::RetryPolicy;
 use cornet::orchestrator::{Dispatcher, ExecutorRegistry};
-use cornet::planner::json::{parse, JsonValue};
+use cornet::types::json::{parse, JsonValue};
 use cornet::types::{NodeId, ParamValue, Schedule, Timeslot};
 use cornet::workflow::builtin::software_upgrade_workflow;
 use cornet::workflow::WarArtifact;
