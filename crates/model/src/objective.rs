@@ -12,7 +12,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Cost contribution of one variable: `slope · value + table[value]`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Ordered so that equal terms can be interned (the solver keeps one cost
+/// row per distinct term, not per variable).
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct VarCost {
     /// Linear coefficient on the assigned value (completion-time pressure:
     /// later slots cost more). Usually the node weight.

@@ -31,9 +31,7 @@ use crate::translate::Translation;
 use crate::warm::WarmStart;
 use cornet_model::Model;
 use cornet_obs::{ActiveSpan, SpanId, Tracer};
-use cornet_solver::{
-    solve, CancelToken, Outcome, SearchStats, SharedIncumbent, SolveResult, SolverConfig,
-};
+use cornet_solver::{solve, CancelToken, Outcome, SearchStats, SharedIncumbent, SolverConfig};
 use cornet_types::{ConflictTable, CornetError, Inventory, NodeId, Result};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -224,6 +222,8 @@ fn close_solve_span(
         span.attr("feasible", run.feasible);
     }
     span.attr("search_nodes", result.stats.nodes);
+    span.attr("propagations", result.stats.propagations);
+    span.attr("bound_prunes", result.stats.bound_prunes);
     span.attr("budget_nodes", budget.max_nodes);
     span.attr("solutions", result.stats.solutions);
     span.attr("cancelled", cancel.is_cancelled());
@@ -293,29 +293,6 @@ pub trait SolverBackend: Send + Sync {
         -> BackendResult;
 }
 
-/// Run the CP solver, hopping to a dedicated big-stack thread for large
-/// models: the search recurses one frame per fixed variable, so past a
-/// few thousand variables the default 2 MiB thread stack overflows.
-fn solve_on_sized_stack(model: &Model, config: &SolverConfig) -> SolveResult {
-    const DIRECT_VARS: usize = 4096;
-    let vars = model.var_count();
-    if vars <= DIRECT_VARS {
-        return solve(model, config);
-    }
-    let stack = 32 * 1024 * 1024 + vars * 1024;
-    crossbeam::scope(|scope| {
-        scope
-            .builder()
-            .name("cp-solve".into())
-            .stack_size(stack)
-            .spawn(|_| solve(model, config))
-            .expect("spawn solver thread")
-            .join()
-            .expect("solver thread panicked")
-    })
-    .expect("solver scope failed")
-}
-
 /// The exact branch & bound CP solver.
 #[derive(Clone, Debug, Default)]
 pub struct ExactBackend {
@@ -349,7 +326,7 @@ impl SolverBackend for ExactBackend {
                 .or_else(|| self.config.warm_start.clone()),
             ..self.config.clone()
         };
-        let r = solve_on_sized_stack(&ctx.translation.model, &config);
+        let r = solve(&ctx.translation.model, &config);
         let (assignment, cost) = match r.best {
             Some(sol) => (Some(sol.assignment), Some(sol.cost)),
             None => (None, None),
@@ -409,7 +386,7 @@ impl SolverBackend for GreedyBackend {
             // fresh solve do" member, warm or not.
             warm_start: None,
         };
-        let r = solve_on_sized_stack(&ctx.translation.model, &config);
+        let r = solve(&ctx.translation.model, &config);
         let outcome = match r.outcome {
             // A completed dive proves feasibility, never optimality.
             Outcome::Optimal => Outcome::Feasible,
@@ -513,11 +490,10 @@ impl SolverBackend for HeuristicBackend {
         let cost = model.cost(&assignment);
         let elapsed = started.elapsed();
         let stats = SearchStats {
-            nodes: 0,
-            backtracks: 0,
             solutions: 1,
             elapsed,
             time_to_best: elapsed,
+            ..SearchStats::default()
         };
         let result = BackendResult::from_run(
             BackendRun {
@@ -866,10 +842,7 @@ impl ShardedBackend {
         let mut all_optimal = true;
         for (si, result) in &indexed {
             let shard = &shards[*si];
-            stats.nodes += result.stats.nodes;
-            stats.backtracks += result.stats.backtracks;
-            stats.solutions += result.stats.solutions;
-            stats.elapsed += result.stats.elapsed;
+            stats.absorb(&result.stats);
             match &result.assignment {
                 Some(sub) => {
                     for (&old, &val) in shard.part.vars.iter().zip(sub) {

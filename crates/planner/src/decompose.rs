@@ -606,10 +606,7 @@ pub fn solve_components(
     let mut outcome = Outcome::Optimal;
     for (comp, result) in comps.iter().zip(results) {
         let r = result.expect("result present");
-        stats.nodes += r.stats.nodes;
-        stats.backtracks += r.stats.backtracks;
-        stats.solutions += r.stats.solutions;
-        stats.elapsed += r.stats.elapsed;
+        stats.absorb(&r.stats);
         match (&r.best, r.outcome) {
             (Some(sol), oc) => {
                 for (&old, &val) in comp.iter().zip(&sol.assignment) {

@@ -149,10 +149,7 @@ pub fn plan(
         let mut outcome = Outcome::Optimal;
         let mut runs: Vec<BackendRun> = Vec::new();
         for (part, result) in parts.iter().zip(results) {
-            stats.nodes += result.stats.nodes;
-            stats.backtracks += result.stats.backtracks;
-            stats.solutions += result.stats.solutions;
-            stats.elapsed += result.stats.elapsed;
+            stats.absorb(&result.stats);
             runs.extend(result.runs);
             match (&result.assignment, result.outcome) {
                 (Some(sub), oc) => {

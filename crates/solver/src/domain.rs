@@ -109,6 +109,41 @@ impl BitDomain {
         }
     }
 
+    /// Smallest value strictly greater than `v`, or `None`. Lets a caller
+    /// walk a domain in ascending order while removing values from it.
+    pub fn next_above(&self, v: i64) -> Option<i64> {
+        let from = (v + 1).max(0) as usize;
+        let mut w = from / 64;
+        let mut word = *self.words.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if word != 0 {
+                return Some((w * 64 + word.trailing_zeros() as usize) as i64);
+            }
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+    }
+
+    /// Number of 64-value words backing the domain.
+    #[inline]
+    pub(crate) fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The bits of word `w` (values `64·w ..= 64·w + 63`).
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Overwrite word `w`, keeping the size in step — the trail's undo
+    /// and [`crate::State::fix`] change a domain a word at a time.
+    #[inline]
+    pub(crate) fn set_word(&mut self, w: usize, bits: u64) {
+        self.size = self.size - self.words[w].count_ones() + bits.count_ones();
+        self.words[w] = bits;
+    }
+
     /// Iterate over values in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
         self.words.iter().enumerate().flat_map(|(w, word)| {
@@ -168,6 +203,36 @@ mod tests {
         assert_eq!(vals[63], 63);
         assert_eq!(vals[64], 66, "gap skipped");
         assert_eq!(*vals.last().unwrap(), 130);
+    }
+
+    #[test]
+    fn next_above_walks_across_words_and_gaps() {
+        let mut d = BitDomain::new(0, 130, 200);
+        d.remove(64);
+        d.remove(65);
+        assert_eq!(d.next_above(-1), Some(0));
+        assert_eq!(d.next_above(62), Some(63));
+        assert_eq!(d.next_above(63), Some(66), "gap at the word boundary");
+        assert_eq!(d.next_above(129), Some(130));
+        assert_eq!(d.next_above(130), None);
+        assert_eq!(d.next_above(500), None, "past the universe");
+        let mut walked = Vec::new();
+        let mut cur = d.min();
+        while let Some(v) = cur {
+            walked.push(v);
+            cur = d.next_above(v);
+        }
+        assert_eq!(walked, d.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn set_word_keeps_the_size() {
+        let mut d = BitDomain::new(0, 70, 100);
+        d.set_word(0, 0b1010);
+        assert_eq!(d.len(), 2 + 7);
+        assert_eq!(d.min(), Some(1));
+        d.set_word(1, 0);
+        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]

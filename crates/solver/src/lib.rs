@@ -4,15 +4,40 @@
 //! intent translation — the workspace's stand-in for the MiniZinc backends
 //! (Google OR-Tools CP, COIN-OR CBC) the paper invokes (§3.3).
 //!
-//! Architecture:
+//! Architecture — a search node costs what changed, not `vars × values`:
 //!
 //! * [`domain::BitDomain`] — bitset domains over slot values `0..=T`;
-//! * [`state::State`] — trail-based domains with O(1) backtracking;
+//! * [`state::State`] — domains, reversible counters and a domain-size
+//!   bucket index of the unfixed variables, all on one trail: a fix is one
+//!   trail entry per domain word, undo restores words and counters, and
+//!   the smallest-domain, lowest-index variable is a bit scan away;
 //! * [`propagate::Propagation`] — one filtering routine per constraint
-//!   family, driven to fixpoint by a changed-variable worklist;
-//! * [`search`] — branch & bound DFS: smallest-domain variable selection,
-//!   cost-ordered values (greedy first dive), per-variable cost lower
-//!   bounds, node and wall-clock budgets.
+//!   family, driven to fixpoint from the state's change and assignment
+//!   notifications on reusable, run-stamped queues. `Capacity` keeps its
+//!   per-granule loads in the state's counters and filters only the
+//!   granules whose load rose, only for members that no longer fit;
+//! * [`search`] — branch & bound DFS on an explicit frame stack (no
+//!   recursion, so no stack sized to the model): cost-ordered values from
+//!   objective rows sorted once and interned (a fleet model has a handful
+//!   of distinct rows), per-variable minima over the root-propagated
+//!   domains for pruning, node and wall-clock budgets — and a
+//!   capacity-derived lower bound on the whole model at which the search
+//!   stops `Optimal` the moment the incumbent meets it.
+//!
+//! The bound: the objective is a sum over variables, so per-variable
+//! minima add up. A `Capacity` constraint whose members each cost at least
+//! `k · weight · slot` (one `k` for the group, weights positive, per-slot
+//! adjustments non-negative) bounds them by the *fluid* optimum — pour the
+//! total weight into the granules cheapest-first up to capacity, overflow
+//! paying the cheapest unscheduled price. Splitting weight across slots,
+//! ignoring other members' load, forbids and penalties all relax the
+//! problem, so the fluid optimum never exceeds the true one; any other
+//! model keeps the per-variable minima. On the planner's fleet models the
+//! greedy first dive meets this bound, so a solve is `vars + 1` nodes.
+//!
+//! The kernel this replaced (whole-constraint re-filtering, a scan per
+//! variable pick, a sort per node, one recursion frame per variable) lives
+//! on under `#[cfg(test)]` as the oracle of the equivalence suites.
 //!
 //! The solver is exact: given enough budget it proves optimality. Under a
 //! budget it returns the incumbent and reports [`Outcome::Feasible`] —
@@ -21,7 +46,11 @@
 
 #![forbid(unsafe_code)]
 pub mod domain;
+#[cfg(test)]
+mod equivalence;
 pub mod propagate;
+#[cfg(test)]
+mod reference;
 pub mod search;
 pub mod state;
 

@@ -2,13 +2,16 @@
 //!
 //! The search mirrors what a CP solver does with the models CORNET
 //! generates: smallest-domain-first variable selection, cost-ordered value
-//! enumeration (so the first dive is a greedy warm start), and pruning by
-//! a per-variable cost lower bound. Budgets on nodes and wall-clock time
-//! make discovery time measurable — the quantity §4.2 evaluates.
+//! enumeration (so the first dive is a greedy warm start), pruning by a
+//! per-variable cost lower bound, and a stop the moment the incumbent
+//! meets a capacity-derived bound on the whole model. Budgets on nodes and
+//! wall-clock time make discovery time measurable — the quantity §4.2
+//! evaluates.
 
 use crate::propagate::Propagation;
 use crate::state::State;
-use cornet_model::{Model, VarId};
+use cornet_model::{Constraint, Model, VarCost};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -182,14 +185,34 @@ impl Default for SolverConfig {
 pub struct SearchStats {
     /// Search nodes expanded.
     pub nodes: u64,
-    /// Dead ends encountered.
+    /// Propagation dead ends: branches whose value wiped out a domain or
+    /// overloaded a constraint. Branches cut by the bound are counted in
+    /// `bound_prunes`, not here.
     pub backtracks: u64,
+    /// Branches skipped because their lower bound could not beat the
+    /// incumbent (the solver's own or the shared one).
+    pub bound_prunes: u64,
+    /// Propagator executions, root fixpoint included.
+    pub propagations: u64,
     /// Improving solutions found.
     pub solutions: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,
     /// Time at which the final incumbent was found.
     pub time_to_best: Duration,
+}
+
+impl SearchStats {
+    /// Add another solve's counters and elapsed time to this one — how
+    /// the planner totals the parts of a decomposed or sharded solve.
+    pub fn absorb(&mut self, part: &SearchStats) {
+        self.nodes += part.nodes;
+        self.backtracks += part.backtracks;
+        self.bound_prunes += part.bound_prunes;
+        self.propagations += part.propagations;
+        self.solutions += part.solutions;
+        self.elapsed += part.elapsed;
+    }
 }
 
 /// How the solve ended.
@@ -232,16 +255,148 @@ impl SolveResult {
     }
 }
 
+/// One distinct objective row — the cost of every value of a variable and
+/// the order to branch on them. Rows are interned: variables with equal
+/// bounds and equal objective terms share one, so a fleet model with a
+/// handful of distinct (weight, penalty) pairs has a handful of rows
+/// however many variables it has.
+struct CostRow {
+    lo: i64,
+    /// Cost of value `lo + i`.
+    cost: Vec<i64>,
+    /// Every value `lo..=hi` in branching order: `(cost, value)` ascending,
+    /// or plain value order for the ablation.
+    order: Vec<i64>,
+    /// Smallest cost over the whole row.
+    min_cost: i64,
+    slope: i64,
+    /// The fluid bound may price this variable by its slope alone: the
+    /// slope is not negative and no scheduled value carries a negative
+    /// adjustment (penalties only add, so ignoring them under-estimates).
+    slope_bounds_cost: bool,
+}
+
+impl CostRow {
+    fn new(lo: i64, hi: i64, term: &VarCost, by_cost: bool) -> Self {
+        let cost: Vec<i64> = (lo..=hi).map(|v| term.cost_of(v)).collect();
+        let mut order: Vec<i64> = (lo..=hi).collect();
+        if by_cost {
+            order.sort_by_key(|&v| (cost[(v - lo) as usize], v));
+        }
+        CostRow {
+            lo,
+            min_cost: cost.iter().copied().min().unwrap_or(0),
+            cost,
+            order,
+            slope: term.slope,
+            slope_bounds_cost: term.slope >= 0 && term.table.iter().all(|(&v, &c)| v < 1 || c >= 0),
+        }
+    }
+
+    #[inline]
+    fn cost_of(&self, value: i64) -> i64 {
+        self.cost[(value - self.lo) as usize]
+    }
+}
+
+/// Intern the model's objective into rows; returns them with each
+/// variable's row index.
+fn intern_rows(model: &Model, by_cost: bool) -> (Vec<CostRow>, Vec<u32>) {
+    static FREE: VarCost = VarCost {
+        slope: 0,
+        table: BTreeMap::new(),
+    };
+    let mut ids: BTreeMap<(i64, i64, &VarCost), u32> = BTreeMap::new();
+    let mut rows = Vec::new();
+    let mut terms = model.objective.terms.iter().peekable();
+    let row_of = model
+        .vars
+        .iter()
+        .enumerate()
+        .map(|(i, var)| {
+            let term = terms
+                .next_if(|(id, _)| id.index() == i)
+                .map_or(&FREE, |(_, term)| term);
+            *ids.entry((var.lo, var.hi, term)).or_insert_with(|| {
+                rows.push(CostRow::new(var.lo, var.hi, term, by_cost));
+                rows.len() as u32 - 1
+            })
+        })
+        .collect();
+    (rows, row_of)
+}
+
+/// The fluid relaxation of one capacity constraint: pour `total` units of
+/// weight, each costing `slope.0 / slope.1` per slot number, into
+/// `granules` (`(lowest slot, capacity)`) cheapest first; what does not
+/// fit — or is cheaper left out — pays `unscheduled.0 / unscheduled.1` per
+/// unit, or nothing when no member may stay unscheduled (the model is then
+/// infeasible, and any number bounds it). Rounded up: costs are integers.
+fn fluid_cost(
+    total: i64,
+    slope: (i64, i64),
+    granules: &mut [(i64, i64)],
+    unscheduled: Option<(i64, i64)>,
+) -> i64 {
+    granules.sort_unstable();
+    let (s, sw) = (slope.0 as i128, slope.1 as i128);
+    let (u, uw) = unscheduled.map_or((0, 1), |(u, w)| (u as i128, w as i128));
+    let mut left = total as i128;
+    let mut slot_units: i128 = 0;
+    for &(slot, cap) in granules.iter() {
+        if left == 0 || (unscheduled.is_some() && s * slot as i128 * uw >= u * sw) {
+            break;
+        }
+        let poured = left.min(cap.max(0) as i128);
+        slot_units += poured * slot as i128;
+        left -= poured;
+    }
+    // slot_units · s/sw + left · u/uw, over the common denominator.
+    let (num, den) = (slot_units * s * uw + left * u * sw, sw * uw);
+    let ceil = num.div_euclid(den) + i128::from(num.rem_euclid(den) != 0);
+    ceil.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+}
+
+/// The warm-start hint for `var`, if any.
+fn hint_of(config: &SolverConfig, var: usize) -> Option<i64> {
+    config.warm_start.as_ref().and_then(|ws| ws.hint(var))
+}
+
+/// One open search node: the variable it branches on and how far through
+/// that variable's values it is.
+struct Frame {
+    var: u32,
+    /// Next position in the variable's row order.
+    next: u32,
+    /// The warm-start hint is still to be tried (it goes first).
+    hint_first: bool,
+    /// Lower bound on entry.
+    lb: i64,
+    /// Trail mark under the value being explored.
+    mark: usize,
+}
+
 struct Searcher<'a> {
     model: &'a Model,
-    prop: Propagation,
+    prop: Propagation<'a>,
     state: State,
     config: &'a SolverConfig,
+    rows: Vec<CostRow>,
+    row_of: Vec<u32>,
+    /// Cheapest value of each variable at the root fixpoint.
     root_min: Vec<i64>,
+    /// No solution costs less than this.
+    global_lb: i64,
+    /// Derive the bounds from the root-propagated domains and the
+    /// capacity constraints (always, outside the equivalence tests).
+    capacity_bound: bool,
+    stack: Vec<Frame>,
     best: Option<Solution>,
     stats: SearchStats,
     start: Instant,
     aborted: bool,
+    /// The incumbent met `global_lb`: nothing is left to find.
+    proved: bool,
     /// Nodes between wall-clock checks, adapted to measured node cost so
     /// the overrun past `time_limit` stays bounded in *time*, not node
     /// count: big models spend far longer per node, and a fixed
@@ -258,32 +413,144 @@ struct Searcher<'a> {
 
 impl<'a> Searcher<'a> {
     fn new(model: &'a Model, config: &'a SolverConfig) -> Self {
-        let root_min: Vec<i64> = model
-            .vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                (v.lo..=v.hi)
-                    .map(|val| model.objective.var_cost(VarId(i as u32), val))
-                    .min()
-                    .unwrap_or(0)
-            })
-            .collect();
+        // Compiling the model is part of the solve, and of its time limit.
+        let start = Instant::now();
+        let prop = Propagation::new(model);
+        let (rows, row_of) = intern_rows(model, config.cost_value_order);
         Searcher {
             model,
-            prop: Propagation::new(model),
-            state: State::new(model),
+            state: prop.new_state(),
+            prop,
             config,
-            root_min,
+            rows,
+            row_of,
+            root_min: Vec::new(),
+            global_lb: i64::MIN,
+            capacity_bound: true,
+            stack: Vec::new(),
             best: None,
             stats: SearchStats::default(),
-            start: Instant::now(),
+            start,
             aborted: false,
+            proved: false,
             clock_stride: 8,
             next_clock: 0,
             last_clock: Duration::ZERO,
             restricted: false,
         }
+    }
+
+    /// Prune with the per-variable minima over the *declared* domains and
+    /// never stop on a global bound — what the reference search does.
+    #[cfg(test)]
+    fn without_capacity_bound(mut self) -> Self {
+        self.capacity_bound = false;
+        self
+    }
+
+    #[inline]
+    fn row(&self, var: usize) -> &CostRow {
+        &self.rows[self.row_of[var] as usize]
+    }
+
+    /// Set `root_min` and `global_lb` from the root fixpoint.
+    ///
+    /// The objective is a sum over variables, so the per-variable minima
+    /// add up to a bound. A capacity constraint can raise it: its members
+    /// that no earlier constraint claimed form a group whose cost is at
+    /// least the fluid optimum ([`fluid_cost`]) when every member has a
+    /// positive weight, a cost of at least `k · weight · slot` for one `k`
+    /// shared by the group, and appears once. Splitting weight across
+    /// slots, dropping the other members' load, forbids and per-slot
+    /// penalties only relax the problem, so the fluid optimum is a lower
+    /// bound on the group; groups are disjoint, so the bounds add.
+    fn set_bounds(&mut self) {
+        let n = self.model.var_count();
+        self.root_min = (0..n)
+            .map(|var| {
+                let row = self.row(var);
+                if !self.capacity_bound {
+                    return row.min_cost;
+                }
+                let values = self.state.domain(var).iter();
+                values.map(|v| row.cost_of(v)).min().unwrap_or(0)
+            })
+            .collect();
+        if !self.capacity_bound {
+            return;
+        }
+        let mut lb = self.model.objective.constant + self.root_min.iter().sum::<i64>();
+        // 0 = unclaimed, else 1 + the index of the claiming constraint.
+        let mut claimed = vec![0u32; n];
+        for (ci, granules) in self.prop.capacity_granules() {
+            lb = lb.saturating_add(self.fluid_surplus(ci, granules, &mut claimed));
+        }
+        self.global_lb = lb;
+    }
+
+    /// Claim the unclaimed members of capacity constraint `ci` and return
+    /// how far their fluid bound exceeds the sum of their minima — or
+    /// claim nothing and return 0 when they do not meet the preconditions
+    /// or the minima are already the better bound.
+    fn fluid_surplus(
+        &self,
+        ci: usize,
+        granules: impl Iterator<Item = (i64, i64)>,
+        claimed: &mut [u32],
+    ) -> i64 {
+        let Constraint::Capacity { vars, weights, .. } = &self.model.constraints[ci] else {
+            unreachable!("capacity_granules yields capacity constraints")
+        };
+        let tag = ci as u32 + 1;
+        let mut group: Vec<(usize, i64)> = Vec::new();
+        let mut sound = true;
+        for (v, &w) in vars.iter().zip(weights) {
+            match claimed[v.index()] {
+                0 => {
+                    claimed[v.index()] = tag;
+                    group.push((v.index(), w));
+                }
+                // A member listed twice loads the granule with both weights.
+                t if t == tag => sound = false,
+                _ => {}
+            }
+        }
+        let slope = group.first().map(|&(var, w)| (self.row(var).slope, w));
+        let (mut total, mut minima, mut last_slot) = (0i64, 0i64, 0i64);
+        // The cheapest unscheduled price per unit of weight, as (cost, weight).
+        let mut unscheduled: Option<(i64, i64)> = None;
+        for &(var, w) in &group {
+            let row = self.row(var);
+            let (s0, w0) = slope.expect("the group is not empty");
+            sound &= w > 0
+                && row.slope_bounds_cost
+                && row.slope as i128 * w0 as i128 == s0 as i128 * w as i128;
+            total = total.saturating_add(w);
+            minima += self.root_min[var];
+            last_slot = last_slot.max(self.model.vars[var].hi);
+            if sound && self.state.domain(var).contains(0) {
+                let u = row.cost_of(0);
+                if unscheduled
+                    .is_none_or(|(bu, bw)| u as i128 * (bw as i128) < bu as i128 * w as i128)
+                {
+                    unscheduled = Some((u, w));
+                }
+            }
+        }
+        let surplus = match slope {
+            Some(slope) if sound => {
+                let mut granules: Vec<(i64, i64)> =
+                    granules.filter(|&(slot, _)| slot <= last_slot).collect();
+                fluid_cost(total, slope, &mut granules, unscheduled) - minima
+            }
+            _ => 0,
+        };
+        if surplus <= 0 {
+            for (var, _) in group {
+                claimed[var] = 0;
+            }
+        }
+        surplus.max(0)
     }
 
     fn over_budget(&mut self) -> bool {
@@ -325,6 +592,24 @@ impl<'a> Searcher<'a> {
         false
     }
 
+    /// A new incumbent: keep it and publish its cost.
+    fn adopt(&mut self, assignment: Vec<i64>, cost: i64) {
+        self.best = Some(Solution { assignment, cost });
+        self.stats.solutions += 1;
+        self.stats.time_to_best = self.start.elapsed();
+        if let Some(inc) = &self.config.incumbent {
+            inc.publish(cost);
+        }
+    }
+
+    /// Stop when the incumbent meets the global bound. A pinned search
+    /// answers for its subspace only (and replays the hint through the
+    /// search, one node), so it never proves anything.
+    fn check_proved(&mut self) {
+        let met = self.best.as_ref().is_some_and(|b| b.cost <= self.global_lb);
+        self.proved = met && !self.restricted;
+    }
+
     /// Adopt a complete, checked-feasible hint as the initial incumbent.
     fn seed_from_hint(&mut self, ws: &WarmStartHint) {
         if !ws.is_complete(self.model.var_count()) {
@@ -339,16 +624,7 @@ impl<'a> Searcher<'a> {
         if !in_bounds || self.model.check(&ws.values).is_err() {
             return;
         }
-        let cost = self.model.cost(&ws.values);
-        self.best = Some(Solution {
-            assignment: ws.values.clone(),
-            cost,
-        });
-        self.stats.solutions = 1;
-        self.stats.time_to_best = self.start.elapsed();
-        if let Some(inc) = &self.config.incumbent {
-            inc.publish(cost);
-        }
+        self.adopt(ws.values.clone(), self.model.cost(&ws.values));
     }
 
     /// Fix every hinted variable and propagate. On conflict the state is
@@ -357,7 +633,6 @@ impl<'a> Searcher<'a> {
     /// and the hint.
     fn pin_hints(&mut self, ws: &WarmStartHint) {
         let mark = self.state.mark();
-        self.state.clear_changed();
         let mut pinned = 0usize;
         let mut ok = true;
         for vi in 0..self.state.var_count() {
@@ -369,149 +644,180 @@ impl<'a> Searcher<'a> {
                 pinned += 1;
             }
         }
-        if ok {
-            let seeds = self.state.take_changed();
-            ok = self
-                .prop
-                .propagate_from(self.model, &mut self.state, &seeds)
-                .is_ok();
-        }
-        if ok {
+        if ok && self.prop.propagate(&mut self.state).is_ok() {
             self.restricted = pinned > 0;
         } else {
             self.state.undo_to(mark);
-            self.state.clear_changed();
         }
-    }
-
-    /// Pick the unfixed variable with the smallest domain.
-    fn pick_var(&self) -> Option<usize> {
-        let mut best: Option<(u32, usize)> = None;
-        for vi in 0..self.state.var_count() {
-            let d = self.state.domain(vi);
-            if !d.is_fixed() {
-                let size = d.len();
-                if best.is_none_or(|(s, _)| size < s) {
-                    if size == 2 {
-                        return Some(vi); // can't do better than 2
-                    }
-                    best = Some((size, vi));
-                }
-            }
-        }
-        best.map(|(_, vi)| vi)
     }
 
     fn record_solution(&mut self) {
         let assignment = self.state.assignment();
         let cost = self.model.cost(&assignment);
         if self.best.as_ref().is_none_or(|b| cost < b.cost) {
-            self.best = Some(Solution { assignment, cost });
-            self.stats.solutions += 1;
-            self.stats.time_to_best = self.start.elapsed();
-            if let Some(inc) = &self.config.incumbent {
-                inc.publish(cost);
-            }
+            self.adopt(assignment, cost);
+            self.check_proved();
             if self.config.first_solution_only {
                 self.aborted = true;
             }
         }
     }
 
-    fn search(&mut self, lb_acc: i64) {
+    /// Count a search node and, when it has a variable left to branch on,
+    /// open a frame for it (smallest domain, lowest index). False when the
+    /// node is a leaf — a solution, recorded — or the budget is spent.
+    fn open_node(&mut self, lb: i64) -> bool {
         self.stats.nodes += 1;
         if self.over_budget() {
-            return;
+            return false;
         }
-        let Some(var) = self.pick_var() else {
+        let Some(var) = self.state.smallest_unfixed() else {
             self.record_solution();
-            return;
+            return false;
         };
-        let mut values: Vec<i64> = self.state.domain(var).iter().collect();
-        if self.config.cost_value_order {
-            let vid = VarId(var as u32);
-            values.sort_by_key(|&v| (self.model.objective.var_cost(vid, v), v));
-        }
         // Un-pinned hinted variables try their previous value first.
-        if let Some(h) = self.config.warm_start.as_ref().and_then(|ws| ws.hint(var)) {
-            if let Some(pos) = values.iter().position(|&v| v == h) {
-                values[..=pos].rotate_right(1);
+        let hint_first =
+            hint_of(self.config, var).is_some_and(|h| self.state.domain(var).contains(h));
+        self.stack.push(Frame {
+            var: var as u32,
+            next: 0,
+            hint_first,
+            lb,
+            mark: 0,
+        });
+        true
+    }
+
+    /// The top frame's next value: the hint, then the row order, skipping
+    /// what propagation removed. The domain is the one the node opened
+    /// with — every sibling is undone before the next is drawn.
+    fn next_value(&mut self) -> Option<i64> {
+        let frame = self.stack.last_mut()?;
+        let var = frame.var as usize;
+        let hint = hint_of(self.config, var);
+        if frame.hint_first {
+            frame.hint_first = false;
+            return hint;
+        }
+        let row = &self.rows[self.row_of[var] as usize];
+        let domain = self.state.domain(var);
+        while let Some(&value) = row.order.get(frame.next as usize) {
+            frame.next += 1;
+            if Some(value) != hint && domain.contains(value) {
+                return Some(value);
             }
         }
-        let vid = VarId(var as u32);
-        for v in values {
-            if self.aborted {
-                return;
-            }
-            let branch_lb = lb_acc - self.root_min[var] + self.model.objective.var_cost(vid, v);
-            if self.best.as_ref().is_some_and(|b| branch_lb >= b.cost) {
+        None
+    }
+
+    /// Depth-first branch and bound from the current state, on an explicit
+    /// stack: a frame per open node, no recursion and no per-node
+    /// allocation.
+    fn search(&mut self, root_lb: i64) {
+        self.open_node(root_lb);
+        while !(self.aborted || self.proved) {
+            let Some(value) = self.next_value() else {
+                // Node exhausted: back to the parent, under whose value
+                // this node lived.
+                self.stack.pop();
+                match self.stack.last() {
+                    Some(parent) => self.state.undo_to(parent.mark),
+                    None => break,
+                }
                 continue;
-            }
+            };
+            let top = self.stack.len() - 1;
+            let (var, lb) = (self.stack[top].var as usize, self.stack[top].lb);
+            let branch_lb = lb - self.root_min[var] + self.row(var).cost_of(value);
             // Shared-incumbent pruning is strict (`>`), so an equal-cost
             // solution of our own stays reachable — the final incumbent
             // never depends on when a competitor published its bound.
-            if self
-                .config
-                .incumbent
-                .as_ref()
-                .is_some_and(|inc| branch_lb > inc.bound())
+            if self.best.as_ref().is_some_and(|b| branch_lb >= b.cost)
+                || self
+                    .config
+                    .incumbent
+                    .as_ref()
+                    .is_some_and(|inc| branch_lb > inc.bound())
             {
+                self.stats.bound_prunes += 1;
                 continue;
             }
             let mark = self.state.mark();
-            self.state.clear_changed();
-            let feasible = self.state.fix(var, v).is_ok() && {
-                let seeds = self.state.take_changed();
-                self.prop
-                    .propagate_from(self.model, &mut self.state, &seeds)
-                    .is_ok()
-            };
-            if feasible {
-                self.search(branch_lb);
-            } else {
+            self.stack[top].mark = mark;
+            let feasible =
+                self.state.fix(var, value).is_ok() && self.prop.propagate(&mut self.state).is_ok();
+            if feasible && self.open_node(branch_lb) {
+                continue;
+            }
+            if !feasible {
                 self.stats.backtracks += 1;
             }
             self.state.undo_to(mark);
-            self.state.clear_changed();
+        }
+    }
+
+    fn run(mut self) -> SolveResult {
+        let root_ok = self.prop.propagate_all(&mut self.state).is_ok();
+        if root_ok {
+            self.set_bounds();
+            let config = self.config;
+            if let Some(ws) = &config.warm_start {
+                self.seed_from_hint(ws);
+                if ws.pin {
+                    self.pin_hints(ws);
+                }
+            }
+            self.check_proved();
+            if !self.proved {
+                let root_lb = self.root_min.iter().sum::<i64>() + self.model.objective.constant;
+                self.search(root_lb);
+            }
+        }
+        self.stats.propagations = self.prop.propagations();
+        self.stats.elapsed = self.start.elapsed();
+        let outcome = match (&self.best, self.aborted, root_ok) {
+            (Some(_), false, _) if self.restricted => Outcome::Feasible,
+            (Some(_), false, _) => Outcome::Optimal,
+            (Some(_), true, _) => Outcome::Feasible,
+            (None, false, _) | (None, _, false) => Outcome::Infeasible,
+            (None, true, true) => Outcome::Unknown,
+        };
+        // Every returned solution must satisfy the model — in release builds
+        // too: handing an invalid schedule to an operations team is strictly
+        // worse than crashing, and the check is one linear pass per solve.
+        if let Some(best) = &self.best {
+            if let Err(e) = self.model.check(&best.assignment) {
+                panic!("solver produced an invalid solution: {e}");
+            }
+        }
+        SolveResult {
+            outcome,
+            best: self.best,
+            stats: self.stats,
         }
     }
 }
 
 /// Solve a model to optimality or until the budget runs out.
 pub fn solve(model: &Model, config: &SolverConfig) -> SolveResult {
-    let mut s = Searcher::new(model, config);
-    let root_ok = s.prop.propagate_all(model, &mut s.state).is_ok();
-    if root_ok {
-        if let Some(ws) = &config.warm_start {
-            s.seed_from_hint(ws);
-            if ws.pin {
-                s.pin_hints(ws);
-            }
-        }
-        let root_lb: i64 = s.root_min.iter().sum::<i64>() + model.objective.constant;
-        s.search(root_lb);
-    }
-    s.stats.elapsed = s.start.elapsed();
-    let outcome = match (&s.best, s.aborted, root_ok) {
-        (Some(_), false, _) if s.restricted => Outcome::Feasible,
-        (Some(_), false, _) => Outcome::Optimal,
-        (Some(_), true, _) => Outcome::Feasible,
-        (None, false, _) | (None, _, false) => Outcome::Infeasible,
-        (None, true, true) => Outcome::Unknown,
-    };
-    // Every returned solution must satisfy the model — in release builds
-    // too: handing an invalid schedule to an operations team is strictly
-    // worse than crashing, and the check is one linear pass per solve.
-    if let Some(best) = &s.best {
-        if let Err(e) = model.check(&best.assignment) {
-            panic!("solver produced an invalid solution: {e}");
-        }
-    }
-    SolveResult {
-        outcome,
-        best: s.best,
-        stats: s.stats,
-    }
+    Searcher::new(model, config).run()
+}
+
+/// [`solve`] with the reference search's bound, for the equivalence tests.
+#[cfg(test)]
+pub(crate) fn solve_without_capacity_bound(model: &Model, config: &SolverConfig) -> SolveResult {
+    Searcher::new(model, config).without_capacity_bound().run()
+}
+
+/// The bound [`solve`] stops at, `None` when the root propagates to a
+/// conflict — for the soundness tests.
+#[cfg(test)]
+pub(crate) fn root_lower_bound(model: &Model) -> Option<i64> {
+    let config = SolverConfig::default();
+    let mut s = Searcher::new(model, &config);
+    s.prop.propagate_all(&mut s.state).ok()?;
+    s.set_bounds();
+    Some(s.global_lb)
 }
 
 #[cfg(test)]
@@ -521,6 +827,19 @@ mod tests {
 
     fn cfg() -> SolverConfig {
         SolverConfig::default()
+    }
+
+    /// A model the capacity bound cannot close: `n` units of weight 2 over
+    /// `slots` slots of capacity 3, so a slot holds one unit where the
+    /// fluid relaxation pours one and a half, and the search is left to
+    /// prove the gap by enumeration.
+    fn fragmented(n: usize, slots: u32) -> Model {
+        let mut b = ModelBuilder::new("t", slots);
+        let vs = b.slot_vars("X", n);
+        b.capacity("cap", vs.clone(), vec![2; n], 3);
+        b.require_scheduled(&vs);
+        b.completion_objective(&vs, &vec![2; n], 10_000);
+        b.build()
     }
 
     #[test]
@@ -658,12 +977,7 @@ mod tests {
 
     #[test]
     fn node_budget_caps_search() {
-        let mut b = ModelBuilder::new("t", 10);
-        let vs = b.slot_vars("X", 12);
-        b.capacity("cap", vs.clone(), vec![1; 12], 2);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 12], 100);
-        let m = b.build();
+        let m = fragmented(12, 14);
         let tight = SolverConfig {
             max_nodes: 50,
             ..Default::default()
@@ -697,16 +1011,10 @@ mod tests {
     fn cancellation_keeps_incumbent() {
         // Large-ish search space with instant first solutions: cancel from
         // another thread mid-search and check the incumbent survives.
-        let mut b = ModelBuilder::new("t", 8);
-        let vs = b.slot_vars("X", 10);
-        b.capacity("cap", vs.clone(), vec![1; 10], 2);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 10], 100);
-        let m = b.build();
+        let m = fragmented(14, 16);
         let cancel = CancelToken::new();
         let cfg = SolverConfig {
             cancel: Some(cancel.clone()),
-            cost_value_order: false, // slow convergence → still running
             max_nodes: u64::MAX,
             ..Default::default()
         };
@@ -872,13 +1180,7 @@ mod tests {
     fn time_budget_overrun_is_bounded() {
         // A model large enough that nodes are slow: the wall-clock stop
         // must land close to the limit, not a node-stride late.
-        let n = 600;
-        let mut b = ModelBuilder::new("t", (n / 2) as u32);
-        let vs = b.slot_vars("X", n);
-        b.capacity("cap", vs.clone(), vec![1; n], 2);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &vec![1; n], 10_000);
-        let m = b.build();
+        let m = fragmented(600, 600);
         let limit = Duration::from_millis(120);
         let tight = SolverConfig {
             time_limit: limit,
