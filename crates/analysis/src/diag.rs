@@ -9,7 +9,6 @@
 //! reusable as a [`crate::Baseline`]).
 
 use cornet_types::json::JsonWriter;
-use serde::Serialize;
 use std::fmt;
 
 /// Stable machine-readable diagnostic code, e.g. `CN0102`.
@@ -18,7 +17,7 @@ use std::fmt;
 /// dataflow, `CN03xx` resilience, `CN04xx` planning, `CN05xx`
 /// verification, `CN06xx` interference. Codes never change meaning once
 /// released; retired codes are not reused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Code(pub &'static str);
 
 impl Code {
@@ -43,8 +42,7 @@ impl fmt::Display for Code {
 }
 
 /// How severe a finding is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// The artifact must not be deployed; `cornet check` exits non-zero.
     Error,
@@ -69,8 +67,7 @@ impl Severity {
 ///
 /// Rendering is stable: messages built from a `SourceRef` never include
 /// `Debug` noise, so operators (and baselines) can rely on the text.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SourceRef {
     /// No specific anchor (whole-bundle findings).
     Global,
@@ -148,7 +145,7 @@ impl fmt::Display for SourceRef {
 }
 
 /// One finding of one analysis pass.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Diagnostic {
     /// Stable machine code.
     pub code: Code,
@@ -250,7 +247,7 @@ impl Diagnostic {
 }
 
 /// Aggregated findings of one analysis run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
     /// All diagnostics, in emission order until [`Report::sort`].
     pub diagnostics: Vec<Diagnostic>,

@@ -3,9 +3,10 @@
 //! quantitatively compare the approaches" — here is that comparison for
 //! execution overhead).
 
+use cornet_bench::events::EventBus;
 use cornet_catalog::builtin_catalog;
 use cornet_orchestrator::resilience::{FaultPlan, FaultyExecutor, RetryPolicy};
-use cornet_orchestrator::{Engine, EventBus, ExecutorRegistry, GlobalState};
+use cornet_orchestrator::{Engine, ExecutorRegistry, GlobalState};
 use cornet_types::ParamValue;
 use cornet_workflow::builtin::software_upgrade_workflow;
 use cornet_workflow::WarArtifact;

@@ -1401,9 +1401,7 @@ fn bench_daemon_submit_latency(smoke: bool, min_reps: usize) -> Scenario {
 
 // --- bench-regression gate ----------------------------------------------
 
-/// Extract `scenario name → speedup` from a `BENCH_*.json` document
-/// (parsed with the same hand-rolled JSON reader the intent parser uses —
-/// the vendored `serde_json` is a stub).
+/// Extract `scenario name → speedup` from a `BENCH_*.json` document.
 fn parse_speedups(body: &str) -> Result<Vec<(String, f64)>, String> {
     let doc = parse(body).map_err(|e| e.to_string())?;
     let scenarios = doc

@@ -9,8 +9,8 @@
 //! blocks subscribe to events (optionally guarded on state), execute, and
 //! emit follow-up events; the bus drains to quiescence.
 
-use crate::executor::{ExecutorRegistry, GlobalState};
 use cornet_obs::Tracer;
+use cornet_orchestrator::{ExecutorRegistry, GlobalState};
 use cornet_types::Result;
 use std::collections::VecDeque;
 use std::sync::Arc;

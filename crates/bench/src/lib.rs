@@ -6,12 +6,17 @@
 //! * `src/bin/` — one binary per table/figure that prints the same rows
 //!   or series the paper reports (`cargo run -p cornet-bench --bin table1`);
 //! * `benches/` — Criterion benchmarks for the timing-shaped results
-//!   (schedule discovery time, verification time, ablations).
+//!   (schedule discovery time, verification time, ablations);
+//! * [`events`] — the event-driven composition §3.2 contrasts with
+//!   workflows, kept here because only the `orchestrator_modes` bench
+//!   runs it.
 //!
 //! `EXPERIMENTS.md` at the workspace root records paper-reported vs
 //! measured values for each experiment.
 
 #![forbid(unsafe_code)]
+pub mod events;
+
 use cornet_netsim::{Network, NetworkConfig};
 use cornet_planner::{ConstraintRule, PlanIntent};
 use cornet_types::{Granularity, NodeId};

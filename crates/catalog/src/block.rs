@@ -5,12 +5,10 @@
 //! definitions) is stored in our catalog" (§3.1).
 
 use cornet_types::ParamType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Change-management phase a building block belongs to (Table 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Design and orchestration of change workflows.
     DesignOrchestration,
@@ -31,7 +29,7 @@ impl fmt::Display for Phase {
 }
 
 /// One named, typed parameter of a building block.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParamSpec {
     /// Parameter name, e.g. `"node"` or `"software_version"`.
     pub name: String,
@@ -50,7 +48,7 @@ impl ParamSpec {
 }
 
 /// REST endpoint descriptor — the "API location" of a block.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RestEndpoint {
     /// HTTP method (the catalog only needs POST/GET in practice).
     pub method: String,
@@ -70,8 +68,7 @@ impl RestEndpoint {
 
 /// Technology a concrete implementation of a block uses (§3.2 lists
 /// Ansible, NetConf, Chef, Python, vendor CLIs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RunnerKind {
     /// Ansible playbook.
     Ansible,
@@ -96,8 +93,7 @@ pub enum RunnerKind {
 /// *routing*, and checks read its *health*. Two campaigns interfere when
 /// their workflows touch the same dimension of the same node in
 /// overlapping windows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StateDim {
     /// Installed software version.
     Version,
@@ -137,7 +133,7 @@ impl fmt::Display for StateDim {
 }
 
 /// Catalog entry describing one building block.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BlockSpec {
     /// Unique block name, e.g. `"health_check"`.
     pub name: String,
@@ -151,24 +147,20 @@ pub struct BlockSpec {
     /// traffic moves). Mutating blocks are what backout flows must cover;
     /// read-only blocks (health checks, comparisons, analytics) need no
     /// revert path. Consumed by the `CN02xx` backout-coverage analysis.
-    #[serde(default)]
     pub mutates: bool,
     /// Whether re-executing the block after a partial run converges to the
     /// same end state (e.g. an upgrade that checks the installed version
     /// first). Idempotent mutating blocks are safe to re-run after a crash
     /// without a backout flow; non-idempotent ones need one. Consumed by
     /// the `CN0306` replay-safety analysis.
-    #[serde(default)]
     pub idempotent: bool,
     /// State dimensions of the target node the block reads (health
     /// checks, pre/post comparisons). Consumed by the CN06xx effect
     /// system to detect read-write interference across campaigns.
-    #[serde(default)]
     pub reads: Vec<StateDim>,
     /// State dimensions of the target node the block writes. A mutating
     /// block that declares no write dimensions is conservatively assumed
     /// to write all of them.
-    #[serde(default)]
     pub writes: Vec<StateDim>,
     /// Input parameters.
     pub inputs: Vec<ParamSpec>,
@@ -277,14 +269,5 @@ mod tests {
     #[test]
     fn phase_display() {
         assert_eq!(Phase::SchedulePlanning.to_string(), "schedule_planning");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let b =
-            BlockSpec::new("x", Phase::ImpactVerification, "f", true).input("a", ParamType::Int);
-        let json = serde_json::to_string(&b).unwrap();
-        let back: BlockSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(b, back);
     }
 }

@@ -157,15 +157,7 @@ fn req_str<'a>(obj: &'a JsonValue, key: &str, what: &str) -> Result<&'a str> {
 }
 
 fn param_type(name: &str) -> Result<ParamType> {
-    Ok(match name {
-        "string" => ParamType::String,
-        "int" => ParamType::Int,
-        "float" => ParamType::Float,
-        "bool" => ParamType::Bool,
-        "list" => ParamType::List,
-        "map" => ParamType::Map,
-        other => return Err(bad(format!("unknown parameter type '{other}'"))),
-    })
+    ParamType::parse(name).ok_or_else(|| bad(format!("unknown parameter type '{name}'")))
 }
 
 fn nf_type(name: &str) -> Result<NfType> {

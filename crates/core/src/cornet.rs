@@ -5,6 +5,7 @@
 //! design (workflows), plan (schedules), execute (dispatch), verify
 //! (impact). Examples and integration tests drive CORNET through this.
 
+use cornet_analysis::Report;
 use cornet_catalog::{builtin_catalog, Catalog};
 use cornet_obs::Tracer;
 use cornet_orchestrator::{DispatchReport, Dispatcher, ExecutorRegistry, GlobalState};
@@ -13,7 +14,7 @@ use cornet_types::{Inventory, NodeId, Result, Schedule, Topology};
 use cornet_verifier::{
     verify_rule_traced, ChangeScope, DataAdapter, VerificationReport, VerificationRule,
 };
-use cornet_workflow::{validate, ValidationReport, WarArtifact, Workflow};
+use cornet_workflow::{analyze, WarArtifact, Workflow};
 
 /// The composition framework, assembled.
 pub struct Cornet {
@@ -50,8 +51,8 @@ impl Cornet {
     }
 
     /// Validate a workflow against the catalog (§3.2's verification step).
-    pub fn validate_workflow(&self, wf: &Workflow) -> ValidationReport {
-        validate(wf, &self.catalog)
+    pub fn validate_workflow(&self, wf: &Workflow) -> Report {
+        analyze(wf, &self.catalog)
     }
 
     /// Package a validated workflow into a deployable WAR artifact.
@@ -150,7 +151,7 @@ mod tests {
 
         // Design + deploy.
         let wf = software_upgrade_workflow(&cornet.catalog);
-        assert!(cornet.validate_workflow(&wf).is_valid());
+        assert!(!cornet.validate_workflow(&wf).has_errors());
         let war = cornet.deploy_workflow(&wf).unwrap();
 
         // Plan: 6 vCEs, 2 per night.

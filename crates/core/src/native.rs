@@ -20,9 +20,8 @@ use cornet_types::{CornetError, Inventory, NodeId, ParamValue, Result, Topology}
 use cornet_verifier::{
     derive_control_group, verify_rule, ChangeScope, DataAdapter, GoNoGo, VerificationRule,
 };
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Parse external JSON text into a workflow-state [`ParamValue`] — the
 /// entry point for feeding intents (or any operator-supplied document)
@@ -218,16 +217,22 @@ pub fn planning_registry(
             "model".into(),
             ParamValue::from(translation.model.to_minizinc()),
         );
-        *pend.lock() = Some(translation);
+        *pend.lock().unwrap_or_else(|e| e.into_inner()) = Some(translation);
         Ok(())
     });
 
     let pend = pending;
     reg.register("optimization_solver", move |state: &mut GlobalState| {
         let intent = read_intent(state)?;
-        let translation = pend.lock().take().ok_or_else(|| {
-            CornetError::ExecutionFailed("optimization_solver ran before model_translation".into())
-        })?;
+        let translation = pend
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .ok_or_else(|| {
+                CornetError::ExecutionFailed(
+                    "optimization_solver ran before model_translation".into(),
+                )
+            })?;
         let result = solve(&translation.model, &solver_config);
         let Some(best) = result.best else {
             return Err(CornetError::Infeasible(
@@ -306,7 +311,7 @@ pub fn verification_registry(
             .map(|(n, m)| (n.to_string(), ParamValue::Int(*m as i64)))
             .collect();
         state.insert("change_times".into(), ParamValue::Map(times));
-        *scope_out.lock() = Some(scope);
+        *scope_out.lock().unwrap_or_else(|e| e.into_inner()) = Some(scope);
         Ok(())
     });
 
@@ -351,7 +356,7 @@ pub fn verification_registry(
             r.control_attr_filter.as_deref(),
         );
         write_nodes(state, "control_candidates", &control);
-        *control_out.lock() = control;
+        *control_out.lock().unwrap_or_else(|e| e.into_inner()) = control;
         Ok(())
     });
 
@@ -397,6 +402,7 @@ pub fn verification_registry(
     reg.register("impact_detection", move |state: &mut GlobalState| {
         let scope = scope_in
             .lock()
+            .unwrap_or_else(|e| e.into_inner())
             .clone()
             .ok_or_else(|| CornetError::ExecutionFailed("change_scope did not run".into()))?;
         let report = verify_rule(ad.as_ref(), &r, &scope, &inv, &topo)?;

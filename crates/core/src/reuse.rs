@@ -8,7 +8,6 @@
 //! once.
 
 use cornet_catalog::Catalog;
-use serde::Serialize;
 
 /// One reuse experiment: which blocks, how many NF types, how many
 /// workflow compositions.
@@ -34,7 +33,7 @@ pub struct ReuseScenario {
 }
 
 /// A computed Table 3 row.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReuseRow {
     /// Scenario name.
     pub name: String,

@@ -17,10 +17,9 @@ use cornet_orchestrator::{DispatchReport, FalloutAnalysis, GlobalState};
 use cornet_types::{NodeId, Result, Schedule, Timeslot};
 use cornet_verifier::{verify_rule, ChangeScope, DataAdapter, GoNoGo, VerificationRule};
 use cornet_workflow::WarArtifact;
-use serde::Serialize;
 
 /// How a staged roll-out ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RolloutOutcome {
     /// FFA verification failed; the network-wide phase never started.
     NotCertified,

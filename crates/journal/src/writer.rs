@@ -4,12 +4,11 @@ use crate::event::{JournalEvent, Recovery};
 use crate::frame::{encode_record, scan};
 use cornet_obs::Tracer;
 use cornet_types::{CornetError, Result};
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// When the journal pushes appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,6 +169,7 @@ impl Journal {
         journal
             .inner
             .lock()
+            .unwrap_or_else(|e| e.into_inner())
             .file
             .seek(std::io::SeekFrom::Start(recovery.valid_len))
             .map_err(|e| io_err("seek", path, &e))?;
@@ -243,7 +243,7 @@ impl Journal {
             TEAR_NEXT => {
                 let record = encode_record(&event.encode());
                 let torn = &record.as_bytes()[..record.len() / 2];
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
                 inner
                     .file
                     .write_all(torn)
@@ -257,7 +257,7 @@ impl Journal {
         let record = encode_record(&event.encode());
         let bytes = record.as_bytes();
         span.attr("bytes", bytes.len() as i64);
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner
             .file
             .write_all(bytes)
@@ -286,7 +286,7 @@ impl Journal {
         if self.crash.is_dead() {
             return Ok(());
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.since_sync == 0 {
             return Ok(());
         }

@@ -8,13 +8,12 @@
 //! computation trivial (sum of per-variable domain minima).
 
 use crate::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Cost contribution of one variable: `slope · value + table[value]`.
 /// Ordered so that equal terms can be interned (the solver keeps one cost
 /// row per distinct term, not per variable).
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct VarCost {
     /// Linear coefficient on the assigned value (completion-time pressure:
     /// later slots cost more). Usually the node weight.
@@ -32,7 +31,7 @@ impl VarCost {
 }
 
 /// Total minimization objective.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Objective {
     /// Per-variable cost tables, keyed by variable.
     pub terms: BTreeMap<VarId, VarCost>,

@@ -4,11 +4,10 @@
 
 use crate::constraint::Constraint;
 use crate::Model;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Summary statistics of a constraint model.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ModelStats {
     /// Number of decision variables.
     pub vars: usize,

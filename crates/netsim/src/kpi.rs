@@ -14,10 +14,9 @@ use crate::rng::{normal, seeded};
 use cornet_stats::TimeSeries;
 use cornet_types::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Shape of an injected ground-truth impact.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ImpactKind {
     /// Sudden persistent level change by `magnitude` × baseline
     /// (positive = improvement for upward-good KPIs).
@@ -29,7 +28,7 @@ pub enum ImpactKind {
 }
 
 /// One ground-truth impact injected into the synthesized KPI feed.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InjectedImpact {
     /// Node the change landed on.
     pub node: NodeId,
@@ -148,7 +147,7 @@ impl KpiGenerator {
 }
 
 /// A KPI equation definition in the catalog.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KpiDef {
     /// KPI name, e.g. `"L1_voice_drop_rate_017"`.
     pub name: String,
@@ -161,7 +160,7 @@ pub struct KpiDef {
 }
 
 /// A source table and how many joins computing from it requires.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KpiTable {
     /// Table index.
     pub index: usize,
@@ -172,7 +171,7 @@ pub struct KpiTable {
 }
 
 /// The Table 5 KPI catalog: groups, equations, tables, join structure.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct KpiCatalog {
     /// All KPI definitions.
     pub kpis: Vec<KpiDef>,

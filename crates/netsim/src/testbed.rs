@@ -9,11 +9,10 @@
 
 use crate::rng::seeded;
 use cornet_types::{CornetError, NfType, Result};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Fault-injection knobs (the smoltcp examples' `--drop-chance` spirit).
 #[derive(Clone, Debug, PartialEq)]
@@ -87,7 +86,7 @@ impl Testbed {
 
     /// Instantiate a VNF (the OpenStack "boot" step).
     pub fn instantiate(&self, name: &str, nf_type: NfType, sw_version: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.vnfs.insert(
             name.to_owned(),
             VnfState {
@@ -107,12 +106,21 @@ impl Testbed {
 
     /// Snapshot of one VNF's state.
     pub fn state(&self, name: &str) -> Option<VnfState> {
-        self.inner.lock().vnfs.get(name).cloned()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .vnfs
+            .get(name)
+            .cloned()
     }
 
     /// Number of instantiated VNFs.
     pub fn len(&self) -> usize {
-        self.inner.lock().vnfs.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .vnfs
+            .len()
     }
 
     /// True when the testbed holds no VNFs.
@@ -122,7 +130,11 @@ impl Testbed {
 
     /// Copy of the management-operation log.
     pub fn ops_log(&self) -> Vec<String> {
-        self.inner.lock().ops_log.clone()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .ops_log
+            .clone()
     }
 
     fn with_vnf<T>(
@@ -131,7 +143,7 @@ impl Testbed {
         op: &str,
         f: impl FnOnce(&mut VnfState) -> Result<T>,
     ) -> Result<T> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         // Fault injection happens at the management plane, before the
         // operation reaches the instance.
         let fail = inner.config.ssh_failure_rate > 0.0 && {
@@ -159,7 +171,7 @@ impl Testbed {
     /// Health check; may report an injected unhealthy state.
     pub fn health_check(&self, name: &str) -> Result<bool> {
         let flap = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             let rate = inner.config.unhealthy_rate;
             rate > 0.0 && inner.rng.random_bool(rate)
         };
@@ -231,7 +243,13 @@ impl Testbed {
 
     /// Force a health state (tests and failure-scenario setup).
     pub fn set_healthy(&self, name: &str, healthy: bool) {
-        if let Some(v) = self.inner.lock().vnfs.get_mut(name) {
+        if let Some(v) = self
+            .inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .vnfs
+            .get_mut(name)
+        {
             v.healthy = healthy;
         }
     }

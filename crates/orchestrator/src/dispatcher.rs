@@ -782,14 +782,14 @@ impl Dispatcher {
             job_tx.send(i).expect("receiver alive");
         }
         let mut job_tx = Some(job_tx);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
                 let result_tx = result_tx.clone();
                 let job_rx = &job_rx;
                 let registry = &self.registry;
                 let tracer = &self.tracer;
                 let items = &items;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     // Hold the lock only for the dequeue, not the run:
                     // workers block here only when no job is admitted yet.
                     let job = {
@@ -872,8 +872,7 @@ impl Dispatcher {
                     job_tx = None;
                 }
             }
-        })
-        .expect("crossbeam scope failed");
+        });
         drained.sort_by_key(|&(i, _)| i);
         let drained: Vec<InstanceReport> = drained.into_iter().map(|(_, r)| r).collect();
         if slot_span.is_recording() {

@@ -8,11 +8,10 @@
 
 use crate::dispatcher::{DispatchReport, InstanceReport};
 use crate::engine::{BlockStatus, InstanceStatus};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Aggregated execution statistics for one building block.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlockStats {
     /// Executions that ultimately produced outputs (first-try successes
     /// plus recoveries).
@@ -50,7 +49,7 @@ fn error_kind(message: &str) -> &str {
 }
 
 /// Fall-out summary across one or more dispatch reports.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FalloutAnalysis {
     /// Per-block execution statistics.
     pub per_block: BTreeMap<String, BlockStats>,

@@ -8,11 +8,6 @@
 //! a dispatcher that launches instances per timeslot under a concurrency
 //! limit.
 //!
-//! The paper's remark in §3.2 contrasts workflow-driven composition with
-//! event-driven composition; [`events`] implements the event-driven
-//! executor so the "future work" comparison can actually be run (see the
-//! `orchestrator_modes` bench).
-//!
 //! [`resilience`] adds the robustness layer: per-block retry/backoff
 //! policies and deadlines, a circuit breaker that auto-halts roll-outs on
 //! fall-out, and a deterministic fault-injection harness.
@@ -22,7 +17,6 @@ pub mod analysis;
 pub mod control;
 pub mod dispatcher;
 pub mod engine;
-pub mod events;
 pub mod executor;
 pub mod falloutanalysis;
 pub mod recovery;
@@ -34,7 +28,6 @@ pub use dispatcher::{CampaignOutcome, DispatchReport, Dispatcher, InstanceReport
 pub use engine::{
     BlockExecution, BlockSink, BlockStatus, Engine, InstanceStatus, PauseHandle, ReplayRow,
 };
-pub use events::EventBus;
 pub use executor::{ExecutorRegistry, GlobalState};
 pub use falloutanalysis::{BlockStats, FalloutAnalysis};
 pub use recovery::{recover_campaign, RecoveredCampaign};

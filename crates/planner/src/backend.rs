@@ -572,14 +572,13 @@ impl SolverBackend for PortfolioBackend {
             }
         }
         let done = AtomicBool::new(false);
-        let mut results: Vec<Option<BackendResult>> = Vec::new();
 
-        crossbeam::scope(|scope| {
+        let results: Vec<Option<BackendResult>> = std::thread::scope(|scope| {
             // Propagate an external cancellation to every member.
             let watcher = {
                 let tokens = &tokens;
                 let done = &done;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     if done.load(Ordering::Acquire) {
                         break;
                     }
@@ -605,7 +604,7 @@ impl SolverBackend for PortfolioBackend {
                     member_ctx.span_parent = span_id;
                     let tokens = &tokens;
                     let incumbent = &incumbent;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let member_started = Instant::now();
                         let mut result = member.solve(&member_ctx, budget, &tokens[i]);
                         // Per-member race time: the satellite metric
@@ -636,11 +635,11 @@ impl SolverBackend for PortfolioBackend {
                     })
                 })
                 .collect();
-            results = handles.into_iter().map(|h| h.join().ok()).collect();
+            let results = handles.into_iter().map(|h| h.join().ok()).collect();
             done.store(true, Ordering::Release);
             let _ = watcher.join();
-        })
-        .expect("portfolio scope failed");
+            results
+        });
 
         // Deterministic winner: best (infeasibility, cost, member order).
         // Wall-clock never participates.

@@ -4,7 +4,7 @@
 //! to constraints. Then, we can solve in parallel and combine their
 //! solutions." We compute connected components of the variable–constraint
 //! graph; each component becomes a standalone sub-model solved on its own
-//! thread (crossbeam scoped threads), and the assignments merge back.
+//! thread (`std::thread::scope`), and the assignments merge back.
 //!
 //! Decomposition helps exactly when the intent's coupling constraints are
 //! per-group (e.g. concurrency per EMS or per pool) — a global capacity or
@@ -588,24 +588,21 @@ pub fn solve_components(
         };
     }
     let subs: Vec<Model> = comps.iter().map(|c| sub_model(model, c)).collect();
-    let mut results: Vec<Option<cornet_solver::SolveResult>> = Vec::new();
-    crossbeam::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let handles: Vec<_> = subs
             .iter()
-            .map(|m| scope.spawn(move |_| solve(m, config)))
+            .map(|m| scope.spawn(move || solve(m, config)))
             .collect();
-        results = handles
+        handles
             .into_iter()
-            .map(|h| Some(h.join().expect("solver panicked")))
-            .collect();
-    })
-    .expect("crossbeam scope failed");
+            .map(|h| h.join().expect("solver panicked"))
+            .collect::<Vec<_>>()
+    });
 
     let mut assignment = vec![0i64; model.var_count()];
     let mut stats = SearchStats::default();
     let mut outcome = Outcome::Optimal;
-    for (comp, result) in comps.iter().zip(results) {
-        let r = result.expect("result present");
+    for (comp, r) in comps.iter().zip(results) {
         stats.absorb(&r.stats);
         match (&r.best, r.outcome) {
             (Some(sol), oc) => {

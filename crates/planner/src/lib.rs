@@ -31,9 +31,7 @@ pub use backend::{BackendChoice, BackendResult, BackendRun, Budget, SolveContext
 pub use campaigns::{analyze_campaigns, index_by_node, Campaign, NodeClaim};
 pub use heuristic::{heuristic_schedule, HeuristicConfig};
 pub use intent::{ConflictTolerance, ConstraintRule, PlanIntent};
-pub use lint::{
-    analyze_intent, analyze_intent_with, lint, LintFinding, LintLevel, LintOptions, LintReport,
-};
+pub use lint::{analyze_intent, analyze_intent_with, LintOptions};
 pub use plan::{plan, PlanOptions, PlanResult};
 pub use translate::{translate, GroupStrategy, TranslateOptions, Translation};
 pub use warm::{PlanDelta, PlanSnapshot, WarmStart};

@@ -9,92 +9,11 @@
 //! empty schedules, and explains each finding in operator language.
 //!
 //! The checks are `cornet-analysis` passes emitting `CN04xx` diagnostics;
-//! [`analyze_intent`] returns the full [`Report`] while [`lint`] projects
-//! it onto the legacy [`LintReport`] shape (slug codes like
-//! `"window-capacity-shortfall"`) for existing call sites.
+//! [`analyze_intent`] returns them as a [`Report`].
 
 use crate::intent::{ConstraintRule, PlanIntent};
-use cornet_analysis::{Code, Diagnostic, Report, Severity, SourceRef};
+use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_types::{Inventory, NodeId, Result};
-use serde::Serialize;
-
-/// Severity of a lint finding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum LintLevel {
-    /// The intent cannot produce a meaningful plan.
-    Error,
-    /// The intent will plan, but probably not the way the operator thinks.
-    Warning,
-}
-
-/// One lint finding with an operator-facing explanation.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct LintFinding {
-    /// Severity.
-    pub level: LintLevel,
-    /// Short machine-readable code, e.g. `"capacity-below-group"`.
-    pub code: String,
-    /// Human explanation with concrete numbers.
-    pub message: String,
-}
-
-/// Lint report for one intent over a node scope.
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct LintReport {
-    /// Findings, errors first.
-    pub findings: Vec<LintFinding>,
-}
-
-impl LintReport {
-    /// True when no error-level findings exist.
-    pub fn is_plannable(&self) -> bool {
-        self.findings.iter().all(|f| f.level != LintLevel::Error)
-    }
-
-    /// Project an analysis [`Report`] onto the legacy slug-coded shape.
-    /// The report's severity-first sort keeps errors before warnings.
-    pub fn from_report(report: &Report) -> Self {
-        LintReport {
-            findings: report
-                .iter()
-                .map(|d| LintFinding {
-                    level: match d.severity {
-                        Severity::Error => LintLevel::Error,
-                        _ => LintLevel::Warning,
-                    },
-                    code: legacy_slug(d.code).to_owned(),
-                    message: d.message.clone(),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Legacy slug for a `CN04xx` diagnostic code (stable operator-facing
-/// identifiers predating the unified code space).
-pub fn legacy_slug(code: Code) -> &'static str {
-    match code.0 {
-        "CN0401" => "window-fully-excluded",
-        "CN0402" => "window-mostly-excluded",
-        "CN0403" => "empty-maintenance-window",
-        "CN0404" => "non-positive-capacity",
-        "CN0405" => "sub-slot-granularity",
-        "CN0406" => "unknown-attribute",
-        "CN0407" => "vacuous-consistency",
-        "CN0408" => "non-numeric-uniformity",
-        "CN0409" => "negative-uniformity-distance",
-        "CN0410" => "vacuous-uniformity",
-        "CN0411" => "vacuous-localize",
-        "CN0412" => "window-capacity-shortfall",
-        "CN0413" => "capacity-below-group",
-        "CN0414" => "no-concurrency-rule",
-        "CN0415" => "frozen-matches-nothing",
-        "CN0416" => "cross-campaign-conflict",
-        "CN0417" => "single-mega-shard",
-        "CN0418" => "shard-exceeds-bound",
-        other => other,
-    }
-}
 
 /// Knobs for the shard-shape checks (`CN0417`/`CN0418`).
 #[derive(Clone, Copy, Debug)]
@@ -114,14 +33,6 @@ impl Default for LintOptions {
             max_shard_nodes: 50_000,
         }
     }
-}
-
-/// Lint an intent against the inventory and node scope (legacy shape; see
-/// [`analyze_intent`] for diagnostics with stable codes and anchors).
-pub fn lint(intent: &PlanIntent, inventory: &Inventory, nodes: &[NodeId]) -> Result<LintReport> {
-    Ok(LintReport::from_report(&analyze_intent(
-        intent, inventory, nodes,
-    )?))
 }
 
 /// Analyze an intent against the inventory and node scope, emitting
@@ -451,6 +362,7 @@ pub fn analyze_intent_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cornet_analysis::Severity;
     use cornet_types::{Attributes, NfType};
 
     fn inventory() -> Inventory {
@@ -494,9 +406,8 @@ mod tests {
     #[test]
     fn clean_intent_passes() {
         let it = intent(CAP2);
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(r.is_plannable(), "{:?}", r.findings);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(r.is_clean(), "{}", r.render_text());
     }
 
     #[test]
@@ -507,15 +418,9 @@ mod tests {
                 "operator": "<=", "granularity": {"metric": "day", "value": 1},
                 "default_capacity": 1}"#,
         );
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(!r.is_plannable());
-        assert!(r
-            .findings
-            .iter()
-            .any(|f| f.code == "window-capacity-shortfall"));
-        // Through the analysis API, the same finding carries its CN code.
-        let report = analyze_intent(&it, &inventory(), &nodes()).unwrap();
-        assert!(report.iter().any(|d| d.code == Code("CN0412")));
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(r.has_errors());
+        assert!(r.iter().any(|d| d.code == Code("CN0412")));
     }
 
     #[test]
@@ -526,30 +431,27 @@ mod tests {
                 "operator": "<=", "granularity": {"metric": "day", "value": 1},
                 "default_capacity": 1}"#
         ));
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
         assert!(
-            r.findings.iter().any(|f| f.code == "capacity-below-group"),
-            "{:?}",
-            r.findings
+            r.iter().any(|d| d.code == Code("CN0413")),
+            "{}",
+            r.render_text()
         );
     }
 
     #[test]
     fn unknown_attribute_is_error() {
         let it = intent(r#"{"name": "localize", "attribute": "region_code"}"#);
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(!r.is_plannable());
-        assert!(r.findings.iter().any(|f| f.code == "unknown-attribute"));
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(r.has_errors());
+        assert!(r.iter().any(|d| d.code == Code("CN0406")));
     }
 
     #[test]
     fn categorical_uniformity_is_error() {
         let it = intent(r#"{"name": "uniformity", "attribute": "market", "value": 1}"#);
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(r
-            .findings
-            .iter()
-            .any(|f| f.code == "non-numeric-uniformity"));
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(r.iter().any(|d| d.code == Code("CN0408")));
     }
 
     #[test]
@@ -558,10 +460,10 @@ mod tests {
             r#"{CAP2}, {{"name": "uniformity", "attribute": "utc_offset", "value": 10}},
                {{"name": "localize", "attribute": "nf_type"}}"#
         ));
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(r.is_plannable());
-        assert!(r.findings.iter().any(|f| f.code == "vacuous-uniformity"));
-        assert!(r.findings.iter().any(|f| f.code == "vacuous-localize"));
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(!r.has_errors());
+        assert!(r.iter().any(|d| d.code == Code("CN0410")));
+        assert!(r.iter().any(|d| d.code == Code("CN0411")));
     }
 
     #[test]
@@ -571,8 +473,8 @@ mod tests {
             start: "2020-07-01 00:00:00".into(),
             end: "2020-07-04 23:59:00".into(),
         });
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(r.findings.iter().any(|f| f.code == "window-fully-excluded"));
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(r.iter().any(|d| d.code == Code("CN0401")));
     }
 
     #[test]
@@ -583,19 +485,16 @@ mod tests {
             end: None,
             selector: [("market".to_string(), "SEA".to_string())].into(),
         });
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(r
-            .findings
-            .iter()
-            .any(|f| f.code == "frozen-matches-nothing"));
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(r.iter().any(|d| d.code == Code("CN0415")));
     }
 
     #[test]
     fn missing_concurrency_warns() {
         let it = intent(r#"{"name": "conflict_handling", "value": "zero-tolerance"}"#);
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(r.is_plannable());
-        assert!(r.findings.iter().any(|f| f.code == "no-concurrency-rule"));
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(!r.has_errors());
+        assert!(r.iter().any(|d| d.code == Code("CN0414")));
     }
 
     #[test]
@@ -609,9 +508,9 @@ mod tests {
             end: None,
             selector: [("market".to_string(), "SEA".to_string())].into(),
         });
-        let r = lint(&it, &inventory(), &nodes()).unwrap();
-        assert!(r.findings.len() >= 2);
-        assert_eq!(r.findings[0].level, LintLevel::Error);
+        let r = analyze_intent(&it, &inventory(), &nodes()).unwrap();
+        assert!(r.diagnostics.len() >= 2);
+        assert_eq!(r.diagnostics[0].severity, Severity::Error);
     }
 
     fn mono_market_inventory(n: usize) -> Inventory {
@@ -633,18 +532,18 @@ mod tests {
         let inv = mono_market_inventory(300);
         let nodes: Vec<NodeId> = inv.ids().collect();
         let it = intent(&CAP2.replace("\"default_capacity\": 2", "\"default_capacity\": 100"));
-        let r = lint(&it, &inv, &nodes).unwrap();
+        let r = analyze_intent(&it, &inv, &nodes).unwrap();
         assert!(
-            r.findings.iter().any(|f| f.code == "single-mega-shard"),
-            "{:?}",
-            r.findings
+            r.iter().any(|d| d.code == Code("CN0417")),
+            "{}",
+            r.render_text()
         );
     }
 
     #[test]
     fn small_single_market_scope_is_not_flagged() {
-        let r = lint(&intent(CAP2), &mono_market_inventory(8), &nodes()).unwrap();
-        assert!(!r.findings.iter().any(|f| f.code == "single-mega-shard"));
+        let r = analyze_intent(&intent(CAP2), &mono_market_inventory(8), &nodes()).unwrap();
+        assert!(!r.iter().any(|d| d.code == Code("CN0417")));
     }
 
     #[test]

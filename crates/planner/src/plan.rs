@@ -120,8 +120,7 @@ pub fn plan(
     let (outcome, assignment, search_stats, components, backend_runs) = if parts.len() > 1 {
         // Backend-agnostic decomposition: every part is a standalone
         // translation the chosen backend solves on its own thread.
-        let mut results = Vec::new();
-        crossbeam::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .iter()
                 .map(|part| {
@@ -134,15 +133,14 @@ pub fn plan(
                     let backend = &backend;
                     let budget = &budget;
                     let cancel = &cancel;
-                    scope.spawn(move |_| backend.solve(&ctx, budget, cancel))
+                    scope.spawn(move || backend.solve(&ctx, budget, cancel))
                 })
                 .collect();
-            results = handles
+            handles
                 .into_iter()
                 .map(|h| h.join().expect("backend panicked"))
-                .collect::<Vec<_>>();
-        })
-        .expect("crossbeam scope failed");
+                .collect::<Vec<_>>()
+        });
 
         let mut assignment = vec![0i64; translation.model.var_count()];
         let mut stats = SearchStats::default();

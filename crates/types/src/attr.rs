@@ -7,7 +7,6 @@
 //! that new network-function types can introduce attributes without code
 //! changes — the heart of the paper's "NF-agnostic" claim.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -19,8 +18,7 @@ pub type AttrKey = String;
 /// Attribute values appear in three roles: grouping keys (strings), numeric
 /// quantities compared with distance operators (the uniformity constraint
 /// compares UTC offsets numerically), and weights.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AttrValue {
     /// Categorical value such as a market name or hardware version.
     Str(String),
@@ -95,7 +93,7 @@ impl From<f64> for AttrValue {
 /// `BTreeMap` keeps iteration deterministic, which matters for reproducible
 /// model generation: the same inventory must always produce the same
 /// MiniZinc-style model text.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Attributes(pub BTreeMap<AttrKey, AttrValue>);
 
 impl Attributes {
@@ -173,14 +171,6 @@ mod tests {
             .with("m", 3i64);
         let keys: Vec<_> = a.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["a", "m", "z"]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = Attributes::new().with("market", "DFW").with("offset", -6.0);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Attributes = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 
     #[test]

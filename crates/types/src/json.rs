@@ -2,12 +2,11 @@
 //! recursive-descent reader, both dependency-free.
 //!
 //! Every JSON document the workspace produces (journal payloads, plan
-//! snapshots, diagnostics, traces, every `cornetd` body) is written
-//! through [`JsonWriter`] and every document it consumes is read by
-//! [`parse`]; no other module knows the text format. There is one string
+//! snapshots, diagnostics, traces, WAR payloads, every `cornetd` body) is
+//! written through [`JsonWriter`] and every document it consumes is read
+//! by [`parse`]; no other module knows the text format. There is one string
 //! escaper ([`JsonWriter::str`]) and one float formatter
-//! ([`JsonWriter::float`]). The vendored `serde_json` is a same-process
-//! token store and handles no JSON text.
+//! ([`JsonWriter::float`]).
 //!
 //! The writer appends to a caller-owned `String` as values are written —
 //! no [`JsonValue`] tree is built on an emit path — and is deterministic.

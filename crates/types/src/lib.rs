@@ -5,8 +5,9 @@
 //! domain types (change types, tickets, conflict tables).
 //!
 //! Every other crate in the workspace builds on these types, so this crate
-//! deliberately has no dependency on the rest of CORNET and only depends on
-//! `serde` for interchange (the paper's user-facing intent API is JSON).
+//! depends on nothing, inside CORNET or out. Interchange is JSON (the
+//! paper's user-facing intent API) and [`json`] is the workspace's one
+//! codec for it.
 
 #![forbid(unsafe_code)]
 pub mod attr;

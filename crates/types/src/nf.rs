@@ -6,12 +6,10 @@
 //! virtualized cellular core (vCOM, vRAR) — see Appendix A. Physical servers
 //! appear as a layer below VNFs for cross-layer conflict scoping (§2.2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Type of a network-function instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NfType {
     /// 4G LTE base station.
     ENodeB,
@@ -138,14 +136,5 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), NfType::ALL.len());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        // The vendored serde_json is a same-process round-trip shim; it
-        // does not emit literal JSON text, so assert on the round-trip.
-        let s = serde_json::to_string(&NfType::VceRouter).unwrap();
-        let t: NfType = serde_json::from_str(&s).unwrap();
-        assert_eq!(t, NfType::VceRouter);
     }
 }

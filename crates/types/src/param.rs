@@ -7,13 +7,11 @@
 //! while `ParamValue` is the runtime value carried in the workflow's global
 //! state.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Static type of a building-block parameter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ParamType {
     /// UTF-8 text (node names, software versions, status strings).
     String,
@@ -29,9 +27,37 @@ pub enum ParamType {
     Map,
 }
 
+impl ParamType {
+    /// Every parameter type.
+    pub const ALL: [ParamType; 6] = [
+        ParamType::String,
+        ParamType::Int,
+        ParamType::Float,
+        ParamType::Bool,
+        ParamType::List,
+        ParamType::Map,
+    ];
+
+    /// The type's name in JSON documents (bundle specs, WAR payloads).
+    pub fn label(self) -> &'static str {
+        match self {
+            ParamType::String => "string",
+            ParamType::Int => "int",
+            ParamType::Float => "float",
+            ParamType::Bool => "bool",
+            ParamType::List => "list",
+            ParamType::Map => "map",
+        }
+    }
+
+    /// Inverse of [`ParamType::label`].
+    pub fn parse(label: &str) -> Option<ParamType> {
+        ParamType::ALL.into_iter().find(|t| t.label() == label)
+    }
+}
+
 /// Runtime value of a building-block parameter.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ParamValue {
     /// Text value.
     Str(String),
@@ -189,6 +215,14 @@ mod tests {
     }
 
     #[test]
+    fn type_labels_parse_back() {
+        for ty in ParamType::ALL {
+            assert_eq!(ParamType::parse(ty.label()), Some(ty));
+        }
+        assert_eq!(ParamType::parse("String"), None);
+    }
+
+    #[test]
     fn accessors() {
         assert_eq!(ParamValue::from("hi").as_str(), Some("hi"));
         assert_eq!(ParamValue::from(2i64).as_f64(), Some(2.0));
@@ -203,16 +237,5 @@ mod tests {
         m.insert("a".to_string(), ParamValue::from(1i64));
         let v = ParamValue::List(vec![ParamValue::Map(m), ParamValue::from("z")]);
         assert_eq!(v.to_string(), "[{a: 1}, z]");
-    }
-
-    #[test]
-    fn serde_untagged_round_trip() {
-        // The vendored serde_json is a same-process round-trip shim; it
-        // does not emit literal JSON text, so assert on the round-trip.
-        let v = ParamValue::List(vec![ParamValue::from(1i64), ParamValue::from("two")]);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: ParamValue = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v);
-        assert_eq!(back.param_type(), ParamType::List);
     }
 }

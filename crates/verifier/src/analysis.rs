@@ -20,7 +20,6 @@ use cornet_stats::rank::Direction;
 use cornet_stats::series::AggFn;
 use cornet_stats::{ratio_regression, robust_rank_order, TimeSeries};
 use cornet_types::{CornetError, NodeId, Result};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Which nodes changed, and when (minutes since epoch) — the staggered
@@ -82,7 +81,7 @@ impl Default for AnalysisOptions {
 }
 
 /// Direction-free statistical outcome of one KPI analysis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ImpactVerdict {
     /// Statistically significant upward-good movement.
     Improvement,

@@ -6,11 +6,10 @@
 //! not itself be part of the change scope.
 
 use cornet_types::{Inventory, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Control-group selection criterion (the Fig. 14 menu).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ControlSelection {
     /// All 1-hop neighbors of study nodes.
     FirstTier,

@@ -12,10 +12,9 @@
 
 use crate::adapter::DataAdapter;
 use cornet_types::NodeId;
-use serde::Serialize;
 
 /// One data-feed problem worth alerting on.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FeedAlert {
     /// The adapter has no stream for a (node, KPI) pair.
     MissingStream {

@@ -244,7 +244,7 @@ pub fn impact_verification_workflow(catalog: &Catalog) -> Workflow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::validate;
+    use crate::validate::analyze;
     use cornet_catalog::builtin_catalog;
 
     #[test]
@@ -259,8 +259,8 @@ mod tests {
             ("planning", schedule_planning_workflow(&cat)),
             ("verification", impact_verification_workflow(&cat)),
         ] {
-            let rep = validate(&wf, &cat);
-            assert!(rep.is_valid(), "{name}: {:?}", rep.errors);
+            let rep = analyze(&wf, &cat);
+            assert!(!rep.has_errors(), "{name}: {}", rep.render_text());
         }
     }
 

@@ -115,7 +115,7 @@ impl<'a> Designer<'a> {
     }
 
     /// Finish, returning the workflow (unvalidated — run
-    /// [`crate::validate::validate`] before deployment).
+    /// [`crate::validate::analyze`] before deployment).
     pub fn build(self) -> Workflow {
         self.wf
     }

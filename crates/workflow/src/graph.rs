@@ -4,12 +4,15 @@
 //! pairs of blocks serve as the edges of the graph" (§3.2). Decisions are
 //! exclusive gateways branching on a boolean variable in the workflow's
 //! global state; variables flow between blocks through that state.
+//!
+//! [`Workflow::to_json`] / [`Workflow::from_json`] are the one codec for
+//! the graph: the bytes of a WAR payload (DESIGN.md § JSON has the layout).
 
-use cornet_types::ParamType;
-use serde::{Deserialize, Serialize};
+use cornet_types::json::{parse, JsonValue, JsonWriter};
+use cornet_types::{CornetError, ParamType, Result};
 
 /// Node handle inside one workflow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -20,7 +23,7 @@ impl NodeId {
 }
 
 /// What a workflow node does.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// Entry point (exactly one per workflow).
     Start,
@@ -39,7 +42,7 @@ pub enum NodeKind {
 }
 
 /// One node of the workflow graph.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkflowNode {
     /// Handle of the node.
     pub id: NodeId,
@@ -50,7 +53,7 @@ pub struct WorkflowNode {
 }
 
 /// Directed edge; decision out-edges carry a boolean guard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkflowEdge {
     /// Source node.
     pub from: NodeId,
@@ -63,7 +66,7 @@ pub struct WorkflowEdge {
 
 /// Declared parameter of the workflow itself (its start inputs / end
 /// outputs), e.g. Fig. 4's `(node, software_version) → status`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkflowParam {
     /// Parameter name in the global state.
     pub name: String,
@@ -72,7 +75,7 @@ pub struct WorkflowParam {
 }
 
 /// A change workflow (the paper's MOP as a graph).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Workflow {
     /// Workflow name, e.g. `"software_upgrade_v2"`.
     pub name: String,
@@ -88,7 +91,6 @@ pub struct Workflow {
     /// backout steps. On a permanent block failure the engine executes
     /// this workflow over the instance's current global state and reports
     /// the instance as rolled back when it completes.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub backout: Option<Box<Workflow>>,
 }
 
@@ -177,6 +179,137 @@ impl Workflow {
     }
 }
 
+impl Workflow {
+    /// The workflow as one compact JSON document. Equal workflows give
+    /// equal text, so a digest of it identifies the workflow.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut JsonWriter::compact(&mut out));
+        out
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object().key("name").str(&self.name);
+        w.key("nodes").begin_array();
+        for n in &self.nodes {
+            w.begin_object().key("id").int(n.id.0);
+            w.key("label").str(&n.label);
+            match &n.kind {
+                NodeKind::Start => w.key("kind").str("start"),
+                NodeKind::End => w.key("kind").str("end"),
+                NodeKind::Task { block } => w.key("kind").str("task").key("block").str(block),
+                NodeKind::Decision { variable } => {
+                    w.key("kind").str("decision").key("variable").str(variable)
+                }
+            };
+            w.end_object();
+        }
+        w.end_array().key("edges").begin_array();
+        for e in &self.edges {
+            w.begin_object()
+                .key("from")
+                .int(e.from.0)
+                .key("to")
+                .int(e.to.0);
+            if let Some(guard) = e.guard {
+                w.key("guard").bool(guard);
+            }
+            w.end_object();
+        }
+        w.end_array();
+        for (key, params) in [("inputs", &self.inputs), ("outputs", &self.outputs)] {
+            w.key(key).begin_array();
+            for p in params {
+                w.begin_object().key("name").str(&p.name);
+                w.key("ty").str(p.ty.label()).end_object();
+            }
+            w.end_array();
+        }
+        if let Some(backout) = &self.backout {
+            w.key("backout");
+            backout.write_json(w);
+        }
+        w.end_object();
+    }
+
+    /// Read a document written by [`Workflow::to_json`]. The text is
+    /// outside input: anything that is not such a document is a
+    /// [`CornetError::Parse`], and so is a graph the engine could not
+    /// index — node ids that do not count up from 0, or an edge endpoint
+    /// that names no node. Nesting of `backout` is bounded by the JSON
+    /// reader's depth limit.
+    pub fn from_json(text: &str) -> Result<Workflow> {
+        Workflow::from_value(&parse(text)?)
+    }
+
+    fn from_value(doc: &JsonValue) -> Result<Workflow> {
+        let mut wf = Workflow::new(req_str(doc, "name")?);
+        for (i, n) in req_array(doc, "nodes")?.iter().enumerate() {
+            if n.get("id").and_then(JsonValue::as_f64) != Some(i as f64) {
+                return Err(bad(format!("node {i}: ids must count up from 0")));
+            }
+            let kind = match req_str(n, "kind")? {
+                "start" => NodeKind::Start,
+                "end" => NodeKind::End,
+                "task" => NodeKind::Task {
+                    block: req_str(n, "block")?.to_owned(),
+                },
+                "decision" => NodeKind::Decision {
+                    variable: req_str(n, "variable")?.to_owned(),
+                },
+                other => return Err(bad(format!("node {i}: unknown kind '{other}'"))),
+            };
+            wf.add_node(req_str(n, "label")?, kind);
+        }
+        for e in req_array(doc, "edges")? {
+            let endpoint = |key: &str| {
+                e.get(key)
+                    .and_then(JsonValue::as_f64)
+                    .filter(|n| n.fract() == 0.0 && (0.0..wf.nodes.len() as f64).contains(n))
+                    .map(|n| NodeId(n as u32))
+                    .ok_or_else(|| bad(format!("edge '{key}' must name one of the nodes")))
+            };
+            let guard = match e.get("guard") {
+                None => None,
+                Some(JsonValue::Bool(b)) => Some(*b),
+                Some(_) => return Err(bad("edge 'guard' must be true or false")),
+            };
+            let (from, to) = (endpoint("from")?, endpoint("to")?);
+            wf.add_edge(from, to, guard);
+        }
+        for (key, params) in [("inputs", &mut wf.inputs), ("outputs", &mut wf.outputs)] {
+            for p in req_array(doc, key)? {
+                let ty = req_str(p, "ty")?;
+                params.push(WorkflowParam {
+                    name: req_str(p, "name")?.to_owned(),
+                    ty: ParamType::parse(ty)
+                        .ok_or_else(|| bad(format!("unknown parameter type '{ty}'")))?,
+                });
+            }
+        }
+        if let Some(backout) = doc.get("backout") {
+            wf.set_backout(Workflow::from_value(backout)?);
+        }
+        Ok(wf)
+    }
+}
+
+fn bad(msg: impl std::fmt::Display) -> CornetError {
+    CornetError::Parse(format!("workflow document: {msg}"))
+}
+
+fn req_str<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a str> {
+    obj.get(key)
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| bad(format!("needs a string '{key}'")))
+}
+
+fn req_array<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a [JsonValue]> {
+    obj.get(key)
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| bad(format!("needs an array '{key}'")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,8 +356,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let mut wf = Workflow::new("t");
+    fn json_round_trip_and_layout() {
+        let mut wf = Workflow::new("t\"1");
         let s = wf.add_node("start", NodeKind::Start);
         let d = wf.add_node(
             "ok?",
@@ -233,8 +366,27 @@ mod tests {
             },
         );
         wf.add_edge(s, d, None);
-        let json = serde_json::to_string(&wf).unwrap();
-        let back: Workflow = serde_json::from_str(&json).unwrap();
-        assert_eq!(wf, back);
+        wf.add_edge(d, s, Some(false));
+        wf.inputs.push(WorkflowParam {
+            name: "node".into(),
+            ty: ParamType::String,
+        });
+        let mut backout = Workflow::new("undo");
+        backout.add_node("rb", NodeKind::Task { block: "x".into() });
+        backout.add_node("end", NodeKind::End);
+        wf.set_backout(backout);
+        let json = wf.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"name":"t\"1","nodes":[{"id":0,"label":"start","kind":"start"},"#,
+                r#"{"id":1,"label":"ok?","kind":"decision","variable":"healthy"}],"#,
+                r#""edges":[{"from":0,"to":1},{"from":1,"to":0,"guard":false}],"#,
+                r#""inputs":[{"name":"node","ty":"string"}],"outputs":[],"#,
+                r#""backout":{"name":"undo","nodes":[{"id":0,"label":"rb","kind":"task","block":"x"},"#,
+                r#"{"id":1,"label":"end","kind":"end"}],"edges":[],"inputs":[],"outputs":[]}}"#,
+            )
+        );
+        assert_eq!(Workflow::from_json(&json).unwrap(), wf);
     }
 }

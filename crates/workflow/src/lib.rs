@@ -28,5 +28,5 @@ pub mod war;
 pub use designer::Designer;
 pub use effects::{block_effects, workflow_effects, BlockEffects, WorkflowEffects};
 pub use graph::{NodeId as WfNodeId, NodeKind, Workflow, WorkflowEdge, WorkflowNode};
-pub use validate::{analyze, validate, ValidationReport};
+pub use validate::analyze;
 pub use war::{WarArtifact, WarManifest};

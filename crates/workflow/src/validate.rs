@@ -10,9 +10,9 @@
 //!
 //! The checks are implemented as `cornet-analysis` passes emitting
 //! [`Diagnostic`]s with stable codes (`CN01xx` structural, `CN02xx`
-//! dataflow); [`analyze`] returns the full [`Report`], while [`validate`]
-//! keeps the original string-based [`ValidationReport`] shape for existing
-//! call sites. The dataflow analysis is path-sensitive: a *may* fixpoint
+//! dataflow); [`analyze`] returns the [`Report`] and [`require_valid`]
+//! turns its errors into a hard failure. The dataflow analysis is
+//! path-sensitive: a *may* fixpoint
 //! (union over paths) catches inputs that are never produced or arrive
 //! with the wrong type, and a *must* fixpoint (intersection over in-edges)
 //! catches inputs produced on only some decision branches, with a blame
@@ -24,56 +24,18 @@ use cornet_catalog::Catalog;
 use cornet_types::{CornetError, ParamType, Result};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Outcome of validating one workflow (compatibility shape; the richer
-/// [`Report`] from [`analyze`] carries codes, anchors and hints).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ValidationReport {
-    /// Hard errors; a workflow with any error cannot be deployed.
-    pub errors: Vec<String>,
-    /// Non-fatal observations (e.g. an output never produced).
-    pub warnings: Vec<String>,
-}
-
-impl ValidationReport {
-    /// True when the workflow may be deployed.
-    pub fn is_valid(&self) -> bool {
-        self.errors.is_empty()
-    }
-
-    /// Project an analysis [`Report`] onto the legacy string shape:
-    /// error-severity diagnostics become `errors`, everything else
-    /// becomes `warnings`.
-    pub fn from_report(report: &Report) -> Self {
-        ValidationReport {
-            errors: report
-                .with_severity(Severity::Error)
-                .map(|d| d.message.clone())
-                .collect(),
-            warnings: report
-                .iter()
-                .filter(|d| d.severity != Severity::Error)
-                .map(|d| d.message.clone())
-                .collect(),
-        }
-    }
-}
-
-/// Validate a workflow against a catalog. Returns the report; use
-/// [`require_valid`] for a hard pass/fail and [`analyze`] for the full
-/// diagnostics with codes and anchors.
-pub fn validate(wf: &Workflow, catalog: &Catalog) -> ValidationReport {
-    ValidationReport::from_report(&analyze(wf, catalog))
-}
-
 /// Validate and convert a failing report into a [`CornetError`]. Only
 /// error-severity diagnostics block; warnings pass.
 pub fn require_valid(wf: &Workflow, catalog: &Catalog) -> Result<()> {
-    let rep = validate(wf, catalog);
-    if rep.is_valid() {
-        Ok(())
-    } else {
-        Err(CornetError::InvalidWorkflow(rep.errors.join("; ")))
+    let report = analyze(wf, catalog);
+    if !report.has_errors() {
+        return Ok(());
     }
+    let errors: Vec<&str> = report
+        .with_severity(Severity::Error)
+        .map(|d| d.message.as_str())
+        .collect();
+    Err(CornetError::InvalidWorkflow(errors.join("; ")))
 }
 
 /// Run every workflow analysis pass and return the combined, sorted
@@ -710,6 +672,12 @@ mod tests {
     use cornet_catalog::{BlockSpec, Catalog, Phase};
     use cornet_types::ParamType;
 
+    fn has_error(report: &Report, needle: &str) -> bool {
+        report
+            .with_severity(Severity::Error)
+            .any(|d| d.message.contains(needle))
+    }
+
     fn upgrade_workflow() -> Workflow {
         // Fig. 4: start → health_check → healthy? →(yes) software_upgrade
         // → pre_post_comparison → passed? →(no) roll_back → end.
@@ -790,8 +758,8 @@ mod tests {
     #[test]
     fn fig4_workflow_is_valid() {
         let cat = builtin_catalog();
-        let rep = validate(&upgrade_workflow(), &cat);
-        assert!(rep.is_valid(), "errors: {:?}", rep.errors);
+        let rep = analyze(&upgrade_workflow(), &cat);
+        assert!(!rep.has_errors(), "{}", rep.render_text());
     }
 
     #[test]
@@ -805,15 +773,8 @@ mod tests {
                 block: "traffic_redirect".into(),
             },
         );
-        let rep = validate(&wf, &cat);
-        assert!(!rep.is_valid());
-        assert!(
-            rep.errors.iter().any(|e| e.contains("zombie")),
-            "{:?}",
-            rep.errors
-        );
-        // Same finding through the analysis API, with its stable code.
         let report = analyze(&wf, &cat);
+        assert!(has_error(&report, "zombie"), "{}", report.render_text());
         assert!(report.iter().any(|d| d.code == Code("CN0104")));
     }
 
@@ -822,15 +783,13 @@ mod tests {
         let cat = builtin_catalog();
         let mut wf = upgrade_workflow();
         wf.add_edge(crate::graph::NodeId(0), crate::graph::NodeId(999), None);
-        let rep = validate(&wf, &cat);
-        assert!(!rep.is_valid());
+        let report = analyze(&wf, &cat);
         assert!(
-            rep.errors.iter().any(|e| e.contains("unknown node")),
-            "{:?}",
-            rep.errors
+            has_error(&report, "unknown node"),
+            "{}",
+            report.render_text()
         );
         // The rendered diagnostic is stable text, no Debug noise.
-        let report = analyze(&wf, &cat);
         let d = report.iter().find(|d| d.code == Code("CN0101")).unwrap();
         assert_eq!(d.message, "edge references unknown node 999");
         assert_eq!(
@@ -857,13 +816,9 @@ mod tests {
             .connect(hc, dec)
             .connect_if(dec, end, true);
         let wf = d.build();
-        let rep = validate(&wf, &cat);
-        assert!(
-            rep.errors.iter().any(|e| e.contains("yes and a no")),
-            "{:?}",
-            rep.errors
-        );
-        assert!(analyze(&wf, &cat).iter().any(|d| d.code == Code("CN0107")));
+        let rep = analyze(&wf, &cat);
+        assert!(has_error(&rep, "yes and a no"), "{}", rep.render_text());
+        assert!(rep.iter().any(|d| d.code == Code("CN0107")));
     }
 
     #[test]
@@ -875,13 +830,11 @@ mod tests {
         let up = d.task("software_upgrade").unwrap();
         let end = d.end();
         d.connect(start, up).connect(up, end);
-        let rep = validate(&d.build(), &cat);
+        let rep = analyze(&d.build(), &cat);
         assert!(
-            rep.errors
-                .iter()
-                .any(|e| e.contains("never produced upstream")),
-            "{:?}",
-            rep.errors
+            has_error(&rep, "never produced upstream"),
+            "{}",
+            rep.render_text()
         );
     }
 
@@ -898,12 +851,8 @@ mod tests {
         let up = d.task("software_upgrade").unwrap();
         let end = d.end();
         d.connect(start, rb).connect(rb, up).connect(up, end);
-        let rep = validate(&d.build(), &cat);
-        assert!(
-            rep.errors.iter().any(|e| e.contains("previous_version")),
-            "{:?}",
-            rep.errors
-        );
+        let rep = analyze(&d.build(), &cat);
+        assert!(has_error(&rep, "previous_version"), "{}", rep.render_text());
     }
 
     #[test]
@@ -918,12 +867,8 @@ mod tests {
         let e2 = d.end();
         d.connect(start, hc).connect(hc, dec);
         d.connect_if(dec, e1, true).connect_if(dec, e2, false);
-        let rep = validate(&d.build(), &cat);
-        assert!(
-            rep.errors.iter().any(|e| e.contains("must be bool")),
-            "{:?}",
-            rep.errors
-        );
+        let rep = analyze(&d.build(), &cat);
+        assert!(has_error(&rep, "must be bool"), "{}", rep.render_text());
     }
 
     #[test]
@@ -936,9 +881,11 @@ mod tests {
         let hc = d.task("health_check").unwrap();
         let end = d.end();
         d.connect(start, hc).connect(hc, end);
-        let rep = validate(&d.build(), &cat);
-        assert!(rep.is_valid());
-        assert!(rep.warnings.iter().any(|w| w.contains("mystery")));
+        let rep = analyze(&d.build(), &cat);
+        assert!(!rep.has_errors());
+        assert!(rep
+            .with_severity(Severity::Warning)
+            .any(|d| d.message.contains("mystery")));
     }
 
     #[test]
@@ -987,10 +934,8 @@ mod tests {
             "{}",
             d.message
         );
-        // The legacy projection reports it as a warning, not an error.
-        let rep = ValidationReport::from_report(&report);
-        assert!(rep.is_valid(), "{:?}", rep.errors);
-        assert!(rep.warnings.iter().any(|w| w.contains("only some paths")));
+        assert!(d.message.contains("only some paths"), "{}", d.message);
+        assert!(!report.has_errors(), "{}", report.render_text());
 
         // Corrected twin: the diamond covers both branches — no CN0206.
         let report = analyze(&diamond_workflow(&cat), &cat);
@@ -1040,8 +985,8 @@ mod tests {
         let e = d.end();
         d.connect(s, rb).connect(rb, e);
         wf.set_backout(d.build());
-        let rep = validate(&wf, &cat);
-        assert!(rep.is_valid(), "errors: {:?}", rep.errors);
+        let rep = analyze(&wf, &cat);
+        assert!(!rep.has_errors(), "{}", rep.render_text());
 
         // Invalid backout (zombie task) surfaces prefixed errors.
         let mut bad = Workflow::new("bad-backout");
@@ -1053,12 +998,12 @@ mod tests {
         );
         let mut wf = upgrade_workflow();
         wf.set_backout(bad);
-        let rep = validate(&wf, &cat);
-        assert!(!rep.is_valid());
+        let rep = analyze(&wf, &cat);
         assert!(
-            rep.errors.iter().any(|e| e.starts_with("backout: ")),
-            "{:?}",
-            rep.errors
+            rep.with_severity(Severity::Error)
+                .any(|d| d.message.starts_with("backout: ")),
+            "{}",
+            rep.render_text()
         );
     }
 
@@ -1092,7 +1037,7 @@ mod tests {
             .find(|d| d.code == Code("CN0104") && d.message.starts_with("backout: "))
             .expect("prefixed zombie diagnostic");
         assert!(d.message.contains("zombie"), "{}", d.message);
-        assert!(!validate(&wf, &cat).is_valid());
+        assert!(report.has_errors());
     }
 
     #[test]

@@ -7,23 +7,24 @@
 //! REST API for the newly created change workflow" (§3.2).
 //!
 //! Our WAR is a manifest (workflow name, version digest, block → endpoint
-//! table, the REST path for invoking the workflow) plus the serialized
-//! graph, packed into bytes — the artifact the orchestrator deploys.
+//! table, the REST path for invoking the workflow) plus the graph as the
+//! JSON document of [`Workflow::to_json`] — the artifact the orchestrator
+//! deploys. The digest is a function of those bytes alone, so a workflow
+//! has the same identity in every process.
 
 use crate::graph::Workflow;
 use crate::validate::require_valid;
-use bytes::Bytes;
 use cornet_catalog::Catalog;
 use cornet_types::{CornetError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Manifest describing one deployable workflow artifact.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WarManifest {
     /// Workflow name.
     pub workflow: String,
-    /// Content digest of the serialized workflow (FNV-1a, hex).
+    /// Content digest of the payload bytes (FNV-1a, hex).
     pub digest: String,
     /// REST path registered for launching this workflow.
     pub rest_api: String,
@@ -31,13 +32,13 @@ pub struct WarManifest {
     pub block_endpoints: BTreeMap<String, String>,
 }
 
-/// A packaged workflow: manifest + serialized graph bytes.
+/// A packaged workflow: manifest + the graph's JSON document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WarArtifact {
     /// Deployment manifest.
     pub manifest: WarManifest,
-    /// Serialized workflow payload.
-    pub payload: Bytes,
+    /// The workflow document, UTF-8 (shared: dispatchers clone artifacts).
+    pub payload: Arc<[u8]>,
 }
 
 /// 64-bit FNV-1a — content digest for WAR versioning. Collision-resistant
@@ -46,7 +47,7 @@ fn fnv1a(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
@@ -57,8 +58,7 @@ impl WarArtifact {
     /// reach the orchestrator (warnings do not block packaging).
     pub fn package(wf: &Workflow, catalog: &Catalog) -> Result<WarArtifact> {
         require_valid(wf, catalog)?;
-        let payload = serde_json::to_vec(wf)
-            .map_err(|e| CornetError::Parse(format!("workflow serialization failed: {e}")))?;
+        let payload = wf.to_json().into_bytes();
         let digest = format!("{:016x}", fnv1a(&payload));
         let block_endpoints = wf
             .blocks()
@@ -77,14 +77,16 @@ impl WarArtifact {
         };
         Ok(WarArtifact {
             manifest,
-            payload: Bytes::from(payload),
+            payload: payload.into(),
         })
     }
 
-    /// Unpack the workflow graph from the artifact.
+    /// Unpack the workflow graph from the artifact. The payload is read
+    /// as outside input: a corrupt one is a [`CornetError::Parse`].
     pub fn unpack(&self) -> Result<Workflow> {
-        serde_json::from_slice(&self.payload)
-            .map_err(|e| CornetError::Parse(format!("corrupt WAR payload: {e}")))
+        let text = std::str::from_utf8(&self.payload)
+            .map_err(|e| CornetError::Parse(format!("WAR payload is not UTF-8: {e}")))?;
+        Workflow::from_json(text)
     }
 }
 

@@ -9,7 +9,7 @@ use cornet::core::testbed_registry;
 use cornet::netsim::{Testbed, TestbedConfig};
 use cornet::orchestrator::{Engine, GlobalState};
 use cornet::types::{NfType, ParamType, ParamValue};
-use cornet::workflow::{validate, Designer, WarArtifact};
+use cornet::workflow::{analyze, Designer, WarArtifact};
 
 fn main() {
     // 1. The catalog: Table 2's nineteen building blocks.
@@ -48,8 +48,8 @@ fn main() {
     let wf = d.build();
 
     // 3. Verify: no zombie blocks, decisions wired, parameters flow.
-    let report = validate(&wf, &catalog);
-    println!("\nworkflow '{}' valid: {}", wf.name, report.is_valid());
+    let report = analyze(&wf, &catalog);
+    println!("\nworkflow '{}' valid: {}", wf.name, !report.has_errors());
 
     // 4. Package into a WAR artifact with a dynamically generated REST API.
     let war = WarArtifact::package(&wf, &catalog).expect("validated workflow packages");

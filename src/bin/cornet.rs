@@ -31,9 +31,9 @@ use cornet::catalog::builtin_catalog;
 use cornet::daemon::{DaemonClient, JournalScenario};
 use cornet::netsim::{Network, NetworkConfig};
 use cornet::obs::{write_trace, ChromeTraceSink, TraceSummary, Tracer};
-use cornet::planner::{lint, plan, BackendChoice, PlanIntent, PlanOptions, PlanSnapshot};
+use cornet::planner::{analyze_intent, plan, BackendChoice, PlanIntent, PlanOptions, PlanSnapshot};
 use cornet::types::{NfType, NodeId};
-use cornet::workflow::{validate, WarArtifact};
+use cornet::workflow::{analyze, WarArtifact};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -50,7 +50,6 @@ fn usage() -> ExitCode {
            --intent <file>     JSON intent (Listing 1 format)\n\
            --network <spec>    ran:<nodes> | cloud:<vces>   (default ran:200)\n\
            --backend <b>       exact | greedy | heuristic | portfolio | sharded (default exact)\n\
-           --heuristic         alias for --backend heuristic\n\
            --warm-from <file>  (plan) seed the solver from a prior --save-plan snapshot\n\
            --save-plan <file>  (plan) write the plan as a warm-startable snapshot\n\
            --emit-mzn <file>   write the generated MiniZinc model\n\
@@ -169,14 +168,14 @@ fn cmd_workflows() -> ExitCode {
         schedule_planning_workflow(&cat),
         impact_verification_workflow(&cat),
     ] {
-        let rep = validate(&wf, &cat);
+        let rep = analyze(&wf, &cat);
         let war = WarArtifact::package(&wf, &cat);
         println!(
             "{:<26} nodes={:<2} blocks={:<2} valid={} rest={}",
             wf.name,
             wf.nodes.len(),
             wf.blocks().len(),
-            rep.is_valid(),
+            !rep.has_errors(),
             war.map(|w| w.manifest.rest_api)
                 .unwrap_or_else(|e| format!("({e})")),
         );
@@ -342,18 +341,18 @@ fn cmd_lint(flags: &BTreeMap<String, String>) -> ExitCode {
         }
     };
     let nodes = scope_nodes(&net);
-    match lint(&intent, &net.inventory, &nodes) {
+    match analyze_intent(&intent, &net.inventory, &nodes) {
         Ok(report) => {
-            if report.findings.is_empty() {
+            if report.is_clean() {
                 println!("intent is clean ({} nodes in scope)", nodes.len());
             }
-            for f in &report.findings {
-                println!("{:?}: [{}] {}", f.level, f.code, f.message);
+            for d in report.iter() {
+                println!("{}", d.render());
             }
-            if report.is_plannable() {
-                ExitCode::SUCCESS
-            } else {
+            if report.has_errors() {
                 ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
             }
         }
         Err(e) => {
@@ -388,12 +387,12 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
     // Lint first — the paper's adoption lesson: surprises at plan time
     // erode operator trust. A lint failure is itself a refusal: planning
     // an unlintable intent would bypass the safety gate.
-    match lint(&intent, &net.inventory, &nodes) {
+    match analyze_intent(&intent, &net.inventory, &nodes) {
         Ok(report) => {
-            for f in &report.findings {
-                eprintln!("lint {:?}: [{}] {}", f.level, f.code, f.message);
+            for d in report.iter() {
+                eprintln!("lint {}", d.render());
             }
-            if !report.is_plannable() {
+            if report.has_errors() {
                 eprintln!("refusing to plan: fix the errors above");
                 return ExitCode::FAILURE;
             }
@@ -404,13 +403,7 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
         }
     }
 
-    // `--heuristic` is a compatibility alias for `--backend heuristic`;
-    // every backend now runs through the same plan() pipeline.
-    let backend_name = if flags.contains_key("heuristic") {
-        "heuristic"
-    } else {
-        flags.get("backend").map(String::as_str).unwrap_or("exact")
-    };
+    let backend_name = flags.get("backend").map(String::as_str).unwrap_or("exact");
     let backend = match BackendChoice::parse(backend_name) {
         Ok(b) => b,
         Err(e) => {

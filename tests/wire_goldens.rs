@@ -1,9 +1,10 @@
 //! Byte-level goldens for every JSON document the workspace writes to
 //! disk or to the wire: check diagnostics (JSONL, SARIF), journal frames,
 //! `cornet-plan/v1` snapshots, campaign manifests, `cornetd` responses,
-//! blast radii and trace renderings. The files under `tests/golden/` are
-//! the contract — a WAL or snapshot written by one build must read back
-//! under the next — so a rendering change has to show up here as a diff.
+//! blast radii, trace renderings and the WAR payload. The files under
+//! `tests/golden/` are the contract — a WAL or snapshot written by one
+//! build must read back under the next — so a rendering change has to
+//! show up here as a diff.
 //!
 //! Regenerate (only when a format change is intended) with
 //! `UPDATE_GOLDEN=1 cargo test --test wire_goldens`.
@@ -344,6 +345,22 @@ fn trace_summary_and_jsonl_are_byte_stable() {
         &TraceSummary::from_trace(&trace).render_json(),
     );
     assert_golden("trace_lines.jsonl", &JsonLinesSink.render(&trace));
+}
+
+/// The WAR payload is the workflow's identity: its bytes, and therefore
+/// the digest and REST path, are the same in every process and build.
+#[test]
+fn war_payload_and_digest_are_byte_stable() {
+    let catalog = cornet::catalog::builtin_catalog();
+    let fig4 = cornet::workflow::builtin::software_upgrade_workflow(&catalog);
+    let war = cornet::workflow::WarArtifact::package(&fig4, &catalog).expect("Fig. 4 packages");
+    let payload = std::str::from_utf8(&war.payload).expect("UTF-8 payload");
+    assert_golden("war_payload.json", payload);
+    assert_eq!(war.manifest.digest, "cb497a328f7d2d6f");
+    assert_eq!(
+        war.manifest.rest_api,
+        "/wf/software_upgrade/cb497a328f7d2d6f"
+    );
 }
 
 #[test]
