@@ -157,8 +157,8 @@ pub struct Diagnostic {
     pub message: String,
     /// Optional actionable fix hint.
     pub hint: Option<String>,
-    /// Name of the pass that produced the finding (stamped by the
-    /// [`crate::Driver`]; empty for directly constructed diagnostics).
+    /// Name of the pass that produced the finding (stamped by
+    /// `cornet_core::check`; empty for directly constructed diagnostics).
     pub pass: String,
 }
 

@@ -10,8 +10,6 @@
 //!   codes (`CN0102`), [`Severity`], a [`SourceRef`] pointing at the
 //!   offending node/edge/rule/param, optional fix hints, and text + JSON
 //!   lines renderers;
-//! * [`pass`] — the [`AnalysisPass`] trait and the [`Driver`] that runs a
-//!   registered pass pipeline over an analysis bundle;
 //! * [`baseline`] — suppression of previously accepted diagnostics so
 //!   `cornet check` can gate only on *new* findings.
 //!
@@ -28,8 +26,6 @@
 
 pub mod baseline;
 pub mod diag;
-pub mod pass;
 
 pub use baseline::Baseline;
 pub use diag::{Code, Diagnostic, Report, Severity, SourceRef};
-pub use pass::{AnalysisPass, Driver, FnPass};

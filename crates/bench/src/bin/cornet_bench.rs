@@ -7,7 +7,7 @@
 //!   dispatch through the continuous-admission pool vs the old
 //!   wave/barrier loop (reconstructed locally);
 //! * **verifier** — a 50-market × 8-KPI verification sweep through the
-//!   rayon-fanned, series-cached `verify_rule` vs the sequential,
+//!   thread-fanned (`par::map_ordered`), series-cached `verify_rule` vs the sequential,
 //!   uncached reference;
 //! * **stats** — the O((n+m) log(n+m)) rank test, selection median, and
 //!   capped Theil–Sen vs their naive counterparts on 10k-point series;

@@ -14,7 +14,7 @@
 //! two campaigns conflict when they touch the same dimension of the
 //! same node in overlapping windows. Node identity is the inventory
 //! *name* (stable across bundles), so the same detector serves both the
-//! in-bundle pass registered in [`crate::check::standard_driver`] and
+//! in-bundle pass [`crate::check::check`] runs and
 //! the daemon's cross-tenant admission gate (a submitted campaign
 //! against every live one).
 //!

@@ -1,5 +1,5 @@
-//! The `cornet check` gate: one driver running every static-analysis
-//! pass over a MOP bundle.
+//! The `cornet check` gate: every static-analysis pass over a MOP
+//! bundle, as one function.
 //!
 //! A MOP ("method of procedure") bundle is everything a change ships
 //! with: the workflows to execute, the scheduling intent, the
@@ -8,12 +8,11 @@
 //! analyzer (`cornet_workflow::analyze`, `cornet_planner::analyze_intent`,
 //! `cornet_planner::analyze_campaigns`,
 //! `cornet_orchestrator::analyze_resilience`,
-//! `cornet_verifier::analyze_rules`); this module instantiates the
-//! generic [`Driver`] over the concrete bundle so they all run as one
-//! pipeline producing one deterministic [`Report`] — the artifact the CLI
-//! renders and the deployment gate consults.
+//! `cornet_verifier::analyze_rules`); [`check`] runs them in one fixed
+//! order into one deterministic [`Report`] — the artifact the CLI renders
+//! and the deployment gate consults.
 
-use cornet_analysis::{Code, Diagnostic, Driver, Report, SourceRef};
+use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_catalog::{builtin_catalog, Catalog};
 use cornet_orchestrator::resilience::{CircuitBreaker, RetryPolicy};
 use cornet_orchestrator::ResilienceSpec;
@@ -65,58 +64,61 @@ impl Default for MopBundle {
     }
 }
 
-/// The standard pipeline: every analyzer in the workspace, in dependency
-/// order (structure before dataflow is internal to the workflow pass).
-pub fn standard_driver() -> Driver<MopBundle> {
-    let mut driver = Driver::new();
-    driver.register_fn("workflow", |b: &MopBundle, report: &mut Report| {
-        for wf in &b.workflows {
-            report.merge(cornet_workflow::analyze(wf, &b.catalog));
-        }
-    });
-    driver.register_fn("intent-lint", |b: &MopBundle, report: &mut Report| {
-        if let Some(intent) = &b.intent {
-            match analyze_intent(intent, &b.inventory, &b.scope) {
-                Ok(r) => report.merge(r),
-                Err(e) => report.push(Diagnostic::error(
-                    Code("CN0417"),
-                    SourceRef::Intent,
-                    format!("intent could not be analyzed: {e}"),
-                )),
+/// Run every analyzer in the workspace over a bundle, in dependency order
+/// (structure before dataflow is internal to the workflow analyzer). Each
+/// finding is stamped with the pass that produced it and the combined
+/// report is sorted into the deterministic severity/code/anchor order.
+pub fn check(b: &MopBundle) -> Report {
+    let mut report = Report::new();
+    let mut stamped = 0;
+    // Name whatever the analyzer that just ran appended.
+    let mut stamp = |report: &mut Report, pass: &str| {
+        for d in &mut report.diagnostics[stamped..] {
+            if d.pass.is_empty() {
+                d.pass = pass.to_owned();
             }
         }
-    });
-    driver.register_fn(
-        "campaign-conflicts",
-        |b: &MopBundle, report: &mut Report| {
-            analyze_campaigns(&b.campaigns, b.intent.as_ref(), report);
-        },
-    );
-    driver.register_fn("interference", |b: &MopBundle, report: &mut Report| {
-        crate::blast::analyze_interference(b, report);
-    });
-    driver.register_fn("resilience", |b: &MopBundle, report: &mut Report| {
-        if let Some(spec) = &b.resilience {
-            cornet_orchestrator::analyze_resilience(spec, report);
-        }
-    });
-    driver.register_fn("replay-safety", |b: &MopBundle, report: &mut Report| {
-        for wf in &b.workflows {
-            cornet_orchestrator::analyze_replay_safety(wf, &b.catalog, report);
-        }
-    });
-    driver.register_fn(
-        "verification-rules",
-        |b: &MopBundle, report: &mut Report| {
-            analyze_rules(&b.rules, &b.inventory, b.known_kpis.as_deref(), report);
-        },
-    );
-    driver
-}
+        stamped = report.diagnostics.len();
+    };
 
-/// Run the standard pipeline over a bundle.
-pub fn check(bundle: &MopBundle) -> Report {
-    standard_driver().run(bundle)
+    for wf in &b.workflows {
+        report.merge(cornet_workflow::analyze(wf, &b.catalog));
+    }
+    stamp(&mut report, "workflow");
+
+    if let Some(intent) = &b.intent {
+        match analyze_intent(intent, &b.inventory, &b.scope) {
+            Ok(r) => report.merge(r),
+            Err(e) => report.push(Diagnostic::error(
+                Code("CN0417"),
+                SourceRef::Intent,
+                format!("intent could not be analyzed: {e}"),
+            )),
+        }
+    }
+    stamp(&mut report, "intent-lint");
+
+    analyze_campaigns(&b.campaigns, b.intent.as_ref(), &mut report);
+    stamp(&mut report, "campaign-conflicts");
+
+    crate::blast::analyze_interference(b, &mut report);
+    stamp(&mut report, "interference");
+
+    if let Some(spec) = &b.resilience {
+        cornet_orchestrator::analyze_resilience(spec, &mut report);
+    }
+    stamp(&mut report, "resilience");
+
+    for wf in &b.workflows {
+        cornet_orchestrator::analyze_replay_safety(wf, &b.catalog, &mut report);
+    }
+    stamp(&mut report, "replay-safety");
+
+    analyze_rules(&b.rules, &b.inventory, b.known_kpis.as_deref(), &mut report);
+    stamp(&mut report, "verification-rules");
+
+    report.sort();
+    report
 }
 
 /// The check gate as a pre-deploy step: `Ok(report)` when the bundle may
@@ -486,18 +488,45 @@ mod tests {
     use cornet_analysis::Severity;
 
     #[test]
-    fn standard_driver_registers_every_pass() {
+    fn every_analyzer_runs_and_stamps_its_pass() {
+        // The shipped defective bundle trips six analyzers; an intent whose
+        // window cannot hold the scope trips the seventh.
+        let mut bundle =
+            load_bundle(include_str!("../../../examples/check/defective.json")).unwrap();
+        bundle.intent = Some(
+            PlanIntent::from_json(
+                r#"{
+                "scheduling_window": {"start": "2020-07-01 00:00:00",
+                                      "end": "2020-07-01 23:59:00",
+                                      "granularity": {"metric": "day", "value": 1}},
+                "maintenance_window": {"start": "0:00", "end": "6:00"},
+                "schedulable_attribute": "common_id",
+                "conflict_attribute": "common_id",
+                "constraints": [
+                    {"name": "concurrency", "base_attribute": "common_id",
+                     "operator": "<=", "granularity": {"metric": "day", "value": 1},
+                     "default_capacity": 1}
+                ]
+            }"#,
+            )
+            .unwrap(),
+        );
+        let report = check(&bundle);
+        let passes: std::collections::BTreeSet<&str> =
+            report.iter().map(|d| d.pass.as_str()).collect();
         assert_eq!(
-            standard_driver().pass_names(),
+            passes.into_iter().collect::<Vec<_>>(),
             vec![
-                "workflow",
-                "intent-lint",
                 "campaign-conflicts",
+                "intent-lint",
                 "interference",
-                "resilience",
                 "replay-safety",
-                "verification-rules"
-            ]
+                "resilience",
+                "verification-rules",
+                "workflow"
+            ],
+            "{}",
+            report.render_text()
         );
     }
 
@@ -515,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_workflow_dataflow_defect_surfaces_through_the_driver() {
+    fn inline_workflow_dataflow_defect_surfaces_through_check() {
         // software_upgrade consumes 'version', which nothing provides.
         let text = r#"{
             "workflows": [{

@@ -26,7 +26,7 @@ pub use blast::{
     analyze_interference, campaign_blasts, conflicts_between, conflicts_within, render_blast_text,
     BlastConflict, CampaignBlast, NodeTouch,
 };
-pub use check::{bundle_from_value, check, gate, load_bundle, standard_driver, MopBundle};
+pub use check::{bundle_from_value, check, gate, load_bundle, MopBundle};
 pub use cornet::Cornet;
 pub use executors::testbed_registry;
 pub use native::{planning_registry, verification_registry};

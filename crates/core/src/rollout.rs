@@ -9,11 +9,12 @@
 //!
 //! [`staged_rollout`] runs exactly that: execute the FFA slice, verify it,
 //! stop unless certified, then run the network-wide schedule with the
-//! verifier consulted as a go/no-go gate between slots.
+//! verifier consulted as a go/no-go gate between slots and the optional
+//! circuit breaker consulted on every completion inside them.
 
 use crate::cornet::Cornet;
 use cornet_orchestrator::resilience::{BreakerTrip, CircuitBreaker};
-use cornet_orchestrator::{DispatchReport, FalloutAnalysis, GlobalState};
+use cornet_orchestrator::{DispatchReport, GlobalState};
 use cornet_types::{NodeId, Result, Schedule, Timeslot};
 use cornet_verifier::{verify_rule, ChangeScope, DataAdapter, GoNoGo, VerificationRule};
 use cornet_workflow::WarArtifact;
@@ -23,9 +24,10 @@ use cornet_workflow::WarArtifact;
 pub enum RolloutOutcome {
     /// FFA verification failed; the network-wide phase never started.
     NotCertified,
-    /// The network-wide phase halted mid-way on a failed gate check.
+    /// The network-wide phase halted mid-way: a failed gate check after
+    /// a slot, or a breaker trip inside one.
     Halted {
-        /// Slot after which the halt happened.
+        /// Slot the gate refused to go beyond, or the breaker tripped in.
         after_slot: u32,
     },
     /// Every slot completed with the gate green throughout.
@@ -64,9 +66,10 @@ pub struct RolloutPlan<'a> {
     /// Consult the verifier every `gate_every` slots during the
     /// network-wide phase (1 = every slot).
     pub gate_every: u32,
-    /// Optional auto-halt circuit breaker: consulted after *every* slot
-    /// (execution fall-out is visible immediately, unlike KPI shifts) and
-    /// trips on excessive per-block failure rates.
+    /// Optional auto-halt circuit breaker: consulted on *every instance
+    /// completion* (execution fall-out is visible immediately, unlike KPI
+    /// shifts) and trips on excessive per-block failure rates; instances
+    /// in flight when it trips land in `network.drained`.
     pub breaker: Option<CircuitBreaker>,
 }
 
@@ -127,19 +130,15 @@ pub fn staged_rollout(
         plan.concurrency,
     )?;
     let mut slots_executed = 0u32;
-    let mut breaker_trip: Option<BreakerTrip> = None;
-    let (network_report, halted_at) =
-        dispatcher.run_gated(&plan.network, &inputs_for, |_slot, so_far| {
-            // The circuit breaker sees execution fall-out after every
-            // slot: a block failing across instances is visible in the
-            // logs immediately, no KPI lag involved.
-            if let Some(breaker) = &plan.breaker {
-                let fallout = FalloutAnalysis::from_reports([so_far]);
-                if let Some(trip) = breaker.check(&fallout) {
-                    breaker_trip = Some(trip);
-                    return false;
-                }
-            }
+    // The circuit breaker rides inside the dispatcher's loop: execution
+    // fall-out is visible on every completion, no KPI lag involved, so a
+    // trip halts mid-slot. The gate keeps what only it can do — the KPI
+    // verifier, between slots.
+    let network = dispatcher.run_gated(
+        &plan.network,
+        &inputs_for,
+        plan.breaker.as_ref(),
+        |_slot, so_far| {
             // Count *executed* slots, not slot numbers — sparse schedules
             // (excluded holidays) must still be verified every Nth slot.
             slots_executed += 1;
@@ -160,18 +159,19 @@ pub fn staged_rollout(
             )
             .map(|r| r.decision == GoNoGo::Go)
             .unwrap_or(true) // data problems alert, but don't halt blindly
-        })?;
+        },
+    )?;
 
-    let outcome = match halted_at {
+    let outcome = match network.halted {
         Some(slot) => RolloutOutcome::Halted { after_slot: slot.0 },
         None => RolloutOutcome::Completed,
     };
     Ok(RolloutReport {
         ffa: ffa_report,
         ffa_decision,
-        network: network_report,
+        network: network.report,
         outcome,
-        breaker_trip,
+        breaker_trip: network.trip,
     })
 }
 
@@ -185,6 +185,8 @@ mod tests {
     use cornet_types::{NfType, ParamValue};
     use cornet_verifier::{ClosureAdapter, ControlSelection, Expectation, KpiQuery};
     use cornet_workflow::builtin::software_upgrade_workflow;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Shared fixture: 16 eNodeBs, testbed-backed registry, 2 FFA nodes
     /// in slot 1, the rest over slots 1..4 of the network phase.
@@ -427,6 +429,38 @@ mod tests {
         assert!(report.breaker_trip.is_none(), "no breaker configured");
     }
 
+    /// The fixture's CORNET with `software_upgrade` failing permanently on
+    /// every non-FFA node, the WAR deployed on it, and a count of those
+    /// failed attempts.
+    fn failing_outside_ffa(f: &Fixture) -> (Cornet, WarArtifact, Arc<AtomicUsize>) {
+        let ffa_names: Vec<String> = [f.enbs[0], f.enbs[1]]
+            .iter()
+            .map(|&n| f.cornet.inventory.record(n).name.clone())
+            .collect();
+        let mut cornet = Cornet::new(
+            f.cornet.inventory.clone(),
+            f.cornet.topology.clone(),
+            testbed_registry(f.testbed.clone()),
+        );
+        let rejected = Arc::new(AtomicUsize::new(0));
+        let count = rejected.clone();
+        cornet.registry.register("software_upgrade", move |s| {
+            let node = cornet_orchestrator::executor::require_str(s, "node")?;
+            if ffa_names.contains(&node) {
+                s.insert("previous_version".into(), ParamValue::from("19.3"));
+                return Ok(());
+            }
+            count.fetch_add(1, Ordering::SeqCst);
+            Err(cornet_types::CornetError::ExecutionFailed(
+                "firmware image rejected".into(),
+            ))
+        });
+        let war = cornet
+            .deploy_workflow(&software_upgrade_workflow(&cornet.catalog))
+            .unwrap();
+        (cornet, war, rejected)
+    }
+
     #[test]
     fn breaker_trips_before_the_verifier_sees_anything() {
         // KPIs look great everywhere, but the upgrade block itself fails
@@ -442,30 +476,7 @@ mod tests {
             .collect::<Vec<_>>();
         let adapter = adapter_with_magnitude(f.enbs.clone(), 0.2);
         let r = rule(controls);
-        // Rebuild the registry so software_upgrade fails permanently for
-        // every non-FFA node.
-        let ffa_names: Vec<String> = [f.enbs[0], f.enbs[1]]
-            .iter()
-            .map(|&n| f.cornet.inventory.record(n).name.clone())
-            .collect();
-        let mut cornet = Cornet::new(
-            f.cornet.inventory.clone(),
-            f.cornet.topology.clone(),
-            testbed_registry(f.testbed.clone()),
-        );
-        cornet.registry.register("software_upgrade", move |s| {
-            let node = cornet_orchestrator::executor::require_str(s, "node")?;
-            if ffa_names.contains(&node) {
-                s.insert("previous_version".into(), ParamValue::from("19.3"));
-                return Ok(());
-            }
-            Err(cornet_types::CornetError::ExecutionFailed(
-                "firmware image rejected".into(),
-            ))
-        });
-        let war = cornet
-            .deploy_workflow(&software_upgrade_workflow(&cornet.catalog))
-            .unwrap();
+        let (cornet, war, _) = failing_outside_ffa(&f);
         let report = staged_rollout(
             &cornet,
             RolloutPlan {
@@ -496,5 +507,54 @@ mod tests {
             report.network.instances.len() < 14,
             "tail slots were spared"
         );
+    }
+
+    #[test]
+    fn fallout_halts_per_completion_not_per_slot() {
+        // All 14 network nodes share one slot and the upgrade fails on
+        // every one of them. A breaker looking only at slot boundaries
+        // burns the whole slot; the dispatcher's own stops after
+        // `min_samples` completions plus whatever was in flight.
+        let f = fixture();
+        let controls = f
+            .cornet
+            .inventory
+            .iter()
+            .filter(|r| r.nf_type == NfType::Siad)
+            .map(|r| r.id)
+            .collect::<Vec<_>>();
+        let adapter = adapter_with_magnitude(f.enbs.clone(), 0.2);
+        let r = rule(controls);
+        let (cornet, war, rejected) = failing_outside_ffa(&f);
+        let mut one_slot = Schedule::default();
+        for &n in &f.enbs[2..] {
+            one_slot.assignments.insert(n, Timeslot(1));
+        }
+        let (min_samples, concurrency) = (3, 1);
+        let report = staged_rollout(
+            &cornet,
+            RolloutPlan {
+                war: &war,
+                ffa: f.ffa.clone(),
+                network: one_slot,
+                rule: &r,
+                concurrency,
+                gate_every: 1,
+                breaker: Some(CircuitBreaker {
+                    failure_threshold: 0.5,
+                    min_samples,
+                }),
+            },
+            &adapter,
+            |_slot| 10_000,
+            inputs(&cornet),
+        )
+        .unwrap();
+        assert_eq!(report.outcome, RolloutOutcome::Halted { after_slot: 1 });
+        assert!(report.breaker_trip.is_some());
+        assert_eq!(report.network.instances.len(), min_samples);
+        let touched = report.network.instances.len() + report.network.drained.len();
+        assert!(touched <= min_samples + concurrency, "touched {touched}");
+        assert_eq!(rejected.load(Ordering::SeqCst), touched);
     }
 }

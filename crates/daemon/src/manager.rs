@@ -808,24 +808,25 @@ impl CampaignManager {
         .with_tracer(tracer.clone())
         .with_admission(self.book.handle(&manifest.tenant));
         let breaker = scenario.breaker();
+        // Fresh or recovered, the write handle is ours: same tracer, same
+        // live-progress tap.
+        let tap = |journal: Journal| journal.with_tracer(tracer.clone()).with_listener(listener);
         let outcome = if resume {
+            let (journal, events, recovery) =
+                Journal::recover(&paths.journal, self.config.fsync).map_err(|e| e.to_string())?;
             dispatcher
-                .with_journal_listener(listener)
                 .resume_campaign(
-                    &paths.journal,
-                    self.config.fsync,
+                    (tap(journal), events, recovery),
                     JournalScenario::inputs,
                     Some(&breaker),
                     Some(control),
                 )
                 .map_err(|e| e.to_string())?
         } else {
-            let journal = Journal::create(&paths.journal, self.config.fsync)
-                .map_err(|e| e.to_string())?
-                .with_tracer(tracer.clone())
-                .with_listener(listener);
+            let journal =
+                Journal::create(&paths.journal, self.config.fsync).map_err(|e| e.to_string())?;
             dispatcher
-                .with_journal(journal, manifest.meta.clone())
+                .with_journal(tap(journal), manifest.meta.clone())
                 .run_campaign(
                     &scenario.schedule(),
                     JournalScenario::inputs,

@@ -17,6 +17,7 @@ use cornet_orchestrator::resilience::{
     BreakerTrip, CircuitBreaker, FaultPlan, FaultyExecutor, RetryPolicy,
 };
 use cornet_orchestrator::{DispatchReport, ExecutorRegistry, GlobalState};
+use cornet_types::hash::fnv1a64;
 use cornet_types::json::JsonValue;
 use cornet_types::{NodeId, ParamValue, Schedule, Timeslot};
 use cornet_workflow::builtin::software_upgrade_workflow;
@@ -289,12 +290,7 @@ pub fn report_fingerprint(report: &DispatchReport) -> u64 {
             );
         }
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in text.as_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(text.as_bytes())
 }
 
 #[cfg(test)]
@@ -346,10 +342,15 @@ mod tests {
         let run = || {
             let d =
                 Dispatcher::new(s.war().unwrap(), s.registry(None, None), s.concurrency).unwrap();
-            let (report, _) = d
-                .run_with_breaker(&s.schedule(), JournalScenario::inputs, &s.breaker())
+            let outcome = d
+                .run_campaign(
+                    &s.schedule(),
+                    JournalScenario::inputs,
+                    Some(&s.breaker()),
+                    None,
+                )
                 .unwrap();
-            report_fingerprint(&report)
+            report_fingerprint(&outcome.report)
         };
         assert_eq!(run(), run());
     }

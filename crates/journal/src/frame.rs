@@ -8,15 +8,7 @@
 //! bit-flipped tail is detected by the length/checksum pair and truncated
 //! away on recovery.
 
-/// FNV-1a 64-bit hash — the journal's record checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use cornet_types::hash::fnv1a64;
 
 /// Frame a payload as one journal record, trailing newline included.
 pub fn encode_record(payload: &str) -> String {

@@ -31,6 +31,6 @@ pub mod store;
 pub mod writer;
 
 pub use event::{BlockRecord, JournalEvent, Recovery, StateMap};
-pub use frame::{boundaries, encode_record, fnv1a64, scan, ScanOutcome};
+pub use frame::{boundaries, encode_record, scan, ScanOutcome};
 pub use store::{CampaignPaths, CampaignStore, Manifest};
 pub use writer::{CrashMode, CrashSwitch, EventListener, FsyncPolicy, Journal};

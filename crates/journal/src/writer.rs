@@ -219,12 +219,6 @@ impl Journal {
         self
     }
 
-    /// The attached listener, if any — so a resume can carry it over to
-    /// the recovered write handle.
-    pub fn listener(&self) -> Option<EventListener> {
-        self.listener.clone()
-    }
-
     /// The switch controlling this journal's simulated crash state.
     pub fn crash_switch(&self) -> CrashSwitch {
         self.crash.clone()

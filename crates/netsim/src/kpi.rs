@@ -69,7 +69,11 @@ impl Default for KpiGenerator {
     }
 }
 
-/// FNV mix of the identifying tuple into a sub-seed.
+/// FNV-style mix of the identifying tuple into a sub-seed. Not
+/// `cornet_types::hash::fnv1a64`: it folds whole words, and the multiplier
+/// `0x1000_0000_01b3` is not the FNV prime (`0x0100_0000_01b3`). Every
+/// synthetic KPI series — and so every verifier accuracy figure — is a
+/// function of this exact value; leave it.
 fn sub_seed(seed: u64, node: NodeId, kpi: &str, carrier: Option<usize>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     let mut feed = |b: u64| {

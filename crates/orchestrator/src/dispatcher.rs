@@ -40,9 +40,9 @@ use crate::control::{AdmissionSlots, CampaignControl, SlotGuard};
 use crate::engine::{BlockExecution, Engine, InstanceStatus, ReplayRow};
 use crate::executor::{ExecutorRegistry, GlobalState};
 use crate::falloutanalysis::FalloutAnalysis;
-use crate::recovery::{block_record, recover_campaign, status_parts};
+use crate::recovery::{block_record, recover_campaign, status_parts, RecoveredCampaign};
 use crate::resilience::{BreakerTrip, CircuitBreaker};
-use cornet_journal::{EventListener, FsyncPolicy, Journal, JournalEvent};
+use cornet_journal::{FsyncPolicy, Journal, JournalEvent, Recovery};
 use cornet_obs::{SpanId, Tracer};
 use cornet_types::{CornetError, NodeId, Result, Schedule, Timeslot};
 use cornet_workflow::{WarArtifact, Workflow};
@@ -81,11 +81,15 @@ pub struct DispatchReport {
     pub drained: Vec<InstanceReport>,
 }
 
-/// Outcome of a controlled campaign run: the report plus why it stopped.
+/// Outcome of a campaign run: the report plus where and why it stopped.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignOutcome {
     /// Per-instance results (see [`DispatchReport`]).
     pub report: DispatchReport,
+    /// The slot the roll-out stopped at: the one a breaker trip or cancel
+    /// interrupted (or kept from starting), or the one whose gate said
+    /// no. `None` when every slot ran to its end.
+    pub halted: Option<Timeslot>,
     /// The breaker trip that halted admission, if any.
     pub trip: Option<BreakerTrip>,
     /// True when a [`CampaignControl::cancel`] halted the campaign.
@@ -143,9 +147,6 @@ pub struct Dispatcher {
     /// Capacity gate acquired around each instance execution (per-tenant
     /// quotas in service mode). `None` = unthrottled.
     permits: Option<Arc<dyn AdmissionSlots>>,
-    /// Listener installed on the journal a resume opens — the campaign
-    /// manager's live-progress tap for recovered campaigns.
-    listener: Option<EventListener>,
 }
 
 /// One unit of work inside a slot when resuming: either a report the
@@ -255,6 +256,10 @@ fn run_instance(
     report
 }
 
+/// The go/no-go question asked after a slot ran to its end, with the
+/// report so far; `false` halts the roll-out.
+type SlotGate<'a> = &'a mut dyn FnMut(Timeslot, &DispatchReport) -> bool;
+
 /// Group a schedule's assignments by slot, preserving slot order and the
 /// deterministic node order within each slot.
 fn group_by_slot(schedule: &Schedule) -> BTreeMap<Timeslot, Vec<NodeId>> {
@@ -283,7 +288,6 @@ impl Dispatcher {
             journal: None,
             meta: BTreeMap::new(),
             permits: None,
-            listener: None,
         })
     }
 
@@ -314,48 +318,6 @@ impl Dispatcher {
         self
     }
 
-    /// Attach a journal-event listener for resumed campaigns: the journal
-    /// [`Dispatcher::resume_campaign`] recovers is re-opened internally,
-    /// so a caller that wants a live-progress tap on it registers the
-    /// listener here instead of on a journal handle of its own.
-    pub fn with_journal_listener(mut self, listener: EventListener) -> Self {
-        self.listener = Some(listener);
-        self
-    }
-
-    /// Append the campaign-opened record for a fresh journaled run.
-    fn journal_open(&self, schedule: &Schedule) {
-        if let Some(j) = &self.journal {
-            let assignments = schedule
-                .assignments
-                .iter()
-                .map(|(&n, &s)| (n.0, s.0))
-                .collect();
-            let _ = j.append(&JournalEvent::CampaignOpened {
-                meta: self.meta.clone(),
-                assignments,
-                concurrency: self.concurrency as u32,
-            });
-        }
-    }
-
-    /// Append the trip (if any) and close records, then force the log to
-    /// stable storage — a journal ending in `campaign_closed` needs no
-    /// resume.
-    fn journal_close(journal: Option<&Journal>, trip: Option<&BreakerTrip>) {
-        if let Some(j) = journal {
-            if let Some(t) = trip {
-                let _ = j.append(&JournalEvent::BreakerTripped {
-                    block: t.block.clone(),
-                    failure_rate: t.failure_rate,
-                    samples: t.samples as u64,
-                });
-            }
-            let _ = j.append(&JournalEvent::CampaignClosed);
-            let _ = j.sync();
-        }
-    }
-
     /// The dispatcher's tracer (noop unless one was attached).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -368,95 +330,46 @@ impl Dispatcher {
         schedule: &Schedule,
         inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
     ) -> Result<DispatchReport> {
-        self.run_gated(schedule, inputs_for, |_, _| true)
-            .map(|(report, _)| report)
+        self.drive(schedule, None, &inputs_for, None, None, None)
+            .map(|o| o.report)
     }
 
-    /// Execute the schedule slot by slot with a go/no-go gate between
-    /// slots: after each slot completes, `gate(slot, report_so_far)` is
-    /// consulted; `false` halts the roll-out ("a decision is made to halt
-    /// the roll-out to the rest of the network", §2.1). Returns the
-    /// partial report and the slot the halt happened after, if any.
+    /// Execute the schedule with a go/no-go gate between slots and,
+    /// optionally, a breaker inside them: after each slot that ran to its
+    /// end, `gate(slot, report_so_far)` is consulted; `false` halts the
+    /// roll-out ("a decision is made to halt the roll-out to the rest of
+    /// the network", §2.1). A breaker trip halts mid-slot as in
+    /// [`Dispatcher::run_campaign`], and the gate is not asked about a
+    /// slot the breaker already stopped. [`CampaignOutcome::halted`] names
+    /// the slot either of them stopped the roll-out at.
     pub fn run_gated(
         &self,
         schedule: &Schedule,
         inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
+        breaker: Option<&CircuitBreaker>,
         mut gate: impl FnMut(Timeslot, &DispatchReport) -> bool,
-    ) -> Result<(DispatchReport, Option<Timeslot>)> {
-        // Unpack the WAR once; instances clone the in-memory graph instead
-        // of re-deserializing JSON per instance.
-        let workflow = self.war.unpack()?;
-        self.journal_open(schedule);
-        let mut span = self.tracer.span("dispatch");
-        span.attr("instances", schedule.assignments.len());
-        span.attr("concurrency", self.concurrency);
-        let dispatch_id = span.is_recording().then(|| span.id());
-        let mut report = DispatchReport::default();
-        for (slot, nodes) in group_by_slot(schedule) {
-            let items = nodes
-                .into_iter()
-                .map(|node| SlotItem::Run {
-                    node,
-                    replay: Vec::new(),
-                })
-                .collect();
-            // The per-instance gate always admits: run_gated only halts at
-            // slot boundaries, so every admitted instance lands in the
-            // deterministic prefix and nothing drains.
-            let (mut instances, _drained, _halted) = self.run_slot(
-                &workflow,
-                slot,
-                items,
-                &inputs_for,
-                dispatch_id,
-                self.journal.as_ref(),
-                None,
-                |_| true,
-            );
-            report.instances.append(&mut instances);
-            if !gate(slot, &report) {
-                span.attr("halted_at_slot", slot.0);
-                span.attr("completed", report.instances.len());
-                Self::journal_close(self.journal.as_ref(), None);
-                return Ok((report, Some(slot)));
-            }
-        }
-        span.attr("completed", report.instances.len());
-        Self::journal_close(self.journal.as_ref(), None);
-        Ok((report, None))
-    }
-
-    /// Execute the schedule with an automatic halt gate: the running
-    /// fall-out analysis is updated on **every instance completion**
-    /// (taken in dispatch order) and fed to the circuit breaker; a trip
-    /// stops admission immediately — mid-slot, not just at the next slot
-    /// boundary — the paper's "decision is made to halt the roll-out"
-    /// (§2.1) taken by software instead of an operator. Already-running
-    /// instances are drained into [`DispatchReport::drained`]; no new
-    /// ones start. Returns the partial report and the trip that caused
-    /// the halt, if any.
-    ///
-    /// The trip point is deterministic: breaker checks consume completed
-    /// instances in dispatch order, so the same schedule, registry, and
-    /// breaker trip after the same instance at any concurrency.
-    pub fn run_with_breaker(
-        &self,
-        schedule: &Schedule,
-        inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
-        breaker: &CircuitBreaker,
-    ) -> Result<(DispatchReport, Option<BreakerTrip>)> {
-        self.run_campaign(schedule, inputs_for, Some(breaker), None)
-            .map(|o| (o.report, o.trip))
+    ) -> Result<CampaignOutcome> {
+        self.drive(schedule, None, &inputs_for, breaker, None, Some(&mut gate))
     }
 
     /// Execute the schedule as a controlled campaign: an optional breaker
-    /// (per-completion halt gate, see [`Dispatcher::run_with_breaker`])
-    /// plus an optional [`CampaignControl`] consulted at every admission
-    /// point — pause blocks new admissions while in-flight instances
-    /// finish, cancel halts exactly like a breaker trip (in-flight work
-    /// drains, the journal is closed). This is the entry point the
-    /// campaign manager drives; the one-shot `run*` methods are thin
-    /// wrappers over the same campaign driver.
+    /// plus an optional [`CampaignControl`].
+    ///
+    /// With a breaker, the running fall-out analysis is updated on **every
+    /// instance completion** (taken in dispatch order) and fed to it; a
+    /// trip stops admission immediately — mid-slot, not just at the next
+    /// slot boundary — the paper's "decision is made to halt the roll-out"
+    /// (§2.1) taken by software instead of an operator. Already-running
+    /// instances are drained into [`DispatchReport::drained`]; no new ones
+    /// start. The trip point is deterministic: breaker checks consume
+    /// completed instances in dispatch order, so the same schedule,
+    /// registry, and breaker trip after the same instance at any
+    /// concurrency.
+    ///
+    /// The control is consulted at every admission point — pause blocks
+    /// new admissions while in-flight instances finish, cancel halts
+    /// exactly like a breaker trip (in-flight work drains, the journal is
+    /// closed). This is the entry point the campaign manager drives.
     pub fn run_campaign(
         &self,
         schedule: &Schedule,
@@ -464,32 +377,7 @@ impl Dispatcher {
         breaker: Option<&CircuitBreaker>,
         control: Option<&CampaignControl>,
     ) -> Result<CampaignOutcome> {
-        let workflow = self.war.unpack()?;
-        self.journal_open(schedule);
-        let mut span = self.tracer.span("dispatch");
-        span.attr("instances", schedule.assignments.len());
-        span.attr("concurrency", self.concurrency);
-        span.attr("breaker", breaker.is_some());
-        let dispatch_id = span.is_recording().then(|| span.id());
-        let (report, trip) = self.drive(
-            &workflow,
-            schedule,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-            &inputs_for,
-            self.journal.as_ref(),
-            dispatch_id,
-            breaker,
-            control,
-        );
-        let cancelled = control.is_some_and(CampaignControl::is_cancelled);
-        Self::finish_campaign_span(&self.tracer, &mut span, &report, trip.as_ref(), cancelled);
-        Self::journal_close(self.journal.as_ref(), trip.as_ref());
-        Ok(CampaignOutcome {
-            report,
-            trip,
-            cancelled,
-        })
+        self.drive(schedule, None, &inputs_for, breaker, control, None)
     }
 
     /// Resume a journaled campaign after a crash.
@@ -517,7 +405,9 @@ impl Dispatcher {
         inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
         breaker: Option<&CircuitBreaker>,
     ) -> Result<(DispatchReport, Option<BreakerTrip>)> {
-        self.resume_campaign(path, policy, inputs_for, breaker, None)
+        let (journal, events, recovery) = Journal::recover(&path, policy)?;
+        let journal = journal.with_tracer(self.tracer.clone());
+        self.resume_campaign((journal, events, recovery), inputs_for, breaker, None)
             .map(|o| (o.report, o.trip))
     }
 
@@ -525,101 +415,109 @@ impl Dispatcher {
     /// controlled-campaign counterpart of
     /// [`Dispatcher::resume_from_journal`], sharing its replay semantics
     /// and [`Dispatcher::run_campaign`]'s pause/cancel behaviour.
+    ///
+    /// `recovered` is what [`Journal::recover`] returned: the caller owns
+    /// the recovered write handle exactly as it owns a fresh one passed to
+    /// [`Dispatcher::with_journal`], and attaches its tracer and listener
+    /// to it the same way before handing it over.
     pub fn resume_campaign(
         &self,
-        path: impl AsRef<Path>,
-        policy: FsyncPolicy,
+        recovered: (Journal, Vec<JournalEvent>, Recovery),
         inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
         breaker: Option<&CircuitBreaker>,
         control: Option<&CampaignControl>,
     ) -> Result<CampaignOutcome> {
-        let (journal, events, recovery) = Journal::recover(&path, policy)?;
-        let mut journal = journal.with_tracer(self.tracer.clone());
-        // Preserve a registered listener (the campaign manager taps
-        // appends for live progress); the write handle itself must be the
-        // recovered one.
-        let carried = self
-            .listener
-            .clone()
-            .or_else(|| self.journal.as_ref().and_then(Journal::listener));
-        if let Some(listener) = carried {
-            journal = journal.with_listener(listener);
-        }
+        let (journal, events, recovery) = recovered;
         let campaign = recover_campaign(&events, recovery)?;
-        let _ = journal.append(&JournalEvent::CampaignResumed {
-            meta: campaign.meta.clone(),
-        });
-        let workflow = self.war.unpack()?;
-        let mut span = self.tracer.span("dispatch");
-        span.attr("instances", campaign.schedule.assignments.len());
-        span.attr("concurrency", self.concurrency);
-        span.attr("resumed", true);
-        span.attr("journal_events", campaign.recovery.events);
-        span.attr("journal_torn", campaign.recovery.torn);
-        let dispatch_id = span.is_recording().then(|| span.id());
-        let (report, trip) = self.drive(
-            &workflow,
+        self.drive(
             &campaign.schedule,
-            &campaign.completed,
-            &campaign.partial,
+            Some((&journal, &campaign)),
             &inputs_for,
-            Some(&journal),
-            dispatch_id,
             breaker,
             control,
-        );
-        let cancelled = control.is_some_and(CampaignControl::is_cancelled);
-        Self::finish_campaign_span(&self.tracer, &mut span, &report, trip.as_ref(), cancelled);
-        Self::journal_close(Some(&journal), trip.as_ref());
-        Ok(CampaignOutcome {
-            report,
-            trip,
-            cancelled,
-        })
+            None,
+        )
     }
 
-    /// The shared campaign driver behind [`Dispatcher::run_campaign`] and
-    /// [`Dispatcher::resume_campaign`]: walk the schedule slot by slot,
-    /// re-admitting journaled completions without execution, replaying
-    /// partial prefixes, and consulting breaker + control on the
-    /// deterministic dispatch-order completion stream.
-    #[allow(clippy::too_many_arguments)]
+    /// The one campaign loop, behind every `run*` and `resume*` entry
+    /// point: open the attached journal (or re-open the recovered one a
+    /// resume brings, with what it proved), walk the schedule slot by
+    /// slot — re-admitting journaled completions without execution,
+    /// replaying partial prefixes, consulting breaker and control on the
+    /// deterministic dispatch-order completion stream and the gate after
+    /// each slot that ran to its end — then close the `dispatch` span and
+    /// the journal.
     fn drive(
         &self,
-        workflow: &Workflow,
         schedule: &Schedule,
-        completed: &BTreeMap<(u32, u32), InstanceReport>,
-        partial: &BTreeMap<(u32, u32), Vec<ReplayRow>>,
+        resumed: Option<(&Journal, &RecoveredCampaign)>,
         inputs_for: &(impl Fn(NodeId) -> GlobalState + Sync),
-        journal: Option<&Journal>,
-        dispatch_id: Option<SpanId>,
         breaker: Option<&CircuitBreaker>,
         control: Option<&CampaignControl>,
-    ) -> (DispatchReport, Option<BreakerTrip>) {
-        let mut report = DispatchReport::default();
+        mut gate: Option<SlotGate<'_>>,
+    ) -> Result<CampaignOutcome> {
+        // Unpack the WAR once; instances clone the in-memory graph instead
+        // of re-deserializing JSON per instance.
+        let workflow = self.war.unpack()?;
+        let (journal, resumed) = match resumed {
+            Some((journal, campaign)) => (Some(journal), Some(campaign)),
+            None => (self.journal.as_ref(), None),
+        };
+        if let Some(j) = journal {
+            let _ = j.append(&match resumed {
+                Some(campaign) => JournalEvent::CampaignResumed {
+                    meta: campaign.meta.clone(),
+                },
+                None => JournalEvent::CampaignOpened {
+                    meta: self.meta.clone(),
+                    assignments: schedule
+                        .assignments
+                        .iter()
+                        .map(|(&n, &s)| (n.0, s.0))
+                        .collect(),
+                    concurrency: self.concurrency as u32,
+                },
+            });
+        }
+        let mut span = self.tracer.span("dispatch");
+        span.attr("instances", schedule.assignments.len());
+        span.attr("concurrency", self.concurrency);
+        span.attr("breaker", breaker.is_some());
+        if let Some(campaign) = resumed {
+            span.attr("resumed", true);
+            span.attr("journal_events", campaign.recovery.events);
+            span.attr("journal_torn", campaign.recovery.torn);
+        }
+        let dispatch_id = span.is_recording().then(|| span.id());
+
+        let mut out = CampaignOutcome::default();
         let mut analysis = FalloutAnalysis::default();
         let mut trip: Option<BreakerTrip> = None;
         for (slot, nodes) in group_by_slot(schedule) {
             // Slot boundaries are admission points too: a pause blocks
             // here between slots, a cancel stops before the next starts.
             if control.is_some_and(|c| !c.admit()) {
+                out.halted = Some(slot);
                 break;
             }
             let items = nodes
                 .into_iter()
                 .map(|node| {
                     let key = (slot.0, node.0);
-                    match completed.get(&key) {
+                    match resumed.and_then(|c| c.completed.get(&key)) {
                         Some(recorded) => SlotItem::Done(recorded.clone()),
                         None => SlotItem::Run {
                             node,
-                            replay: partial.get(&key).cloned().unwrap_or_default(),
+                            replay: resumed
+                                .and_then(|c| c.partial.get(&key))
+                                .cloned()
+                                .unwrap_or_default(),
                         },
                     }
                 })
                 .collect();
             let (mut instances, mut drained, halted) = self.run_slot(
-                workflow,
+                &workflow,
                 slot,
                 items,
                 inputs_for,
@@ -629,46 +527,54 @@ impl Dispatcher {
                 |instance| match breaker {
                     Some(b) => {
                         analysis.add_instance(instance);
-                        match b.check(&analysis) {
-                            Some(t) => {
-                                trip = Some(t);
-                                false
-                            }
-                            None => true,
-                        }
+                        trip = b.check(&analysis);
+                        trip.is_none()
                     }
                     None => true,
                 },
             );
-            report.instances.append(&mut instances);
-            report.drained.append(&mut drained);
-            if halted {
+            out.report.instances.append(&mut instances);
+            out.report.drained.append(&mut drained);
+            if halted || gate.as_mut().is_some_and(|g| !g(slot, &out.report)) {
+                out.halted = Some(slot);
                 break;
             }
         }
-        (report, trip)
-    }
+        out.trip = trip;
+        out.cancelled = control.is_some_and(CampaignControl::is_cancelled);
 
-    /// Stamp the terminal attributes on a campaign's `dispatch` span.
-    fn finish_campaign_span(
-        tracer: &Tracer,
-        span: &mut cornet_obs::ActiveSpan,
-        report: &DispatchReport,
-        trip: Option<&BreakerTrip>,
-        cancelled: bool,
-    ) {
-        if let Some(t) = trip {
+        if let Some(slot) = out.halted {
+            span.attr("halted_at_slot", slot.0);
+        }
+        if let Some(t) = &out.trip {
             span.attr("breaker_tripped", true);
             span.attr("trip_block", t.block.as_str());
             span.attr("trip_failure_rate", t.failure_rate);
             span.attr("trip_samples", t.samples);
-            tracer.incr("breaker.trips", 1);
+            self.tracer.incr("breaker.trips", 1);
         }
-        if cancelled {
+        if out.cancelled {
             span.attr("cancelled", true);
         }
-        span.attr("completed", report.instances.len());
-        span.attr("drained", report.drained.len());
+        span.attr("completed", out.report.instances.len());
+        span.attr("drained", out.report.drained.len());
+
+        // Trip (if any) and close records, then force the log to stable
+        // storage — a journal ending in `campaign_closed` needs no resume.
+        // The `dispatch` span covers the close.
+        if let Some(j) = journal {
+            if let Some(t) = &out.trip {
+                let _ = j.append(&JournalEvent::BreakerTripped {
+                    block: t.block.clone(),
+                    failure_rate: t.failure_rate,
+                    samples: t.samples as u64,
+                });
+            }
+            let _ = j.append(&JournalEvent::CampaignClosed);
+            let _ = j.sync();
+        }
+        span.finish();
+        Ok(out)
     }
 
     /// Run one slot through the continuous-admission pool.
@@ -1000,12 +906,15 @@ mod tests {
         let war = WarArtifact::package(&software_upgrade_workflow(&cat), &cat).unwrap();
         let d = Dispatcher::new(war, happy_registry(), 4).unwrap();
         // 12 nodes over 4 slots; gate says no after slot 2.
-        let (report, halted_at) = d
-            .run_gated(&schedule(12, 3), inputs, |slot, _| slot.0 < 2)
+        let outcome = d
+            .run_gated(&schedule(12, 3), inputs, None, |slot, _| slot.0 < 2)
             .unwrap();
-        assert_eq!(halted_at, Some(Timeslot(2)));
+        assert_eq!(outcome.halted, Some(Timeslot(2)));
+        assert!(outcome.trip.is_none() && !outcome.cancelled);
+        let report = outcome.report;
         assert_eq!(report.instances.len(), 6, "slots 1 and 2 only");
         assert!(report.instances.iter().all(|i| i.slot.0 <= 2));
+        assert!(report.drained.is_empty(), "a gate halts between slots");
     }
 
     #[test]
@@ -1014,14 +923,110 @@ mod tests {
         let war = WarArtifact::package(&software_upgrade_workflow(&cat), &cat).unwrap();
         let d = Dispatcher::new(war, happy_registry(), 4).unwrap();
         let mut seen = Vec::new();
-        let (_, halted) = d
-            .run_gated(&schedule(9, 3), inputs, |slot, report| {
+        let outcome = d
+            .run_gated(&schedule(9, 3), inputs, None, |slot, report| {
                 seen.push((slot.0, report.instances.len()));
                 true
             })
             .unwrap();
-        assert_eq!(halted, None);
+        assert_eq!(outcome.halted, None);
         assert_eq!(seen, vec![(1, 3), (2, 6), (3, 9)]);
+    }
+
+    /// Registry whose `software_upgrade` fails permanently on every node
+    /// numbered `from` or higher.
+    fn failing_from(from: u32) -> ExecutorRegistry {
+        let mut reg = happy_registry();
+        let clean: Vec<String> = (0..from).map(|i| format!("node-{}", NodeId(i))).collect();
+        reg.register("software_upgrade", move |s| {
+            if !clean.contains(&crate::executor::require_str(s, "node")?) {
+                return Err(CornetError::ExecutionFailed("bad image".into()));
+            }
+            s.insert("previous_version".into(), ParamValue::from("old"));
+            Ok(())
+        });
+        reg
+    }
+
+    #[test]
+    fn breaker_trips_mid_slot_before_the_gate_is_asked() {
+        use crate::resilience::CircuitBreaker;
+        let cat = builtin_catalog();
+        let war = WarArtifact::package(&software_upgrade_workflow(&cat), &cat).unwrap();
+        // Slot 1 (nodes 0..8) is clean; every node of slot 2 fails. One
+        // worker, so nothing is in flight when the trip lands.
+        let d = Dispatcher::new(war, failing_from(8), 1).unwrap();
+        let breaker = CircuitBreaker {
+            failure_threshold: 0.25,
+            min_samples: 3,
+        };
+        let mut asked = Vec::new();
+        let outcome = d
+            .run_gated(&schedule(24, 8), inputs, Some(&breaker), |slot, _| {
+                asked.push(slot.0);
+                true
+            })
+            .unwrap();
+        assert_eq!(
+            asked,
+            vec![1],
+            "the gate sees slot 1, never the tripped slot"
+        );
+        assert_eq!(outcome.halted, Some(Timeslot(2)));
+        let trip = outcome.trip.expect("the breaker halted the roll-out");
+        assert_eq!(trip.block, "software_upgrade");
+        // 8 clean + 3 failed of 11 crosses 25 %: the trip lands on the
+        // third instance of slot 2, not at its end.
+        assert_eq!(outcome.report.instances.len(), 11);
+        assert!(outcome.report.drained.is_empty());
+    }
+
+    #[test]
+    fn run_is_run_campaign_without_breaker_or_control() {
+        let cat = builtin_catalog();
+        let war = WarArtifact::package(&software_upgrade_workflow(&cat), &cat).unwrap();
+        let dir = std::env::temp_dir();
+        // Concurrency 1 keeps the interleaving of journal records fixed.
+        let journaled = |tag: &str| {
+            let path = dir.join(format!("cornet_one_loop_{}_{tag}.wal", std::process::id()));
+            let journal = Journal::create(&path, FsyncPolicy::Never).unwrap();
+            let d = Dispatcher::new(war.clone(), failing_from(4), 1)
+                .unwrap()
+                .with_journal(journal, BTreeMap::new());
+            (d, path)
+        };
+        // Block durations are wall-clock; everything else must agree.
+        let rows = |report: &DispatchReport| -> Vec<String> {
+            let row = |i: &InstanceReport| {
+                let blocks: Vec<_> = i
+                    .blocks
+                    .iter()
+                    .map(|b| (&b.block, &b.status, b.attempts, &b.error))
+                    .collect();
+                format!("{} {:?} {:?} {blocks:?}", i.node, i.slot, i.status)
+            };
+            assert!(report.drained.is_empty());
+            report.instances.iter().map(row).collect()
+        };
+        let kinds = |path: &Path| -> Vec<&'static str> {
+            let (events, _) = Journal::read(path).unwrap();
+            let _ = std::fs::remove_file(path);
+            events.iter().map(JournalEvent::kind).collect()
+        };
+        let (d, path) = journaled("run");
+        let plain = d.run(&schedule(6, 3), inputs).unwrap();
+        let plain_kinds = kinds(&path);
+        let (d, path) = journaled("campaign");
+        let campaign = d.run_campaign(&schedule(6, 3), inputs, None, None).unwrap();
+        assert_eq!(rows(&campaign.report), rows(&plain));
+        assert_eq!(plain.failures().len(), 2);
+        assert_eq!(
+            (campaign.halted, campaign.trip, campaign.cancelled),
+            (None, None, false)
+        );
+        assert_eq!(kinds(&path), plain_kinds);
+        assert_eq!(plain_kinds.first(), Some(&"campaign_opened"));
+        assert_eq!(plain_kinds.last(), Some(&"campaign_closed"));
     }
 
     #[test]
@@ -1150,10 +1155,11 @@ mod tests {
         let d = Dispatcher::new(war, reg, 2)
             .unwrap()
             .with_tracer(tracer.clone());
-        let (_, trip) = d
-            .run_with_breaker(&schedule(8, 8), inputs, &breaker)
+        let outcome = d
+            .run_campaign(&schedule(8, 8), inputs, Some(&breaker), None)
             .unwrap();
-        assert!(trip.is_some());
+        assert!(outcome.trip.is_some());
+        assert_eq!(outcome.halted, Some(Timeslot(1)));
         let trace = tracer.snapshot();
         let dispatch = trace.spans_named("dispatch").next().unwrap();
         assert_eq!(
@@ -1164,6 +1170,7 @@ mod tests {
             dispatch.attr("trip_block"),
             Some(&AttrValue::Str("software_upgrade".into()))
         );
+        assert_eq!(dispatch.attr("halted_at_slot"), Some(&AttrValue::Int(1)));
         assert_eq!(trace.metrics.counter("breaker.trips"), 1);
     }
 
@@ -1190,6 +1197,7 @@ mod tests {
             .unwrap();
         assert!(outcome.cancelled);
         assert!(outcome.trip.is_none());
+        assert_eq!(outcome.halted, Some(Timeslot(1)), "slot 1 never started");
         assert!(
             outcome.report.instances.is_empty(),
             "cancelled before any admission"

@@ -16,6 +16,7 @@
 
 use crate::executor::{ExecutorRegistry, GlobalState};
 use crate::falloutanalysis::FalloutAnalysis;
+use cornet_types::hash::fnv1a64;
 use cornet_types::{CornetError, ParamValue};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -26,16 +27,6 @@ use std::time::Duration;
 /// block invocation and uses it as the block's logged duration, keeping
 /// the execution log deterministic under fault injection.
 pub const SIM_LATENCY_KEY: &str = "__sim_latency_ms";
-
-/// FNV-1a over bytes; stable across platforms and runs.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// splitmix64 finalizer; decorrelates structured inputs into uniform bits.
 pub(crate) fn splitmix(mut z: u64) -> u64 {
@@ -102,7 +93,7 @@ impl RetryPolicy {
         let exp = self.multiplier.powi(attempt.saturating_sub(1) as i32);
         let raw = self.base_backoff.as_secs_f64() * exp;
         let capped = raw.min(self.max_backoff.as_secs_f64());
-        let bits = splitmix(self.jitter_seed ^ fnv1a(block.as_bytes()) ^ (attempt as u64));
+        let bits = splitmix(self.jitter_seed ^ fnv1a64(block.as_bytes()) ^ (attempt as u64));
         let jitter = 1.0 + 0.5 * unit_f64(bits);
         Duration::from_secs_f64(capped * jitter)
     }
@@ -388,8 +379,8 @@ impl FaultyExecutor {
                 }
                 let draw = unit_f64(splitmix(
                     plan.seed
-                        ^ fnv1a(name.as_bytes())
-                        ^ fnv1a(node.as_bytes()).rotate_left(17)
+                        ^ fnv1a64(name.as_bytes())
+                        ^ fnv1a64(node.as_bytes()).rotate_left(17)
                         ^ invocation,
                 ));
                 let fail = match plan.kind {

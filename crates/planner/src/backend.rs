@@ -32,8 +32,7 @@ use crate::warm::WarmStart;
 use cornet_model::Model;
 use cornet_obs::{ActiveSpan, SpanId, Tracer};
 use cornet_solver::{solve, CancelToken, Outcome, SearchStats, SharedIncumbent, SolverConfig};
-use cornet_types::{ConflictTable, CornetError, Inventory, NodeId, Result};
-use rayon::prelude::*;
+use cornet_types::{par, ConflictTable, CornetError, Inventory, NodeId, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -800,7 +799,7 @@ impl ShardedBackend {
         // Budget slicing: shards run `waves` deep on the worker pool, and
         // the whole sharded phase targets half the budget so translation,
         // reconciliation and the safety net fit in the rest.
-        let threads = rayon::current_num_threads().max(1);
+        let threads = par::workers();
         let waves = shards.len().div_ceil(threads).max(1);
         let slice = (budget.time_limit / (2 * waves as u32)).max(Duration::from_millis(50));
         let shard_budget = Budget {
@@ -810,27 +809,24 @@ impl ShardedBackend {
 
         let order: Vec<usize> =
             order.map_or_else(|| (0..shards.len()).collect(), <[usize]>::to_vec);
-        let mut indexed: Vec<(usize, BackendResult)> = order
-            .par_iter()
-            .map(|&si| {
-                let shard = &shards[si];
-                let sctx = SolveContext {
-                    translation: &shard.part.translation,
-                    inventory: ctx.inventory,
-                    intent: ctx.intent,
-                    conflicts: ctx.conflicts,
-                    incumbent: None,
-                    tracer: ctx.tracer.clone(),
-                    span_parent: span_id,
-                    warm: ctx
-                        .warm
-                        .as_ref()
-                        .map(|w| Arc::new(w.slice(&shard.part.vars))),
-                };
-                let portfolio = self.shard_portfolio(shard.heuristic_cap);
-                (si, portfolio.solve(&sctx, &shard_budget, cancel))
-            })
-            .collect();
+        let mut indexed: Vec<(usize, BackendResult)> = par::map_ordered(&order, |&si| {
+            let shard = &shards[si];
+            let sctx = SolveContext {
+                translation: &shard.part.translation,
+                inventory: ctx.inventory,
+                intent: ctx.intent,
+                conflicts: ctx.conflicts,
+                incumbent: None,
+                tracer: ctx.tracer.clone(),
+                span_parent: span_id,
+                warm: ctx
+                    .warm
+                    .as_ref()
+                    .map(|w| Arc::new(w.slice(&shard.part.vars))),
+            };
+            let portfolio = self.shard_portfolio(shard.heuristic_cap);
+            (si, portfolio.solve(&sctx, &shard_budget, cancel))
+        });
         // Results merge in shard order whatever order solved them.
         indexed.sort_by_key(|(si, _)| *si);
 

@@ -3,8 +3,9 @@
 //! "We divide the changes into sets that have no dependencies with respect
 //! to constraints. Then, we can solve in parallel and combine their
 //! solutions." We compute connected components of the variable–constraint
-//! graph; each component becomes a standalone sub-model solved on its own
-//! thread (`std::thread::scope`), and the assignments merge back.
+//! graph; each component becomes a standalone sub-translation that
+//! `plan()` solves on the bounded worker pool
+//! (`cornet_types::par::map_ordered`), and the assignments merge back.
 //!
 //! Decomposition helps exactly when the intent's coupling constraints are
 //! per-group (e.g. concurrency per EMS or per pool) — a global capacity or
@@ -13,7 +14,6 @@
 
 use crate::translate::{Translation, Unit};
 use cornet_model::{Constraint, Model, Objective, VarId};
-use cornet_solver::{solve, Outcome, SearchStats, SolverConfig};
 use cornet_types::Inventory;
 use std::collections::BTreeMap;
 
@@ -572,53 +572,6 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
     out
 }
 
-/// Solve a model by components, in parallel. Returns the merged outcome,
-/// assignment, summed stats, and component count. Infeasible components
-/// leave their variables at 0 (unscheduled) and degrade the outcome.
-pub fn solve_components(
-    model: &Model,
-    config: &SolverConfig,
-) -> (Outcome, Vec<i64>, SearchStats, usize) {
-    let comps = var_components(model);
-    if comps.len() <= 1 {
-        let r = solve(model, config);
-        return match r.best {
-            Some(sol) => (r.outcome, sol.assignment, r.stats, 1),
-            None => (r.outcome, vec![0; model.var_count()], r.stats, 1),
-        };
-    }
-    let subs: Vec<Model> = comps.iter().map(|c| sub_model(model, c)).collect();
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = subs
-            .iter()
-            .map(|m| scope.spawn(move || solve(m, config)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("solver panicked"))
-            .collect::<Vec<_>>()
-    });
-
-    let mut assignment = vec![0i64; model.var_count()];
-    let mut stats = SearchStats::default();
-    let mut outcome = Outcome::Optimal;
-    for (comp, r) in comps.iter().zip(results) {
-        stats.absorb(&r.stats);
-        match (&r.best, r.outcome) {
-            (Some(sol), oc) => {
-                for (&old, &val) in comp.iter().zip(&sol.assignment) {
-                    assignment[old] = val;
-                }
-                if oc != Outcome::Optimal && outcome == Outcome::Optimal {
-                    outcome = Outcome::Feasible;
-                }
-            }
-            (None, _) => outcome = Outcome::Feasible,
-        }
-    }
-    (outcome, assignment, stats, comps.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,27 +606,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solve_matches_monolithic() {
-        let m = two_component_model();
-        let cfg = SolverConfig::default();
-        let mono = solve(&m, &cfg);
-        let (outcome, assignment, _, n) = solve_components(&m, &cfg);
-        assert_eq!(n, 2);
-        assert_eq!(outcome, Outcome::Optimal);
-        assert!(m.check(&assignment).is_ok());
-        assert_eq!(m.cost(&assignment), mono.solution().cost);
-    }
-
-    #[test]
     fn unconstrained_vars_form_singletons() {
         let mut b = ModelBuilder::new("t", 2);
         b.slot_vars("X", 3);
         let m = b.build();
         assert_eq!(var_components(&m).len(), 3);
-        let (outcome, assignment, _, n) = solve_components(&m, &SolverConfig::default());
-        assert_eq!(n, 3);
-        assert_eq!(outcome, Outcome::Optimal);
-        assert_eq!(assignment.len(), 3);
     }
 
     #[test]
@@ -731,21 +668,5 @@ mod tests {
         assert!(out.feasible);
         assert!(m.check(&a).is_ok());
         assert_eq!(a, vec![1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn infeasible_component_degrades_gracefully() {
-        let mut b = ModelBuilder::new("t", 1);
-        let vs = b.slot_vars("X", 3);
-        // Component A: 2 vars, 1 slot, cap 1, both must schedule → infeasible.
-        b.capacity("capA", vs[..2].to_vec(), vec![1, 1], 1);
-        b.require_scheduled(&vs[..2]);
-        // Component B: fine.
-        b.capacity("capB", vs[2..].to_vec(), vec![1], 1);
-        let m = b.build();
-        let (outcome, assignment, _, n) = solve_components(&m, &SolverConfig::default());
-        assert_eq!(n, 2);
-        assert_eq!(outcome, Outcome::Feasible, "degraded, not crashed");
-        assert_eq!(assignment.len(), 3);
     }
 }

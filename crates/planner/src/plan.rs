@@ -15,7 +15,7 @@ use crate::warm::{PlanSnapshot, WarmStart};
 use cornet_model::ModelStats;
 use cornet_obs::Tracer;
 use cornet_solver::{CancelToken, Outcome, SearchStats, SolverConfig};
-use cornet_types::{Inventory, NodeId, Result, Schedule, Topology};
+use cornet_types::{par, Inventory, NodeId, Result, Schedule, Topology};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -119,27 +119,27 @@ pub fn plan(
 
     let (outcome, assignment, search_stats, components, backend_runs) = if parts.len() > 1 {
         // Backend-agnostic decomposition: every part is a standalone
-        // translation the chosen backend solves on its own thread.
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|part| {
-                    let mut ctx =
-                        SolveContext::new(&part.translation, inventory, intent, &conflicts)
-                            .with_trace(options.tracer.clone(), plan_id);
-                    if let Some(w) = &warm {
-                        ctx = ctx.with_warm_start(Arc::new(w.slice(&part.vars)));
-                    }
-                    let backend = &backend;
-                    let budget = &budget;
-                    let cancel = &cancel;
-                    scope.spawn(move || backend.solve(&ctx, budget, cancel))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("backend panicked"))
-                .collect::<Vec<_>>()
+        // translation the chosen backend solves on the bounded worker
+        // pool (unconstrained units are singleton parts, so a thread per
+        // part would be a thread per node). Parts beyond the pool wait
+        // their turn, so the time limit is one deadline for the whole
+        // fan: a part gets what is left of it when it starts (floored,
+        // as `ShardedBackend` floors its slices, so a late part still
+        // reaches a first solution), not a fresh limit per wave.
+        let deadline = Instant::now() + budget.time_limit;
+        let results = par::map_ordered(&parts, |part| {
+            let mut ctx = SolveContext::new(&part.translation, inventory, intent, &conflicts)
+                .with_trace(options.tracer.clone(), plan_id);
+            if let Some(w) = &warm {
+                ctx = ctx.with_warm_start(Arc::new(w.slice(&part.vars)));
+            }
+            let part_budget = Budget {
+                max_nodes: budget.max_nodes,
+                time_limit: deadline
+                    .saturating_duration_since(Instant::now())
+                    .max(Duration::from_millis(50)),
+            };
+            backend.solve(&ctx, &part_budget, &cancel)
         });
 
         let mut assignment = vec![0i64; translation.model.var_count()];
@@ -316,6 +316,32 @@ mod tests {
             mono.schedule.weighted_completion_time(),
             deco.schedule.weighted_completion_time()
         );
+    }
+
+    #[test]
+    fn a_thousand_singleton_parts_equal_the_monolithic_schedule() {
+        // No coupling constraint: every unit is its own component. The
+        // parts run through the bounded map, not a thread each.
+        let inv = inventory(1000);
+        let topo = Topology::with_capacity(1000);
+        let nodes: Vec<NodeId> = inv.ids().collect();
+        let mut intent = base_intent(1);
+        intent.constraints.clear();
+        let mono = plan(&intent, &inv, &topo, &nodes, &PlanOptions::default()).unwrap();
+        let deco = plan(
+            &intent,
+            &inv,
+            &topo,
+            &nodes,
+            &PlanOptions {
+                decompose: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(deco.components, 1000);
+        assert_eq!(deco.outcome, Outcome::Optimal);
+        assert_eq!(deco.schedule, mono.schedule);
     }
 
     #[test]

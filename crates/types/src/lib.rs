@@ -7,16 +7,20 @@
 //! Every other crate in the workspace builds on these types, so this crate
 //! depends on nothing, inside CORNET or out. Interchange is JSON (the
 //! paper's user-facing intent API) and [`json`] is the workspace's one
-//! codec for it.
+//! codec for it. Two std-only utilities every layer would otherwise copy
+//! live here too: [`par`], the ordered bounded parallel map, and
+//! [`hash`], the one FNV-1a-64.
 
 #![forbid(unsafe_code)]
 pub mod attr;
 pub mod change;
 pub mod error;
+pub mod hash;
 pub mod id;
 pub mod inventory;
 pub mod json;
 pub mod nf;
+pub mod par;
 pub mod param;
 pub mod time;
 pub mod topology;

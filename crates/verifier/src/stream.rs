@@ -15,7 +15,7 @@
 //!   like any other feed;
 //! * [`StreamingVerifier`] — the engine: [`offer`](StreamingVerifier::offer)
 //!   enqueues, [`pump`](StreamingVerifier::pump) drains and fans
-//!   per-stream updates across the rayon pool (each study stream feeds a
+//!   per-stream updates across `par::map_ordered` (each study stream feeds a
 //!   per-sample [`MultiTimescaleDetector`] for low-latency change
 //!   signals), and [`poll_verdicts`](StreamingVerifier::poll_verdicts)
 //!   re-runs the rule fan through the **same** `verify_rule_impl` the
@@ -35,8 +35,7 @@ use crate::rules::VerificationRule;
 use crate::verify::{verify_rule_impl, VerificationReport};
 use cornet_obs::Tracer;
 use cornet_stats::{quantile, MultiTimescaleDetector, TimeSeries};
-use cornet_types::{Inventory, NodeId, Result, Topology};
-use rayon::prelude::*;
+use cornet_types::{par, Inventory, NodeId, Result, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -428,7 +427,7 @@ impl StreamingVerifier {
     }
 
     /// Drain the queue and apply every sample: per-stream groups are
-    /// fanned across the rayon pool, each group applying its samples in
+    /// fanned across `par::map_ordered`, each group applying its samples in
     /// arrival order (one lock per stream, no cross-stream contention).
     pub fn pump(&self) -> PumpStats {
         let batch = self.router.drain();
@@ -484,41 +483,38 @@ impl StreamingVerifier {
             rejected: usize,
         }
         let step = self.config.step_minutes;
-        let outcomes: Vec<GroupOutcome> = work
-            .par_iter()
-            .map(|(key, cell, samples)| {
-                let mut out = GroupOutcome {
-                    detections: Vec::new(),
-                    latencies_us: Vec::with_capacity(samples.len()),
-                    processed: 0,
-                    rejected: 0,
-                };
-                let mut state = cell.lock().unwrap_or_else(|e| e.into_inner());
-                for (sample, enqueued) in samples {
-                    match state.apply(sample.minute, sample.value, step) {
-                        Ok(fired) => {
-                            out.processed += 1;
-                            for (timescale, shift) in fired {
-                                let native = shift.index * timescale;
-                                out.detections.push(StreamDetection {
-                                    node: key.0,
-                                    kpi: key.1.clone(),
-                                    carrier: key.2,
-                                    timescale,
-                                    minute: state.start_minute + native as u64 * step,
-                                    delta: shift.delta,
-                                    score: shift.score,
-                                });
-                            }
+        let outcomes: Vec<GroupOutcome> = par::map_ordered(&work, |(key, cell, samples)| {
+            let mut out = GroupOutcome {
+                detections: Vec::new(),
+                latencies_us: Vec::with_capacity(samples.len()),
+                processed: 0,
+                rejected: 0,
+            };
+            let mut state = cell.lock().unwrap_or_else(|e| e.into_inner());
+            for (sample, enqueued) in samples {
+                match state.apply(sample.minute, sample.value, step) {
+                    Ok(fired) => {
+                        out.processed += 1;
+                        for (timescale, shift) in fired {
+                            let native = shift.index * timescale;
+                            out.detections.push(StreamDetection {
+                                node: key.0,
+                                kpi: key.1.clone(),
+                                carrier: key.2,
+                                timescale,
+                                minute: state.start_minute + native as u64 * step,
+                                delta: shift.delta,
+                                score: shift.score,
+                            });
                         }
-                        Err(()) => out.rejected += 1,
                     }
-                    out.latencies_us
-                        .push(enqueued.elapsed().as_secs_f64() * 1e6);
+                    Err(()) => out.rejected += 1,
                 }
-                out
-            })
-            .collect();
+                out.latencies_us
+                    .push(enqueued.elapsed().as_secs_f64() * 1e6);
+            }
+            out
+        });
 
         let mut stats = PumpStats::default();
         {

@@ -3,8 +3,8 @@
 //!
 //! The work is fanned at **unit** granularity: every (KPI query ×
 //! {overall, location slice}) pair is an independent `analyze_kpi` call,
-//! and [`verify_rule`] spreads all of them across a rayon-style parallel
-//! iterator (the paper notes verification time "is influenced by the
+//! and [`verify_rule`] spreads all of them across the ordered parallel
+//! map (`cornet_types::par`; the paper notes verification time "is influenced by the
 //! number of threads we create", Appendix D). A rule with 8 KPIs and 50
 //! location values exposes 8 × 51 = 408 units instead of 8 coarse
 //! threads, so the fan scales with the real work, not the query count.
@@ -24,8 +24,7 @@ use crate::analysis::{analyze_kpi, AnalysisOptions, ChangeScope, ImpactVerdict, 
 use crate::control::derive_control_group;
 use crate::rules::{Expectation, KpiQuery, VerificationRule};
 use cornet_obs::{SpanId, Tracer};
-use cornet_types::{Inventory, Result, Topology};
-use rayon::prelude::*;
+use cornet_types::{par, Inventory, Result, Topology};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -318,7 +317,7 @@ pub(crate) fn verify_rule_impl(
         result
     };
     let results: Vec<Result<KpiAnalysis>> = if parallel {
-        units.par_iter().map(analyze_unit).collect()
+        par::map_ordered(&units, analyze_unit)
     } else {
         units.iter().map(analyze_unit).collect()
     };

@@ -15,6 +15,7 @@
 use crate::graph::Workflow;
 use crate::validate::require_valid;
 use cornet_catalog::Catalog;
+use cornet_types::hash::fnv1a64;
 use cornet_types::{CornetError, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,17 +42,6 @@ pub struct WarArtifact {
     pub payload: Arc<[u8]>,
 }
 
-/// 64-bit FNV-1a — content digest for WAR versioning. Collision-resistant
-/// enough for artifact identity inside one deployment, with zero deps.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl WarArtifact {
     /// Validate and package a workflow. Fails if [`crate::validate::analyze`]
     /// reports any error-severity diagnostic — unverified workflows never
@@ -59,7 +49,7 @@ impl WarArtifact {
     pub fn package(wf: &Workflow, catalog: &Catalog) -> Result<WarArtifact> {
         require_valid(wf, catalog)?;
         let payload = wf.to_json().into_bytes();
-        let digest = format!("{:016x}", fnv1a(&payload));
+        let digest = format!("{:016x}", fnv1a64(&payload));
         let block_endpoints = wf
             .blocks()
             .iter()

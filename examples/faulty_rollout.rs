@@ -115,12 +115,13 @@ fn main() {
         failure_threshold: 0.5,
         min_samples: 5,
     };
-    let (report, trip) = Dispatcher::new(war, reg, 4)
+    let outcome = Dispatcher::new(war, reg, 4)
         .unwrap()
-        .run_with_breaker(&schedule(), inputs, &breaker)
+        .run_campaign(&schedule(), inputs, Some(&breaker), None)
         .unwrap();
+    let report = outcome.report;
     summarize(&report);
-    match trip {
+    match outcome.trip {
         Some(t) => println!(
             "  breaker tripped on '{}': {:.0}% failure rate over {} samples; {} nodes spared",
             t.block,

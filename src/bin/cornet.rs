@@ -580,9 +580,16 @@ fn cmd_run_journaled(flags: &BTreeMap<String, String>, path: &str) -> ExitCode {
     let result = Dispatcher::new(war, reg, scenario.concurrency)
         .map(|d| d.with_tracer(tracer.clone()))
         .map(|d| d.with_journal(journal, scenario.meta()))
-        .and_then(|d| d.run_with_breaker(&scenario.schedule(), JournalScenario::inputs, &breaker));
+        .and_then(|d| {
+            d.run_campaign(
+                &scenario.schedule(),
+                JournalScenario::inputs,
+                Some(&breaker),
+                None,
+            )
+        });
     let (report, trip) = match result {
-        Ok(r) => r,
+        Ok(o) => (o.report, o.trip),
         Err(e) => {
             eprintln!("dispatch failed: {e}");
             return ExitCode::FAILURE;
@@ -804,9 +811,9 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
     };
     let (report, trip) = match Dispatcher::new(war, reg, concurrency)
         .map(|d| d.with_tracer(tracer.clone()))
-        .and_then(|d| d.run_with_breaker(&schedule, inputs, &breaker))
+        .and_then(|d| d.run_campaign(&schedule, inputs, Some(&breaker), None))
     {
-        Ok(r) => r,
+        Ok(o) => (o.report, o.trip),
         Err(e) => {
             eprintln!("dispatch failed: {e}");
             return ExitCode::FAILURE;

@@ -48,7 +48,13 @@ fn run_journaled(s: &JournalScenario, path: &PathBuf, witness: ExecutionWitness)
     let (report, trip) = Dispatcher::new(s.war().unwrap(), reg, s.concurrency)
         .unwrap()
         .with_journal(journal, s.meta())
-        .run_with_breaker(&s.schedule(), JournalScenario::inputs, &s.breaker())
+        .run_campaign(
+            &s.schedule(),
+            JournalScenario::inputs,
+            Some(&s.breaker()),
+            None,
+        )
+        .map(|o| (o.report, o.trip))
         .unwrap();
     assert!(trip.is_none(), "fault-free campaign never trips");
     report_fingerprint(&report)

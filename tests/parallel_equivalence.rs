@@ -145,10 +145,12 @@ proptest! {
         let breaker = CircuitBreaker { failure_threshold: 0.5, min_samples: 4 };
         let sched = schedule(NODES, PER_SLOT);
         let (base, base_trip) = faulty_dispatcher(&plan, 1)
-            .run_with_breaker(&sched, inputs, &breaker)
+            .run_campaign(&sched, inputs, Some(&breaker), None)
+            .map(|o| (o.report, o.trip))
             .unwrap();
         let (wide, wide_trip) = faulty_dispatcher(&plan, concurrency)
-            .run_with_breaker(&sched, inputs, &breaker)
+            .run_campaign(&sched, inputs, Some(&breaker), None)
+            .map(|o| (o.report, o.trip))
             .unwrap();
         prop_assert_eq!(&base_trip, &wide_trip);
         prop_assert_eq!(fingerprint(&base), fingerprint(&wide));

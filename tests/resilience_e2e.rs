@@ -162,7 +162,8 @@ fn permanent_fault_trips_breaker_and_backs_out_in_flight_failures() {
     };
     let d = Dispatcher::new(war, reg, 4).unwrap();
     let (report, trip) = d
-        .run_with_breaker(&staggered_schedule(), inputs, &breaker)
+        .run_campaign(&staggered_schedule(), inputs, Some(&breaker), None)
+        .map(|o| (o.report, o.trip))
         .unwrap();
 
     // The breaker now checks on every instance completion (in dispatch
@@ -240,7 +241,8 @@ fn tripped_breaker_stays_tripped_across_crash_and_resume() {
     let journal = Journal::create(&path, FsyncPolicy::Always).unwrap();
     let (report, trip) = stack()
         .with_journal(journal, BTreeMap::new())
-        .run_with_breaker(&staggered_schedule(), inputs, &breaker)
+        .run_campaign(&staggered_schedule(), inputs, Some(&breaker), None)
+        .map(|o| (o.report, o.trip))
         .unwrap();
     let trip = trip.expect("breaker must trip");
     let bytes = std::fs::read(&path).unwrap();
