@@ -11,9 +11,10 @@
 //! completed search) must not depend on wall-clock timing. The portfolio
 //! therefore
 //!
-//! * waits for every member (it only cancels the rest once the exact
-//!   backend has *proved* optimality, in which case the exact result wins
-//!   selection no matter what the others would have returned);
+//! * waits for every member (it only cancels the race — one child of the
+//!   caller's token, shared by all members — once the exact backend has
+//!   *proved* optimality, in which case the exact result wins selection
+//!   no matter what the others would have returned);
 //! * lets only the exact backend prune against the shared incumbent — and
 //!   the solver prunes strictly (`bound >` incumbent), so an equal-cost
 //!   optimum is never cut and a completed exact search returns the same
@@ -24,7 +25,7 @@
 //! * picks the winner by (feasibility, model cost, fixed member order) —
 //!   never by who finished first.
 
-use crate::decompose::{reconcile, shard_translation};
+use crate::decompose::{reconcile, shard_translation, solve_parts, TranslationPart};
 use crate::heuristic::{heuristic_schedule_units, HeuristicConfig};
 use crate::intent::PlanIntent;
 use crate::translate::Translation;
@@ -32,8 +33,7 @@ use crate::warm::WarmStart;
 use cornet_model::Model;
 use cornet_obs::{ActiveSpan, SpanId, Tracer};
 use cornet_solver::{solve, CancelToken, Outcome, SearchStats, SharedIncumbent, SolverConfig};
-use cornet_types::{par, ConflictTable, CornetError, Inventory, NodeId, Result};
-use std::sync::atomic::{AtomicBool, Ordering};
+use cornet_types::{ConflictTable, CornetError, Inventory, NodeId, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -160,7 +160,8 @@ pub struct SolveContext<'a> {
 }
 
 impl<'a> SolveContext<'a> {
-    /// Context over a translation with no shared incumbent.
+    /// Context over a translation: no shared incumbent, no tracer, no
+    /// warm start — set the fields to attach them.
     pub fn new(
         translation: &'a Translation,
         inventory: &'a Inventory,
@@ -177,19 +178,6 @@ impl<'a> SolveContext<'a> {
             span_parent: None,
             warm: None,
         }
-    }
-
-    /// Attach a tracer; backend spans nest under `parent`.
-    pub fn with_trace(mut self, tracer: Tracer, parent: Option<SpanId>) -> Self {
-        self.tracer = tracer;
-        self.span_parent = parent;
-        self
-    }
-
-    /// Attach warm-start hints from a prior plan.
-    pub fn with_warm_start(mut self, warm: Arc<WarmStart>) -> Self {
-        self.warm = Some(warm);
-        self
     }
 }
 
@@ -253,6 +241,30 @@ pub struct BackendRun {
     pub winner: bool,
 }
 
+impl BackendRun {
+    /// The run of a backend solving on its own: no shard, and the winner
+    /// until a portfolio or sharded solve says otherwise. `elapsed` is the
+    /// run's own clock.
+    fn solo(
+        backend: &'static str,
+        outcome: Outcome,
+        cost: Option<i64>,
+        feasible: bool,
+        stats: SearchStats,
+    ) -> Self {
+        BackendRun {
+            backend,
+            outcome,
+            cost,
+            feasible,
+            stats,
+            elapsed: stats.elapsed,
+            shard: None,
+            winner: true,
+        }
+    }
+}
+
 /// Result of a backend solve over one translation.
 #[derive(Clone, Debug)]
 pub struct BackendResult {
@@ -266,6 +278,9 @@ pub struct BackendResult {
     pub stats: SearchStats,
     /// Every participating backend's run, in fixed member order.
     pub runs: Vec<BackendRun>,
+    /// Independent components the solve was divided into and merged from
+    /// (1 unless `PlanOptions::decompose` split the model).
+    pub parts: usize,
 }
 
 impl BackendResult {
@@ -276,6 +291,7 @@ impl BackendResult {
             cost: run.cost,
             stats: run.stats,
             runs: vec![run],
+            parts: 1,
         }
     }
 }
@@ -290,6 +306,42 @@ pub trait SolverBackend: Send + Sync {
     /// uncancelled run.
     fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget, cancel: &CancelToken)
         -> BackendResult;
+}
+
+/// One CP run, shared by the exact and greedy backends: overlay the budget
+/// and the cancel hook on `config` (the caller has already chosen its
+/// incumbent, warm start and search mode), solve, check the answer against
+/// the model and report it under `name`. A backend that `proves` nothing
+/// reports a completed search as `Feasible`.
+fn cp_solve(
+    name: &'static str,
+    proves: bool,
+    config: SolverConfig,
+    ctx: &SolveContext<'_>,
+    budget: &Budget,
+    cancel: &CancelToken,
+) -> BackendResult {
+    let span = open_solve_span(ctx, name);
+    let config = SolverConfig {
+        max_nodes: budget.max_nodes,
+        time_limit: budget.time_limit,
+        cancel: Some(cancel.clone()),
+        ..config
+    };
+    let model = &ctx.translation.model;
+    let r = solve(model, &config);
+    let outcome = match r.outcome {
+        Outcome::Optimal if !proves => Outcome::Feasible,
+        other => other,
+    };
+    let (assignment, cost) = r.best.map(|sol| (sol.assignment, sol.cost)).unzip();
+    let feasible = assignment.as_ref().is_some_and(|a| model.check(a).is_ok());
+    let result = BackendResult::from_run(
+        BackendRun::solo(name, outcome, cost, feasible, r.stats),
+        assignment,
+    );
+    close_solve_span(ctx, span, name, budget, cancel, &result);
+    result
 }
 
 /// The exact branch & bound CP solver.
@@ -310,44 +362,15 @@ impl SolverBackend for ExactBackend {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> BackendResult {
-        let span = open_solve_span(ctx, "exact");
+        // Seed the incumbent from the prior plan and pin matched units so
+        // only the delta is searched.
+        let prior = ctx.warm.as_ref().map(|w| w.hint());
         let config = SolverConfig {
-            max_nodes: budget.max_nodes,
-            time_limit: budget.time_limit,
-            cancel: Some(cancel.clone()),
             incumbent: ctx.incumbent.clone(),
-            // Seed the incumbent from the prior plan and pin matched
-            // units so only the delta is searched.
-            warm_start: ctx
-                .warm
-                .as_ref()
-                .map(|w| w.hint())
-                .or_else(|| self.config.warm_start.clone()),
+            warm_start: prior.or_else(|| self.config.warm_start.clone()),
             ..self.config.clone()
         };
-        let r = solve(&ctx.translation.model, &config);
-        let (assignment, cost) = match r.best {
-            Some(sol) => (Some(sol.assignment), Some(sol.cost)),
-            None => (None, None),
-        };
-        let feasible = assignment
-            .as_ref()
-            .is_some_and(|a| ctx.translation.model.check(a).is_ok());
-        let result = BackendResult::from_run(
-            BackendRun {
-                backend: "exact",
-                outcome: r.outcome,
-                cost,
-                feasible,
-                elapsed: r.stats.elapsed,
-                stats: r.stats,
-                shard: None,
-                winner: true,
-            },
-            assignment,
-        );
-        close_solve_span(ctx, span, "exact", budget, cancel, &result);
-        result
+        cp_solve("exact", true, config, ctx, budget, cancel)
     }
 }
 
@@ -370,49 +393,18 @@ impl SolverBackend for GreedyBackend {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> BackendResult {
-        let span = open_solve_span(ctx, "greedy");
+        // A completed dive proves feasibility, never optimality. It never
+        // prunes against the shared incumbent (a raced bound could cut it
+        // short and make the result depend on timing) and it stays cold:
+        // it is the portfolio's "what would a fresh solve do" member.
         let config = SolverConfig {
-            max_nodes: budget.max_nodes,
-            time_limit: budget.time_limit,
             cost_value_order: true,
             first_solution_only: true,
-            cancel: Some(cancel.clone()),
-            // Never prunes against the shared incumbent: a raced bound
-            // could cut the dive short and make the greedy result depend
-            // on timing.
             incumbent: None,
-            // The dive stays cold: it is the portfolio's "what would a
-            // fresh solve do" member, warm or not.
             warm_start: None,
+            ..self.config.clone()
         };
-        let r = solve(&ctx.translation.model, &config);
-        let outcome = match r.outcome {
-            // A completed dive proves feasibility, never optimality.
-            Outcome::Optimal => Outcome::Feasible,
-            other => other,
-        };
-        let (assignment, cost) = match r.best {
-            Some(sol) => (Some(sol.assignment), Some(sol.cost)),
-            None => (None, None),
-        };
-        let feasible = assignment
-            .as_ref()
-            .is_some_and(|a| ctx.translation.model.check(a).is_ok());
-        let result = BackendResult::from_run(
-            BackendRun {
-                backend: "greedy",
-                outcome,
-                cost,
-                feasible,
-                elapsed: r.stats.elapsed,
-                stats: r.stats,
-                shard: None,
-                winner: true,
-            },
-            assignment,
-        );
-        close_solve_span(ctx, span, "greedy", budget, cancel, &result);
-        result
+        cp_solve("greedy", false, config, ctx, budget, cancel)
     }
 }
 
@@ -439,30 +431,28 @@ impl SolverBackend for HeuristicBackend {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> BackendResult {
-        let started = Instant::now();
         let span = open_solve_span(ctx, "heuristic");
-        if cancel.is_cancelled() {
-            let result = BackendResult::from_run(
-                BackendRun {
-                    backend: "heuristic",
-                    outcome: Outcome::Unknown,
-                    cost: None,
-                    feasible: false,
-                    stats: SearchStats::default(),
-                    elapsed: Duration::ZERO,
-                    shard: None,
-                    winner: true,
-                },
-                None,
-            );
-            close_solve_span(ctx, span, "heuristic", budget, cancel, &result);
-            return result;
-        }
+        let (run, assignment) = if cancel.is_cancelled() {
+            let idle = SearchStats::default();
+            let run = BackendRun::solo("heuristic", Outcome::Unknown, None, false, idle);
+            (run, None)
+        } else {
+            self.sketch(ctx)
+        };
+        let result = BackendResult::from_run(run, assignment);
+        close_solve_span(ctx, span, "heuristic", budget, cancel, &result);
+        result
+    }
+}
+
+impl HeuristicBackend {
+    /// Run Algorithm 1 over the translation's units and express the
+    /// placements as a model assignment.
+    fn sketch(&self, ctx: &SolveContext<'_>) -> (BackendRun, Option<Vec<i64>>) {
+        let started = Instant::now();
         let mut config = self.config.clone();
-        if let Some(cap) = ctx.intent.plain_concurrency_capacity() {
-            config.slot_capacity = cap;
-        }
-        if let Some(cap) = self.capacity_override {
+        let declared = || ctx.intent.plain_concurrency_capacity();
+        if let Some(cap) = self.capacity_override.or_else(declared) {
             config.slot_capacity = cap;
         }
         let units: Vec<Vec<NodeId>> = ctx
@@ -494,28 +484,16 @@ impl SolverBackend for HeuristicBackend {
             time_to_best: elapsed,
             ..SearchStats::default()
         };
-        let result = BackendResult::from_run(
-            BackendRun {
-                backend: "heuristic",
-                // The heuristic proves nothing; a model-feasible sketch is
-                // Feasible, anything else is best-effort Unknown (the
-                // assignment is still returned for decoding).
-                outcome: if feasible {
-                    Outcome::Feasible
-                } else {
-                    Outcome::Unknown
-                },
-                cost: Some(cost),
-                feasible,
-                stats,
-                elapsed,
-                shard: None,
-                winner: true,
-            },
-            Some(assignment),
-        );
-        close_solve_span(ctx, span, "heuristic", budget, cancel, &result);
-        result
+        // The heuristic proves nothing; a model-feasible sketch is
+        // Feasible, anything else is best-effort Unknown (the assignment
+        // is still returned for decoding).
+        let outcome = if feasible {
+            Outcome::Feasible
+        } else {
+            Outcome::Unknown
+        };
+        let run = BackendRun::solo("heuristic", outcome, Some(cost), feasible, stats);
+        (run, Some(assignment))
     }
 }
 
@@ -529,6 +507,16 @@ impl PortfolioBackend {
     /// The standard lineup: exact, then greedy, then heuristic — exact
     /// first so a proved optimum always wins ties.
     pub fn standard(solver: &SolverConfig, heuristic: &HeuristicConfig) -> Self {
+        Self::lineup(solver, heuristic, None)
+    }
+
+    /// The standard lineup with the heuristic member packing against
+    /// `capacity_override` (a shard's apportioned share) when given.
+    fn lineup(
+        solver: &SolverConfig,
+        heuristic: &HeuristicConfig,
+        capacity_override: Option<i64>,
+    ) -> Self {
         PortfolioBackend {
             members: vec![
                 Box::new(ExactBackend {
@@ -539,7 +527,7 @@ impl PortfolioBackend {
                 }),
                 Box::new(HeuristicBackend {
                     config: heuristic.clone(),
-                    capacity_override: None,
+                    capacity_override,
                 }),
             ],
         }
@@ -562,50 +550,26 @@ impl SolverBackend for PortfolioBackend {
         let span_id = span.is_recording().then(|| span.id());
         let model = &ctx.translation.model;
         let incumbent = ctx.incumbent.clone().unwrap_or_default();
-        let tokens: Vec<CancelToken> = self.members.iter().map(|_| CancelToken::new()).collect();
-        // A pre-cancelled race must start cancelled (the watcher below
-        // would otherwise lose the propagation race on fast models).
-        if cancel.is_cancelled() {
-            for t in &tokens {
-                t.cancel();
-            }
-        }
-        let done = AtomicBool::new(false);
+        // One token for the whole race, a child of the caller's: members
+        // see an external cancellation on their next node, and a member
+        // that ends the race cancels nothing outside it.
+        let race = cancel.child();
 
         let results: Vec<Option<BackendResult>> = std::thread::scope(|scope| {
-            // Propagate an external cancellation to every member.
-            let watcher = {
-                let tokens = &tokens;
-                let done = &done;
-                scope.spawn(move || loop {
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if cancel.is_cancelled() {
-                        for t in tokens {
-                            t.cancel();
-                        }
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                })
-            };
             let handles: Vec<_> = self
                 .members
                 .iter()
-                .enumerate()
-                .map(|(i, member)| {
+                .map(|member| {
                     let mut member_ctx = ctx.clone();
                     // Only the exact backend prunes against the shared
                     // bound (it ignores `incumbent` otherwise).
                     member_ctx.incumbent = Some(incumbent.clone());
                     // Member spans nest under the portfolio's own span.
                     member_ctx.span_parent = span_id;
-                    let tokens = &tokens;
-                    let incumbent = &incumbent;
+                    let (incumbent, race) = (&incumbent, &race);
                     scope.spawn(move || {
                         let member_started = Instant::now();
-                        let mut result = member.solve(&member_ctx, budget, &tokens[i]);
+                        let mut result = member.solve(&member_ctx, budget, race);
                         // Per-member race time: the satellite metric
                         // `PlanResult.backend_runs[].elapsed` reports.
                         if result.runs.len() == 1 {
@@ -621,84 +585,66 @@ impl SolverBackend for PortfolioBackend {
                         }
                         // A proved optimum cannot be beaten and wins every
                         // tie (exact is first in member order), so the
-                        // other members' answers no longer matter — stop
-                        // them.
+                        // other members' answers no longer matter — the
+                        // race is over.
                         if result.outcome == Outcome::Optimal {
-                            for (j, t) in tokens.iter().enumerate() {
-                                if j != i {
-                                    t.cancel();
-                                }
-                            }
+                            race.cancel();
                         }
                         result
                     })
                 })
                 .collect();
-            let results = handles.into_iter().map(|h| h.join().ok()).collect();
-            done.store(true, Ordering::Release);
-            let _ = watcher.join();
-            results
+            handles.into_iter().map(|h| h.join().ok()).collect()
         });
 
         // Deterministic winner: best (infeasibility, cost, member order).
         // Wall-clock never participates.
-        let mut runs: Vec<BackendRun> = Vec::new();
-        let mut winner: Option<(usize, (u8, i64, usize))> = None;
-        for (i, result) in results.iter().enumerate() {
-            let Some(result) = result else {
-                continue;
-            };
-            for run in &result.runs {
-                let mut run = run.clone();
-                run.winner = false;
-                runs.push(run);
-            }
-            let rank = match (&result.assignment, result.cost) {
-                (Some(_), Some(cost)) => ((!result.runs[0].feasible) as u8, cost, i),
-                _ => (2, i64::MAX, i),
-            };
-            if winner.as_ref().is_none_or(|(_, best)| rank < *best) {
-                winner = Some((i, rank));
-            }
-        }
-        // Why members stopped early: an external caller cancelling the
-        // whole race, or one member proving optimality.
-        let cancel_cause = if cancel.is_cancelled() {
-            "external"
-        } else if results
+        let winner = results
+            .iter()
+            .enumerate()
+            .filter_map(|(i, result)| {
+                let result = result.as_ref()?;
+                Some(match (&result.assignment, result.cost) {
+                    (Some(_), Some(cost)) => ((!result.runs[0].feasible) as u8, cost, i),
+                    _ => (2, i64::MAX, i),
+                })
+            })
+            .min()
+            .map(|(_, _, i)| i);
+        let winner_name = winner.map(|i| self.members[i].name());
+        let runs: Vec<BackendRun> = results
             .iter()
             .flatten()
-            .any(|r| r.outcome == Outcome::Optimal)
-        {
+            .flat_map(|result| &result.runs)
+            .map(|run| BackendRun {
+                winner: Some(run.backend) == winner_name,
+                ..run.clone()
+            })
+            .collect();
+        // Why members stopped early: an external caller cancelling the
+        // whole race, or one member proving optimality and ending it.
+        let cancel_cause = if cancel.is_cancelled() {
+            "external"
+        } else if race.is_cancelled() {
             "optimal_member"
         } else {
             "none"
         };
         span.attr("cancel_cause", cancel_cause);
-        let Some((winner_idx, _)) = winner else {
-            let result = BackendResult {
+        if let Some(name) = winner_name {
+            span.attr("winner", name);
+        }
+        let result = match winner.and_then(|i| results.into_iter().nth(i).flatten()) {
+            Some(won) => BackendResult { runs, ..won },
+            None => BackendResult {
                 outcome: Outcome::Unknown,
                 assignment: None,
                 cost: None,
                 stats: SearchStats::default(),
                 runs,
-            };
-            close_solve_span(ctx, span, "portfolio", budget, cancel, &result);
-            return result;
+                parts: 1,
+            },
         };
-        let won = results[winner_idx].clone().expect("winner result present");
-        let winner_name = self.members[winner_idx].name();
-        for run in &mut runs {
-            run.winner = run.backend == winner_name;
-        }
-        let result = BackendResult {
-            outcome: won.outcome,
-            assignment: won.assignment,
-            cost: won.cost,
-            stats: won.stats,
-            runs,
-        };
-        span.attr("winner", winner_name);
         close_solve_span(ctx, span, "portfolio", budget, cancel, &result);
         result
     }
@@ -729,39 +675,14 @@ pub struct ShardedBackend {
     pub solver: SolverConfig,
     /// Heuristic knobs for per-shard members and the safety net.
     pub heuristic: HeuristicConfig,
-    /// Upper bound on shard count (small tails are folded together).
-    pub max_shards: usize,
-    /// Reconciliation sweep limit.
-    pub max_reconcile_rounds: u64,
 }
 
 impl ShardedBackend {
-    /// The standard configuration: up to 64 shards, 8 reconcile rounds.
+    /// The standard configuration.
     pub fn standard(solver: &SolverConfig, heuristic: &HeuristicConfig) -> Self {
         ShardedBackend {
             solver: solver.clone(),
             heuristic: heuristic.clone(),
-            max_shards: 64,
-            max_reconcile_rounds: 8,
-        }
-    }
-
-    /// The per-shard member lineup: exact, greedy, and a heuristic packing
-    /// against the shard's apportioned capacity share.
-    fn shard_portfolio(&self, capacity_share: Option<i64>) -> PortfolioBackend {
-        PortfolioBackend {
-            members: vec![
-                Box::new(ExactBackend {
-                    config: self.solver.clone(),
-                }),
-                Box::new(GreedyBackend {
-                    config: self.solver.clone(),
-                }),
-                Box::new(HeuristicBackend {
-                    config: self.heuristic.clone(),
-                    capacity_override: capacity_share,
-                }),
-            ],
         }
     }
 
@@ -778,14 +699,15 @@ impl ShardedBackend {
         let mut span = open_solve_span(ctx, "sharded");
         let span_id = span.is_recording().then(|| span.id());
         let model = &ctx.translation.model;
+        // Everything below nests under this solve's span.
+        let mut inner_ctx = ctx.clone();
+        inner_ctx.span_parent = span_id.or(ctx.span_parent);
 
-        let Some(split) = shard_translation(ctx.translation, ctx.inventory, self.max_shards) else {
+        let Some(split) = shard_translation(ctx.translation, ctx.inventory) else {
             // One timezone/market, or a cross-shard constraint we cannot
             // apportion — fall back to the plain portfolio race.
             span.attr("fallback", "portfolio");
             let inner = PortfolioBackend::standard(&self.solver, &self.heuristic);
-            let mut inner_ctx = ctx.clone();
-            inner_ctx.span_parent = span_id.or(ctx.span_parent);
             let result = inner.solve(&inner_ctx, budget, cancel);
             close_solve_span(ctx, span, "sharded", budget, cancel, &result);
             return result;
@@ -796,68 +718,39 @@ impl ShardedBackend {
         ctx.tracer
             .incr("sharded.shards_solved", shards.len() as u64);
 
-        // Budget slicing: shards run `waves` deep on the worker pool, and
-        // the whole sharded phase targets half the budget so translation,
-        // reconciliation and the safety net fit in the rest.
-        let threads = par::workers();
-        let waves = shards.len().div_ceil(threads).max(1);
-        let slice = (budget.time_limit / (2 * waves as u32)).max(Duration::from_millis(50));
-        let shard_budget = Budget {
+        // The shard fan targets half the budget, so translation,
+        // reconciliation and the safety net fit in the rest; the node
+        // budget is divided among the shards.
+        let fan_budget = Budget {
             max_nodes: (budget.max_nodes / shards.len() as u64).max(10_000),
-            time_limit: slice,
+            time_limit: budget.time_limit / 2,
         };
-
-        let order: Vec<usize> =
-            order.map_or_else(|| (0..shards.len()).collect(), <[usize]>::to_vec);
-        let mut indexed: Vec<(usize, BackendResult)> = par::map_ordered(&order, |&si| {
-            let shard = &shards[si];
-            let sctx = SolveContext {
-                translation: &shard.part.translation,
-                inventory: ctx.inventory,
-                intent: ctx.intent,
-                conflicts: ctx.conflicts,
-                incumbent: None,
-                tracer: ctx.tracer.clone(),
-                span_parent: span_id,
-                warm: ctx
-                    .warm
-                    .as_ref()
-                    .map(|w| Arc::new(w.slice(&shard.part.vars))),
-            };
-            let portfolio = self.shard_portfolio(shard.heuristic_cap);
-            (si, portfolio.solve(&sctx, &shard_budget, cancel))
-        });
-        // Results merge in shard order whatever order solved them.
-        indexed.sort_by_key(|(si, _)| *si);
-
-        let mut assignment = vec![0i64; model.var_count()];
-        let mut stats = SearchStats::default();
-        let mut runs: Vec<BackendRun> = Vec::new();
-        let mut missing = 0usize;
-        let mut all_optimal = true;
-        for (si, result) in &indexed {
-            let shard = &shards[*si];
-            stats.absorb(&result.stats);
-            match &result.assignment {
-                Some(sub) => {
-                    for (&old, &val) in shard.part.vars.iter().zip(sub) {
-                        assignment[old] = val;
-                    }
+        let parts: Vec<&TranslationPart> = shards.iter().map(|s| &s.part).collect();
+        let fan = solve_parts(
+            &inner_ctx,
+            &parts,
+            order,
+            &fan_budget,
+            |si, sctx, sbudget| {
+                // Per shard: the standard race, its heuristic member packing
+                // against the shard's apportioned capacity share.
+                let race = PortfolioBackend::lineup(
+                    &self.solver,
+                    &self.heuristic,
+                    shards[si].heuristic_cap,
+                );
+                let mut result = race.solve(sctx, sbudget, cancel);
+                for run in &mut result.runs {
+                    (run.shard, run.winner) = (Some(si), false);
                 }
-                None => missing += 1,
-            }
-            if result.outcome != Outcome::Optimal {
-                all_optimal = false;
-            }
-            for run in &result.runs {
-                let mut run = run.clone();
-                run.shard = Some(*si);
-                run.winner = false;
-                runs.push(run);
-            }
-        }
+                result
+            },
+        );
+        let all_optimal = fan.outcome == Outcome::Optimal;
+        let (stats, mut runs) = (fan.stats, fan.runs);
+        let mut assignment = fan.assignment.expect("the fan merges an assignment");
 
-        let rec = reconcile(model, &mut assignment, self.max_reconcile_rounds);
+        let rec = reconcile(model, &mut assignment);
         span.attr("reconcile_rounds", rec.rounds);
         span.attr("reconcile_moves", rec.moves);
         span.attr("reconcile_feasible", rec.feasible);
@@ -870,10 +763,8 @@ impl ShardedBackend {
             config: self.heuristic.clone(),
             capacity_override: None,
         };
-        let mut net_ctx = ctx.clone();
-        net_ctx.incumbent = None;
-        net_ctx.span_parent = span_id.or(ctx.span_parent);
-        let net_result = net.solve(&net_ctx, budget, cancel);
+        inner_ctx.incumbent = None;
+        let net_result = net.solve(&inner_ctx, budget, cancel);
 
         let merged_rank = candidate_rank(model, &assignment, rec.feasible);
         let merged_wins = match net_result.assignment.as_deref() {
@@ -885,7 +776,7 @@ impl ShardedBackend {
 
         let merged_outcome = if !rec.feasible {
             Outcome::Unknown
-        } else if split.coupled == 0 && all_optimal && missing == 0 {
+        } else if split.coupled == 0 && all_optimal {
             // Independent shards each solved to proven optimality compose
             // into a global optimum.
             Outcome::Optimal
@@ -894,20 +785,20 @@ impl ShardedBackend {
         };
         let merged_cost = model.cost(&assignment);
         runs.push(BackendRun {
-            backend: "sharded",
-            outcome: merged_outcome,
-            cost: Some(merged_cost),
-            feasible: rec.feasible,
-            stats,
             elapsed: started.elapsed(),
-            shard: None,
             winner: merged_wins,
+            ..BackendRun::solo(
+                "sharded",
+                merged_outcome,
+                Some(merged_cost),
+                rec.feasible,
+                stats,
+            )
         });
-        for run in &net_result.runs {
-            let mut run = run.clone();
-            run.winner = !merged_wins;
-            runs.push(run);
-        }
+        runs.extend(net_result.runs.iter().map(|run| BackendRun {
+            winner: !merged_wins,
+            ..run.clone()
+        }));
 
         let result = if merged_wins {
             BackendResult {
@@ -916,15 +807,10 @@ impl ShardedBackend {
                 cost: Some(merged_cost),
                 stats,
                 runs,
+                parts: 1,
             }
         } else {
-            BackendResult {
-                outcome: net_result.outcome,
-                assignment: net_result.assignment,
-                cost: net_result.cost,
-                stats: net_result.stats,
-                runs,
-            }
+            BackendResult { runs, ..net_result }
         };
         close_solve_span(ctx, span, "sharded", budget, cancel, &result);
         result
@@ -1175,7 +1061,8 @@ mod tests {
             values: prior.clone(),
             delta: crate::warm::PlanDelta::default(),
         };
-        let warm_ctx = ctx.clone().with_warm_start(Arc::new(warm));
+        let mut warm_ctx = ctx.clone();
+        warm_ctx.warm = Some(Arc::new(warm));
         let r = ExactBackend::default().solve(&warm_ctx, &Budget::default(), &CancelToken::new());
         assert_eq!(
             r.assignment.as_ref(),
@@ -1188,11 +1075,14 @@ mod tests {
 
     #[test]
     fn pre_cancelled_portfolio_returns_unknown() {
+        use cornet_obs::AttrValue;
         let (intent, inv, topo, nodes) = fixture(4, 2);
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
         let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let tracer = Tracer::wall();
+        let mut ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        ctx.tracer = tracer.clone();
         let backend = BackendChoice::Portfolio
             .instantiate(&SolverConfig::default(), &HeuristicConfig::default());
         let cancel = CancelToken::new();
@@ -1202,5 +1092,18 @@ mod tests {
             r.assignment.is_none() || r.outcome != Outcome::Optimal,
             "a cancelled race must not claim optimality"
         );
+        // Every member started cancelled — through the race's child token,
+        // nobody copied anything — and every member is still reported.
+        assert_eq!(r.runs.len(), 3);
+        assert!(r.runs.iter().all(|run| run.outcome != Outcome::Optimal));
+        let trace = tracer.snapshot();
+        let race = trace.spans_named("solve.portfolio").next().unwrap();
+        assert_eq!(
+            race.attr("cancel_cause"),
+            Some(&AttrValue::Str("external".into()))
+        );
+        for member in trace.children_of(race.id) {
+            assert_eq!(member.attr("cancelled"), Some(&AttrValue::Bool(true)));
+        }
     }
 }

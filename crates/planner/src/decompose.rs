@@ -3,19 +3,28 @@
 //! "We divide the changes into sets that have no dependencies with respect
 //! to constraints. Then, we can solve in parallel and combine their
 //! solutions." We compute connected components of the variable–constraint
-//! graph; each component becomes a standalone sub-translation that
-//! `plan()` solves on the bounded worker pool
-//! (`cornet_types::par::map_ordered`), and the assignments merge back.
+//! graph; each component becomes a standalone sub-translation, and
+//! [`Decomposed`] wraps any backend so that it solves them on the bounded
+//! worker pool and merges the assignments back.
+//!
+//! Sharding ([`shard_translation`]) divides the same way but cuts through
+//! shared capacity. Both splitters produce [`TranslationPart`]s and both go
+//! through the one split–solve–merge fan, [`solve_parts`]: one
+//! `par::map_ordered` call, one time rule, one scatter.
 //!
 //! Decomposition helps exactly when the intent's coupling constraints are
 //! per-group (e.g. concurrency per EMS or per pool) — a global capacity or
 //! a localize rule connects everything into one component, and the paper's
 //! answer to that case is the timezone-sequenced heuristic instead.
 
+use crate::backend::{BackendResult, Budget, SolveContext, SolverBackend};
 use crate::translate::{Translation, Unit};
-use cornet_model::{Constraint, Model, Objective, VarId};
-use cornet_types::Inventory;
+use cornet_model::{Constraint, Model, VarId};
+use cornet_solver::{CancelToken, Outcome, SearchStats};
+use cornet_types::{par, Inventory, NodeId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Union–find over variable indices.
 struct Dsu {
@@ -66,23 +75,60 @@ pub fn var_components(model: &Model) -> Vec<Vec<usize>> {
     by_root.into_values().collect()
 }
 
-/// Extract the sub-model induced by `vars` (which must be closed under
-/// constraint adjacency, i.e. a union of components).
-fn sub_model(model: &Model, vars: &[usize]) -> Model {
+/// Apportioned shares of each cross-shard capacity constraint, keyed by
+/// constraint index: per shard, the default-capacity share plus the
+/// share of every granule-specific cap.
+type CapShares = BTreeMap<usize, Vec<(i64, BTreeMap<i64, i64>)>>;
+
+/// Extract the sub-model over `vars`. A constraint whose variables all lie
+/// in `vars` copies through, renumbered. For a shard, `cut` names the
+/// shard and the capacity constraints that span shards: each of those is
+/// kept over the members present here, under this shard's apportioned
+/// share. Without `cut`, `vars` must be closed under constraint adjacency
+/// (a union of components).
+fn sub_model(
+    model: &Model,
+    vars: &[usize],
+    name: String,
+    cut: Option<(usize, &CapShares)>,
+) -> Model {
     let mut remap = vec![usize::MAX; model.var_count()];
-    let mut sub = Model::new(format!("{}#sub", model.name));
+    let mut sub = Model::new(name);
     for (new_idx, &old) in vars.iter().enumerate() {
         remap[old] = new_idx;
         let v = &model.vars[old];
         sub.add_var(v.name.clone(), v.lo, v.hi);
     }
+    let here = |v: &VarId| remap[v.index()] != usize::MAX;
     let map_var = |v: VarId| VarId(remap[v.index()] as u32);
-    for c in &model.constraints {
-        let cvars = c.vars();
-        if cvars.is_empty() || remap[cvars[0].index()] == usize::MAX {
+    for (ci, c) in model.constraints.iter().enumerate() {
+        let share = cut.and_then(|(si, shares)| Some((si, &shares.get(&ci)?[si])));
+        if share.is_none() && !c.vars().first().is_some_and(here) {
             continue;
         }
         let mut c2 = c.clone();
+        if let Some((si, (cap, caps))) = share {
+            let Constraint::Capacity {
+                label,
+                vars,
+                weights,
+                default_cap,
+                slot_caps,
+                ..
+            } = &mut c2
+            else {
+                unreachable!("only capacity constraints are apportioned");
+            };
+            // Weights run parallel to the members: drop both alike.
+            let mut present = vars.iter().map(here);
+            weights.retain(|_| present.next().expect("one weight per member"));
+            vars.retain(here);
+            if vars.is_empty() {
+                continue;
+            }
+            *label = format!("{label}#shard{si}");
+            (*default_cap, *slot_caps) = (*cap, caps.clone());
+        }
         match &mut c2 {
             Constraint::Capacity { vars, .. }
             | Constraint::DistinctGroups { vars, .. }
@@ -102,13 +148,11 @@ fn sub_model(model: &Model, vars: &[usize]) -> Model {
         }
         sub.add_constraint(c2);
     }
-    let mut objective = Objective::default();
-    for (&var, cost) in &model.objective.terms {
-        if remap[var.index()] != usize::MAX {
-            objective.terms.insert(map_var(var), cost.clone());
+    for (var, cost) in &model.objective.terms {
+        if here(var) {
+            sub.objective.terms.insert(map_var(*var), cost.clone());
         }
     }
-    sub.objective = objective;
     sub
 }
 
@@ -122,49 +166,179 @@ pub struct TranslationPart {
     pub translation: Translation,
 }
 
+impl TranslationPart {
+    /// The part of `t` over `vars`, solving `model` (a [`sub_model`] over
+    /// the same `vars`): its own unit table, the parent's slots and
+    /// window.
+    fn new(t: &Translation, vars: Vec<usize>, model: Model) -> Self {
+        let units = vars
+            .iter()
+            .enumerate()
+            .map(|(new_idx, &old)| Unit {
+                nodes: t.units[old].nodes.clone(),
+                var: VarId(new_idx as u32),
+            })
+            .collect();
+        TranslationPart {
+            vars,
+            translation: Translation {
+                model,
+                units,
+                slots: t.slots.clone(),
+                window: t.window.clone(),
+                // Whole-window freezes stay with the parent; parts only
+                // schedule live units.
+                frozen_out: Vec::new(),
+            },
+        }
+    }
+}
+
 /// Split a translation into independent sub-translations — the §3.3.3
 /// decomposition as a backend-agnostic pre-pass. Each part carries its own
 /// model *and* its own unit table, so unit-level backends (the Algorithm 1
 /// heuristic) decompose exactly like the exact solver. Returns one part
 /// when the constraint graph is connected.
 pub fn split_translation(t: &Translation) -> Vec<TranslationPart> {
-    let comps = var_components(&t.model);
-    comps
+    var_components(&t.model)
         .into_iter()
         .map(|vars| {
-            let model = sub_model(&t.model, &vars);
-            let units: Vec<Unit> = vars
-                .iter()
-                .enumerate()
-                .map(|(new_idx, &old)| Unit {
-                    nodes: t.units[old].nodes.clone(),
-                    var: VarId(new_idx as u32),
-                })
-                .collect();
-            TranslationPart {
-                vars,
-                translation: Translation {
-                    model,
-                    units,
-                    slots: t.slots.clone(),
-                    window: t.window.clone(),
-                    // Whole-window freezes stay with the parent; parts only
-                    // schedule live units.
-                    frozen_out: Vec::new(),
-                },
-            }
+            let model = sub_model(&t.model, &vars, format!("{}#sub", t.model.name), None);
+            TranslationPart::new(t, vars, model)
         })
         .collect()
 }
 
+/// The least time a part is handed, however late it starts: enough for a
+/// first dive, so a queued part still reaches a solution.
+const PART_TIME_FLOOR: Duration = Duration::from_millis(50);
+
+/// The planner's one split–solve–merge fan: solve every part on the
+/// bounded worker pool and put the answers back as one result over the
+/// parent translation.
+///
+/// Each part is solved in its own [`SolveContext`] — its sub-translation,
+/// its slice of the warm start, no shared incumbent, spans under
+/// `ctx.span_parent`. `budget.max_nodes` is per part; `budget.time_limit`
+/// is **one deadline for the whole fan**, taken here: parts beyond the
+/// pool wait their turn, so a part gets what is left of the deadline when
+/// it starts, floored at [`PART_TIME_FLOOR`]. The fan therefore returns
+/// within `time_limit + parts × 50 ms` of a backend that honours its
+/// budget. `order` is the visiting order (part order when `None`); the
+/// merge is in part order regardless, so it never shows in the result.
+///
+/// The merged assignment scatters each part's through `part.vars`; a part
+/// that found nothing leaves its units at 0 (unscheduled). Stats are
+/// summed, runs concatenated, and the outcome is `Optimal` only when every
+/// part proved its own optimum — `Feasible` otherwise.
+pub(crate) fn solve_parts<F>(
+    ctx: &SolveContext<'_>,
+    parts: &[&TranslationPart],
+    order: Option<&[usize]>,
+    budget: &Budget,
+    solve_part: F,
+) -> BackendResult
+where
+    F: Fn(usize, &SolveContext<'_>, &Budget) -> BackendResult + Sync,
+{
+    let deadline = Instant::now() + budget.time_limit;
+    let part_order: Vec<usize> =
+        order.map_or_else(|| (0..parts.len()).collect(), <[usize]>::to_vec);
+    let mut solved: Vec<(usize, BackendResult)> = par::map_ordered(&part_order, |&i| {
+        let part_ctx = SolveContext {
+            translation: &parts[i].translation,
+            incumbent: None,
+            warm: ctx.warm.as_ref().map(|w| Arc::new(w.slice(&parts[i].vars))),
+            ..ctx.clone()
+        };
+        let part_budget = Budget {
+            max_nodes: budget.max_nodes,
+            time_limit: deadline
+                .saturating_duration_since(Instant::now())
+                .max(PART_TIME_FLOOR),
+        };
+        (i, solve_part(i, &part_ctx, &part_budget))
+    });
+    solved.sort_by_key(|(i, _)| *i);
+
+    let model = &ctx.translation.model;
+    let mut assignment = vec![0i64; model.var_count()];
+    let mut stats = SearchStats::default();
+    let mut runs = Vec::new();
+    let mut outcome = Outcome::Optimal;
+    for (i, result) in solved {
+        stats.absorb(&result.stats);
+        for (&old, &val) in parts[i].vars.iter().zip(result.assignment.iter().flatten()) {
+            assignment[old] = val;
+        }
+        if result.assignment.is_none() || result.outcome != Outcome::Optimal {
+            outcome = Outcome::Feasible;
+        }
+        runs.extend(result.runs);
+    }
+    BackendResult {
+        outcome,
+        cost: Some(model.cost(&assignment)),
+        assignment: Some(assignment),
+        stats,
+        runs,
+        parts: parts.len(),
+    }
+}
+
+/// §3.3.3 idea (b) as a backend combinator: split the translation into
+/// its independent components and put them through the fan, every
+/// component solved by the wrapped backend under the full node budget.
+/// `plan()` wraps the chosen backend in this when `decompose` is set. A
+/// connected model goes to the wrapped backend untouched.
+pub(crate) struct Decomposed(pub Box<dyn SolverBackend>);
+
+impl SolverBackend for Decomposed {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn solve(
+        &self,
+        ctx: &SolveContext<'_>,
+        budget: &Budget,
+        cancel: &CancelToken,
+    ) -> BackendResult {
+        let parts = split_translation(ctx.translation);
+        if parts.len() < 2 {
+            return self.0.solve(ctx, budget, cancel);
+        }
+        // Unconstrained units are singleton parts, so this can be a part
+        // per node: the fan's bounded pool, not a thread each.
+        let parts: Vec<&TranslationPart> = parts.iter().collect();
+        solve_parts(ctx, &parts, None, budget, |_, part_ctx, part_budget| {
+            self.0.solve(part_ctx, part_budget, cancel)
+        })
+    }
+}
+
 /// A shard's identity: the timezone offset (milli-hours, so `f64`
 /// offsets order and compare exactly) and market of its units.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ShardKey {
     /// UTC offset of the shard's timezone, in milli-hours.
     pub tz_milli: i64,
     /// Market attribute value (empty when the inventory has none).
     pub market: String,
+}
+
+impl ShardKey {
+    /// The shard `node` falls into; offset 0 and no market where the
+    /// inventory is silent.
+    pub(crate) fn of(inventory: &Inventory, node: NodeId) -> Self {
+        let offset = inventory
+            .attr_of(node, "utc_offset")
+            .and_then(|v| v.as_f64());
+        ShardKey {
+            tz_milli: offset.map_or(0, |o| (o * 1000.0).round() as i64),
+            market: inventory.group_key_of(node, "market").unwrap_or_default(),
+        }
+    }
 }
 
 /// One timezone/market shard of a translation.
@@ -188,11 +362,6 @@ pub struct ShardSplit {
     /// merged optimal is globally optimal.
     pub coupled: usize,
 }
-
-/// Apportioned shares of each cross-shard capacity constraint, keyed by
-/// constraint index: per shard, the default-capacity share plus the
-/// share of every granule-specific cap.
-type CapShares = BTreeMap<usize, Vec<(i64, BTreeMap<i64, i64>)>>;
 
 /// Proportionally split `total` across `weights`, flooring each share and
 /// handing the remainder to the largest weights first (ties: lower
@@ -219,6 +388,10 @@ fn apportion(total: i64, weights: &[i64]) -> Vec<i64> {
     shares
 }
 
+/// Upper bound on shard count; smaller tails are folded into the largest
+/// shard.
+const MAX_SHARDS: usize = 64;
+
 /// Shard a translation by the (timezone, market) of each unit's nodes.
 ///
 /// Unlike [`split_translation`], this cuts *through* cross-shard capacity
@@ -231,37 +404,17 @@ fn apportion(total: i64, weights: &[i64]) -> Vec<i64> {
 /// cut soundly, so their presence — or fewer than two distinct keys —
 /// makes this return `None` and the caller falls back to unsharded
 /// solving (the CN0417 lint flags both situations).
-pub fn shard_translation(
-    t: &Translation,
-    inventory: &Inventory,
-    max_shards: usize,
-) -> Option<ShardSplit> {
-    let n = t.model.var_count();
-    if n == 0 || max_shards < 2 {
-        return None;
-    }
+pub fn shard_translation(t: &Translation, inventory: &Inventory) -> Option<ShardSplit> {
     // Key every unit by its first node; ESA grouping and consistency
     // contraction only merge co-located nodes, so one representative is
     // enough.
-    let keys: Vec<ShardKey> = t
-        .units
-        .iter()
-        .map(|u| {
-            let node = u.nodes.first().copied();
-            let tz_milli = node
-                .and_then(|n| inventory.attr_of(n, "utc_offset"))
-                .and_then(|v| v.as_f64())
-                .map(|o| (o * 1000.0).round() as i64)
-                .unwrap_or(0);
-            let market = node
-                .and_then(|n| inventory.group_key_of(n, "market"))
-                .unwrap_or_default();
-            ShardKey { tz_milli, market }
-        })
-        .collect();
     let mut groups: BTreeMap<ShardKey, Vec<usize>> = BTreeMap::new();
-    for (var, key) in keys.iter().enumerate() {
-        groups.entry(key.clone()).or_default().push(var);
+    for (var, unit) in t.units.iter().enumerate() {
+        let key = unit
+            .nodes
+            .first()
+            .map_or_else(ShardKey::default, |&n| ShardKey::of(inventory, n));
+        groups.entry(key).or_default().push(var);
     }
     if groups.len() < 2 {
         return None;
@@ -270,7 +423,7 @@ pub fn shard_translation(
     // the biggest of the kept shards (deterministic: size desc, key asc).
     let mut ordered: Vec<(ShardKey, Vec<usize>)> = groups.into_iter().collect();
     ordered.sort_by(|a, b| (b.1.len(), &a.0).cmp(&(a.1.len(), &b.0)));
-    while ordered.len() > max_shards {
+    while ordered.len() > MAX_SHARDS {
         let (_, tail) = ordered.pop().expect("non-empty");
         ordered[0].1.extend(tail);
     }
@@ -280,7 +433,7 @@ pub fn shard_translation(
     }
 
     // shard_of[var] = shard index.
-    let mut shard_of = vec![0usize; n];
+    let mut shard_of = vec![0usize; t.model.var_count()];
     for (si, (_, vars)) in ordered.iter().enumerate() {
         for &v in vars {
             shard_of[v] = si;
@@ -325,7 +478,8 @@ pub fn shard_translation(
         .into_iter()
         .enumerate()
         .map(|(si, (key, vars))| {
-            let model = shard_sub_model(&t.model, &vars, si, &cap_shares);
+            let name = format!("{}#shard{si}", t.model.name);
+            let model = sub_model(&t.model, &vars, name, Some((si, &cap_shares)));
             let heuristic_cap = cap_shares
                 .iter()
                 .filter(|(&ci, _)| {
@@ -336,119 +490,14 @@ pub fn shard_translation(
                 })
                 .map(|(_, shares)| shares[si].0)
                 .min();
-            let units: Vec<Unit> = vars
-                .iter()
-                .enumerate()
-                .map(|(new_idx, &old)| Unit {
-                    nodes: t.units[old].nodes.clone(),
-                    var: VarId(new_idx as u32),
-                })
-                .collect();
             TranslationShard {
                 key,
-                part: TranslationPart {
-                    vars,
-                    translation: Translation {
-                        model,
-                        units,
-                        slots: t.slots.clone(),
-                        window: t.window.clone(),
-                        frozen_out: Vec::new(),
-                    },
-                },
+                part: TranslationPart::new(t, vars, model),
                 heuristic_cap,
             }
         })
         .collect();
     Some(ShardSplit { shards, coupled })
-}
-
-/// Like [`sub_model`], but keeps cross-shard capacity constraints with
-/// the member subset present in this shard and the shard's apportioned
-/// capacity share.
-fn shard_sub_model(
-    model: &Model,
-    vars: &[usize],
-    shard_idx: usize,
-    cap_shares: &CapShares,
-) -> Model {
-    let mut remap = vec![usize::MAX; model.var_count()];
-    let mut sub = Model::new(format!("{}#shard{}", model.name, shard_idx));
-    for (new_idx, &old) in vars.iter().enumerate() {
-        remap[old] = new_idx;
-        let v = &model.vars[old];
-        sub.add_var(v.name.clone(), v.lo, v.hi);
-    }
-    let map_var = |v: VarId| VarId(remap[v.index()] as u32);
-    for (ci, c) in model.constraints.iter().enumerate() {
-        if let Some(shares) = cap_shares.get(&ci) {
-            let Constraint::Capacity {
-                label,
-                vars: cvars,
-                weights,
-                block,
-                value_granules,
-                ..
-            } = c
-            else {
-                unreachable!("only capacity constraints are apportioned");
-            };
-            let mut sub_vars = Vec::new();
-            let mut sub_weights = Vec::new();
-            for (v, w) in cvars.iter().zip(weights) {
-                if remap[v.index()] != usize::MAX {
-                    sub_vars.push(map_var(*v));
-                    sub_weights.push(*w);
-                }
-            }
-            if sub_vars.is_empty() {
-                continue;
-            }
-            let (default_cap, slot_caps) = &shares[shard_idx];
-            sub.add_constraint(Constraint::Capacity {
-                label: format!("{label}#shard{shard_idx}"),
-                vars: sub_vars,
-                weights: sub_weights,
-                default_cap: *default_cap,
-                slot_caps: slot_caps.clone(),
-                block: *block,
-                value_granules: value_granules.clone(),
-            });
-            continue;
-        }
-        let cvars = c.vars();
-        let Some(first) = cvars.first() else { continue };
-        if remap[first.index()] == usize::MAX {
-            continue;
-        }
-        let mut c2 = c.clone();
-        match &mut c2 {
-            Constraint::Capacity { vars, .. }
-            | Constraint::DistinctGroups { vars, .. }
-            | Constraint::SameValue { vars, .. }
-            | Constraint::MaxSpread { vars, .. }
-            | Constraint::NonInterleaved { vars, .. } => {
-                for v in vars.iter_mut() {
-                    *v = map_var(*v);
-                }
-            }
-            Constraint::ForbiddenValue { var, .. } => *var = map_var(*var),
-            Constraint::Linear { terms, .. } => {
-                for t in terms.iter_mut() {
-                    t.var = map_var(t.var);
-                }
-            }
-        }
-        sub.add_constraint(c2);
-    }
-    let mut objective = Objective::default();
-    for (&var, cost) in &model.objective.terms {
-        if remap[var.index()] != usize::MAX {
-            objective.terms.insert(map_var(var), cost.clone());
-        }
-    }
-    sub.objective = objective;
-    sub
 }
 
 /// Counters from a cross-shard reconciliation pass.
@@ -462,6 +511,10 @@ pub struct ReconcileOutcome {
     pub feasible: bool,
 }
 
+/// Reconciliation sweep limit: rounds of the repair loop before it settles
+/// for what it has.
+const MAX_RECONCILE_ROUNDS: u64 = 8;
+
 /// Cross-shard capacity reconciliation: verify a merged shard assignment
 /// against the full original model and claw back the slack that
 /// proportional apportionment stranded.
@@ -474,7 +527,7 @@ pub struct ReconcileOutcome {
 /// per (constraint, granule), so each accepted move keeps the invariant
 /// "all capacity constraints satisfied" — the final full-model check is
 /// the proof, not a hope.
-pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> ReconcileOutcome {
+pub fn reconcile(model: &Model, assignment: &mut [i64]) -> ReconcileOutcome {
     let n = model.var_count();
     // A variable is movable only if capacity and forbidden-value
     // constraints are the whole story for it.
@@ -498,20 +551,21 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
             }
         }
     }
-    // Per-constraint granule loads for the current assignment.
-    let mut loads: BTreeMap<usize, BTreeMap<i64, i64>> = BTreeMap::new();
+    // Load per (constraint, granule) under the current assignment.
+    let granule = |ci: usize, value: i64| {
+        let g = model.constraints[ci].capacity_granule(value);
+        g.expect("capacity member")
+    };
+    let mut loads: BTreeMap<(usize, i64), i64> = BTreeMap::new();
     for (vi, &val) in assignment.iter().enumerate() {
         if val > 0 {
             for &(ci, w) in &members[vi] {
-                let g = model.constraints[ci]
-                    .capacity_granule(val)
-                    .expect("capacity member");
-                *loads.entry(ci).or_default().entry(g).or_default() += w;
+                *loads.entry((ci, granule(ci, val))).or_default() += w;
             }
         }
     }
     let mut out = ReconcileOutcome::default();
-    while out.rounds < max_rounds {
+    while out.rounds < MAX_RECONCILE_ROUNDS {
         out.rounds += 1;
         let mut moved = false;
         for vi in 0..n {
@@ -522,8 +576,7 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
             let vid = VarId(vi as u32);
             let var = &model.vars[vi];
             let cur_cost = model.objective.var_cost(vid, cur);
-            let none: Vec<i64> = Vec::new();
-            let banned = forbidden.get(&vi).unwrap_or(&none);
+            let banned = forbidden.get(&vi).map_or(&[][..], Vec::as_slice);
             let mut best: Option<(i64, i64)> = None; // (cost, value)
             for v in var.lo..=var.hi {
                 if v == cur || banned.contains(&v) {
@@ -535,13 +588,13 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
                 }
                 let fits = v <= 0
                     || members[vi].iter().all(|&(ci, w)| {
-                        let c = &model.constraints[ci];
-                        let g = c.capacity_granule(v).expect("capacity member");
-                        let mut load = loads.get(&ci).and_then(|m| m.get(&g)).copied().unwrap_or(0);
-                        if cur > 0 && c.capacity_granule(cur) == Some(g) {
+                        let g = granule(ci, v);
+                        let mut load = loads.get(&(ci, g)).copied().unwrap_or(0);
+                        if cur > 0 && granule(ci, cur) == g {
                             load -= w;
                         }
-                        load + w <= c.capacity_of_granule(g).expect("capacity member")
+                        let cap = model.constraints[ci].capacity_of_granule(g);
+                        load + w <= cap.expect("capacity member")
                     });
                 if fits {
                     best = Some((cost, v));
@@ -549,14 +602,11 @@ pub fn reconcile(model: &Model, assignment: &mut [i64], max_rounds: u64) -> Reco
             }
             if let Some((_, v)) = best {
                 for &(ci, w) in &members[vi] {
-                    let c = &model.constraints[ci];
                     if cur > 0 {
-                        let g = c.capacity_granule(cur).expect("capacity member");
-                        *loads.entry(ci).or_default().entry(g).or_default() -= w;
+                        *loads.entry((ci, granule(ci, cur))).or_default() -= w;
                     }
                     if v > 0 {
-                        let g = c.capacity_granule(v).expect("capacity member");
-                        *loads.entry(ci).or_default().entry(g).or_default() += w;
+                        *loads.entry((ci, granule(ci, v))).or_default() += w;
                     }
                 }
                 assignment[vi] = v;
@@ -614,6 +664,105 @@ mod tests {
     }
 
     #[test]
+    fn the_fan_has_one_deadline_for_every_part() {
+        // P singleton parts (no coupling constraint) and a backend that
+        // sleeps out whatever slice it is handed: the fan must share one
+        // deadline, not hand every part (or every wave) a fresh limit.
+        use crate::intent::PlanIntent;
+        use crate::translate::{translate, TranslateOptions};
+        use cornet_types::{Attributes, NfType, NodeId, Topology};
+        use std::sync::Mutex;
+
+        let workers = par::workers();
+        let p = 4 * workers;
+        let mut inv = Inventory::new();
+        for i in 0..p {
+            inv.push(format!("n{i}"), NfType::ENodeB, Attributes::new());
+        }
+        let intent = PlanIntent::from_json(
+            r#"{
+            "scheduling_window": {"start": "2020-07-01 00:00:00",
+                                   "end": "2020-07-10 23:59:00",
+                                   "granularity": {"metric": "day", "value": 1}},
+            "maintenance_window": {"start": "0:00", "end": "6:00"},
+            "schedulable_attribute": "common_id",
+            "conflict_attribute": "common_id",
+            "constraints": []
+        }"#,
+        )
+        .unwrap();
+        let nodes: Vec<NodeId> = inv.ids().collect();
+        let translation = translate(
+            &intent,
+            &inv,
+            &Topology::with_capacity(p),
+            &nodes,
+            &TranslateOptions::default(),
+        )
+        .unwrap();
+        let conflicts = intent.conflicts().unwrap();
+        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let parts = split_translation(&translation);
+        assert_eq!(parts.len(), p);
+        let part_refs: Vec<&TranslationPart> = parts.iter().collect();
+
+        let time_limit = Duration::from_millis(200);
+        let budget = Budget {
+            max_nodes: 7,
+            time_limit,
+        };
+        let handed = Mutex::new(vec![Duration::ZERO; p]);
+        let started = Instant::now();
+        let solved = solve_parts(
+            &ctx,
+            &part_refs,
+            None,
+            &budget,
+            |i, part_ctx, part_budget| {
+                assert_eq!(part_budget.max_nodes, 7, "the node budget is per part");
+                assert_eq!(part_ctx.translation.model.var_count(), 1);
+                handed.lock().unwrap()[i] = part_budget.time_limit;
+                std::thread::sleep(part_budget.time_limit);
+                BackendResult {
+                    outcome: Outcome::Optimal,
+                    assignment: Some(vec![i as i64 + 1]),
+                    cost: Some(0),
+                    stats: SearchStats {
+                        nodes: 1,
+                        ..SearchStats::default()
+                    },
+                    runs: Vec::new(),
+                    parts: 1,
+                }
+            },
+        );
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed <= time_limit + PART_TIME_FLOOR * p as u32,
+            "{p} parts took {elapsed:?} against a {time_limit:?} limit"
+        );
+
+        // Parts past the first wave start after a whole slice has been
+        // slept out, so they are handed strictly less than any part of
+        // the first wave — and never less than the floor.
+        let handed = handed.into_inner().unwrap();
+        let (first_wave, queued) = handed.split_at(workers);
+        let least_first = *first_wave.iter().min().unwrap();
+        assert!(first_wave.iter().all(|&t| t <= time_limit));
+        assert!(
+            queued
+                .iter()
+                .all(|&t| PART_TIME_FLOOR <= t && t < least_first),
+            "queued parts {queued:?} vs first wave {first_wave:?}"
+        );
+
+        // And the merge is the scatter through `part.vars`.
+        assert_eq!(solved.assignment, Some((1..=p as i64).collect()));
+        assert_eq!(solved.stats.nodes, p as u64);
+        assert_eq!((solved.outcome, solved.parts), (Outcome::Optimal, p));
+    }
+
+    #[test]
     fn apportion_sums_to_total_and_favors_weight() {
         let shares = apportion(10, &[5, 3, 1]);
         assert_eq!(shares.iter().sum::<i64>(), 10);
@@ -634,7 +783,7 @@ mod tests {
         b.completion_objective(&vs, &[1; 4], 100);
         let m = b.build();
         let mut a = vec![1, 2, 3, 0];
-        let out = reconcile(&m, &mut a, 8);
+        let out = reconcile(&m, &mut a);
         assert!(out.feasible);
         assert_eq!(a, vec![1, 1, 2, 2]);
         assert_eq!(out.moves, 3);
@@ -650,7 +799,7 @@ mod tests {
         b.completion_objective(&vs, &[1; 3], 100);
         let m = b.build();
         let mut a = vec![2, 3, 3];
-        let out = reconcile(&m, &mut a, 8);
+        let out = reconcile(&m, &mut a);
         assert!(out.feasible);
         assert_eq!(a[0], 2, "slot 1 is forbidden for var 0");
         assert_eq!((a[1], a[2]), (3, 3), "same-value members must not move");
@@ -664,7 +813,7 @@ mod tests {
         b.completion_objective(&vs, &[1; 4], 100);
         let m = b.build();
         let mut a = vec![1, 1, 2, 0]; // slot 2 has room for exactly one more
-        let out = reconcile(&m, &mut a, 8);
+        let out = reconcile(&m, &mut a);
         assert!(out.feasible);
         assert!(m.check(&a).is_ok());
         assert_eq!(a, vec![1, 1, 2, 2]);

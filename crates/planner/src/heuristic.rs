@@ -11,10 +11,7 @@
 //! ⟨conflicts, weighted-completion-time⟩ schedule. Nodes that do not fit
 //! inside the window become leftovers for a later request.
 
-use crate::intent::parse_display_id;
-use cornet_types::{
-    ConflictTable, Inventory, NodeId, Schedule, SchedulingWindow, SimTime, Timeslot,
-};
+use cornet_types::{ConflictTable, Inventory, NodeId, Schedule, SchedulingWindow, Timeslot};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -360,29 +357,10 @@ fn last_used_slot(schedule: &Schedule, slots: &[Timeslot]) -> usize {
         .unwrap_or(0)
 }
 
-/// Convenience: build a conflict table from display-id keyed periods (the
-/// intent JSON's `conflict_table` shape) — used by benches.
-pub fn conflict_table_from_pairs(
-    pairs: &[(&str, SimTime, SimTime)],
-) -> cornet_types::Result<ConflictTable> {
-    let mut ct = ConflictTable::new();
-    for (id, start, end) in pairs {
-        ct.add(
-            parse_display_id(id)?,
-            cornet_types::ConflictEntry {
-                start: *start,
-                end: *end,
-                tickets: vec![format!("CHG-{id}")],
-            },
-        );
-    }
-    Ok(ct)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cornet_types::{Attributes, NfType};
+    use cornet_types::{Attributes, NfType, SimTime};
 
     /// 2 timezones × 2 markets × 2 TACs × 3 USIDs × 2 nodes = 48 nodes.
     fn ran_inventory() -> Inventory {

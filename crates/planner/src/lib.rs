@@ -11,8 +11,11 @@
 //!   six constraint-rule templates);
 //! * [`mod@translate`] — intent → `cornet-model` translation with the linking
 //!   variable vs hybrid-weight strategies of §3.3.2;
-//! * [`mod@plan`] — the end-to-end planner facade (translate → solve → decode);
-//! * [`decompose`] — independent-component splitting with parallel solves;
+//! * [`mod@plan`] — the end-to-end planner facade; translate → solve →
+//!   decode is literally its body;
+//! * [`backend`] — the interchangeable solving strategies behind `solve`;
+//! * [`decompose`] — independent-component splitting and timezone/market
+//!   sharding, and the one split–solve–merge fan both are solved through;
 //! * [`heuristic`] — Algorithm 1: timezone-sequenced market-permutation
 //!   local search scheduling whole USIDs at a time.
 
@@ -31,7 +34,7 @@ pub use backend::{BackendChoice, BackendResult, BackendRun, Budget, SolveContext
 pub use campaigns::{analyze_campaigns, index_by_node, Campaign, NodeClaim};
 pub use heuristic::{heuristic_schedule, HeuristicConfig};
 pub use intent::{ConflictTolerance, ConstraintRule, PlanIntent};
-pub use lint::{analyze_intent, analyze_intent_with, LintOptions};
+pub use lint::analyze_intent;
 pub use plan::{plan, PlanOptions, PlanResult};
 pub use translate::{translate, GroupStrategy, TranslateOptions, Translation};
 pub use warm::{PlanDelta, PlanSnapshot, WarmStart};

@@ -11,29 +11,18 @@
 //! The checks are `cornet-analysis` passes emitting `CN04xx` diagnostics;
 //! [`analyze_intent`] returns them as a [`Report`].
 
+use crate::decompose::ShardKey;
 use crate::intent::{ConstraintRule, PlanIntent};
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_types::{Inventory, NodeId, Result};
 
-/// Knobs for the shard-shape checks (`CN0417`/`CN0418`).
-#[derive(Clone, Copy, Debug)]
-pub struct LintOptions {
-    /// Scope size below which a single timezone/market shard is normal
-    /// and `CN0417` stays quiet.
-    pub shard_scope_threshold: usize,
-    /// Maximum nodes one timezone/market shard should hold before
-    /// `CN0418` flags it as dominating the sharded wall-clock.
-    pub max_shard_nodes: usize,
-}
+/// Scope size below which a single timezone/market shard is normal and
+/// `CN0417` stays quiet.
+const SHARD_SCOPE_THRESHOLD: usize = 256;
 
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            shard_scope_threshold: 256,
-            max_shard_nodes: 50_000,
-        }
-    }
-}
+/// Most nodes one timezone/market shard should hold before `CN0418` flags
+/// it as dominating the sharded wall-clock.
+const MAX_SHARD_NODES: usize = 50_000;
 
 /// Analyze an intent against the inventory and node scope, emitting
 /// `CN04xx` diagnostics anchored to the offending rule.
@@ -41,16 +30,6 @@ pub fn analyze_intent(
     intent: &PlanIntent,
     inventory: &Inventory,
     nodes: &[NodeId],
-) -> Result<Report> {
-    analyze_intent_with(intent, inventory, nodes, &LintOptions::default())
-}
-
-/// [`analyze_intent`] with explicit shard-shape thresholds.
-pub fn analyze_intent_with(
-    intent: &PlanIntent,
-    inventory: &Inventory,
-    nodes: &[NodeId],
-    options: &LintOptions,
 ) -> Result<Report> {
     let mut report = Report::new();
     let window = intent.window()?;
@@ -311,21 +290,16 @@ pub fn analyze_intent_with(
     }
 
     // --- shard shape: will sharded solving actually parallelize?
-    // Nodes are keyed exactly as `decompose::shard_translation` keys
-    // units: timezone (milli-hours) plus market attribute.
+    // Nodes are keyed by the `ShardKey` that `decompose::shard_translation`
+    // keys units by.
     {
-        let mut shard_sizes: std::collections::BTreeMap<(i64, String), usize> =
+        let mut shard_sizes: std::collections::BTreeMap<ShardKey, usize> =
             std::collections::BTreeMap::new();
         for &n in nodes {
-            let tz_milli = inventory
-                .attr_of(n, "utc_offset")
-                .and_then(|v| v.as_f64())
-                .map_or(0, |tz| (tz * 1000.0).round() as i64);
-            let market = inventory.group_key_of(n, "market").unwrap_or_default();
-            *shard_sizes.entry((tz_milli, market)).or_insert(0) += 1;
+            *shard_sizes.entry(ShardKey::of(inventory, n)).or_insert(0) += 1;
         }
-        if shard_sizes.len() == 1 && nodes.len() >= options.shard_scope_threshold {
-            let (tz_milli, market) = shard_sizes.keys().next().expect("one shard");
+        if shard_sizes.len() == 1 && nodes.len() >= SHARD_SCOPE_THRESHOLD {
+            let ShardKey { tz_milli, market } = shard_sizes.keys().next().expect("one shard");
             report.push(Diagnostic::warning(
                 Code("CN0417"),
                 SourceRef::Intent,
@@ -338,17 +312,17 @@ pub fn analyze_intent_with(
                 ),
             ));
         }
-        for ((tz_milli, market), size) in &shard_sizes {
-            if *size > options.max_shard_nodes {
+        for (ShardKey { tz_milli, market }, size) in &shard_sizes {
+            if *size > MAX_SHARD_NODES {
                 report.push(Diagnostic::warning(
                     Code("CN0418"),
                     SourceRef::Intent,
                     format!(
                         "timezone/market shard (utc_offset {}, market {:?}) holds {size} nodes, \
-                         over the {}-node bound; this shard dominates the sharded wall-clock",
+                         over the {MAX_SHARD_NODES}-node bound; this shard dominates the sharded \
+                         wall-clock",
                         *tz_milli as f64 / 1000.0,
-                        market,
-                        options.max_shard_nodes
+                        market
                     ),
                 ));
             }
@@ -547,13 +521,18 @@ mod tests {
     }
 
     #[test]
-    fn oversized_shard_warns_under_configured_bound() {
-        // Two markets, one grossly larger: with a 100-node bound the big
-        // shard is flagged while the scope still parallelizes.
+    fn oversized_shard_warns_past_the_bound() {
+        // Two markets, one just past MAX_SHARD_NODES and one exactly at
+        // it: only the first is flagged (the bound is inclusive) while the
+        // scope still parallelizes.
+        let big = MAX_SHARD_NODES + 1;
         let mut inv = Inventory::new();
-        for i in 0..160 {
-            let market = if i < 150 { "NYC" } else { "DFW" };
-            let tz = if i < 150 { -5.0 } else { -6.0 };
+        for i in 0..big + MAX_SHARD_NODES {
+            let (market, tz) = if i < big {
+                ("NYC", -5.0)
+            } else {
+                ("DFW", -6.0)
+            };
             inv.push(
                 format!("n{i}"),
                 NfType::ENodeB,
@@ -564,18 +543,10 @@ mod tests {
         }
         let nodes: Vec<NodeId> = inv.ids().collect();
         let it = intent(&CAP2.replace("\"default_capacity\": 2", "\"default_capacity\": 100"));
-        let report = analyze_intent_with(
-            &it,
-            &inv,
-            &nodes,
-            &LintOptions {
-                max_shard_nodes: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let report = analyze_intent(&it, &inv, &nodes).unwrap();
         let flagged: Vec<_> = report.iter().filter(|d| d.code == Code("CN0418")).collect();
-        assert_eq!(flagged.len(), 1, "only the 150-node shard is over bound");
-        assert!(flagged[0].message.contains("150 nodes"));
+        assert_eq!(flagged.len(), 1, "only the NYC shard is over bound");
+        assert!(flagged[0].message.contains(&format!("{big} nodes")));
+        assert!(flagged[0].message.contains("50000-node bound"));
     }
 }

@@ -1,4 +1,9 @@
-//! End-to-end planning facade: translate → (decompose) → solve → decode.
+//! End-to-end planning facade: translate → solve → decode.
+//!
+//! That is literally the body of [`plan`]: `decompose` does not give it a
+//! second arm, it wraps the chosen backend in the crate's
+//! split–solve–merge combinator ([`crate::decompose`]), which is a backend
+//! like any other.
 //!
 //! This is the "schedule planning workflow" of §4.2 — the NF-agnostic
 //! composition of extract-inventory, extract-topology, detect-conflicts,
@@ -7,7 +12,7 @@
 //! conflicts) and the *discovery time* the paper's evaluation measures.
 
 use crate::backend::{BackendChoice, BackendRun, Budget, SolveContext};
-use crate::decompose::split_translation;
+use crate::decompose::Decomposed;
 use crate::heuristic::HeuristicConfig;
 use crate::intent::PlanIntent;
 use crate::translate::{translate, TranslateOptions, Translation};
@@ -15,7 +20,7 @@ use crate::warm::{PlanSnapshot, WarmStart};
 use cornet_model::ModelStats;
 use cornet_obs::Tracer;
 use cornet_solver::{CancelToken, Outcome, SearchStats, SolverConfig};
-use cornet_types::{par, Inventory, NodeId, Result, Schedule, Topology};
+use cornet_types::{Inventory, NodeId, Result, Schedule, Topology};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,85 +110,28 @@ pub fn plan(
         Arc::new(ws)
     });
     let warm_reuse = warm.as_ref().map(|w| w.reuse_ratio());
-    let backend = options
+    let mut backend = options
         .backend
         .instantiate(&options.solver, &options.heuristic);
+    if options.decompose {
+        backend = Box::new(Decomposed(backend));
+    }
+
+    let mut ctx = SolveContext::new(&translation, inventory, intent, &conflicts);
+    (ctx.tracer, ctx.span_parent, ctx.warm) = (options.tracer.clone(), plan_id, warm);
     let budget = Budget::from_config(&options.solver);
-    let cancel = CancelToken::new();
-
-    let parts = if options.decompose {
-        split_translation(&translation)
-    } else {
-        Vec::new()
-    };
-
-    let (outcome, assignment, search_stats, components, backend_runs) = if parts.len() > 1 {
-        // Backend-agnostic decomposition: every part is a standalone
-        // translation the chosen backend solves on the bounded worker
-        // pool (unconstrained units are singleton parts, so a thread per
-        // part would be a thread per node). Parts beyond the pool wait
-        // their turn, so the time limit is one deadline for the whole
-        // fan: a part gets what is left of it when it starts (floored,
-        // as `ShardedBackend` floors its slices, so a late part still
-        // reaches a first solution), not a fresh limit per wave.
-        let deadline = Instant::now() + budget.time_limit;
-        let results = par::map_ordered(&parts, |part| {
-            let mut ctx = SolveContext::new(&part.translation, inventory, intent, &conflicts)
-                .with_trace(options.tracer.clone(), plan_id);
-            if let Some(w) = &warm {
-                ctx = ctx.with_warm_start(Arc::new(w.slice(&part.vars)));
-            }
-            let part_budget = Budget {
-                max_nodes: budget.max_nodes,
-                time_limit: deadline
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_millis(50)),
-            };
-            backend.solve(&ctx, &part_budget, &cancel)
-        });
-
-        let mut assignment = vec![0i64; translation.model.var_count()];
-        let mut stats = SearchStats::default();
-        let mut outcome = Outcome::Optimal;
-        let mut runs: Vec<BackendRun> = Vec::new();
-        for (part, result) in parts.iter().zip(results) {
-            stats.absorb(&result.stats);
-            runs.extend(result.runs);
-            match (&result.assignment, result.outcome) {
-                (Some(sub), oc) => {
-                    for (&old, &val) in part.vars.iter().zip(sub) {
-                        assignment[old] = val;
-                    }
-                    if oc != Outcome::Optimal && outcome == Outcome::Optimal {
-                        outcome = Outcome::Feasible;
-                    }
-                }
-                (None, _) => outcome = Outcome::Feasible,
-            }
-        }
-        (outcome, assignment, stats, parts.len(), runs)
-    } else {
-        let mut ctx = SolveContext::new(&translation, inventory, intent, &conflicts)
-            .with_trace(options.tracer.clone(), plan_id);
-        if let Some(w) = &warm {
-            ctx = ctx.with_warm_start(w.clone());
-        }
-        let r = backend.solve(&ctx, &budget, &cancel);
-        match r.assignment {
-            Some(assignment) => (r.outcome, assignment, r.stats, 1, r.runs),
-            None => {
-                plan_span.attr("error", "infeasible");
-                return Err(cornet_types::CornetError::Infeasible(format!(
-                    "no schedule under the given intent ({:?})",
-                    r.outcome
-                )));
-            }
-        }
+    let r = backend.solve(&ctx, &budget, &CancelToken::new());
+    let outcome = r.outcome;
+    let Some(assignment) = r.assignment else {
+        plan_span.attr("error", "infeasible");
+        return Err(cornet_types::CornetError::Infeasible(format!(
+            "no schedule under the given intent ({outcome:?})"
+        )));
     };
 
     let schedule = translation.decode(&assignment, &conflicts);
     plan_span.attr("outcome", format!("{outcome:?}"));
-    plan_span.attr("components", components);
+    plan_span.attr("components", r.parts);
     plan_span.attr("discovery_ms", started.elapsed().as_secs_f64() * 1e3);
     plan_span.attr("scheduled", schedule.scheduled_count());
     plan_span.finish();
@@ -191,11 +139,11 @@ pub fn plan(
         schedule,
         outcome,
         model_stats,
-        search_stats,
+        search_stats: r.stats,
         discovery_time: started.elapsed(),
-        components,
+        components: r.parts,
         backend: options.backend,
-        backend_runs,
+        backend_runs: r.runs,
         warm_reuse,
     })
 }

@@ -184,12 +184,9 @@ proptest! {
         let conflicts = f.intent.conflicts().unwrap();
         let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent, &conflicts);
         let backend = sharded();
-        let shard_count = cornet_planner::decompose::shard_translation(
-            &f.translation,
-            &f.inventory,
-            backend.max_shards,
-        )
-        .map_or(1, |s| s.shards.len());
+        let shard_count =
+            cornet_planner::decompose::shard_translation(&f.translation, &f.inventory)
+                .map_or(1, |s| s.shards.len());
         let forward: Vec<usize> = (0..shard_count).collect();
         let mut rotated = forward.clone();
         rotated.rotate_left(seed % shard_count.max(1));

@@ -21,8 +21,18 @@ use std::time::{Duration, Instant};
 /// once by whoever decides the race is over. A cancelled solve keeps its
 /// incumbent and reports [`Outcome::Feasible`] (or [`Outcome::Unknown`]
 /// when nothing was found yet) — cancellation never loses a solution.
+///
+/// Tokens nest: a [`child`](CancelToken::child) is cancelled when it or
+/// any ancestor is, so a race inside a race needs nobody to copy the outer
+/// cancellation inwards.
 #[derive(Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<CancelFlag>);
+
+#[derive(Default)]
+struct CancelFlag {
+    set: AtomicBool,
+    parent: Option<CancelToken>,
+}
 
 impl CancelToken {
     /// A fresh, un-cancelled token.
@@ -30,14 +40,23 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Request cancellation (idempotent).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+    /// A token that reports cancelled when it or `self` is. Cancelling the
+    /// child leaves `self` (and its other children) untouched.
+    pub fn child(&self) -> Self {
+        CancelToken(Arc::new(CancelFlag {
+            set: AtomicBool::new(false),
+            parent: Some(self.clone()),
+        }))
     }
 
-    /// Has cancellation been requested?
+    /// Request cancellation (idempotent).
+    pub fn cancel(&self) {
+        self.0.set.store(true, Ordering::Relaxed);
+    }
+
+    /// Has cancellation been requested, here or on an ancestor?
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.0.set.load(Ordering::Relaxed) || self.0.parent.as_ref().is_some_and(Self::is_cancelled)
     }
 }
 
@@ -1044,6 +1063,32 @@ mod tests {
         let r = solve(&m, &cfg);
         assert_eq!(r.outcome, Outcome::Unknown);
         assert!(r.best.is_none());
+    }
+
+    #[test]
+    fn child_token_sees_its_ancestors_but_not_the_reverse() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let sibling = parent.child();
+        let grandchild = child.child();
+
+        child.cancel();
+        assert!(child.is_cancelled() && grandchild.is_cancelled());
+        assert!(!parent.is_cancelled(), "a child never cancels its parent");
+        assert!(!sibling.is_cancelled(), "nor its sibling");
+        assert_eq!(format!("{sibling:?}"), "CancelToken(false)");
+
+        parent.cancel();
+        assert!(sibling.is_cancelled() && sibling.child().is_cancelled());
+        assert_eq!(
+            format!("{sibling:?}"),
+            "CancelToken(true)",
+            "Debug prints the effective state, not the token's own flag"
+        );
+        // A clone shares the flag; a child does not.
+        let clone = CancelToken::new();
+        clone.clone().cancel();
+        assert!(clone.is_cancelled());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use descriptive::{mad, mean, median, quantile, std_dev, weighted_mean};
 pub use normal::{normal_cdf, two_sided_p};
 pub use online::{
     replay_level_shifts, DetectorPush, MultiTimescaleDetector, OnlineLevelShiftDetector,
-    OrderStatSketch, SlidingTheilSen, TimescaleShift,
+    TimescaleShift,
 };
 pub use rank::{mann_whitney_u, robust_rank_order, robust_rank_order_naive, RankTestResult};
 pub use regression::{

@@ -1,23 +1,13 @@
-//! Online (per-sample) variants of the batch verification kernels.
+//! Online (per-sample) variants of the batch changepoint kernel.
 //!
 //! The batch verifier loads complete before/after series and runs its
 //! statistics once; a production feed (349 KPI equations × ~100k nodes)
-//! arrives one sample at a time. This module provides streaming
-//! counterparts whose results are **bit-identical to the batch kernels on
-//! the same data** — the streaming verifier leans on that equivalence to
-//! promise that replaying a feed sample-by-sample reaches the exact
-//! verdicts `verify_rules` would have produced from the full batch:
+//! arrives one sample at a time. The streaming verifier answers *verdicts*
+//! by re-running the batch kernels over the series it has assembled (so
+//! they are the batch verdicts by construction); what it needs per sample
+//! is the low-latency "something just shifted" signal, and that is what
+//! lives here:
 //!
-//! * [`OrderStatSketch`] — an order-statistic sketch over a stream:
-//!   inserts keep both arrival order and sorted order, so running
-//!   Fligner–Policello rank-order tests ([`OrderStatSketch::rank_order_vs`])
-//!   reproduce [`robust_rank_order`](crate::robust_rank_order) exactly,
-//!   including its NaN fallback and degenerate cases;
-//! * [`SlidingTheilSen`] — incremental Theil–Sen over a sliding window:
-//!   the pairwise-slope multiset is maintained under insertions and
-//!   evictions while the window's pair count fits the
-//!   [`THEIL_SEN_PAIR_CAP`] budget, and falls back to the same seeded
-//!   pair sampling as [`theil_sen`](crate::theil_sen) beyond it;
 //! * [`OnlineLevelShiftDetector`] / [`MultiTimescaleDetector`] — windowed
 //!   changepoint detection that updates per sample and replays to the
 //!   same merged shift list as
@@ -26,246 +16,6 @@
 
 use crate::changepoint::LevelShift;
 use crate::descriptive::{mad, median};
-use crate::rank::{finish_robust_rank_order, placement, RankTestResult};
-use crate::regression::{degenerate_line, theil_sen_seeded, RobustFit, THEIL_SEN_PAIR_CAP};
-
-/// Median of an already ascending-sorted, NaN-free slice. Reproduces
-/// [`median`] bit-for-bit: order statistics depend only on the multiset,
-/// and the even-length interpolation applies the identical expression.
-fn sorted_median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    let hi = sorted[n / 2];
-    if n % 2 == 1 {
-        return hi;
-    }
-    let lo = sorted[n / 2 - 1];
-    lo * (1.0 - 0.5) + hi * 0.5
-}
-
-/// An order-statistic sketch of a sample stream.
-///
-/// Keeps every value twice: in **arrival order** (so placement sums, which
-/// are order-sensitive in floating point, match the batch slice exactly)
-/// and in **sorted order** (so placements cost two binary searches instead
-/// of a scan). NaN values are retained in arrival order but excluded from
-/// the sorted index; their presence routes rank tests through the same
-/// naive-scan fallback the batch kernel uses.
-#[derive(Clone, Debug, Default)]
-pub struct OrderStatSketch {
-    items: Vec<f64>,
-    sorted: Vec<f64>,
-    nan_count: usize,
-}
-
-impl OrderStatSketch {
-    /// Empty sketch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of samples absorbed (NaN included).
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when no samples have been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The samples in arrival order.
-    pub fn items(&self) -> &[f64] {
-        &self.items
-    }
-
-    /// Absorb one sample.
-    pub fn push(&mut self, v: f64) {
-        self.items.push(v);
-        if v.is_nan() {
-            self.nan_count += 1;
-        } else {
-            let at = self.sorted.partition_point(|&o| o < v);
-            self.sorted.insert(at, v);
-        }
-    }
-
-    /// Remove one instance of `v` (matched by bit pattern for NaN, by
-    /// value otherwise). Returns false when no instance is present.
-    pub fn remove(&mut self, v: f64) -> bool {
-        let Some(pos) = self
-            .items
-            .iter()
-            .position(|x| x.to_bits() == v.to_bits() || *x == v)
-        else {
-            return false;
-        };
-        let removed = self.items.remove(pos);
-        if removed.is_nan() {
-            self.nan_count -= 1;
-        } else {
-            let at = self.sorted.partition_point(|&o| o < removed);
-            debug_assert!(self.sorted.get(at) == Some(&removed));
-            self.sorted.remove(at);
-        }
-        true
-    }
-
-    /// Median of the absorbed samples. NaN-free streams answer from the
-    /// sorted index in O(1); streams with NaN fall back to the batch
-    /// [`median`] (whose documented NaN behavior they inherit).
-    pub fn median(&self) -> f64 {
-        if self.nan_count > 0 {
-            return median(&self.items);
-        }
-        sorted_median(&self.sorted)
-    }
-
-    /// Placement of `v` against this sketch: elements strictly below plus
-    /// half the ties — the Fligner–Policello building block.
-    pub fn placement_of(&self, v: f64) -> f64 {
-        if self.nan_count > 0 {
-            return placement(v, &self.items);
-        }
-        let below = self.sorted.partition_point(|&o| o < v);
-        let not_above = self.sorted.partition_point(|&o| o <= v);
-        below as f64 + 0.5 * (not_above - below) as f64
-    }
-
-    /// Fligner–Policello robust rank-order test of this sketch against
-    /// `other`, bit-identical to
-    /// [`robust_rank_order`](crate::robust_rank_order) on the two arrival
-    /// sequences — same placements, same accumulation order, same NaN
-    /// fallback, same degenerate handling.
-    pub fn rank_order_vs(&self, other: &OrderStatSketch) -> RankTestResult {
-        let (xs, ys) = (&self.items, &other.items);
-        if xs.len() < 2 || ys.len() < 2 {
-            return RankTestResult::degenerate(xs, ys);
-        }
-        let px: Vec<f64> = xs.iter().map(|&v| other.placement_of(v)).collect();
-        let py: Vec<f64> = ys.iter().map(|&v| self.placement_of(v)).collect();
-        finish_robust_rank_order(&px, &py, xs, ys)
-    }
-}
-
-/// Incremental Theil–Sen over a sliding window of `(x, y)` points.
-///
-/// While the window's pair count `w(w−1)/2` stays within
-/// [`THEIL_SEN_PAIR_CAP`], the pairwise-slope multiset is maintained
-/// incrementally: a push inserts the new point's slopes against every
-/// resident point (O(w·log w)), an eviction removes the departing point's
-/// slopes. [`fit`](Self::fit) then answers from the slope median in O(w).
-/// Beyond the cap the window is fitted lazily with the same seeded pair
-/// sampling as [`theil_sen`](crate::theil_sen) — deterministic per
-/// (window contents, seed).
-///
-/// In both regimes `fit()` is bit-identical to calling
-/// [`theil_sen_seeded`] on the window contents in arrival order: slope
-/// negation symmetry `(-a)/(-b) == a/b` is exact in IEEE arithmetic, so
-/// maintained slopes equal batch-enumerated slopes regardless of which
-/// point of a pair arrived first.
-#[derive(Clone, Debug)]
-pub struct SlidingTheilSen {
-    window: usize,
-    seed: u64,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Sorted pairwise-slope multiset; `None` when the window is too large
-    /// to maintain it (the seeded-sampling regime).
-    slopes: Option<Vec<f64>>,
-}
-
-impl SlidingTheilSen {
-    /// Window of the most recent `window` points (at least 2).
-    pub fn new(window: usize, seed: u64) -> Self {
-        assert!(window >= 2, "window must be at least 2");
-        let incremental = window * (window - 1) / 2 <= THEIL_SEN_PAIR_CAP;
-        SlidingTheilSen {
-            window,
-            seed,
-            xs: Vec::new(),
-            ys: Vec::new(),
-            slopes: incremental.then(Vec::new),
-        }
-    }
-
-    /// Window with the default seed of [`theil_sen`](crate::theil_sen).
-    pub fn with_default_seed(window: usize) -> Self {
-        Self::new(window, crate::regression::THEIL_SEN_DEFAULT_SEED)
-    }
-
-    /// Points currently resident.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// True when no points are resident.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// The resident window in arrival order.
-    pub fn points(&self) -> (&[f64], &[f64]) {
-        (&self.xs, &self.ys)
-    }
-
-    /// Absorb one point, evicting the oldest when the window is full.
-    pub fn push(&mut self, x: f64, y: f64) {
-        if self.xs.len() == self.window {
-            let (ox, oy) = (self.xs.remove(0), self.ys.remove(0));
-            if let Some(slopes) = &mut self.slopes {
-                for (&qx, &qy) in self.xs.iter().zip(&self.ys) {
-                    let dx = qx - ox;
-                    if dx != 0.0 {
-                        let s = (qy - oy) / dx;
-                        let at = slopes.partition_point(|&o| o < s);
-                        debug_assert!(slopes.get(at) == Some(&s));
-                        slopes.remove(at);
-                    }
-                }
-            }
-        }
-        if let Some(slopes) = &mut self.slopes {
-            for (&qx, &qy) in self.xs.iter().zip(&self.ys) {
-                let dx = x - qx;
-                if dx != 0.0 {
-                    let s = (y - qy) / dx;
-                    let at = slopes.partition_point(|&o| o < s);
-                    slopes.insert(at, s);
-                }
-            }
-        }
-        self.xs.push(x);
-        self.ys.push(y);
-    }
-
-    /// The robust fit over the current window — bit-identical to
-    /// [`theil_sen_seeded`] on [`points`](Self::points) with this
-    /// window's seed and the default pair cap.
-    pub fn fit(&self) -> RobustFit {
-        match &self.slopes {
-            Some(slopes) => {
-                if slopes.is_empty() {
-                    return degenerate_line(&self.ys);
-                }
-                let slope = sorted_median(slopes);
-                let intercepts: Vec<f64> = self
-                    .xs
-                    .iter()
-                    .zip(&self.ys)
-                    .map(|(&x, &y)| y - slope * x)
-                    .collect();
-                RobustFit {
-                    intercept: median(&intercepts),
-                    slope,
-                }
-            }
-            None => theil_sen_seeded(&self.xs, &self.ys, THEIL_SEN_PAIR_CAP, self.seed),
-        }
-    }
-}
 
 /// Outcome of pushing one sample into a changepoint detector.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -513,141 +263,6 @@ pub fn replay_level_shifts(xs: &[f64], window: usize, threshold: f64) -> Vec<Lev
 mod tests {
     use super::*;
     use crate::changepoint::detect_level_shifts;
-    use crate::rank::robust_rank_order;
-    use crate::regression::{theil_sen, theil_sen_exact};
-
-    fn bits(r: &RankTestResult) -> (u64, u64, u64) {
-        (r.z.to_bits(), r.p_value.to_bits(), r.median_diff.to_bits())
-    }
-
-    #[test]
-    fn sketch_rank_test_matches_batch() {
-        let xs: Vec<f64> = (0..40).map(|i| 10.0 + (i % 7) as f64 * 0.3).collect();
-        let ys: Vec<f64> = (0..35).map(|i| 11.0 + (i % 5) as f64 * 0.2).collect();
-        let mut a = OrderStatSketch::new();
-        let mut b = OrderStatSketch::new();
-        xs.iter().for_each(|&v| a.push(v));
-        ys.iter().for_each(|&v| b.push(v));
-        let streamed = a.rank_order_vs(&b);
-        let batch = robust_rank_order(&xs, &ys);
-        assert_eq!(bits(&streamed), bits(&batch));
-        assert_eq!(streamed.direction, batch.direction);
-    }
-
-    #[test]
-    fn sketch_rank_test_matches_batch_nan_fallback() {
-        let xs = [1.0, f64::NAN, 3.0, 4.0];
-        let ys = [2.0, 2.5, f64::NAN, 5.0];
-        let mut a = OrderStatSketch::new();
-        let mut b = OrderStatSketch::new();
-        xs.iter().for_each(|&v| a.push(v));
-        ys.iter().for_each(|&v| b.push(v));
-        let streamed = a.rank_order_vs(&b);
-        let batch = robust_rank_order(&xs, &ys);
-        assert_eq!(streamed.z.to_bits(), batch.z.to_bits());
-    }
-
-    #[test]
-    fn sketch_degenerate_cases_match_batch() {
-        let mut a = OrderStatSketch::new();
-        a.push(1.0);
-        let mut b = OrderStatSketch::new();
-        b.push(2.0);
-        b.push(3.0);
-        assert!(a.rank_order_vs(&b).p_value.is_nan());
-        // Fully separated and fully tied.
-        let (mut lo, mut hi, mut tied) = (
-            OrderStatSketch::new(),
-            OrderStatSketch::new(),
-            OrderStatSketch::new(),
-        );
-        [1.0, 2.0, 3.0].iter().for_each(|&v| lo.push(v));
-        [10.0, 11.0, 12.0].iter().for_each(|&v| hi.push(v));
-        [5.0, 5.0, 5.0].iter().for_each(|&v| tied.push(v));
-        assert_eq!(hi.rank_order_vs(&lo).p_value, 0.0);
-        assert_eq!(
-            bits(&tied.rank_order_vs(&tied.clone())),
-            bits(&robust_rank_order(&[5.0, 5.0, 5.0], &[5.0, 5.0, 5.0]))
-        );
-    }
-
-    #[test]
-    fn sketch_remove_keeps_median_consistent() {
-        let mut s = OrderStatSketch::new();
-        for v in [5.0, 1.0, 9.0, 3.0, 7.0] {
-            s.push(v);
-        }
-        assert_eq!(s.median(), 5.0);
-        assert!(s.remove(9.0));
-        assert!(!s.remove(42.0));
-        assert_eq!(s.median(), median(&[5.0, 1.0, 3.0, 7.0]));
-        assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn sliding_theil_sen_matches_exact_below_capacity() {
-        let xs: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 + 1.5 * x + (x * 7.0) % 3.0).collect();
-        let mut inc = SlidingTheilSen::with_default_seed(64);
-        for (&x, &y) in xs.iter().zip(&ys) {
-            inc.push(x, y);
-        }
-        let batch = theil_sen_exact(&xs, &ys);
-        let fit = inc.fit();
-        assert_eq!(fit.slope.to_bits(), batch.slope.to_bits());
-        assert_eq!(fit.intercept.to_bits(), batch.intercept.to_bits());
-    }
-
-    #[test]
-    fn sliding_theil_sen_eviction_matches_window_refit() {
-        let n = 50usize;
-        let w = 16usize;
-        let xs: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
-        let ys: Vec<f64> = (0..n)
-            .map(|i| 3.0 - 0.5 * (i % 13) as f64 + (i % 4) as f64)
-            .collect();
-        let mut inc = SlidingTheilSen::with_default_seed(w);
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            inc.push(x, y);
-            let lo = (i + 1).saturating_sub(w);
-            let batch = theil_sen(&xs[lo..=i], &ys[lo..=i]);
-            let fit = inc.fit();
-            assert_eq!(
-                fit.slope.to_bits(),
-                batch.slope.to_bits(),
-                "slope diverged at sample {i}"
-            );
-            assert_eq!(fit.intercept.to_bits(), batch.intercept.to_bits());
-        }
-    }
-
-    #[test]
-    fn sliding_theil_sen_large_window_uses_seeded_sampling() {
-        // 300 points → 44 850 pairs > cap, so the incremental multiset is
-        // disabled and fit() must equal the seeded batch estimator.
-        let mut inc = SlidingTheilSen::with_default_seed(300);
-        let xs: Vec<f64> = (0..300).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs
-            .iter()
-            .map(|x| 1.0 + 0.25 * x + (x * 11.0) % 2.0)
-            .collect();
-        for (&x, &y) in xs.iter().zip(&ys) {
-            inc.push(x, y);
-        }
-        let batch = theil_sen(&xs, &ys);
-        assert_eq!(inc.fit().slope.to_bits(), batch.slope.to_bits());
-    }
-
-    #[test]
-    fn sliding_theil_sen_degenerate_x_matches_batch() {
-        let mut inc = SlidingTheilSen::with_default_seed(8);
-        for y in [4.0, 5.0, 6.0] {
-            inc.push(1.0, y);
-        }
-        let fit = inc.fit();
-        assert_eq!(fit.slope, 0.0);
-        assert_eq!(fit.intercept, 5.0);
-    }
 
     #[test]
     fn online_detector_replays_to_batch_shifts() {

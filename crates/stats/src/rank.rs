@@ -56,7 +56,7 @@ impl RankTestResult {
         }
     }
 
-    pub(crate) fn degenerate(xs: &[f64], ys: &[f64]) -> Self {
+    fn degenerate(xs: &[f64], ys: &[f64]) -> Self {
         let mut r = Self::from_z(f64::NAN, xs, ys);
         r.p_value = f64::NAN;
         r
@@ -65,7 +65,7 @@ impl RankTestResult {
 
 /// Placement count of `v` in `other`: the number of elements of `other`
 /// strictly below `v`, counting ties as one half.
-pub(crate) fn placement(v: f64, other: &[f64]) -> f64 {
+fn placement(v: f64, other: &[f64]) -> f64 {
     let mut below = 0.0;
     for &o in other {
         if o < v {
@@ -81,7 +81,7 @@ pub(crate) fn placement(v: f64, other: &[f64]) -> f64 {
 /// two binary searches per value instead of a full scan. Counts below and
 /// tie counts are small integers, exactly representable in `f64`, so the
 /// result is bit-identical to the naive scan.
-pub(crate) fn placements_sorted(values: &[f64], other_sorted: &[f64]) -> Vec<f64> {
+fn placements_sorted(values: &[f64], other_sorted: &[f64]) -> Vec<f64> {
     values
         .iter()
         .map(|&v| {
@@ -148,12 +148,7 @@ pub fn robust_rank_order_naive(xs: &[f64], ys: &[f64]) -> RankTestResult {
 }
 
 /// Shared tail of the FP test once placements are known.
-pub(crate) fn finish_robust_rank_order(
-    px: &[f64],
-    py: &[f64],
-    xs: &[f64],
-    ys: &[f64],
-) -> RankTestResult {
+fn finish_robust_rank_order(px: &[f64], py: &[f64], xs: &[f64], ys: &[f64]) -> RankTestResult {
     let px_sum: f64 = px.iter().sum();
     let py_sum: f64 = py.iter().sum();
     let px_bar = px_sum / xs.len() as f64;

@@ -29,7 +29,7 @@ pub const THEIL_SEN_PAIR_CAP: usize = 32_768;
 
 /// Fixed seed for the sampled pairs of the default [`theil_sen`] entry
 /// point; one seed means one deterministic answer per input.
-pub(crate) const THEIL_SEN_DEFAULT_SEED: u64 = 0x7E11_5E2D;
+const THEIL_SEN_DEFAULT_SEED: u64 = 0x7E11_5E2D;
 
 /// splitmix64 step — deterministic, platform-stable pseudo-randomness for
 /// pair sampling (no dependency on the `rand` crate's stream stability).
@@ -176,7 +176,7 @@ pub fn theil_sen_seeded(xs: &[f64], ys: &[f64], pair_cap: usize, seed: u64) -> R
 
 /// Flat line through the median of `ys` — the fit used when no slope is
 /// estimable (degenerate x, mismatched inputs).
-pub(crate) fn degenerate_line(ys: &[f64]) -> RobustFit {
+fn degenerate_line(ys: &[f64]) -> RobustFit {
     RobustFit {
         intercept: median(ys),
         slope: 0.0,

@@ -11,7 +11,7 @@ use cornet_stats::TimeSeries;
 use cornet_types::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Source of KPI time-series.
 pub trait DataAdapter: Sync {
@@ -20,6 +20,13 @@ pub trait DataAdapter: Sync {
     /// analytics must tolerate missing data (§5.3).
     fn series(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<TimeSeries>;
 }
+
+/// Cache key: one KPI stream is identified by `(node, KPI, carrier)`.
+type StreamKey = (NodeId, String, Option<usize>);
+
+/// One stream's slot: created empty by the first thread to ask for the
+/// key, filled exactly once.
+type StreamCell = Arc<OnceLock<Option<TimeSeries>>>;
 
 /// Memoizing wrapper around a [`DataAdapter`].
 ///
@@ -31,16 +38,14 @@ pub trait DataAdapter: Sync {
 /// stream from the underlying adapter once and serves clones afterwards
 /// — including negative results (`None` is cached too).
 ///
-/// Thread-safe behind an `RwLock`: concurrent readers don't serialize on
-/// cache hits. Two threads racing on the same cold key may both hit the
-/// underlying adapter; both insert the same value (adapters are assumed
-/// deterministic), so results are unaffected.
-/// Cache key: one KPI stream is identified by `(node, KPI, carrier)`.
-type StreamKey = (NodeId, String, Option<usize>);
-
+/// Thread-safe behind an `RwLock` over one cell per key: concurrent
+/// readers don't serialize on cache hits, and the fetch itself runs
+/// outside the lock. Threads racing on the same cold key agree on one
+/// cell under the write lock, exactly one of them fills it, and the rest
+/// wait on that cell — so the underlying adapter sees each stream once.
 pub struct SeriesCache<'a> {
     inner: &'a dyn DataAdapter,
-    cache: RwLock<HashMap<StreamKey, Option<TimeSeries>>>,
+    cache: RwLock<HashMap<StreamKey, StreamCell>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -76,22 +81,33 @@ impl<'a> SeriesCache<'a> {
 impl DataAdapter for SeriesCache<'_> {
     fn series(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<TimeSeries> {
         let key = (node, kpi.to_owned(), carrier);
-        if let Some(hit) = self
+        if let Some(ready) = self
             .cache
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(&key)
+            .and_then(|cell| cell.get())
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
+            return ready.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fetched = self.inner.series(node, kpi, carrier);
-        self.cache
+        let cell: StreamCell = self
+            .cache
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(key, fetched.clone());
-        fetched
+            .entry(key)
+            .or_default()
+            .clone();
+        // A lookup is a miss only if it is the one that fetches; waiting
+        // on a cell somebody else is filling is a hit.
+        let mut fetched = false;
+        let series = cell.get_or_init(|| {
+            fetched = true;
+            self.inner.series(node, kpi, carrier)
+        });
+        let counter = if fetched { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        series.clone()
     }
 }
 
@@ -126,6 +142,34 @@ mod tests {
             adapter.series(NodeId(7), "known", None).unwrap().values,
             vec![7.0]
         );
+    }
+
+    #[test]
+    fn racing_on_one_cold_key_fetches_it_once() {
+        use std::sync::Barrier;
+        let threads = cornet_types::par::workers().max(4);
+        for round in 0..300u32 {
+            let fetches = AtomicUsize::new(0);
+            let adapter = ClosureAdapter(|node: NodeId, _: &str, _: Option<usize>| {
+                fetches.fetch_add(1, Ordering::Relaxed);
+                Some(TimeSeries::new(0, 60, vec![node.0 as f64]))
+            });
+            let cache = SeriesCache::new(&adapter);
+            let barrier = Barrier::new(threads);
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let got = cache.series(NodeId(round), "thr", None).unwrap();
+                        assert_eq!(got.values, vec![round as f64]);
+                    });
+                }
+            });
+            assert_eq!(fetches.load(Ordering::Relaxed), 1, "round {round}");
+            assert_eq!(cache.streams_cached(), 1);
+            assert_eq!(cache.misses(), 1, "one lookup fetched");
+            assert_eq!(cache.hits(), threads - 1, "the rest waited on its cell");
+        }
     }
 
     #[test]

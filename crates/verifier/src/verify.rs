@@ -592,6 +592,16 @@ mod tests {
             16,
             "each stream extracted once for the whole campaign"
         );
+        // The same campaign over a cache held here: 16 streams, each a
+        // single miss, however the (KPI × location) units raced for them.
+        let cache = SeriesCache::new(&counting);
+        for rule in &rules {
+            let noop = Tracer::noop();
+            verify_rule_impl(&cache, rule, &scope(), &inv, &topo, true, &noop, None).unwrap();
+        }
+        assert_eq!(cache.streams_cached(), 16);
+        assert_eq!(cache.misses(), 16);
+        assert_eq!(fetches.load(Ordering::Relaxed), 32);
     }
 
     #[test]
