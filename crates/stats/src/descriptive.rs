@@ -37,21 +37,28 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// Median. Returns `NaN` on empty input. NaN inputs are sorted last and may
 /// poison the result — callers should filter beforehand.
 ///
+/// [`median_in_place`] over a copy of `xs`.
+pub fn median(xs: &[f64]) -> f64 {
+    median_in_place(&mut xs.to_vec())
+}
+
+/// [`median`] by selection inside the caller's buffer: no allocation, and
+/// `xs` comes back permuted.
+///
 /// Uses `select_nth_unstable_by` — O(n) expected instead of the O(n log n)
 /// full sort a quantile needs — and reproduces [`quantile`]`(xs, 0.5)`
 /// bit-for-bit: the even-length interpolation applies the exact same
 /// `lo·(1−frac) + hi·frac` expression with `frac = 0.5`. Inputs containing
 /// NaN fall back to the sort-based quantile so the (documented, deranged)
 /// NaN ordering stays identical between the two paths.
-pub fn median(xs: &[f64]) -> f64 {
+pub fn median_in_place(xs: &mut [f64]) -> f64 {
     if xs.is_empty() || xs.iter().any(|v| v.is_nan()) {
         return quantile(xs, 0.5);
     }
-    let mut buf = xs.to_vec();
-    let n = buf.len();
+    let n = xs.len();
     let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN-free input");
     let hi_idx = n / 2;
-    let (left, hi, _) = buf.select_nth_unstable_by(hi_idx, cmp);
+    let (left, hi, _) = xs.select_nth_unstable_by(hi_idx, cmp);
     let hi = *hi;
     if n % 2 == 1 {
         return hi;
@@ -89,12 +96,24 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 /// Median absolute deviation, scaled by 1.4826 to be consistent with the
 /// standard deviation under normality. `NaN` on empty input.
 pub fn mad(xs: &[f64]) -> f64 {
+    let mut buf = xs.to_vec();
+    let m = median_in_place(&mut buf);
+    mad_in_place(&mut buf, m)
+}
+
+/// [`mad`] of the values in `xs` about their (already computed) median
+/// `m`, overwriting `xs` with the absolute deviations. The deviations
+/// carry no negative zero, so their median does not depend on the order
+/// `xs` arrives in — a buffer [`median_in_place`] has permuted gives the
+/// bits the original order gives.
+pub fn mad_in_place(xs: &mut [f64], m: f64) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    let m = median(xs);
-    let devs: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    1.4826 * median(&devs)
+    for x in xs.iter_mut() {
+        *x = (*x - m).abs();
+    }
+    1.4826 * median_in_place(xs)
 }
 
 #[cfg(test)]

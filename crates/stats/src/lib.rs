@@ -28,7 +28,9 @@ pub mod regression;
 pub mod series;
 
 pub use changepoint::{detect_level_shifts, LevelShift};
-pub use descriptive::{mad, mean, median, quantile, std_dev, weighted_mean};
+pub use descriptive::{
+    mad, mad_in_place, mean, median, median_in_place, quantile, std_dev, weighted_mean,
+};
 pub use normal::{normal_cdf, two_sided_p};
 pub use online::{
     replay_level_shifts, DetectorPush, MultiTimescaleDetector, OnlineLevelShiftDetector,

@@ -15,7 +15,7 @@
 //!   [`coarsen`ed](crate::series::TimeSeries::resample) lanes.
 
 use crate::changepoint::LevelShift;
-use crate::descriptive::{mad, median};
+use crate::descriptive::{mad_in_place, median_in_place};
 
 /// Outcome of pushing one sample into a changepoint detector.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -41,6 +41,10 @@ pub struct OnlineLevelShiftDetector {
     threshold: f64,
     /// Ring of the last `2 × window` samples.
     buf: std::collections::VecDeque<f64>,
+    /// Selection scratch: the clean samples of the ring's older and newer
+    /// half, refilled on every push.
+    pre: Vec<f64>,
+    post: Vec<f64>,
     pushed: usize,
     pending: Option<LevelShift>,
 }
@@ -54,6 +58,8 @@ impl OnlineLevelShiftDetector {
             window,
             threshold,
             buf: std::collections::VecDeque::with_capacity(2 * window),
+            pre: Vec::with_capacity(window),
+            post: Vec::with_capacity(window),
             pushed: 0,
             pending: None,
         }
@@ -83,24 +89,27 @@ impl OnlineLevelShiftDetector {
         // newest evaluable split is i = n − window; the ring holds exactly
         // xs[i−window .. i+window].
         let index = self.pushed - self.window;
-        let buf = self.buf.make_contiguous();
-        let pre: Vec<f64> = buf[..self.window]
-            .iter()
-            .copied()
-            .filter(|v| !v.is_nan())
-            .collect();
-        let post: Vec<f64> = buf[self.window..]
-            .iter()
-            .copied()
-            .filter(|v| !v.is_nan())
-            .collect();
+        let clean = |v: &f64| !v.is_nan();
+        let (pre, post) = (&mut self.pre, &mut self.post);
+        pre.clear();
+        pre.extend(self.buf.range(..self.window).copied().filter(clean));
+        post.clear();
+        post.extend(self.buf.range(self.window..).copied().filter(clean));
         if pre.len() < 2 || post.len() < 2 {
             return DetectorPush::default();
         }
-        let delta = median(&post) - median(&pre);
-        let scale = mad(&pre).max(1e-9 * median(&pre).abs()).max(1e-12);
+        // The batch kernel's `median(post) − median(pre)` over
+        // `mad(pre).max(1e-9·|median(pre)|).max(1e-12)`, with the one
+        // pre-median serving all three of its uses.
+        let pre_median = median_in_place(pre);
+        let delta = median_in_place(post) - pre_median;
+        let scale = mad_in_place(pre, pre_median)
+            .max(1e-9 * pre_median.abs())
+            .max(1e-12);
         let score = delta.abs() / scale;
-        if score < self.threshold {
+        // A NaN score (infinite samples) is no candidate, as in the batch
+        // kernel's `score >= threshold`.
+        if score.is_nan() || score < self.threshold {
             return DetectorPush::default();
         }
         let shift = LevelShift {

@@ -1,11 +1,13 @@
-//! Regularly-sampled KPI time series, aggregation, and staggered-roll-out
-//! alignment.
+//! Regularly-sampled KPI time series, aggregation, and the before/after
+//! split staggered-roll-out alignment is built on.
 //!
 //! KPIs arrive at a native granularity (minutes or hours) and the verifier
 //! operates "on multiple time-scales after the change" (§3.5); staggered
 //! roll-outs are handled "through time-alignment and normalization
-//! analogous to Mercury" (§3.5.2). Timestamps are plain minutes-since-epoch
-//! so this crate stays independent of `cornet-types`.
+//! analogous to Mercury" (§3.5.2) — the verifier's one aligner does that
+//! over [`TimeSeries::before`] and [`TimeSeries::after`]. Timestamps are
+//! plain minutes-since-epoch so this crate stays independent of
+//! `cornet-types`.
 
 /// How to combine samples when resampling or merging series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,41 +108,6 @@ impl TimeSeries {
         TimeSeries::new(self.start_minute, self.step_minutes * factor as u64, values)
     }
 
-    /// Shift the time origin so that `event_minute` becomes relative time 0.
-    ///
-    /// Returns `(pre, post)` sample vectors. This is the per-node half of
-    /// Mercury-style alignment: after shifting, series from nodes changed on
-    /// different days can be overlaid on a common relative axis.
-    pub fn align_at(&self, event_minute: u64) -> (Vec<f64>, Vec<f64>) {
-        (
-            self.before(event_minute).to_vec(),
-            self.after(event_minute).to_vec(),
-        )
-    }
-
-    /// Normalize by the median of the pre-`event_minute` samples, so KPIs
-    /// with different absolute levels (urban vs rural nodes) can be pooled.
-    ///
-    /// Returns `None` when the pre-period median is zero or undefined.
-    pub fn normalize_at(&self, event_minute: u64) -> Option<TimeSeries> {
-        let pre: Vec<f64> = self
-            .before(event_minute)
-            .iter()
-            .copied()
-            .filter(|v| !v.is_nan())
-            .collect();
-        let m = crate::descriptive::median(&pre);
-        if !m.is_finite() || m == 0.0 {
-            return None;
-        }
-        let values = self.values.iter().map(|v| v / m).collect();
-        Some(TimeSeries::new(
-            self.start_minute,
-            self.step_minutes,
-            values,
-        ))
-    }
-
     /// Fraction of samples that are missing (NaN).
     pub fn missing_fraction(&self) -> f64 {
         if self.values.is_empty() {
@@ -215,22 +182,6 @@ mod tests {
         let r = s.resample(2, AggFn::Mean);
         assert_eq!(r.values[0], 1.0);
         assert_eq!(r.values[1], 5.0);
-    }
-
-    #[test]
-    fn align_and_normalize() {
-        let s = ts(vec![10.0, 10.0, 10.0, 20.0, 20.0]);
-        let (pre, post) = s.align_at(1030);
-        assert_eq!(pre, vec![10.0, 10.0, 10.0]);
-        assert_eq!(post, vec![20.0, 20.0]);
-        let n = s.normalize_at(1030).unwrap();
-        assert_eq!(n.values, vec![1.0, 1.0, 1.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn normalize_fails_on_zero_baseline() {
-        let s = ts(vec![0.0, 0.0, 5.0]);
-        assert!(s.normalize_at(1020).is_none());
     }
 
     #[test]

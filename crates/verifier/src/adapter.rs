@@ -2,14 +2,37 @@
 //!
 //! "We create multiple data adapters to support collecting data from
 //! multiple sources" (§3.5.1). The verifier only needs one operation —
-//! fetch the series of a (node, KPI, carrier) stream — so the adapter is a
-//! single-method trait. Production adapters would front vendor counters
-//! or a data lake; tests and experiments use [`ClosureAdapter`] over the
-//! netsim KPI synthesizer.
+//! fetch the series of a (node, KPI, carrier) stream — so an adapter
+//! implements one method, [`DataAdapter::series`]. Production adapters
+//! would front vendor counters or a data lake; tests and experiments use
+//! [`ClosureAdapter`] over the netsim KPI synthesizer.
+//!
+//! The analysis never reads a raw series: it asks for a stream
+//! [`aligned`](DataAdapter::aligned) at a change minute, and for the
+//! [`stacked`](DataAdapter::stacked) average of a control group. A bare
+//! adapter derives both from `series` on every call; a [`SeriesCache`]
+//! runs the same two functions and remembers what they returned:
+//!
+//! | memo    | key                                              | holds |
+//! |---------|--------------------------------------------------|-------|
+//! | raw     | (node, KPI, carrier)                             | the series as the source returned it (`None` included) |
+//! | aligned | (node, KPI, carrier, alignment minute)           | its normalized (pre, post) halves, shared as an `Arc` |
+//! | stacked | (node list, KPI, carrier, reference minute)      | the average of the list's aligned series, shared as an `Arc` |
+//!
+//! The alignment minute is part of the key because a staggered scope gives
+//! every location slice its own median change minute: one control stream
+//! is then aligned at several minutes within one rule. A cache lives as
+//! long as the call that made it — one [`verify_rule`](crate::verify_rule),
+//! one [`verify_rules`](crate::verify_rules) campaign, one
+//! [`poll_verdicts`](crate::StreamingVerifier::poll_verdicts) — and its
+//! memos are dropped with it, so nothing outlives the data it was computed
+//! from.
 
+use crate::analysis::{aligned_normalized, stack, Aligned};
 use cornet_stats::TimeSeries;
 use cornet_types::NodeId;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -19,33 +42,82 @@ pub trait DataAdapter: Sync {
     /// carrier frequency. `None` when the feed has no such stream — the
     /// analytics must tolerate missing data (§5.3).
     fn series(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<TimeSeries>;
+
+    /// The stream split at `at_minute` and normalized by its pre-change
+    /// median (the per-node half of Mercury-style alignment). `None` when
+    /// the stream is missing, has no sample on one side, or has no usable
+    /// baseline.
+    fn aligned(
+        &self,
+        node: NodeId,
+        kpi: &str,
+        carrier: Option<usize>,
+        at_minute: u64,
+    ) -> Option<Arc<Aligned>> {
+        aligned_normalized(&self.series(node, kpi, carrier)?, at_minute).map(Arc::new)
+    }
+
+    /// The average of the aligned series of `nodes` (a control group, all
+    /// aligned at the one reference minute). `None` when no node has a
+    /// usable series.
+    fn stacked(
+        &self,
+        nodes: &[NodeId],
+        kpi: &str,
+        carrier: Option<usize>,
+        at_minute: u64,
+    ) -> Option<Arc<Aligned>> {
+        stack_aligned(self, nodes, kpi, carrier, at_minute)
+    }
 }
+
+/// [`DataAdapter::stacked`] in terms of [`DataAdapter::aligned`].
+fn stack_aligned(
+    adapter: &(impl DataAdapter + ?Sized),
+    nodes: &[NodeId],
+    kpi: &str,
+    carrier: Option<usize>,
+    at_minute: u64,
+) -> Option<Arc<Aligned>> {
+    let aligned: Vec<Arc<Aligned>> = nodes
+        .iter()
+        .filter_map(|&node| adapter.aligned(node, kpi, carrier, at_minute))
+        .collect();
+    stack(&aligned).map(Arc::new)
+}
+
+/// One memo table of a [`SeriesCache`]. A cell is created empty by the
+/// first thread to ask for its key and filled exactly once.
+type Memo<K, V> = RwLock<HashMap<K, Arc<OnceLock<V>>>>;
 
 /// Cache key: one KPI stream is identified by `(node, KPI, carrier)`.
 type StreamKey = (NodeId, String, Option<usize>);
 
-/// One stream's slot: created empty by the first thread to ask for the
-/// key, filled exactly once.
-type StreamCell = Arc<OnceLock<Option<TimeSeries>>>;
+/// What the aligned and stacked memos hold: a derived series every asker
+/// shares, or the fact that there is none.
+type SharedAligned = Option<Arc<Aligned>>;
 
 /// Memoizing wrapper around a [`DataAdapter`].
 ///
 /// A verification campaign touches the same streams over and over: the
-/// overall analysis and every location slice of every KPI query re-fetch
-/// the study and control series, and multiple rules repeat the whole
-/// pattern. Production adapters front a data lake, so each fetch is the
-/// expensive part. `SeriesCache` extracts each `(node, KPI, carrier)`
-/// stream from the underlying adapter once and serves clones afterwards
-/// — including negative results (`None` is cached too).
+/// overall analysis and every location slice of every KPI query read the
+/// study and control series, and multiple rules repeat the whole pattern.
+/// Production adapters front a data lake, so each fetch is the expensive
+/// part; and each (KPI × location) unit would otherwise re-normalize and
+/// re-align every control stream. `SeriesCache` extracts each
+/// `(node, KPI, carrier)` stream from the underlying adapter once —
+/// negative results included — aligns it once per alignment minute, and
+/// stacks each control group once per reference minute (the module docs
+/// have the three memo tables and their lifetime).
 ///
-/// Thread-safe behind an `RwLock` over one cell per key: concurrent
-/// readers don't serialize on cache hits, and the fetch itself runs
-/// outside the lock. Threads racing on the same cold key agree on one
-/// cell under the write lock, exactly one of them fills it, and the rest
-/// wait on that cell — so the underlying adapter sees each stream once.
+/// [`misses`](Self::misses) counts the streams fetched from the underlying
+/// adapter, one per distinct stream; [`hits`](Self::hits) counts every
+/// lookup — raw, aligned or stacked — answered without touching it.
 pub struct SeriesCache<'a> {
     inner: &'a dyn DataAdapter,
-    cache: RwLock<HashMap<StreamKey, StreamCell>>,
+    raw: Memo<StreamKey, Option<Arc<TimeSeries>>>,
+    aligned: Memo<(StreamKey, u64), SharedAligned>,
+    stacked: Memo<(Vec<NodeId>, String, Option<usize>, u64), SharedAligned>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -55,7 +127,9 @@ impl<'a> SeriesCache<'a> {
     pub fn new(inner: &'a dyn DataAdapter) -> Self {
         SeriesCache {
             inner,
-            cache: RwLock::new(HashMap::new()),
+            raw: Memo::default(),
+            aligned: Memo::default(),
+            stacked: Memo::default(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
         }
@@ -64,10 +138,10 @@ impl<'a> SeriesCache<'a> {
     /// Distinct streams fetched so far (including misses cached as
     /// `None`) — a diagnostic for benches and tests.
     pub fn streams_cached(&self) -> usize {
-        self.cache.read().unwrap_or_else(|e| e.into_inner()).len()
+        self.raw.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// Lookups served from the cache.
+    /// Lookups answered without touching the underlying adapter.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
@@ -76,38 +150,74 @@ impl<'a> SeriesCache<'a> {
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
+
+    /// The value under `key` in `memo`, computed by `fill` if this is the
+    /// first lookup of it — every other lookup is a hit, one that waited on
+    /// a cell somebody else was filling included. Concurrent readers don't
+    /// serialize on a filled cell, and `fill` runs outside the table's
+    /// lock: threads racing on one cold key agree on one cell under the
+    /// write lock, exactly one of them fills it, and the rest wait on it.
+    fn memoized<K: Eq + Hash, V: Clone>(
+        &self,
+        memo: &Memo<K, V>,
+        key: K,
+        fill: impl FnOnce() -> V,
+    ) -> V {
+        let table = memo.read().unwrap_or_else(|e| e.into_inner());
+        let known = table.get(&key).cloned();
+        drop(table);
+        let cell = known.unwrap_or_else(|| {
+            let mut table = memo.write().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(table.entry(key).or_default())
+        });
+        let mut filled = false;
+        let value = cell.get_or_init(|| {
+            filled = true;
+            fill()
+        });
+        self.hits.fetch_add(usize::from(!filled), Ordering::Relaxed);
+        value.clone()
+    }
+
+    /// The raw series of one stream; the one lookup that fetches it is the
+    /// stream's miss.
+    fn raw(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<Arc<TimeSeries>> {
+        self.memoized(&self.raw, (node, kpi.to_owned(), carrier), || {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.inner.series(node, kpi, carrier).map(Arc::new)
+        })
+    }
 }
 
 impl DataAdapter for SeriesCache<'_> {
     fn series(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<TimeSeries> {
-        let key = (node, kpi.to_owned(), carrier);
-        if let Some(ready) = self
-            .cache
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .and_then(|cell| cell.get())
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return ready.clone();
-        }
-        let cell: StreamCell = self
-            .cache
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_default()
-            .clone();
-        // A lookup is a miss only if it is the one that fetches; waiting
-        // on a cell somebody else is filling is a hit.
-        let mut fetched = false;
-        let series = cell.get_or_init(|| {
-            fetched = true;
-            self.inner.series(node, kpi, carrier)
-        });
-        let counter = if fetched { &self.misses } else { &self.hits };
-        counter.fetch_add(1, Ordering::Relaxed);
-        series.clone()
+        self.raw(node, kpi, carrier).map(|series| (*series).clone())
+    }
+
+    fn aligned(
+        &self,
+        node: NodeId,
+        kpi: &str,
+        carrier: Option<usize>,
+        at_minute: u64,
+    ) -> Option<Arc<Aligned>> {
+        let key = ((node, kpi.to_owned(), carrier), at_minute);
+        self.memoized(&self.aligned, key, || {
+            aligned_normalized(&*self.raw(node, kpi, carrier)?, at_minute).map(Arc::new)
+        })
+    }
+
+    fn stacked(
+        &self,
+        nodes: &[NodeId],
+        kpi: &str,
+        carrier: Option<usize>,
+        at_minute: u64,
+    ) -> Option<Arc<Aligned>> {
+        let key = (nodes.to_vec(), kpi.to_owned(), carrier, at_minute);
+        self.memoized(&self.stacked, key, || {
+            stack_aligned(self, nodes, kpi, carrier, at_minute)
+        })
     }
 }
 
@@ -170,6 +280,40 @@ mod tests {
             assert_eq!(cache.misses(), 1, "one lookup fetched");
             assert_eq!(cache.hits(), threads - 1, "the rest waited on its cell");
         }
+    }
+
+    #[test]
+    fn alignments_and_stacks_are_memoized_per_minute() {
+        let fetches = AtomicUsize::new(0);
+        let adapter = ClosureAdapter(|node: NodeId, _: &str, _: Option<usize>| {
+            fetches.fetch_add(1, Ordering::Relaxed);
+            let values = (0..10).map(|k| (node.0 * 10 + k) as f64 + 1.0).collect();
+            Some(TimeSeries::new(0, 60, values))
+        });
+        let cache = SeriesCache::new(&adapter);
+        let first = cache.aligned(NodeId(1), "thr", None, 240).unwrap();
+        let again = cache.aligned(NodeId(1), "thr", None, 240).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "one alignment, shared");
+        assert_eq!((first.0.len(), first.1.len()), (4, 6));
+        // A staggered scope aligns the same stream elsewhere: another
+        // entry, the same one fetch.
+        let later = cache.aligned(NodeId(1), "thr", None, 360).unwrap();
+        assert_eq!((later.0.len(), later.1.len()), (6, 4));
+        assert_ne!(first.0[0].to_bits(), later.0[0].to_bits(), "own baseline");
+        assert_eq!(fetches.load(Ordering::Relaxed), 1);
+        assert_eq!((cache.misses(), cache.hits()), (1, 2));
+
+        let group = [NodeId(1), NodeId(2)];
+        let stacked = cache.stacked(&group, "thr", None, 240).unwrap();
+        assert_eq!((cache.misses(), cache.hits()), (2, 3), "node 2 is new");
+        let shared = cache.stacked(&group, "thr", None, 240).unwrap();
+        assert!(Arc::ptr_eq(&stacked, &shared));
+        assert_eq!((cache.misses(), cache.hits()), (2, 4));
+        assert_eq!(fetches.load(Ordering::Relaxed), 2);
+        // The memo changes who computes, not what: a bare adapter returns
+        // the same bits.
+        assert_eq!(adapter.stacked(&group, "thr", None, 240), Some(stacked));
+        assert_eq!(adapter.aligned(NodeId(1), "thr", None, 360), Some(later));
     }
 
     #[test]

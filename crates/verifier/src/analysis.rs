@@ -4,9 +4,13 @@
 //!
 //! 1. each study node's series is **aligned** at its own change time and
 //!    **normalized** by its pre-change median (Mercury-style, handling the
-//!    staggered roll-out);
+//!    staggered roll-out) — asked of the adapter
+//!    ([`DataAdapter::aligned`]), which under a
+//!    [`SeriesCache`](crate::adapter::SeriesCache) answers each (stream,
+//!    minute) once for all the units that share it;
 //! 2. aligned study series are averaged into one relative-time series;
-//!    control nodes are aligned at the median change time and averaged;
+//!    control nodes are aligned at the median change time and averaged
+//!    ([`DataAdapter::stacked`], once per reference minute under a cache);
 //! 3. a robust **ratio regression** `S = βC` is fit on the pre-change
 //!    interval;
 //! 4. the post-change study series is **predicted** from the post-change
@@ -18,9 +22,10 @@
 use crate::adapter::DataAdapter;
 use cornet_stats::rank::Direction;
 use cornet_stats::series::AggFn;
-use cornet_stats::{ratio_regression, robust_rank_order, TimeSeries};
+use cornet_stats::{median_in_place, ratio_regression, robust_rank_order, TimeSeries};
 use cornet_types::{CornetError, NodeId, Result};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which nodes changed, and when (minutes since epoch) — the staggered
 /// roll-out scope produced by the `change_scope` building block.
@@ -109,44 +114,54 @@ pub struct KpiAnalysis {
     pub nodes_used: usize,
 }
 
-/// Align one node's series at its change minute and normalize by the
-/// pre-change median. Returns (pre, post) in relative time.
-fn aligned_normalized(series: &TimeSeries, at_minute: u64) -> Option<Aligned> {
-    let normalized = series.normalize_at(at_minute)?;
-    let (pre, post) = normalized.align_at(at_minute);
+/// A per-node aligned series: (pre-change samples, post-change samples),
+/// normalized, in relative time.
+pub type Aligned = (Vec<f64>, Vec<f64>);
+
+/// Split one node's series at its change minute and normalize both halves
+/// by the pre-change median, so KPIs with different absolute levels (urban
+/// vs rural nodes) can be pooled and series from nodes changed on
+/// different days overlaid on one relative axis — the per-node half of
+/// Mercury-style alignment, and the crate's only aligner. `None` when
+/// either side is empty or the pre-change median is zero or undefined.
+pub(crate) fn aligned_normalized(series: &TimeSeries, at_minute: u64) -> Option<Aligned> {
+    let (pre, post) = (series.before(at_minute), series.after(at_minute));
     if pre.is_empty() || post.is_empty() {
         return None;
     }
-    Some((pre, post))
+    let mut clean: Vec<f64> = pre.iter().copied().filter(|v| !v.is_nan()).collect();
+    let baseline = median_in_place(&mut clean);
+    if !baseline.is_finite() || baseline == 0.0 {
+        return None;
+    }
+    let normalized = |xs: &[f64]| xs.iter().map(|v| v / baseline).collect();
+    Some((normalized(pre), normalized(post)))
 }
 
-/// A per-node aligned series: (pre-change samples, post-change samples).
-type Aligned = (Vec<f64>, Vec<f64>);
+/// Mean of the non-NaN values, summed in iteration order; NaN when every
+/// value is missing.
+fn clean_mean(values: impl Iterator<Item = f64>) -> f64 {
+    let mut clean = 0usize;
+    let sum: f64 = values.filter(|v| !v.is_nan()).inspect(|_| clean += 1).sum();
+    if clean == 0 {
+        f64::NAN
+    } else {
+        sum / clean as f64
+    }
+}
 
 /// Average a set of aligned series (right-aligned pre, left-aligned post).
-fn stack(aligned: &[Aligned]) -> Option<Aligned> {
-    let pre_len = aligned.iter().map(|(p, _)| p.len()).min()?;
-    let post_len = aligned.iter().map(|(_, q)| q.len()).min()?;
+pub(crate) fn stack(aligned: &[Arc<Aligned>]) -> Option<Aligned> {
+    let pre_len = aligned.iter().map(|a| a.0.len()).min()?;
+    let post_len = aligned.iter().map(|a| a.1.len()).min()?;
     if pre_len == 0 || post_len == 0 {
         return None;
     }
-    let mean_at = |extract: &dyn Fn(&Aligned) -> f64| -> f64 {
-        let vals: Vec<f64> = aligned
-            .iter()
-            .map(extract)
-            .filter(|v| !v.is_nan())
-            .collect();
-        if vals.is_empty() {
-            f64::NAN
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    };
-    let pre: Vec<f64> = (0..pre_len)
-        .map(|i| mean_at(&|(p, _): &Aligned| p[p.len() - pre_len + i]))
+    let pre = (0..pre_len)
+        .map(|i| clean_mean(aligned.iter().map(|a| a.0[a.0.len() - pre_len + i])))
         .collect();
-    let post: Vec<f64> = (0..post_len)
-        .map(|i| mean_at(&|(_, q): &Aligned| q[i]))
+    let post = (0..post_len)
+        .map(|i| clean_mean(aligned.iter().map(|a| a.1[i])))
         .collect();
     Some((pre, post))
 }
@@ -157,14 +172,7 @@ fn coarsen(xs: &[f64], factor: usize) -> Vec<f64> {
         return xs.to_vec();
     }
     xs.chunks(factor)
-        .map(|c| {
-            let clean: Vec<f64> = c.iter().copied().filter(|v| !v.is_nan()).collect();
-            if clean.is_empty() {
-                f64::NAN
-            } else {
-                clean.iter().sum::<f64>() / clean.len() as f64
-            }
-        })
+        .map(|block| clean_mean(block.iter().copied()))
         .collect()
 }
 
@@ -179,14 +187,11 @@ pub fn analyze_kpi(
     options: &AnalysisOptions,
 ) -> Result<KpiAnalysis> {
     // --- study side: per-node alignment + normalization.
-    let mut study_aligned = Vec::new();
-    for (&node, &minute) in &scope.changes {
-        if let Some(series) = adapter.series(node, kpi, carrier) {
-            if let Some(a) = aligned_normalized(&series, minute) {
-                study_aligned.push(a);
-            }
-        }
-    }
+    let study_aligned: Vec<Arc<Aligned>> = scope
+        .changes
+        .iter()
+        .filter_map(|(&node, &minute)| adapter.aligned(node, kpi, carrier, minute))
+        .collect();
     let nodes_used = study_aligned.len();
     let (study_pre, study_post) = stack(&study_aligned).ok_or_else(|| {
         CornetError::DataIntegrity(format!("no usable study series for KPI '{kpi}'"))
@@ -196,22 +201,14 @@ pub fn analyze_kpi(
     let reference = scope
         .median_minute()
         .ok_or_else(|| CornetError::DataIntegrity("empty change scope".into()))?;
-    let mut control_aligned = Vec::new();
-    for &node in control {
-        if let Some(series) = adapter.series(node, kpi, carrier) {
-            if let Some(a) = aligned_normalized(&series, reference) {
-                control_aligned.push(a);
-            }
-        }
-    }
 
     // The study-vs-control regression needs a control group; without one
     // we fall back to a pre-vs-post self-comparison (β = 1 over a flat
     // control) — still useful, documented as weaker.
-    let (control_pre, control_post) = match stack(&control_aligned) {
-        Some(c) => c,
-        None => (vec![1.0; study_pre.len()], vec![1.0; study_post.len()]),
-    };
+    let control = adapter
+        .stacked(control, kpi, carrier, reference)
+        .unwrap_or_else(|| Arc::new((vec![1.0; study_pre.len()], vec![1.0; study_post.len()])));
+    let (control_pre, control_post) = &*control;
 
     // Harmonize lengths for the regression and the prediction.
     let pre_len = study_pre.len().min(control_pre.len());
@@ -339,6 +336,22 @@ mod tests {
 
     fn controls() -> Vec<NodeId> {
         vec![NodeId(100), NodeId(101), NodeId(102)]
+    }
+
+    #[test]
+    fn align_and_normalize() {
+        let s = TimeSeries::new(1000, 10, vec![10.0, 10.0, 10.0, 20.0, 20.0]);
+        let (pre, post) = aligned_normalized(&s, 1030).unwrap();
+        assert_eq!(pre, vec![1.0, 1.0, 1.0]);
+        assert_eq!(post, vec![2.0, 2.0]);
+        assert!(aligned_normalized(&s, 1000).is_none(), "nothing before");
+        assert!(aligned_normalized(&s, 1050).is_none(), "nothing after");
+    }
+
+    #[test]
+    fn normalize_fails_on_zero_baseline() {
+        let s = TimeSeries::new(1000, 10, vec![0.0, 0.0, 5.0]);
+        assert!(aligned_normalized(&s, 1020).is_none());
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub mod stream;
 pub mod verify;
 
 pub use adapter::{ClosureAdapter, DataAdapter, SeriesCache};
-pub use analysis::{analyze_kpi, AnalysisOptions, ChangeScope, ImpactVerdict, KpiAnalysis};
+pub use analysis::{
+    analyze_kpi, Aligned, AnalysisOptions, ChangeScope, ImpactVerdict, KpiAnalysis,
+};
 pub use control::{derive_control_group, ControlSelection};
 pub use equation::Equation;
 pub use integrity::{monitor_feeds, FeedAlert, IntegrityConfig};

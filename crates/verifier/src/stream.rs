@@ -8,37 +8,48 @@
 //!
 //! * [`SampleRouter`] — the backpressure-aware ingest edge: a bounded
 //!   queue that sheds the **oldest** sample when full (freshest data wins
-//!   on overload) and counts what it shed;
+//!   on overload) and counts what it shed. A drain hands the queue's
+//!   buffer to the pump and takes the previous one back, so a steady feed
+//!   allocates nothing per pump;
 //! * [`SeriesStore`] — per-(node, KPI, carrier) window state on a fixed
 //!   sampling grid, tolerant of gaps, duplicates, and out-of-order
-//!   delivery; implements [`DataAdapter`], so the batch analytics read it
-//!   like any other feed;
+//!   delivery. A sample finds its stream from borrowed parts (KPI name →
+//!   `(node, carrier)` → window state): no owned key is built per sample.
+//!   Implements [`DataAdapter`], so the batch analytics read it like any
+//!   other feed;
 //! * [`StreamingVerifier`] — the engine: [`offer`](StreamingVerifier::offer)
-//!   enqueues, [`pump`](StreamingVerifier::pump) drains and fans
-//!   per-stream updates across `par::map_ordered` (each study stream feeds a
-//!   per-sample [`MultiTimescaleDetector`] for low-latency change
+//!   enqueues, [`pump`](StreamingVerifier::pump) drains and applies the
+//!   samples in arrival order on the calling thread (each study stream
+//!   feeds a per-sample [`MultiTimescaleDetector`] for low-latency change
 //!   signals), and [`poll_verdicts`](StreamingVerifier::poll_verdicts)
-//!   re-runs the rule fan through the **same** `verify_rule_impl` the
-//!   batch facade uses, over a [`SeriesCache`] of the store.
+//!   re-runs the rule fan through the batch facade itself
+//!   ([`verify_rules_traced`] over the store, so one
+//!   [`SeriesCache`](crate::SeriesCache) per poll).
+//!
+//! The pump is deliberately not fanned: applying one sample costs a few
+//! hundred nanoseconds, starting one worker thread costs as much as
+//! 250–500 samples, and no caller in the repository hands a pump more than
+//! ~1 000 samples (DESIGN.md § *Ingest path* has the arithmetic).
 //!
 //! **Correctness bar:** after replaying a feed sample-by-sample (any
-//! delivery order), `poll_verdicts` is verdict-identical — p-value bits
-//! included — to [`verify_rules`](crate::verify_rules) over the
-//! assembled batch, because both paths share one implementation and the
-//! store reassembles the exact series. The per-sample detectors are a
-//! latency optimization (they gate verdict recomputation and surface
-//! live change events), never a different answer.
+//! delivery order, any pump cadence), `poll_verdicts` is
+//! verdict-identical — p-value bits included — to
+//! [`verify_rules`](crate::verify_rules) over the assembled batch, because
+//! both paths share one implementation and the store reassembles the
+//! exact series. The per-sample detectors are a latency optimization
+//! (they gate verdict recomputation and surface live change events),
+//! never a different answer.
 
-use crate::adapter::{DataAdapter, SeriesCache};
+use crate::adapter::DataAdapter;
 use crate::analysis::ChangeScope;
 use crate::rules::VerificationRule;
-use crate::verify::{verify_rule_impl, VerificationReport};
+use crate::verify::{verify_rules_traced, VerificationReport};
 use cornet_obs::Tracer;
-use cornet_stats::{quantile, MultiTimescaleDetector, TimeSeries};
-use cornet_types::{par, Inventory, NodeId, Result, Topology};
+use cornet_stats::{quantile, MultiTimescaleDetector, TimeSeries, TimescaleShift};
+use cornet_types::{Inventory, NodeId, Result, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 /// One KPI measurement in flight.
@@ -103,17 +114,22 @@ pub enum IngestOutcome {
 /// the oldest queued one — the freshest data is what a go/no-go decision
 /// needs — while counting the loss for the `stream.samples_shed` counter.
 pub struct SampleRouter {
-    queue: Mutex<VecDeque<(StreamSample, Instant)>>,
+    queue: Mutex<SampleBuffer>,
     capacity: usize,
     accepted: AtomicU64,
     shed: AtomicU64,
 }
 
+/// Samples in flight, each with its enqueue instant.
+type SampleBuffer = VecDeque<(StreamSample, Instant)>;
+
 impl SampleRouter {
-    /// Router with the given queue capacity (at least 1).
+    /// Router with the given queue capacity (at least 1). The queue starts
+    /// without storage and grows as `offer` fills it, never past
+    /// `capacity` samples.
     pub fn new(capacity: usize) -> Self {
         SampleRouter {
-            queue: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 65_536))),
+            queue: Mutex::new(SampleBuffer::new()),
             capacity: capacity.max(1),
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -135,10 +151,13 @@ impl SampleRouter {
         outcome
     }
 
-    /// Take everything currently queued.
-    fn drain(&self) -> Vec<(StreamSample, Instant)> {
+    /// Take everything currently queued by trading buffers: the queue
+    /// continues in `emptied` (the buffer the previous drain took, since
+    /// consumed), so a steady feed alternates between two buffers and
+    /// allocates nothing per drain.
+    fn drain_into(&self, emptied: &mut SampleBuffer) {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.drain(..).collect()
+        std::mem::swap(&mut *q, emptied);
     }
 
     /// Samples currently waiting.
@@ -157,9 +176,6 @@ impl SampleRouter {
     }
 }
 
-/// Cache key of one stream — mirrors the [`SeriesCache`] key.
-type StreamKey = (NodeId, String, Option<usize>);
-
 /// Per-stream window state: the grid buffer plus (for study streams) the
 /// per-sample detector.
 struct StreamState {
@@ -169,25 +185,27 @@ struct StreamState {
 }
 
 impl StreamState {
-    /// Apply one sample. Returns the raw detector candidates it fired,
-    /// or `Err(())` when the timestamp is off-grid.
+    /// Append one grid slot; the detector sees it as a batch replay would.
+    fn append(&mut self, value: f64, fired: &mut Vec<TimescaleShift>) {
+        self.values.push(value);
+        if let Some(d) = &mut self.detector {
+            fired.extend(d.push(value));
+        }
+    }
+
+    /// Apply one sample, adding the raw detector candidates it fires to
+    /// `fired`; `Err(())` when the timestamp is off-grid.
     fn apply(
         &mut self,
         minute: u64,
         value: f64,
         step: u64,
-    ) -> std::result::Result<Vec<(usize, cornet_stats::LevelShift)>, ()> {
-        let mut fired = Vec::new();
-        let mut feed = |detector: &mut Option<MultiTimescaleDetector>, v: f64| {
-            if let Some(d) = detector {
-                fired.extend(d.push(v).into_iter().map(|t| (t.timescale, t.shift)));
-            }
-        };
+        fired: &mut Vec<TimescaleShift>,
+    ) -> std::result::Result<(), ()> {
         if self.values.is_empty() {
             self.start_minute = minute;
-            self.values.push(value);
-            feed(&mut self.detector, value);
-            return Ok(fired);
+            self.append(value, fired);
+            return Ok(());
         }
         if minute >= self.start_minute {
             let offset = minute - self.start_minute;
@@ -195,19 +213,13 @@ impl StreamState {
                 return Err(());
             }
             let idx = (offset / step) as usize;
-            if idx == self.values.len() {
-                // The common case: in-order append; the detector sees the
-                // stream exactly as a batch replay would.
-                self.values.push(value);
-                feed(&mut self.detector, value);
-            } else if idx > self.values.len() {
-                // A gap: the skipped grid slots are missing samples.
+            if idx >= self.values.len() {
+                // In-order append, after filling any gap: the skipped grid
+                // slots are missing samples.
                 while self.values.len() < idx {
-                    self.values.push(f64::NAN);
-                    feed(&mut self.detector, f64::NAN);
+                    self.append(f64::NAN, fired);
                 }
-                self.values.push(value);
-                feed(&mut self.detector, value);
+                self.append(value, fired);
             } else {
                 // Late or duplicate delivery: the grid slot is corrected
                 // (last write wins) but the detector, which has already
@@ -230,20 +242,28 @@ impl StreamState {
             self.values = grown;
             self.start_minute = minute;
         }
-        Ok(fired)
+        Ok(())
     }
 }
 
+/// The stream table: KPI name → `(node, carrier)` → window state, which a
+/// lookup reads with borrowed parts only.
+type Streams = HashMap<String, HashMap<(NodeId, Option<usize>), StreamState>>;
+
 /// Assembled window state behind a [`DataAdapter`] face.
 ///
-/// The store is the streaming sibling of [`SeriesCache`]: where the cache
-/// memoizes series fetched from elsewhere, the store *is* the series,
-/// grown one sample at a time. Verdict polls wrap it in a fresh
-/// `SeriesCache` so each stream is assembled once per poll no matter how
-/// many rules, slices, or timescales read it.
+/// The store is the streaming sibling of
+/// [`SeriesCache`](crate::SeriesCache): where the cache memoizes series
+/// fetched from elsewhere, the store *is* the series, grown one sample at
+/// a time. Verdict polls wrap it in a fresh `SeriesCache` so each stream
+/// is assembled once per poll no matter how many rules, slices, or
+/// timescales read it.
+///
+/// One lock guards the table: a pump holds it for writing over its whole
+/// batch, a read holds it while it copies one series out.
 pub struct SeriesStore {
     step_minutes: u64,
-    streams: RwLock<HashMap<StreamKey, Arc<Mutex<StreamState>>>>,
+    streams: RwLock<Streams>,
 }
 
 impl SeriesStore {
@@ -251,50 +271,21 @@ impl SeriesStore {
     pub fn new(step_minutes: u64) -> Self {
         SeriesStore {
             step_minutes: step_minutes.max(1),
-            streams: RwLock::new(HashMap::new()),
+            streams: RwLock::new(Streams::new()),
         }
     }
 
     /// Distinct streams currently held.
     pub fn stream_count(&self) -> usize {
-        self.streams.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Fetch (or create) the state cell of one stream.
-    fn state_for(
-        &self,
-        key: &StreamKey,
-        with_detector: impl FnOnce() -> Option<MultiTimescaleDetector>,
-    ) -> Arc<Mutex<StreamState>> {
-        if let Some(s) = self
-            .streams
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-        {
-            return Arc::clone(s);
-        }
-        let mut w = self.streams.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(w.entry(key.clone()).or_insert_with(|| {
-            Arc::new(Mutex::new(StreamState {
-                start_minute: 0,
-                values: Vec::new(),
-                detector: with_detector(),
-            }))
-        }))
+        let streams = self.streams.read().unwrap_or_else(|e| e.into_inner());
+        streams.values().map(HashMap::len).sum()
     }
 }
 
 impl DataAdapter for SeriesStore {
     fn series(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<TimeSeries> {
-        let key = (node, kpi.to_owned(), carrier);
-        let cell = Arc::clone(
-            self.streams
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&key)?,
-        );
-        let state = cell.lock().unwrap_or_else(|e| e.into_inner());
+        let streams = self.streams.read().unwrap_or_else(|e| e.into_inner());
+        let state = streams.get(kpi)?.get(&(node, carrier))?;
         if state.values.is_empty() {
             return None;
         }
@@ -361,6 +352,8 @@ pub struct StreamingVerifier {
     config: StreamConfig,
     store: SeriesStore,
     router: SampleRouter,
+    /// The pump's batch buffer, empty between pumps.
+    batch: Mutex<SampleBuffer>,
     tracer: Tracer,
     dirty: AtomicBool,
     cached_reports: Mutex<Option<Vec<VerificationReport>>>,
@@ -391,6 +384,7 @@ impl StreamingVerifier {
             config,
             store,
             router,
+            batch: Mutex::new(SampleBuffer::new()),
             tracer,
             dirty: AtomicBool::new(false),
             cached_reports: Mutex::new(None),
@@ -426,108 +420,74 @@ impl StreamingVerifier {
         outcome
     }
 
-    /// Drain the queue and apply every sample: per-stream groups are
-    /// fanned across `par::map_ordered`, each group applying its samples in
-    /// arrival order (one lock per stream, no cross-stream contention).
+    /// Drain the queue and apply every sample, in arrival order, on the
+    /// calling thread.
     pub fn pump(&self) -> PumpStats {
-        let batch = self.router.drain();
+        let mut batch = self.batch.lock().unwrap_or_else(|e| e.into_inner());
+        self.router.drain_into(&mut batch);
         if batch.is_empty() {
             return PumpStats::default();
         }
         let mut span = self.tracer.span("stream.pump");
         span.attr("batch", batch.len());
 
-        // Group by stream, preserving per-stream arrival order.
-        let mut order: Vec<StreamKey> = Vec::new();
-        let mut groups: HashMap<StreamKey, Vec<(StreamSample, Instant)>> = HashMap::new();
-        for (sample, t) in batch {
-            let key = (sample.node, sample.kpi.clone(), sample.carrier);
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(vec![(sample, t)]);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().push((sample, t));
-                }
-            }
-        }
-        // Resolve state cells serially (map writes), then fan the
-        // per-stream work (pure per-cell mutation) across the pool.
-        type StreamWork = (
-            StreamKey,
-            Arc<Mutex<StreamState>>,
-            Vec<(StreamSample, Instant)>,
-        );
-        let work: Vec<StreamWork> = order
-            .into_iter()
-            .map(|key| {
-                let samples = groups.remove(&key).expect("grouped above");
-                let cell = self.store.state_for(&key, || {
-                    self.scope.changes.contains_key(&key.0).then(|| {
-                        MultiTimescaleDetector::new(
-                            &self.config.detect_timescales,
-                            self.config.detect_window,
-                            self.config.detect_threshold,
-                        )
-                    })
-                });
-                (key, cell, samples)
-            })
-            .collect();
-
-        struct GroupOutcome {
-            detections: Vec<StreamDetection>,
-            latencies_us: Vec<f64>,
-            processed: usize,
-            rejected: usize,
-        }
         let step = self.config.step_minutes;
-        let outcomes: Vec<GroupOutcome> = par::map_ordered(&work, |(key, cell, samples)| {
-            let mut out = GroupOutcome {
-                detections: Vec::new(),
-                latencies_us: Vec::with_capacity(samples.len()),
-                processed: 0,
-                rejected: 0,
-            };
-            let mut state = cell.lock().unwrap_or_else(|e| e.into_inner());
-            for (sample, enqueued) in samples {
-                match state.apply(sample.minute, sample.value, step) {
-                    Ok(fired) => {
-                        out.processed += 1;
-                        for (timescale, shift) in fired {
-                            let native = shift.index * timescale;
-                            out.detections.push(StreamDetection {
-                                node: key.0,
-                                kpi: key.1.clone(),
-                                carrier: key.2,
-                                timescale,
-                                minute: state.start_minute + native as u64 * step,
-                                delta: shift.delta,
-                                score: shift.score,
-                            });
-                        }
-                    }
-                    Err(()) => out.rejected += 1,
-                }
-                out.latencies_us
-                    .push(enqueued.elapsed().as_secs_f64() * 1e6);
-            }
-            out
-        });
-
         let mut stats = PumpStats::default();
         {
+            let mut streams = self
+                .store
+                .streams
+                .write()
+                .unwrap_or_else(|e| e.into_inner());
             let mut detections = self.detections.lock().unwrap_or_else(|e| e.into_inner());
             let mut latencies = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
-            for out in outcomes {
-                stats.processed += out.processed;
-                stats.rejected += out.rejected;
-                stats.detections += out.detections.len();
-                detections.extend(out.detections);
-                let room = self.config.latency_cap.saturating_sub(latencies.len());
-                latencies.extend(out.latencies_us.into_iter().take(room));
+            let first_new = detections.len();
+            let mut fired = Vec::new();
+            for (sample, enqueued) in batch.drain(..) {
+                let of_kpi = match streams.get_mut(&sample.kpi) {
+                    Some(of_kpi) => of_kpi,
+                    None => streams.entry(sample.kpi.clone()).or_default(),
+                };
+                // A stream is created at its first sample; study streams
+                // get a detector.
+                let state = of_kpi
+                    .entry((sample.node, sample.carrier))
+                    .or_insert_with(|| StreamState {
+                        start_minute: 0,
+                        values: Vec::new(),
+                        detector: self.scope.changes.contains_key(&sample.node).then(|| {
+                            MultiTimescaleDetector::new(
+                                &self.config.detect_timescales,
+                                self.config.detect_window,
+                                self.config.detect_threshold,
+                            )
+                        }),
+                    });
+                match state.apply(sample.minute, sample.value, step, &mut fired) {
+                    Ok(()) => stats.processed += 1,
+                    Err(()) => stats.rejected += 1,
+                }
+                stats.detections += fired.len();
+                for TimescaleShift { timescale, shift } in fired.drain(..) {
+                    let native = shift.index * timescale;
+                    detections.push(StreamDetection {
+                        node: sample.node,
+                        kpi: sample.kpi.clone(),
+                        carrier: sample.carrier,
+                        timescale,
+                        minute: state.start_minute + native as u64 * step,
+                        delta: shift.delta,
+                        score: shift.score,
+                    });
+                }
+                if latencies.len() < self.config.latency_cap {
+                    latencies.push(enqueued.elapsed().as_secs_f64() * 1e6);
+                }
             }
+            // A pump reports stream by stream, each stream's detections in
+            // arrival order (the sort is stable).
+            detections[first_new..]
+                .sort_by(|a, b| (a.node, &a.kpi, a.carrier).cmp(&(b.node, &b.kpi, b.carrier)));
         }
         if stats.processed > 0 {
             self.dirty.store(true, Ordering::Release);
@@ -557,9 +517,10 @@ impl StreamingVerifier {
     ///
     /// Recomputes only when new samples landed since the last poll
     /// (detector-gated staleness); otherwise the cached reports are
-    /// returned. The fan is the batch `verify_rule_impl` over a
-    /// [`SeriesCache`] of the store, so a full replay is verdict- and
-    /// p-value-bit-identical to [`verify_rules`](crate::verify_rules).
+    /// returned. The fan is the batch [`verify_rules_traced`] over the
+    /// store (one [`SeriesCache`](crate::SeriesCache) per poll), so a full
+    /// replay is verdict- and p-value-bit-identical to
+    /// [`verify_rules`](crate::verify_rules).
     pub fn poll_verdicts(&self) -> Result<Vec<VerificationReport>> {
         if !self.dirty.swap(false, Ordering::AcqRel) {
             if let Some(cached) = &*self
@@ -572,32 +533,23 @@ impl StreamingVerifier {
         }
         let mut span = self.tracer.span("stream.poll_verdicts");
         let parent = span.is_recording().then(|| span.id());
-        let cache = SeriesCache::new(&self.store);
-        let reports: Result<Vec<VerificationReport>> = self
-            .rules
-            .iter()
-            .map(|rule| {
-                verify_rule_impl(
-                    &cache,
-                    rule,
-                    &self.scope,
-                    &self.inventory,
-                    &self.topology,
-                    true,
-                    &self.tracer,
-                    parent,
-                )
-            })
-            .collect();
-        self.tracer.incr("series_cache.hits", cache.hits() as u64);
-        self.tracer
-            .incr("series_cache.misses", cache.misses() as u64);
+        let reports = verify_rules_traced(
+            &self.store,
+            &self.rules,
+            &self.scope,
+            &self.inventory,
+            &self.topology,
+            &self.tracer,
+            parent,
+        );
         if span.is_recording() {
             span.attr("rules", self.rules.len());
             span.attr("ok", reports.is_ok());
             span.finish();
         }
-        let reports = reports?;
+        // A failed fan leaves the state stale: the next poll must run the
+        // fan again, not serve the last success as if it were current.
+        let reports = reports.inspect_err(|_| self.dirty.store(true, Ordering::Release))?;
         *self
             .cached_reports
             .lock()
@@ -605,8 +557,9 @@ impl StreamingVerifier {
         Ok(reports)
     }
 
-    /// Live detections recorded so far (raw per-sample candidates, in
-    /// pump order). `clear` empties the buffer after the read.
+    /// Live detections recorded so far (raw per-sample candidates), emptying
+    /// the buffer: pump by pump, within a pump grouped by stream in
+    /// `(node, KPI, carrier)` order, within a stream in arrival order.
     pub fn take_detections(&self) -> Vec<StreamDetection> {
         std::mem::take(&mut *self.detections.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -807,6 +760,72 @@ mod tests {
         // first surviving sample is minute 360.
         assert_eq!(series.start_minute, 360);
         assert_eq!(series.values, vec![6.0, 7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn queue_starts_empty_and_settles_on_two_buffers() {
+        let e = engine(StreamConfig::default());
+        let capacities = || {
+            let queue = e.router.queue.lock().unwrap().capacity();
+            (queue, e.batch.lock().unwrap().capacity())
+        };
+        assert_eq!(capacities(), (0, 0), "nothing reserved up front");
+        let mut settled = None;
+        for round in 0..6 {
+            for k in 0..100u64 {
+                e.offer(StreamSample {
+                    node: NodeId(0),
+                    kpi: "thr".into(),
+                    carrier: None,
+                    minute: (round * 100 + k) * 60,
+                    value: 1.0,
+                });
+            }
+            assert_eq!(e.pump().processed, 100);
+            if round >= 2 {
+                let now = capacities();
+                let (a, b) = *settled.get_or_insert(now);
+                assert!(now == (a, b) || now == (b, a), "no growth once warm");
+            }
+        }
+        let (queue, batch) = settled.unwrap();
+        assert!(queue >= 100 && batch >= 100, "both buffers are reused");
+    }
+
+    #[test]
+    fn failed_poll_is_not_answered_from_the_cache() {
+        let e = engine(StreamConfig::default());
+        let offer_all = |value_of: &dyn Fn(NodeId, u64) -> f64, ticks: std::ops::Range<u64>| {
+            for k in ticks {
+                for n in 0..8u32 {
+                    e.offer(StreamSample {
+                        node: NodeId(n),
+                        kpi: "thr".into(),
+                        carrier: None,
+                        minute: k * 60,
+                        value: value_of(NodeId(n), k),
+                    });
+                }
+            }
+            e.pump();
+        };
+        offer_all(&|n, k| feed_value(n, k, 20.0), 0..200);
+        assert_eq!(e.poll_verdicts().unwrap()[0].decision, GoNoGo::Go);
+        // Corrections zero every pre-change sample: no stream has a usable
+        // baseline any more, so the overall unit — and with it the fan —
+        // fails.
+        offer_all(&|_, _| 0.0, 0..100);
+        let first = e.poll_verdicts();
+        assert!(first.is_err(), "{first:?}");
+        let second = e.poll_verdicts();
+        assert_eq!(
+            second.map(|_| ()).map_err(|e| e.to_string()),
+            Err(first.unwrap_err().to_string()),
+            "the failure stands until new samples arrive"
+        );
+        // Restoring the feed restores the verdict.
+        offer_all(&|n, k| feed_value(n, k, 20.0), 0..100);
+        assert_eq!(e.poll_verdicts().unwrap()[0].decision, GoNoGo::Go);
     }
 
     #[test]

@@ -11,13 +11,19 @@
 //! Results are collected back in unit order, so reports are identical to
 //! the sequential reference ([`verify_rule_sequential`]) bit for bit.
 //!
-//! Series extraction is memoized through a
-//! [`SeriesCache`](crate::adapter::SeriesCache): the overall analysis and
-//! every location slice share one fetch per (node, KPI, carrier) stream,
-//! and [`verify_rules`] extends the same cache across a whole campaign of
-//! rules. Location-attribute aggregation produces per-value verdicts so a
-//! halt can target only the problem configuration instead of the whole
-//! network (§5.2).
+//! Every entry point but the sequential reference wraps its adapter in one
+//! [`SeriesCache`] for the duration of the call — one rule for
+//! [`verify_rule`], the whole campaign for [`verify_rules`], one poll for
+//! the streaming engine — and the units read through it: each
+//! (node, KPI, carrier) stream is fetched once, aligned once per alignment
+//! minute, and each control group stacked once per reference minute,
+//! however many units, slices and rules ask (`adapter.rs` has the memo
+//! tables and their keys). [`verify_rule_sequential`] hands the units the
+//! bare adapter, which computes the same values with no memo, so the
+//! equivalence tests compare two executions of one arithmetic.
+//! Location-attribute aggregation produces per-value verdicts so a halt can
+//! target only the problem configuration instead of the whole network
+//! (§5.2).
 
 use crate::adapter::{DataAdapter, SeriesCache};
 use crate::analysis::{analyze_kpi, AnalysisOptions, ChangeScope, ImpactVerdict, KpiAnalysis};
@@ -153,10 +159,11 @@ pub fn verify_rule_traced(
     report
 }
 
-/// Sequential, uncached reference implementation of [`verify_rule`]:
-/// plain loops, direct adapter access, one unit at a time. Exists so
-/// equivalence tests (and skeptical readers) can pin the parallel fan and
-/// the series cache to a version with neither.
+/// Sequential, memo-free reference implementation of [`verify_rule`]:
+/// plain loops, direct adapter access (every unit re-fetches, re-aligns
+/// and re-stacks what it reads), one unit at a time. Exists so equivalence
+/// tests (and skeptical readers) can pin the parallel fan and the series
+/// cache to a version with neither.
 pub fn verify_rule_sequential(
     adapter: &dyn DataAdapter,
     rule: &VerificationRule,
@@ -227,7 +234,7 @@ pub fn verify_rules_traced(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_rule_impl(
+fn verify_rule_impl(
     adapter: &dyn DataAdapter,
     rule: &VerificationRule,
     scope: &ChangeScope,

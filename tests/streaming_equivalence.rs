@@ -7,15 +7,23 @@
 //! same series. These properties drive randomized feeds through both
 //! paths and compare every verdict field down to the f64 bit pattern,
 //! including p-values, relative shifts, and per-location breakdowns.
+//!
+//! Two fixed cases pin what the properties leave loose: the pump cadence
+//! is unobservable (store, counters and per-stream detections alike), and
+//! a staggered scope — where every location slice aligns the control
+//! group at its own minute — agrees across the parallel fan, the
+//! sequential reference and a streamed poll.
 
 use cornet::obs::Tracer;
 use cornet::stats::TimeSeries;
 use cornet::types::{Attributes, CornetError, Inventory, NfType, NodeId, Topology};
 use cornet::verifier::{
-    verify_rules, ChangeScope, ClosureAdapter, DataAdapter, Expectation, KpiQuery, StreamConfig,
-    StreamSample, StreamingVerifier, VerificationReport, VerificationRule,
+    verify_rule, verify_rule_sequential, verify_rules, ChangeScope, ClosureAdapter, DataAdapter,
+    Expectation, KpiQuery, StreamConfig, StreamDetection, StreamSample, StreamingVerifier,
+    VerificationReport, VerificationRule,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One randomized feed: `study` study nodes paired with `study`
 /// controls, `ticks` samples per stream on a 60-minute grid, a level
@@ -280,4 +288,206 @@ proptest! {
         order.reverse();
         assert_paths_agree(&feed, &order)?;
     }
+}
+
+/// One feed with everything a live feed does wrong — ticks locally out of
+/// order, cells that never arrive, cells corrected later, an off-grid
+/// timestamp — delivered identically at four pump cadences.
+#[test]
+fn pump_cadence_is_unobservable() {
+    let feed = Feed {
+        study: 3,
+        ticks: 96,
+        change_tick: 48,
+        delta: 25.0,
+        noise: 1.0,
+        seed: 0xCADE,
+        pump_every: 1,
+    };
+    let ticks = feed.ticks as usize;
+    let streams = feed.study as usize * 2;
+    // Tick-major so the detectors see a mostly in-order stream and fire;
+    // then each cell swaps with one up to three ticks away.
+    let mut order: Vec<usize> = (0..ticks)
+        .flat_map(|k| (0..streams).map(move |n| n * ticks + k))
+        .collect();
+    for i in 0..order.len() {
+        let j = i + (mix(feed.seed, 0x0DD, i as u64) % (3 * streams as u64)) as usize;
+        if j < order.len() {
+            order.swap(i, j);
+        }
+    }
+    let mut delivery: Vec<StreamSample> = Vec::new();
+    for (i, &cell) in order.iter().enumerate() {
+        if i % 13 == 5 {
+            continue; // never arrives: a gap once a later tick lands
+        }
+        delivery.push(sample(&feed, cell));
+        if i % 7 == 3 {
+            // A correction of an earlier cell, with a different value.
+            let mut fix = sample(&feed, order[i / 2]);
+            fix.value += 0.5;
+            delivery.push(fix);
+        }
+        if i % 97 == 0 {
+            let mut off_grid = sample(&feed, cell);
+            off_grid.minute += 1;
+            delivery.push(off_grid);
+        }
+    }
+
+    type Key = (NodeId, String, Option<usize>);
+    let run = |cadence: usize| {
+        let (inv, topo, scope, rules) = fixture(&feed);
+        let config = StreamConfig {
+            detect_window: 4,
+            detect_timescales: vec![1, 4],
+            ..StreamConfig::default()
+        };
+        let engine = StreamingVerifier::new(rules, scope, inv, topo, config, Tracer::noop());
+        let mut detections: BTreeMap<Key, Vec<StreamDetection>> = BTreeMap::new();
+        let mut pump = |engine: &StreamingVerifier| {
+            engine.pump();
+            for d in engine.take_detections() {
+                let key = (d.node, d.kpi.clone(), d.carrier);
+                detections.entry(key).or_default().push(d);
+            }
+        };
+        for (i, s) in delivery.iter().enumerate() {
+            engine.offer(s.clone());
+            if (i + 1) % cadence == 0 {
+                pump(&engine);
+            }
+        }
+        pump(&engine);
+        let series: Vec<Option<TimeSeries>> = (0..feed.study * 2)
+            .map(|n| engine.store().series(NodeId(n), "thr", None))
+            .collect();
+        (series, engine.stats(), detections)
+    };
+    let bits = |series: &[Option<TimeSeries>]| -> Vec<Option<(u64, Vec<u64>)>> {
+        series
+            .iter()
+            .map(|s| {
+                s.as_ref().map(|s| {
+                    (
+                        s.start_minute,
+                        s.values.iter().map(|v| v.to_bits()).collect(),
+                    )
+                })
+            })
+            .collect()
+    };
+
+    let (series, stats, detections) = run(1);
+    assert!(series.iter().all(Option::is_some));
+    assert!(stats.rejected > 0 && stats.processed > 0);
+    assert!(
+        detections.values().map(Vec::len).sum::<usize>() > 0,
+        "the step must fire some detector, or the comparison is vacuous"
+    );
+    for cadence in [4, 17, usize::MAX] {
+        let (s, st, d) = run(cadence);
+        assert_eq!(bits(&s), bits(&series), "store at cadence {cadence}");
+        assert_eq!(st, stats, "counters at cadence {cadence}");
+        assert_eq!(d, detections, "detections at cadence {cadence}");
+    }
+}
+
+/// Staggered roll-out over three markets, each with its own change
+/// minutes: every location slice has its own reference minute, so one
+/// control stream is aligned at several minutes within the one rule. The
+/// memoizing fan, the memo-free sequential reference and a streamed poll
+/// must agree to the p-value bit, overall and per location.
+#[test]
+fn staggered_scope_agrees_across_fan_reference_and_stream() {
+    const STUDY: u32 = 9;
+    const TICKS: u64 = 120;
+    let markets = ["NYC", "DFW", "SEA"];
+    let change_tick = |node: u32| 40 + 7 * (node % 3) as u64 + (node / 3) as u64;
+    let value = |node: u32, k: u64| {
+        let h = mix(0x57A6, node as u64, k);
+        if h.is_multiple_of(17) {
+            return f64::NAN;
+        }
+        let mut v = 80.0 + node as f64 + (h % 1000) as f64 / 500.0;
+        if node < STUDY && k >= change_tick(node) {
+            v += if node % 3 == 1 { -9.0 } else { 6.0 };
+        }
+        v
+    };
+
+    let mut inv = Inventory::new();
+    for i in 0..STUDY * 2 {
+        let market = markets[(i % 3) as usize];
+        inv.push(
+            format!("n{i}"),
+            NfType::ENodeB,
+            Attributes::new().with("market", market),
+        );
+    }
+    let mut topo = Topology::with_capacity(STUDY as usize * 2);
+    for i in 0..STUDY {
+        topo.add_edge(NodeId(i), NodeId(i + STUDY));
+    }
+    let scope = ChangeScope {
+        changes: (0..STUDY)
+            .map(|n| (NodeId(n), change_tick(n) * 60))
+            .collect(),
+    };
+    let minutes: std::collections::BTreeSet<u64> = scope.changes.values().copied().collect();
+    assert!(minutes.len() >= 3, "staggered: {minutes:?}");
+    let mut rule = VerificationRule::standard(
+        "staggered",
+        vec![
+            KpiQuery::expecting("thr", true, Expectation::Any),
+            KpiQuery::monitor("lat", false),
+        ],
+    );
+    rule.location_attributes = vec!["market".into()];
+
+    let adapter = ClosureAdapter(move |node: NodeId, _: &str, _: Option<usize>| {
+        Some(TimeSeries::new(
+            0,
+            60,
+            (0..TICKS).map(|k| value(node.0, k)).collect(),
+        ))
+    });
+    let fanned = verify_rule(&adapter, &rule, &scope, &inv, &topo).unwrap();
+    let reference = verify_rule_sequential(&adapter, &rule, &scope, &inv, &topo).unwrap();
+
+    let engine = StreamingVerifier::new(
+        vec![rule.clone()],
+        scope.clone(),
+        inv.clone(),
+        topo.clone(),
+        StreamConfig::default(),
+        Tracer::noop(),
+    );
+    for k in 0..TICKS {
+        for node in 0..STUDY * 2 {
+            for kpi in ["thr", "lat"] {
+                engine.offer(StreamSample {
+                    node: NodeId(node),
+                    kpi: kpi.into(),
+                    carrier: None,
+                    minute: k * 60,
+                    value: value(node, k),
+                });
+            }
+        }
+        engine.pump();
+    }
+    let streamed = engine.poll_verdicts().unwrap();
+
+    for kr in &fanned.kpis {
+        assert_eq!(kr.per_location.len(), markets.len());
+        assert!(
+            kr.per_location.iter().all(|l| l.analysis.is_ok()),
+            "every market slice must be analyzable, or the case is vacuous"
+        );
+    }
+    let fanned = [fanned];
+    assert_reports_bit_equal(&fanned, &[reference]).unwrap();
+    assert_reports_bit_equal(&streamed, &fanned).unwrap();
 }
