@@ -34,44 +34,38 @@ pub struct ScanOutcome {
     pub torn: bool,
 }
 
+/// Walk the valid records of a journal byte stream once, yielding each
+/// payload (borrowed) with the offset just past its record. Stops at the
+/// first byte range that does not frame and checksum.
+pub(crate) fn records(bytes: &[u8]) -> impl Iterator<Item = (&str, usize)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let (payload, end) = parse_record(bytes, pos)?;
+        pos = end;
+        Some((payload, end))
+    })
+}
+
 /// End offsets of each valid record, so tests can cut a journal exactly at
 /// a record boundary. `boundaries(b)[k]` is the length of a journal
 /// containing the first `k + 1` records.
 pub fn boundaries(bytes: &[u8]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while let Some(end) = record_end(bytes, pos) {
-        out.push(end);
-        pos = end;
-    }
-    out
+    records(bytes).map(|(_, end)| end).collect()
 }
 
 /// Scan a journal byte stream, collecting valid record payloads and
 /// locating the torn-tail truncation point.
 pub fn scan(bytes: &[u8]) -> ScanOutcome {
     let mut out = ScanOutcome::default();
-    let mut pos = 0;
-    while pos < bytes.len() {
-        match parse_record(bytes, pos) {
-            Some((payload, end)) => {
-                out.payloads.push(payload);
-                out.valid_len = end;
-                pos = end;
-            }
-            None => break,
-        }
+    for (payload, end) in records(bytes) {
+        out.payloads.push(payload.to_owned());
+        out.valid_len = end;
     }
     out.torn = out.valid_len != bytes.len();
     out
 }
 
-/// Where the record starting at `pos` ends, if it frames and checksums.
-fn record_end(bytes: &[u8], pos: usize) -> Option<usize> {
-    parse_record(bytes, pos).map(|(_, end)| end)
-}
-
-fn parse_record(bytes: &[u8], start: usize) -> Option<(String, usize)> {
+fn parse_record(bytes: &[u8], start: usize) -> Option<(&str, usize)> {
     // `<len>` — 1..=9 decimal digits, then ':'.
     let mut pos = start;
     let mut len: usize = 0;
@@ -103,8 +97,7 @@ fn parse_record(bytes: &[u8], start: usize) -> Option<(String, usize)> {
     if bytes.get(pos) != Some(&b'\n') || fnv1a64(payload) != crc {
         return None;
     }
-    let payload = std::str::from_utf8(payload).ok()?;
-    Some((payload.to_owned(), pos + 1))
+    Some((std::str::from_utf8(payload).ok()?, pos + 1))
 }
 
 #[cfg(test)]

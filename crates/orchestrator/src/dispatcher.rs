@@ -7,29 +7,30 @@
 //! slot run concurrently up to a limit; as an instance finishes, the next
 //! is triggered.
 //!
-//! # Continuous admission (no waves)
+//! # Continuous admission, no hand-off
 //!
-//! Earlier versions ran each slot in *waves*: `concurrency` instances were
-//! spawned, the dispatcher joined **all** of them, and only then started
-//! the next batch. One straggler therefore stalled `concurrency − 1` idle
-//! workers at every wave boundary. That wave/barrier loop is gone.
-//!
-//! Each slot now runs through a **continuous-admission worker pool**: a
-//! fixed set of `concurrency` workers pull dispatch indices off a shared
-//! job channel the moment they free up, so admission is limited only by
-//! worker availability, never by a barrier. Results stream back over a
-//! channel tagged with their dispatch index and are fed through a reorder
-//! buffer, which restores dispatch order before anything user-visible
-//! happens. Three invariants survive the rewrite:
+//! A slot is run by `min(concurrency, runnable)` **self-admitting
+//! workers**, the calling thread among them. A worker runs one instance,
+//! then takes the slot's one lock and, under it: deposits its report in a
+//! reorder buffer, advances the contiguous completed prefix through the
+//! gate/breaker callback (once per instance, in dispatch order), asks the
+//! campaign control, and — if nobody halted — takes the next dispatch
+//! index *for itself*. There is no wave barrier, so one straggler never
+//! idles the other workers; and there is no queue, collector thread or
+//! condition variable between a completion and the next admission, so an
+//! instance costs one uncontended lock, not two thread wake-ups (DESIGN.md
+//! § *Continuous-admission dispatch* has the protocol and the arithmetic).
+//! Three invariants hold at every concurrency:
 //!
 //! * [`DispatchReport::instances`] is always in deterministic dispatch
 //!   order (slot-major, node order within the slot) no matter how threads
 //!   interleave.
 //! * Gate/breaker decisions are evaluated on dispatch-order *prefixes* of
-//!   completed instances, so a halt happens after the same instance on
-//!   every run — concurrency changes wall-clock time, never outcomes.
-//! * A halt stops **admission** immediately but drains in-flight work;
-//!   drained instances are reported separately (see
+//!   completed instances, and each is taken before the admission it could
+//!   veto, so a halt happens after the same instance on every run —
+//!   concurrency changes wall-clock time, never outcomes.
+//! * A halt stops **admission** immediately but lets in-flight work
+//!   finish; those instances are reported separately (see
 //!   [`DispatchReport::drained`]) because which instances were in flight
 //!   at halt time is inherently timing-dependent.
 //!
@@ -48,7 +49,6 @@ use cornet_types::{CornetError, NodeId, Result, Schedule, Timeslot};
 use cornet_workflow::{WarArtifact, Workflow};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 /// Result of one workflow instance run by the dispatcher.
@@ -131,8 +131,8 @@ impl DispatchReport {
 pub struct Dispatcher {
     war: WarArtifact,
     registry: ExecutorRegistry,
-    /// Worker-pool size: the maximum number of instances in flight at any
-    /// moment within a slot.
+    /// The maximum number of instances in flight at any moment within a
+    /// slot — the number of workers a slot runs on.
     pub concurrency: usize,
     /// Observability handle. Noop by default; attach one with
     /// [`Dispatcher::with_tracer`] to record dispatch → slot → instance →
@@ -577,25 +577,24 @@ impl Dispatcher {
         Ok(out)
     }
 
-    /// Run one slot through the continuous-admission pool.
+    /// Run one slot with self-admitting workers.
     ///
-    /// `concurrency` workers pull dispatch indices off a shared job
-    /// channel, run the instance, and stream the result back tagged with
-    /// its index. Admission is collector-driven: the channel is primed
-    /// with `concurrency` jobs, and each received completion admits
-    /// exactly one more — after the reorder buffer has advanced the
-    /// contiguous completed prefix and consulted `on_complete` (once per
-    /// instance, in dispatch order). A worker therefore starts the next
-    /// instance the moment one finishes, with no wave barrier, yet a
-    /// gate/breaker verdict is always taken **before** the admission it
-    /// could have vetoed — at concurrency 1 this degenerates to exactly
-    /// the sequential admit-check-admit loop, which is what makes the
+    /// `min(concurrency, runnable)` workers — the calling thread is the
+    /// first — each start on one dispatch index. A worker that finishes an
+    /// instance takes the slot lock and [`Admission::complete`]s it: the
+    /// reorder buffer advances the contiguous completed prefix through
+    /// `on_complete` (once per instance, in dispatch order), and only then
+    /// does the worker take the next index for itself. Nothing is handed
+    /// to another thread, so a completion costs no wake-up; every
+    /// completion still admits at most one instance, and a gate/breaker
+    /// verdict is always taken **before** the admission it could have
+    /// vetoed — at concurrency 1 this is literally the sequential
+    /// admit-check-admit loop, which is what makes the
     /// dispatch-equivalence properties hold.
     ///
-    /// `on_complete` returning `false` halts admission: the job channel
-    /// closes, idle workers exit, in-flight instances finish into the
-    /// drained list, and the ordered prefix is frozen at the halting
-    /// instance.
+    /// `on_complete` returning `false` halts admission: workers exit as
+    /// they finish, their instances land in the drained list, and the
+    /// ordered prefix is frozen at the halting instance.
     ///
     /// On resume, `items` may contain recorded [`SlotItem::Done`] reports:
     /// they pre-fill the reorder buffer, so the gate consumes them in
@@ -614,171 +613,96 @@ impl Dispatcher {
         dispatch_parent: Option<SpanId>,
         journal: Option<&Journal>,
         control: Option<&CampaignControl>,
-        mut on_complete: impl FnMut(&InstanceReport) -> bool,
+        on_complete: impl FnMut(&InstanceReport) -> bool + Send,
     ) -> (Vec<InstanceReport>, Vec<InstanceReport>, bool) {
         let n = items.len();
-        let mut ordered: Vec<InstanceReport> = Vec::with_capacity(n);
-        let mut drained: Vec<(usize, InstanceReport)> = Vec::new();
-        let mut halted = false;
         if n == 0 {
-            return (ordered, Vec::new(), false);
+            return (Vec::new(), Vec::new(), false);
         }
         let mut slot_span = self.tracer.span_with_parent("slot", dispatch_parent);
         slot_span.attr("slot", slot.0);
         slot_span.attr("nodes", n);
         let slot_id = slot_span.is_recording().then(|| slot_span.id());
+        // Dispatch indices that actually need a worker.
+        let run_indices: Vec<usize> = (0..n)
+            .filter(|&i| matches!(items[i], SlotItem::Run { .. }))
+            .collect();
         // Phase 0: pre-fill the reorder buffer with recorded completions
         // and advance the contiguous prefix through them, consulting the
         // gate BEFORE any fresh admission it could veto.
-        let mut pending: Vec<Option<InstanceReport>> = items
-            .iter()
-            .map(|item| match item {
-                SlotItem::Done(recorded) => Some(recorded.clone()),
-                SlotItem::Run { .. } => None,
-            })
-            .collect();
-        while let Some(next) = pending.get_mut(ordered.len()).and_then(|o| o.take()) {
-            let admit_more = on_complete(&next);
-            ordered.push(next);
-            if !admit_more {
-                halted = true;
-                break;
-            }
-        }
-        // Dispatch indices that actually need a worker.
-        let run_indices: Vec<usize> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, item)| matches!(item, SlotItem::Run { .. }))
-            .map(|(i, _)| i)
-            .collect();
+        let mut admission = Admission {
+            pending: items
+                .iter()
+                .map(|item| match item {
+                    SlotItem::Done(recorded) => Some(recorded.clone()),
+                    SlotItem::Run { .. } => None,
+                })
+                .collect(),
+            ordered: Vec::with_capacity(n),
+            drained: Vec::new(),
+            halted: false,
+            next: 0,
+            run_indices: &run_indices,
+            control,
+            on_complete,
+        };
+        admission.advance();
         // Admission point: a pause blocks here before any fresh work
-        // starts; a cancel halts the slot before the pool spins up.
-        if !halted && control.is_some_and(|c| !c.admit()) {
-            halted = true;
+        // starts; a cancel halts the slot before a worker does. After a
+        // (recorded) halt nothing fresh runs, and recorded completions
+        // past it drain exactly as live in-flight work would have.
+        if !admission.halted && control.is_some_and(|c| !c.admit()) {
+            admission.halted = true;
         }
-        if halted || run_indices.is_empty() {
-            // A recorded halt (or an all-recorded slot): nothing fresh
-            // runs; recorded completions past the halt drain exactly as
-            // live in-flight work would have.
-            for (j, buffered) in pending.iter_mut().enumerate() {
-                if let Some(r) = buffered.take() {
-                    drained.push((j, r));
-                }
-            }
-            drained.sort_by_key(|&(i, _)| i);
-            let drained: Vec<InstanceReport> = drained.into_iter().map(|(_, r)| r).collect();
-            if slot_span.is_recording() {
-                slot_span.attr("completed", ordered.len());
-                slot_span.attr("drained", drained.len());
-                slot_span.attr("halted", halted);
-                self.tracer.incr("instances.drained", drained.len() as u64);
-            }
-            return (ordered, drained, halted);
-        }
-        let workers = self.concurrency.min(run_indices.len());
+        let workers = if admission.halted {
+            admission.drain_pending();
+            0
+        } else {
+            self.concurrency.min(run_indices.len())
+        };
+        admission.next = workers;
+        let admission = Mutex::new(admission);
         let permits = self.permits.as_deref();
-        let (job_tx, job_rx) = mpsc::channel::<usize>();
-        let job_rx = Mutex::new(job_rx);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, InstanceReport)>();
-        // Prime the pool: one job per worker; the rest are admitted one
-        // per completion.
-        let mut next_admission = workers;
-        for &i in &run_indices[..workers] {
-            job_tx.send(i).expect("receiver alive");
-        }
-        let mut job_tx = Some(job_tx);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let result_tx = result_tx.clone();
-                let job_rx = &job_rx;
-                let registry = &self.registry;
-                let tracer = &self.tracer;
-                let items = &items;
-                scope.spawn(move || loop {
-                    // Hold the lock only for the dequeue, not the run:
-                    // workers block here only when no job is admitted yet.
-                    let job = {
-                        let rx = job_rx.lock().unwrap_or_else(|e| e.into_inner());
-                        rx.recv()
-                    };
-                    let Ok(i) = job else { break };
-                    let SlotItem::Run { node, replay } = &items[i] else {
-                        unreachable!("only Run indices are admitted");
-                    };
-                    let report = {
-                        // Hold a quota slot for exactly the execution.
-                        let _slot = permits.map(SlotGuard::acquire);
-                        run_instance(
-                            workflow,
-                            registry.clone(),
-                            *node,
-                            slot,
-                            inputs_for(*node),
-                            tracer,
-                            slot_id,
-                            journal,
-                            replay.clone(),
-                        )
-                    };
-                    if result_tx.send((i, report)).is_err() {
-                        break;
-                    }
-                });
+        let work = |mut i: usize| loop {
+            let SlotItem::Run { node, replay } = &items[i] else {
+                unreachable!("only Run indices are admitted");
+            };
+            let report = {
+                // Hold a quota slot for exactly the execution.
+                let _slot = permits.map(SlotGuard::acquire);
+                run_instance(
+                    workflow,
+                    self.registry.clone(),
+                    *node,
+                    slot,
+                    inputs_for(*node),
+                    &self.tracer,
+                    slot_id,
+                    journal,
+                    replay.clone(),
+                )
+            };
+            let mut admission = admission.lock().unwrap_or_else(|e| e.into_inner());
+            match admission.complete(i, report) {
+                Some(next) => i = next,
+                None => break,
             }
-            // Workers hold the only remaining result senders: the
-            // collector loop ends exactly when the last worker exits.
-            drop(result_tx);
-            for (i, rep) in result_rx.iter() {
-                if halted {
-                    drained.push((i, rep));
-                    continue;
+        };
+        std::thread::scope(|scope| {
+            let work = &work;
+            if let Some((&mine, others)) = run_indices[..workers].split_first() {
+                for &i in others {
+                    scope.spawn(move || work(i));
                 }
-                pending[i] = Some(rep);
-                // Advance the contiguous completed prefix, consulting the
-                // gate once per instance in dispatch order.
-                while let Some(next) = pending.get_mut(ordered.len()).and_then(|o| o.take()) {
-                    let admit_more = on_complete(&next);
-                    ordered.push(next);
-                    if !admit_more {
-                        halted = true;
-                        break;
-                    }
-                }
-                if halted {
-                    // Stop admission (idle workers see the closed channel
-                    // and exit) and drain out-of-order completions already
-                    // buffered past the halting instance.
-                    job_tx = None;
-                    for (j, buffered) in pending.iter_mut().enumerate() {
-                        if let Some(r) = buffered.take() {
-                            drained.push((j, r));
-                        }
-                    }
-                } else if next_admission < run_indices.len() {
-                    // Admission point: pause blocks the collector here (in
-                    // flight work keeps streaming in behind it), cancel
-                    // vetoes the admission and drains like a trip.
-                    if control.is_some_and(|c| !c.admit()) {
-                        halted = true;
-                        job_tx = None;
-                        for (j, buffered) in pending.iter_mut().enumerate() {
-                            if let Some(r) = buffered.take() {
-                                drained.push((j, r));
-                            }
-                        }
-                    } else if let Some(tx) = &job_tx {
-                        if tx.send(run_indices[next_admission]).is_ok() {
-                            next_admission += 1;
-                        }
-                    }
-                } else {
-                    // Every index admitted: close the channel so workers
-                    // exit as they go idle.
-                    job_tx = None;
-                }
+                work(mine);
             }
         });
+        let Admission {
+            ordered,
+            mut drained,
+            halted,
+            ..
+        } = admission.into_inner().unwrap_or_else(|e| e.into_inner());
         drained.sort_by_key(|&(i, _)| i);
         let drained: Vec<InstanceReport> = drained.into_iter().map(|(_, r)| r).collect();
         if slot_span.is_recording() {
@@ -788,6 +712,74 @@ impl Dispatcher {
             self.tracer.incr("instances.drained", drained.len() as u64);
         }
         (ordered, drained, halted)
+    }
+}
+
+/// One slot's admission state — what the slot lock guards. Every worker
+/// that finishes an instance brings it here and leaves with the next
+/// dispatch index to run, or with none.
+struct Admission<'a, F> {
+    /// Reorder buffer: completions waiting for the ones dispatched before
+    /// them.
+    pending: Vec<Option<InstanceReport>>,
+    /// The contiguous completed prefix, already shown to `on_complete`.
+    ordered: Vec<InstanceReport>,
+    /// Completions quarantined by a halt, with their dispatch index.
+    drained: Vec<(usize, InstanceReport)>,
+    halted: bool,
+    /// Position in `run_indices` of the next instance to admit.
+    next: usize,
+    run_indices: &'a [usize],
+    control: Option<&'a CampaignControl>,
+    on_complete: F,
+}
+
+impl<F: FnMut(&InstanceReport) -> bool> Admission<'_, F> {
+    /// Advance the contiguous completed prefix, consulting the gate once
+    /// per instance in dispatch order; its `false` halts.
+    fn advance(&mut self) {
+        while !self.halted {
+            let Some(next) = self
+                .pending
+                .get_mut(self.ordered.len())
+                .and_then(Option::take)
+            else {
+                break;
+            };
+            self.halted = !(self.on_complete)(&next);
+            self.ordered.push(next);
+        }
+    }
+
+    /// After a halt: what is buffered out of order past the halting
+    /// instance will never join the prefix, so it drains.
+    fn drain_pending(&mut self) {
+        for (i, buffered) in self.pending.iter_mut().enumerate() {
+            if let Some(report) = buffered.take() {
+                self.drained.push((i, report));
+            }
+        }
+    }
+
+    /// Deposit the report of dispatch index `i` and admit the depositing
+    /// worker's next instance, unless the roll-out halted or none is left.
+    fn complete(&mut self, i: usize, report: InstanceReport) -> Option<usize> {
+        self.pending[i] = Some(report);
+        self.advance();
+        let next = self.run_indices.get(self.next).copied();
+        // Admission point: a pause blocks the worker here, holding the
+        // lock — in-flight instances finish behind it, nothing new
+        // starts — and a cancel vetoes the admission and drains like a
+        // trip.
+        if !self.halted && next.is_some() && self.control.is_some_and(|c| !c.admit()) {
+            self.halted = true;
+        }
+        if self.halted {
+            self.drain_pending();
+            return None;
+        }
+        self.next += 1;
+        next
     }
 }
 

@@ -435,6 +435,11 @@ fn daemon_api_bodies_are_byte_stable() {
     let manager = CampaignManager::start(ManagerConfig {
         state_dir: state_dir.clone(),
         quota_overrides: BTreeMap::from([("alice".to_string(), 3)]),
+        // The final ledger pins the tenant's high-water mark at its quota.
+        // Instances this short only overlap that far when the workers
+        // wait on one another with their permits held, and under `Always`
+        // they do at every append: one syncs, the rest queue behind it.
+        fsync: cornet::journal::FsyncPolicy::Always,
         ..ManagerConfig::default()
     })
     .unwrap();
