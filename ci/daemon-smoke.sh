@@ -3,14 +3,17 @@
 # with release binaries already built:
 #
 #   1. gate      clean bundle accepted (201), defective bundle refused (422)
-#   2. complete  the accepted campaign runs to phase=completed
+#   2. complete  the accepted campaign runs to phase=completed; `cornet
+#                watch` follows it to the end of its event stream and
+#                prints exactly as many lines as the snapshot counts events
 #   2b. blast    a bundle whose declared campaign races a live one is
 #                refused (409 + CN0601 JSONL) while a disjoint bundle is
 #                admitted (201); blast radii are owner-only (403 foreign)
 #   3. kill      SIGKILL mid-campaign, restart on the same state dir; the
 #                campaign resumes from its journal (blocks_recovered > 0)
 #                and lands on the same fingerprint as an uninterrupted run
-#                of the same spec
+#                of the same spec — submitted past a campaign directory
+#                that a crash left without a manifest (201, not a 500)
 #   4. ingest    /v1/ingest accepts a JSONL sample feed, streams live
 #                detections, and reports a go verdict on a clean uplift
 #   5. shutdown  POST /v1/shutdown drains and the process exits cleanly
@@ -78,8 +81,18 @@ fi
 grep -q 'refused by the pre-deploy check gate' "$WORK/refused.txt"
 echo "   refused with $(grep -c '"severity"' "$WORK/refused.txt") diagnostics"
 
-echo "== accepted campaign completes =="
-wait_terminal "$CID" >/dev/null
+echo "== accepted campaign completes; the follow stream is its event log =="
+# `watch` returns when the stream ends, and the stream ends only once the
+# campaign is terminal: the snapshot right after it is final.
+cli watch "$CID" >"$WORK/watch.jsonl"
+FINAL=$(snap "$CID")
+[ "$(echo "$FINAL" | jq -r .phase)" = completed ] \
+  || fail "stream of $CID ended before the campaign did: $FINAL"
+WATCHED=$(wc -l <"$WORK/watch.jsonl")
+EVENTS=$(echo "$FINAL" | jq -r .events)
+[ "$WATCHED" -eq "$EVENTS" ] \
+  || fail "cornet watch printed $WATCHED lines, the snapshot counts $EVENTS events"
+echo "   followed $WATCHED events to phase=completed"
 
 echo "== interference gate: racing live campaign refused, disjoint admitted =="
 # Two bundles that declare campaigns on the same inventory node at the
@@ -143,6 +156,9 @@ for _ in $(seq 1 600); do
   sleep 0.05
 done
 [ "$LIVE" -ge 1 ] || fail "campaign $KID never got a block in flight"
+# What a crash between mkdir and the manifest write leaves behind: the id
+# allocator must count past it, not collide with it.
+mkdir "$STATE/campaigns/c999990"
 { kill -9 "$PID" && wait "$PID"; } 2>/dev/null || true
 echo "   killed cornetd with $LIVE blocks journaled on campaign $KID"
 
@@ -153,7 +169,9 @@ FP=$(echo "$FINAL" | jq -r .outcome.fingerprint)
 [ "$RECOVERED" -ge 1 ] || fail "resumed campaign recovered no journaled blocks"
 
 # An uninterrupted run of the same spec must land on the same fingerprint.
-RID=$(cli submit "$WORK/big.json" | jq -r .id)
+RID=$(cli submit "$WORK/big.json" | jq -r .id) \
+  || fail "submission after a restart over an orphan campaign directory was refused"
+[ "$RID" = c999991 ] || fail "post-restart campaign is $RID (want c999991, past the orphan)"
 REF=$(wait_terminal "$RID" | jq -r .outcome.fingerprint)
 [ "$FP" = "$REF" ] || fail "fingerprint mismatch: resumed $FP vs uninterrupted $REF"
 echo "   resumed $RECOVERED recovered blocks, fingerprint $FP matches clean run"

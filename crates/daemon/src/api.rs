@@ -155,13 +155,7 @@ fn route(
                 stream_events(manager, tenant, id, from)
             } else {
                 match manager.events_since(tenant, id, from) {
-                    Ok((lines, _)) => {
-                        let mut body = lines.join("\n");
-                        if !body.is_empty() {
-                            body.push('\n');
-                        }
-                        full(Response::jsonl(200, body))
-                    }
+                    Ok((lines, _)) => full(Response::jsonl(200, jsonl(&lines))),
                     Err(e) => full(error_response(&e)),
                 }
             }
@@ -224,9 +218,8 @@ fn stream_events(manager: &Arc<CampaignManager>, tenant: &str, id: &str, from: u
                         Err(_) => return Ok(()),
                     };
                 cursor += lines.len();
-                for line in &lines {
-                    writeln!(sink, "{line}")?;
-                }
+                // One `write` per wake-up, not one per record.
+                sink.write_all(jsonl(&lines).as_bytes())?;
                 sink.flush()?;
                 if done {
                     return Ok(());
@@ -234,6 +227,14 @@ fn stream_events(manager: &Arc<CampaignManager>, tenant: &str, id: &str, from: u
             }
         }),
     }
+}
+
+/// `lines` as one JSONL text: every line newline-terminated.
+fn jsonl(lines: &[String]) -> String {
+    lines
+        .iter()
+        .flat_map(|line| [line.as_str(), "\n"])
+        .collect()
 }
 
 fn error_response(e: &ApiError) -> Response {

@@ -106,13 +106,15 @@ fn send_request(
     body: Option<&str>,
 ) -> Result<(), String> {
     let body = body.unwrap_or("");
-    write!(
-        stream,
+    // One `write` for head and body (`write!` would issue one per piece).
+    let message = format!(
         "{method} {path} HTTP/1.1\r\nHost: cornetd\r\nX-Cornet-Tenant: {tenant}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )
-    .map_err(|e| format!("sending request: {e}"))
+    );
+    stream
+        .write_all(message.as_bytes())
+        .map_err(|e| format!("sending request: {e}"))
 }
 
 fn read_head(reader: &mut BufReader<TcpStream>) -> Result<(u16, BTreeMap<String, String>), String> {

@@ -289,26 +289,27 @@ fn status_text(code: u16) -> &'static str {
 
 fn write_reply(stream: &mut TcpStream, reply: Reply) -> std::io::Result<()> {
     match reply {
+        // `write!` on a socket is one system call per format piece: build
+        // the message first and send it with one.
         Reply::Full(r) => {
-            write!(
-                stream,
+            let mut message = format!(
                 "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
                 r.status,
                 status_text(r.status),
                 r.content_type,
                 r.body.len()
-            )?;
-            stream.write_all(r.body.as_bytes())
+            );
+            message.push_str(&r.body);
+            stream.write_all(message.as_bytes())
         }
         Reply::Stream {
             content_type,
             write: body,
         } => {
-            write!(
-                stream,
+            let head = format!(
                 "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n"
-            )?;
-            stream.flush()?;
+            );
+            stream.write_all(head.as_bytes())?;
             // Streams outlive the worker read timeout by design.
             let _ = stream.set_write_timeout(Some(Duration::from_secs(300)));
             body(stream)

@@ -23,7 +23,7 @@ use cornet_orchestrator::{recover_campaign, CampaignControl, DispatchReport, Dis
 use cornet_types::json::{parse, JsonWriter};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Errors the API maps onto HTTP status codes.
@@ -202,10 +202,8 @@ struct Entry {
     phase: CampaignPhase,
     /// Pending resume of an interrupted journal (vs a fresh first run).
     resume: bool,
-    instances_done: usize,
-    blocks_live: usize,
     blocks_recovered: usize,
-    events: Vec<String>,
+    log: Arc<EventLog>,
     outcome: Option<CampaignResult>,
     error: Option<String>,
     /// Blast radii of the bundle's declared campaigns, when it declared
@@ -217,18 +215,118 @@ struct Entry {
 
 impl Entry {
     fn snapshot(&self) -> CampaignSnapshot {
+        let log = self.log.lock();
         CampaignSnapshot {
             id: self.manifest.id.clone(),
             tenant: self.manifest.tenant.clone(),
             name: self.manifest.name.clone(),
             phase: self.phase,
             total_instances: self.scenario.nodes,
-            instances_done: self.instances_done,
-            blocks_live: self.blocks_live,
+            instances_done: log.instances_done,
+            blocks_live: log.blocks_live,
             blocks_recovered: self.blocks_recovered,
-            events: self.events.len(),
+            events: log.lines.len(),
             outcome: self.outcome.clone(),
             error: self.error.clone(),
+        }
+    }
+
+    /// Enter a terminal phase and end the event stream in one step: when a
+    /// follower's stream ends, the next snapshot has phase and outcome.
+    fn finish(&mut self, phase: CampaignPhase, outcome: Option<CampaignResult>) {
+        self.phase = phase;
+        self.outcome = outcome;
+        self.log.close();
+    }
+}
+
+/// How long a record that wakes nobody (`instance_admitted`,
+/// `block_completed`) can wait for a parked follower to look again.
+const FOLLOW_STALENESS: Duration = Duration::from_millis(100);
+
+/// One campaign's journal records as JSONL lines and the progress counters
+/// derived from them, behind its own lock. The journal listener writes and
+/// takes nothing else; readers take the manager mutex only to find the log.
+#[derive(Default)]
+struct EventLog {
+    state: Mutex<LogState>,
+    cond: Condvar,
+}
+
+#[derive(Default)]
+struct LogState {
+    lines: Vec<String>,
+    /// `block_completed` records appended by this process.
+    blocks_live: usize,
+    instances_done: usize,
+    /// The campaign is terminal: no line will follow.
+    closed: bool,
+}
+
+impl EventLog {
+    /// The log of a campaign whose journal already holds `events`.
+    fn recovered(events: &[JournalEvent]) -> EventLog {
+        let finished = |e: &&JournalEvent| matches!(e, JournalEvent::InstanceFinished { .. });
+        EventLog {
+            state: Mutex::new(LogState {
+                lines: events.iter().map(JournalEvent::encode).collect(),
+                instances_done: events.iter().filter(finished).count(),
+                ..LogState::default()
+            }),
+            cond: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LogState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Append one record. Followers are woken at instance and campaign
+    /// boundaries; an instance's admission and block records ride along
+    /// with its `instance_finished`, or are found within the bound.
+    fn push(&self, event: &JournalEvent) {
+        let line = event.encode();
+        let mut state = self.lock();
+        state.lines.push(line);
+        match event {
+            JournalEvent::InstanceAdmitted { .. } => return,
+            JournalEvent::BlockCompleted(_) => {
+                state.blocks_live += 1;
+                return;
+            }
+            JournalEvent::InstanceFinished { .. } => state.instances_done += 1,
+            _ => {}
+        }
+        drop(state);
+        self.cond.notify_all();
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.cond.notify_all();
+    }
+
+    /// Lines from index `cursor` on, and whether the stream is complete.
+    fn since(&self, cursor: usize) -> (Vec<String>, bool) {
+        self.wait_since(cursor, Duration::ZERO)
+    }
+
+    /// [`EventLog::since`], parking up to `timeout` while it would return
+    /// nothing new.
+    fn wait_since(&self, cursor: usize, timeout: Duration) -> (Vec<String>, bool) {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.lock();
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if state.lines.len() > cursor || state.closed || left.is_zero() {
+                let lines = state.lines.get(cursor..).unwrap_or_default();
+                return (lines.to_vec(), state.closed);
+            }
+            state = self
+                .cond
+                .wait_timeout(state, left.min(FOLLOW_STALENESS))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 }
@@ -243,6 +341,8 @@ struct ManagerState {
     served: BTreeMap<String, u64>,
     tick: u64,
     accepting: bool,
+    /// Number of the last campaign id handed out (or found on disk).
+    last_id: u64,
 }
 
 /// The multi-tenant campaign service behind `cornetd`.
@@ -251,6 +351,7 @@ pub struct CampaignManager {
     store: CampaignStore,
     book: QuotaBook,
     state: Mutex<ManagerState>,
+    /// Signalled when a runner finishes (`drain` waits on it).
     cond: Condvar,
 }
 
@@ -275,6 +376,7 @@ impl CampaignManager {
                 served: BTreeMap::new(),
                 tick: 0,
                 accepting: true,
+                last_id: 0,
             }),
             cond: Condvar::new(),
             config,
@@ -310,6 +412,12 @@ impl CampaignManager {
             .scan()
             .map_err(|e| ApiError::Internal(e.to_string()))?;
         let mut state = self.lock();
+        // Every directory name counts, with or without a manifest: an id
+        // is never handed out twice, whatever a crash left behind.
+        state.last_id = self
+            .store
+            .highest_id()
+            .map_err(|e| ApiError::Internal(e.to_string()))?;
         for manifest in manifests {
             let scenario = JournalScenario::from_meta(&manifest.meta)
                 .map_err(|e| ApiError::Internal(format!("{}: {e}", manifest.id)))?;
@@ -324,20 +432,6 @@ impl CampaignManager {
                 .and_then(|body| load_bundle(&body).ok())
                 .filter(|b| !b.campaigns.is_empty())
                 .map(|b| campaign_blasts(&b));
-            let mut entry = Entry {
-                scenario,
-                control: CampaignControl::new(),
-                phase: CampaignPhase::Queued,
-                resume: false,
-                instances_done: 0,
-                blocks_live: 0,
-                blocks_recovered: 0,
-                events: Vec::new(),
-                outcome: None,
-                error: None,
-                blast,
-                manifest,
-            };
             let events = if paths.journal.exists() {
                 Journal::read(&paths.journal)
                     .map(|(events, _)| events)
@@ -345,26 +439,31 @@ impl CampaignManager {
             } else {
                 Vec::new()
             };
-            for event in &events {
-                entry.events.push(event.encode());
-                match event {
-                    JournalEvent::BlockCompleted(_) => entry.blocks_recovered += 1,
-                    JournalEvent::InstanceFinished { .. } => entry.instances_done += 1,
-                    _ => {}
-                }
-            }
+            let mut entry = Entry {
+                scenario,
+                control: CampaignControl::new(),
+                phase: CampaignPhase::Queued,
+                resume: false,
+                blocks_recovered: events
+                    .iter()
+                    .filter(|e| matches!(e, JournalEvent::BlockCompleted(_)))
+                    .count(),
+                log: Arc::new(EventLog::recovered(&events)),
+                outcome: None,
+                error: None,
+                blast,
+                manifest,
+            };
             let closed = matches!(events.last(), Some(JournalEvent::CampaignClosed));
             if let Some(outcome) = outcome_from_meta(&entry.manifest.meta) {
                 // Terminal with a persisted summary: nothing to do.
-                entry.phase = phase_from_meta(&entry.manifest.meta);
-                entry.outcome = Some(outcome);
+                entry.finish(phase_from_meta(&entry.manifest.meta), Some(outcome));
                 entry.error = entry.manifest.meta.get("outcome_error").cloned();
             } else if closed {
                 // The journal closed but the process died before the
                 // manifest update: reconstruct the summary from the log.
                 let (outcome, phase) = reconstruct_outcome(&events, entry.scenario.nodes);
-                entry.phase = phase;
-                entry.outcome = Some(outcome);
+                entry.finish(phase, Some(outcome));
             } else {
                 // Fresh (no records) or interrupted (records, not closed):
                 // queue it; interrupted ones resume instead of restarting.
@@ -433,10 +532,8 @@ impl CampaignManager {
                 return Ok(SubmitOutcome::Interfering { report: conflicts });
             }
         }
-        let id = self
-            .store
-            .next_id()
-            .map_err(|e| ApiError::Internal(e.to_string()))?;
+        state.last_id += 1;
+        let id = CampaignStore::id_for(state.last_id);
         let mut meta = scenario.meta();
         meta.insert("fsync".into(), self.config.fsync.to_string());
         meta.insert("name".into(), name.clone());
@@ -460,10 +557,8 @@ impl CampaignManager {
                 control: CampaignControl::new(),
                 phase: CampaignPhase::Queued,
                 resume: false,
-                instances_done: 0,
-                blocks_live: 0,
                 blocks_recovered: 0,
-                events: Vec::new(),
+                log: Arc::default(),
                 outcome: None,
                 error: None,
                 blast,
@@ -474,7 +569,6 @@ impl CampaignManager {
         self.config
             .tracer
             .incr(&format!("daemon.tenant.{tenant}.submitted"), 1);
-        self.cond.notify_all();
         self.schedule();
         Ok(SubmitOutcome::Accepted { id, report })
     }
@@ -549,7 +643,6 @@ impl CampaignManager {
                 };
                 let snap = entry.snapshot();
                 drop(state);
-                self.cond.notify_all();
                 self.schedule();
                 Ok(snap)
             }
@@ -575,20 +668,21 @@ impl CampaignManager {
                 entry.control.cancel();
                 let snap = entry.snapshot();
                 drop(state);
-                self.cond.notify_all();
                 Ok(snap)
             }
             CampaignPhase::Queued | CampaignPhase::Paused => {
                 entry.control.cancel();
-                entry.phase = CampaignPhase::Cancelled;
-                entry.outcome = Some(CampaignResult {
-                    fingerprint: 0,
-                    completed: 0,
-                    failed: 0,
-                    rolled_back: 0,
-                    trip: None,
-                    cancelled: true,
-                });
+                entry.finish(
+                    CampaignPhase::Cancelled,
+                    Some(CampaignResult {
+                        fingerprint: 0,
+                        completed: 0,
+                        failed: 0,
+                        rolled_back: 0,
+                        trip: None,
+                        cancelled: true,
+                    }),
+                );
                 let manifest = entry.manifest.clone();
                 let scenario = entry.scenario.clone();
                 let outcome = entry.outcome.clone();
@@ -616,7 +710,6 @@ impl CampaignManager {
                     }
                 }
                 self.persist_outcome(&manifest, CampaignPhase::Cancelled, &outcome, &None);
-                self.cond.notify_all();
                 Ok(snap)
             }
             other => Err(ApiError::Conflict(format!(
@@ -634,10 +727,7 @@ impl CampaignManager {
         id: &str,
         from: usize,
     ) -> Result<(Vec<String>, bool), ApiError> {
-        let state = self.lock();
-        let entry = owned_entry(&state, tenant, id)?;
-        let lines = entry.events.get(from..).unwrap_or_default().to_vec();
-        Ok((lines, entry.phase.is_terminal()))
+        Ok(self.log_of(tenant, id)?.since(from))
     }
 
     /// Like [`CampaignManager::events_since`], but blocks up to `timeout`
@@ -649,30 +739,19 @@ impl CampaignManager {
         from: usize,
         timeout: Duration,
     ) -> Result<(Vec<String>, bool), ApiError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        loop {
-            let entry = owned_entry(&state, tenant, id)?;
-            if entry.events.len() > from || entry.phase.is_terminal() {
-                let lines = entry.events.get(from..).unwrap_or_default().to_vec();
-                return Ok((lines, entry.phase.is_terminal()));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok((Vec::new(), false));
-            }
-            let (next, _) = self
-                .cond
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = next;
-        }
+        Ok(self.log_of(tenant, id)?.wait_since(from, timeout))
+    }
+
+    /// One campaign's event log, to its owner: all that the event readers
+    /// need the manager mutex for.
+    fn log_of(&self, tenant: &str, id: &str) -> Result<Arc<EventLog>, ApiError> {
+        let state = self.lock();
+        owned_entry(&state, tenant, id).map(|entry| Arc::clone(&entry.log))
     }
 
     /// Stop accepting submissions.
     pub fn begin_shutdown(&self) {
         self.lock().accepting = false;
-        self.cond.notify_all();
     }
 
     /// Wait up to `timeout` for all runners to finish. Returns true when
@@ -753,9 +832,6 @@ impl CampaignManager {
             )
         };
         let result = self.drive_campaign(id, &manifest, &scenario, &control, resume);
-        let mut state = self.lock();
-        state.running -= 1;
-        let entry = state.entries.get_mut(id).expect("runner entry exists");
         let (phase, outcome, error) = match result {
             Ok((outcome, trip_cancelled)) => {
                 let phase = if trip_cancelled {
@@ -767,10 +843,13 @@ impl CampaignManager {
             }
             Err(e) => (CampaignPhase::Failed, None, Some(e)),
         };
-        entry.phase = phase;
-        entry.outcome = outcome.clone();
+        // Announce first, persist second: a crash between the two is the
+        // closed-journal case `recover` rebuilds.
+        let mut state = self.lock();
+        state.running -= 1;
+        let entry = state.entries.get_mut(id).expect("runner entry exists");
         entry.error = error.clone();
-        let manifest = entry.manifest.clone();
+        entry.finish(phase, outcome.clone());
         drop(state);
         self.persist_outcome(&manifest, phase, &outcome, &error);
         self.config.tracer.incr(
@@ -850,24 +929,12 @@ impl CampaignManager {
     }
 
     /// The journal tap feeding live progress, the event stream, and the
-    /// zero-re-execution witness: only durable appends notify, and
-    /// replayed blocks never re-append.
-    fn progress_listener(self: &Arc<Self>, id: &str) -> cornet_journal::EventListener {
-        let manager = Arc::clone(self);
-        let id = id.to_string();
-        Arc::new(move |event: &JournalEvent| {
-            let mut state = manager.lock();
-            if let Some(entry) = state.entries.get_mut(&id) {
-                entry.events.push(event.encode());
-                match event {
-                    JournalEvent::BlockCompleted(_) => entry.blocks_live += 1,
-                    JournalEvent::InstanceFinished { .. } => entry.instances_done += 1,
-                    _ => {}
-                }
-            }
-            drop(state);
-            manager.cond.notify_all();
-        })
+    /// zero-re-execution witness: only records that reached the file
+    /// notify, and replayed blocks never re-append. It takes the
+    /// campaign's log and nothing else.
+    fn progress_listener(&self, id: &str) -> cornet_journal::EventListener {
+        let log = Arc::clone(&self.lock().entries[id].log);
+        Arc::new(move |event: &JournalEvent| log.push(event))
     }
 
     /// Bake a terminal outcome into the manifest so restarts report it
@@ -1391,5 +1458,156 @@ mod tests {
         assert_eq!(snap.phase, CampaignPhase::Cancelled);
         assert_eq!(snap.instances_done, 0, "tombstone, not a run");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn accepted(manager: &Arc<CampaignManager>) -> String {
+        match manager.submit("acme", &small_spec()).unwrap() {
+            SubmitOutcome::Accepted { id, .. } => id,
+            other => panic!("expected acceptance, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_directory_without_a_manifest_still_holds_its_id() {
+        let dir = tmp_dir("orphan");
+        // The crash window `CampaignStore::scan` documents: `mkdir`
+        // happened, the manifest write did not.
+        std::fs::create_dir_all(dir.join("campaigns/c000007")).unwrap();
+        let manager = CampaignManager::start(config(&dir)).unwrap();
+        assert!(manager.list("acme").is_empty(), "an orphan is no campaign");
+        assert_eq!(accepted(&manager), "c000008");
+        assert_eq!(accepted(&manager), "c000009");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ids_stay_unique_across_a_restart_with_every_kind_of_directory() {
+        let dir = tmp_dir("ids-restart");
+        let manager = CampaignManager::start(config(&dir)).unwrap();
+        let terminal = accepted(&manager);
+        let interrupted = accepted(&manager);
+        wait_terminal(&manager, "acme", &terminal);
+        wait_terminal(&manager, "acme", &interrupted);
+        manager.begin_shutdown();
+        assert!(manager.drain(Duration::from_secs(30)));
+        drop(manager);
+        // Make the second campaign look interrupted: no outcome, half a
+        // journal. And leave an orphan above both.
+        let store = CampaignStore::open(&dir).unwrap();
+        let mut manifest = store.read_manifest(&interrupted).unwrap();
+        manifest.meta.retain(|k, _| !k.starts_with("outcome_"));
+        store.update(&manifest).unwrap();
+        let journal_path = store.paths(&interrupted).unwrap().journal;
+        let (events, _) = Journal::read(&journal_path).unwrap();
+        let journal = Journal::create(&journal_path, FsyncPolicy::Never).unwrap();
+        for event in &events[..events.len() / 2] {
+            journal.append(event).unwrap();
+        }
+        drop(journal);
+        std::fs::create_dir(store.campaigns_dir().join("c000005")).unwrap();
+
+        let manager = CampaignManager::start(config(&dir)).unwrap();
+        assert_eq!(accepted(&manager), "c000006");
+        assert_eq!(accepted(&manager), "c000007");
+        let mut ids: Vec<String> = manager.list("acme").into_iter().map(|s| s.id).collect();
+        ids.dedup();
+        assert_eq!(ids, ["c000001", "c000002", "c000006", "c000007"]);
+        for id in &ids {
+            wait_terminal(&manager, "acme", id);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a submission costs must not depend on what the store holds:
+    /// it used to read and parse every manifest, under the manager mutex.
+    /// Timing that is noise on a shared disk, so the witness is a manifest
+    /// that blocks whoever opens it — a FIFO with no writer.
+    #[test]
+    fn submit_opens_no_manifest() {
+        let dir = tmp_dir("fifo");
+        let manager = CampaignManager::start(config(&dir)).unwrap();
+        let campaign = dir.join("campaigns/c000041");
+        std::fs::create_dir_all(&campaign).unwrap();
+        let fifo = std::process::Command::new("mkfifo")
+            .arg(campaign.join("manifest.json"))
+            .status();
+        if !fifo.is_ok_and(|status| status.success()) {
+            eprintln!("skipped: no mkfifo on this machine");
+            return;
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submitter = Arc::clone(&manager);
+        std::thread::spawn(move || tx.send(accepted(&submitter)));
+        let id = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("submit blocked on a manifest it has no reason to open");
+        assert_eq!(id, "c000001", "the counter was seeded at start-up, once");
+        wait_terminal(&manager, "acme", &id);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn admitted(node: u32) -> JournalEvent {
+        JournalEvent::InstanceAdmitted { node, slot: 1 }
+    }
+
+    fn finished(node: u32) -> JournalEvent {
+        JournalEvent::InstanceFinished {
+            node,
+            slot: 1,
+            status: "completed".into(),
+            detail: None,
+        }
+    }
+
+    #[test]
+    fn a_record_that_wakes_nobody_reaches_a_parked_follower_within_the_staleness_bound() {
+        let log = Arc::new(EventLog::default());
+        let (parking_tx, parking) = std::sync::mpsc::channel();
+        let follower = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                parking_tx.send(()).unwrap();
+                let started = Instant::now();
+                (
+                    log.wait_since(0, Duration::from_secs(10)),
+                    started.elapsed(),
+                )
+            })
+        };
+        parking.recv().unwrap();
+        // Give the follower time to park; if it has not, it finds the line
+        // at once and the bound holds trivially.
+        std::thread::sleep(Duration::from_millis(20));
+        log.push(&admitted(3));
+        let ((lines, closed), waited) = follower.join().unwrap();
+        assert_eq!(lines, [admitted(3).encode()]);
+        assert!(!closed);
+        // No boundary record and no close followed: the follower looked
+        // again on its own, long before its deadline.
+        assert!(waited < Duration::from_secs(5), "parked for {waited:?}");
+    }
+
+    #[test]
+    fn the_log_counts_what_it_holds_and_closing_it_ends_every_wait() {
+        let log = EventLog::recovered(&[admitted(0), finished(0), admitted(1)]);
+        assert_eq!(log.since(1).0, [finished(0).encode(), admitted(1).encode()]);
+        assert_eq!(log.since(7), (Vec::new(), false));
+        log.push(&finished(1));
+        {
+            let state = log.lock();
+            assert_eq!((state.lines.len(), state.instances_done), (4, 2));
+            assert_eq!(state.blocks_live, 0, "recovered blocks are not live");
+        }
+        // Nothing new and not closed: the wait runs to its (short) timeout.
+        assert_eq!(
+            log.wait_since(4, Duration::from_millis(1)),
+            (Vec::new(), false)
+        );
+        log.close();
+        assert_eq!(
+            log.wait_since(4, Duration::from_secs(10)),
+            (Vec::new(), true)
+        );
+        assert_eq!(log.since(3), (vec![finished(1).encode()], true));
     }
 }

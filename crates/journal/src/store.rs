@@ -118,25 +118,34 @@ impl CampaignStore {
         &self.campaigns
     }
 
-    /// Allocate the next campaign id: one past the highest existing
-    /// `cNNNNNN` directory, so ids stay unique across daemon restarts.
-    pub fn next_id(&self) -> Result<String> {
-        let mut max = 0u64;
-        for manifest in self.scan()? {
-            if let Some(n) = manifest
-                .id
-                .strip_prefix('c')
-                .and_then(|n| n.parse::<u64>().ok())
-            {
-                max = max.max(n);
-            }
-        }
-        Ok(format!("c{:06}", max + 1))
+    /// The id of campaign number `n` (`c000001`, …).
+    pub fn id_for(n: u64) -> String {
+        format!("c{n:06}")
     }
 
-    /// Paths for campaign `id`. Ids are store-allocated (`next_id`), but
-    /// reject path separators defensively so a hostile id cannot escape
-    /// the state directory.
+    /// The highest number among the `cNNNNNN` directory names (0 if none),
+    /// for an id allocator to count on from. It opens no file: a directory
+    /// counts with or without a manifest, so no id is ever reused.
+    pub fn highest_id(&self) -> Result<u64> {
+        let mut max = 0u64;
+        let entries =
+            fs::read_dir(&self.campaigns).map_err(|e| io_err("scan", &self.campaigns, &e))?;
+        for entry in entries {
+            let name = entry
+                .map_err(|e| io_err("scan", &self.campaigns, &e))?
+                .file_name();
+            let number = name
+                .to_str()
+                .and_then(|name| name.strip_prefix('c'))
+                .and_then(|n| n.parse::<u64>().ok());
+            max = max.max(number.unwrap_or(0));
+        }
+        Ok(max)
+    }
+
+    /// Paths for campaign `id`. Ids are allocated by the daemon
+    /// ([`CampaignStore::id_for`]), but reject path separators defensively
+    /// so a hostile id cannot escape the state directory.
     pub fn paths(&self, id: &str) -> Result<CampaignPaths> {
         if id.is_empty()
             || !id
@@ -273,10 +282,16 @@ mod tests {
     #[test]
     fn create_scan_and_id_allocation() {
         let (dir, store) = tmp_store("alloc");
-        assert_eq!(store.next_id().unwrap(), "c000001");
+        assert_eq!(store.highest_id().unwrap(), 0);
         store.create(&manifest("c000001", "a")).unwrap();
-        store.create(&manifest("c000003", "b")).unwrap();
-        assert_eq!(store.next_id().unwrap(), "c000004");
+        store
+            .create(&manifest(&CampaignStore::id_for(3), "b"))
+            .unwrap();
+        assert_eq!(store.highest_id().unwrap(), 3);
+        // A directory without a manifest still holds its number.
+        std::fs::create_dir(store.campaigns_dir().join("c000009")).unwrap();
+        std::fs::create_dir(store.campaigns_dir().join("not-a-campaign")).unwrap();
+        assert_eq!(store.highest_id().unwrap(), 9);
         let ids: Vec<_> = store.scan().unwrap().into_iter().map(|m| m.id).collect();
         assert_eq!(ids, ["c000001", "c000003"]);
         let err = store.create(&manifest("c000001", "a")).unwrap_err();

@@ -58,9 +58,9 @@ impl std::fmt::Display for FsyncPolicy {
     }
 }
 
-/// Callback invoked after each record durably reaches the journal file.
-/// The campaign manager uses it to fan appended events out to progress
-/// tracking and live event streams without re-reading the log.
+/// Callback invoked for each record that reached the journal file, in
+/// file order. The campaign manager uses it to fan appended events out to
+/// progress tracking and live event streams without re-reading the log.
 pub type EventListener = Arc<dyn Fn(&JournalEvent) + Send + Sync>;
 
 /// How an injected crash lands relative to the journal.
@@ -221,8 +221,11 @@ impl Journal {
     }
 
     /// Attach a listener called after each record reaches the file.
-    /// Dropped appends (dead crash switch, torn writes) never notify:
-    /// the listener sees exactly what a recovery scan would.
+    /// Dropped appends (dead crash switch, torn writes) never notify, and
+    /// the call is made under the append lock, before the policy's sync:
+    /// the listener sees exactly what a recovery scan after a process
+    /// crash would, in the same order. It must be short and must not
+    /// append to this journal.
     pub fn with_listener(mut self, listener: EventListener) -> Journal {
         self.listener = Some(listener);
         self
@@ -282,6 +285,11 @@ impl Journal {
         }
         *written += 1;
         let record = *written;
+        // Still under the append lock: listeners hear records in the
+        // order a recovery scan will read them.
+        if let Some(listener) = &self.listener {
+            listener(event);
+        }
         drop(written);
         let due = match self.inner.policy {
             FsyncPolicy::Always => true,
@@ -294,9 +302,6 @@ impl Journal {
             self.make_durable(record, Some(span.id()))?;
         }
         span.finish();
-        if let Some(listener) = &self.listener {
-            listener(event);
-        }
         Ok(())
     }
 

@@ -142,6 +142,11 @@ pub trait AdmissionSlots: Send + Sync {
     fn acquire(&self);
     /// Return a previously claimed slot.
     fn release(&self);
+    /// The most slots one caller can ever hold at once: the dispatcher
+    /// starts no more workers per slot (more could only wait in `acquire`).
+    fn capacity(&self) -> usize {
+        usize::MAX
+    }
 }
 
 /// RAII guard pairing [`AdmissionSlots::acquire`] with its release.

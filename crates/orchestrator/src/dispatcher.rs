@@ -9,10 +9,10 @@
 //!
 //! # Continuous admission, no hand-off
 //!
-//! A slot is run by `min(concurrency, runnable)` **self-admitting
-//! workers**, the calling thread among them. A worker runs one instance,
-//! then takes the slot's one lock and, under it: deposits its report in a
-//! reorder buffer, advances the contiguous completed prefix through the
+//! A slot is run by `min(concurrency, runnable, admission capacity)`
+//! **self-admitting workers**, the calling thread among them. A worker
+//! runs one instance, then takes the slot's one lock and, under it:
+//! deposits its report in a reorder buffer, advances the contiguous completed prefix through the
 //! gate/breaker callback (once per instance, in dispatch order), asks the
 //! campaign control, and — if nobody halted — takes the next dispatch
 //! index *for itself*. There is no wave barrier, so one straggler never
@@ -579,11 +579,12 @@ impl Dispatcher {
 
     /// Run one slot with self-admitting workers.
     ///
-    /// `min(concurrency, runnable)` workers — the calling thread is the
-    /// first — each start on one dispatch index. A worker that finishes an
-    /// instance takes the slot lock and [`Admission::complete`]s it: the
-    /// reorder buffer advances the contiguous completed prefix through
-    /// `on_complete` (once per instance, in dispatch order), and only then
+    /// `min(concurrency, runnable, admission capacity)` workers — the
+    /// calling thread is the first — each start on one dispatch index. A
+    /// worker that finishes an instance takes the slot lock and
+    /// [`Admission::complete`]s it: the reorder buffer advances the
+    /// contiguous completed prefix through `on_complete` (once per
+    /// instance, in dispatch order), and only then
     /// does the worker take the next index for itself. Nothing is handed
     /// to another thread, so a completion costs no wake-up; every
     /// completion still admits at most one instance, and a gate/breaker
@@ -654,15 +655,17 @@ impl Dispatcher {
         if !admission.halted && control.is_some_and(|c| !c.admit()) {
             admission.halted = true;
         }
+        let permits = self.permits.as_deref();
         let workers = if admission.halted {
             admission.drain_pending();
             0
         } else {
-            self.concurrency.min(run_indices.len())
+            self.concurrency
+                .min(run_indices.len())
+                .min(permits.map_or(usize::MAX, AdmissionSlots::capacity))
         };
         admission.next = workers;
         let admission = Mutex::new(admission);
-        let permits = self.permits.as_deref();
         let work = |mut i: usize| loop {
             let SlotItem::Run { node, replay } = &items[i] else {
                 unreachable!("only Run indices are admitted");

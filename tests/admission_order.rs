@@ -25,7 +25,7 @@
 use cornet::catalog::builtin_catalog;
 use cornet::journal::{FsyncPolicy, Journal, JournalEvent};
 use cornet::orchestrator::{
-    recover_campaign, CampaignControl, CampaignOutcome, CircuitBreaker, Dispatcher,
+    recover_campaign, AdmissionSlots, CampaignControl, CampaignOutcome, CircuitBreaker, Dispatcher,
     ExecutorRegistry, GlobalState, InstanceReport,
 };
 use cornet::types::{CornetError, NodeId, ParamValue, Schedule, Timeslot};
@@ -33,6 +33,7 @@ use cornet::workflow::builtin::software_upgrade_workflow;
 use cornet::workflow::WarArtifact;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
@@ -488,5 +489,65 @@ fn a_journaled_run_at_concurrency_four_recovers_to_its_own_report() {
             .map(|(k, i)| (*k, row(i)))
             .collect();
         assert_eq!(recovered, reported, "seed {seed}");
+    }
+}
+
+/// Admission slots that never block and only count: if a slot ran more
+/// workers than `capacity`, more permits than that would be out at once.
+struct CountingSlots {
+    capacity: usize,
+    out: AtomicUsize,
+    high_water: AtomicUsize,
+}
+
+impl AdmissionSlots for CountingSlots {
+    fn acquire(&self) {
+        let out = self.out.fetch_add(1, Ordering::SeqCst) + 1;
+        self.high_water.fetch_max(out, Ordering::SeqCst);
+    }
+    fn release(&self) {
+        self.out.fetch_sub(1, Ordering::SeqCst);
+    }
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+}
+
+#[test]
+fn admission_capacity_bounds_the_workers_and_changes_no_outcome() {
+    for seed in 0..12u64 {
+        let sc = Scenario::generate(0xca_0000 + seed);
+        let run = |concurrency: usize, slots: Option<Arc<CountingSlots>>| {
+            let log = Log::default();
+            let mut d = dispatcher(logging_registry(&log, &sc.failing, None), concurrency);
+            if let Some(slots) = slots {
+                d = d.with_admission(slots);
+            }
+            d.run_campaign(&sc.schedule, inputs, sc.breaker.as_ref(), None)
+                .unwrap()
+        };
+        let slots = Arc::new(CountingSlots {
+            capacity: 2,
+            out: AtomicUsize::new(0),
+            high_water: AtomicUsize::new(0),
+        });
+        let capped = run(8, Some(slots.clone()));
+        let two = run(2, None);
+        assert_eq!(
+            rows(&capped.report.instances),
+            rows(&two.report.instances),
+            "seed {seed}"
+        );
+        assert_eq!(capped.halted, two.halted, "seed {seed}");
+        assert_eq!(capped.trip, two.trip, "seed {seed}");
+        // These slots never block, so a third worker would show as a
+        // third permit out.
+        assert!(slots.high_water.load(Ordering::SeqCst) <= 2, "seed {seed}");
+        assert_eq!(slots.out.load(Ordering::SeqCst), 0);
+        // What drains behind a halt is timing at any concurrency above 1;
+        // that nothing drains without one is not.
+        if capped.halted.is_none() {
+            assert!(capped.report.drained.is_empty(), "seed {seed}");
+        }
     }
 }
