@@ -7,11 +7,16 @@
 //! blocks. … In the future, we plan to quantitatively compare the
 //! approaches." We implement that alternative so the comparison can run:
 //! blocks subscribe to events (optionally guarded on state), execute, and
-//! emit follow-up events; the bus drains to quiescence.
+//! emit follow-up events; the bus drains to quiescence. [`sec32`] is the
+//! comparison.
 
+use crate::claims::{table, Bound, Claims, Row, Scale};
+use cornet_catalog::builtin_catalog;
 use cornet_obs::Tracer;
-use cornet_orchestrator::{ExecutorRegistry, GlobalState};
-use cornet_types::Result;
+use cornet_orchestrator::{Engine, ExecutorRegistry, GlobalState};
+use cornet_types::{ParamValue, Result};
+use cornet_workflow::builtin::software_upgrade_workflow;
+use cornet_workflow::WarArtifact;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -134,11 +139,102 @@ impl EventBus {
     }
 }
 
+/// Executors that only record their outputs, so a run costs what the
+/// composition mechanism costs.
+fn instant_registry() -> ExecutorRegistry {
+    let mut reg = ExecutorRegistry::new();
+    reg.register("health_check", |s| {
+        s.insert("healthy".into(), ParamValue::from(true));
+        Ok(())
+    });
+    reg.register("software_upgrade", |s| {
+        s.insert("previous_version".into(), ParamValue::from("old"));
+        Ok(())
+    });
+    reg.register("pre_post_comparison", |s| {
+        s.insert("passed".into(), ParamValue::from(true));
+        Ok(())
+    });
+    reg.register("roll_back", |_| Ok(()));
+    reg
+}
+
+/// The Fig. 4 flow expressed as events instead of a workflow graph.
+fn fig4_bus(registry: ExecutorRegistry) -> EventBus {
+    let mut bus = EventBus::new(registry);
+    bus.subscribe("change.requested", "health_check", Some("health.checked"));
+    bus.subscribe_if(
+        "health.checked",
+        |s| s.get("healthy").and_then(|v| v.as_bool()) == Some(true),
+        "software_upgrade",
+        Some("upgrade.done"),
+    );
+    bus.subscribe(
+        "upgrade.done",
+        "pre_post_comparison",
+        Some("comparison.done"),
+    );
+    bus.subscribe_if(
+        "comparison.done",
+        |s| s.get("passed").and_then(|v| v.as_bool()) == Some(false),
+        "roll_back",
+        None,
+    );
+    bus
+}
+
+/// §3.2: Fig. 4's flow through the workflow engine and through the bus.
+pub fn sec32(scale: Scale) -> Vec<Row> {
+    let instances = if scale == Scale::Quick { 2_000 } else { 20_000 };
+    let catalog = builtin_catalog();
+    let fig4 = software_upgrade_workflow(&catalog);
+    let war = WarArtifact::package(&fig4, &catalog).expect("Fig. 4 packages");
+    let registry = instant_registry();
+    let inputs = || {
+        let mut g = GlobalState::new();
+        g.insert("node".into(), ParamValue::from("enb-1"));
+        g.insert("software_version".into(), ParamValue::from("20.1"));
+        g
+    };
+    let micros_each = |run: &mut dyn FnMut()| {
+        let started = std::time::Instant::now();
+        (0..instances).for_each(|_| run());
+        started.elapsed().as_secs_f64() * 1e6 / instances as f64
+    };
+    let workflow = micros_each(&mut || {
+        let engine = Engine::from_war(&war, registry.clone(), inputs());
+        let mut engine = engine.expect("WAR unpacks");
+        std::hint::black_box(engine.run().expect("Fig. 4 runs"));
+    });
+    let events = micros_each(&mut || {
+        let mut bus = fig4_bus(registry.clone());
+        bus.set_tracer(Tracer::noop());
+        let fired = bus.publish("change.requested", &mut inputs(), 100);
+        std::hint::black_box(fired.expect("bus drains"));
+    });
+    let title = format!("§3.2 — overhead per instance of Fig. 4's flow ({instances} instances)");
+    let cells = [
+        format!("workflow engine (from the WAR) | {workflow:.1}"),
+        format!("event bus | {events:.1}"),
+    ];
+    table(&title, "mode | µs per instance", &cells);
+    // A building block that touches a network function takes milliseconds
+    // at the least; 100 µs is 1 % of a 10 ms block.
+    let paper = "the choice is about state and troubleshooting, not throughput";
+    let mut t = Claims::new("sec32", "§3.2");
+    t.claim("workflow_us", "workflow engine, overhead per instance, µs")
+        .paper(paper)
+        .measured(workflow, Bound::at_most(100.0));
+    t.claim("event_bus_us", "event bus, overhead per instance, µs")
+        .paper(paper)
+        .measured(events, Bound::at_most(100.0));
+    t.done()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cornet_obs::AttrValue;
-    use cornet_types::ParamValue;
 
     /// Block names of the `bus.firing` spans, in firing order.
     fn fired_blocks(bus: &EventBus) -> Vec<String> {
@@ -152,46 +248,8 @@ mod tests {
             .collect()
     }
 
-    fn registry() -> ExecutorRegistry {
-        let mut reg = ExecutorRegistry::new();
-        reg.register("health_check", |s| {
-            s.insert("healthy".into(), ParamValue::from(true));
-            Ok(())
-        });
-        reg.register("software_upgrade", |s| {
-            s.insert("previous_version".into(), ParamValue::from("old"));
-            Ok(())
-        });
-        reg.register("pre_post_comparison", |s| {
-            s.insert("passed".into(), ParamValue::from(true));
-            Ok(())
-        });
-        reg.register("roll_back", |_| Ok(()));
-        reg
-    }
-
-    /// The Fig. 4 flow expressed as events instead of a workflow graph.
     fn fig4_bus() -> EventBus {
-        let mut bus = EventBus::new(registry());
-        bus.subscribe("change.requested", "health_check", Some("health.checked"));
-        bus.subscribe_if(
-            "health.checked",
-            |s| s.get("healthy").and_then(|v| v.as_bool()) == Some(true),
-            "software_upgrade",
-            Some("upgrade.done"),
-        );
-        bus.subscribe(
-            "upgrade.done",
-            "pre_post_comparison",
-            Some("comparison.done"),
-        );
-        bus.subscribe_if(
-            "comparison.done",
-            |s| s.get("passed").and_then(|v| v.as_bool()) == Some(false),
-            "roll_back",
-            None,
-        );
-        bus
+        super::fig4_bus(instant_registry())
     }
 
     #[test]
@@ -216,7 +274,7 @@ mod tests {
     fn guard_blocks_unhealthy_upgrade() {
         let mut bus = fig4_bus();
         // Override: health check reports unhealthy.
-        let mut reg = registry();
+        let mut reg = instant_registry();
         reg.register("health_check", |s| {
             s.insert("healthy".into(), ParamValue::from(false));
             Ok(())
@@ -230,7 +288,7 @@ mod tests {
     #[test]
     fn failed_comparison_triggers_rollback_event() {
         let mut bus = fig4_bus();
-        let mut reg = registry();
+        let mut reg = instant_registry();
         reg.register("pre_post_comparison", |s| {
             s.insert("passed".into(), ParamValue::from(false));
             Ok(())

@@ -1,148 +1,189 @@
 //! # cornet-bench
 //!
-//! Shared workload builders and reporting helpers for the experiment
-//! harness. Every table and figure of the paper has a regenerator:
+//! The paper-reproduction gate: every table, figure and evaluation
+//! section of the paper is one function `fn(Scale) -> Vec<Row>` in
+//! [`EXPERIMENTS`]. A [`Row`] states a claim, the paper's figure, what
+//! this tree measures and the bound that decides whether the claim
+//! reproduces; `cornet_bench [--quick] [--only id,…] [--json PATH]`
+//! runs the table, prints each experiment's human table and then the
+//! claims table, and exits 1 when a row is red and not waived.
 //!
-//! * `src/bin/` — one binary per table/figure that prints the same rows
-//!   or series the paper reports (`cargo run -p cornet-bench --bin table1`);
-//! * `benches/` — Criterion benchmarks for the timing-shaped results
-//!   (schedule discovery time, verification time, ablations);
+//! * [`paper`] — seeded experiments over the generators and the catalog;
+//! * [`planner`] — §4.2, §5.2 / Appendix C, the backend and scale bars of
+//!   ROADMAP item 9 and DESIGN.md's ablations;
+//! * [`verifier`] — Fig. 10 and Fig. 11;
 //! * [`events`] — the event-driven composition §3.2 contrasts with
-//!   workflows, kept here because only the `orchestrator_modes` bench
-//!   runs it.
+//!   workflows, and the comparison itself.
 //!
-//! `EXPERIMENTS.md` at the workspace root records paper-reported vs
-//! measured values for each experiment.
+//! Absolute performance is not measured here: `cornet_e2e/` does that.
+//! `EXPERIMENTS.md` quotes the claims table and says why each bound is
+//! what it is; `tests/paper_claims.rs` pins the deterministic rows.
 
 #![forbid(unsafe_code)]
+pub mod claims;
 pub mod events;
+pub mod paper;
+pub mod planner;
+pub mod verifier;
 
-use cornet_netsim::{Network, NetworkConfig};
-use cornet_planner::{ConstraintRule, PlanIntent};
-use cornet_types::{Granularity, NodeId};
+pub use claims::{red, render_json, render_table, Bound, Experiment, Kind, Row, Scale};
+use Kind::{Deterministic, Timed};
 
-/// A RAN sized to approximately `target` nodes, deterministic in `seed`.
-pub fn ran_with(seed: u64, target: usize) -> Network {
-    let cfg = NetworkConfig {
-        seed,
-        ..Default::default()
+/// Every experiment, in the order the claims table lists them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new("table1", Deterministic, paper::table1),
+    Experiment::new("fig1", Deterministic, paper::fig1),
+    Experiment::new("fig2", Deterministic, paper::fig2),
+    Experiment::new("table2", Deterministic, paper::table2),
+    Experiment::new("table3", Deterministic, paper::table3),
+    Experiment::new("sec32", Timed, events::sec32),
+    Experiment::new("sec42", Deterministic, planner::sec42),
+    Experiment::new("sec42_time", Timed, planner::sec42_time),
+    Experiment::new("sec43", Deterministic, paper::sec43),
+    Experiment::new("fig5", Deterministic, paper::fig5),
+    Experiment::new("fig6", Deterministic, paper::fig6),
+    Experiment::new("table4", Deterministic, paper::table4),
+    Experiment::new("sec52", Timed, planner::sec52),
+    Experiment::new("table5", Deterministic, paper::table5),
+    Experiment::new("fig10", Timed, verifier::fig10),
+    Experiment::new("fig11", Timed, verifier::fig11),
+    Experiment::new("fig12", Deterministic, paper::fig12),
+    Experiment::new("fig13", Deterministic, paper::fig13),
+    Experiment::new("fig14", Deterministic, paper::fig14),
+    Experiment::new("table6", Deterministic, paper::table6),
+    Experiment::new("appendix_b", Deterministic, paper::appendix_b),
+    Experiment::new("ablation", Timed, planner::ablation),
+    Experiment::new("backends", Timed, planner::backends),
+    Experiment::new("scale", Timed, planner::scale),
+];
+
+/// Run `experiments` in order and collect their rows.
+///
+/// # Panics
+/// If a row's id does not start with its experiment's id, or repeats:
+/// ids are how EXPERIMENTS.md, `--only` and the committed JSON refer to a
+/// claim, so a clash is a bug in the table, not a measurement.
+pub fn run<'a>(experiments: impl IntoIterator<Item = &'a Experiment>, scale: Scale) -> Vec<Row> {
+    let mut rows: Vec<Row> = Vec::new();
+    for experiment in experiments {
+        let prefix = format!("{}.", experiment.id);
+        for row in (experiment.run)(scale) {
+            assert!(
+                row.id.starts_with(&prefix),
+                "{} is not under {prefix}",
+                row.id
+            );
+            assert!(
+                rows.iter().all(|r| r.id != row.id),
+                "duplicate row id {}",
+                row.id
+            );
+            rows.push(row);
+        }
     }
-    .with_target_nodes(target);
-    Network::generate_ran(&cfg)
+    rows
 }
 
-/// All RAN nodes (eNodeB + gNodeB) of a network, sorted.
-pub fn ran_nodes(net: &Network) -> Vec<NodeId> {
-    net.ran_nodes()
-}
+/// `cornet_bench`'s `main`: the process exit code for `args`
+/// (0 every row holds or is waived, 1 a row is red, 2 usage).
+pub fn run_cli(args: &[String]) -> i32 {
+    const USAGE: &str = "usage: cornet_bench [--quick] [--only id,…] [--json PATH]";
+    let mut scale = Scale::Full;
+    let mut only: Option<Vec<&str>> = None;
+    let mut json = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => scale = Scale::Quick,
+            "--only" if args.len() > 0 => only = args.next().map(|ids| ids.split(',').collect()),
+            "--json" if args.len() > 0 => json = args.next(),
+            _ => {
+                eprintln!("cornet_bench: cannot read {arg:?}\n{USAGE}");
+                return 2;
+            }
+        }
+    }
+    let ids = only.unwrap_or_else(|| EXPERIMENTS.iter().map(|e| e.id).collect());
+    let mut selected = Vec::new();
+    for id in ids {
+        let Some(experiment) = EXPERIMENTS.iter().find(|e| e.id == id) else {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+            eprintln!(
+                "cornet_bench: no experiment {id:?}; known: {}",
+                known.join(", ")
+            );
+            return 2;
+        };
+        selected.push(experiment);
+    }
 
-/// The §4.2 base intent: a 60-slot daily window, zero conflict tolerance,
-/// concurrency per EMS (the paper fixes 200/EMS; capacity is a knob here).
-pub fn base_intent(ems_capacity: i64) -> PlanIntent {
-    let mut intent = PlanIntent::from_json(
-        r#"{
-        "scheduling_window": {"start": "2020-07-01 00:00:00",
-                               "end": "2020-08-29 23:59:00",
-                               "granularity": {"metric": "day", "value": 1}},
-        "maintenance_window": {"start": "0:00", "end": "6:00"},
-        "schedulable_attribute": "common_id",
-        "conflict_attribute": "common_id",
-        "constraints": []
-    }"#,
-    )
-    .expect("static intent parses");
-    intent.constraints = vec![ConstraintRule::Concurrency {
-        base_attribute: "common_id".into(),
-        aggregate_attribute: Some("ems".into()),
-        operator: "<=".into(),
-        granularity: Granularity::daily(),
-        default_capacity: ems_capacity,
-    }];
-    intent
-}
-
-/// Append the §4.2 composition constraints selected by `mask` bit flags:
-/// 1 = consistency(usid), 2 = uniformity(utc_offset ≤ 1), 4 = localize(market).
-pub fn add_composition(intent: &mut PlanIntent, mask: u32) {
-    if mask & 1 != 0 {
-        intent.constraints.push(ConstraintRule::Consistency {
-            attribute: "usid".into(),
-        });
+    let rows = run(selected, scale);
+    println!("\n## Claims\n\n{}", render_table(&rows));
+    if let Some(path) = json {
+        if let Err(e) = std::fs::write(path, render_json(&rows)) {
+            eprintln!("cornet_bench: cannot write {path}: {e}");
+            return 2;
+        }
     }
-    if mask & 2 != 0 {
-        intent.constraints.push(ConstraintRule::Uniformity {
-            attribute: "utc_offset".into(),
-            value: 1.0,
-        });
-    }
-    if mask & 4 != 0 {
-        intent.constraints.push(ConstraintRule::Localize {
-            attribute: "market".into(),
-        });
-    }
-}
-
-/// Composition name for reports.
-pub fn composition_name(mask: u32) -> String {
-    let mut parts = Vec::new();
-    if mask & 1 != 0 {
-        parts.push("consistency");
-    }
-    if mask & 2 != 0 {
-        parts.push("uniformity");
-    }
-    if mask & 4 != 0 {
-        parts.push("localize");
-    }
-    if parts.is_empty() {
-        parts.push("base");
-    }
-    parts.join("+")
-}
-
-/// Print a markdown-ish table row.
-pub fn row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
-}
-
-/// Print a markdown-ish header with separator.
-pub fn header(cells: &[&str]) {
-    println!("| {} |", cells.join(" | "));
+    let failing = red(&rows);
+    let waived = rows.iter().filter(|r| !r.holds).count() - failing.len();
     println!(
-        "|{}|",
-        cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+        "{} rows, {} red, {waived} waived",
+        rows.len(),
+        failing.len()
     );
-}
-
-/// Render a simple ASCII sparkline bar for a 0..=1 fraction.
-pub fn bar(fraction: f64, width: usize) -> String {
-    let filled = (fraction.clamp(0.0, 1.0) * width as f64).round() as usize;
-    format!("{}{}", "#".repeat(filled), ".".repeat(width - filled))
+    for row in &failing {
+        eprintln!(
+            "RED {}: measured {:?}, bound {}",
+            row.id, row.measured, row.bound
+        );
+    }
+    i32::from(!failing.is_empty())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn ran_with_hits_target() {
-        let net = ran_with(1, 1000);
-        let n = ran_nodes(&net).len();
-        assert!((800..1600).contains(&n), "{n}");
+    fn cli(args: &[&str]) -> i32 {
+        run_cli(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
-    fn composition_masks() {
-        assert_eq!(composition_name(0), "base");
-        assert_eq!(composition_name(7), "consistency+uniformity+localize");
-        let mut intent = base_intent(10);
-        add_composition(&mut intent, 7);
-        assert_eq!(intent.constraints.len(), 4);
+    fn an_unknown_experiment_or_flag_exits_two() {
+        assert_eq!(cli(&["--only", "nope"]), 2);
+        assert_eq!(cli(&["--only", "table2,nope"]), 2);
+        assert_eq!(cli(&["--only"]), 2);
+        assert_eq!(cli(&["--fast"]), 2);
     }
 
     #[test]
-    fn bar_rendering() {
-        assert_eq!(bar(0.5, 10), "#####.....");
-        assert_eq!(bar(2.0, 4), "####");
+    fn a_green_selection_exits_zero_and_writes_its_rows() {
+        let path = std::env::temp_dir().join(format!("cornet-claims-{}.json", std::process::id()));
+        let path_text = path.to_str().expect("UTF-8 temp dir");
+        assert_eq!(
+            cli(&["--quick", "--only", "table2,table5", "--json", path_text]),
+            0
+        );
+        let written = std::fs::read_to_string(&path).expect("--json wrote the file");
+        std::fs::remove_file(&path).ok();
+        let rows = run(
+            EXPERIMENTS
+                .iter()
+                .filter(|e| ["table2", "table5"].contains(&e.id)),
+            Scale::Quick,
+        );
+        assert_eq!(written, render_json(&rows));
+    }
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|other| other.id != e.id),
+                "{}",
+                e.id
+            );
+        }
     }
 }

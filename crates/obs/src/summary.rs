@@ -4,8 +4,8 @@
 //! how many spans of each kind ran, and nearest-rank p50/p95/max of their
 //! durations computed from the *exact* per-span durations, not histogram
 //! buckets. The CLI prints [`TraceSummary::render`] after `--trace` runs;
-//! `cornet_bench` embeds [`TraceSummary::render_json`] in BENCH reports
-//! as the span-level breakdown.
+//! [`TraceSummary::render_json`] is the same table as one JSON object,
+//! byte-pinned by `tests/golden/trace_summary.json`.
 
 use crate::span::Trace;
 use cornet_types::json::{FloatFmt, JsonWriter};
@@ -110,8 +110,7 @@ impl TraceSummary {
         out
     }
 
-    /// Deterministic JSON object mapping span kind → stats, for embedding
-    /// in BENCH reports.
+    /// Deterministic JSON object mapping span kind → stats.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         let mut w = JsonWriter::spaced(&mut out);

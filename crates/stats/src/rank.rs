@@ -135,8 +135,8 @@ pub fn robust_rank_order(xs: &[f64], ys: &[f64]) -> RankTestResult {
 }
 
 /// Reference implementation of [`robust_rank_order`] with O(n·m) placement
-/// scans. Kept public for the kernel-equivalence property tests and the
-/// `cornet-bench` microbenchmarks; production code should call
+/// scans. Public because `tests/kernel_equivalence.rs`, its one caller,
+/// is outside the crate; production code should call
 /// [`robust_rank_order`].
 pub fn robust_rank_order_naive(xs: &[f64], ys: &[f64]) -> RankTestResult {
     if xs.len() < 2 || ys.len() < 2 {
