@@ -26,7 +26,7 @@
 //!   never by who finished first.
 
 use crate::decompose::{reconcile, shard_translation, solve_parts, TranslationPart};
-use crate::heuristic::{heuristic_schedule_units, HeuristicConfig};
+use crate::heuristic::{place_bundles, HeuristicConfig};
 use crate::intent::PlanIntent;
 use crate::translate::Translation;
 use crate::warm::WarmStart;
@@ -93,9 +93,7 @@ impl BackendChoice {
             BackendChoice::Exact => Box::new(ExactBackend {
                 config: solver.clone(),
             }),
-            BackendChoice::Greedy => Box::new(GreedyBackend {
-                config: solver.clone(),
-            }),
+            BackendChoice::Greedy => Box::new(GreedyBackend),
             BackendChoice::Heuristic => Box::new(HeuristicBackend {
                 config: heuristic.clone(),
                 capacity_override: None,
@@ -377,10 +375,7 @@ impl SolverBackend for ExactBackend {
 /// The greedy warm-start dive as a standalone fast backend: the exact
 /// solver's cost-ordered first descent, stopped at the first solution.
 #[derive(Clone, Debug, Default)]
-pub struct GreedyBackend {
-    /// Base solver knobs; budget and hooks are overlaid per solve.
-    pub config: SolverConfig,
-}
+pub struct GreedyBackend;
 
 impl SolverBackend for GreedyBackend {
     fn name(&self) -> &'static str {
@@ -397,12 +392,12 @@ impl SolverBackend for GreedyBackend {
         // prunes against the shared incumbent (a raced bound could cut it
         // short and make the result depend on timing) and it stays cold:
         // it is the portfolio's "what would a fresh solve do" member.
+        // With the budget and the cancel hook overlaid per solve, that
+        // leaves no solver knob for it to take from the caller.
         let config = SolverConfig {
             cost_value_order: true,
             first_solution_only: true,
-            incumbent: None,
-            warm_start: None,
-            ..self.config.clone()
+            ..SolverConfig::default()
         };
         cp_solve("greedy", false, config, ctx, budget, cancel)
     }
@@ -455,22 +450,12 @@ impl HeuristicBackend {
         if let Some(cap) = self.capacity_override.or_else(declared) {
             config.slot_capacity = cap;
         }
-        let units: Vec<Vec<NodeId>> = ctx
-            .translation
-            .units
-            .iter()
-            .map(|u| u.nodes.clone())
-            .collect();
-        let (_, placements) = heuristic_schedule_units(
-            ctx.inventory,
-            &units,
-            ctx.conflicts,
-            &ctx.translation.window,
-            &config,
-        );
-        let model = &ctx.translation.model;
+        let t = ctx.translation;
+        let units: Vec<&[NodeId]> = t.units.iter().map(|u| &u.nodes[..]).collect();
+        let placed = place_bundles(ctx.inventory, &units, &t.busy, t.slots.len(), &config);
+        let model = &t.model;
         let mut assignment = vec![0i64; model.var_count()];
-        for (unit, placement) in ctx.translation.units.iter().zip(&placements) {
+        for (unit, placement) in t.units.iter().zip(&placed.placement) {
             if let Some(slot_idx) = placement {
                 assignment[unit.var.index()] = (*slot_idx + 1) as i64;
             }
@@ -522,9 +507,7 @@ impl PortfolioBackend {
                 Box::new(ExactBackend {
                     config: solver.clone(),
                 }),
-                Box::new(GreedyBackend {
-                    config: solver.clone(),
-                }),
+                Box::new(GreedyBackend),
                 Box::new(HeuristicBackend {
                     config: heuristic.clone(),
                     capacity_override,

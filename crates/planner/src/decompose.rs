@@ -189,6 +189,7 @@ impl TranslationPart {
                 // Whole-window freezes stay with the parent; parts only
                 // schedule live units.
                 frozen_out: Vec::new(),
+                busy: Arc::clone(&t.busy),
             },
         }
     }
@@ -317,34 +318,45 @@ impl SolverBackend for Decomposed {
     }
 }
 
-/// A shard's identity: the timezone offset (milli-hours, so `f64`
-/// offsets order and compare exactly) and market of its units.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ShardKey {
-    /// UTC offset of the shard's timezone, in milli-hours.
-    pub tz_milli: i64,
-    /// Market attribute value (empty when the inventory has none).
-    pub market: String,
+/// Each node's UTC offset in milli-hours, 0 where the inventory is silent
+/// or the value is not a number. The offset is read once per distinct
+/// grouping key: nodes that share a key share a timezone.
+pub(crate) fn tz_millis(inventory: &Inventory, nodes: &[NodeId]) -> Vec<i64> {
+    let groups = inventory.group_by(nodes, "utc_offset");
+    let mut of_group: Vec<Option<i64>> = vec![None; groups.group_count()];
+    let milli = |n| {
+        let offset = inventory.attr_of(n, "utc_offset").and_then(|v| v.as_f64());
+        offset.map_or(0, |o| (o * 1000.0).round() as i64)
+    };
+    let keyed = groups.membership.iter().zip(nodes);
+    keyed
+        .map(|(g, &n)| g.map_or(0, |g| *of_group[g].get_or_insert_with(|| milli(n))))
+        .collect()
 }
 
-impl ShardKey {
-    /// The shard `node` falls into; offset 0 and no market where the
-    /// inventory is silent.
-    pub(crate) fn of(inventory: &Inventory, node: NodeId) -> Self {
-        let offset = inventory
-            .attr_of(node, "utc_offset")
-            .and_then(|v| v.as_f64());
-        ShardKey {
-            tz_milli: offset.map_or(0, |o| (o * 1000.0).round() as i64),
-            market: inventory.group_key_of(node, "market").unwrap_or_default(),
-        }
+/// Positions of `nodes` by the shard each falls into, keyed and ordered by
+/// timezone offset (milli-hours, so `f64` offsets order and compare
+/// exactly) and market; offset 0 and no market where the inventory is
+/// silent.
+pub(crate) fn shard_groups(
+    inventory: &Inventory,
+    nodes: &[NodeId],
+) -> BTreeMap<(i64, String), Vec<usize>> {
+    let tz = tz_millis(inventory, nodes);
+    let markets = inventory.group_by(nodes, "market");
+    let mut shards: BTreeMap<(i64, &str), Vec<usize>> = BTreeMap::new();
+    for (at, (tz, market)) in tz.into_iter().zip(&markets.membership).enumerate() {
+        let market = market.map_or("", |g| &markets.values[g]);
+        shards.entry((tz, market)).or_default().push(at);
     }
+    let owned = shards.into_iter();
+    owned
+        .map(|((tz, market), at)| ((tz, market.to_owned()), at))
+        .collect()
 }
 
 /// One timezone/market shard of a translation.
 pub struct TranslationShard {
-    /// Which timezone/market this shard covers.
-    pub key: ShardKey,
     /// The standalone sub-problem (same shape as a decomposition part).
     pub part: TranslationPart,
     /// This shard's apportioned share of the plain concurrency capacity,
@@ -355,7 +367,7 @@ pub struct TranslationShard {
 
 /// Result of sharding a translation by timezone/market.
 pub struct ShardSplit {
-    /// Shards in deterministic `ShardKey` order.
+    /// Shards in timezone-then-market order.
     pub shards: Vec<TranslationShard>,
     /// Number of capacity constraints that span shards and were
     /// apportioned; `0` means the shards were already independent and a
@@ -408,20 +420,14 @@ pub fn shard_translation(t: &Translation, inventory: &Inventory) -> Option<Shard
     // Key every unit by its first node; ESA grouping and consistency
     // contraction only merge co-located nodes, so one representative is
     // enough.
-    let mut groups: BTreeMap<ShardKey, Vec<usize>> = BTreeMap::new();
-    for (var, unit) in t.units.iter().enumerate() {
-        let key = unit
-            .nodes
-            .first()
-            .map_or_else(ShardKey::default, |&n| ShardKey::of(inventory, n));
-        groups.entry(key).or_default().push(var);
-    }
+    let firsts: Vec<NodeId> = t.units.iter().map(|unit| unit.nodes[0]).collect();
+    let groups = shard_groups(inventory, &firsts);
     if groups.len() < 2 {
         return None;
     }
     // Cap the shard count: keep the largest groups, fold the tail into
     // the biggest of the kept shards (deterministic: size desc, key asc).
-    let mut ordered: Vec<(ShardKey, Vec<usize>)> = groups.into_iter().collect();
+    let mut ordered: Vec<((i64, String), Vec<usize>)> = groups.into_iter().collect();
     ordered.sort_by(|a, b| (b.1.len(), &a.0).cmp(&(a.1.len(), &b.0)));
     while ordered.len() > MAX_SHARDS {
         let (_, tail) = ordered.pop().expect("non-empty");
@@ -477,7 +483,7 @@ pub fn shard_translation(t: &Translation, inventory: &Inventory) -> Option<Shard
     let shards: Vec<TranslationShard> = ordered
         .into_iter()
         .enumerate()
-        .map(|(si, (key, vars))| {
+        .map(|(si, (_, vars))| {
             let name = format!("{}#shard{si}", t.model.name);
             let model = sub_model(&t.model, &vars, name, Some((si, &cap_shares)));
             let heuristic_cap = cap_shares
@@ -491,7 +497,6 @@ pub fn shard_translation(t: &Translation, inventory: &Inventory) -> Option<Shard
                 .map(|(_, shares)| shares[si].0)
                 .min();
             TranslationShard {
-                key,
                 part: TranslationPart::new(t, vars, model),
                 heuristic_cap,
             }

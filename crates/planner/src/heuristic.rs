@@ -11,10 +11,14 @@
 //! ⟨conflicts, weighted-completion-time⟩ schedule. Nodes that do not fit
 //! inside the window become leftovers for a later request.
 
-use cornet_types::{ConflictTable, Inventory, NodeId, Schedule, SchedulingWindow, Timeslot};
+use crate::decompose::tz_millis;
+use crate::translate::{slot_conflicts, tickets, SlotConflicts};
+use cornet_types::{ConflictTable, Inventory, NodeId, Schedule, SchedulingWindow};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Heuristic configuration.
@@ -39,16 +43,7 @@ impl Default for HeuristicConfig {
     }
 }
 
-/// Hierarchy extracted from the inventory for the bundles in scope.
-struct Instance {
-    /// Timezones sorted by UTC offset descending (east → west).
-    timezones: Vec<TzGroup>,
-}
-
-struct TzGroup {
-    markets: Vec<MarketGroup>,
-}
-
+/// One market of the tz → market → tac hierarchy of the bundles in scope.
 struct MarketGroup {
     tacs: Vec<TacGroup>,
 }
@@ -60,78 +55,56 @@ struct TacGroup {
     size: usize,
 }
 
+/// Rank of each node's `attr` value in string order, `"-"` standing where
+/// a node has none: the order a map keyed by those names iterates in.
+fn name_ranks(inventory: &Inventory, nodes: &[NodeId], attr: &str) -> Vec<usize> {
+    let groups = inventory.group_by(nodes, attr);
+    let mut sorted: Vec<&str> = groups.values.iter().map(String::as_str).collect();
+    sorted.push("-");
+    sorted.sort_unstable();
+    sorted.dedup();
+    let rank = |name: &str| sorted.binary_search(&name).expect("every name was ranked");
+    let of_group: Vec<usize> = groups.values.iter().map(|v| rank(v)).collect();
+    let missing = rank("-");
+    let ranks = groups.membership.iter();
+    ranks.map(|g| g.map_or(missing, |g| of_group[g])).collect()
+}
+
 /// Group atomic bundles into the tz → market → tac hierarchy Algorithm 1
 /// walks. Each bundle is classified by its first node's attributes — a
 /// bundle is by definition scheduled as one unit, so one representative
 /// suffices. A missing or non-numeric `utc_offset` degrades gracefully to
 /// offset 0 (one shared timezone group) instead of panicking on sparse
-/// inventories.
-fn build_instance(inventory: &Inventory, bundles: &[Vec<NodeId>]) -> Instance {
-    type TacMap = BTreeMap<String, Vec<usize>>;
-    type MarketMap = BTreeMap<String, TacMap>;
-    let mut tree: BTreeMap<i64, MarketMap> = BTreeMap::new();
-    for (id, bundle) in bundles.iter().enumerate() {
-        let Some(&n) = bundle.first() else { continue };
-        let tz = inventory
-            .attr_of(n, "utc_offset")
-            .and_then(|v| v.as_f64())
-            .map_or(0, |v| (v * 1000.0).round() as i64);
-        let market = inventory
-            .group_key_of(n, "market")
-            .unwrap_or_else(|| "-".into());
-        let tac = inventory
-            .group_key_of(n, "tac")
-            .unwrap_or_else(|| "-".into());
-        tree.entry(tz)
-            .or_default()
-            .entry(market)
-            .or_default()
-            .entry(tac)
-            .or_default()
-            .push(id);
+/// inventories. Timezones come sorted by UTC offset descending (east →
+/// west), each with its markets.
+fn build_instance(inventory: &Inventory, bundles: &[&[NodeId]]) -> Vec<Vec<MarketGroup>> {
+    let (ids, firsts): (Vec<usize>, Vec<NodeId>) = bundles
+        .iter()
+        .enumerate()
+        .filter_map(|(id, bundle)| Some((id, *bundle.first()?)))
+        .unzip();
+    let tz = tz_millis(inventory, &firsts);
+    let market = name_ranks(inventory, &firsts, "market");
+    let tac = name_ranks(inventory, &firsts, "tac");
+    type ByRank<T> = BTreeMap<usize, T>;
+    let mut tree: BTreeMap<Reverse<i64>, ByRank<ByRank<Vec<usize>>>> = BTreeMap::new();
+    for (at, &id) in ids.iter().enumerate() {
+        let markets = tree.entry(Reverse(tz[at])).or_default();
+        let tacs = markets.entry(market[at]).or_default();
+        tacs.entry(tac[at]).or_default().push(id);
     }
+    let tac_group = |ids: Vec<usize>| TacGroup {
+        size: ids.iter().map(|&id| bundles[id].len()).sum(),
+        bundles: ids,
+    };
+    let market_group = |tacs: ByRank<Vec<usize>>| MarketGroup {
+        tacs: tacs.into_values().map(tac_group).collect(),
+    };
     // Descending offset: the east coast schedules first.
-    let timezones = tree
-        .into_iter()
-        .rev()
-        .map(|(_, markets)| TzGroup {
-            markets: markets
-                .into_values()
-                .map(|tacs| MarketGroup {
-                    tacs: tacs
-                        .into_values()
-                        .map(|ids| {
-                            let size = ids.iter().map(|&id| bundles[id].len()).sum();
-                            TacGroup { bundles: ids, size }
-                        })
-                        .collect(),
-                })
-                .collect(),
-        })
-        .collect();
-    Instance { timezones }
-}
-
-/// Sparse per-node conflict counts by usable-slot index.
-fn conflict_index(
-    conflicts: &ConflictTable,
-    window: &SchedulingWindow,
-    slots: &[Timeslot],
-) -> BTreeMap<NodeId, Vec<usize>> {
-    let mut map = BTreeMap::new();
-    for node in conflicts.nodes() {
-        let per_slot: Vec<usize> = slots
-            .iter()
-            .map(|&s| {
-                let (start, end) = window.slot_period(s);
-                conflicts.conflicts_in(node, start, end)
-            })
-            .collect();
-        if per_slot.iter().any(|c| *c > 0) {
-            map.insert(node, per_slot);
-        }
-    }
-    map
+    let timezones = tree.into_values();
+    timezones
+        .map(|markets| markets.into_values().map(market_group).collect())
+        .collect()
 }
 
 struct Attempt {
@@ -147,10 +120,10 @@ struct Attempt {
 /// lines 4–20).
 fn construct(
     markets: &[&MarketGroup],
-    bundles: &[Vec<NodeId>],
+    bundles: &[&[NodeId]],
     start_slot: usize,
     remaining: &[i64],
-    conflict_idx: &BTreeMap<NodeId, Vec<usize>>,
+    busy: &SlotConflicts,
     n_slots: usize,
 ) -> (Attempt, Vec<i64>) {
     let mut cap = remaining.to_vec();
@@ -164,11 +137,8 @@ fn construct(
     let mut out_of_slots = false;
 
     let tac_conflicts = |tac: &TacGroup, slot: usize| -> usize {
-        tac.bundles
-            .iter()
-            .flat_map(|&id| &bundles[id])
-            .filter_map(|n| conflict_idx.get(n).map(|v| v[slot]))
-            .sum()
+        let nodes = tac.bundles.iter().flat_map(|&id| bundles[id]);
+        nodes.map(|&n| tickets(busy, n, slot)).sum()
     };
 
     for market in markets {
@@ -212,14 +182,12 @@ fn construct(
                 let tac = &market.tacs[ti];
                 rem_bundles[ti].retain(|&bi| {
                     let id = tac.bundles[bi];
-                    let bundle = &bundles[id];
+                    let bundle = bundles[id];
                     if cap[curr] >= bundle.len() as i64 {
                         cap[curr] -= bundle.len() as i64;
                         attempt.assignments.push((id, curr));
-                        for n in bundle {
-                            if let Some(v) = conflict_idx.get(n) {
-                                attempt.conflicts += v[curr];
-                            }
+                        for &n in bundle {
+                            attempt.conflicts += tickets(busy, n, curr);
                         }
                         attempt.wtct += (curr as u64 + 1) * bundle.len() as u64;
                         progress = true;
@@ -239,43 +207,46 @@ fn construct(
     (attempt, cap)
 }
 
-/// Run Algorithm 1 over pre-formed atomic `bundles`. Returns the decoded
-/// schedule plus the usable-slot index each bundle landed on (`None` =
-/// leftover) — the shared-IR shape the [`crate::backend`] layer consumes.
-fn run_algorithm1(
+/// What Algorithm 1 decided for a list of bundles.
+pub(crate) struct Placed {
+    /// Usable-slot index each bundle landed on (`None` = leftover, or an
+    /// empty bundle).
+    pub(crate) placement: Vec<Option<usize>>,
+    /// Bundles that did not fit, in the order the timezones gave them up.
+    leftovers: Vec<usize>,
+    conflicts: usize,
+}
+
+/// Run Algorithm 1 over pre-formed atomic `bundles` and `n_slots` usable
+/// slots whose tickets are counted in `busy`.
+pub(crate) fn place_bundles(
     inventory: &Inventory,
-    bundles: &[Vec<NodeId>],
-    conflicts: &ConflictTable,
-    window: &SchedulingWindow,
+    bundles: &[&[NodeId]],
+    busy: &SlotConflicts,
+    n_slots: usize,
     config: &HeuristicConfig,
-) -> (Schedule, Vec<Option<usize>>) {
-    let slots = window.usable_slots();
-    let n_slots = slots.len();
-    let mut schedule = Schedule::default();
-    let mut placement: Vec<Option<usize>> = vec![None; bundles.len()];
+) -> Placed {
+    let mut placed = Placed {
+        placement: vec![None; bundles.len()],
+        leftovers: Vec::new(),
+        conflicts: 0,
+    };
     if n_slots == 0 {
-        schedule.leftovers = bundles.iter().flatten().copied().collect();
-        return (schedule, placement);
+        placed.leftovers = (0..bundles.len()).collect();
+        return placed;
     }
-    let instance = build_instance(inventory, bundles);
-    let conflict_idx = conflict_index(conflicts, window, &slots);
+    let timezones = build_instance(inventory, bundles);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut remaining = vec![config.slot_capacity; n_slots];
     let mut start_slot = 0usize;
+    let mut last_used = 0usize;
 
-    for tz in &instance.timezones {
+    for markets in &timezones {
         let mut best: Option<(Attempt, Vec<i64>)> = None;
         for _ in 0..config.iterations.max(1) {
-            let mut perm: Vec<&MarketGroup> = tz.markets.iter().collect();
+            let mut perm: Vec<&MarketGroup> = markets.iter().collect();
             perm.shuffle(&mut rng);
-            let (attempt, cap) = construct(
-                &perm,
-                bundles,
-                start_slot,
-                &remaining,
-                &conflict_idx,
-                n_slots,
-            );
+            let (attempt, cap) = construct(&perm, bundles, start_slot, &remaining, busy, n_slots);
             let better = match &best {
                 None => true,
                 Some((b, _)) => {
@@ -289,20 +260,15 @@ fn run_algorithm1(
         }
         let (attempt, cap) = best.expect("at least one iteration ran");
         for &(id, slot_idx) in &attempt.assignments {
-            placement[id] = Some(slot_idx);
-            for &n in &bundles[id] {
-                schedule.assignments.insert(n, slots[slot_idx]);
-            }
+            placed.placement[id] = Some(slot_idx);
+            last_used = last_used.max(slot_idx);
         }
-        for &id in &attempt.leftovers {
-            schedule.leftovers.extend(bundles[id].iter().copied());
-        }
-        schedule.conflicts += attempt.conflicts;
+        placed.leftovers.extend(attempt.leftovers);
+        placed.conflicts += attempt.conflicts;
         remaining = cap;
         // Next timezone starts at the last slot that still has spare
         // capacity among the slots we touched (Algorithm 1's
         // start_timeslot bookkeeping) — adjacent-timezone border sharing.
-        let last_used = last_used_slot(&schedule, &slots);
         start_slot = remaining
             .iter()
             .enumerate()
@@ -311,28 +277,7 @@ fn run_algorithm1(
             .map(|(i, _)| i)
             .unwrap_or(0);
     }
-    (schedule, placement)
-}
-
-/// Run Algorithm 1 over `nodes` inside `window`, bundling nodes that share
-/// a `usid` (consistency).
-pub fn heuristic_schedule(
-    inventory: &Inventory,
-    nodes: &[NodeId],
-    conflicts: &ConflictTable,
-    window: &SchedulingWindow,
-    config: &HeuristicConfig,
-) -> Schedule {
-    // usid → nodes; nodes without a usid are singleton bundles.
-    let mut by_usid: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
-    for &n in nodes {
-        let usid = inventory
-            .group_key_of(n, "usid")
-            .unwrap_or_else(|| n.to_string());
-        by_usid.entry(usid).or_default().push(n);
-    }
-    let bundles: Vec<Vec<NodeId>> = by_usid.into_values().collect();
-    run_algorithm1(inventory, &bundles, conflicts, window, config).0
+    placed
 }
 
 /// Run Algorithm 1 over pre-formed schedulable units — the shared
@@ -347,20 +292,50 @@ pub fn heuristic_schedule_units(
     window: &SchedulingWindow,
     config: &HeuristicConfig,
 ) -> (Schedule, Vec<Option<usize>>) {
-    run_algorithm1(inventory, units, conflicts, window, config)
+    let slots = window.usable_slots();
+    let periods: Vec<_> = slots.iter().map(|&s| window.slot_period(s)).collect();
+    let busy = slot_conflicts(conflicts, &periods);
+    let bundles: Vec<&[NodeId]> = units.iter().map(Vec::as_slice).collect();
+    let placed = place_bundles(inventory, &bundles, &busy, slots.len(), config);
+    let mut schedule = Schedule {
+        conflicts: placed.conflicts,
+        ..Schedule::default()
+    };
+    for (bundle, slot_idx) in bundles.iter().zip(&placed.placement) {
+        if let Some(slot_idx) = slot_idx {
+            let on_slot = bundle.iter().map(|&n| (n, slots[*slot_idx]));
+            schedule.assignments.extend(on_slot);
+        }
+    }
+    let leftovers = placed.leftovers.iter().flat_map(|&id| bundles[id]);
+    schedule.leftovers = leftovers.copied().collect();
+    (schedule, placed.placement)
 }
 
-fn last_used_slot(schedule: &Schedule, slots: &[Timeslot]) -> usize {
-    schedule
-        .makespan()
-        .and_then(|m| slots.iter().position(|s| *s == m))
-        .unwrap_or(0)
+/// Run Algorithm 1 over `nodes` inside `window`, bundling nodes that share
+/// a `usid` (consistency).
+pub fn heuristic_schedule(
+    inventory: &Inventory,
+    nodes: &[NodeId],
+    conflicts: &ConflictTable,
+    window: &SchedulingWindow,
+    config: &HeuristicConfig,
+) -> Schedule {
+    // usid → nodes; nodes without a usid are singleton bundles.
+    let usids = inventory.group_by(nodes, "usid");
+    let mut by_usid: BTreeMap<Cow<'_, str>, Vec<NodeId>> = BTreeMap::new();
+    for (&n, usid) in nodes.iter().zip(&usids.membership) {
+        let usid = usid.map_or_else(|| n.to_string().into(), |g| usids.values[g].as_str().into());
+        by_usid.entry(usid).or_default().push(n);
+    }
+    let bundles: Vec<Vec<NodeId>> = by_usid.into_values().collect();
+    heuristic_schedule_units(inventory, &bundles, conflicts, window, config).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cornet_types::{Attributes, NfType, SimTime};
+    use cornet_types::{Attributes, NfType, SimTime, Timeslot};
 
     /// 2 timezones × 2 markets × 2 TACs × 3 USIDs × 2 nodes = 48 nodes.
     fn ran_inventory() -> Inventory {
@@ -536,6 +511,47 @@ mod tests {
         let s = heuristic_schedule(&inv, &nodes, &ConflictTable::new(), &window(5), &cfg);
         assert_eq!(s.scheduled_count(), 6, "all scheduled, no panic");
         assert!(s.leftovers.is_empty());
+    }
+
+    /// Markets and TACs are walked in name order whatever order they are
+    /// first seen in, a bundle without the attribute standing as `"-"` —
+    /// beside a market that is literally named so.
+    #[test]
+    fn markets_and_tacs_walk_in_name_order_with_a_dash_for_missing() {
+        let mut inv = Inventory::new();
+        for (market, tac) in [
+            (Some("b"), Some("t2")),
+            (None, Some("t1")),
+            (Some("B"), None),
+            (Some("-"), Some("t0")),
+            (Some("!a"), Some("t9")),
+            (Some("b"), Some("T2")),
+            (Some("b"), Some("t2")),
+        ] {
+            let mut attrs = Attributes::new().with("utc_offset", -5.0);
+            if let Some(market) = market {
+                attrs.set("market", market);
+            }
+            if let Some(tac) = tac {
+                attrs.set("tac", tac);
+            }
+            inv.push("n", NfType::ENodeB, attrs);
+        }
+        let bundles: Vec<[NodeId; 1]> = inv.ids().map(|n| [n]).collect();
+        let bundles: Vec<&[NodeId]> = bundles.iter().map(|b| &b[..]).collect();
+        let timezones = build_instance(&inv, &bundles);
+        assert_eq!(timezones.len(), 1);
+        let walk: Vec<Vec<&[usize]>> = timezones[0]
+            .iter()
+            .map(|m| m.tacs.iter().map(|t| &t.bundles[..]).collect())
+            .collect();
+        let expected: Vec<Vec<&[usize]>> = vec![
+            vec![&[4]],          // "!a"
+            vec![&[3], &[1]],    // "-" and no market: t0, t1
+            vec![&[2]],          // "B", no tac
+            vec![&[5], &[0, 6]], // "b": T2, then t2 in bundle order
+        ];
+        assert_eq!(walk, expected);
     }
 
     /// The unit-level entry point used by the backend layer: placements

@@ -11,7 +11,7 @@
 //! The checks are `cornet-analysis` passes emitting `CN04xx` diagnostics;
 //! [`analyze_intent`] returns them as a [`Report`].
 
-use crate::decompose::ShardKey;
+use crate::decompose::shard_groups;
 use crate::intent::{ConstraintRule, PlanIntent};
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_types::{Inventory, NodeId, Result};
@@ -290,16 +290,11 @@ pub fn analyze_intent(
     }
 
     // --- shard shape: will sharded solving actually parallelize?
-    // Nodes are keyed by the `ShardKey` that `decompose::shard_translation`
-    // keys units by.
+    // Nodes are keyed as `decompose::shard_translation` keys units.
     {
-        let mut shard_sizes: std::collections::BTreeMap<ShardKey, usize> =
-            std::collections::BTreeMap::new();
-        for &n in nodes {
-            *shard_sizes.entry(ShardKey::of(inventory, n)).or_insert(0) += 1;
-        }
-        if shard_sizes.len() == 1 && nodes.len() >= SHARD_SCOPE_THRESHOLD {
-            let ShardKey { tz_milli, market } = shard_sizes.keys().next().expect("one shard");
+        let shards = shard_groups(inventory, nodes);
+        if shards.len() == 1 && nodes.len() >= SHARD_SCOPE_THRESHOLD {
+            let (tz_milli, market) = shards.keys().next().expect("one shard");
             report.push(Diagnostic::warning(
                 Code("CN0417"),
                 SourceRef::Intent,
@@ -312,8 +307,9 @@ pub fn analyze_intent(
                 ),
             ));
         }
-        for (ShardKey { tz_milli, market }, size) in &shard_sizes {
-            if *size > MAX_SHARD_NODES {
+        for ((tz_milli, market), positions) in &shards {
+            let size = positions.len();
+            if size > MAX_SHARD_NODES {
                 report.push(Diagnostic::warning(
                     Code("CN0418"),
                     SourceRef::Intent,

@@ -21,11 +21,13 @@
 
 use crate::intent::{ConflictTolerance, ConstraintRule, PlanIntent};
 use cornet_model::{Model, ModelBuilder, VarId};
+use cornet_types::inventory::AttributeGroups;
 use cornet_types::{
     ConflictTable, CornetError, Inventory, NodeId, Result, SchedulingWindow, SimTime, Timeslot,
     Topology,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Strategy for translating concurrency on a non-ESA attribute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,6 +81,9 @@ pub struct Translation {
     pub window: SchedulingWindow,
     /// Nodes excluded because a frozen element covers the whole window.
     pub frozen_out: Vec<NodeId>,
+    /// The intent's conflict table against `slots`, shared with the parts
+    /// this translation is split into.
+    pub(crate) busy: Arc<SlotConflicts>,
 }
 
 impl Translation {
@@ -89,62 +94,84 @@ impl Translation {
             let value = assignment[unit.var.index()];
             if value > 0 {
                 let slot = self.slots[(value - 1) as usize];
-                let (from, to) = self.window.slot_period(slot);
-                for &n in &unit.nodes {
-                    schedule.assignments.insert(n, slot);
-                    schedule.conflicts += conflicts.conflicts_in(n, from, to);
-                }
+                schedule
+                    .assignments
+                    .extend(unit.nodes.iter().map(|&n| (n, slot)));
             } else {
                 schedule.leftovers.extend(unit.nodes.iter().copied());
             }
         }
         schedule.leftovers.extend(self.frozen_out.iter().copied());
+        // Only a node of the table can conflict: an empty one costs nothing.
+        for n in conflicts.nodes() {
+            if let Some(&slot) = schedule.assignments.get(&n) {
+                let (from, to) = self.window.slot_period(slot);
+                schedule.conflicts += conflicts.conflicts_in(n, from, to);
+            }
+        }
         schedule
     }
+}
+
+/// Ticket counts per usable slot for every node of a conflict table that
+/// is busy in some slot — the one place slot periods meet the table.
+/// `translate` prices and forbids slots from it and Algorithm 1 steers by
+/// it; a node that is not in it costs neither anything.
+pub(crate) type SlotConflicts = BTreeMap<NodeId, Vec<usize>>;
+
+/// Count `conflicts` against the calendar `periods` of the usable slots.
+pub(crate) fn slot_conflicts(
+    conflicts: &ConflictTable,
+    periods: &[(SimTime, SimTime)],
+) -> SlotConflicts {
+    let mut busy = SlotConflicts::new();
+    for node in conflicts.nodes() {
+        let in_slot = |&(from, to): &(SimTime, SimTime)| conflicts.conflicts_in(node, from, to);
+        let counts: Vec<usize> = periods.iter().map(in_slot).collect();
+        if counts.iter().any(|c| *c > 0) {
+            busy.insert(node, counts);
+        }
+    }
+    busy
+}
+
+/// Tickets `node` would run into in the slot at index `slot`.
+pub(crate) fn tickets(busy: &SlotConflicts, node: NodeId, slot: usize) -> usize {
+    busy.get(&node).map_or(0, |counts| counts[slot])
 }
 
 /// Attribute grouping over *units*: every member of a unit must agree on
 /// the attribute, otherwise the intent is contradictory — a consistency
 /// rule has merged nodes that a localize/uniformity/concurrency rule needs
 /// to treat separately (§3.3.2's cross-attribute dependency problem,
-/// surfaced as an explicit error instead of a silent approximation).
-fn unit_groups(
+/// surfaced as an explicit error instead of a silent approximation). The
+/// returned membership is per unit.
+fn group_units(
     inventory: &Inventory,
     unit_nodes: &[Vec<NodeId>],
     attr: &str,
     rule_name: &str,
-) -> Result<(Vec<String>, Vec<Option<usize>>)> {
-    let mut values: Vec<String> = Vec::new();
-    let mut index: BTreeMap<String, usize> = BTreeMap::new();
-    let mut membership = Vec::with_capacity(unit_nodes.len());
+) -> Result<AttributeGroups> {
+    let members: Vec<NodeId> = unit_nodes.iter().flatten().copied().collect();
+    let mut groups = inventory.group_by(&members, attr);
+    // Units that agree within themselves are first seen in node order, so
+    // the node-level group ids are the unit-level ones.
+    let mut of_unit = Vec::with_capacity(unit_nodes.len());
+    let mut at = 0;
     for unit in unit_nodes {
-        let mut unit_value: Option<Option<String>> = None;
-        for &n in unit {
-            let v = inventory.group_key_of(n, attr);
-            match &unit_value {
-                None => unit_value = Some(v),
-                Some(prev) if *prev != v => {
-                    return Err(CornetError::InvalidIntent(format!(
-                        "consistency grouped {} and {} together, but they disagree on \
-                         '{attr}' which the {rule_name} rule needs uniform within a unit",
-                        unit[0], n
-                    )))
-                }
-                _ => {}
-            }
+        let of_members = &groups.membership[at..at + unit.len()];
+        if let Some(other) = of_members.iter().position(|g| *g != of_members[0]) {
+            return Err(CornetError::InvalidIntent(format!(
+                "consistency grouped {} and {} together, but they disagree on \
+                 '{attr}' which the {rule_name} rule needs uniform within a unit",
+                unit[0], unit[other]
+            )));
         }
-        match unit_value.flatten() {
-            Some(v) => {
-                let g = *index.entry(v.clone()).or_insert_with(|| {
-                    values.push(v.clone());
-                    values.len() - 1
-                });
-                membership.push(Some(g));
-            }
-            None => membership.push(None),
-        }
+        of_unit.push(of_members[0]);
+        at += unit.len();
     }
-    Ok((values, membership))
+    groups.membership = of_unit;
+    Ok(groups)
 }
 
 /// Translate an intent over a node scope into a constraint model.
@@ -167,34 +194,37 @@ pub fn translate(
     let extended_scope = intent.conflict_scope() == "service_chain";
 
     // --- frozen elements: full-window freezes drop nodes, period freezes
-    //     become per-slot forbids later.
-    let mut frozen_out = Vec::new();
+    //     become per-slot forbids later. A selector is resolved to a group
+    //     of each of its attributes once, not compared node by node.
+    let mut fully_frozen = vec![false; nodes.len()];
     let mut frozen_periods: BTreeMap<NodeId, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-    let mut active: Vec<NodeId> = Vec::with_capacity(nodes.len());
-    for &n in nodes {
-        let mut fully_frozen = false;
-        for f in &intent.frozen_elements {
-            let matches = f.selector.iter().all(|(key, value)| {
-                inventory.group_key_of(n, key).as_deref() == Some(value.as_str())
-            });
-            if !matches || f.selector.is_empty() {
-                continue;
-            }
-            match (&f.start, &f.end) {
-                (Some(s), Some(e)) => {
-                    frozen_periods
-                        .entry(n)
-                        .or_default()
-                        .push((SimTime::parse(s)?, SimTime::parse(e)?));
-                }
-                _ => fully_frozen = true,
+    for f in &intent.frozen_elements {
+        let mut selected = vec![!f.selector.is_empty(); nodes.len()];
+        for (key, value) in &f.selector {
+            let groups = inventory.group_by(nodes, key);
+            let wanted = groups.values.iter().position(|v| v == value);
+            for (hit, group) in selected.iter_mut().zip(&groups.membership) {
+                *hit &= wanted.is_some() && *group == wanted;
             }
         }
-        if fully_frozen {
-            frozen_out.push(n);
-        } else {
-            active.push(n);
+        if !selected.contains(&true) {
+            continue;
         }
+        // A period is parsed once, and only when it freezes something.
+        let period = match (&f.start, &f.end) {
+            (Some(s), Some(e)) => Some((SimTime::parse(s)?, SimTime::parse(e)?)),
+            _ => None,
+        };
+        for (p, _) in selected.iter().enumerate().filter(|(_, hit)| **hit) {
+            match period {
+                Some(period) => frozen_periods.entry(nodes[p]).or_default().push(period),
+                None => fully_frozen[p] = true,
+            }
+        }
+    }
+    let (mut frozen_out, mut active) = (Vec::new(), Vec::with_capacity(nodes.len()));
+    for (&n, &out) in nodes.iter().zip(&fully_frozen) {
+        (if out { &mut frozen_out } else { &mut active }).push(n);
     }
 
     // --- ESA grouping.
@@ -224,19 +254,17 @@ pub fn translate(
             if options.contract_consistency {
                 // Merge all units sharing the attribute into one unit.
                 let mut merged: Vec<Vec<NodeId>> = Vec::new();
-                let mut group_to_merged: BTreeMap<usize, usize> = BTreeMap::new();
-                for (ui, membership) in groups.membership.iter().enumerate() {
+                let mut merged_of = vec![usize::MAX; groups.group_count()];
+                for (unit, membership) in unit_nodes.into_iter().zip(&groups.membership) {
                     match membership {
-                        Some(g) => {
-                            if let Some(&mi) = group_to_merged.get(g) {
-                                let extra = unit_nodes[ui].clone();
-                                merged[mi].extend(extra);
-                            } else {
-                                group_to_merged.insert(*g, merged.len());
-                                merged.push(unit_nodes[ui].clone());
-                            }
+                        Some(g) if merged_of[*g] != usize::MAX => {
+                            merged[merged_of[*g]].extend(unit)
                         }
-                        None => merged.push(unit_nodes[ui].clone()),
+                        Some(g) => {
+                            merged_of[*g] = merged.len();
+                            merged.push(unit);
+                        }
+                        None => merged.push(unit),
                     }
                 }
                 unit_nodes = merged;
@@ -261,14 +289,6 @@ pub fn translate(
         n_slots.max(1),
     );
     let vars = b.slot_vars("COMMON_ID_SCHEDULED", n_units);
-    let units: Vec<Unit> = unit_nodes
-        .iter()
-        .zip(&vars)
-        .map(|(nodes, &var)| Unit {
-            nodes: nodes.clone(),
-            var,
-        })
-        .collect();
 
     for positions in same_value_groups {
         b.same_value("consistency", positions.iter().map(|&p| vars[p]).collect());
@@ -326,15 +346,8 @@ pub fn translate(
                     }
                     // ESA concurrency within each aggregate group (Eq. 5).
                     (true, Some(agg)) => {
-                        let (values, membership) =
-                            unit_groups(inventory, &unit_nodes, agg, "concurrency")?;
-                        let mut members: Vec<Vec<usize>> = vec![Vec::new(); values.len()];
-                        for (ui, g) in membership.iter().enumerate() {
-                            if let Some(g) = g {
-                                members[*g].push(ui);
-                            }
-                        }
-                        for positions in members {
+                        let groups = group_units(inventory, &unit_nodes, agg, "concurrency")?;
+                        for positions in groups.members() {
                             if positions.is_empty() {
                                 continue;
                             }
@@ -357,8 +370,9 @@ pub fn translate(
                     // Non-ESA concurrency: count distinct attribute groups
                     // per slot (Eq. 2–3 / Eq. 4).
                     (false, _) => {
-                        let (values, membership) =
-                            unit_groups(inventory, &unit_nodes, base_attribute, "concurrency")?;
+                        let AttributeGroups {
+                            values, membership, ..
+                        } = group_units(inventory, &unit_nodes, base_attribute, "concurrency")?;
                         if values.is_empty() && !unit_nodes.is_empty() {
                             return Err(CornetError::UnknownReference(format!(
                                 "concurrency attribute '{base_attribute}' absent from inventory"
@@ -423,7 +437,7 @@ pub fn translate(
             ConstraintRule::Uniformity { attribute, value } => {
                 // Fail loudly when a consistency-merged unit spans metric
                 // values (cross-attribute dependency, §3.3.2).
-                unit_groups(inventory, &unit_nodes, attribute, "uniformity")?;
+                group_units(inventory, &unit_nodes, attribute, "uniformity")?;
                 let mut metric = Vec::with_capacity(n_units);
                 for u in &unit_nodes {
                     let v = inventory
@@ -445,10 +459,10 @@ pub fn translate(
                 );
             }
             ConstraintRule::Localize { attribute } => {
-                let (_, membership) = unit_groups(inventory, &unit_nodes, attribute, "localize")?;
+                let groups = group_units(inventory, &unit_nodes, attribute, "localize")?;
                 let (pvars, pgroups): (Vec<VarId>, Vec<usize>) = vars
                     .iter()
-                    .zip(&membership)
+                    .zip(&groups.membership)
                     .filter_map(|(v, g)| g.map(|g| (*v, g)))
                     .unzip();
                 b.non_interleaved(format!("localize[{attribute}]"), pvars, pgroups);
@@ -468,16 +482,31 @@ pub fn translate(
     // each unit's unscheduled penalty is priced above its worst-case
     // conflict cost. Track that maximum as we price the slots.
     let mut max_conflict_cost = vec![0i64; unit_nodes.len()];
-    for (ui, unit) in unit_nodes.iter().enumerate() {
-        for (k, &slot) in slots.iter().enumerate() {
-            let (start, end) = window.slot_period(slot);
+    let periods: Vec<_> = slots.iter().map(|&s| window.slot_period(s)).collect();
+    let busy = slot_conflicts(&conflicts, &periods);
+    // Only a node that is busy, next to a busy one under service-chain
+    // scope, or frozen for a period can forbid or price a slot: an intent
+    // without tickets and freezes visits no unit at all.
+    let mut touched: BTreeSet<NodeId> = frozen_periods.keys().copied().collect();
+    for &n in busy.keys() {
+        touched.insert(n);
+        if extended_scope {
+            touched.extend(topology.neighbors(n));
+        }
+    }
+    let touched_units = unit_nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, unit)| !touched.is_empty() && unit.iter().any(|n| touched.contains(n)));
+    for (ui, unit) in touched_units {
+        for (k, &(start, end)) in periods.iter().enumerate() {
             let mut conflict_count = 0usize;
             let mut frozen = false;
             for &n in unit {
-                conflict_count += conflicts.conflicts_in(n, start, end);
+                conflict_count += tickets(&busy, n, k);
                 if extended_scope {
                     for &nb in topology.neighbors(n) {
-                        conflict_count += conflicts.conflicts_in(nb, start, end);
+                        conflict_count += tickets(&busy, nb, k);
                     }
                 }
                 if let Some(periods) = frozen_periods.get(&n) {
@@ -514,12 +543,18 @@ pub fn translate(
         }
     }
 
+    let units = unit_nodes
+        .into_iter()
+        .zip(vars)
+        .map(|(nodes, var)| Unit { nodes, var })
+        .collect();
     Ok(Translation {
         model: b.build(),
         units,
         slots,
         window,
         frozen_out,
+        busy: Arc::new(busy),
     })
 }
 
@@ -679,6 +714,54 @@ mod tests {
         });
         let t = translate(&it, &inv, &topo, &all_nodes(), &TranslateOptions::default()).unwrap();
         assert_eq!(t.frozen_out.len(), 2, "both NYC nodes frozen");
+    }
+
+    /// A period freeze on a 1 000-node market forbids the covered slots
+    /// of exactly its nodes; a two-key selector needs both to match, and
+    /// an integer attribute matches its decimal spelling.
+    #[test]
+    fn frozen_period_on_a_large_market() {
+        let mut inv = Inventory::new();
+        for i in 0..1_300 {
+            let mut attrs = Attributes::new().with("pool_id", (i % 13) as i64);
+            if i < 1_200 {
+                attrs.set("market", if i % 6 == 5 { "SMALL" } else { "BIG" });
+            }
+            inv.push(format!("n{i}"), NfType::ENodeB, attrs);
+        }
+        let topo = Topology::with_capacity(inv.len());
+        let nodes: Vec<NodeId> = inv.ids().collect();
+        let freeze = |from: &str, to: &str, selector: &[(&str, &str)]| {
+            let selector = selector.iter().map(|(k, v)| (k.to_string(), v.to_string()));
+            crate::intent::FrozenElement {
+                start: Some(format!("2020-07-{from} 00:00:00")),
+                end: Some(format!("2020-07-{to} 23:59:00")),
+                selector: selector.collect(),
+            }
+        };
+        let mut it = intent("");
+        it.frozen_elements = vec![
+            freeze("02", "03", &[("market", "BIG")]),
+            freeze("05", "05", &[("market", "BIG"), ("pool_id", "7")]),
+            freeze("01", "05", &[("market", "NOWHERE")]),
+        ];
+        let t = translate(&it, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
+        assert!(t.frozen_out.is_empty());
+        let big = |i: &usize| *i < 1_200 && i % 6 != 5;
+        let in_pool = (0..1_300).filter(big).filter(|i| i % 13 == 7).count();
+        assert_eq!((0..1_300).filter(big).count(), 1_000);
+        assert_eq!(
+            t.model.stats().by_kind["forbidden_value"],
+            2 * 1_000 + in_pool,
+            "days 2 and 3 for the market, day 5 for its pool-7 nodes"
+        );
+        let with_n0_on = |day| {
+            let mut assignment = vec![0; 1_300];
+            assignment[0] = day;
+            t.model.check(&assignment)
+        };
+        assert!(with_n0_on(1).is_ok(), "day 1 stays open");
+        assert!(with_n0_on(2).is_err(), "n0 is in BIG");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 use crate::attr::{AttrValue, Attributes};
 use crate::id::NodeId;
 use crate::nf::NfType;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// One network-function instance and its attributes.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,10 +39,77 @@ impl InventoryRecord {
     }
 }
 
+/// Marks, in a [`Column`], a record that lacks the attribute.
+const ABSENT: u32 = u32::MAX;
+
+/// One attribute across the whole inventory.
+#[derive(Debug, Default)]
+struct Column {
+    /// Per record, the index into `keys` of its grouping key, or [`ABSENT`].
+    ids: Vec<u32>,
+    /// Distinct grouping keys ([`AttrValue::group_key`]), as the build met them.
+    keys: Vec<String>,
+}
+
+/// Every attribute of every record, interned in one pass: what a grouped
+/// query reads instead of chasing each record's attribute map (one
+/// `BTreeMap` leaf and ten separately allocated key strings a record — a
+/// cache miss a lookup).
+fn build_index(records: &[InventoryRecord]) -> HashMap<String, Column> {
+    #[derive(Default)]
+    struct Building<'a> {
+        name: &'a str,
+        column: Column,
+        id_of: HashMap<Cow<'a, str>, u32>,
+        /// The value last interned: loaded site by site, most repeat it.
+        last: Option<(&'a AttrValue, u32)>,
+    }
+    // Sorted by name as a record's attributes are: the next is most often it.
+    let mut columns: Vec<Building<'_>> = Vec::new();
+    for (i, record) in records.iter().enumerate() {
+        let mut at = 0;
+        for (name, value) in record.attrs.iter() {
+            if columns.get(at).is_none_or(|b| b.name != name) {
+                let ahead = columns[at..].binary_search_by(|b| b.name.cmp(name));
+                at += ahead.unwrap_or_else(|ahead| {
+                    let mut new = Building::default();
+                    (new.name, new.column.ids) = (name, vec![ABSENT; records.len()]);
+                    columns.insert(at + ahead, new);
+                    ahead
+                });
+            }
+            let b = &mut columns[at];
+            let id = match b.last {
+                Some((seen, id)) if seen == value => id,
+                _ => {
+                    let key = match value {
+                        AttrValue::Str(s) => Cow::Borrowed(s.as_str()),
+                        other => Cow::Owned(other.group_key()),
+                    };
+                    let next = b.column.keys.len() as u32;
+                    *b.id_of.entry(key).or_insert_with_key(|key| {
+                        b.column.keys.push(key.to_string());
+                        next
+                    })
+                }
+            };
+            b.last = Some((value, id));
+            b.column.ids[i] = id;
+            at += 1;
+        }
+    }
+    let named = columns.into_iter().map(|b| (b.name.to_owned(), b.column));
+    named.collect()
+}
+
 /// Collection of inventory records with dense ids and attribute indexes.
 #[derive(Clone, Debug, Default)]
 pub struct Inventory {
     records: Vec<InventoryRecord>,
+    /// Built by the first grouped query; a clone shares it once it is.
+    index: OnceLock<Arc<HashMap<String, Column>>>,
+    #[cfg(test)]
+    index_builds: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl Inventory {
@@ -52,6 +121,8 @@ impl Inventory {
     /// Append a record, assigning it the next dense [`NodeId`].
     pub fn push(&mut self, name: impl Into<String>, nf_type: NfType, attrs: Attributes) -> NodeId {
         let id = NodeId(self.records.len() as u32);
+        // The one mutation there is, so the one place an index goes stale.
+        self.index = OnceLock::new();
         self.records.push(InventoryRecord {
             id,
             name: name.into(),
@@ -120,27 +191,36 @@ impl Inventory {
     /// values in first-seen order, plus each node's group index (or `None`
     /// when the node lacks the attribute).
     ///
-    /// Restricting to `nodes` keeps the mapping as small as the request.
+    /// Restricting to `nodes` keeps the mapping as small as the request:
+    /// once the first caller has built the index, an array read a node.
     pub fn group_by(&self, nodes: &[NodeId], key: &str) -> AttributeGroups {
-        let mut value_to_group: BTreeMap<String, usize> = BTreeMap::new();
-        let mut values: Vec<String> = Vec::new();
-        let mut membership: Vec<Option<usize>> = Vec::with_capacity(nodes.len());
-        for &id in nodes {
-            match self.group_key_of(id, key) {
-                Some(v) => {
-                    let g = *value_to_group.entry(v.clone()).or_insert_with(|| {
-                        values.push(v.clone());
-                        values.len() - 1
-                    });
-                    membership.push(Some(g));
-                }
-                None => membership.push(None),
+        let index = || {
+            self.index.get_or_init(|| {
+                #[cfg(test)]
+                self.index_builds
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Arc::new(build_index(&self.records))
+            })
+        };
+        let len = self.len();
+        match key {
+            "common_id" => {
+                let id_of = |n: NodeId| if n.index() < len { n.0 } else { ABSENT };
+                renumber(nodes, key, len, id_of, |id| NodeId(id).to_string())
             }
-        }
-        AttributeGroups {
-            key: key.to_owned(),
-            values,
-            membership,
+            "nf_type" => {
+                // `NfType::ALL` is in declaration order: discriminants index it.
+                let id_of = |n| self.get(n).map_or(ABSENT, |r| r.nf_type as u32);
+                let name_of = |id: u32| NfType::ALL[id as usize].name().to_owned();
+                renumber(nodes, key, NfType::ALL.len(), id_of, name_of)
+            }
+            _ => {
+                let nowhere = Column::default();
+                let column = index().get(key).unwrap_or(&nowhere);
+                let id_of = |n: NodeId| column.ids.get(n.index()).copied().unwrap_or(ABSENT);
+                let name_of = |id: u32| column.keys[id as usize].clone();
+                renumber(nodes, key, column.keys.len(), id_of, name_of)
+            }
         }
     }
 
@@ -148,6 +228,34 @@ impl Inventory {
     pub fn distinct_values(&self, key: &str) -> Vec<String> {
         let ids: Vec<NodeId> = self.ids().collect();
         self.group_by(&ids, key).values
+    }
+}
+
+/// Group `nodes` by the id `id_of` gives each (below `distinct`, or
+/// [`ABSENT`]), numbering the groups in first-seen order and naming each
+/// with `name_of` its id.
+fn renumber(
+    nodes: &[NodeId],
+    key: &str,
+    distinct: usize,
+    id_of: impl Fn(NodeId) -> u32,
+    name_of: impl Fn(u32) -> String,
+) -> AttributeGroups {
+    let mut group_of = vec![usize::MAX; distinct];
+    let mut values = Vec::new();
+    let mut group = |id: u32| {
+        let group = group_of.get_mut(id as usize)?;
+        if *group == usize::MAX {
+            *group = values.len();
+            values.push(name_of(id));
+        }
+        Some(*group)
+    };
+    let membership = nodes.iter().map(|&n| group(id_of(n))).collect();
+    AttributeGroups {
+        key: key.to_owned(),
+        values,
+        membership,
     }
 }
 
@@ -182,6 +290,9 @@ impl AttributeGroups {
         out
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -131,6 +131,13 @@ mod tests {
     }
 
     #[test]
+    fn all_is_in_declaration_order() {
+        for (i, nf) in NfType::ALL.iter().enumerate() {
+            assert_eq!(*nf as usize, i);
+        }
+    }
+
+    #[test]
     fn names_are_unique() {
         let mut names: Vec<_> = NfType::ALL.iter().map(|t| t.name()).collect();
         names.sort();
