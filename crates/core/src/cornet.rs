@@ -230,7 +230,6 @@ mod tests {
         }"#;
         for backend in [
             BackendChoice::Exact,
-            BackendChoice::Greedy,
             BackendChoice::Heuristic,
             BackendChoice::Portfolio,
         ] {

@@ -29,12 +29,10 @@ use crate::decompose::{reconcile, shard_translation, solve_parts, TranslationPar
 use crate::heuristic::{place_bundles, HeuristicConfig};
 use crate::intent::PlanIntent;
 use crate::translate::Translation;
-use crate::warm::WarmStart;
 use cornet_model::Model;
 use cornet_obs::{ActiveSpan, SpanId, Tracer};
 use cornet_solver::{solve, CancelToken, Outcome, SearchStats, SharedIncumbent, SolverConfig};
-use cornet_types::{ConflictTable, CornetError, Inventory, NodeId, Result};
-use std::sync::Arc;
+use cornet_types::{CornetError, Inventory, NodeId, Result};
 use std::time::{Duration, Instant};
 
 /// Which backend the planner should use.
@@ -43,13 +41,10 @@ pub enum BackendChoice {
     /// Exact branch & bound CP solver (proves optimality under budget).
     #[default]
     Exact,
-    /// The exact solver's greedy warm-start dive, stopped at the first
-    /// solution — a fast feasibility backend.
-    Greedy,
     /// Algorithm 1 (Appendix C): timezone-sequenced market-permutation
     /// local search over the translation's units.
     Heuristic,
-    /// Race exact, greedy and heuristic; deterministic winner.
+    /// Race exact and heuristic; deterministic winner.
     Portfolio,
     /// Shard the translation by timezone/market, race a portfolio per
     /// shard with apportioned capacities, then reconcile shared capacity
@@ -62,12 +57,11 @@ impl BackendChoice {
     pub fn parse(s: &str) -> Result<Self> {
         match s {
             "exact" => Ok(BackendChoice::Exact),
-            "greedy" => Ok(BackendChoice::Greedy),
             "heuristic" => Ok(BackendChoice::Heuristic),
             "portfolio" => Ok(BackendChoice::Portfolio),
             "sharded" => Ok(BackendChoice::Sharded),
             other => Err(CornetError::Parse(format!(
-                "unknown backend {other:?} (expected exact|greedy|heuristic|portfolio|sharded)"
+                "unknown backend {other:?} (expected exact|heuristic|portfolio|sharded)"
             ))),
         }
     }
@@ -76,7 +70,6 @@ impl BackendChoice {
     pub fn name(self) -> &'static str {
         match self {
             BackendChoice::Exact => "exact",
-            BackendChoice::Greedy => "greedy",
             BackendChoice::Heuristic => "heuristic",
             BackendChoice::Portfolio => "portfolio",
             BackendChoice::Sharded => "sharded",
@@ -93,7 +86,6 @@ impl BackendChoice {
             BackendChoice::Exact => Box::new(ExactBackend {
                 config: solver.clone(),
             }),
-            BackendChoice::Greedy => Box::new(GreedyBackend),
             BackendChoice::Heuristic => Box::new(HeuristicBackend {
                 config: heuristic.clone(),
                 capacity_override: None,
@@ -108,7 +100,7 @@ impl BackendChoice {
 /// limits, lifted out of `SolverConfig` so non-CP backends honor them too).
 #[derive(Clone, Debug)]
 pub struct Budget {
-    /// Maximum search nodes (exact/greedy backends).
+    /// Maximum search nodes (exact backend).
     pub max_nodes: u64,
     /// Wall-clock limit.
     pub time_limit: Duration,
@@ -141,8 +133,6 @@ pub struct SolveContext<'a> {
     pub inventory: &'a Inventory,
     /// The source intent (capacity and tolerance knobs).
     pub intent: &'a PlanIntent,
-    /// Resolved conflict table.
-    pub conflicts: &'a ConflictTable,
     /// Shared-incumbent hook, set by the portfolio driver. Only the exact
     /// backend prunes against it; see the module docs for why.
     pub incumbent: Option<SharedIncumbent>,
@@ -152,29 +142,23 @@ pub struct SolveContext<'a> {
     /// Parent for backend spans (the planner's `plan` span, or the
     /// portfolio's own span for member runs).
     pub span_parent: Option<SpanId>,
-    /// Warm-start hints from a prior plan; the exact backend seeds its
-    /// incumbent and pins matched units from it.
-    pub warm: Option<Arc<WarmStart>>,
 }
 
 impl<'a> SolveContext<'a> {
-    /// Context over a translation: no shared incumbent, no tracer, no
-    /// warm start — set the fields to attach them.
+    /// Context over a translation: no shared incumbent, no tracer — set
+    /// the fields to attach them.
     pub fn new(
         translation: &'a Translation,
         inventory: &'a Inventory,
         intent: &'a PlanIntent,
-        conflicts: &'a ConflictTable,
     ) -> Self {
         SolveContext {
             translation,
             inventory,
             intent,
-            conflicts,
             incumbent: None,
             tracer: Tracer::noop(),
             span_parent: None,
-            warm: None,
         }
     }
 }
@@ -220,7 +204,7 @@ fn close_solve_span(
 /// per-backend statistics `PlanResult` records.
 #[derive(Clone, Debug)]
 pub struct BackendRun {
-    /// Backend name (`exact`, `greedy`, `heuristic`).
+    /// Backend name (`exact`, `heuristic`, `sharded`).
     pub backend: &'static str,
     /// How the backend's search ended.
     pub outcome: Outcome,
@@ -306,42 +290,6 @@ pub trait SolverBackend: Send + Sync {
         -> BackendResult;
 }
 
-/// One CP run, shared by the exact and greedy backends: overlay the budget
-/// and the cancel hook on `config` (the caller has already chosen its
-/// incumbent, warm start and search mode), solve, check the answer against
-/// the model and report it under `name`. A backend that `proves` nothing
-/// reports a completed search as `Feasible`.
-fn cp_solve(
-    name: &'static str,
-    proves: bool,
-    config: SolverConfig,
-    ctx: &SolveContext<'_>,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> BackendResult {
-    let span = open_solve_span(ctx, name);
-    let config = SolverConfig {
-        max_nodes: budget.max_nodes,
-        time_limit: budget.time_limit,
-        cancel: Some(cancel.clone()),
-        ..config
-    };
-    let model = &ctx.translation.model;
-    let r = solve(model, &config);
-    let outcome = match r.outcome {
-        Outcome::Optimal if !proves => Outcome::Feasible,
-        other => other,
-    };
-    let (assignment, cost) = r.best.map(|sol| (sol.assignment, sol.cost)).unzip();
-    let feasible = assignment.as_ref().is_some_and(|a| model.check(a).is_ok());
-    let result = BackendResult::from_run(
-        BackendRun::solo(name, outcome, cost, feasible, r.stats),
-        assignment,
-    );
-    close_solve_span(ctx, span, name, budget, cancel, &result);
-    result
-}
-
 /// The exact branch & bound CP solver.
 #[derive(Clone, Debug, Default)]
 pub struct ExactBackend {
@@ -360,46 +308,24 @@ impl SolverBackend for ExactBackend {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> BackendResult {
-        // Seed the incumbent from the prior plan and pin matched units so
-        // only the delta is searched.
-        let prior = ctx.warm.as_ref().map(|w| w.hint());
+        let span = open_solve_span(ctx, "exact");
         let config = SolverConfig {
+            max_nodes: budget.max_nodes,
+            time_limit: budget.time_limit,
+            cancel: Some(cancel.clone()),
             incumbent: ctx.incumbent.clone(),
-            warm_start: prior.or_else(|| self.config.warm_start.clone()),
             ..self.config.clone()
         };
-        cp_solve("exact", true, config, ctx, budget, cancel)
-    }
-}
-
-/// The greedy warm-start dive as a standalone fast backend: the exact
-/// solver's cost-ordered first descent, stopped at the first solution.
-#[derive(Clone, Debug, Default)]
-pub struct GreedyBackend;
-
-impl SolverBackend for GreedyBackend {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn solve(
-        &self,
-        ctx: &SolveContext<'_>,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> BackendResult {
-        // A completed dive proves feasibility, never optimality. It never
-        // prunes against the shared incumbent (a raced bound could cut it
-        // short and make the result depend on timing) and it stays cold:
-        // it is the portfolio's "what would a fresh solve do" member.
-        // With the budget and the cancel hook overlaid per solve, that
-        // leaves no solver knob for it to take from the caller.
-        let config = SolverConfig {
-            cost_value_order: true,
-            first_solution_only: true,
-            ..SolverConfig::default()
-        };
-        cp_solve("greedy", false, config, ctx, budget, cancel)
+        let model = &ctx.translation.model;
+        let r = solve(model, &config);
+        let (assignment, cost) = r.best.map(|sol| (sol.assignment, sol.cost)).unzip();
+        let feasible = assignment.as_ref().is_some_and(|a| model.check(a).is_ok());
+        let result = BackendResult::from_run(
+            BackendRun::solo("exact", r.outcome, cost, feasible, r.stats),
+            assignment,
+        );
+        close_solve_span(ctx, span, "exact", budget, cancel, &result);
+        result
     }
 }
 
@@ -489,8 +415,9 @@ pub struct PortfolioBackend {
 }
 
 impl PortfolioBackend {
-    /// The standard lineup: exact, then greedy, then heuristic — exact
-    /// first so a proved optimum always wins ties.
+    /// The standard lineup: exact, then heuristic — exact first so a
+    /// proved optimum always wins ties. Two members, not three: a greedy
+    /// one would rerun the exact search's own cost-ordered first dive.
     pub fn standard(solver: &SolverConfig, heuristic: &HeuristicConfig) -> Self {
         Self::lineup(solver, heuristic, None)
     }
@@ -507,7 +434,6 @@ impl PortfolioBackend {
                 Box::new(ExactBackend {
                     config: solver.clone(),
                 }),
-                Box::new(GreedyBackend),
                 Box::new(HeuristicBackend {
                     config: heuristic.clone(),
                     capacity_override,
@@ -654,7 +580,7 @@ fn candidate_rank(model: &Model, assignment: &[i64], feasible: bool) -> (bool, u
 /// better of the two under [`candidate_rank`], so the sharded backend is
 /// never worse than the heuristic alone.
 pub struct ShardedBackend {
-    /// Solver knobs for per-shard exact/greedy members.
+    /// Solver knobs for per-shard exact members.
     pub solver: SolverConfig,
     /// Heuristic knobs for per-shard members and the safety net.
     pub heuristic: HeuristicConfig,
@@ -818,6 +744,7 @@ impl SolverBackend for ShardedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intent::ConstraintRule;
     use crate::translate::{translate, TranslateOptions};
     use cornet_types::{Attributes, Inventory, NfType, NodeId, Topology};
 
@@ -859,8 +786,7 @@ mod tests {
         let (intent, inv, topo, nodes) = fixture(n, cap);
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let ctx = SolveContext::new(&translation, &inv, &intent);
         let backend = choice.instantiate(&SolverConfig::default(), &HeuristicConfig::default());
         backend.solve(&ctx, &Budget::default(), &CancelToken::new())
     }
@@ -869,7 +795,6 @@ mod tests {
     fn choice_parse_round_trips() {
         for c in [
             BackendChoice::Exact,
-            BackendChoice::Greedy,
             BackendChoice::Heuristic,
             BackendChoice::Portfolio,
             BackendChoice::Sharded,
@@ -888,14 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_backend_is_feasible_not_optimal() {
-        let r = run(BackendChoice::Greedy, 6, 2);
-        assert_eq!(r.outcome, Outcome::Feasible);
-        assert!(r.runs[0].feasible);
-        assert_eq!(r.stats.solutions, 1, "stops at the first solution");
-    }
-
-    #[test]
     fn heuristic_backend_returns_assignment() {
         let r = run(BackendChoice::Heuristic, 6, 2);
         let a = r.assignment.expect("heuristic always proposes");
@@ -907,7 +824,7 @@ mod tests {
     fn portfolio_reports_all_members_and_one_winner() {
         let r = run(BackendChoice::Portfolio, 6, 2);
         let names: Vec<_> = r.runs.iter().map(|run| run.backend).collect();
-        assert_eq!(names, vec!["exact", "greedy", "heuristic"]);
+        assert_eq!(names, vec!["exact", "heuristic"]);
         assert_eq!(r.runs.iter().filter(|run| run.winner).count(), 1);
         assert_eq!(r.outcome, Outcome::Optimal, "exact completes on 6 nodes");
         // The winning cost is the minimum over feasible members.
@@ -954,7 +871,7 @@ mod tests {
             "merged plan is globally feasible"
         );
         let shard_runs = r.runs.iter().filter(|run| run.shard.is_some()).count();
-        assert!(shard_runs >= 6, "two shards × three members: {shard_runs}");
+        assert!(shard_runs >= 4, "two shards × two members: {shard_runs}");
         assert!(
             r.runs.iter().any(|run| run.backend == "sharded"),
             "aggregate sharded run is reported"
@@ -975,8 +892,7 @@ mod tests {
         }];
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let ctx = SolveContext::new(&translation, &inv, &intent);
         let exact = ExactBackend::default().solve(&ctx, &Budget::default(), &CancelToken::new());
         let sharded = ShardedBackend::standard(
             &SolverConfig::default(),
@@ -992,8 +908,7 @@ mod tests {
         let (intent, inv, topo, nodes) = fixture(10, 3);
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let ctx = SolveContext::new(&translation, &inv, &intent);
         let backend =
             ShardedBackend::standard(&SolverConfig::default(), &HeuristicConfig::default());
         let fwd =
@@ -1022,8 +937,7 @@ mod tests {
         let nodes: Vec<NodeId> = inv.ids().collect();
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let ctx = SolveContext::new(&translation, &inv, &intent);
         let r = ShardedBackend::standard(&SolverConfig::default(), &HeuristicConfig::default())
             .solve(&ctx, &Budget::default(), &CancelToken::new());
         assert_eq!(r.outcome, Outcome::Optimal, "portfolio fallback completes");
@@ -1031,29 +945,69 @@ mod tests {
     }
 
     #[test]
-    fn warm_context_replays_prior_plan_bit_identically() {
-        let (intent, inv, topo, nodes) = fixture(8, 2);
+    fn truncated_race_is_two_members_and_costs_what_solo_exact_costs() {
+        // The `esa_market` shape: one unit per market weighing its node
+        // count, under a capacity the weights do not tile, so the bound
+        // cannot close the search and the node budget truncates it.
+        let sizes = [5usize, 7, 3, 6, 4, 8, 2, 5, 9, 3];
+        let mut inv = Inventory::new();
+        for (m, &size) in sizes.iter().enumerate() {
+            for i in 0..size {
+                let attrs = Attributes::new()
+                    .with("market", format!("M{m}"))
+                    .with("utc_offset", if m % 2 == 0 { -5.0 } else { -6.0 });
+                inv.push(format!("n{m}-{i}"), NfType::ENodeB, attrs);
+            }
+        }
+        let nodes: Vec<NodeId> = inv.ids().collect();
+        let (mut intent, _, _, _) = fixture(0, nodes.len() as i64 / 3);
+        intent.schedulable_attribute = "market".into();
+        let ConstraintRule::Concurrency { base_attribute, .. } = &mut intent.constraints[0] else {
+            unreachable!("the fixture declares one concurrency rule")
+        };
+        *base_attribute = "market".into();
+        let topo = Topology::with_capacity(nodes.len());
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
-        let cold = ExactBackend::default().solve(&ctx, &Budget::default(), &CancelToken::new());
-        let prior = cold.assignment.clone().expect("cold plan");
-
-        let warm = WarmStart {
-            values: prior.clone(),
-            delta: crate::warm::PlanDelta::default(),
+        let ctx = SolveContext::new(&translation, &inv, &intent);
+        let budget = Budget {
+            max_nodes: 300,
+            ..Budget::default()
         };
-        let mut warm_ctx = ctx.clone();
-        warm_ctx.warm = Some(Arc::new(warm));
-        let r = ExactBackend::default().solve(&warm_ctx, &Budget::default(), &CancelToken::new());
+        let solve = |choice: BackendChoice| {
+            choice
+                .instantiate(&SolverConfig::default(), &HeuristicConfig::default())
+                .solve(&ctx, &budget, &CancelToken::new())
+        };
+        let exact = solve(BackendChoice::Exact);
         assert_eq!(
-            r.assignment.as_ref(),
-            Some(&prior),
-            "pinned replay is bit-identical"
+            exact.outcome,
+            Outcome::Feasible,
+            "the budget truncates exact"
         );
-        assert_eq!(r.stats.nodes, 1, "empty delta expands a single node");
-        assert_eq!(r.outcome, Outcome::Feasible, "pinned search proves nothing");
+
+        // The sketch (112) costs more than exact's first dive (110), so
+        // its published bound cuts nothing exact's own incumbent does not:
+        // the race's exact member is the solo search, node for node.
+        let race = solve(BackendChoice::Portfolio);
+        assert_eq!(race.runs.len(), 2, "one race, two members");
+        assert_eq!(
+            race.cost, exact.cost,
+            "the winner costs what solo exact costs"
+        );
+        let sharded = solve(BackendChoice::Sharded);
+        let shards = sharded
+            .runs
+            .iter()
+            .filter_map(|run| run.shard)
+            .max()
+            .unwrap()
+            + 1;
+        assert!(shards >= 2, "the two timezones shard");
+        for si in 0..shards {
+            let members = sharded.runs.iter().filter(|run| run.shard == Some(si));
+            assert_eq!(members.count(), 2, "shard {si} races two members");
+        }
     }
 
     #[test]
@@ -1062,9 +1016,8 @@ mod tests {
         let (intent, inv, topo, nodes) = fixture(4, 2);
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let conflicts = intent.conflicts().unwrap();
         let tracer = Tracer::wall();
-        let mut ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let mut ctx = SolveContext::new(&translation, &inv, &intent);
         ctx.tracer = tracer.clone();
         let backend = BackendChoice::Portfolio
             .instantiate(&SolverConfig::default(), &HeuristicConfig::default());
@@ -1077,7 +1030,7 @@ mod tests {
         );
         // Every member started cancelled — through the race's child token,
         // nobody copied anything — and every member is still reported.
-        assert_eq!(r.runs.len(), 3);
+        assert_eq!(r.runs.len(), 2);
         assert!(r.runs.iter().all(|run| run.outcome != Outcome::Optimal));
         let trace = tracer.snapshot();
         let race = trace.spans_named("solve.portfolio").next().unwrap();

@@ -219,14 +219,14 @@ const PART_TIME_FLOOR: Duration = Duration::from_millis(50);
 /// parent translation.
 ///
 /// Each part is solved in its own [`SolveContext`] — its sub-translation,
-/// its slice of the warm start, no shared incumbent, spans under
-/// `ctx.span_parent`. `budget.max_nodes` is per part; `budget.time_limit`
-/// is **one deadline for the whole fan**, taken here: parts beyond the
-/// pool wait their turn, so a part gets what is left of the deadline when
-/// it starts, floored at [`PART_TIME_FLOOR`]. The fan therefore returns
-/// within `time_limit + parts × 50 ms` of a backend that honours its
-/// budget. `order` is the visiting order (part order when `None`); the
-/// merge is in part order regardless, so it never shows in the result.
+/// no shared incumbent, spans under `ctx.span_parent`. `budget.max_nodes`
+/// is per part; `budget.time_limit` is **one deadline for the whole fan**,
+/// taken here: parts beyond the pool wait their turn, so a part gets what
+/// is left of the deadline when it starts, floored at [`PART_TIME_FLOOR`].
+/// The fan therefore returns within `time_limit + parts × 50 ms` of a
+/// backend that honours its budget. `order` is the visiting order (part
+/// order when `None`); the merge is in part order regardless, so it never
+/// shows in the result.
 ///
 /// The merged assignment scatters each part's through `part.vars`; a part
 /// that found nothing leaves its units at 0 (unscheduled). Stats are
@@ -249,7 +249,6 @@ where
         let part_ctx = SolveContext {
             translation: &parts[i].translation,
             incumbent: None,
-            warm: ctx.warm.as_ref().map(|w| Arc::new(w.slice(&parts[i].vars))),
             ..ctx.clone()
         };
         let part_budget = Budget {
@@ -705,8 +704,7 @@ mod tests {
             &TranslateOptions::default(),
         )
         .unwrap();
-        let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let ctx = SolveContext::new(&translation, &inv, &intent);
         let parts = split_translation(&translation);
         assert_eq!(parts.len(), p);
         let part_refs: Vec<&TranslationPart> = parts.iter().collect();

@@ -28,7 +28,6 @@ pub mod intent;
 pub mod lint;
 pub mod plan;
 pub mod translate;
-pub mod warm;
 
 pub use backend::{BackendChoice, BackendResult, BackendRun, Budget, SolveContext, SolverBackend};
 pub use campaigns::{analyze_campaigns, index_by_node, Campaign, NodeClaim};
@@ -37,4 +36,3 @@ pub use intent::{ConflictTolerance, ConstraintRule, PlanIntent};
 pub use lint::analyze_intent;
 pub use plan::{plan, PlanOptions, PlanResult};
 pub use translate::{translate, GroupStrategy, TranslateOptions, Translation};
-pub use warm::{PlanDelta, PlanSnapshot, WarmStart};

@@ -16,12 +16,10 @@ use crate::decompose::Decomposed;
 use crate::heuristic::HeuristicConfig;
 use crate::intent::PlanIntent;
 use crate::translate::{translate, TranslateOptions, Translation};
-use crate::warm::{PlanSnapshot, WarmStart};
 use cornet_model::ModelStats;
 use cornet_obs::Tracer;
 use cornet_solver::{CancelToken, Outcome, SearchStats, SolverConfig};
 use cornet_types::{Inventory, NodeId, Result, Schedule, Topology};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options for one planning run.
@@ -42,10 +40,6 @@ pub struct PlanOptions {
     /// Tracer for plan/solve spans (noop by default; attach a collecting
     /// tracer to record a `plan` root span with nested `solve.*` spans).
     pub tracer: Tracer,
-    /// Warm-start from a prior plan snapshot: seed the solver's incumbent
-    /// with the surviving assignments and pin unchanged units so only the
-    /// intent/inventory delta is re-searched.
-    pub warm_from: Option<PlanSnapshot>,
 }
 
 /// Outcome of a planning run.
@@ -71,9 +65,6 @@ pub struct PlanResult {
     /// sharded solves one per member per shard — each with its own
     /// elapsed wall time).
     pub backend_runs: Vec<BackendRun>,
-    /// Warm-start reuse ratio (hinted variables / total), when a prior
-    /// plan seeded this run.
-    pub warm_reuse: Option<f64>,
 }
 
 impl PlanResult {
@@ -101,15 +92,6 @@ pub fn plan(
         translate(intent, inventory, topology, nodes, &options.translate)?;
     let model_stats = translation.model.stats();
     let conflicts = intent.conflicts()?;
-    let warm: Option<Arc<WarmStart>> = options.warm_from.as_ref().map(|snapshot| {
-        let ws = WarmStart::build(snapshot, &translation, inventory);
-        plan_span.attr("warm_reuse_ratio", ws.reuse_ratio());
-        plan_span.attr("warm_hinted", ws.hinted());
-        plan_span.attr("warm_delta_empty", ws.delta.is_empty());
-        options.tracer.incr("warm.hinted_units", ws.hinted() as u64);
-        Arc::new(ws)
-    });
-    let warm_reuse = warm.as_ref().map(|w| w.reuse_ratio());
     let mut backend = options
         .backend
         .instantiate(&options.solver, &options.heuristic);
@@ -117,8 +99,8 @@ pub fn plan(
         backend = Box::new(Decomposed(backend));
     }
 
-    let mut ctx = SolveContext::new(&translation, inventory, intent, &conflicts);
-    (ctx.tracer, ctx.span_parent, ctx.warm) = (options.tracer.clone(), plan_id, warm);
+    let mut ctx = SolveContext::new(&translation, inventory, intent);
+    (ctx.tracer, ctx.span_parent) = (options.tracer.clone(), plan_id);
     let budget = Budget::from_config(&options.solver);
     let r = backend.solve(&ctx, &budget, &CancelToken::new());
     let outcome = r.outcome;
@@ -144,7 +126,6 @@ pub fn plan(
         components: r.parts,
         backend: options.backend,
         backend_runs: r.runs,
-        warm_reuse,
     })
 }
 
@@ -367,13 +348,13 @@ mod tests {
             .next()
             .expect("portfolio span");
         let members = trace.children_of(portfolio.id);
-        assert_eq!(members.len(), 3, "exact, greedy and heuristic members");
+        assert_eq!(members.len(), 2, "exact and heuristic members");
         let names: Vec<&str> = {
             let mut n: Vec<&str> = members.iter().map(|s| s.name.as_str()).collect();
             n.sort_unstable();
             n
         };
-        assert_eq!(names, ["solve.exact", "solve.greedy", "solve.heuristic"]);
+        assert_eq!(names, ["solve.exact", "solve.heuristic"]);
         assert_eq!(
             portfolio.attr("winner"),
             Some(&AttrValue::Str("exact".into())),
@@ -384,38 +365,6 @@ mod tests {
             Some(&AttrValue::Str("optimal_member".into()))
         );
         assert!(trace.metrics.counter("incumbent.published") >= 1);
-    }
-
-    #[test]
-    fn warm_replan_with_empty_delta_is_bit_identical() {
-        use crate::warm::PlanSnapshot;
-        let inv = inventory(8);
-        let topo = Topology::with_capacity(8);
-        let nodes: Vec<NodeId> = inv.ids().collect();
-        let cold = plan(
-            &base_intent(2),
-            &inv,
-            &topo,
-            &nodes,
-            &PlanOptions::default(),
-        )
-        .unwrap();
-        let snapshot = PlanSnapshot::capture(&cold, &inv);
-        let warm = plan(
-            &base_intent(2),
-            &inv,
-            &topo,
-            &nodes,
-            &PlanOptions {
-                warm_from: Some(snapshot),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(warm.schedule.assignments, cold.schedule.assignments);
-        assert_eq!(warm.schedule.leftovers, cold.schedule.leftovers);
-        assert_eq!(warm.warm_reuse, Some(1.0));
-        assert_eq!(warm.search_stats.nodes, 1, "empty delta expands one node");
     }
 
     #[test]

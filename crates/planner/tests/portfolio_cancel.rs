@@ -60,8 +60,7 @@ fn externally_cancelled_race_returns_promptly_with_its_incumbent() {
     b.require_scheduled(&vs);
     b.completion_objective(&vs, &vec![2; n], 10_000);
     translation.model = b.build();
-    let conflicts = intent.conflicts().unwrap();
-    let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+    let ctx = SolveContext::new(&translation, &inv, &intent);
     let backend = PortfolioBackend::standard(&SolverConfig::default(), &HeuristicConfig::default());
     let budget = Budget {
         max_nodes: u64::MAX,

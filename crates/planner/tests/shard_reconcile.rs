@@ -124,8 +124,7 @@ proptest! {
         cap in 1i64..4,
     ) {
         let f = fixture(n, markets, cap, 12, true);
-        let conflicts = f.intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent, &conflicts);
+        let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent);
         let exact = ExactBackend::default().solve(&ctx, &budget(120_000), &CancelToken::new());
         // The equality claim is about the proved optimum; skip the rare
         // case where the node budget cut the unsharded proof short.
@@ -154,8 +153,7 @@ proptest! {
         days in 4u32..13,
     ) {
         let f = fixture(n, markets, cap, days, false);
-        let conflicts = f.intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent, &conflicts);
+        let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent);
         let heuristic = HeuristicBackend {
             config: HeuristicConfig::default(),
             capacity_override: None,
@@ -181,8 +179,7 @@ proptest! {
         seed in 0usize..6,
     ) {
         let f = fixture(n, markets, cap, 12, false);
-        let conflicts = f.intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent, &conflicts);
+        let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent);
         let backend = sharded();
         let shard_count =
             cornet_planner::decompose::shard_translation(&f.translation, &f.inventory)

@@ -5,7 +5,7 @@
 //!   sequence of fixes and undos, over all seven constraint families;
 //! * with the capacity bound switched off, the iterative search is the
 //!   reference search — same incumbent, cost, node and dead-end counts,
-//!   under budgets, hints and both value orders;
+//!   under budgets and both value orders;
 //! * the capacity bound never exceeds the brute-force optimum, and a
 //!   completed [`solve`] returns the reference's answer.
 //!
@@ -13,9 +13,7 @@
 //! `PROPTEST_CASES`.
 
 use crate::reference;
-use crate::search::{
-    root_lower_bound, solve, solve_without_capacity_bound, Outcome, SolverConfig, WarmStartHint,
-};
+use crate::search::{root_lower_bound, solve, solve_without_capacity_bound, Outcome, SolverConfig};
 use crate::state::State;
 use crate::Propagation;
 use cornet_model::{CmpOp, Model, ModelBuilder, VarId};
@@ -232,19 +230,9 @@ proptest! {
     fn search_matches_reference_without_the_bound(seed in any::<u64>(), knobs in any::<u64>()) {
         let m = random_model(seed, 6, 5, true);
         let d = &mut Dice(knobs);
-        let warm_start = d.chance(40).then(|| WarmStartHint {
-            values: m
-                .vars
-                .iter()
-                .map(|v| if d.chance(70) { d.between(0, v.hi) } else { WarmStartHint::NO_HINT })
-                .collect(),
-            pin: d.chance(50),
-        });
         let config = SolverConfig {
             max_nodes: if d.chance(50) { 1 + d.below(60) } else { 1_000_000 },
             cost_value_order: d.chance(75),
-            first_solution_only: d.chance(15),
-            warm_start,
             ..SolverConfig::default()
         };
         let new = solve_without_capacity_bound(&m, &config);

@@ -57,7 +57,6 @@ pub mod state;
 pub use propagate::Propagation;
 pub use search::{
     solve, CancelToken, Outcome, SearchStats, SharedIncumbent, Solution, SolveResult, SolverConfig,
-    WarmStartHint,
 };
 pub use state::{Conflict, State};
 

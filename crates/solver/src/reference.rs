@@ -6,9 +6,7 @@
 //! branch values at every node and bounds with the per-variable minima
 //! over the declared domains.
 
-use crate::search::{
-    CancelToken, Outcome, SearchStats, Solution, SolveResult, SolverConfig, WarmStartHint,
-};
+use crate::search::{CancelToken, Outcome, SearchStats, Solution, SolveResult, SolverConfig};
 use crate::state::{Conflict, State};
 use cornet_model::{CmpOp, Constraint, Model, VarId};
 use std::time::{Duration, Instant};
@@ -419,9 +417,6 @@ struct Searcher<'a> {
     next_clock: u64,
     /// Elapsed time at the previous clock read (stride feedback).
     last_clock: Duration,
-    /// Hinted variables were pinned: exhausting the search proves
-    /// optimality only of the restricted subspace, so report Feasible.
-    restricted: bool,
 }
 
 impl<'a> Searcher<'a> {
@@ -450,7 +445,6 @@ impl<'a> Searcher<'a> {
             clock_stride: 8,
             next_clock: 0,
             last_clock: Duration::ZERO,
-            restricted: false,
         }
     }
 
@@ -493,63 +487,6 @@ impl<'a> Searcher<'a> {
         false
     }
 
-    /// Adopt a complete, checked-feasible hint as the initial incumbent.
-    fn seed_from_hint(&mut self, ws: &WarmStartHint) {
-        if !ws.is_complete(self.model.var_count()) {
-            return;
-        }
-        let in_bounds = self
-            .model
-            .vars
-            .iter()
-            .zip(&ws.values)
-            .all(|(var, &v)| var.lo <= v && v <= var.hi);
-        if !in_bounds || self.model.check(&ws.values).is_err() {
-            return;
-        }
-        let cost = self.model.cost(&ws.values);
-        self.best = Some(Solution {
-            assignment: ws.values.clone(),
-            cost,
-        });
-        self.stats.solutions = 1;
-        self.stats.time_to_best = self.start.elapsed();
-        if let Some(inc) = &self.config.incumbent {
-            inc.publish(cost);
-        }
-    }
-
-    /// Fix every hinted variable and propagate. On conflict the state is
-    /// rolled back and the solve degrades to an unpinned cold search —
-    /// deterministically, since the rollback depends only on the model
-    /// and the hint.
-    fn pin_hints(&mut self, ws: &WarmStartHint) {
-        let mark = self.state.mark();
-        let mut pinned = 0usize;
-        let mut ok = true;
-        for vi in 0..self.state.var_count() {
-            if let Some(v) = ws.hint(vi) {
-                if self.state.fix(vi, v).is_err() {
-                    ok = false;
-                    break;
-                }
-                pinned += 1;
-            }
-        }
-        if ok {
-            let seeds = take_changed(&mut self.state);
-            ok = self
-                .prop
-                .propagate_from(self.model, &mut self.state, &seeds)
-                .is_ok();
-        }
-        if ok {
-            self.restricted = pinned > 0;
-        } else {
-            self.state.undo_to(mark);
-        }
-    }
-
     /// Pick the unfixed variable with the smallest domain.
     fn pick_var(&self) -> Option<usize> {
         let mut best: Option<(u32, usize)> = None;
@@ -578,9 +515,6 @@ impl<'a> Searcher<'a> {
             if let Some(inc) = &self.config.incumbent {
                 inc.publish(cost);
             }
-            if self.config.first_solution_only {
-                self.aborted = true;
-            }
         }
     }
 
@@ -597,12 +531,6 @@ impl<'a> Searcher<'a> {
         if self.config.cost_value_order {
             let vid = VarId(var as u32);
             values.sort_by_key(|&v| (self.model.objective.var_cost(vid, v), v));
-        }
-        // Un-pinned hinted variables try their previous value first.
-        if let Some(h) = self.config.warm_start.as_ref().and_then(|ws| ws.hint(var)) {
-            if let Some(pos) = values.iter().position(|&v| v == h) {
-                values[..=pos].rotate_right(1);
-            }
         }
         let vid = VarId(var as u32);
         for v in values {
@@ -646,18 +574,11 @@ pub(crate) fn solve(model: &Model, config: &SolverConfig) -> SolveResult {
     let mut s = Searcher::new(model, config);
     let root_ok = s.prop.propagate_all(model, &mut s.state).is_ok();
     if root_ok {
-        if let Some(ws) = &config.warm_start {
-            s.seed_from_hint(ws);
-            if ws.pin {
-                s.pin_hints(ws);
-            }
-        }
         let root_lb: i64 = s.root_min.iter().sum::<i64>() + model.objective.constant;
         s.search(root_lb);
     }
     s.stats.elapsed = s.start.elapsed();
     let outcome = match (&s.best, s.aborted, root_ok) {
-        (Some(_), false, _) if s.restricted => Outcome::Feasible,
         (Some(_), false, _) => Outcome::Optimal,
         (Some(_), true, _) => Outcome::Feasible,
         (None, false, _) | (None, _, false) => Outcome::Infeasible,

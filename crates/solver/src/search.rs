@@ -2,7 +2,7 @@
 //!
 //! The search mirrors what a CP solver does with the models CORNET
 //! generates: smallest-domain-first variable selection, cost-ordered value
-//! enumeration (so the first dive is a greedy warm start), pruning by a
+//! enumeration (so the first dive is the greedy plan), pruning by a
 //! per-variable cost lower bound, and a stop the moment the incumbent
 //! meets a capacity-derived bound on the whole model. Budgets on nodes and
 //! wall-clock time make discovery time measurable — the quantity §4.2
@@ -105,63 +105,6 @@ impl fmt::Debug for SharedIncumbent {
     }
 }
 
-/// Warm-start hint for incremental re-solve: the previous incumbent's
-/// values, mapped onto the current model's variables. Three effects,
-/// all deterministic:
-///
-/// 1. **Incumbent seeding** — when the hint covers every variable and
-///    passes `Model::check` against the *current* model, it becomes the
-///    initial incumbent (and is published to the shared bound), so the
-///    search only explores strictly-better branches.
-/// 2. **Pinning** (`pin = true`) — hinted variables are fixed before the
-///    search starts, shrinking the problem to the un-hinted delta. If
-///    pinning propagates to a conflict the solver falls back to an
-///    unpinned cold search, so a stale hint can never cause a spurious
-///    `Infeasible`.
-/// 3. **Value ordering** — un-pinned hinted variables try their hinted
-///    value first, keeping the dive close to the previous plan.
-///
-/// A pinned solve that exhausts its restricted search space reports
-/// [`Outcome::Feasible`], never `Optimal`: optimality was only proved
-/// relative to the pinned subspace.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WarmStartHint {
-    /// Hinted value per variable, indexed like `Model::vars`. Entries
-    /// equal to [`WarmStartHint::NO_HINT`] carry no hint; `0`
-    /// (unscheduled) is a legitimate hinted value.
-    pub values: Vec<i64>,
-    /// Fix hinted variables before searching (delta-local repair).
-    pub pin: bool,
-}
-
-impl WarmStartHint {
-    /// Sentinel for "no hint for this variable".
-    pub const NO_HINT: i64 = i64::MIN;
-
-    /// A pinning hint covering exactly the given values.
-    pub fn pinned(values: Vec<i64>) -> Self {
-        WarmStartHint { values, pin: true }
-    }
-
-    /// Hint for `var`, if any.
-    pub fn hint(&self, var: usize) -> Option<i64> {
-        self.values
-            .get(var)
-            .copied()
-            .filter(|&v| v != Self::NO_HINT)
-    }
-
-    /// Number of hinted variables.
-    pub fn hinted(&self) -> usize {
-        self.values.iter().filter(|&&v| v != Self::NO_HINT).count()
-    }
-
-    /// Does the hint assign every one of `var_count` variables?
-    pub fn is_complete(&self, var_count: usize) -> bool {
-        self.values.len() == var_count && self.values.iter().all(|&v| v != Self::NO_HINT)
-    }
-}
-
 /// Search configuration.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
@@ -169,20 +112,15 @@ pub struct SolverConfig {
     pub max_nodes: u64,
     /// Wall-clock budget.
     pub time_limit: Duration,
-    /// Order branch values by objective cost (greedy warm start). When
-    /// false, values are tried in ascending numeric order — the ablation
-    /// baseline for the warm-start design choice.
+    /// Order branch values by objective cost (the first dive is then the
+    /// greedy plan). When false, values are tried in ascending numeric
+    /// order — the ablation baseline for that design choice.
     pub cost_value_order: bool,
-    /// Stop as soon as the first solution is recorded — the greedy
-    /// warm-start dive exposed as a standalone fast backend.
-    pub first_solution_only: bool,
     /// Cooperative cancellation hook (portfolio racing).
     pub cancel: Option<CancelToken>,
     /// Shared-incumbent bound hook: prune against (and publish to) the
     /// best checked-feasible cost any racing backend has found.
     pub incumbent: Option<SharedIncumbent>,
-    /// Warm-start hint from a previous incumbent (incremental re-solve).
-    pub warm_start: Option<WarmStartHint>,
 }
 
 impl Default for SolverConfig {
@@ -191,10 +129,8 @@ impl Default for SolverConfig {
             max_nodes: 1_000_000,
             time_limit: Duration::from_secs(30),
             cost_value_order: true,
-            first_solution_only: false,
             cancel: None,
             incumbent: None,
-            warm_start: None,
         }
     }
 }
@@ -376,19 +312,12 @@ fn fluid_cost(
     ceil.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
 
-/// The warm-start hint for `var`, if any.
-fn hint_of(config: &SolverConfig, var: usize) -> Option<i64> {
-    config.warm_start.as_ref().and_then(|ws| ws.hint(var))
-}
-
 /// One open search node: the variable it branches on and how far through
 /// that variable's values it is.
 struct Frame {
     var: u32,
     /// Next position in the variable's row order.
     next: u32,
-    /// The warm-start hint is still to be tried (it goes first).
-    hint_first: bool,
     /// Lower bound on entry.
     lb: i64,
     /// Trail mark under the value being explored.
@@ -425,9 +354,6 @@ struct Searcher<'a> {
     next_clock: u64,
     /// Elapsed time at the previous clock read (stride feedback).
     last_clock: Duration,
-    /// Hinted variables were pinned: exhausting the search proves
-    /// optimality only of the restricted subspace, so report Feasible.
-    restricted: bool,
 }
 
 impl<'a> Searcher<'a> {
@@ -455,7 +381,6 @@ impl<'a> Searcher<'a> {
             clock_stride: 8,
             next_clock: 0,
             last_clock: Duration::ZERO,
-            restricted: false,
         }
     }
 
@@ -611,75 +536,21 @@ impl<'a> Searcher<'a> {
         false
     }
 
-    /// A new incumbent: keep it and publish its cost.
-    fn adopt(&mut self, assignment: Vec<i64>, cost: i64) {
+    /// A leaf: when it beats the incumbent, keep it, publish its cost and
+    /// stop the search if it meets the global bound.
+    fn record_solution(&mut self) {
+        let assignment = self.state.assignment();
+        let cost = self.model.cost(&assignment);
+        if self.best.as_ref().is_some_and(|b| cost >= b.cost) {
+            return;
+        }
         self.best = Some(Solution { assignment, cost });
         self.stats.solutions += 1;
         self.stats.time_to_best = self.start.elapsed();
         if let Some(inc) = &self.config.incumbent {
             inc.publish(cost);
         }
-    }
-
-    /// Stop when the incumbent meets the global bound. A pinned search
-    /// answers for its subspace only (and replays the hint through the
-    /// search, one node), so it never proves anything.
-    fn check_proved(&mut self) {
-        let met = self.best.as_ref().is_some_and(|b| b.cost <= self.global_lb);
-        self.proved = met && !self.restricted;
-    }
-
-    /// Adopt a complete, checked-feasible hint as the initial incumbent.
-    fn seed_from_hint(&mut self, ws: &WarmStartHint) {
-        if !ws.is_complete(self.model.var_count()) {
-            return;
-        }
-        let in_bounds = self
-            .model
-            .vars
-            .iter()
-            .zip(&ws.values)
-            .all(|(var, &v)| var.lo <= v && v <= var.hi);
-        if !in_bounds || self.model.check(&ws.values).is_err() {
-            return;
-        }
-        self.adopt(ws.values.clone(), self.model.cost(&ws.values));
-    }
-
-    /// Fix every hinted variable and propagate. On conflict the state is
-    /// rolled back and the solve degrades to an unpinned cold search —
-    /// deterministically, since the rollback depends only on the model
-    /// and the hint.
-    fn pin_hints(&mut self, ws: &WarmStartHint) {
-        let mark = self.state.mark();
-        let mut pinned = 0usize;
-        let mut ok = true;
-        for vi in 0..self.state.var_count() {
-            if let Some(v) = ws.hint(vi) {
-                if self.state.fix(vi, v).is_err() {
-                    ok = false;
-                    break;
-                }
-                pinned += 1;
-            }
-        }
-        if ok && self.prop.propagate(&mut self.state).is_ok() {
-            self.restricted = pinned > 0;
-        } else {
-            self.state.undo_to(mark);
-        }
-    }
-
-    fn record_solution(&mut self) {
-        let assignment = self.state.assignment();
-        let cost = self.model.cost(&assignment);
-        if self.best.as_ref().is_none_or(|b| cost < b.cost) {
-            self.adopt(assignment, cost);
-            self.check_proved();
-            if self.config.first_solution_only {
-                self.aborted = true;
-            }
-        }
+        self.proved = cost <= self.global_lb;
     }
 
     /// Count a search node and, when it has a variable left to branch on,
@@ -694,35 +565,26 @@ impl<'a> Searcher<'a> {
             self.record_solution();
             return false;
         };
-        // Un-pinned hinted variables try their previous value first.
-        let hint_first =
-            hint_of(self.config, var).is_some_and(|h| self.state.domain(var).contains(h));
         self.stack.push(Frame {
             var: var as u32,
             next: 0,
-            hint_first,
             lb,
             mark: 0,
         });
         true
     }
 
-    /// The top frame's next value: the hint, then the row order, skipping
-    /// what propagation removed. The domain is the one the node opened
-    /// with — every sibling is undone before the next is drawn.
+    /// The top frame's next value in row order, skipping what propagation
+    /// removed. The domain is the one the node opened with — every sibling
+    /// is undone before the next is drawn.
     fn next_value(&mut self) -> Option<i64> {
         let frame = self.stack.last_mut()?;
         let var = frame.var as usize;
-        let hint = hint_of(self.config, var);
-        if frame.hint_first {
-            frame.hint_first = false;
-            return hint;
-        }
         let row = &self.rows[self.row_of[var] as usize];
         let domain = self.state.domain(var);
         while let Some(&value) = row.order.get(frame.next as usize) {
             frame.next += 1;
-            if Some(value) != hint && domain.contains(value) {
+            if domain.contains(value) {
                 return Some(value);
             }
         }
@@ -779,23 +641,12 @@ impl<'a> Searcher<'a> {
         let root_ok = self.prop.propagate_all(&mut self.state).is_ok();
         if root_ok {
             self.set_bounds();
-            let config = self.config;
-            if let Some(ws) = &config.warm_start {
-                self.seed_from_hint(ws);
-                if ws.pin {
-                    self.pin_hints(ws);
-                }
-            }
-            self.check_proved();
-            if !self.proved {
-                let root_lb = self.root_min.iter().sum::<i64>() + self.model.objective.constant;
-                self.search(root_lb);
-            }
+            let root_lb = self.root_min.iter().sum::<i64>() + self.model.objective.constant;
+            self.search(root_lb);
         }
         self.stats.propagations = self.prop.propagations();
         self.stats.elapsed = self.start.elapsed();
         let outcome = match (&self.best, self.aborted, root_ok) {
-            (Some(_), false, _) if self.restricted => Outcome::Feasible,
             (Some(_), false, _) => Outcome::Optimal,
             (Some(_), true, _) => Outcome::Feasible,
             (None, false, _) | (None, _, false) => Outcome::Infeasible,
@@ -1007,26 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn first_solution_only_stops_at_greedy_dive() {
-        let mut b = ModelBuilder::new("t", 5);
-        let vs = b.slot_vars("X", 4);
-        b.capacity("cap", vs.clone(), vec![1; 4], 1);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 4], 100);
-        let m = b.build();
-        let greedy = SolverConfig {
-            first_solution_only: true,
-            ..Default::default()
-        };
-        let r = solve(&m, &greedy);
-        assert_eq!(r.outcome, Outcome::Feasible, "stopped early by design");
-        assert_eq!(r.stats.solutions, 1);
-        assert!(m.check(&r.solution().assignment).is_ok());
-        // The greedy dive on this staircase model is already optimal.
-        assert_eq!(r.solution().cost, 1 + 2 + 3 + 4);
-    }
-
-    #[test]
     fn cancellation_keeps_incumbent() {
         // Large-ish search space with instant first solutions: cancel from
         // another thread mid-search and check the incumbent survives.
@@ -1117,108 +948,6 @@ mod tests {
             r.stats.nodes <= solo.stats.nodes,
             "external bound may only shrink the search"
         );
-    }
-
-    #[test]
-    fn warm_start_pin_returns_hint_bit_identical() {
-        // Solve cold, then re-solve with the incumbent pinned: the warm
-        // solve must return the exact same assignment after expanding
-        // only a single search node.
-        let mut b = ModelBuilder::new("t", 6);
-        let vs = b.slot_vars("X", 5);
-        b.capacity("cap", vs.clone(), vec![1; 5], 2);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 5], 100);
-        let m = b.build();
-        let cold = solve(&m, &cfg());
-        assert_eq!(cold.outcome, Outcome::Optimal);
-        let warm_cfg = SolverConfig {
-            warm_start: Some(WarmStartHint::pinned(cold.solution().assignment.clone())),
-            ..Default::default()
-        };
-        let warm = solve(&m, &warm_cfg);
-        assert_eq!(
-            warm.outcome,
-            Outcome::Feasible,
-            "pinned ⇒ not provably optimal"
-        );
-        assert_eq!(warm.solution().assignment, cold.solution().assignment);
-        assert_eq!(warm.solution().cost, cold.solution().cost);
-        assert_eq!(warm.stats.nodes, 1, "everything pinned: no branching");
-    }
-
-    #[test]
-    fn warm_start_partial_hint_solves_delta_only() {
-        // Pin 3 of 5 variables from the cold solution; the search must
-        // still produce a feasible schedule extending the pinned part.
-        let mut b = ModelBuilder::new("t", 6);
-        let vs = b.slot_vars("X", 5);
-        b.capacity("cap", vs.clone(), vec![1; 5], 2);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 5], 100);
-        let m = b.build();
-        let cold = solve(&m, &cfg());
-        let mut hint = vec![WarmStartHint::NO_HINT; 5];
-        hint[..3].copy_from_slice(&cold.solution().assignment[..3]);
-        let warm_cfg = SolverConfig {
-            warm_start: Some(WarmStartHint::pinned(hint.clone())),
-            ..Default::default()
-        };
-        let warm = solve(&m, &warm_cfg);
-        assert!(matches!(warm.outcome, Outcome::Feasible));
-        let a = &warm.solution().assignment;
-        assert_eq!(a[..3], cold.solution().assignment[..3], "pinned vars moved");
-        assert!(m.check(a).is_ok());
-    }
-
-    #[test]
-    fn warm_start_infeasible_hint_falls_back_to_cold() {
-        // A hint that violates the capacity must not poison the solve:
-        // pinning fails, the solver falls back, and the result matches
-        // the cold solve.
-        let mut b = ModelBuilder::new("t", 4);
-        let vs = b.slot_vars("X", 3);
-        b.capacity("cap", vs.clone(), vec![1; 3], 1);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 3], 100);
-        let m = b.build();
-        let cold = solve(&m, &cfg());
-        let bad = WarmStartHint::pinned(vec![1, 1, 1]); // capacity 1: conflict
-        let warm_cfg = SolverConfig {
-            warm_start: Some(bad),
-            ..Default::default()
-        };
-        let warm = solve(&m, &warm_cfg);
-        assert_eq!(
-            warm.outcome,
-            Outcome::Optimal,
-            "fallback search is unrestricted"
-        );
-        assert_eq!(warm.solution().cost, cold.solution().cost);
-    }
-
-    #[test]
-    fn warm_start_seeds_shared_incumbent() {
-        let mut b = ModelBuilder::new("t", 5);
-        let vs = b.slot_vars("X", 4);
-        b.capacity("cap", vs.clone(), vec![1; 4], 1);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 4], 100);
-        let m = b.build();
-        let cold = solve(&m, &cfg());
-        let inc = SharedIncumbent::new();
-        let warm_cfg = SolverConfig {
-            warm_start: Some(WarmStartHint::pinned(cold.solution().assignment.clone())),
-            incumbent: Some(inc.clone()),
-            ..Default::default()
-        };
-        let warm = solve(&m, &warm_cfg);
-        assert_eq!(
-            inc.bound(),
-            cold.solution().cost,
-            "hint published to the bound"
-        );
-        assert_eq!(warm.solution().assignment, cold.solution().assignment);
     }
 
     #[test]

@@ -97,9 +97,9 @@ fn main() {
         result.discovery_time,
     );
 
-    // Same intent through the racing portfolio: exact, greedy and the
-    // heuristic compete; the winner is deterministic (best cost, fixed
-    // tie-break order — never wall-clock).
+    // Same intent through the racing portfolio: exact and the heuristic
+    // compete; the winner is deterministic (best cost, fixed tie-break
+    // order — never wall-clock).
     let portfolio = plan(
         &intent,
         &small.inventory,

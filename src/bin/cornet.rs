@@ -8,7 +8,6 @@
 //! cornet blast <bundle.json>          print each campaign's inferred blast radius
 //! cornet lint  --intent F [--network SPEC]   lint a JSON intent
 //! cornet plan  --intent F [--network SPEC] [--backend B] [--emit-mzn F] [--trace F]
-//!              [--warm-from plan.json] [--save-plan plan.json]
 //! cornet run   [--nodes N] [--concurrency C] [--trace F]   resilient roll-out demo
 //! cornet run   --journal F [--crash-at N] [--fsync P]   journaled campaign (kill-safe)
 //! cornet resume <journal> [--fsync P] [--trace F]   resume a crashed campaign
@@ -31,41 +30,43 @@ use cornet::catalog::builtin_catalog;
 use cornet::daemon::{DaemonClient, JournalScenario};
 use cornet::netsim::{Network, NetworkConfig};
 use cornet::obs::{write_trace, ChromeTraceSink, TraceSummary, Tracer};
-use cornet::planner::{analyze_intent, plan, BackendChoice, PlanIntent, PlanOptions, PlanSnapshot};
+use cornet::planner::{analyze_intent, plan, BackendChoice, PlanIntent, PlanOptions};
 use cornet::types::{NfType, NodeId};
 use cornet::workflow::{analyze, WarArtifact};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+/// The options block of the usage text, and the one list of flags the CLI
+/// takes: [`parse_flags`] rejects a `--name` that starts no line of it.
+const OPTIONS: &str = "\
+--format <f>        (check) text | json | sarif  (default text)
+--deny <class>      (check) also fail on warnings: --deny warnings
+--baseline <file>   (check) suppress previously accepted findings
+--interference      (check) only report CN06xx cross-campaign findings
+--intent <file>     JSON intent (Listing 1 format)
+--network <spec>    ran:<nodes> | cloud:<vces>   (default ran:200)
+--backend <b>       exact | heuristic | portfolio | sharded (default exact)
+--emit-mzn <file>   write the generated MiniZinc model
+--time-limit <s>    solver budget in seconds (default 5)
+--trace <file>      write a Chrome-trace JSON + print a span summary
+--nodes <n>         (run) roll-out size (default 50)
+--concurrency <c>   (run) parallel workflow instances (default 4)
+--journal <file>    (run) write a durable campaign journal
+--crash-at <n>      (run --journal) kill the campaign at node n's upgrade
+--fsync <policy>    (run --journal, resume) always | every-n=N | never
+                                         (default every-n=64)
+--shift <d>         (verify) injected KPI shift on study nodes (default 15)
+--follow            (verify) stream the feed sample-by-sample online
+--ticks <n>         (verify --follow) samples per stream (default 200)
+--daemon <addr>     (submit/status/watch) cornetd address (default 127.0.0.1:7171)
+--tenant <t>        (submit/status/watch) tenant identity  (default default)";
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cornet <catalog|workflows|check|blast|lint|plan|run|resume|verify|demo|\n\
          \x20              submit|status|watch> [options]\n\
          \n\
-         options:\n\
-           --format <f>        (check) text | json | sarif  (default text)\n\
-           --deny <class>      (check) also fail on warnings: --deny warnings\n\
-           --baseline <file>   (check) suppress previously accepted findings\n\
-           --interference      (check) only report CN06xx cross-campaign findings\n\
-           --intent <file>     JSON intent (Listing 1 format)\n\
-           --network <spec>    ran:<nodes> | cloud:<vces>   (default ran:200)\n\
-           --backend <b>       exact | greedy | heuristic | portfolio | sharded (default exact)\n\
-           --warm-from <file>  (plan) seed the solver from a prior --save-plan snapshot\n\
-           --save-plan <file>  (plan) write the plan as a warm-startable snapshot\n\
-           --emit-mzn <file>   write the generated MiniZinc model\n\
-           --time-limit <s>    solver budget in seconds (default 5)\n\
-           --trace <file>      write a Chrome-trace JSON + print a span summary\n\
-           --nodes <n>         (run) roll-out size (default 50)\n\
-           --concurrency <c>   (run) parallel workflow instances (default 4)\n\
-           --journal <file>    (run) write a durable campaign journal\n\
-           --crash-at <n>      (run --journal) kill the campaign at node n's upgrade\n\
-           --fsync <policy>    (run --journal, resume) always | every-n=N | never\n\
-           \x20                                        (default every-n=64)\n\
-           --shift <d>         (verify) injected KPI shift on study nodes (default 15)\n\
-           --follow            (verify) stream the feed sample-by-sample online\n\
-           --ticks <n>         (verify --follow) samples per stream (default 200)\n\
-           --daemon <addr>     (submit/status/watch) cornetd address (default 127.0.0.1:7171)\n\
-           --tenant <t>        (submit/status/watch) tenant identity  (default default)"
+         options:\n{OPTIONS}"
     );
     ExitCode::from(2)
 }
@@ -93,11 +94,14 @@ fn finish_trace(flags: &BTreeMap<String, String>, tracer: &Tracer) -> Result<(),
     Ok(())
 }
 
-fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
+fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !OPTIONS.lines().any(|l| l.split(' ').next() == Some(a)) {
+                return Err(format!("unknown option {a}"));
+            }
             let value = if it.peek().is_some_and(|n| !n.starts_with("--")) {
                 it.next().unwrap().clone()
             } else {
@@ -106,7 +110,7 @@ fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
             flags.insert(name.to_string(), value);
         }
     }
-    flags
+    Ok(flags)
 }
 
 fn build_network(spec: &str) -> Result<Network, String> {
@@ -412,24 +416,13 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
         }
     };
 
-    let warm_from = match flags.get("warm-from") {
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|json| PlanSnapshot::from_json(&json).map_err(|e| e.to_string()))
-        {
-            Ok(snapshot) => Some(snapshot),
-            Err(e) => {
-                eprintln!("error: --warm-from: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let secs: u64 = match flags.get("time-limit").map_or(Ok(5), |s| s.parse()) {
+        Ok(secs) => secs,
+        Err(e) => {
+            eprintln!("error: --time-limit: {e}");
+            return ExitCode::FAILURE;
+        }
     };
-
-    let secs: u64 = flags
-        .get("time-limit")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
     let tracer = tracer_for(flags);
     let options = PlanOptions {
         solver: cornet::solver::SolverConfig {
@@ -438,7 +431,6 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
         },
         backend,
         tracer: tracer.clone(),
-        warm_from,
         ..Default::default()
     };
     match plan(&intent, &net.inventory, &net.topology, &nodes, &options) {
@@ -453,12 +445,6 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
                 result.outcome,
                 result.discovery_time,
             );
-            if let Some(reuse) = result.warm_reuse {
-                println!(
-                    "  warm start: {:.1}% of units reused from the prior plan",
-                    reuse * 100.0
-                );
-            }
             for run in &result.backend_runs {
                 println!(
                     "  backend {}{}{}: {:?}, cost {}, {} nodes in {:?}",
@@ -471,14 +457,6 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
                     run.stats.nodes,
                     run.elapsed,
                 );
-            }
-            if let Some(path) = flags.get("save-plan") {
-                let snapshot = PlanSnapshot::capture(&result, &net.inventory);
-                if let Err(e) = std::fs::write(path, snapshot.to_json()) {
-                    eprintln!("writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("plan snapshot written to {path} (re-solve with --warm-from)");
             }
             if let Some(path) = flags.get("emit-mzn") {
                 match cornet::planner::translate(
@@ -495,7 +473,10 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
                         }
                         println!("MiniZinc model written to {path}");
                     }
-                    Err(e) => eprintln!("translation for --emit-mzn failed: {e}"),
+                    Err(e) => {
+                        eprintln!("translation for --emit-mzn failed: {e}");
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
             if let Err(e) = finish_trace(flags, &tracer) {
@@ -1291,7 +1272,13 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    let flags = parse_flags(&args[1..]);
+    let flags = match parse_flags(&args[1..]) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     match cmd.as_str() {
         "catalog" => cmd_catalog(),
         "workflows" => cmd_workflows(),

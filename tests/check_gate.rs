@@ -129,3 +129,73 @@ fn load_errors_exit_two() {
         "{out:?}"
     );
 }
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn unknown_flags_are_rejected_before_anything_runs() {
+    // A typo must not silently plan with the default backend, and a flag
+    // the CLI no longer has must not be silently ignored. The rejection
+    // comes before `--intent` is asked for.
+    for flag in ["--bakend", "--warm-from"] {
+        let out = cornet().args(["plan", flag, "sharded"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let text = stderr(&out);
+        assert!(text.contains(&format!("unknown option {flag}")), "{text}");
+        assert!(!text.contains("--intent <file> is required"), "{text}");
+    }
+}
+
+#[test]
+fn plan_refuses_bad_values_and_races_two_members() {
+    let dir = std::env::temp_dir().join(format!("cornet-check-gate-plan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let intent = dir.join("intent.json");
+    std::fs::write(
+        &intent,
+        r#"{
+        "scheduling_window": {"start": "2020-07-01 00:00:00",
+                               "end": "2020-07-10 23:59:00",
+                               "granularity": {"metric": "day", "value": 1}},
+        "maintenance_window": {"start": "0:00", "end": "6:00"},
+        "schedulable_attribute": "common_id",
+        "conflict_attribute": "common_id",
+        "constraints": [
+            {"name": "concurrency", "base_attribute": "common_id",
+             "operator": "<=", "granularity": {"metric": "day", "value": 1},
+             "default_capacity": 10}
+        ]
+    }"#,
+    )
+    .unwrap();
+    let plan = |extra: &[&str]| {
+        let mut cmd = cornet();
+        cmd.args(["plan", "--network", "ran:60", "--intent"]);
+        cmd.arg(&intent).args(extra).output().expect("binary runs")
+    };
+
+    let out = plan(&["--time-limit", "abc"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(stderr(&out).contains("--time-limit"), "{out:?}");
+    assert!(!stdout(&out).contains("schedule["), "nothing was planned");
+
+    // A model that cannot be emitted fails the command, plan or no plan.
+    let out = plan(&[
+        "--emit-mzn",
+        dir.join("no/such/dir/m.mzn").to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+
+    let out = plan(&["--backend", "portfolio"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    let members: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("  backend "))
+        .map(|l| l.split([' ', ':']).next().unwrap())
+        .collect();
+    assert_eq!(members, ["exact", "heuristic"], "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

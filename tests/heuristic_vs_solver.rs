@@ -112,25 +112,6 @@ fn heuristic_makespan_close_to_solver_optimum() {
 }
 
 #[test]
-fn greedy_backend_plans_through_the_pipeline() {
-    let net = ran(3);
-    let nodes = ran_nodes(&net);
-    let intent = comparison_intent(6);
-    let greedy = plan(
-        &intent,
-        &net.inventory,
-        &net.topology,
-        &nodes,
-        &options_for(BackendChoice::Greedy),
-    )
-    .unwrap();
-    assert_eq!(greedy.schedule.scheduled_count(), nodes.len());
-    assert_eq!(greedy.backend_runs.len(), 1);
-    assert_eq!(greedy.backend_runs[0].backend, "greedy");
-    assert!(greedy.backend_runs[0].feasible);
-}
-
-#[test]
 fn portfolio_beats_or_matches_every_member() {
     let net = ran(3);
     let nodes = ran_nodes(&net);
@@ -158,7 +139,7 @@ fn portfolio_beats_or_matches_every_member() {
         "portfolio {} vs best member {best}",
         portfolio.makespan()
     );
-    assert_eq!(portfolio.backend_runs.len(), 3, "all members reported");
+    assert_eq!(portfolio.backend_runs.len(), 2, "all members reported");
     assert_eq!(
         portfolio.backend_runs.iter().filter(|r| r.winner).count(),
         1

@@ -303,7 +303,6 @@ fn case_lines(
         )
     };
     let exact = run("exact", BackendChoice::Exact, false);
-    run("greedy", BackendChoice::Greedy, false);
     run("heuristic", BackendChoice::Heuristic, false);
     run("decomposed", BackendChoice::Exact, true);
     if exact == Outcome::Optimal {

@@ -359,8 +359,7 @@ proptest! {
         let topo = Topology::with_capacity(nodes.len());
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let conflicts = intent.conflicts().unwrap();
-        let ctx = SolveContext::new(&translation, &inv, &intent, &conflicts);
+        let ctx = SolveContext::new(&translation, &inv, &intent);
         let backend = cornet::planner::BackendChoice::Portfolio.instantiate(
             &SolverConfig::default(),
             &HeuristicConfig::default(),

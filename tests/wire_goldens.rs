@@ -1,10 +1,9 @@
 //! Byte-level goldens for every JSON document the workspace writes to
 //! disk or to the wire: check diagnostics (JSONL, SARIF), journal frames,
-//! `cornet-plan/v1` snapshots, campaign manifests, `cornetd` responses,
-//! blast radii, trace renderings and the WAR payload. The files under
-//! `tests/golden/` are the contract — a WAL or snapshot written by one
-//! build must read back under the next — so a rendering change has to
-//! show up here as a diff.
+//! campaign manifests, `cornetd` responses, blast radii, trace renderings
+//! and the WAR payload. The files under `tests/golden/` are the contract —
+//! a WAL written by one build must read back under the next — so a
+//! rendering change has to show up here as a diff.
 //!
 //! Regenerate (only when a format change is intended) with
 //! `UPDATE_GOLDEN=1 cargo test --test wire_goldens`.
@@ -16,7 +15,6 @@ use cornet::daemon::api::render_snapshot;
 use cornet::daemon::{CampaignPhase, CampaignResult, CampaignSnapshot, StreamHub};
 use cornet::journal::{encode_record, BlockRecord, JournalEvent, Manifest, StateMap};
 use cornet::obs::{JsonLinesSink, ManualClock, TraceSink, TraceSummary, Tracer};
-use cornet::planner::warm::PlanSnapshot;
 use cornet::types::ParamValue;
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -159,28 +157,6 @@ fn journal_frames_are_byte_stable() {
         wal.push_str(&encode_record(&ev.encode()));
     }
     assert_golden("journal_frames.wal", &wal);
-}
-
-#[test]
-fn plan_snapshot_is_byte_stable() {
-    let snapshot = PlanSnapshot {
-        backend: "sharded".into(),
-        outcome: "Feasible".into(),
-        assignments: vec![
-            ("enb-0".into(), 1),
-            (NASTY.into(), 0),
-            ("enb-2".into(), u32::MAX),
-        ],
-        leftovers: vec!["enb-3".into(), NASTY.into()],
-    };
-    assert_golden("plan_snapshot.json", &snapshot.to_json());
-    let empty = PlanSnapshot {
-        backend: "exact".into(),
-        outcome: "Optimal".into(),
-        assignments: vec![],
-        leftovers: vec![],
-    };
-    assert_golden("plan_snapshot_empty.json", &empty.to_json());
 }
 
 #[test]
