@@ -46,7 +46,7 @@ pub struct StreamSpec {
     pub change_minute: u64,
     /// Sampling grid, minutes per step.
     pub step_minutes: u64,
-    /// Two-window size of the per-sample detectors.
+    /// Two-window size of the per-sample detectors, `2..=1024`.
     pub window: usize,
     /// Detection threshold in robust sigma units.
     pub threshold: f64,
@@ -106,8 +106,8 @@ impl StreamSpec {
                     spec.window = value
                         .parse()
                         .ok()
-                        .filter(|&w: &usize| w >= 2)
-                        .ok_or_else(|| format!("window: want >= 2, got {value:?}"))?
+                        .filter(|w| (2..=1024).contains(w))
+                        .ok_or_else(|| format!("window: want 2..=1024, got {value:?}"))?
                 }
                 "threshold" => {
                     spec.threshold = value
@@ -474,6 +474,15 @@ mod tests {
         assert_eq!(spec.expect, Expectation::Improve);
         assert!(StreamSpec::from_params([("bogus", "1")].into_iter()).is_err());
         assert!(StreamSpec::from_params([("nodes", "0")].into_iter()).is_err());
+        // A window sizes each detector's ring (2 × window samples) at the
+        // session's first study sample: it is bounded before it allocates.
+        for window in ["1", "1025", "18446744073709551615"] {
+            assert!(StreamSpec::from_params([("window", window)].into_iter()).is_err());
+        }
+        for window in [2, 1024] {
+            let spec = StreamSpec::from_params([("window", &*window.to_string())].into_iter());
+            assert_eq!(spec.unwrap().window, window);
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   [`coarsen`ed](crate::series::TimeSeries::resample) lanes.
 
 use crate::changepoint::LevelShift;
-use crate::descriptive::{mad_in_place, median_in_place};
+use crate::descriptive::median_in_place;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Outcome of pushing one sample into a changepoint detector.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -28,6 +30,105 @@ pub struct DetectorPush {
     pub finalized: Option<LevelShift>,
 }
 
+/// The clean samples of one half of the detector's ring, ascending in
+/// [`f64::total_cmp`] order, so the batch kernel's order statistics are
+/// reads. Among non-NaN `f64` only ±0 compare equal with different bits,
+/// so only a half holding zeros of both signs can make a selection's
+/// answer depend on input order: that half takes its median by selection.
+#[derive(Clone, Debug, Default)]
+struct SortedHalf {
+    xs: Vec<f64>,
+    /// Negative and positive zeros held.
+    zeros: [usize; 2],
+}
+
+impl SortedHalf {
+    /// Replace `leaving` (found by its bits: the other zero compares equal
+    /// to it) by `entering`, shifting what lies between; NaN is no sample.
+    fn replace(&mut self, leaving: f64, entering: f64) {
+        if leaving == 0.0 {
+            self.zeros[leaving.is_sign_positive() as usize] -= 1;
+        }
+        if entering == 0.0 {
+            self.zeros[entering.is_sign_positive() as usize] += 1;
+        }
+        let xs = &mut self.xs;
+        // A half holds no NaN, so no sample is found for one.
+        let mut at = match xs.iter().position(|x| x.to_bits() == leaving.to_bits()) {
+            Some(at) => at,
+            None if entering.is_nan() => return,
+            None => {
+                xs.push(entering);
+                xs.len() - 1
+            }
+        };
+        if entering.is_nan() {
+            xs.remove(at);
+            return;
+        }
+        while at + 1 < xs.len() && xs[at + 1].total_cmp(&entering).is_lt() {
+            xs[at] = xs[at + 1];
+            at += 1;
+        }
+        while at > 0 && xs[at - 1].total_cmp(&entering).is_gt() {
+            xs[at] = xs[at - 1];
+            at -= 1;
+        }
+        xs[at] = entering;
+    }
+
+    /// [`median_in_place`] of the half, read at its middle ranks — or, with
+    /// mixed zeros, selected from the half's `span` of `ring` in ring order.
+    fn median(&self, ring: &VecDeque<f64>, span: Range<usize>, scratch: &mut Vec<f64>) -> f64 {
+        if self.zeros[0] > 0 && self.zeros[1] > 0 {
+            scratch.clear();
+            scratch.extend(ring.range(span).copied().filter(|v| !v.is_nan()));
+            return median_in_place(scratch);
+        }
+        let n = self.xs.len();
+        middle(n, self.xs[n / 2 - 1], self.xs[n / 2])
+    }
+
+    /// [`mad_in_place`](crate::mad_in_place)`(half, m)`: the median `|x − m|`,
+    /// merged outward from `m`. Deviations grow away from `m` on each side
+    /// and carry no −0, so equal deviations are equal bits whatever zeros
+    /// the half holds. A non-finite `m` needs no branch: at ±∞ the caller's
+    /// `1e-9·|m|` floor makes the scale ∞, and a NaN `m` makes the delta NaN.
+    fn mad(&self, m: f64) -> f64 {
+        let xs = &self.xs;
+        let dev = |i: usize| (xs[i] - m).abs();
+        // xs[below..above] are the deviations taken so far, smallest first.
+        let split = xs.partition_point(|&x| x < m);
+        let (mut below, mut above) = (split, split);
+        let mut next = || {
+            if above == xs.len() || (below > 0 && dev(below - 1) <= dev(above)) {
+                below -= 1;
+                dev(below)
+            } else {
+                above += 1;
+                dev(above - 1)
+            }
+        };
+        let n = xs.len();
+        let mut lo = 0.0;
+        for _ in 0..n / 2 {
+            lo = next();
+        }
+        let hi = next();
+        1.4826 * middle(n, lo, hi)
+    }
+}
+
+/// [`median_in_place`]'s value for `n` samples from its ranks n/2 − 1 and
+/// n/2: the upper one when `n` is odd, else the same interpolation.
+fn middle(n: usize, lo: f64, hi: f64) -> f64 {
+    if n % 2 == 1 {
+        hi
+    } else {
+        lo * (1.0 - 0.5) + hi * 0.5
+    }
+}
+
 /// Per-sample two-window level-shift detection.
 ///
 /// Replays to the same result as [`detect_level_shifts`]: candidate `i`
@@ -35,16 +136,21 @@ pub struct DetectorPush {
 /// of adjacent candidates merge keeping the strongest, exactly as the
 /// batch fold does. A run is only finalized when a later candidate opens a
 /// new run or [`finish`](Self::finish) is called.
+///
+/// On a push the sample leaving the ring leaves the sorted `pre` half for
+/// the one crossing the midpoint, which leaves `post` for the new one; a
+/// split is then two median reads and a merge, not three selections.
 #[derive(Clone, Debug)]
 pub struct OnlineLevelShiftDetector {
     window: usize,
     threshold: f64,
     /// Ring of the last `2 × window` samples.
-    buf: std::collections::VecDeque<f64>,
-    /// Selection scratch: the clean samples of the ring's older and newer
-    /// half, refilled on every push.
-    pre: Vec<f64>,
-    post: Vec<f64>,
+    buf: VecDeque<f64>,
+    /// The clean samples of the ring's older and newer half.
+    pre: SortedHalf,
+    post: SortedHalf,
+    /// Selection buffer of a half with mixed signed zeros.
+    scratch: Vec<f64>,
     pushed: usize,
     pending: Option<LevelShift>,
 }
@@ -57,9 +163,10 @@ impl OnlineLevelShiftDetector {
         OnlineLevelShiftDetector {
             window,
             threshold,
-            buf: std::collections::VecDeque::with_capacity(2 * window),
-            pre: Vec::with_capacity(window),
-            post: Vec::with_capacity(window),
+            buf: VecDeque::with_capacity(2 * window),
+            pre: SortedHalf::default(),
+            post: SortedHalf::default(),
+            scratch: Vec::new(),
             pushed: 0,
             pending: None,
         }
@@ -77,35 +184,38 @@ impl OnlineLevelShiftDetector {
 
     /// Absorb one sample and evaluate the candidate it completes.
     pub fn push(&mut self, v: f64) -> DetectorPush {
-        if self.buf.len() == 2 * self.window {
-            self.buf.pop_front();
+        let w = self.window;
+        if self.buf.len() == 2 * w {
+            let leaving = self.buf.pop_front().expect("the ring is full");
+            let crossing = self.buf[w - 1];
+            self.pre.replace(leaving, crossing);
+            self.post.replace(crossing, v);
+        } else if self.buf.len() < w {
+            self.pre.replace(f64::NAN, v);
+        } else {
+            self.post.replace(f64::NAN, v);
         }
         self.buf.push_back(v);
         self.pushed += 1;
-        if self.buf.len() < 2 * self.window {
+        #[cfg(test)]
+        self.assert_halves_match_ring();
+        if self.buf.len() < 2 * w {
             return DetectorPush::default();
         }
         // The candidate index in batch terms: with n samples pushed, the
         // newest evaluable split is i = n − window; the ring holds exactly
         // xs[i−window .. i+window].
-        let index = self.pushed - self.window;
-        let clean = |v: &f64| !v.is_nan();
-        let (pre, post) = (&mut self.pre, &mut self.post);
-        pre.clear();
-        pre.extend(self.buf.range(..self.window).copied().filter(clean));
-        post.clear();
-        post.extend(self.buf.range(self.window..).copied().filter(clean));
-        if pre.len() < 2 || post.len() < 2 {
+        let index = self.pushed - w;
+        if self.pre.xs.len() < 2 || self.post.xs.len() < 2 {
             return DetectorPush::default();
         }
         // The batch kernel's `median(post) − median(pre)` over
         // `mad(pre).max(1e-9·|median(pre)|).max(1e-12)`, with the one
         // pre-median serving all three of its uses.
-        let pre_median = median_in_place(pre);
-        let delta = median_in_place(post) - pre_median;
-        let scale = mad_in_place(pre, pre_median)
-            .max(1e-9 * pre_median.abs())
-            .max(1e-12);
+        let pre_median = self.pre.median(&self.buf, 0..w, &mut self.scratch);
+        let delta = self.post.median(&self.buf, w..2 * w, &mut self.scratch) - pre_median;
+        let mad = self.pre.mad(pre_median);
+        let scale = mad.max(1e-9 * pre_median.abs()).max(1e-12);
         let score = delta.abs() / scale;
         // A NaN score (infinite samples) is no candidate, as in the batch
         // kernel's `score >= threshold`.
@@ -272,6 +382,65 @@ pub fn replay_level_shifts(xs: &[f64], window: usize, threshold: f64) -> Vec<Lev
 mod tests {
     use super::*;
     use crate::changepoint::detect_level_shifts;
+
+    impl OnlineLevelShiftDetector {
+        /// The incremental state's invariant, checked after every push in
+        /// this crate's tests: each half is the sorted clean content of
+        /// its span of the ring, bit for bit, with its signed zeros
+        /// counted.
+        pub(super) fn assert_halves_match_ring(&self) {
+            let w = self.window.min(self.buf.len());
+            for (name, half, span) in [
+                ("pre", &self.pre, self.buf.range(..w)),
+                ("post", &self.post, self.buf.range(w..)),
+            ] {
+                let mut expected: Vec<f64> = span.copied().filter(|v| !v.is_nan()).collect();
+                expected.sort_by(f64::total_cmp);
+                let zeros = |sign_positive| {
+                    expected
+                        .iter()
+                        .filter(|&&v| v == 0.0 && v.is_sign_positive() == sign_positive)
+                        .count()
+                };
+                let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    (bits(&half.xs), half.zeros),
+                    (bits(&expected), [zeros(false), zeros(true)]),
+                    "{name} half after push {}, window {}",
+                    self.pushed,
+                    self.window
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn halves_track_the_ring_through_signed_zeros_and_gaps() {
+        // Every sample crosses both halves; ties, signed zeros, NaNs and
+        // infinities are most of the feed. The invariant is asserted
+        // inside each push.
+        const ALPHABET: [f64; 9] = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for window in 2..=9 {
+            let mut d = OnlineLevelShiftDetector::new(window, 0.0);
+            for _ in 0..400 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                d.push(ALPHABET[(state % ALPHABET.len() as u64) as usize]);
+            }
+        }
+    }
 
     #[test]
     fn online_detector_replays_to_batch_shifts() {

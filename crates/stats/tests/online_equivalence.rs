@@ -6,13 +6,15 @@
 //! and on every coarsened lane. These properties are that promise,
 //! executable.
 //!
-//! The detector selects its medians in place, in scratch buffers it keeps;
-//! the batch kernel allocates and copies. `assert_replays_to_the_bit` holds
-//! the two to the same bits — merged shifts and every raw candidate — and
-//! the edge cases below feed it what an in-place selection could get
-//! wrong: the smallest window, windows with too few clean samples, feeds
-//! that are mostly NaN, flat series (MAD 0, so the scale floors decide),
-//! signed zeros, subnormals and infinities.
+//! The detector keeps each half of its ring sorted and reads its medians
+//! and MAD from there, selecting only when a half holds zeros of both
+//! signs; the batch kernel copies and selects at every split.
+//! `assert_replays_to_the_bit` holds the two to the same bits — merged
+//! shifts and every raw candidate — and the edge cases below feed it what
+//! that bookkeeping could get wrong: the smallest window, windows with too
+//! few clean samples, feeds that are mostly NaN, flat series (MAD 0, so
+//! the scale floors decide), signed zeros, subnormals and infinities, and
+//! feeds long enough for every sample to cross both halves.
 
 use cornet_stats::{
     detect_level_shifts, replay_level_shifts, LevelShift, MultiTimescaleDetector,
@@ -213,6 +215,24 @@ proptest! {
         threshold in 0usize..3,
     ) {
         assert_replays_to_the_bit(&hostile(seed, len), window, [0.0, 1e-9, 5.0][threshold]);
+    }
+
+    #[test]
+    fn long_feeds_replay_to_the_bit(
+        seed in any::<u64>(),
+        len in 0usize..600,
+        window in 2usize..17,
+        alphabet in 0usize..3,
+        threshold in 0usize..3,
+    ) {
+        // Long enough for every sample to enter, cross and leave both
+        // halves many times over.
+        let xs = match alphabet {
+            0 => hostile(seed, len),
+            1 => synth(seed, len, true, false),
+            _ => synth(seed, len, true, true),
+        };
+        assert_replays_to_the_bit(&xs, window, [0.0, 1e-9, 5.0][threshold]);
     }
 
     #[test]

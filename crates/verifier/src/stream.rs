@@ -26,10 +26,9 @@
 //!   ([`verify_rules_traced`] over the store, so one
 //!   [`SeriesCache`](crate::SeriesCache) per poll).
 //!
-//! The pump is deliberately not fanned: applying one sample costs a few
-//! hundred nanoseconds, starting one worker thread costs as much as
-//! 250–500 samples, and no caller in the repository hands a pump more than
-//! ~1 000 samples (DESIGN.md § *Ingest path* has the arithmetic).
+//! The pump is deliberately not fanned: a sample costs ≈ 0.2 µs to apply,
+//! a worker thread ≈ 40 µs to start, and no caller in the repository hands
+//! a pump more than ~1 000 samples (DESIGN.md § *Ingest path*).
 //!
 //! **Correctness bar:** after replaying a feed sample-by-sample (any
 //! delivery order, any pump cadence), `poll_verdicts` is
@@ -80,8 +79,6 @@ pub struct StreamConfig {
     pub detect_threshold: f64,
     /// Coarsening factors of the detector lanes.
     pub detect_timescales: Vec<usize>,
-    /// Per-sample latency observations retained for quantile queries.
-    pub latency_cap: usize,
 }
 
 impl Default for StreamConfig {
@@ -92,7 +89,6 @@ impl Default for StreamConfig {
             detect_window: 8,
             detect_threshold: 5.0,
             detect_timescales: vec![1, 24],
-            latency_cap: 1 << 20,
         }
     }
 }
@@ -361,7 +357,7 @@ pub struct StreamingVerifier {
     latencies_us: Mutex<Vec<f64>>,
     processed: AtomicU64,
     rejected: AtomicU64,
-    detections_total: AtomicU64,
+    detected: AtomicU64,
 }
 
 impl StreamingVerifier {
@@ -392,7 +388,7 @@ impl StreamingVerifier {
             latencies_us: Mutex::new(Vec::new()),
             processed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            detections_total: AtomicU64::new(0),
+            detected: AtomicU64::new(0),
         }
     }
 
@@ -420,6 +416,9 @@ impl StreamingVerifier {
         outcome
     }
 
+    /// Per-sample latency observations retained for quantile queries.
+    const LATENCY_CAP: usize = 1 << 20;
+
     /// Drain the queue and apply every sample, in arrival order, on the
     /// calling thread.
     pub fn pump(&self) -> PumpStats {
@@ -443,7 +442,7 @@ impl StreamingVerifier {
             let mut latencies = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
             let first_new = detections.len();
             let mut fired = Vec::new();
-            for (sample, enqueued) in batch.drain(..) {
+            for (sample, _) in batch.iter() {
                 let of_kpi = match streams.get_mut(&sample.kpi) {
                     Some(of_kpi) => of_kpi,
                     None => streams.entry(sample.kpi.clone()).or_default(),
@@ -480,9 +479,13 @@ impl StreamingVerifier {
                         score: shift.score,
                     });
                 }
-                if latencies.len() < self.config.latency_cap {
-                    latencies.push(enqueued.elapsed().as_secs_f64() * 1e6);
-                }
+            }
+            // No reader sees any of the batch before the write lock drops,
+            // so one clock read stamps the whole batch as applied.
+            let applied = Instant::now();
+            let room = Self::LATENCY_CAP - latencies.len();
+            for (_, enqueued) in batch.drain(..).take(room) {
+                latencies.push(applied.duration_since(enqueued).as_secs_f64() * 1e6);
             }
             // A pump reports stream by stream, each stream's detections in
             // arrival order (the sort is stable).
@@ -492,18 +495,14 @@ impl StreamingVerifier {
         if stats.processed > 0 {
             self.dirty.store(true, Ordering::Release);
         }
-        self.processed
-            .fetch_add(stats.processed as u64, Ordering::Relaxed);
-        self.rejected
-            .fetch_add(stats.rejected as u64, Ordering::Relaxed);
-        self.detections_total
-            .fetch_add(stats.detections as u64, Ordering::Relaxed);
-        self.tracer
-            .incr("stream.samples_processed", stats.processed as u64);
-        self.tracer
-            .incr("stream.samples_rejected", stats.rejected as u64);
-        self.tracer
-            .incr("stream.detections", stats.detections as u64);
+        for (total, counter, n) in [
+            (&self.processed, "stream.samples_processed", stats.processed),
+            (&self.rejected, "stream.samples_rejected", stats.rejected),
+            (&self.detected, "stream.detections", stats.detections),
+        ] {
+            total.fetch_add(n as u64, Ordering::Relaxed);
+            self.tracer.incr(counter, n as u64);
+        }
         if span.is_recording() {
             span.attr("processed", stats.processed);
             span.attr("rejected", stats.rejected);
@@ -571,13 +570,14 @@ impl StreamingVerifier {
             shed: self.router.shed(),
             processed: self.processed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            detections: self.detections_total.load(Ordering::Relaxed),
+            detections: self.detected.load(Ordering::Relaxed),
         }
     }
 
     /// Quantile of the per-sample detection latency (seconds from enqueue
-    /// to applied state + detector update), e.g. `0.99` for the p99.
-    /// `None` until at least one sample has been processed.
+    /// to the end of the pump that applied the sample, when readers can
+    /// first see it), e.g. `0.99` for the p99. `None` until at least one
+    /// sample has been processed.
     pub fn detection_latency_quantile(&self, q: f64) -> Option<f64> {
         let lat = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
         if lat.is_empty() {
