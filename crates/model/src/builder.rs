@@ -6,8 +6,9 @@
 //! translation code (and the tests) stay readable.
 
 use crate::constraint::{CmpOp, Constraint, LinTerm};
-use crate::{Model, VarId};
+use crate::{Model, VarId, VarName};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Builder around a [`Model`] for slot-assignment scheduling problems.
 #[derive(Debug)]
@@ -33,14 +34,17 @@ impl ModelBuilder {
     }
 
     /// Add one slot-assignment variable (`0..=slots`, 0 = unscheduled).
-    pub fn slot_var(&mut self, name: impl Into<String>) -> VarId {
+    pub fn slot_var(&mut self, name: impl Into<VarName>) -> VarId {
         self.model.add_var(name, 0, self.slots)
     }
 
-    /// Add `n` slot-assignment variables named `{prefix}[i]`.
+    /// Add `n` slot-assignment variables named `{prefix}[i]`. They share
+    /// one copy of `prefix`; a name is formatted only when printed.
     pub fn slot_vars(&mut self, prefix: &str, n: usize) -> Vec<VarId> {
+        let prefix: Arc<str> = Arc::from(prefix);
+        self.model.vars.reserve(n);
         (0..n)
-            .map(|i| self.slot_var(format!("{prefix}[{i}]")))
+            .map(|i| self.slot_var(VarName::Indexed(Arc::clone(&prefix), i as u32)))
             .collect()
     }
 
@@ -277,7 +281,7 @@ mod tests {
         assert_eq!(m.var_count(), 3);
         assert_eq!(m.var(vs[0]).lo, 0);
         assert_eq!(m.var(vs[2]).hi, 5);
-        assert_eq!(m.var(vs[1]).name, "X[1]");
+        assert_eq!(m.var(vs[1]).name.to_string(), "X[1]");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! own solver consumes the IR directly.
 
 use crate::constraint::Constraint;
-use crate::Model;
+use crate::{Model, VarId};
 use std::fmt::Write;
 
 /// Sanitize a variable name into a MiniZinc identifier.
@@ -40,7 +40,11 @@ impl Model {
         );
         s.push('\n');
 
-        let names: Vec<String> = self.vars.iter().map(|v| ident(&v.name)).collect();
+        let names: Vec<String> = self
+            .vars
+            .iter()
+            .map(|v| ident(&v.name.to_string()))
+            .collect();
 
         let _ = writeln!(s, "%%% Decision variables");
         for (v, name) in self.vars.iter().zip(&names) {
@@ -211,24 +215,26 @@ impl Model {
         s.push('\n');
 
         let _ = writeln!(s, "%%% Objective");
-        if self.objective.is_trivial() {
+        let mut parts = Vec::new();
+        if self.objective.constant != 0 {
+            parts.push(self.objective.constant.to_string());
+        }
+        for (i, name) in names.iter().enumerate() {
+            let c = self.objective.term(VarId(i as u32));
+            if c.slope != 0 {
+                parts.push(format!("{} * {name}", c.slope));
+            }
+            for (value, cost) in &c.table {
+                if *cost != 0 {
+                    parts.push(format!("(if {name} = {value} then {cost} else 0 endif)"));
+                }
+            }
+        }
+        // Terms that all cancel to zero price nothing: an empty sum is not
+        // a MiniZinc expression.
+        if parts.is_empty() {
             let _ = writeln!(s, "solve satisfy;");
         } else {
-            let mut parts = Vec::new();
-            if self.objective.constant != 0 {
-                parts.push(self.objective.constant.to_string());
-            }
-            for (var, c) in &self.objective.terms {
-                let name = &names[var.index()];
-                if c.slope != 0 {
-                    parts.push(format!("{} * {name}", c.slope));
-                }
-                for (value, cost) in &c.table {
-                    if *cost != 0 {
-                        parts.push(format!("(if {name} = {value} then {cost} else 0 endif)"));
-                    }
-                }
-            }
             let _ = writeln!(s, "solve minimize\n  {};", parts.join(" +\n  "));
         }
         s
@@ -265,6 +271,18 @@ mod tests {
         let text = b.build().to_minizinc();
         assert!(text.contains("solve satisfy;"));
         assert!(text.contains("constraint 1 * X_0_ + 1 * X_1_ <= 3;"));
+    }
+
+    #[test]
+    fn all_zero_objective_emits_solve_satisfy() {
+        let mut b = ModelBuilder::new("zero", 2);
+        let vs = b.slot_vars("X", 2);
+        b.completion_objective(&vs, &[0, 0], 5);
+        b.conflict_penalty(vs[1], 2, 0);
+        let m = b.build();
+        assert!(!m.objective.is_trivial(), "priced, if at zero");
+        let text = m.to_minizinc();
+        assert!(text.ends_with("%%% Objective\nsolve satisfy;\n"), "{text}");
     }
 
     #[test]

@@ -23,6 +23,8 @@
 pub mod builder;
 pub mod constraint;
 pub mod emit;
+#[cfg(test)]
+mod equivalence;
 pub mod objective;
 pub mod stats;
 
@@ -30,6 +32,9 @@ pub use builder::ModelBuilder;
 pub use constraint::{CmpOp, Constraint, LinTerm};
 pub use objective::{Objective, VarCost};
 pub use stats::ModelStats;
+
+use std::fmt;
+use std::sync::Arc;
 
 /// Handle to a decision variable inside a [`Model`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -43,11 +48,58 @@ impl VarId {
     }
 }
 
+/// A variable's name, printed only when it is shown: a slot variable of
+/// [`ModelBuilder::slot_vars`] shares its prefix with its siblings instead
+/// of carrying a formatted string of its own. Two names are equal when
+/// they print the same text.
+#[derive(Clone, Debug)]
+pub enum VarName {
+    /// A name given whole.
+    Given(String),
+    /// `{prefix}[{index}]`.
+    Indexed(Arc<str>, u32),
+}
+
+impl fmt::Display for VarName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VarName::Given(name) => f.write_str(name),
+            VarName::Indexed(prefix, i) => write!(f, "{prefix}[{i}]"),
+        }
+    }
+}
+
+impl PartialEq for VarName {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (VarName::Given(a), VarName::Given(b)) => a == b,
+            // The index is the digits between the last brackets, so equal
+            // text means an equal prefix and an equal index.
+            (VarName::Indexed(p, i), VarName::Indexed(q, j)) => i == j && p == q,
+            (a, b) => a.to_string() == b.to_string(),
+        }
+    }
+}
+
+impl Eq for VarName {}
+
+impl From<String> for VarName {
+    fn from(name: String) -> Self {
+        VarName::Given(name)
+    }
+}
+
+impl From<&str> for VarName {
+    fn from(name: &str) -> Self {
+        VarName::Given(name.to_owned())
+    }
+}
+
 /// An integer decision variable with a contiguous initial domain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IntVar {
     /// Name used in emitted MiniZinc and diagnostics.
-    pub name: String,
+    pub name: VarName,
     /// Smallest domain value (inclusive).
     pub lo: i64,
     /// Largest domain value (inclusive).
@@ -84,7 +136,7 @@ impl Model {
     }
 
     /// Add a variable with domain `lo..=hi` and return its handle.
-    pub fn add_var(&mut self, name: impl Into<String>, lo: i64, hi: i64) -> VarId {
+    pub fn add_var(&mut self, name: impl Into<VarName>, lo: i64, hi: i64) -> VarId {
         assert!(lo <= hi, "empty initial domain");
         let id = VarId(self.vars.len() as u32);
         self.vars.push(IntVar {
@@ -156,7 +208,7 @@ mod tests {
         let mut m = Model::new("t");
         let a = m.add_var("a", 0, 5);
         let b = m.add_var("b", 1, 3);
-        assert_eq!(m.var(a).name, "a");
+        assert_eq!(m.var(a).name.to_string(), "a");
         assert_eq!(m.var(b).domain_size(), 3);
         assert_eq!(m.var_count(), 2);
     }
@@ -174,6 +226,25 @@ mod tests {
         assert!(m.check(&[9]).is_err());
         assert!(m.check(&[3]).is_ok());
         assert!(m.check(&[]).is_err());
+    }
+
+    #[test]
+    fn indexed_names_print_and_compare_as_text() {
+        let x1 = VarName::Indexed(Arc::from("X"), 1);
+        assert_eq!(x1.to_string(), "X[1]");
+        assert_eq!(x1, VarName::from("X[1]"));
+        assert_eq!(VarName::from("X[1]"), x1);
+        assert_ne!(x1, VarName::Indexed(Arc::from("X"), 11));
+        assert_ne!(x1, VarName::Indexed(Arc::from("X[1"), 1));
+        assert_ne!(x1, VarName::from("X[01]"));
+    }
+
+    #[test]
+    fn out_of_domain_message_names_an_indexed_variable() {
+        let mut b = crate::ModelBuilder::new("t", 5);
+        b.slot_vars("COMMON_ID_SCHEDULED", 3);
+        let err = b.build().check(&[0, 6, 0]).unwrap_err();
+        assert_eq!(err, "COMMON_ID_SCHEDULED[1] = 6 outside [0, 5]");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! computation trivial (sum of per-variable domain minima).
 
 use crate::VarId;
-use std::collections::BTreeMap;
 
 /// Cost contribution of one variable: `slope · value + table[value]`.
 /// Ordered so that equal terms can be interned (the solver keeps one cost
@@ -19,22 +18,35 @@ pub struct VarCost {
     /// later slots cost more). Usually the node weight.
     pub slope: i64,
     /// Additive cost overrides for specific values (conflict penalties at
-    /// busy slots, the unscheduled penalty at value 0).
-    pub table: BTreeMap<i64, i64>,
+    /// busy slots, the unscheduled penalty at value 0) as `(value, cost)`,
+    /// sorted by value, one entry a value. A translated model holds one or
+    /// two a variable.
+    pub table: Vec<(i64, i64)>,
 }
+
+/// The term of a variable nothing prices.
+static ZERO: VarCost = VarCost {
+    slope: 0,
+    table: Vec::new(),
+};
 
 impl VarCost {
     /// Cost of assigning `value` to this variable.
     pub fn cost_of(&self, value: i64) -> i64 {
-        self.slope * value + self.table.get(&value).copied().unwrap_or(0)
+        let adjust = match self.table.binary_search_by_key(&value, |&(v, _)| v) {
+            Ok(at) => self.table[at].1,
+            Err(_) => 0,
+        };
+        self.slope * value + adjust
     }
 }
 
 /// Total minimization objective.
 #[derive(Clone, Debug, Default)]
 pub struct Objective {
-    /// Per-variable cost tables, keyed by variable.
-    pub terms: BTreeMap<VarId, VarCost>,
+    /// Per-variable terms, indexed by variable; grown only as far as the
+    /// highest variable priced, so it is empty until something is.
+    terms: Vec<VarCost>,
     /// Constant offset (keeps emitted objectives comparable to the paper's).
     pub constant: i64,
 }
@@ -45,25 +57,40 @@ impl Objective {
         self.terms.is_empty() && self.constant == 0
     }
 
+    /// A variable's term; the zero term for a variable nothing priced.
+    pub fn term(&self, var: VarId) -> &VarCost {
+        self.terms.get(var.index()).unwrap_or(&ZERO)
+    }
+
+    fn term_mut(&mut self, var: VarId) -> &mut VarCost {
+        if var.index() >= self.terms.len() {
+            self.terms.resize_with(var.index() + 1, VarCost::default);
+        }
+        &mut self.terms[var.index()]
+    }
+
+    /// Replace a variable's whole term.
+    pub fn set_term(&mut self, var: VarId, term: VarCost) {
+        *self.term_mut(var) = term;
+    }
+
     /// Add `slope · value` pressure to a variable (accumulates).
     pub fn add_slope(&mut self, var: VarId, slope: i64) {
-        self.terms.entry(var).or_default().slope += slope;
+        self.term_mut(var).slope += slope;
     }
 
     /// Add a one-off cost for a specific value of a variable (accumulates).
     pub fn add_value_cost(&mut self, var: VarId, value: i64, cost: i64) {
-        *self
-            .terms
-            .entry(var)
-            .or_default()
-            .table
-            .entry(value)
-            .or_default() += cost;
+        let table = &mut self.term_mut(var).table;
+        match table.binary_search_by_key(&value, |&(v, _)| v) {
+            Ok(at) => table[at].1 += cost,
+            Err(at) => table.insert(at, (value, cost)),
+        }
     }
 
     /// Cost of one variable taking one value.
     pub fn var_cost(&self, var: VarId, value: i64) -> i64 {
-        self.terms.get(&var).map_or(0, |c| c.cost_of(value))
+        self.term(var).cost_of(value)
     }
 
     /// Total cost of a full assignment.
@@ -72,7 +99,8 @@ impl Objective {
             + self
                 .terms
                 .iter()
-                .map(|(var, c)| c.cost_of(assignment[var.index()]))
+                .enumerate()
+                .map(|(i, c)| c.cost_of(assignment[i]))
                 .sum::<i64>()
     }
 }
@@ -113,6 +141,25 @@ mod tests {
         o.add_slope(VarId(0), 1);
         o.add_slope(VarId(0), 2);
         assert_eq!(o.var_cost(VarId(0), 1), 15);
+    }
+
+    #[test]
+    fn untouched_variables_read_the_zero_term() {
+        let mut o = Objective::default();
+        o.add_value_cost(VarId(2), 0, 7);
+        assert_eq!(o.term(VarId(0)), &VarCost::default());
+        assert_eq!(o.term(VarId(9)), &VarCost::default());
+        assert_eq!(o.term(VarId(2)).table, vec![(0, 7)]);
+        assert_eq!(o.cost(&[5, 5, 0]), 7);
+    }
+
+    #[test]
+    fn table_stays_sorted_by_value() {
+        let mut o = Objective::default();
+        for value in [3, 0, 2, 0, 5] {
+            o.add_value_cost(VarId(0), value, 1);
+        }
+        assert_eq!(o.term(VarId(0)).table, vec![(0, 2), (2, 1), (3, 1), (5, 1)]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::backend::{BackendResult, Budget, SolveContext, SolverBackend};
 use crate::translate::{Translation, Unit};
-use cornet_model::{Constraint, Model, VarId};
+use cornet_model::{Constraint, Model, VarCost, VarId};
 use cornet_solver::{CancelToken, Outcome, SearchStats};
 use cornet_types::{par, Inventory, NodeId};
 use std::collections::BTreeMap;
@@ -148,9 +148,10 @@ fn sub_model(
         }
         sub.add_constraint(c2);
     }
-    for (var, cost) in &model.objective.terms {
-        if here(var) {
-            sub.objective.terms.insert(map_var(*var), cost.clone());
+    for (new_idx, &old) in vars.iter().enumerate() {
+        let term = model.objective.term(VarId(old as u32));
+        if *term != VarCost::default() {
+            sub.objective.set_term(VarId(new_idx as u32), term.clone());
         }
     }
     sub
@@ -414,7 +415,7 @@ const MAX_SHARDS: usize = 64;
 /// (consistency, uniformity, localize, distinct-groups, linear) cannot be
 /// cut soundly, so their presence — or fewer than two distinct keys —
 /// makes this return `None` and the caller falls back to unsharded
-/// solving (the CN0417 lint flags both situations).
+/// solving (the CN0419 lint flags both situations).
 pub fn shard_translation(t: &Translation, inventory: &Inventory) -> Option<ShardSplit> {
     // Key every unit by its first node; ESA grouping and consistency
     // contraction only merge co-located nodes, so one representative is
@@ -648,6 +649,58 @@ mod tests {
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0], vec![0, 1]);
         assert_eq!(comps[1], vec![2, 3]);
+    }
+
+    #[test]
+    fn sub_models_print_their_variables_under_the_parents_names() {
+        use cornet_model::VarName;
+        let prefix_of = |m: &Model, at: usize| match &m.vars[at].name {
+            VarName::Indexed(prefix, _) => Arc::clone(prefix),
+            other => panic!("{other} is not a slot variable"),
+        };
+
+        // A decomposed part: one component, copied through.
+        let m = two_component_model();
+        let part = sub_model(&m, &[2, 3], "t#sub".into(), None);
+        assert_eq!(
+            (part.vars[0].name.to_string(), part.vars[1].name.to_string()),
+            ("X[2]".into(), "X[3]".into())
+        );
+        assert!(
+            Arc::ptr_eq(&prefix_of(&part, 1), &prefix_of(&m, 0)),
+            "a name is an Arc clone"
+        );
+        let text = part.to_minizinc();
+        assert!(text.contains("var 0..4: X_2_ :: add_to_output;"), "{text}");
+        assert!(text.contains("constraint X_3_ != 0;"), "{text}");
+        assert!(
+            text.contains("(if X_3_ = 0 then 100 else 0 endif)"),
+            "{text}"
+        );
+
+        // A shard: a capacity cut through, members kept under their names.
+        let mut b = ModelBuilder::new("t", 4);
+        let vs = b.slot_vars("X", 4);
+        b.capacity("cap", vs.clone(), vec![1; 4], 2);
+        b.completion_objective(&vs, &[1; 4], 100);
+        let m = b.build();
+        let shares: CapShares = [(0, vec![(1, BTreeMap::new()); 2])].into();
+        let shard = sub_model(&m, &[1, 3], "t#shard1".into(), Some((1, &shares)));
+        let text = shard.to_minizinc();
+        assert!(
+            text.contains("var 0..4: X_1_ :: add_to_output;\nvar 0..4: X_3_"),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "% cap#shard1\nconstraint 1 * bool2int(X_1_ = 1) + 1 * bool2int(X_3_ = 1) <= 1;"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("1 * X_3_ +\n  (if X_3_ = 0 then 100 else 0 endif);"),
+            "{text}"
+        );
     }
 
     #[test]

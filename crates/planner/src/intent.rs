@@ -150,6 +150,13 @@ pub struct PlanIntent {
     pub constraints: Vec<ConstraintRule>,
 }
 
+/// Most raw slots a scheduling window may span. Every consumer of a
+/// window — the linter, translation, Algorithm 1 — lists its slots, so an
+/// intent asking for centuries of minutes would exhaust memory before any
+/// of them could refuse it; [`PlanIntent::window`] refuses it first. A
+/// year of hourly slots is 8 760.
+pub const MAX_WINDOW_SLOTS: u64 = 65_536;
+
 impl PlanIntent {
     /// Parse the JSON intent API (Listing 1). Malformed text is a
     /// [`CornetError::Parse`] naming the byte offset.
@@ -164,13 +171,21 @@ impl PlanIntent {
         from_json_value(root)
     }
 
-    /// Resolve the scheduling window into typed form.
+    /// Resolve the scheduling window into typed form. A window of more
+    /// than [`MAX_WINDOW_SLOTS`] raw slots is refused before any slot is
+    /// listed.
     pub fn window(&self) -> Result<SchedulingWindow> {
         let start = SimTime::parse(&self.scheduling_window.start)?;
         let end = SimTime::parse(&self.scheduling_window.end)?;
         if end < start {
             return Err(CornetError::InvalidIntent(
                 "scheduling window ends before it starts".into(),
+            ));
+        }
+        let granularity = self.scheduling_window.granularity;
+        if granularity.minutes() == 0 {
+            return Err(CornetError::InvalidIntent(
+                "scheduling window granularity is zero minutes wide".into(),
             ));
         }
         let parse_hm = |s: &str| -> Result<u32> {
@@ -205,16 +220,25 @@ impl PlanIntent {
         for p in &self.excluded_periods {
             excluded.push((SimTime::parse(&p.start)?, SimTime::parse(&p.end)?));
         }
-        Ok(SchedulingWindow {
+        let window = SchedulingWindow {
             start,
             end,
-            granularity: self.scheduling_window.granularity,
+            granularity,
             maintenance: MaintenanceWindow {
                 start_minute: mw_start,
                 end_minute: mw_end,
             },
             excluded,
-        })
+        };
+        let slots = window.raw_slot_count();
+        if slots > MAX_WINDOW_SLOTS {
+            return Err(CornetError::InvalidIntent(format!(
+                "scheduling window spans {slots} slots of {} min, over the \
+                 {MAX_WINDOW_SLOTS}-slot bound",
+                granularity.minutes()
+            )));
+        }
+        Ok(window)
     }
 
     /// Resolve the conflict table against node display ids (`id000001` →
@@ -649,6 +673,44 @@ mod tests {
         intent.maintenance_window.start = "25:00".into();
         intent.maintenance_window.end = "26:00".into();
         assert!(intent.window().is_err(), "out-of-day hours rejected");
+    }
+
+    /// A minute-granular window starting `2020-07-01 00:00` and spanning
+    /// `slots` minutes.
+    fn minute_window(slots: u64) -> PlanIntent {
+        let mut intent = PlanIntent::from_json(LISTING1).unwrap();
+        let start = SimTime::parse("2020-07-01 00:00:00").unwrap();
+        intent.scheduling_window.start = start.to_string();
+        intent.scheduling_window.end = start.plus_minutes(slots - 1).to_string();
+        intent.scheduling_window.granularity = Granularity::new(TimeUnit::Minute, 1);
+        intent
+    }
+
+    #[test]
+    fn window_at_the_slot_bound_resolves() {
+        let w = minute_window(MAX_WINDOW_SLOTS).window().unwrap();
+        assert_eq!(w.raw_slot_count(), MAX_WINDOW_SLOTS);
+    }
+
+    #[test]
+    fn window_past_the_slot_bound_is_refused() {
+        let Err(CornetError::InvalidIntent(msg)) = minute_window(MAX_WINDOW_SLOTS + 1).window()
+        else {
+            panic!("one slot past the bound must be refused");
+        };
+        assert!(msg.contains("65537 slots"), "{msg}");
+        // Centuries of minutes are refused the same way, without a slot
+        // ever being listed.
+        let mut intent = minute_window(1);
+        intent.scheduling_window.end = "3500-07-04 23:59:00".into();
+        assert!(intent.window().is_err());
+    }
+
+    #[test]
+    fn zero_width_granularity_is_refused() {
+        let mut intent = PlanIntent::from_json(LISTING1).unwrap();
+        intent.scheduling_window.granularity = Granularity::new(TimeUnit::Day, 0);
+        assert!(intent.window().is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_types::{Inventory, NodeId, Result};
 
 /// Scope size below which a single timezone/market shard is normal and
-/// `CN0417` stays quiet.
+/// `CN0419` stays quiet.
 const SHARD_SCOPE_THRESHOLD: usize = 256;
 
 /// Most nodes one timezone/market shard should hold before `CN0418` flags
@@ -296,7 +296,7 @@ pub fn analyze_intent(
         if shards.len() == 1 && nodes.len() >= SHARD_SCOPE_THRESHOLD {
             let (tz_milli, market) = shards.keys().next().expect("one shard");
             report.push(Diagnostic::warning(
-                Code("CN0417"),
+                Code("CN0419"),
                 SourceRef::Intent,
                 format!(
                     "all {} nodes fall into one timezone/market shard (utc_offset {}, market {:?}); \
@@ -504,7 +504,7 @@ mod tests {
         let it = intent(&CAP2.replace("\"default_capacity\": 2", "\"default_capacity\": 100"));
         let r = analyze_intent(&it, &inv, &nodes).unwrap();
         assert!(
-            r.iter().any(|d| d.code == Code("CN0417")),
+            r.iter().any(|d| d.code == Code("CN0419")),
             "{}",
             r.render_text()
         );
@@ -513,7 +513,7 @@ mod tests {
     #[test]
     fn small_single_market_scope_is_not_flagged() {
         let r = analyze_intent(&intent(CAP2), &mono_market_inventory(8), &nodes()).unwrap();
-        assert!(!r.iter().any(|d| d.code == Code("CN0417")));
+        assert!(!r.iter().any(|d| d.code == Code("CN0419")));
     }
 
     #[test]

@@ -88,20 +88,27 @@ pub struct Translation {
 
 impl Translation {
     /// Decode a solver assignment into a schedule.
+    ///
+    /// The placed `(node, slot)` pairs are collected first and the map is
+    /// built from them in one pass, not node by node.
     pub fn decode(&self, assignment: &[i64], conflicts: &ConflictTable) -> cornet_types::Schedule {
-        let mut schedule = cornet_types::Schedule::default();
+        let mut placed = Vec::with_capacity(self.units.len());
+        let mut leftovers = Vec::new();
         for unit in &self.units {
             let value = assignment[unit.var.index()];
             if value > 0 {
                 let slot = self.slots[(value - 1) as usize];
-                schedule
-                    .assignments
-                    .extend(unit.nodes.iter().map(|&n| (n, slot)));
+                placed.extend(unit.nodes.iter().map(|&n| (n, slot)));
             } else {
-                schedule.leftovers.extend(unit.nodes.iter().copied());
+                leftovers.extend(unit.nodes.iter().copied());
             }
         }
-        schedule.leftovers.extend(self.frozen_out.iter().copied());
+        leftovers.extend(self.frozen_out.iter().copied());
+        let mut schedule = cornet_types::Schedule {
+            assignments: placed.into_iter().collect(),
+            leftovers,
+            conflicts: 0,
+        };
         // Only a node of the table can conflict: an empty one costs nothing.
         for n in conflicts.nodes() {
             if let Some(&slot) = schedule.assignments.get(&n) {

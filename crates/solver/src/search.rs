@@ -10,7 +10,7 @@
 
 use crate::propagate::Propagation;
 use crate::state::State;
-use cornet_model::{Constraint, Model, VarCost};
+use cornet_model::{Constraint, Model, VarCost, VarId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -244,7 +244,7 @@ impl CostRow {
             cost,
             order,
             slope: term.slope,
-            slope_bounds_cost: term.slope >= 0 && term.table.iter().all(|(&v, &c)| v < 1 || c >= 0),
+            slope_bounds_cost: term.slope >= 0 && term.table.iter().all(|&(v, c)| v < 1 || c >= 0),
         }
     }
 
@@ -257,21 +257,14 @@ impl CostRow {
 /// Intern the model's objective into rows; returns them with each
 /// variable's row index.
 fn intern_rows(model: &Model, by_cost: bool) -> (Vec<CostRow>, Vec<u32>) {
-    static FREE: VarCost = VarCost {
-        slope: 0,
-        table: BTreeMap::new(),
-    };
     let mut ids: BTreeMap<(i64, i64, &VarCost), u32> = BTreeMap::new();
     let mut rows = Vec::new();
-    let mut terms = model.objective.terms.iter().peekable();
     let row_of = model
         .vars
         .iter()
         .enumerate()
         .map(|(i, var)| {
-            let term = terms
-                .next_if(|(id, _)| id.index() == i)
-                .map_or(&FREE, |(_, term)| term);
+            let term = model.objective.term(VarId(i as u32));
             *ids.entry((var.lo, var.hi, term)).or_insert_with(|| {
                 rows.push(CostRow::new(var.lo, var.hi, term, by_cost));
                 rows.len() as u32 - 1

@@ -314,9 +314,9 @@ impl SchedulingWindow {
     }
 
     /// Total number of raw slots in the window (before exclusions).
-    pub fn raw_slot_count(&self) -> u32 {
+    pub fn raw_slot_count(&self) -> u64 {
         let span = self.end.minutes().saturating_sub(self.start.minutes()) + 1;
-        span.div_ceil(self.granularity.minutes()) as u32
+        span.div_ceil(self.granularity.minutes())
     }
 
     /// Start instant of a slot.
@@ -336,8 +336,8 @@ impl SchedulingWindow {
 
     /// The usable slots of the window, in order, with exclusions removed.
     pub fn usable_slots(&self) -> Vec<Timeslot> {
-        (0..self.raw_slot_count() as usize)
-            .map(Timeslot::from_index)
+        (0..self.raw_slot_count())
+            .map(|i| Timeslot::from_index(i as usize))
             .filter(|s| !self.slot_excluded(*s))
             .collect()
     }

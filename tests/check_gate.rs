@@ -91,6 +91,103 @@ fn baseline_suppresses_accepted_findings() {
     );
 }
 
+/// `examples/check/clean.json` with its scheduling window stretched to
+/// one-minute slots until the year 3500: a 2 KB bundle asking for
+/// ≈ 7.8 × 10⁸ slots.
+fn runaway_window_bundle() -> String {
+    let clean = std::fs::read_to_string(example("clean.json")).unwrap();
+    let stretched = clean.replace("\"2020-07-04 23:59:00\"", "\"3500-07-04 23:59:00\"");
+    let day = r#""granularity": {"metric": "day", "value": 1}"#;
+    let minute = r#""granularity": {"metric": "minute", "value": 1}"#;
+    // The window's granularity comes first; the concurrency rule keeps its own.
+    let stretched = stretched.replacen(day, minute, 1);
+    assert_ne!(stretched, clean);
+    stretched
+}
+
+/// `cornet check` under a 1.5 GB address-space limit, so a pass that
+/// tries to list the window's slots aborts instead of paging.
+fn run_limited(args: &[&str]) -> Output {
+    Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1500000 && exec \"$0\" check \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_cornet"))
+        .args(args)
+        .output()
+        .expect("shell runs")
+}
+
+#[test]
+fn runaway_scheduling_window_is_a_gate_error_not_an_abort() {
+    let path = std::env::temp_dir().join(format!(
+        "cornet-check-gate-runaway-{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, runaway_window_bundle()).unwrap();
+    let out = run_limited(&[path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let text = stdout(&out);
+    assert!(text.contains("error[CN0417]"), "{text}");
+    assert!(text.contains("65536-slot bound"), "{text}");
+}
+
+/// A scope of `n` nodes in one market and timezone, under a daily
+/// concurrency cap with room for all of them.
+fn mono_market_bundle(n: usize, intent_end: &str, granularity: &str) -> String {
+    let records: Vec<String> = (0..n)
+        .map(|i| {
+            format!(r#"{{"name": "enb-{i}", "attrs": {{"market": "NYC", "utc_offset": -5}}}}"#)
+        })
+        .collect();
+    format!(
+        r#"{{"inventory": [{}],
+            "intent": {{
+              "scheduling_window": {{"start": "2020-07-01 00:00:00", "end": "{intent_end}",
+                                     "granularity": {{"metric": "{granularity}", "value": 1}}}},
+              "maintenance_window": {{"start": "0:00", "end": "6:00"}},
+              "schedulable_attribute": "common_id", "conflict_attribute": "common_id",
+              "constraints": [{{"name": "concurrency", "base_attribute": "common_id",
+                                "operator": "<=", "granularity": {{"metric": "day", "value": 1}},
+                                "default_capacity": {n}}}]}}}}"#,
+        records.join(", ")
+    )
+}
+
+#[test]
+fn a_baselined_shard_warning_does_not_hide_an_unanalyzable_intent() {
+    let dir = std::env::temp_dir().join(format!("cornet-check-gate-codes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let accepted = dir.join("accepted.json");
+    std::fs::write(
+        &accepted,
+        mono_market_bundle(300, "2020-07-04 23:59:00", "day"),
+    )
+    .unwrap();
+    let json = run(&[accepted.to_str().unwrap(), "--format", "json"]);
+    assert!(json.status.success(), "warnings only: {}", stdout(&json));
+    assert!(stdout(&json).contains("\"CN0419\""), "{}", stdout(&json));
+    let baseline = dir.join("baseline.jsonl");
+    std::fs::write(&baseline, &json.stdout).unwrap();
+
+    // The same scope under a window no pass can list: the intent cannot
+    // be analyzed, and the accepted warning must not suppress that.
+    let runaway = dir.join("runaway.json");
+    std::fs::write(
+        &runaway,
+        mono_market_bundle(300, "3500-07-04 23:59:00", "minute"),
+    )
+    .unwrap();
+    let out = run_limited(&[
+        runaway.to_str().unwrap(),
+        "--baseline",
+        baseline.to_str().unwrap(),
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(stdout(&out).contains("error[CN0417]"), "{}", stdout(&out));
+}
+
 #[test]
 fn deny_warnings_tightens_the_gate() {
     // The builtin fig4 workflow carries mutating blocks with no backout:

@@ -41,7 +41,22 @@ struct Daemon {
 
 impl Daemon {
     fn start(state_dir: &Path) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_cornetd"))
+        Daemon::spawn(Command::new(env!("CARGO_BIN_EXE_cornetd")), state_dir)
+    }
+
+    /// The daemon under an address-space limit of `kib` KiB: an
+    /// allocation past it aborts the process instead of paging.
+    fn start_limited(state_dir: &Path, kib: u64) -> Daemon {
+        let mut shell = Command::new("sh");
+        shell
+            .arg("-c")
+            .arg(format!("ulimit -v {kib} && exec \"$0\" \"$@\""))
+            .arg(env!("CARGO_BIN_EXE_cornetd"));
+        Daemon::spawn(shell, state_dir)
+    }
+
+    fn spawn(mut command: Command, state_dir: &Path) -> Daemon {
+        let mut child = command
             .args([
                 "--listen",
                 "127.0.0.1:0",
@@ -359,6 +374,43 @@ impl WaitWithDeadline for Child {
             std::thread::sleep(Duration::from_millis(25));
         }
     }
+}
+
+/// A 2 KB bundle whose scheduling window spans centuries of one-minute
+/// slots is refused by the check gate with a 422 — it does not take the
+/// daemon, and every other tenant with it, down listing the slots — and
+/// the next submission is served.
+#[test]
+fn a_runaway_scheduling_window_gets_422_and_the_daemon_keeps_serving() {
+    let dir = state_dir("runaway");
+    let daemon = Daemon::start_limited(&dir, 1_500_000);
+    let clean = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/check/clean.json"
+    ))
+    .unwrap();
+    let runaway = clean
+        .replace("\"2020-07-04 23:59:00\"", "\"3500-07-04 23:59:00\"")
+        .replacen("\"metric\": \"day\"", "\"metric\": \"minute\"", 1);
+    assert_ne!(runaway, clean);
+
+    let mallory = daemon.client("mallory");
+    let resp = mallory
+        .post("/v1/campaigns", &runaway)
+        .expect("daemon answers a runaway window");
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(resp.body.contains("\"CN0417\""), "{}", resp.body);
+    assert!(resp.body.contains("65536-slot bound"), "{}", resp.body);
+
+    let alice = daemon.client("alice");
+    let id = submit(
+        &alice,
+        "{\"name\":\"after\",\"scenario\":{\"nodes\":4,\"latency_ms\":1,\"fault_rate_milli\":0}}",
+    );
+    let snap = wait_terminal(&alice, &id, Duration::from_secs(60));
+    assert_eq!(phase_of(&snap), "completed");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Hostile bodies are refused with a 400, never a dead process: 300 KB of

@@ -417,6 +417,7 @@ proptest! {
         for v in &t.model.vars {
             let ident: String = v
                 .name
+                .to_string()
                 .chars()
                 .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
                 .collect();
