@@ -17,7 +17,9 @@ use crate::scenario::{report_fingerprint, JournalScenario};
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_core::blast::{campaign_blasts, conflicts_between, BlastConflict, CampaignBlast};
 use cornet_core::{bundle_from_value, gate, load_bundle};
-use cornet_journal::{CampaignStore, FsyncPolicy, Journal, JournalEvent, Manifest};
+use cornet_journal::{
+    CampaignStore, EventListener, FsyncPolicy, Journal, JournalEvent, Manifest, RecordListener,
+};
 use cornet_obs::Tracer;
 use cornet_orchestrator::{recover_campaign, CampaignControl, DispatchReport, Dispatcher};
 use cornet_types::json::{parse, JsonWriter};
@@ -281,26 +283,6 @@ impl EventLog {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Append one record. Followers are woken at instance and campaign
-    /// boundaries; an instance's admission and block records ride along
-    /// with its `instance_finished`, or are found within the bound.
-    fn push(&self, event: &JournalEvent) {
-        let line = event.encode();
-        let mut state = self.lock();
-        state.lines.push(line);
-        match event {
-            JournalEvent::InstanceAdmitted { .. } => return,
-            JournalEvent::BlockCompleted(_) => {
-                state.blocks_live += 1;
-                return;
-            }
-            JournalEvent::InstanceFinished { .. } => state.instances_done += 1,
-            _ => {}
-        }
-        drop(state);
-        self.cond.notify_all();
-    }
-
     fn close(&self) {
         self.lock().closed = true;
         self.cond.notify_all();
@@ -328,6 +310,30 @@ impl EventLog {
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
         }
+    }
+}
+
+/// The journal's tap: each line is the payload the journal encoded for
+/// its record, copied before the log lock is taken.
+impl RecordListener for EventLog {
+    /// Followers are woken at instance and campaign boundaries; an
+    /// instance's admission and block records ride along with its
+    /// `instance_finished`, or are found within the bound.
+    fn record(&self, event: &JournalEvent, payload: &str) {
+        let line = payload.to_owned();
+        let mut state = self.lock();
+        state.lines.push(line);
+        match event {
+            JournalEvent::InstanceAdmitted { .. } => return,
+            JournalEvent::BlockCompleted(_) => {
+                state.blocks_live += 1;
+                return;
+            }
+            JournalEvent::InstanceFinished { .. } => state.instances_done += 1,
+            _ => {}
+        }
+        drop(state);
+        self.cond.notify_all();
     }
 }
 
@@ -930,11 +936,10 @@ impl CampaignManager {
 
     /// The journal tap feeding live progress, the event stream, and the
     /// zero-re-execution witness: only records that reached the file
-    /// notify, and replayed blocks never re-append. It takes the
-    /// campaign's log and nothing else.
-    fn progress_listener(&self, id: &str) -> cornet_journal::EventListener {
-        let log = Arc::clone(&self.lock().entries[id].log);
-        Arc::new(move |event: &JournalEvent| log.push(event))
+    /// notify, and replayed blocks never re-append. It is the campaign's
+    /// log, and takes nothing else.
+    fn progress_listener(&self, id: &str) -> EventListener {
+        Arc::clone(&self.lock().entries[id].log) as EventListener
     }
 
     /// Bake a terminal outcome into the manifest so restarts report it
@@ -1578,7 +1583,7 @@ mod tests {
         // Give the follower time to park; if it has not, it finds the line
         // at once and the bound holds trivially.
         std::thread::sleep(Duration::from_millis(20));
-        log.push(&admitted(3));
+        log.record(&admitted(3), &admitted(3).encode());
         let ((lines, closed), waited) = follower.join().unwrap();
         assert_eq!(lines, [admitted(3).encode()]);
         assert!(!closed);
@@ -1592,7 +1597,7 @@ mod tests {
         let log = EventLog::recovered(&[admitted(0), finished(0), admitted(1)]);
         assert_eq!(log.since(1).0, [finished(0).encode(), admitted(1).encode()]);
         assert_eq!(log.since(7), (Vec::new(), false));
-        log.push(&finished(1));
+        log.record(&finished(1), &finished(1).encode());
         {
             let state = log.lock();
             assert_eq!((state.lines.len(), state.instances_done), (4, 2));

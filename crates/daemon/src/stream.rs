@@ -21,7 +21,7 @@
 //! [`JournalScenario`]: crate::scenario::JournalScenario
 
 use cornet_obs::Tracer;
-use cornet_types::json::{parse, FloatFmt, JsonValue, JsonWriter};
+use cornet_types::json::{Cursor, FloatFmt, JsonWriter};
 use cornet_types::{Attributes, Inventory, NfType, NodeId, Topology};
 use cornet_verifier::{
     ChangeScope, Expectation, GoNoGo, KpiQuery, StreamConfig, StreamDetection, StreamSample,
@@ -404,41 +404,65 @@ fn node_name(nodes_by_name: &HashMap<String, NodeId>, id: NodeId) -> String {
 }
 
 /// Parse one JSONL sample line; `None` on any malformation.
+///
+/// One walk of a [`Cursor`]: of a repeated key the first copy counts,
+/// other keys are read past, and the node name is looked up where it lies
+/// in the line, so the KPI name is the line's one allocation.
 fn parse_sample(line: &str, nodes_by_name: &HashMap<String, NodeId>) -> Option<StreamSample> {
-    let value = parse(line).ok()?;
-    let node = *nodes_by_name.get(value.get("node")?.as_str()?)?;
-    let kpi = value.get("kpi")?.as_str()?.to_string();
-    let minute = value.get("minute")?.as_f64()?;
+    let mut c = Cursor::new(line);
+    c.begin_object().ok()?;
+    let (mut node, mut kpi, mut minute) = (None, None, None);
+    let (mut value, mut carrier) = (None, None);
+    while let Some(key) = c.next_key().ok()? {
+        match &*key {
+            "node" if node.is_none() => node = Some(c.string().ok()?),
+            "kpi" if kpi.is_none() => kpi = Some(c.string().ok()?),
+            "minute" if minute.is_none() => minute = Some(c.number().ok()?),
+            // Value may be null (an explicit missing sample) or a number.
+            "value" if value.is_none() => {
+                value = Some(if c.null().ok()? {
+                    f64::NAN
+                } else {
+                    c.number().ok()?
+                })
+            }
+            "carrier" if carrier.is_none() => {
+                carrier = Some(if c.null().ok()? {
+                    None
+                } else {
+                    Some(c.number().ok()?)
+                })
+            }
+            _ => drop(c.value().ok()?),
+        }
+    }
+    c.end().ok()?;
+    let node = *nodes_by_name.get(&*node?)?;
+    let minute = minute?;
     if !(minute.is_finite() && minute >= 0.0 && minute.fract() == 0.0) {
         return None;
     }
-    // Value may be null (an explicit missing sample) or a number.
-    let sample_value = match value.get("value")? {
-        JsonValue::Null => f64::NAN,
-        v => v.as_f64()?,
-    };
-    let carrier = match value.get("carrier") {
-        None | Some(JsonValue::Null) => None,
-        Some(c) => {
-            let c = c.as_f64()?;
-            if c.fract() != 0.0 || c < 0.0 {
-                return None;
-            }
-            Some(c as usize)
-        }
+    let carrier = match carrier.flatten() {
+        None => None,
+        Some(c) if c.fract() != 0.0 || c < 0.0 => return None,
+        Some(c) => Some(c as usize),
     };
     Some(StreamSample {
         node,
-        kpi,
+        kpi: kpi?.into_owned(),
         carrier,
         minute: minute as u64,
-        value: sample_value,
+        value: value?,
     })
 }
 
 #[cfg(test)]
+mod equivalence;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use cornet_types::json::parse;
 
     fn hub() -> StreamHub {
         StreamHub::new(Tracer::noop())

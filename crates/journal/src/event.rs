@@ -11,8 +11,9 @@
 //! tagged parameter encoding (`{"i":"42"}` vs `{"f":"42"}`) keeps int and
 //! float values distinct where untagged JSON could not.
 
-use cornet_types::json::{parse, JsonValue, JsonWriter};
+use cornet_types::json::{Cursor, JsonValue, JsonWriter};
 use cornet_types::{CornetError, ParamValue, Result};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Global state snapshot as stored in the journal — identical in shape to
@@ -129,7 +130,14 @@ impl JournalEvent {
     /// Render the event as a single JSON document (one journal payload).
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(64);
-        let mut w = JsonWriter::compact(&mut s);
+        self.encode_into(&mut s);
+        s
+    }
+
+    /// Append the event's JSON document to `out`: the journal writes it
+    /// straight into the buffer it frames the record in.
+    pub(crate) fn encode_into(&self, out: &mut String) {
+        let mut w = JsonWriter::compact(out);
         w.begin_object();
         w.key("ev").str(self.kind());
         match self {
@@ -189,67 +197,171 @@ impl JournalEvent {
             JournalEvent::CampaignClosed => {}
         }
         w.end_object();
-        s
     }
 
     /// Decode one journal payload back into an event.
+    ///
+    /// One walk of a [`Cursor`] and no tree: keys are compared in place,
+    /// a key the event's kind does not model is read past, and of a
+    /// repeated key the first copy counts. Nesting is bounded by the
+    /// cursor's `MAX_DEPTH`, state maps included.
     pub fn decode(payload: &str) -> Result<JournalEvent> {
-        let v = parse(payload)?;
-        let kind = req_str(&v, "ev")?;
-        match kind {
+        let mut c = Cursor::new(payload);
+        c.begin_object()?;
+        let kind = match c.next_key()? {
+            Some(key) if key == "ev" => c.string()?,
+            // Not where the encoder puts it: find its first copy, then
+            // walk the object again from the top.
+            _ => {
+                let kind = kind_anywhere(payload)?;
+                c = Cursor::new(payload);
+                c.begin_object()?;
+                kind
+            }
+        };
+        match &*kind {
             "campaign_opened" => {
-                let assignments = v
-                    .get("assignments")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| bad("campaign_opened without assignments"))?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair.as_array().unwrap_or_default();
-                        match (pair.first(), pair.get(1)) {
-                            (Some(n), Some(s)) => Ok((num_u32(n)?, num_u32(s)?)),
-                            _ => Err(bad("malformed schedule assignment")),
+                let (mut meta, mut assignments, mut concurrency) = (None, None, None);
+                fields(c, |key, c| {
+                    match key {
+                        "meta" if meta.is_none() => meta = Some(string_map(c)?),
+                        "assignments" if assignments.is_none() => {
+                            assignments = Some(schedule_pairs(c)?)
                         }
-                    })
-                    .collect::<Result<_>>()?;
+                        "concurrency" if concurrency.is_none() => concurrency = Some(u32_at(c)?),
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                })?;
                 Ok(JournalEvent::CampaignOpened {
-                    meta: decode_string_map(&v)?,
-                    assignments,
-                    concurrency: req_u32(&v, "concurrency")?,
+                    meta: meta.ok_or_else(|| bad("missing meta object"))?,
+                    assignments: assignments
+                        .ok_or_else(|| bad("campaign_opened without assignments"))?,
+                    concurrency: required(concurrency, "concurrency")?,
                 })
             }
-            "campaign_resumed" => Ok(JournalEvent::CampaignResumed {
-                meta: decode_string_map(&v)?,
-            }),
-            "instance_admitted" => Ok(JournalEvent::InstanceAdmitted {
-                node: req_u32(&v, "node")?,
-                slot: req_u32(&v, "slot")?,
-            }),
-            "block_completed" => Ok(JournalEvent::BlockCompleted(BlockRecord {
-                node: req_u32(&v, "node")?,
-                slot: req_u32(&v, "slot")?,
-                block: req_str(&v, "block")?.to_owned(),
-                status: req_str(&v, "status")?.to_owned(),
-                attempts: req_u32(&v, "attempts")?,
-                duration_ns: req_ns(&v, "duration_ns")?,
-                backoff_ns: req_ns(&v, "backoff_ns")?,
-                error: opt_str(&v, "error"),
-                backout: matches!(v.get("backout"), Some(JsonValue::Bool(true))),
-                state: decode_state(v.get("state").ok_or_else(|| bad("block without state"))?)?,
-            })),
-            "instance_finished" => Ok(JournalEvent::InstanceFinished {
-                node: req_u32(&v, "node")?,
-                slot: req_u32(&v, "slot")?,
-                status: req_str(&v, "status")?.to_owned(),
-                detail: opt_str(&v, "detail"),
-            }),
-            "breaker_tripped" => Ok(JournalEvent::BreakerTripped {
-                block: req_str(&v, "block")?.to_owned(),
-                failure_rate: req_str(&v, "failure_rate")?
-                    .parse()
-                    .map_err(|_| bad("malformed failure_rate"))?,
-                samples: req_str_or_num_u64(&v, "samples")?,
-            }),
-            "campaign_closed" => Ok(JournalEvent::CampaignClosed),
+            "campaign_resumed" => {
+                let mut meta = None;
+                fields(c, |key, c| {
+                    match key {
+                        "meta" if meta.is_none() => meta = Some(string_map(c)?),
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                })?;
+                Ok(JournalEvent::CampaignResumed {
+                    meta: meta.ok_or_else(|| bad("missing meta object"))?,
+                })
+            }
+            "instance_admitted" => {
+                let (mut node, mut slot) = (None, None);
+                fields(c, |key, c| {
+                    match key {
+                        "node" if node.is_none() => node = Some(u32_at(c)?),
+                        "slot" if slot.is_none() => slot = Some(u32_at(c)?),
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                })?;
+                Ok(JournalEvent::InstanceAdmitted {
+                    node: required(node, "node")?,
+                    slot: required(slot, "slot")?,
+                })
+            }
+            "block_completed" => {
+                let (mut node, mut slot, mut attempts) = (None, None, None);
+                let (mut block, mut status, mut error) = (None, None, None);
+                let (mut duration_ns, mut backoff_ns) = (None, None);
+                let (mut backout, mut state) = (None, None);
+                fields(c, |key, c| {
+                    match key {
+                        "node" if node.is_none() => node = Some(u32_at(c)?),
+                        "slot" if slot.is_none() => slot = Some(u32_at(c)?),
+                        "block" if block.is_none() => block = Some(c.string()?.into_owned()),
+                        "status" if status.is_none() => status = Some(c.string()?.into_owned()),
+                        "attempts" if attempts.is_none() => attempts = Some(u32_at(c)?),
+                        "duration_ns" if duration_ns.is_none() => {
+                            duration_ns = Some(nanos(c, "duration_ns")?)
+                        }
+                        "backoff_ns" if backoff_ns.is_none() => {
+                            backoff_ns = Some(nanos(c, "backoff_ns")?)
+                        }
+                        "error" if error.is_none() => error = Some(lenient_string(c)?),
+                        "backout" if backout.is_none() => {
+                            backout = Some(matches!(c.value()?, JsonValue::Bool(true)))
+                        }
+                        "state" if state.is_none() => state = Some(state_map(c)?),
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                })?;
+                Ok(JournalEvent::BlockCompleted(BlockRecord {
+                    node: required(node, "node")?,
+                    slot: required(slot, "slot")?,
+                    block: required(block, "block")?,
+                    status: required(status, "status")?,
+                    attempts: required(attempts, "attempts")?,
+                    duration_ns: required(duration_ns, "duration_ns")?,
+                    backoff_ns: required(backoff_ns, "backoff_ns")?,
+                    error: error.flatten(),
+                    backout: backout.unwrap_or(false),
+                    state: state.ok_or_else(|| bad("block without state"))?,
+                }))
+            }
+            "instance_finished" => {
+                let (mut node, mut slot, mut status, mut detail) = (None, None, None, None);
+                fields(c, |key, c| {
+                    match key {
+                        "node" if node.is_none() => node = Some(u32_at(c)?),
+                        "slot" if slot.is_none() => slot = Some(u32_at(c)?),
+                        "status" if status.is_none() => status = Some(c.string()?.into_owned()),
+                        "detail" if detail.is_none() => detail = Some(lenient_string(c)?),
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                })?;
+                Ok(JournalEvent::InstanceFinished {
+                    node: required(node, "node")?,
+                    slot: required(slot, "slot")?,
+                    status: required(status, "status")?,
+                    detail: detail.flatten(),
+                })
+            }
+            "breaker_tripped" => {
+                let (mut block, mut failure_rate, mut samples) = (None, None, None);
+                fields(c, |key, c| {
+                    match key {
+                        "block" if block.is_none() => block = Some(c.string()?.into_owned()),
+                        "failure_rate" if failure_rate.is_none() => {
+                            failure_rate = Some(
+                                c.string()?
+                                    .parse()
+                                    .map_err(|_| bad("malformed failure_rate"))?,
+                            )
+                        }
+                        "samples" if samples.is_none() => {
+                            samples = Some(match c.value()? {
+                                JsonValue::String(s) => {
+                                    s.parse().map_err(|_| bad("malformed u64"))?
+                                }
+                                JsonValue::Number(n) => u64::from(u32_of(n)?),
+                                _ => return Err(bad("expected a number")),
+                            })
+                        }
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                })?;
+                Ok(JournalEvent::BreakerTripped {
+                    block: required(block, "block")?,
+                    failure_rate: required(failure_rate, "failure_rate")?,
+                    samples: required(samples, "samples")?,
+                })
+            }
+            "campaign_closed" => {
+                fields(c, |_, _| Ok(false))?;
+                Ok(JournalEvent::CampaignClosed)
+            }
             other => Err(bad(&format!("unknown event kind '{other}'"))),
         }
     }
@@ -259,46 +371,83 @@ fn bad(msg: &str) -> CornetError {
     CornetError::DataIntegrity(format!("journal event: {msg}"))
 }
 
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| bad(&format!("missing string field '{key}'")))
+fn required<T>(field: Option<T>, key: &str) -> Result<T> {
+    field.ok_or_else(|| bad(&format!("missing field '{key}'")))
 }
 
-fn opt_str(v: &JsonValue, key: &str) -> Option<String> {
-    v.get(key).and_then(JsonValue::as_str).map(str::to_owned)
+/// The first `ev` of an event object that does not open with it.
+fn kind_anywhere(payload: &str) -> Result<Cow<'_, str>> {
+    let mut c = Cursor::new(payload);
+    c.begin_object()?;
+    while let Some(key) = c.next_key()? {
+        if key == "ev" {
+            return c.string();
+        }
+        c.value()?;
+    }
+    Err(bad("missing string field 'ev'"))
 }
 
-fn num_u32(v: &JsonValue) -> Result<u32> {
-    let n = v.as_f64().ok_or_else(|| bad("expected a number"))?;
+/// Walk the rest of an event object: `field` is offered each key and
+/// answers whether it read the value; the values it leaves, every `ev`
+/// included, are read past. The document must then end.
+fn fields<'a>(
+    mut c: Cursor<'a>,
+    mut field: impl FnMut(&str, &mut Cursor<'a>) -> Result<bool>,
+) -> Result<()> {
+    while let Some(key) = c.next_key()? {
+        if key == "ev" || !field(&key, &mut c)? {
+            c.value()?;
+        }
+    }
+    c.end()
+}
+
+fn u32_of(n: f64) -> Result<u32> {
     if n.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&n) {
         return Err(bad(&format!("number {n} is not a u32")));
     }
     Ok(n as u32)
 }
 
-fn req_u32(v: &JsonValue, key: &str) -> Result<u32> {
-    num_u32(
-        v.get(key)
-            .ok_or_else(|| bad(&format!("missing field '{key}'")))?,
-    )
+fn u32_at(c: &mut Cursor<'_>) -> Result<u32> {
+    u32_of(c.number()?)
 }
 
 /// Nanosecond counters are written as strings for exact round-tripping.
-fn req_ns(v: &JsonValue, key: &str) -> Result<u64> {
-    req_str(v, key)?
+fn nanos(c: &mut Cursor<'_>, key: &str) -> Result<u64> {
+    c.string()?
         .parse()
         .map_err(|_| bad(&format!("malformed nanosecond field '{key}'")))
 }
 
-fn req_str_or_num_u64(v: &JsonValue, key: &str) -> Result<u64> {
-    let v = v
-        .get(key)
-        .ok_or_else(|| bad(&format!("missing field '{key}'")))?;
-    if let Some(s) = v.as_str() {
-        return s.parse().map_err(|_| bad("malformed u64"));
+/// An optional message: any value that is not a string reads as absent.
+fn lenient_string(c: &mut Cursor<'_>) -> Result<Option<String>> {
+    Ok(match c.value()? {
+        JsonValue::String(s) => Some(s),
+        _ => None,
+    })
+}
+
+/// `[[node, slot], …]`; items past the pair are read past.
+fn schedule_pairs(c: &mut Cursor<'_>) -> Result<Vec<(u32, u32)>> {
+    c.begin_array()?;
+    let mut pairs = Vec::new();
+    while c.next_item()? {
+        c.begin_array()?;
+        let mut pair = [0; 2];
+        for half in &mut pair {
+            if !c.next_item()? {
+                return Err(bad("malformed schedule assignment"));
+            }
+            *half = u32_at(c)?;
+        }
+        while c.next_item()? {
+            c.value()?;
+        }
+        pairs.push((pair[0], pair[1]));
     }
-    num_u32(v).map(u64::from)
+    Ok(pairs)
 }
 
 pub(crate) fn write_string_map(w: &mut JsonWriter<'_>, map: &BTreeMap<String, String>) {
@@ -309,19 +458,15 @@ pub(crate) fn write_string_map(w: &mut JsonWriter<'_>, map: &BTreeMap<String, St
     w.end_object();
 }
 
-fn decode_string_map(v: &JsonValue) -> Result<BTreeMap<String, String>> {
-    let entries = v
-        .get("meta")
-        .and_then(JsonValue::entries)
-        .ok_or_else(|| bad("missing meta object"))?;
-    entries
-        .iter()
-        .map(|(k, v)| {
-            v.as_str()
-                .map(|s| (k.clone(), s.to_owned()))
-                .ok_or_else(|| bad("meta values must be strings"))
-        })
-        .collect()
+/// A string-valued object; of a repeated key the last copy counts.
+fn string_map(c: &mut Cursor<'_>) -> Result<BTreeMap<String, String>> {
+    c.begin_object()?;
+    let mut map = BTreeMap::new();
+    while let Some(key) = c.next_key()? {
+        let value = c.string()?.into_owned();
+        map.insert(key.into_owned(), value);
+    }
+    Ok(map)
 }
 
 fn write_state(w: &mut JsonWriter<'_>, state: &StateMap) {
@@ -362,53 +507,55 @@ fn write_param(w: &mut JsonWriter<'_>, v: &ParamValue) {
     w.end_object();
 }
 
-fn decode_state(v: &JsonValue) -> Result<StateMap> {
-    let entries = v.entries().ok_or_else(|| bad("state must be an object"))?;
-    entries
-        .iter()
-        .map(|(k, v)| Ok((k.clone(), decode_param(v)?)))
-        .collect()
+/// A state object; of a repeated key the last copy counts.
+fn state_map(c: &mut Cursor<'_>) -> Result<StateMap> {
+    c.begin_object()?;
+    let mut state = StateMap::new();
+    while let Some(key) = c.next_key()? {
+        let value = param(c)?;
+        state.insert(key.into_owned(), value);
+    }
+    Ok(state)
 }
 
-fn decode_param(v: &JsonValue) -> Result<ParamValue> {
-    let entries = v
-        .entries()
-        .ok_or_else(|| bad("parameter must be a tagged object"))?;
-    let [(tag, inner)] = entries else {
-        return Err(bad("parameter must have exactly one tag"));
+/// One tagged parameter. `l` and `m` recurse, each level through one
+/// `begin_*`, so the cursor's depth cap bounds the recursion.
+fn param(c: &mut Cursor<'_>) -> Result<ParamValue> {
+    let one_tag = || bad("parameter must have exactly one tag");
+    c.begin_object()?;
+    let tag = c.next_key()?.ok_or_else(one_tag)?;
+    let value = match &*tag {
+        "s" => ParamValue::Str(c.string()?.into_owned()),
+        "i" => ParamValue::Int(
+            c.string()?
+                .parse()
+                .map_err(|_| bad("'i' tag holds a stringified i64"))?,
+        ),
+        "f" => ParamValue::Float(
+            c.string()?
+                .parse()
+                .map_err(|_| bad("'f' tag holds a stringified f64"))?,
+        ),
+        "b" => ParamValue::Bool(c.boolean()?),
+        "l" => {
+            c.begin_array()?;
+            let mut items = Vec::new();
+            while c.next_item()? {
+                items.push(param(c)?);
+            }
+            ParamValue::List(items)
+        }
+        "m" => ParamValue::Map(state_map(c)?),
+        other => return Err(bad(&format!("unknown parameter tag '{other}'"))),
     };
-    match tag.as_str() {
-        "s" => Ok(ParamValue::Str(
-            inner
-                .as_str()
-                .ok_or_else(|| bad("'s' tag holds a string"))?
-                .to_owned(),
-        )),
-        "i" => inner
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .map(ParamValue::Int)
-            .ok_or_else(|| bad("'i' tag holds a stringified i64")),
-        "f" => inner
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .map(ParamValue::Float)
-            .ok_or_else(|| bad("'f' tag holds a stringified f64")),
-        "b" => match inner {
-            JsonValue::Bool(b) => Ok(ParamValue::Bool(*b)),
-            _ => Err(bad("'b' tag holds a boolean")),
-        },
-        "l" => inner
-            .as_array()
-            .ok_or_else(|| bad("'l' tag holds an array"))?
-            .iter()
-            .map(decode_param)
-            .collect::<Result<_>>()
-            .map(ParamValue::List),
-        "m" => decode_state(inner).map(ParamValue::Map),
-        other => Err(bad(&format!("unknown parameter tag '{other}'"))),
+    match c.next_key()? {
+        None => Ok(value),
+        Some(_) => Err(one_tag()),
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

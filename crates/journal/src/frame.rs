@@ -9,15 +9,47 @@
 //! away on recovery.
 
 use cornet_types::hash::fnv1a64;
+use std::io::Write as _;
+
+/// Room in front of a payload for its `<len>:<crc>:` header: the digits of
+/// any `usize`, two colons and 16 hex digits.
+const HEADER_GAP: usize = 20 + 1 + 16 + 1;
 
 /// Frame a payload as one journal record, trailing newline included.
 pub fn encode_record(payload: &str) -> String {
-    format!(
-        "{}:{:016x}:{}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes()),
-        payload
-    )
+    let mut buf = String::with_capacity(HEADER_GAP + payload.len() + 1);
+    let start = frame_in_place(&mut buf, |out| out.push_str(payload));
+    buf.drain(..start);
+    buf
+}
+
+/// The one framer. `buf` is cleared, `write_payload` appends the payload
+/// after a gap, the checksum is taken over the payload where it lies, and
+/// the header is written into the end of the gap, so the record is one
+/// contiguous run of `buf` with no copy of the payload. Returns the
+/// offset the record starts at; it runs to the end of `buf`, and its
+/// payload is [`framed_payload`].
+pub(crate) fn frame_in_place(buf: &mut String, write_payload: impl FnOnce(&mut String)) -> usize {
+    buf.clear();
+    buf.extend(std::iter::repeat_n(' ', HEADER_GAP));
+    write_payload(buf);
+    let payload = &buf.as_bytes()[HEADER_GAP..];
+    let mut header = [0u8; HEADER_GAP];
+    let mut rest = &mut header[..];
+    write!(rest, "{}:{:016x}:", payload.len(), fnv1a64(payload)).expect("the gap fits any header");
+    let len = HEADER_GAP - rest.len();
+    let start = HEADER_GAP - len;
+    buf.replace_range(
+        start..HEADER_GAP,
+        std::str::from_utf8(&header[..len]).expect("the header is ASCII"),
+    );
+    buf.push('\n');
+    start
+}
+
+/// The payload of the record [`frame_in_place`] left in `buf`.
+pub(crate) fn framed_payload(buf: &str) -> &str {
+    &buf[HEADER_GAP..buf.len() - 1]
 }
 
 /// Result of scanning a journal byte stream for valid records.

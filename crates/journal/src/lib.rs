@@ -33,4 +33,4 @@ pub mod writer;
 pub use event::{BlockRecord, JournalEvent, Recovery, StateMap};
 pub use frame::{boundaries, encode_record, scan, ScanOutcome};
 pub use store::{CampaignPaths, CampaignStore, Manifest};
-pub use writer::{CrashMode, CrashSwitch, EventListener, FsyncPolicy, Journal};
+pub use writer::{CrashMode, CrashSwitch, EventListener, FsyncPolicy, Journal, RecordListener};

@@ -1,9 +1,10 @@
 //! The append-only journal writer and its crash/recovery entry points.
 
 use crate::event::{JournalEvent, Recovery};
-use crate::frame::{encode_record, records};
-use cornet_obs::{SpanId, Tracer};
+use crate::frame::{frame_in_place, framed_payload, records};
+use cornet_obs::{ActiveSpan, SpanId, Tracer};
 use cornet_types::{CornetError, Result};
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -58,10 +59,33 @@ impl std::fmt::Display for FsyncPolicy {
     }
 }
 
-/// Callback invoked for each record that reached the journal file, in
-/// file order. The campaign manager uses it to fan appended events out to
-/// progress tracking and live event streams without re-reading the log.
-pub type EventListener = Arc<dyn Fn(&JournalEvent) + Send + Sync>;
+/// Hears each record that reached the journal file, in file order. The
+/// campaign manager uses it to fan appended events out to progress
+/// tracking and live event streams without re-reading the log.
+pub trait RecordListener: Send + Sync {
+    /// One record: the event, and `payload`, the JSON document the file
+    /// holds for it — the bytes a recovery scan will read.
+    fn record(&self, event: &JournalEvent, payload: &str);
+}
+
+/// A closure over the event alone is a listener.
+impl<F: Fn(&JournalEvent) + Send + Sync> RecordListener for F {
+    fn record(&self, event: &JournalEvent, _payload: &str) {
+        self(event)
+    }
+}
+
+/// The listener a journal notifies; see [`Journal::with_listener`].
+pub type EventListener = Arc<dyn RecordListener>;
+
+/// Retained capacity of a thread's record buffer: one outsized record must
+/// not pin its size to the thread for good.
+const KEPT_RECORD_BUFFER: usize = 64 << 10;
+
+thread_local! {
+    /// The buffer each thread frames its records in, reused across appends.
+    static RECORD_BUFFER: Cell<String> = const { Cell::new(String::new()) };
+}
 
 /// How an injected crash lands relative to the journal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,12 +244,13 @@ impl Journal {
         self
     }
 
-    /// Attach a listener called after each record reaches the file.
-    /// Dropped appends (dead crash switch, torn writes) never notify, and
-    /// the call is made under the append lock, before the policy's sync:
-    /// the listener sees exactly what a recovery scan after a process
-    /// crash would, in the same order. It must be short and must not
-    /// append to this journal.
+    /// Attach a listener called after each record reaches the file, with
+    /// the event and the payload the file holds for it. Dropped appends
+    /// (dead crash switch, torn writes) never notify, and the call is made
+    /// under the append lock, before the policy's sync: the listener sees
+    /// exactly what a recovery scan after a process crash would, in the
+    /// same order. It must be short and must not append to this journal.
+    /// A closure `Fn(&JournalEvent)` is a listener.
     pub fn with_listener(mut self, listener: EventListener) -> Journal {
         self.listener = Some(listener);
         self
@@ -244,10 +269,12 @@ impl Journal {
     /// Append one event. A dead crash switch silently drops the record —
     /// only what reached the file before the crash matters for recovery.
     ///
-    /// The record is encoded outside the append lock and written with one
-    /// `write` under it, so it is in the page cache (safe from a process
-    /// crash) before this returns. When the policy wants it on stable
-    /// storage the sync runs with the append lock *released*: other
+    /// The event is encoded once, outside the append lock, straight into
+    /// this thread's record buffer behind a gap its header is framed into
+    /// (`frame::frame_in_place`), and the record is written with one
+    /// `write` under the lock, so it is in the page cache (safe from a
+    /// process crash) before this returns. When the policy wants it on
+    /// stable storage the sync runs with the append lock *released*: other
     /// threads keep appending meanwhile, and one `fsync` covers every
     /// record written before it started (group commit).
     ///
@@ -262,14 +289,44 @@ impl Journal {
         }
         let mut span = self.tracer.span("journal.append");
         span.attr("event", event.kind());
-        let record = encode_record(&event.encode());
-        let mut bytes = record.as_bytes();
+        let mut buf = RECORD_BUFFER.take();
+        let landed = self.write_record(event, &mut buf, &mut span);
+        if buf.capacity() <= KEPT_RECORD_BUFFER {
+            RECORD_BUFFER.set(buf);
+        }
+        let Some((record, bytes)) = landed? else {
+            return Ok(());
+        };
+        let due = match self.inner.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => record.is_multiple_of(u64::from(n.max(1))),
+            FsyncPolicy::Never => false,
+        };
+        self.tracer.incr("journal.bytes_written", bytes as u64);
+        if due {
+            self.make_durable(record, Some(span.id()))?;
+        }
+        span.finish();
+        Ok(())
+    }
+
+    /// Frame `event` in `buf` and write it under the append lock. Returns
+    /// the record's number and length once it landed whole; `None` when
+    /// the crash switch dropped or tore it.
+    fn write_record(
+        &self,
+        event: &JournalEvent,
+        buf: &mut String,
+        span: &mut ActiveSpan,
+    ) -> Result<Option<(u64, usize)>> {
+        let start = frame_in_place(buf, |out| event.encode_into(out));
+        let mut bytes = &buf.as_bytes()[start..];
         let mut written = self.written();
         // The switch is read under the lock: nothing lands after a tear.
         let torn = match self.crash.take() {
             DEAD => {
                 span.attr("bytes", 0i64);
-                return Ok(());
+                return Ok(None);
             }
             state => state == TEAR_NEXT,
         };
@@ -281,28 +338,15 @@ impl Journal {
             .write_all(bytes)
             .map_err(|e| io_err("append", &self.path, &e))?;
         if torn {
-            return Ok(());
+            return Ok(None);
         }
         *written += 1;
-        let record = *written;
         // Still under the append lock: listeners hear records in the
-        // order a recovery scan will read them.
+        // order a recovery scan will read them, with the bytes it will.
         if let Some(listener) = &self.listener {
-            listener(event);
+            listener.record(event, framed_payload(buf));
         }
-        drop(written);
-        let due = match self.inner.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => record.is_multiple_of(u64::from(n.max(1))),
-            FsyncPolicy::Never => false,
-        };
-        self.tracer
-            .incr("journal.bytes_written", bytes.len() as u64);
-        if due {
-            self.make_durable(record, Some(span.id()))?;
-        }
-        span.finish();
-        Ok(())
+        Ok(Some((*written, bytes.len())))
     }
 
     /// Force everything appended so far to stable storage.
@@ -379,6 +423,7 @@ fn decode_scan(bytes: &[u8]) -> Result<(Vec<JournalEvent>, Recovery)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_record, scan};
     use cornet_obs::{AttrValue, ManualClock};
     use std::collections::BTreeMap;
 
@@ -392,6 +437,80 @@ mod tests {
             assignments: vec![(0, 1), (1, 1)],
             concurrency: 2,
         }
+    }
+
+    /// Every kind of record, one with an escaped, nested state.
+    fn every_kind() -> Vec<JournalEvent> {
+        let state = crate::StateMap::from([
+            ("k\"ey\n".to_string(), cornet_types::ParamValue::from("v\\")),
+            (
+                "list".to_string(),
+                cornet_types::ParamValue::List(vec![cornet_types::ParamValue::Float(f64::NAN)]),
+            ),
+        ]);
+        vec![
+            opened(),
+            JournalEvent::CampaignResumed {
+                meta: BTreeMap::from([("seed".to_string(), "7".to_string())]),
+            },
+            JournalEvent::InstanceAdmitted { node: 0, slot: 1 },
+            JournalEvent::BlockCompleted(crate::BlockRecord {
+                node: 0,
+                slot: 1,
+                block: "software_upgrade".into(),
+                status: "failed".into(),
+                attempts: 2,
+                duration_ns: u64::MAX,
+                backoff_ns: 5,
+                error: Some("injected \"fault\"".into()),
+                backout: true,
+                state,
+            }),
+            JournalEvent::InstanceFinished {
+                node: 0,
+                slot: 1,
+                status: "rolled_back".into(),
+                detail: Some("software_upgrade".into()),
+            },
+            JournalEvent::BreakerTripped {
+                block: "software_upgrade".into(),
+                failure_rate: 0.5,
+                samples: 4,
+            },
+            JournalEvent::CampaignClosed,
+        ]
+    }
+
+    #[test]
+    fn append_writes_what_encode_record_frames_and_hands_the_listener_its_payload() {
+        let path = tmp("one-framer");
+        let side = tmp("one-framer-side");
+        // The listener appends to another journal from the appending
+        // thread: the thread's record buffer is not held across the call.
+        let side_journal = Journal::create(&side, FsyncPolicy::Never).unwrap();
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        struct Tap(Arc<Mutex<Vec<String>>>, Journal);
+        impl RecordListener for Tap {
+            fn record(&self, event: &JournalEvent, payload: &str) {
+                self.0.lock().unwrap().push(payload.to_owned());
+                self.1.append(event).unwrap();
+            }
+        }
+        let journal = Journal::create(&path, FsyncPolicy::Never)
+            .unwrap()
+            .with_listener(Arc::new(Tap(Arc::clone(&heard), side_journal)));
+        let mut expected = String::new();
+        for event in every_kind() {
+            journal.append(&event).unwrap();
+            expected.push_str(&encode_record(&event.encode()));
+        }
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(String::from_utf8(bytes.clone()).unwrap(), expected);
+        assert_eq!(*heard.lock().unwrap(), scan(&bytes).payloads);
+        assert_eq!(std::fs::read(&side).unwrap(), bytes);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&side).ok();
     }
 
     #[test]

@@ -142,6 +142,9 @@ pub fn recover_campaign(events: &[JournalEvent], recovery: Recovery) -> Result<R
         recovery,
         ..RecoveredCampaign::default()
     };
+    // Rows borrow their record's state map until the fold is over: only
+    // an instance that never finished replays it, so only its rows copy it.
+    let mut open: BTreeMap<(u32, u32), Vec<(BlockExecution, &BlockRecord)>> = BTreeMap::new();
     for event in &events[1..] {
         match event {
             JournalEvent::CampaignOpened { .. } => {
@@ -153,18 +156,12 @@ pub fn recover_campaign(events: &[JournalEvent], recovery: Recovery) -> Result<R
             // state folds through unchanged.
             JournalEvent::CampaignResumed { .. } => {}
             JournalEvent::InstanceAdmitted { node, slot } => {
-                campaign.partial.entry((*slot, *node)).or_default();
+                open.entry((*slot, *node)).or_default();
             }
             JournalEvent::BlockCompleted(rec) => {
-                campaign
-                    .partial
-                    .entry((rec.slot, rec.node))
+                open.entry((rec.slot, rec.node))
                     .or_default()
-                    .push(ReplayRow {
-                        exec: exec_from_record(rec)?,
-                        state: rec.state.clone(),
-                        backout: rec.backout,
-                    });
+                    .push((exec_from_record(rec)?, rec));
             }
             JournalEvent::InstanceFinished {
                 node,
@@ -172,14 +169,14 @@ pub fn recover_campaign(events: &[JournalEvent], recovery: Recovery) -> Result<R
                 status,
                 detail,
             } => {
-                let rows = campaign.partial.remove(&(*slot, *node)).unwrap_or_default();
+                let rows = open.remove(&(*slot, *node)).unwrap_or_default();
                 campaign.completed.insert(
                     (*slot, *node),
                     InstanceReport {
                         node: NodeId(*node),
                         slot: Timeslot(*slot),
                         status: status_from_parts(status, detail.as_deref())?,
-                        blocks: rows.into_iter().map(|r| r.exec).collect(),
+                        blocks: rows.into_iter().map(|(exec, _)| exec).collect(),
                     },
                 );
             }
@@ -197,6 +194,20 @@ pub fn recover_campaign(events: &[JournalEvent], recovery: Recovery) -> Result<R
             JournalEvent::CampaignClosed => campaign.closed = true,
         }
     }
+    campaign.partial = open
+        .into_iter()
+        .map(|(key, rows)| {
+            let rows = rows
+                .into_iter()
+                .map(|(exec, rec)| ReplayRow {
+                    exec,
+                    state: rec.state.clone(),
+                    backout: rec.backout,
+                })
+                .collect();
+            (key, rows)
+        })
+        .collect();
     Ok(campaign)
 }
 

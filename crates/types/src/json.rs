@@ -1,21 +1,24 @@
-//! The workspace's one JSON codec: a streaming writer and a
-//! recursive-descent reader, both dependency-free.
+//! The workspace's one JSON codec: a streaming writer and a pull reader,
+//! both dependency-free.
 //!
 //! Every JSON document the workspace produces (journal payloads, plan
 //! snapshots, diagnostics, traces, WAR payloads, every `cornetd` body) is
 //! written through [`JsonWriter`] and every document it consumes is read
-//! by [`parse`]; no other module knows the text format. There is one string
-//! escaper ([`JsonWriter::str`]) and one float formatter
-//! ([`JsonWriter::float`]).
+//! by a [`Cursor`] — directly by the hot decoders (journal records, ingest
+//! samples), as a [`JsonValue`] tree through [`parse`] everywhere else; no
+//! other module knows the text format. There is one string escaper
+//! ([`JsonWriter::str`]), one unescaper ([`Cursor::string`]) and one float
+//! formatter ([`JsonWriter::float`]).
 //!
 //! The writer appends to a caller-owned `String` as values are written —
 //! no [`JsonValue`] tree is built on an emit path — and is deterministic.
 //! A non-finite float is written as `null`, so no emitted document can
 //! fail [`parse`]. The reader makes one pass over its input and refuses
-//! nesting deeper than `MAX_DEPTH` with a positioned
+//! nesting deeper than [`MAX_DEPTH`] with a positioned
 //! [`CornetError::Parse`], so outside input cannot exhaust the stack.
 
 use crate::{CornetError, Result};
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys keep their source order so downstream
@@ -78,51 +81,92 @@ impl JsonValue {
     }
 }
 
-/// Parse a JSON document. The whole input must be consumed (trailing
-/// whitespace aside) — garbage after the document is an error.
+/// Parse a JSON document into a tree. The whole input must be consumed
+/// (trailing whitespace aside) — garbage after the document is an error.
 pub fn parse(input: &str) -> Result<JsonValue> {
-    let mut p = Parser {
-        input,
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing characters after JSON document"));
-    }
+    let mut cursor = Cursor::new(input);
+    let value = cursor.value()?;
+    cursor.end()?;
     Ok(value)
 }
 
-/// Deepest container nesting [`parse`] accepts. The reader recurses once
-/// per open `[` or `{`, so this bounds its stack use on hostile input;
-/// documents the workspace itself writes nest a handful of levels.
-const MAX_DEPTH: usize = 128;
+/// Deepest container nesting the reader accepts. Each `begin_*` counts
+/// one level, so [`parse`] and every recursive decoder on a [`Cursor`]
+/// are bounded the same way on hostile input; documents the workspace
+/// itself writes nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The one JSON reader: a pull cursor over a document, one value at a
+/// time and in document order. [`parse`] is this cursor building a
+/// [`JsonValue`]; a decoder that knows its schema walks the cursor
+/// itself and builds no tree.
+///
+/// Inside an object, [`next_key`](Self::next_key) yields each key and the
+/// caller then reads (or [`value`](Self::value)s away) exactly one value;
+/// inside an array, [`next_item`](Self::next_item) says whether another
+/// value follows. Both answer "no more" by consuming the closing bracket.
+/// Every error is a [`CornetError::Parse`] carrying the byte offset.
+///
+/// ```
+/// use cornet_types::json::Cursor;
+///
+/// let mut c = Cursor::new(r#"{"id":"c1","slots":[1,2]}"#);
+/// c.begin_object().unwrap();
+/// let mut slots = Vec::new();
+/// while let Some(key) = c.next_key().unwrap() {
+///     match &*key {
+///         "slots" => {
+///             c.begin_array().unwrap();
+///             while c.next_item().unwrap() {
+///                 slots.push(c.number().unwrap());
+///             }
+///         }
+///         _ => drop(c.value().unwrap()),
+///     }
+/// }
+/// c.end().unwrap();
+/// assert_eq!(slots, [1.0, 2.0]);
+/// ```
+pub struct Cursor<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the position.
     depth: usize,
+    /// The innermost container was just opened: no `,` before its first
+    /// item.
+    first: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Cursor<'a> {
+    /// A cursor before the first value of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Cursor {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
     fn error(&self, msg: &str) -> CornetError {
         CornetError::Parse(format!("JSON at byte {}: {msg}", self.pos))
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<()> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -132,98 +176,104 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue> {
+    fn literal(&mut self, word: &str) -> Result<()> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error(&format!("expected {word:?}")))
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => self.string().map(JsonValue::String),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn nested(&mut self, container: fn(&mut Self) -> Result<JsonValue>) -> Result<JsonValue> {
-        if self.depth == MAX_DEPTH {
+    /// Open a container; the depth cap is checked before the bracket.
+    #[inline]
+    fn open(&mut self, bracket: u8) -> Result<()> {
+        self.skip_ws();
+        if self.peek() == Some(bracket) && self.depth == MAX_DEPTH {
             return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
+        self.expect(bracket)?;
         self.depth += 1;
-        let value = container(self);
-        self.depth -= 1;
-        value
+        self.first = true;
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<JsonValue> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
+    /// Step to the next item of the open container: `Ok(false)` once its
+    /// closing bracket is consumed.
+    #[inline]
+    fn next(&mut self, close: u8, malformed: &str) -> Result<bool> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(entries));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
+        let first = std::mem::take(&mut self.first);
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
             }
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(self.error(malformed)),
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Open an object: `{`.
+    #[inline]
+    pub fn begin_object(&mut self) -> Result<()> {
+        self.open(b'{')
+    }
+
+    /// The next key of the open object, positioned before its value, or
+    /// `None` once the closing `}` is consumed. A key without escapes is
+    /// borrowed from the input.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
+        if !self.next(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
+        self.expect(b':')?;
+        Ok(Some(key))
     }
 
-    fn string(&mut self) -> Result<String> {
+    /// Open an array: `[`.
+    #[inline]
+    pub fn begin_array(&mut self) -> Result<()> {
+        self.open(b'[')
+    }
+
+    /// Whether another value of the open array follows; `false` once the
+    /// closing `]` is consumed.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool> {
+        self.next(b']', "expected ',' or ']' in array")
+    }
+
+    /// A string value with its escapes resolved: borrowed from the input
+    /// when it has none.
+    pub fn string(&mut self) -> Result<Cow<'a, str>> {
+        self.skip_ws();
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        // Runs end at the next quote or backslash. Both are ASCII, so they
+        // never occur inside a multi-byte sequence and every run is cut on
+        // char boundaries.
+        self.skip_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.input[start..self.pos - 1]));
+        }
+        let mut out = self.input[start..self.pos].to_owned();
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -262,16 +312,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy the run up to the next quote or backslash. Both
-                    // are ASCII, so they never occur inside a multi-byte
-                    // sequence and the run is cut on char boundaries.
                     let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
+                    self.skip_run();
                     out.push_str(&self.input[start..self.pos]);
                 }
             }
+        }
+    }
+
+    #[inline]
+    fn skip_run(&mut self) {
+        while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+            self.pos += 1;
         }
     }
 
@@ -287,33 +339,97 @@ impl Parser<'_> {
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<JsonValue> {
+    /// A number value.
+    pub fn number(&mut self) -> Result<f64> {
+        self.skip_ws();
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.error("expected a number"));
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.skip_digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(JsonValue::Number)
+        // Only ASCII was stepped over, so the slice is on char boundaries.
+        self.input[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.error("malformed number"))
+    }
+
+    #[inline]
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    /// A `true` or `false` value.
+    pub fn boolean(&mut self) -> Result<bool> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| true),
+            _ => self.literal("false").map(|()| false),
+        }
+    }
+
+    /// Consume a `null` if one is next: `Ok(false)`, with nothing
+    /// consumed, when the next value is anything else.
+    pub fn null(&mut self) -> Result<bool> {
+        self.skip_ws();
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.literal("null").map(|()| true)
+    }
+
+    /// The next value, whatever it is, as a tree — for a field a decoder
+    /// does not model, or to skip one.
+    pub fn value(&mut self) -> Result<JsonValue> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut entries = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    entries.push((key.into_owned(), value));
+                }
+                Ok(JsonValue::Object(entries))
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            Some(b't' | b'f') => self.boolean().map(JsonValue::Bool),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Number),
+            _ => Err(self.error("expected a JSON value")),
+        }
+    }
+
+    /// End of document: only whitespace may follow the value read.
+    pub fn end(&mut self) -> Result<()> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after JSON document"));
+        }
+        Ok(())
     }
 }
 
@@ -662,6 +778,133 @@ mod tests {
         assert!(parse(&format!("[{deepest}]")).is_err());
         // Depth is nesting, not container count.
         assert!(parse(&format!("[{}]", "[],".repeat(1000) + "[]")).is_ok());
+    }
+
+    #[test]
+    fn parse_errors_keep_their_texts_and_positions() {
+        for (doc, want) in [
+            ("", "JSON at byte 0: expected a JSON value"),
+            (" {\"a\" 1}", "JSON at byte 6: expected ':'"),
+            ("{\"a\":1,}", "JSON at byte 7: expected '\"'"),
+            ("{,}", "JSON at byte 1: expected '\"'"),
+            (
+                "{\"a\":1 \"b\":2}",
+                "JSON at byte 7: expected ',' or '}' in object",
+            ),
+            ("[1 2]", "JSON at byte 3: expected ',' or ']' in array"),
+            ("[1,]", "JSON at byte 3: expected a JSON value"),
+            ("[tru]", "JSON at byte 1: expected \"true\""),
+            ("nul", "JSON at byte 0: expected \"null\""),
+            ("-", "JSON at byte 1: malformed number"),
+            ("\"ab", "JSON at byte 3: unterminated string"),
+            ("\"a\\", "JSON at byte 3: bad escape"),
+            ("\"\\x\"", "JSON at byte 3: unknown escape"),
+            ("\"\\u12\"", "JSON at byte 3: truncated \\u escape"),
+            ("\"\\u12g4\"", "JSON at byte 3: bad \\u escape"),
+            ("\"\\uD800x\"", "JSON at byte 7: invalid \\u escape"),
+            (
+                "{} x",
+                "JSON at byte 3: trailing characters after JSON document",
+            ),
+        ] {
+            match parse(doc) {
+                Err(CornetError::Parse(msg)) => assert_eq!(msg, want, "{doc:?}"),
+                other => panic!("{doc:?} parsed as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_borrows_what_needs_no_unescaping() {
+        let mut c = Cursor::new(r#" {"plain": "abc", "esc\"aped": "a\nb", "n": null} "#);
+        c.begin_object().unwrap();
+        assert!(matches!(
+            c.next_key().unwrap(),
+            Some(Cow::Borrowed("plain"))
+        ));
+        assert!(matches!(c.string().unwrap(), Cow::Borrowed("abc")));
+        let key = c.next_key().unwrap().unwrap();
+        assert!(matches!(&key, Cow::Owned(k) if k == "esc\"aped"), "{key:?}");
+        assert!(matches!(c.string().unwrap(), Cow::Owned(s) if s == "a\nb"));
+        assert_eq!(c.next_key().unwrap().as_deref(), Some("n"));
+        assert!(c.null().unwrap());
+        assert!(c.next_key().unwrap().is_none());
+        c.end().unwrap();
+    }
+
+    #[test]
+    fn cursor_reads_scalars_in_arrays() {
+        let mut c = Cursor::new("[ 1.5e1 , true,false,null,\"x\", [], {\"k\": [2]} ]");
+        c.begin_array().unwrap();
+        assert!(c.next_item().unwrap());
+        assert!(!c.null().unwrap(), "a number is not null, and stays unread");
+        assert_eq!(c.number().unwrap(), 15.0);
+        assert!(c.next_item().unwrap());
+        assert!(c.boolean().unwrap());
+        assert!(c.next_item().unwrap());
+        assert!(!c.boolean().unwrap());
+        assert!(c.next_item().unwrap());
+        assert!(c.boolean().is_err(), "null is not a boolean");
+        // A failed read leaves the cursor where it was.
+        assert!(c.null().unwrap());
+        assert!(c.next_item().unwrap());
+        assert!(c.number().is_err());
+        assert_eq!(c.string().unwrap(), "x");
+        for not_a_number in [".5", "+1", "Infinity", "NaN"] {
+            assert!(
+                Cursor::new(not_a_number).number().is_err(),
+                "{not_a_number}"
+            );
+            assert!(parse(not_a_number).is_err(), "{not_a_number}");
+        }
+        assert!(c.next_item().unwrap());
+        c.begin_array().unwrap();
+        assert!(!c.next_item().unwrap());
+        assert!(c.next_item().unwrap());
+        let tree = c.value().unwrap();
+        assert_eq!(tree, parse("{\"k\": [2]}").unwrap());
+        assert!(!c.next_item().unwrap());
+        c.end().unwrap();
+    }
+
+    #[test]
+    fn cursor_depth_bounds_a_recursive_decoder() {
+        // One frame per nested array, as a decoder of nested tags recurses.
+        fn deepest(c: &mut Cursor<'_>) -> Result<usize> {
+            c.begin_array()?;
+            let mut below = 0;
+            while c.next_item()? {
+                below = below.max(deepest(c)?);
+            }
+            Ok(below + 1)
+        }
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(deepest(&mut Cursor::new(&ok)).unwrap(), MAX_DEPTH);
+        let Err(CornetError::Parse(msg)) = deepest(&mut Cursor::new(&"[".repeat(300_000))) else {
+            panic!("300 KB of '[' must be refused");
+        };
+        assert_eq!(msg, "JSON at byte 128: nesting deeper than 128 levels");
+        assert!(deepest(&mut Cursor::new(&format!("[{ok}]"))).is_err());
+        // Closing a container gives its level back.
+        let inner = &ok[1..ok.len() - 1];
+        let twins = format!("[{inner},{inner}]");
+        assert_eq!(deepest(&mut Cursor::new(&twins)).unwrap(), MAX_DEPTH);
+        let siblings = format!("[{}]", "[[]],".repeat(1000) + "[]");
+        assert_eq!(deepest(&mut Cursor::new(&siblings)).unwrap(), 3);
+    }
+
+    #[test]
+    fn cursor_misuse_is_an_error_not_a_panic() {
+        for doc in ["}", "]", "", ",", ":", "\"", "{", "["] {
+            let mut c = Cursor::new(doc);
+            let _ = c.next_key();
+            let _ = c.next_item();
+            let _ = c.next_item();
+            let _ = c.boolean();
+            let _ = c.null();
+            let _ = c.value();
+            let _ = c.end();
+        }
     }
 
     #[test]

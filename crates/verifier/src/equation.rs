@@ -18,10 +18,23 @@
 //!
 //! Division by zero yields `NaN` for that sample (missing measurement),
 //! which the robust analytics already tolerate.
+//!
+//! The parser, [`Equation::counters`], [`Equation::evaluate`] and the
+//! tree's drop all recurse over the expression, so its shape is bounded
+//! at parse: at most [`MAX_NESTING`] levels of parentheses and unary
+//! minus, and at most [`MAX_OPERATORS`] operators (a flat `a+a+…` chain
+//! builds a tree as deep as it is long). Longer or deeper text is a
+//! [`CornetError::Parse`], not a stack overflow.
 
 use cornet_stats::TimeSeries;
 use cornet_types::{CornetError, Result};
 use std::collections::BTreeMap;
+
+/// Deepest nesting of parentheses and unary minus an equation may have.
+pub const MAX_NESTING: usize = 64;
+
+/// Most operators, binary and unary, an equation may hold.
+pub const MAX_OPERATORS: usize = 1024;
 
 /// A parsed KPI equation.
 #[derive(Clone, Debug, PartialEq)]
@@ -130,9 +143,36 @@ fn tokenize(src: &str) -> Result<Vec<Token>> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses and unary minus open around the position.
+    depth: usize,
+    /// Operators read so far.
+    operators: usize,
 }
 
 impl Parser {
+    fn operator(&mut self) -> Result<()> {
+        self.operators += 1;
+        if self.operators > MAX_OPERATORS {
+            return Err(CornetError::Parse(format!(
+                "equation has more than {MAX_OPERATORS} operators"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Parse `inner` one nesting level down.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        if self.depth == MAX_NESTING {
+            return Err(CornetError::Parse(format!(
+                "equation nests deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let expr = inner(self);
+        self.depth -= 1;
+        expr
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -153,6 +193,7 @@ impl Parser {
             _ => None,
         } {
             self.next();
+            self.operator()?;
             let rhs = self.term()?;
             lhs = Expr::Binary(Box::new(lhs), op, Box::new(rhs));
         }
@@ -167,6 +208,7 @@ impl Parser {
             _ => None,
         } {
             self.next();
+            self.operator()?;
             let rhs = self.factor()?;
             lhs = Expr::Binary(Box::new(lhs), op, Box::new(rhs));
         }
@@ -179,7 +221,8 @@ impl Parser {
             Some(Token::Ident(name)) => Ok(Expr::Counter(name)),
             Some(Token::Minus) => {
                 // Unary minus: -x ≡ 0 - x.
-                let inner = self.factor()?;
+                self.operator()?;
+                let inner = self.nested(Self::factor)?;
                 Ok(Expr::Binary(
                     Box::new(Expr::Number(0.0)),
                     Op::Sub,
@@ -187,7 +230,7 @@ impl Parser {
                 ))
             }
             Some(Token::LParen) => {
-                let inner = self.expr()?;
+                let inner = self.nested(Self::expr)?;
                 match self.next() {
                     Some(Token::RParen) => Ok(inner),
                     _ => Err(CornetError::Parse("missing ')' in equation".into())),
@@ -207,7 +250,12 @@ impl Equation {
         if tokens.is_empty() {
             return Err(CornetError::Parse("empty equation".into()));
         }
-        let mut parser = Parser { tokens, pos: 0 };
+        let mut parser = Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            operators: 0,
+        };
         let root = parser.expr()?;
         if parser.pos != parser.tokens.len() {
             return Err(CornetError::Parse(format!(
@@ -394,6 +442,48 @@ mod tests {
         assert!(Equation::parse("a b").is_err(), "trailing tokens");
         assert!(Equation::parse("a $ b").is_err(), "bad character");
         assert!(Equation::parse("1.2.3").is_err(), "bad number");
+    }
+
+    #[test]
+    fn deep_or_long_equations_are_parse_errors_not_stack_overflows() {
+        let refused = |src: &str, why: &str| match Equation::parse(src) {
+            Err(CornetError::Parse(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("{} bytes parsed as {:?}", src.len(), other.map(|e| e.root)),
+        };
+        let n = 100_000;
+        refused(
+            &format!("{}a{}", "(".repeat(n), ")".repeat(n)),
+            "nests deeper than 64 levels",
+        );
+        refused(
+            &format!("{}a", "-".repeat(n)),
+            "nests deeper than 64 levels",
+        );
+        refused(&vec!["a"; n].join("+"), "more than 1024 operators");
+        refused(&vec!["a"; n].join("*"), "more than 1024 operators");
+
+        // Up to the bounds, the recursive walks run.
+        let c = counters(&[("a", vec![1.0, 2.0])]);
+        let deep = format!("{}a{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert_eq!(
+            Equation::parse(&deep).unwrap().evaluate(&c).unwrap().values,
+            [1.0, 2.0]
+        );
+        assert!(Equation::parse(&format!("({deep})")).is_err());
+        let negated = format!("{}a", "-".repeat(MAX_NESTING));
+        assert_eq!(
+            Equation::parse(&negated)
+                .unwrap()
+                .evaluate(&c)
+                .unwrap()
+                .values,
+            [1.0, 2.0]
+        );
+        let chain = vec!["a"; MAX_OPERATORS + 1].join("+");
+        let eq = Equation::parse(&chain).unwrap();
+        assert_eq!(eq.counters(), ["a"]);
+        assert_eq!(eq.evaluate(&c).unwrap().values, [1025.0, 2050.0]);
+        assert!(Equation::parse(&format!("{chain}+a")).is_err());
     }
 
     #[test]

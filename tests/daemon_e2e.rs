@@ -11,7 +11,7 @@
 //! both are mid-flight, and verifies recovery against phase A.
 
 use cornet::daemon::DaemonClient;
-use cornet::journal::{Journal, JournalEvent};
+use cornet::journal::{scan, Journal, JournalEvent};
 use cornet::types::json::{parse, JsonValue};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -452,6 +452,46 @@ fn hostile_bodies_get_400_and_the_daemon_keeps_serving() {
     );
     let snap = wait_terminal(&alice, &id, Duration::from_secs(60));
     assert_eq!(phase_of(&snap), "completed");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `/events` line is the payload the campaign's `journal.wal` holds
+/// for the same record, byte for byte: the daemon's event log keeps what
+/// the journal encoded instead of encoding each event a second time. A
+/// faulty campaign, so retried blocks are among the records.
+#[test]
+fn every_event_line_is_the_payload_of_its_journal_record() {
+    let dir = state_dir("payloads");
+    let daemon = Daemon::start(&dir);
+    let alice = daemon.client("alice");
+    let id = submit(
+        &alice,
+        "{\"name\":\"payloads\",\"scenario\":{\"nodes\":16,\"latency_ms\":1,\"fault_rate_milli\":300}}",
+    );
+    wait_terminal(&alice, &id, Duration::from_secs(60));
+    let resp = alice
+        .get(&format!("/v1/campaigns/{id}/events"))
+        .expect("events listing");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let lines: Vec<&str> = resp.body.lines().collect();
+
+    let wal = std::fs::read(dir.join("campaigns").join(&id).join("journal.wal")).unwrap();
+    let journal = scan(&wal);
+    assert!(!journal.torn);
+    assert!(
+        journal.payloads.len() > 16 * 3,
+        "{} records",
+        journal.payloads.len()
+    );
+    assert!(
+        journal
+            .payloads
+            .iter()
+            .any(|p| p.contains("\"status\":\"recovered\"")),
+        "the faults reached the journal"
+    );
+    assert_eq!(lines, journal.payloads);
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
