@@ -14,9 +14,12 @@
 //!
 //! Sample lines look like
 //! `{"node":"study-0","kpi":"thr","minute":4200,"value":97.3}` with an
-//! optional `"carrier":<n>`. Off-grid minutes and unknown node names are
-//! counted as rejected, never fatal — a live feed must not lose a whole
-//! batch to one bad line. Sessions are per tenant and isolated.
+//! optional `"carrier":<n>`. Off-grid minutes, unknown node names and a
+//! line that would open more than
+//! [`MAX_STREAMS_PER_NODE`](cornet_verifier::stream::MAX_STREAMS_PER_NODE)
+//! streams on one node are counted as rejected, never fatal — a live feed
+//! must not lose a whole batch to one bad line. Sessions are per tenant
+//! and isolated.
 //!
 //! [`JournalScenario`]: crate::scenario::JournalScenario
 
@@ -207,8 +210,8 @@ pub struct StreamHub {
 pub struct IngestReceipt {
     /// Samples enqueued.
     pub accepted: usize,
-    /// Lines refused: malformed JSON, missing fields, unknown node, or
-    /// off-grid minute.
+    /// Lines refused: malformed JSON, missing fields, unknown node,
+    /// off-grid minute, or a stream past the node's bound.
     pub rejected: usize,
     /// Samples shed by the bounded queue during this batch.
     pub shed: usize,
@@ -345,8 +348,9 @@ impl StreamHub {
             let recent = session.recent.lock().unwrap_or_else(|e| e.into_inner());
             for d in recent.iter() {
                 w.begin_object();
-                w.key("node")
-                    .str(&node_name(&session.nodes_by_name, d.node));
+                // The engine holds streams only for its inventory's nodes.
+                let node = session.engine.inventory().record(d.node);
+                w.key("node").str(&node.name);
                 w.key("kpi").str(&d.kpi);
                 w.key("timescale").int(d.timescale);
                 w.key("minute").int(d.minute);
@@ -393,14 +397,6 @@ impl StreamHub {
         w.end_object();
         Some(out)
     }
-}
-
-fn node_name(nodes_by_name: &HashMap<String, NodeId>, id: NodeId) -> String {
-    nodes_by_name
-        .iter()
-        .find(|(_, v)| **v == id)
-        .map(|(k, _)| k.clone())
-        .unwrap_or_else(|| format!("node-{}", id.0))
 }
 
 /// Parse one JSONL sample line; `None` on any malformation.
@@ -463,6 +459,7 @@ mod equivalence;
 mod tests {
     use super::*;
     use cornet_types::json::parse;
+    use cornet_verifier::stream::MAX_STREAMS_PER_NODE;
 
     fn hub() -> StreamHub {
         StreamHub::new(Tracer::noop())
@@ -591,6 +588,93 @@ mod tests {
         let receipt = hub.ingest("t", no_params(), &body).unwrap();
         assert!(receipt.contains("\"accepted\":1"), "{receipt}");
         assert!(receipt.contains("\"rejected\":1"), "{receipt}");
+    }
+
+    #[test]
+    fn detections_render_the_names_the_name_scan_found() {
+        let hub = hub();
+        let params = [
+            ("nodes".to_string(), "4096".to_string()),
+            ("change_minute".to_string(), "1200".to_string()),
+            ("window".to_string(), "4".to_string()),
+        ];
+        let fed: Vec<String> = (0..4096)
+            .step_by(97)
+            .flat_map(|i| [format!("study-{i}"), format!("control-{i}")])
+            .collect();
+        let mut body = String::new();
+        for k in 0..40u64 {
+            for node in &fed {
+                let shifted = node.starts_with("study") && k >= 20;
+                let v = 100.0 + (k % 3) as f64 * 0.1 + if shifted { 30.0 } else { 0.0 };
+                body.push_str(&line(node, k * 60, v));
+                body.push('\n');
+            }
+        }
+        hub.ingest("t", params.into_iter(), &body).unwrap();
+        let snap = hub.snapshot("t").unwrap();
+        // The detections as the scan over the name map rendered them.
+        let session = hub.session_of("t").unwrap();
+        let scan = |id: NodeId| {
+            session
+                .nodes_by_name
+                .iter()
+                .find(|(_, v)| **v == id)
+                .map(|(k, _)| k.clone())
+                .unwrap_or_else(|| format!("node-{}", id.0))
+        };
+        let mut want = String::new();
+        let mut w = JsonWriter::compact(&mut want);
+        w.begin_object().key("detections").begin_array();
+        let recent = session.recent.lock().unwrap();
+        assert_eq!(recent.len(), DETECTION_RING);
+        let nodes: std::collections::HashSet<NodeId> = recent.iter().map(|d| d.node).collect();
+        assert!(
+            nodes.len() > 1 && nodes.iter().any(|n| n.0 > 2048),
+            "{nodes:?}"
+        );
+        for d in recent.iter() {
+            w.begin_object();
+            w.key("node").str(&scan(d.node));
+            w.key("kpi").str(&d.kpi);
+            w.key("timescale").int(d.timescale);
+            w.key("minute").int(d.minute);
+            w.key("delta").float(d.delta, FloatFmt::Fixed(6));
+            w.key("score").float(d.score, FloatFmt::Fixed(3));
+            w.end_object();
+        }
+        w.end_array();
+        let want = &want[1..];
+        assert!(snap.contains(want), "{snap}\n{want}");
+    }
+
+    #[test]
+    fn a_node_opens_at_most_max_streams() {
+        let hub = hub();
+        let carrier_line = |node: &str, carrier: usize, minute: u64| {
+            format!(
+                "{{\"node\":\"{node}\",\"kpi\":\"kpi\",\"carrier\":{carrier},\"minute\":{minute},\"value\":1}}\n"
+            )
+        };
+        let mut body: String = (0..=MAX_STREAMS_PER_NODE)
+            .map(|c| carrier_line("study-0", c, 0))
+            .collect();
+        body.push_str(&carrier_line("study-0", 0, 60));
+        let receipt = parse(&hub.ingest("t", no_params(), &body).unwrap()).unwrap();
+        let count = |key: &str| receipt.get(key).and_then(|v| v.as_f64()).unwrap() as usize;
+        assert_eq!(count("accepted"), MAX_STREAMS_PER_NODE + 1);
+        assert_eq!(count("rejected"), 1, "the overflow is rejected");
+        assert_eq!(count("streams"), MAX_STREAMS_PER_NODE);
+        // Another node still opens streams.
+        let receipt = hub
+            .ingest("t", no_params(), &carrier_line("study-1", 5, 0))
+            .unwrap();
+        assert!(
+            receipt.contains("\"accepted\":1,\"rejected\":0"),
+            "{receipt}"
+        );
+        let want = format!("\"streams\":{}", MAX_STREAMS_PER_NODE + 1);
+        assert!(receipt.contains(&want), "{receipt}");
     }
 
     #[test]

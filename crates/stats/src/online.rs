@@ -318,6 +318,14 @@ impl MultiTimescaleDetector {
     /// every lane whose bucket completed and crossed the threshold.
     pub fn push(&mut self, v: f64) -> Vec<TimescaleShift> {
         let mut out = Vec::new();
+        self.push_into(v, &mut out);
+        out
+    }
+
+    /// [`push`](Self::push) appending its candidates to `out`, lane by
+    /// lane, so a caller that keeps one buffer allocates nothing when a
+    /// lane fires.
+    pub fn push_into(&mut self, v: f64, out: &mut Vec<TimescaleShift>) {
         for lane in &mut self.lanes {
             lane.bucket_fill += 1;
             if !v.is_nan() {
@@ -339,7 +347,6 @@ impl MultiTimescaleDetector {
                 }
             }
         }
-        out
     }
 
     /// Close the stream: flush partial buckets and open runs, returning

@@ -13,10 +13,12 @@
 //!   allocates nothing per pump;
 //! * [`SeriesStore`] — per-(node, KPI, carrier) window state on a fixed
 //!   sampling grid, tolerant of gaps, duplicates, and out-of-order
-//!   delivery. A sample finds its stream from borrowed parts (KPI name →
-//!   `(node, carrier)` → window state): no owned key is built per sample.
-//!   Implements [`DataAdapter`], so the batch analytics read it like any
-//!   other feed;
+//!   delivery. The table is node-major: a sample indexes its node's row
+//!   and binary-searches it by `(KPI name, carrier)`, comparing bytes, so
+//!   no name is hashed per sample. A node outside the inventory holds no
+//!   streams, and none holds more than [`MAX_STREAMS_PER_NODE`]: a sample
+//!   that would open one is rejected and counted. Implements
+//!   [`DataAdapter`], so the batch analytics read it like any other feed;
 //! * [`StreamingVerifier`] — the engine: [`offer`](StreamingVerifier::offer)
 //!   enqueues, [`pump`](StreamingVerifier::pump) drains and applies the
 //!   samples in arrival order on the calling thread (each study stream
@@ -46,7 +48,7 @@ use crate::verify::{verify_rules_traced, VerificationReport};
 use cornet_obs::Tracer;
 use cornet_stats::{quantile, MultiTimescaleDetector, TimeSeries, TimescaleShift};
 use cornet_types::{Inventory, NodeId, Result, Topology};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
@@ -172,6 +174,12 @@ impl SampleRouter {
     }
 }
 
+/// Most streams one node may hold. Every KPI name and carrier a feed sends
+/// for a node opens a stream there, so this is what a tenant can make a
+/// node grow to; 349 KPI equations × a few carriers fit. It also keeps the
+/// binary search that finds a stream in its node's row short.
+pub const MAX_STREAMS_PER_NODE: usize = 1024;
+
 /// Per-stream window state: the grid buffer plus (for study streams) the
 /// per-sample detector.
 struct StreamState {
@@ -181,11 +189,20 @@ struct StreamState {
 }
 
 impl StreamState {
+    /// No samples yet.
+    fn new(detector: Option<MultiTimescaleDetector>) -> Self {
+        StreamState {
+            start_minute: 0,
+            values: Vec::new(),
+            detector,
+        }
+    }
+
     /// Append one grid slot; the detector sees it as a batch replay would.
     fn append(&mut self, value: f64, fired: &mut Vec<TimescaleShift>) {
         self.values.push(value);
         if let Some(d) = &mut self.detector {
-            fired.extend(d.push(value));
+            d.push_into(value, fired);
         }
     }
 
@@ -242,9 +259,88 @@ impl StreamState {
     }
 }
 
-/// The stream table: KPI name → `(node, carrier)` → window state, which a
-/// lookup reads with borrowed parts only.
-type Streams = HashMap<String, HashMap<(NodeId, Option<usize>), StreamState>>;
+/// One entry of a node's row: the stream's key and its window state.
+struct Stream {
+    kpi: String,
+    carrier: Option<usize>,
+    state: StreamState,
+}
+
+/// The stream table, node-major: `nodes[node.0]` is that node's row,
+/// sorted by `(KPI name, carrier)` and searched by comparing bytes, so no
+/// name is hashed and a tenant's choice of names cannot slow a lookup
+/// past O(log [`MAX_STREAMS_PER_NODE`]) compares.
+struct StreamTable {
+    /// Nodes `NodeId(0)..NodeId(node_limit)` may hold streams.
+    node_limit: usize,
+    /// Grown on demand up to the highest node seen.
+    nodes: Vec<Vec<Stream>>,
+}
+
+impl StreamTable {
+    fn new(node_limit: usize) -> Self {
+        StreamTable {
+            node_limit,
+            nodes: Vec::new(),
+        }
+    }
+
+    /// Where `(kpi, carrier)` sits in `row`, or where it would go.
+    fn find(
+        row: &[Stream],
+        kpi: &str,
+        carrier: Option<usize>,
+    ) -> std::result::Result<usize, usize> {
+        row.binary_search_by(|s| (s.kpi.as_str(), s.carrier).cmp(&(kpi, carrier)))
+    }
+
+    fn get(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<&StreamState> {
+        let row = self.nodes.get(node.0 as usize)?;
+        let at = Self::find(row, kpi, carrier).ok()?;
+        Some(&row[at].state)
+    }
+
+    /// The stream of `(node, kpi, carrier)`, opened with `open()` on first
+    /// sight. `None` — and nothing allocated — when the node is outside the
+    /// inventory or its row is full.
+    fn get_or_open(
+        &mut self,
+        node: NodeId,
+        kpi: &str,
+        carrier: Option<usize>,
+        open: impl FnOnce() -> StreamState,
+    ) -> Option<&mut StreamState> {
+        let n = node.0 as usize;
+        if n >= self.node_limit {
+            return None;
+        }
+        if n >= self.nodes.len() {
+            self.nodes.resize_with(n + 1, Vec::new);
+        }
+        let row = &mut self.nodes[n];
+        let at = match Self::find(row, kpi, carrier) {
+            Ok(at) => return Some(&mut row[at].state),
+            Err(at) => at,
+        };
+        if row.len() >= MAX_STREAMS_PER_NODE {
+            return None;
+        }
+        let state = open();
+        row.insert(
+            at,
+            Stream {
+                kpi: kpi.to_owned(),
+                carrier,
+                state,
+            },
+        );
+        Some(&mut row[at].state)
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.iter().map(Vec::len).sum()
+    }
+}
 
 /// Assembled window state behind a [`DataAdapter`] face.
 ///
@@ -259,29 +355,29 @@ type Streams = HashMap<String, HashMap<(NodeId, Option<usize>), StreamState>>;
 /// batch, a read holds it while it copies one series out.
 pub struct SeriesStore {
     step_minutes: u64,
-    streams: RwLock<Streams>,
+    table: RwLock<StreamTable>,
 }
 
 impl SeriesStore {
-    /// Empty store on the given sampling grid.
-    pub fn new(step_minutes: u64) -> Self {
+    /// Empty store on the given sampling grid, for the inventory's nodes
+    /// `NodeId(0)..NodeId(nodes)`.
+    pub fn new(step_minutes: u64, nodes: usize) -> Self {
         SeriesStore {
             step_minutes: step_minutes.max(1),
-            streams: RwLock::new(Streams::new()),
+            table: RwLock::new(StreamTable::new(nodes)),
         }
     }
 
     /// Distinct streams currently held.
     pub fn stream_count(&self) -> usize {
-        let streams = self.streams.read().unwrap_or_else(|e| e.into_inner());
-        streams.values().map(HashMap::len).sum()
+        self.table.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 }
 
 impl DataAdapter for SeriesStore {
     fn series(&self, node: NodeId, kpi: &str, carrier: Option<usize>) -> Option<TimeSeries> {
-        let streams = self.streams.read().unwrap_or_else(|e| e.into_inner());
-        let state = streams.get(kpi)?.get(&(node, carrier))?;
+        let table = self.table.read().unwrap_or_else(|e| e.into_inner());
+        let state = table.get(node, kpi, carrier)?;
         if state.values.is_empty() {
             return None;
         }
@@ -318,7 +414,8 @@ pub struct StreamDetection {
 pub struct PumpStats {
     /// Samples drained and applied.
     pub processed: usize,
-    /// Samples refused for off-grid timestamps.
+    /// Samples refused: off-grid timestamps, nodes outside the inventory,
+    /// or a stream past [`MAX_STREAMS_PER_NODE`].
     pub rejected: usize,
     /// Raw detector candidates fired.
     pub detections: usize,
@@ -333,7 +430,7 @@ pub struct IngestStats {
     pub shed: u64,
     /// Samples applied to window state.
     pub processed: u64,
-    /// Samples refused for off-grid timestamps.
+    /// Samples refused, for the reasons [`PumpStats::rejected`] counts.
     pub rejected: u64,
     /// Raw detector candidates fired.
     pub detections: u64,
@@ -370,7 +467,7 @@ impl StreamingVerifier {
         config: StreamConfig,
         tracer: Tracer,
     ) -> Self {
-        let store = SeriesStore::new(config.step_minutes);
+        let store = SeriesStore::new(config.step_minutes, inventory.len());
         let router = SampleRouter::new(config.queue_capacity);
         StreamingVerifier {
             rules,
@@ -400,6 +497,11 @@ impl StreamingVerifier {
     /// The change scope under verification.
     pub fn scope(&self) -> &ChangeScope {
         &self.scope
+    }
+
+    /// The nodes the engine holds streams for.
+    pub fn inventory(&self) -> &Inventory {
+        &self.inventory
     }
 
     /// The window state (read-side adapter view).
@@ -433,35 +535,28 @@ impl StreamingVerifier {
         let step = self.config.step_minutes;
         let mut stats = PumpStats::default();
         {
-            let mut streams = self
-                .store
-                .streams
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut table = self.store.table.write().unwrap_or_else(|e| e.into_inner());
             let mut detections = self.detections.lock().unwrap_or_else(|e| e.into_inner());
             let mut latencies = self.latencies_us.lock().unwrap_or_else(|e| e.into_inner());
             let first_new = detections.len();
             let mut fired = Vec::new();
             for (sample, _) in batch.iter() {
-                let of_kpi = match streams.get_mut(&sample.kpi) {
-                    Some(of_kpi) => of_kpi,
-                    None => streams.entry(sample.kpi.clone()).or_default(),
-                };
                 // A stream is created at its first sample; study streams
                 // get a detector.
-                let state = of_kpi
-                    .entry((sample.node, sample.carrier))
-                    .or_insert_with(|| StreamState {
-                        start_minute: 0,
-                        values: Vec::new(),
-                        detector: self.scope.changes.contains_key(&sample.node).then(|| {
-                            MultiTimescaleDetector::new(
-                                &self.config.detect_timescales,
-                                self.config.detect_window,
-                                self.config.detect_threshold,
-                            )
-                        }),
-                    });
+                let open = || {
+                    StreamState::new(self.scope.changes.contains_key(&sample.node).then(|| {
+                        MultiTimescaleDetector::new(
+                            &self.config.detect_timescales,
+                            self.config.detect_window,
+                            self.config.detect_threshold,
+                        )
+                    }))
+                };
+                let Some(state) = table.get_or_open(sample.node, &sample.kpi, sample.carrier, open)
+                else {
+                    stats.rejected += 1;
+                    continue;
+                };
                 match state.apply(sample.minute, sample.value, step, &mut fired) {
                     Ok(()) => stats.processed += 1,
                     Err(()) => stats.rejected += 1,
@@ -586,6 +681,9 @@ impl StreamingVerifier {
         Some(quantile(&lat, q) / 1e6)
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -734,6 +832,62 @@ mod tests {
         assert_eq!(stats.processed, 1);
         assert_eq!(stats.rejected, 1);
         assert_eq!(e.stats().rejected, 1);
+    }
+
+    fn sample(node: u32, carrier: usize, minute: u64) -> StreamSample {
+        StreamSample {
+            node: NodeId(node),
+            kpi: "thr".into(),
+            carrier: Some(carrier),
+            minute,
+            value: 1.0,
+        }
+    }
+
+    #[test]
+    fn out_of_inventory_samples_are_rejected_and_allocate_nothing() {
+        let e = engine(StreamConfig::default());
+        for node in [8, 1000, u32::MAX] {
+            e.offer(sample(node, 0, 0));
+        }
+        let stats = e.pump();
+        assert_eq!((stats.processed, stats.rejected), (0, 3));
+        assert_eq!(e.stats().rejected, 3);
+        assert_eq!(e.store().stream_count(), 0);
+        assert!(e.store().series(NodeId(u32::MAX), "thr", Some(0)).is_none());
+        let table = e.store.table.read().unwrap();
+        assert_eq!(table.nodes.capacity(), 0, "no row for any node");
+    }
+
+    #[test]
+    fn a_node_holds_at_most_max_streams_per_node() {
+        let e = engine(StreamConfig::default());
+        for carrier in 0..=MAX_STREAMS_PER_NODE {
+            e.offer(sample(0, carrier, 0));
+        }
+        // Streams that already exist still take samples, and other nodes
+        // still open theirs.
+        e.offer(sample(0, 0, 60));
+        e.offer(sample(7, 0, 0));
+        let stats = e.pump();
+        assert_eq!(
+            (stats.processed, stats.rejected),
+            (MAX_STREAMS_PER_NODE + 2, 1)
+        );
+        assert_eq!(e.store().stream_count(), MAX_STREAMS_PER_NODE + 1);
+        let full = e.store().series(NodeId(0), "thr", Some(0)).unwrap();
+        assert_eq!(full.values, vec![1.0, 1.0]);
+        assert!(e
+            .store()
+            .series(NodeId(0), "thr", Some(MAX_STREAMS_PER_NODE))
+            .is_none());
+        // A new KPI name cannot open one on the full node either.
+        e.offer(StreamSample {
+            kpi: "drop".into(),
+            ..sample(0, 0, 0)
+        });
+        assert_eq!(e.pump().rejected, 1);
+        assert_eq!(e.store().stream_count(), MAX_STREAMS_PER_NODE + 1);
     }
 
     #[test]
