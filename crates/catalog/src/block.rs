@@ -66,24 +66,6 @@ impl RestEndpoint {
     }
 }
 
-/// Technology a concrete implementation of a block uses (§3.2 lists
-/// Ansible, NetConf, Chef, Python, vendor CLIs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RunnerKind {
-    /// Ansible playbook.
-    Ansible,
-    /// NETCONF operations.
-    NetConf,
-    /// Chef recipe.
-    Chef,
-    /// Python script.
-    Python,
-    /// Vendor command-line script.
-    VendorCli,
-    /// Native analytic capability (NF-agnostic data analytics).
-    Native,
-}
-
 /// A dimension of per-node network state a building block can read or
 /// mutate.
 ///

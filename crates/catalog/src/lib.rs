@@ -16,6 +16,6 @@ pub mod block;
 pub mod builtin;
 pub mod registry;
 
-pub use block::{BlockSpec, ParamSpec, Phase, RestEndpoint, RunnerKind, StateDim};
+pub use block::{BlockSpec, ParamSpec, Phase, RestEndpoint, StateDim};
 pub use builtin::builtin_catalog;
-pub use registry::{Catalog, Implementation};
+pub use registry::Catalog;

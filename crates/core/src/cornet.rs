@@ -5,16 +5,15 @@
 //! design (workflows), plan (schedules), execute (dispatch), verify
 //! (impact). Examples and integration tests drive CORNET through this.
 
-use cornet_analysis::Report;
 use cornet_catalog::{builtin_catalog, Catalog};
 use cornet_obs::Tracer;
 use cornet_orchestrator::{DispatchReport, Dispatcher, ExecutorRegistry, GlobalState};
 use cornet_planner::{plan, PlanIntent, PlanOptions, PlanResult};
 use cornet_types::{Inventory, NodeId, Result, Schedule, Topology};
 use cornet_verifier::{
-    verify_rule_traced, ChangeScope, DataAdapter, VerificationReport, VerificationRule,
+    verify_rules_traced, ChangeScope, DataAdapter, VerificationReport, VerificationRule,
 };
-use cornet_workflow::{analyze, WarArtifact, Workflow};
+use cornet_workflow::{WarArtifact, Workflow};
 
 /// The composition framework, assembled.
 pub struct Cornet {
@@ -48,11 +47,6 @@ impl Cornet {
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    /// Validate a workflow against the catalog (§3.2's verification step).
-    pub fn validate_workflow(&self, wf: &Workflow) -> Report {
-        analyze(wf, &self.catalog)
     }
 
     /// Package a validated workflow into a deployable WAR artifact.
@@ -107,15 +101,16 @@ impl Cornet {
         rule: &VerificationRule,
         scope: &ChangeScope,
     ) -> Result<VerificationReport> {
-        verify_rule_traced(
+        verify_rules_traced(
             adapter,
-            rule,
+            std::slice::from_ref(rule),
             scope,
             &self.inventory,
             &self.topology,
             &self.tracer,
             None,
         )
+        .map(|mut reports| reports.remove(0))
     }
 }
 
@@ -151,7 +146,7 @@ mod tests {
 
         // Design + deploy.
         let wf = software_upgrade_workflow(&cornet.catalog);
-        assert!(!cornet.validate_workflow(&wf).has_errors());
+        assert!(!cornet_workflow::analyze(&wf, &cornet.catalog).has_errors());
         let war = cornet.deploy_workflow(&wf).unwrap();
 
         // Plan: 6 vCEs, 2 per night.

@@ -45,6 +45,10 @@ impl ApiServer {
         workers: usize,
         manager: Arc<CampaignManager>,
     ) -> std::io::Result<ApiServer> {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "POST /v1/shutdown hands one message to the thread that owns the server"
+        )]
         let (tx, rx) = mpsc::channel();
         let server = HttpServer::bind(addr, workers, handler(manager, tx))?;
         Ok(ApiServer {

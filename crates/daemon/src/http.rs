@@ -120,6 +120,10 @@ impl HttpServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the accept thread hands each connection to the worker pool"
+        )]
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();

@@ -20,6 +20,7 @@
 //!   watch` subcommands and the end-to-end tests.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod api;

@@ -23,8 +23,23 @@ use cornet_types::{NodeId, ParamValue, Schedule, Timeslot};
 use cornet_workflow::builtin::software_upgrade_workflow;
 use cornet_workflow::{Designer, WarArtifact};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// What a submitted scenario may ask for. The schedule, the fault plan
+/// and every retry loop are sized by these keys, so a value past its
+/// bound is a 400 at submission, not an allocation the daemon dies of.
+/// `nodes` is the ingest session's bound.
+const NODES: RangeInclusive<u64> = 1..=4096;
+const PER_SLOT: RangeInclusive<u64> = 1..=4096;
+const ATTEMPTS: RangeInclusive<u64> = 1..=64;
+const LATENCY_MS: RangeInclusive<u64> = 0..=60_000;
+const FAULT_RATE_MILLI: RangeInclusive<u64> = 0..=1000;
+
+/// JSON numbers are doubles: an integer past 2^53 arrives rounded, so it
+/// is refused rather than run as a different value.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// Counts executor invocations that actually ran (as opposed to being
 /// replayed from a journal) — the zero-re-execution witness used by the
@@ -72,7 +87,8 @@ impl Default for JournalScenario {
 
 impl JournalScenario {
     /// Parse the optional `scenario` object of a submitted campaign spec;
-    /// absent keys keep their defaults.
+    /// absent keys keep their defaults, and a sized key outside its bound
+    /// is refused.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let mut s = JournalScenario::default();
         let Some(entries) = value.entries() else {
@@ -81,23 +97,35 @@ impl JournalScenario {
         for (key, v) in entries {
             let n = v
                 .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| format!("scenario.{key} must be a non-negative integer"))?;
+                .filter(|n| (0.0..=MAX_EXACT_INT).contains(n) && n.fract() == 0.0)
+                .ok_or_else(|| format!("scenario.{key} must be an integer in 0..=2^53"))?
+                as u64;
+            let within = |bound: RangeInclusive<u64>| {
+                bound.contains(&n).then_some(n).ok_or_else(|| {
+                    format!(
+                        "scenario.{key}: want {}..={}, got {n}",
+                        bound.start(),
+                        bound.end()
+                    )
+                })
+            };
             match key.as_str() {
-                "seed" => s.seed = n as u64,
-                "nodes" => s.nodes = n as u32,
-                "per_slot" => s.per_slot = n as u32,
+                "seed" => s.seed = n,
+                "nodes" => s.nodes = within(NODES)? as u32,
+                "per_slot" => s.per_slot = within(PER_SLOT)? as u32,
                 "concurrency" => s.concurrency = n as usize,
-                "fault_rate_milli" => s.fault_rate_milli = n as u32,
-                "latency_ms" => s.latency_ms = n as u64,
-                "attempts" => s.attempts = n as u32,
-                "breaker_threshold_milli" => s.breaker_threshold_milli = n as u32,
+                "fault_rate_milli" => s.fault_rate_milli = within(FAULT_RATE_MILLI)? as u32,
+                "latency_ms" => s.latency_ms = within(LATENCY_MS)?,
+                "attempts" => s.attempts = within(ATTEMPTS)? as u32,
+                "breaker_threshold_milli" => {
+                    s.breaker_threshold_milli = within(0..=u32::MAX.into())? as u32
+                }
                 "breaker_min_samples" => s.breaker_min_samples = n as usize,
                 other => return Err(format!("unknown scenario key {other:?}")),
             }
         }
-        if s.nodes == 0 || s.per_slot == 0 || s.concurrency == 0 || s.attempts == 0 {
-            return Err("scenario sizes must be positive".into());
+        if s.concurrency == 0 {
+            return Err("scenario.concurrency must be positive".into());
         }
         Ok(s)
     }
@@ -330,6 +358,37 @@ mod tests {
         assert_eq!(s.concurrency, 4, "unset keys keep defaults");
         assert!(JournalScenario::from_json(&parse(r#"{"nodes": 0}"#).unwrap()).is_err());
         assert!(JournalScenario::from_json(&parse(r#"{"bogus": 1}"#).unwrap()).is_err());
+    }
+
+    #[test]
+    fn from_json_holds_every_sized_key_to_its_bound() {
+        use cornet_types::json::parse;
+        let scenario = |text: &str| JournalScenario::from_json(&parse(text).unwrap());
+        for (key, bound) in [
+            ("nodes", NODES),
+            ("per_slot", PER_SLOT),
+            ("attempts", ATTEMPTS),
+            ("latency_ms", LATENCY_MS),
+            ("fault_rate_milli", FAULT_RATE_MILLI),
+        ] {
+            for edge in [*bound.start(), *bound.end()] {
+                let s = scenario(&format!("{{\"{key}\": {edge}}}"));
+                assert!(s.is_ok(), "{key} = {edge}: {s:?}");
+            }
+            let past = scenario(&format!("{{\"{key}\": {}}}", bound.end() + 1)).unwrap_err();
+            assert!(past.contains(&format!("scenario.{key}: want")), "{past}");
+            if *bound.start() > 0 {
+                assert!(scenario(&format!("{{\"{key}\": 0}}")).is_err(), "{key} = 0");
+            }
+        }
+        // A wire number the u32 would once have saturated into.
+        let huge = scenario(r#"{"nodes": 1e12}"#).unwrap_err();
+        assert_eq!(huge, "scenario.nodes: want 1..=4096, got 1000000000000");
+        // Past 2^53 a double no longer names one integer.
+        assert!(scenario(r#"{"seed": 9007199254740992}"#).is_ok());
+        assert!(scenario(r#"{"seed": 1e16}"#).is_err());
+        assert!(scenario(r#"{"seed": -1}"#).is_err());
+        assert!(scenario(r#"{"concurrency": 0}"#).is_err());
     }
 
     #[test]

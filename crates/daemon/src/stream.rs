@@ -228,14 +228,6 @@ impl StreamHub {
         }
     }
 
-    /// Number of live sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
     fn session_of(&self, tenant: &str) -> Option<Arc<StreamSession>> {
         self.sessions
             .read()
@@ -521,11 +513,11 @@ mod tests {
             .unwrap();
         assert!(receipt.contains("\"accepted\":2"), "{receipt}");
         assert!(receipt.contains("\"rejected\":2"), "{receipt}");
-        assert_eq!(hub.session_count(), 1);
+        assert_eq!(hub.sessions.read().unwrap().len(), 1);
         // A second tenant gets an independent session.
         hub.ingest("bob", no_params(), &line("study-1", 0, 9.0))
             .unwrap();
-        assert_eq!(hub.session_count(), 2);
+        assert_eq!(hub.sessions.read().unwrap().len(), 2);
         let alice = hub.snapshot("alice").unwrap();
         assert!(alice.contains("\"processed\":2"), "{alice}");
         assert!(hub.snapshot("carol").is_none());

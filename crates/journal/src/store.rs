@@ -21,7 +21,6 @@
 //! write leaves an empty shell that never held journal records).
 
 use crate::event::write_string_map;
-use crate::writer::Journal;
 use cornet_types::json::{parse, JsonValue, JsonWriter};
 use cornet_types::{CornetError, Result};
 use std::collections::BTreeMap;
@@ -221,20 +220,6 @@ impl CampaignStore {
         out.sort_by(|a, b| a.id.cmp(&b.id));
         Ok(out)
     }
-
-    /// True when the campaign's journal exists and its last surviving
-    /// record is `campaign_closed` — i.e. there is nothing to resume.
-    pub fn is_closed(&self, id: &str) -> Result<bool> {
-        let paths = self.paths(id)?;
-        if !paths.journal.exists() {
-            return Ok(false);
-        }
-        let (events, _) = Journal::read(&paths.journal)?;
-        Ok(matches!(
-            events.last(),
-            Some(crate::event::JournalEvent::CampaignClosed)
-        ))
-    }
 }
 
 fn write_atomic(path: &Path, text: &str) -> Result<()> {
@@ -251,8 +236,6 @@ fn io_err(op: &str, path: &Path, e: &std::io::Error) -> CornetError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::FsyncPolicy;
-    use crate::JournalEvent;
 
     fn tmp_store(name: &str) -> (PathBuf, CampaignStore) {
         let dir = std::env::temp_dir().join(format!("cornet-store-{name}-{}", std::process::id()));
@@ -305,21 +288,6 @@ mod tests {
         for id in ["../escape", "a/b", "", "c 1"] {
             assert!(store.paths(id).is_err(), "{id:?} should be refused");
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn is_closed_tracks_the_terminal_record() {
-        let (dir, store) = tmp_store("closed");
-        let paths = store.create(&manifest("c000001", "a")).unwrap();
-        assert!(!store.is_closed("c000001").unwrap(), "no journal yet");
-        let journal = Journal::create(&paths.journal, FsyncPolicy::Never).unwrap();
-        journal
-            .append(&JournalEvent::InstanceAdmitted { node: 0, slot: 1 })
-            .unwrap();
-        assert!(!store.is_closed("c000001").unwrap(), "in flight");
-        journal.append(&JournalEvent::CampaignClosed).unwrap();
-        assert!(store.is_closed("c000001").unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -371,6 +371,10 @@ impl Journal {
         }
         let covers = *self.written();
         let span = self.tracer.span_with_parent("journal.fsync", parent);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the journal's one sync, taken with the append lock released"
+        )]
         self.inner
             .file
             .sync_data()

@@ -11,7 +11,6 @@
 
 use crate::rng::seeded;
 use cornet_types::{Attributes, Inventory, NfType, NodeId, Topology};
-use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Sizing knobs for the generated radio access network.
@@ -330,16 +329,6 @@ impl Network {
     pub fn is_empty(&self) -> bool {
         self.inventory.is_empty()
     }
-}
-
-/// Deterministic helper: pick `n` nodes of a type, in id order.
-pub fn sample_nodes(net: &Network, nf: NfType, n: usize) -> Vec<NodeId> {
-    net.nodes_of_type(nf).into_iter().take(n).collect()
-}
-
-/// Reusable RNG for callers that need extra randomness tied to a network.
-pub fn network_rng(config: &NetworkConfig) -> StdRng {
-    seeded(config.seed ^ 0x5EED)
 }
 
 #[cfg(test)]

@@ -19,17 +19,6 @@ pub fn normal(rng: &mut StdRng, mean: f64, sd: f64) -> f64 {
     mean + sd * z
 }
 
-/// Sample a non-negative log-normal-ish duration with the given mean and a
-/// heavy right tail — the shape of construction-work durations in Table 6.
-pub fn heavy_tail_duration(rng: &mut StdRng, mean: f64, tail_weight: f64) -> f64 {
-    let base = normal(rng, mean, mean * 0.3).max(0.1);
-    if rng.random_bool(tail_weight.clamp(0.0, 1.0)) {
-        base * rng.random_range(3.0..12.0)
-    } else {
-        base
-    }
-}
-
 /// Pick an index according to (unnormalized) weights.
 pub fn weighted_pick(rng: &mut StdRng, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
@@ -77,17 +66,6 @@ mod tests {
         assert!(counts[2] > counts[1] && counts[1] > counts[0]);
         let frac2 = counts[2] as f64 / 30_000.0;
         assert!((frac2 - 0.7).abs() < 0.03, "frac {frac2}");
-    }
-
-    #[test]
-    fn heavy_tail_is_nonnegative_and_heavy() {
-        let mut rng = seeded(9);
-        let xs: Vec<f64> = (0..5_000)
-            .map(|_| heavy_tail_duration(&mut rng, 3.0, 0.1))
-            .collect();
-        assert!(xs.iter().all(|x| *x > 0.0));
-        let max = xs.iter().cloned().fold(0.0, f64::max);
-        assert!(max > 10.0, "tail should produce large values, max {max}");
     }
 
     #[test]

@@ -3,12 +3,9 @@
 //! A [`TraceSummary`] aggregates a finished [`Trace`] by span kind (name):
 //! how many spans of each kind ran, and nearest-rank p50/p95/max of their
 //! durations computed from the *exact* per-span durations, not histogram
-//! buckets. The CLI prints [`TraceSummary::render`] after `--trace` runs;
-//! [`TraceSummary::render_json`] is the same table as one JSON object,
-//! byte-pinned by `tests/golden/trace_summary.json`.
+//! buckets. The CLI prints [`TraceSummary::render`] after `--trace` runs.
 
 use crate::span::Trace;
-use cornet_types::json::{FloatFmt, JsonWriter};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -109,28 +106,6 @@ impl TraceSummary {
         }
         out
     }
-
-    /// Deterministic JSON object mapping span kind → stats.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        let mut w = JsonWriter::spaced(&mut out);
-        w.begin_object();
-        for k in &self.kinds {
-            w.key(&k.name).begin_object();
-            w.key("count").int(k.count);
-            for (name, ms) in [
-                ("p50_ms", k.p50_ms),
-                ("p95_ms", k.p95_ms),
-                ("max_ms", k.max_ms),
-                ("total_ms", k.total_ms),
-            ] {
-                w.key(name).float(ms, FloatFmt::Fixed(3));
-            }
-            w.end_object();
-        }
-        w.end_object();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -182,24 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn render_json_is_deterministic_and_balanced() {
-        let t = Tracer::with_clock(ManualClock::ticking(1_000));
-        t.span("verify.rule").finish();
-        t.span("verify.unit").finish();
-        let summary = TraceSummary::from_trace(&t.snapshot());
-        let a = summary.render_json();
-        let b = summary.render_json();
-        assert_eq!(a, b);
-        assert!(a.starts_with('{') && a.ends_with('}'));
-        assert!(a.contains("\"verify.rule\""));
-        assert!(a.contains("\"count\": 1"));
-    }
-
-    #[test]
     fn empty_trace_summarizes_cleanly() {
         let summary = TraceSummary::from_trace(&Trace::default());
         assert_eq!(summary.span_count, 0);
         assert!(summary.kinds.is_empty());
-        assert_eq!(summary.render_json(), "{}");
     }
 }

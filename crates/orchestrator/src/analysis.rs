@@ -9,7 +9,6 @@
 //! halt-the-rollout decision depends on. This pass checks the arithmetic
 //! before anything executes.
 
-use crate::executor::ExecutorRegistry;
 use crate::resilience::{CircuitBreaker, RetryPolicy};
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_catalog::Catalog;
@@ -33,31 +32,6 @@ pub struct ResilienceSpec {
     /// Workflow instances the campaign plans to dispatch, if known;
     /// bounds the samples the breaker can ever observe per block.
     pub planned_instances: Option<usize>,
-}
-
-impl ResilienceSpec {
-    /// Capture a registry's retry/deadline configuration.
-    pub fn from_registry(registry: &ExecutorRegistry) -> Self {
-        ResilienceSpec {
-            policies: registry.retry_policies().clone(),
-            default_policy: registry.default_retry_policy().cloned(),
-            deadlines: registry.deadlines().clone(),
-            breaker: None,
-            planned_instances: None,
-        }
-    }
-
-    /// Attach the campaign's circuit breaker.
-    pub fn with_breaker(mut self, breaker: CircuitBreaker) -> Self {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    /// Declare how many instances the campaign will dispatch.
-    pub fn with_planned_instances(mut self, instances: usize) -> Self {
-        self.planned_instances = Some(instances);
-        self
-    }
 }
 
 /// Check the resilience arithmetic, appending `CN03xx` diagnostics.
@@ -220,12 +194,20 @@ mod tests {
     use super::*;
     use cornet_analysis::Severity;
 
-    fn registry_with(policy: RetryPolicy, deadline: Duration) -> ExecutorRegistry {
-        let mut reg = ExecutorRegistry::new();
-        reg.register("software_upgrade", |_| Ok(()));
-        reg.set_retry_policy("software_upgrade", policy);
-        reg.set_deadline("software_upgrade", deadline);
-        reg
+    fn spec_with(policy: RetryPolicy, deadline: Duration) -> ResilienceSpec {
+        ResilienceSpec {
+            policies: [("software_upgrade".to_owned(), policy)].into(),
+            deadlines: [("software_upgrade".to_owned(), deadline)].into(),
+            ..Default::default()
+        }
+    }
+
+    fn spec_with_breaker(breaker: CircuitBreaker, planned: Option<usize>) -> ResilienceSpec {
+        ResilienceSpec {
+            breaker: Some(breaker),
+            planned_instances: planned,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -268,8 +250,7 @@ mod tests {
             max_backoff: Duration::from_secs(20),
             jitter_seed: 0,
         };
-        let spec =
-            ResilienceSpec::from_registry(&registry_with(slow.clone(), Duration::from_secs(30)));
+        let spec = spec_with(slow.clone(), Duration::from_secs(30));
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert_eq!(report.warning_count(), 1, "{}", report.render_text());
@@ -278,7 +259,7 @@ mod tests {
         assert_eq!(d.severity, Severity::Warning);
         assert!(d.message.contains("software_upgrade"), "{}", d.message);
         // Corrected twin: a generous deadline fits the whole series.
-        let spec = ResilienceSpec::from_registry(&registry_with(slow, Duration::from_secs(120)));
+        let spec = spec_with(slow, Duration::from_secs(120));
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert!(report.is_clean(), "{}", report.render_text());
@@ -286,14 +267,18 @@ mod tests {
 
     #[test]
     fn default_policy_is_checked_against_uncovered_blocks_only() {
-        let mut reg = ExecutorRegistry::new();
-        // The default policy backs off for 450ms worst case.
-        reg.set_default_retry_policy(RetryPolicy::default());
-        // 'covered' has its own instant policy; only 'bare' uses the default.
-        reg.set_retry_policy("covered", RetryPolicy::with_attempts(1));
-        reg.set_deadline("covered", Duration::from_millis(1));
-        reg.set_deadline("bare", Duration::from_millis(1));
-        let spec = ResilienceSpec::from_registry(&reg);
+        let spec = ResilienceSpec {
+            // The default policy backs off for 450ms worst case.
+            default_policy: Some(RetryPolicy::default()),
+            // 'covered' has its own instant policy; only 'bare' uses the default.
+            policies: [("covered".to_owned(), RetryPolicy::with_attempts(1))].into(),
+            deadlines: [
+                ("covered".to_owned(), Duration::from_millis(1)),
+                ("bare".to_owned(), Duration::from_millis(1)),
+            ]
+            .into(),
+            ..Default::default()
+        };
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert_eq!(report.warning_count(), 1, "{}", report.render_text());
@@ -307,13 +292,13 @@ mod tests {
 
     #[test]
     fn untrippable_breaker_threshold_is_an_error() {
-        let spec = ResilienceSpec::default().with_breaker(CircuitBreaker::with_threshold(1.5));
+        let spec = spec_with_breaker(CircuitBreaker::with_threshold(1.5), None);
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert_eq!(report.error_count(), 1);
         assert_eq!(report.diagnostics[0].code, Code("CN0303"));
         // A threshold of exactly 1.0 is reachable (total failure) — clean.
-        let spec = ResilienceSpec::default().with_breaker(CircuitBreaker::with_threshold(1.0));
+        let spec = spec_with_breaker(CircuitBreaker::with_threshold(1.0), None);
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert!(report.is_clean(), "{}", report.render_text());
@@ -321,7 +306,7 @@ mod tests {
 
     #[test]
     fn hair_trigger_breaker_threshold_warns() {
-        let spec = ResilienceSpec::default().with_breaker(CircuitBreaker::with_threshold(0.0));
+        let spec = spec_with_breaker(CircuitBreaker::with_threshold(0.0), None);
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert_eq!(report.warning_count(), 1);
@@ -454,17 +439,13 @@ mod tests {
             failure_threshold: 0.5,
             min_samples: 100,
         };
-        let spec = ResilienceSpec::default()
-            .with_breaker(breaker.clone())
-            .with_planned_instances(40);
+        let spec = spec_with_breaker(breaker.clone(), Some(40));
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert_eq!(report.error_count(), 1, "{}", report.render_text());
         assert_eq!(report.diagnostics[0].code, Code("CN0305"));
         // Corrected twin: a larger campaign can reach the floor.
-        let spec = ResilienceSpec::default()
-            .with_breaker(breaker)
-            .with_planned_instances(200);
+        let spec = spec_with_breaker(breaker, Some(200));
         let mut report = Report::new();
         analyze_resilience(&spec, &mut report);
         assert!(report.is_clean(), "{}", report.render_text());

@@ -260,16 +260,6 @@ fn run_instance(
 /// report so far; `false` halts the roll-out.
 type SlotGate<'a> = &'a mut dyn FnMut(Timeslot, &DispatchReport) -> bool;
 
-/// Group a schedule's assignments by slot, preserving slot order and the
-/// deterministic node order within each slot.
-fn group_by_slot(schedule: &Schedule) -> BTreeMap<Timeslot, Vec<NodeId>> {
-    let mut by_slot: BTreeMap<Timeslot, Vec<NodeId>> = BTreeMap::new();
-    for (&node, &slot) in &schedule.assignments {
-        by_slot.entry(slot).or_default().push(node);
-    }
-    by_slot
-}
-
 impl Dispatcher {
     /// Create a dispatcher for one deployed workflow. A concurrency of
     /// zero is a misconfiguration and is rejected loudly rather than
@@ -493,7 +483,13 @@ impl Dispatcher {
         let mut out = CampaignOutcome::default();
         let mut analysis = FalloutAnalysis::default();
         let mut trip: Option<BreakerTrip> = None;
-        for (slot, nodes) in group_by_slot(schedule) {
+        // The one walk of a schedule, slot by slot in slot order, nodes in
+        // their deterministic order within a slot.
+        let mut by_slot: BTreeMap<Timeslot, Vec<NodeId>> = BTreeMap::new();
+        for (&node, &slot) in &schedule.assignments {
+            by_slot.entry(slot).or_default().push(node);
+        }
+        for (slot, nodes) in by_slot {
             // Slot boundaries are admission points too: a pause blocks
             // here between slots, a cancel stops before the next starts.
             if control.is_some_and(|c| !c.admit()) {

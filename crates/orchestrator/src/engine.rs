@@ -240,11 +240,6 @@ impl Engine {
         Ok(Self::new(war.unpack()?, registry, inputs))
     }
 
-    /// The pause handle for this instance.
-    pub fn pause_handle(&self) -> PauseHandle {
-        self.pause.clone()
-    }
-
     /// Current status.
     pub fn status(&self) -> &InstanceStatus {
         &self.status
@@ -685,7 +680,7 @@ mod tests {
         let cat = builtin_catalog();
         let wf = software_upgrade_workflow(&cat);
         let mut engine = Engine::new(wf, happy_registry(), inputs());
-        let handle = engine.pause_handle();
+        let handle = engine.pause.clone();
         // Pause immediately: the run loop must halt before any block.
         handle.pause();
         assert_eq!(engine.run().unwrap(), &InstanceStatus::Paused);
@@ -1140,7 +1135,7 @@ mod tests {
         });
         reg.set_retry_policy("software_upgrade", RetryPolicy::with_attempts(5));
         let mut engine = Engine::new(wf, reg, inputs());
-        *handle_slot.lock().unwrap() = Some(engine.pause_handle());
+        *handle_slot.lock().unwrap() = Some(engine.pause.clone());
         assert_eq!(engine.run().unwrap(), &InstanceStatus::Paused);
         assert_eq!(calls.load(Ordering::SeqCst), 1, "pause preempted the retry");
         assert!(

@@ -91,22 +91,6 @@ impl ExecutorRegistry {
     pub fn deadline_for(&self, block: &str) -> Option<Duration> {
         self.deadlines.get(block).copied()
     }
-
-    /// All per-block retry policies, for static analysis over the
-    /// registry's resilience configuration.
-    pub fn retry_policies(&self) -> &BTreeMap<String, RetryPolicy> {
-        &self.policies
-    }
-
-    /// The registry-wide default retry policy, if one is set.
-    pub fn default_retry_policy(&self) -> Option<&RetryPolicy> {
-        self.default_policy.as_ref()
-    }
-
-    /// All per-block execution deadlines.
-    pub fn deadlines(&self) -> &BTreeMap<String, Duration> {
-        &self.deadlines
-    }
 }
 
 /// Fetch a required string input from the state.
@@ -116,14 +100,6 @@ pub fn require_str(state: &GlobalState, key: &str) -> Result<String> {
         .and_then(|v| v.as_str())
         .map(str::to_owned)
         .ok_or_else(|| CornetError::ExecutionFailed(format!("missing string input '{key}'")))
-}
-
-/// Fetch a required boolean input from the state.
-pub fn require_bool(state: &GlobalState, key: &str) -> Result<bool> {
-    state
-        .get(key)
-        .and_then(|v| v.as_bool())
-        .ok_or_else(|| CornetError::ExecutionFailed(format!("missing bool input '{key}'")))
 }
 
 #[cfg(test)]
@@ -159,11 +135,8 @@ mod tests {
     fn require_helpers() {
         let mut state = GlobalState::new();
         state.insert("node".into(), ParamValue::from("enb-1"));
-        state.insert("ok".into(), ParamValue::from(true));
         assert_eq!(require_str(&state, "node").unwrap(), "enb-1");
-        assert!(require_bool(&state, "ok").unwrap());
         assert!(require_str(&state, "missing").is_err());
-        assert!(require_bool(&state, "node").is_err(), "wrong type");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! fall-out, and a deterministic fault-injection harness.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 pub mod analysis;
 pub mod control;
 pub mod dispatcher;

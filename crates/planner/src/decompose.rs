@@ -246,6 +246,10 @@ where
     let deadline = Instant::now() + budget.time_limit;
     let part_order: Vec<usize> =
         order.map_or_else(|| (0..parts.len()).collect(), <[usize]>::to_vec);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the planner's one fan: components and shards share this deadline rule and scatter"
+    )]
     let mut solved: Vec<(usize, BackendResult)> = par::map_ordered(&part_order, |&i| {
         let part_ctx = SolveContext {
             translation: &parts[i].translation,

@@ -20,6 +20,7 @@
 //!   local search scheduling whole USIDs at a time.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 pub mod backend;
 pub mod campaigns;
 pub mod decompose;

@@ -3,6 +3,9 @@
 //! seen by each member on its next search node. The observable is the
 //! latency from `cancel()` to `solve` returning.
 
+// Test harness: a cancelling thread sleeps before it fires (clippy.toml bans these in library code).
+#![allow(clippy::disallowed_methods)]
+
 use cornet_model::ModelBuilder;
 use cornet_planner::backend::{Budget, PortfolioBackend, SolveContext};
 use cornet_planner::heuristic::HeuristicConfig;

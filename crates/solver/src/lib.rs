@@ -45,6 +45,7 @@
 //! discovery-time limits.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 pub mod domain;
 #[cfg(test)]
 mod equivalence;

@@ -277,11 +277,6 @@ impl State {
         self.unfixed.first()
     }
 
-    /// True when every variable is fixed.
-    pub fn all_fixed(&self) -> bool {
-        self.domains.iter().all(BitDomain::is_fixed)
-    }
-
     /// Extract the assignment; panics unless all variables are fixed.
     pub fn assignment(&self) -> Vec<i64> {
         self.domains
@@ -344,9 +339,9 @@ mod tests {
         let mut s = State::new(&m, 0);
         s.fix(0, 2).unwrap();
         assert_eq!(s.domain(0).fixed_value(), Some(2));
-        assert!(!s.all_fixed(), "b still has two values");
+        assert_eq!(s.domain(1).fixed_value(), None, "b still has two values");
         s.fix(1, 1).unwrap();
-        assert!(s.all_fixed());
+        assert_eq!(s.domain(1).fixed_value(), Some(1));
         assert_eq!(s.assignment(), vec![2, 1]);
     }
 

@@ -4,6 +4,9 @@
 //! model. (CI greps `crates/` for thread stack sizing; this file is the
 //! one exemption.)
 
+// Test harness: the deep dive runs on a deliberately small stack (clippy.toml bans these in library code).
+#![allow(clippy::disallowed_methods)]
+
 use cornet_model::ModelBuilder;
 use cornet_solver::{solve, Outcome, SolverConfig};
 

@@ -172,16 +172,6 @@ impl OnlineLevelShiftDetector {
         }
     }
 
-    /// Samples absorbed so far.
-    pub fn samples_seen(&self) -> usize {
-        self.pushed
-    }
-
-    /// The currently open (unmerged) run representative, if any.
-    pub fn pending(&self) -> Option<&LevelShift> {
-        self.pending.as_ref()
-    }
-
     /// Absorb one sample and evaluate the candidate it completes.
     pub fn push(&mut self, v: f64) -> DetectorPush {
         let w = self.window;

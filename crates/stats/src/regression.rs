@@ -59,19 +59,6 @@ impl RobustFit {
     pub fn predict_series(&self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.predict(x)).collect()
     }
-
-    /// Median absolute residual of the fit on `(xs, ys)` — a robust
-    /// goodness-of-fit figure the verifier can threshold on. Mismatched
-    /// lengths are truncated to the common prefix (pairing stops at the
-    /// shorter series).
-    pub fn median_abs_residual(&self, xs: &[f64], ys: &[f64]) -> f64 {
-        let resid: Vec<f64> = xs
-            .iter()
-            .zip(ys)
-            .map(|(&x, &y)| (y - self.predict(x)).abs())
-            .collect();
-        median(&resid)
-    }
 }
 
 /// Through-origin robust ratio regression `S = βC` (§3.5.2).
@@ -303,13 +290,5 @@ mod tests {
         );
         // Determinism: same seed, same answer; different seed may differ.
         assert_eq!(sampled, theil_sen_seeded(&xs, &ys, 5_000, 1));
-    }
-
-    #[test]
-    fn median_abs_residual_zero_on_perfect_fit() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.0, 4.0, 6.0];
-        let fit = ratio_regression(&xs, &ys);
-        assert_eq!(fit.median_abs_residual(&xs, &ys), 0.0);
     }
 }

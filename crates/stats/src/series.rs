@@ -9,7 +9,7 @@
 //! plain minutes-since-epoch so this crate stays independent of
 //! `cornet-types`.
 
-/// How to combine samples when resampling or merging series.
+/// How to combine samples when resampling a series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggFn {
     /// Arithmetic mean of non-NaN samples.
@@ -117,35 +117,6 @@ impl TimeSeries {
     }
 }
 
-/// Merge several same-shape series element-wise with `agg` (location
-/// aggregation across a group of nodes, §3.5.1).
-///
-/// All series must share `start_minute` and `step_minutes`; the result is
-/// truncated to the shortest input. Returns `None` on empty input or
-/// mismatched grids.
-pub fn merge(series: &[&TimeSeries], agg: AggFn) -> Option<TimeSeries> {
-    let first = series.first()?;
-    if series
-        .iter()
-        .any(|s| s.start_minute != first.start_minute || s.step_minutes != first.step_minutes)
-    {
-        return None;
-    }
-    let len = series.iter().map(|s| s.len()).min()?;
-    let mut values = Vec::with_capacity(len);
-    let mut bucket = Vec::with_capacity(series.len());
-    for i in 0..len {
-        bucket.clear();
-        bucket.extend(series.iter().map(|s| s.values[i]));
-        values.push(agg.apply(&bucket));
-    }
-    Some(TimeSeries::new(
-        first.start_minute,
-        first.step_minutes,
-        values,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,30 +153,6 @@ mod tests {
         let r = s.resample(2, AggFn::Mean);
         assert_eq!(r.values[0], 1.0);
         assert_eq!(r.values[1], 5.0);
-    }
-
-    #[test]
-    fn merge_mean_across_nodes() {
-        let a = ts(vec![1.0, 2.0, 3.0]);
-        let b = ts(vec![3.0, 4.0, 5.0, 6.0]);
-        let m = merge(&[&a, &b], AggFn::Mean).unwrap();
-        assert_eq!(m.values, vec![2.0, 3.0, 4.0], "truncated to shortest");
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_grids() {
-        let a = ts(vec![1.0]);
-        let b = TimeSeries::new(0, 10, vec![1.0]);
-        assert!(merge(&[&a, &b], AggFn::Mean).is_none());
-        assert!(merge(&[], AggFn::Mean).is_none());
-    }
-
-    #[test]
-    fn merge_ignores_missing_in_one_node() {
-        let a = ts(vec![1.0, f64::NAN]);
-        let b = ts(vec![3.0, 5.0]);
-        let m = merge(&[&a, &b], AggFn::Mean).unwrap();
-        assert_eq!(m.values, vec![2.0, 5.0]);
     }
 
     #[test]

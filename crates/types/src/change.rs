@@ -1,5 +1,5 @@
-//! Change-management domain types: change categories, tickets, requests,
-//! and the conflict table fed to the planner.
+//! Change-management domain types: change categories, tickets, and the
+//! conflict table fed to the planner.
 //!
 //! Table 1 of the paper breaks network changes into four categories with
 //! very different durations and roll-out profiles; Listing 1 shows the
@@ -32,15 +32,6 @@ impl ChangeType {
         ChangeType::ConstructionWork,
     ];
 
-    /// Whether the change requires humans on site (drives the long-duration
-    /// behaviour of re-tuning and construction in Table 1 / Table 6).
-    pub fn requires_site_visit(self) -> bool {
-        matches!(
-            self,
-            ChangeType::NodeRetuning | ChangeType::ConstructionWork
-        )
-    }
-
     /// Short name used in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -55,38 +46,6 @@ impl ChangeType {
 impl fmt::Display for ChangeType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A change to be planned and executed on a set of nodes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChangeRequest {
-    /// Ticket-style identifier, e.g. `"CHG000005482383"`.
-    pub ticket: String,
-    /// Category of the change.
-    pub change_type: ChangeType,
-    /// Nodes the change applies to.
-    pub nodes: Vec<NodeId>,
-    /// Duration per node, in maintenance windows (Fig. 12: usually 1, but
-    /// construction work reserves more).
-    pub duration_windows: u32,
-}
-
-impl ChangeRequest {
-    /// Construct a single-window change request.
-    pub fn new(ticket: impl Into<String>, change_type: ChangeType, nodes: Vec<NodeId>) -> Self {
-        Self {
-            ticket: ticket.into(),
-            change_type,
-            nodes,
-            duration_windows: 1,
-        }
-    }
-
-    /// Builder-style override of the per-node duration.
-    pub fn with_duration(mut self, windows: u32) -> Self {
-        self.duration_windows = windows.max(1);
-        self
     }
 }
 
@@ -149,11 +108,6 @@ impl ConflictTable {
     /// Number of nodes with at least one busy period.
     pub fn node_count(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Total number of busy periods.
-    pub fn entry_count(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
     }
 
     /// Count conflicting tickets if `node` were worked during `[from, to]`.
@@ -257,7 +211,6 @@ mod tests {
         assert_eq!(ct.conflicts_in(NodeId(1), t(6), t(6)), 0);
         assert_eq!(ct.conflicts_in(NodeId(1), t(4), t(8)), 3);
         assert_eq!(ct.conflicts_in(NodeId(2), t(1), t(30)), 0);
-        assert_eq!(ct.entry_count(), 2);
         assert_eq!(ct.node_count(), 1);
     }
 
@@ -272,19 +225,5 @@ mod tests {
         assert_eq!(s.weighted_completion_time(), 5);
         assert_eq!(s.nodes_in_slot(Timeslot(1)), vec![NodeId(0), NodeId(1)]);
         assert_eq!(s.scheduled_count(), 3);
-    }
-
-    #[test]
-    fn change_request_duration_floor() {
-        let r = ChangeRequest::new("CHG1", ChangeType::ConfigChange, vec![]).with_duration(0);
-        assert_eq!(r.duration_windows, 1);
-    }
-
-    #[test]
-    fn site_visit_flags() {
-        assert!(ChangeType::ConstructionWork.requires_site_visit());
-        assert!(ChangeType::NodeRetuning.requires_site_visit());
-        assert!(!ChangeType::SoftwareUpgrade.requires_site_visit());
-        assert!(!ChangeType::ConfigChange.requires_site_visit());
     }
 }

@@ -12,6 +12,7 @@
 //! [`hash`], the one FNV-1a-64.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 pub mod attr;
 pub mod change;
 pub mod error;
@@ -26,7 +27,7 @@ pub mod time;
 pub mod topology;
 
 pub use attr::{AttrKey, AttrValue, Attributes};
-pub use change::{ChangeRequest, ChangeTicket, ChangeType, ConflictEntry, ConflictTable, Schedule};
+pub use change::{ChangeTicket, ChangeType, ConflictEntry, ConflictTable, Schedule};
 pub use error::{CornetError, ErrorClass};
 pub use id::NodeId;
 pub use inventory::{Inventory, InventoryRecord};

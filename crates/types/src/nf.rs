@@ -64,25 +64,6 @@ impl NfType {
         NfType::PhysicalServer,
     ];
 
-    /// Whether instances of this type are virtualized network functions
-    /// (and thus carry a cross-layer dependency on a hosting server).
-    pub fn is_virtualized(self) -> bool {
-        matches!(
-            self,
-            NfType::VceRouter
-                | NfType::VGateway
-                | NfType::Portal
-                | NfType::Vvig
-                | NfType::Vcom
-                | NfType::Vrar
-        )
-    }
-
-    /// Whether this type sits in the radio access network.
-    pub fn is_ran(self) -> bool {
-        matches!(self, NfType::ENodeB | NfType::GNodeB)
-    }
-
     /// Short lowercase name used in inventories and model comments.
     pub fn name(self) -> &'static str {
         match self {
@@ -114,21 +95,6 @@ impl fmt::Display for NfType {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn virtualization_flags() {
-        assert!(NfType::VceRouter.is_virtualized());
-        assert!(NfType::Vcom.is_virtualized());
-        assert!(!NfType::ENodeB.is_virtualized());
-        assert!(!NfType::PhysicalServer.is_virtualized());
-    }
-
-    #[test]
-    fn ran_flags() {
-        assert!(NfType::ENodeB.is_ran());
-        assert!(NfType::GNodeB.is_ran());
-        assert!(!NfType::Siad.is_ran());
-    }
 
     #[test]
     fn all_is_in_declaration_order() {

@@ -28,8 +28,8 @@
 //! memos are dropped with it, so nothing outlives the data it was computed
 //! from.
 
-use crate::analysis::{aligned_normalized, stack, Aligned};
-use cornet_stats::TimeSeries;
+use crate::analysis::{stack, Aligned};
+use cornet_stats::{median_in_place, TimeSeries};
 use cornet_types::NodeId;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -84,6 +84,27 @@ fn stack_aligned(
         .filter_map(|&node| adapter.aligned(node, kpi, carrier, at_minute))
         .collect();
     stack(&aligned).map(Arc::new)
+}
+
+/// Split one node's series at its change minute and normalize both halves
+/// by the pre-change median, so KPIs with different absolute levels (urban
+/// vs rural nodes) can be pooled and series from nodes changed on
+/// different days overlaid on one relative axis — the per-node half of
+/// Mercury-style alignment, and the crate's only aligner (private, so
+/// every unit reaches it through [`DataAdapter::aligned`]). `None` when
+/// either side is empty or the pre-change median is zero or undefined.
+fn aligned_normalized(series: &TimeSeries, at_minute: u64) -> Option<Aligned> {
+    let (pre, post) = (series.before(at_minute), series.after(at_minute));
+    if pre.is_empty() || post.is_empty() {
+        return None;
+    }
+    let mut clean: Vec<f64> = pre.iter().copied().filter(|v| !v.is_nan()).collect();
+    let baseline = median_in_place(&mut clean);
+    if !baseline.is_finite() || baseline == 0.0 {
+        return None;
+    }
+    let normalized = |xs: &[f64]| xs.iter().map(|v| v / baseline).collect();
+    Some((normalized(pre), normalized(post)))
 }
 
 /// One memo table of a [`SeriesCache`]. A cell is created empty by the
@@ -236,6 +257,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn align_and_normalize() {
+        let s = TimeSeries::new(1000, 10, vec![10.0, 10.0, 10.0, 20.0, 20.0]);
+        let (pre, post) = aligned_normalized(&s, 1030).unwrap();
+        assert_eq!(pre, vec![1.0, 1.0, 1.0]);
+        assert_eq!(post, vec![2.0, 2.0]);
+        assert!(aligned_normalized(&s, 1000).is_none(), "nothing before");
+        assert!(aligned_normalized(&s, 1050).is_none(), "nothing after");
+    }
+
+    #[test]
+    fn normalize_fails_on_zero_baseline() {
+        let s = TimeSeries::new(1000, 10, vec![0.0, 0.0, 5.0]);
+        assert!(aligned_normalized(&s, 1020).is_none());
+    }
 
     #[test]
     fn closure_adapter_delegates() {

@@ -21,8 +21,7 @@
 
 use crate::adapter::DataAdapter;
 use cornet_stats::rank::Direction;
-use cornet_stats::series::AggFn;
-use cornet_stats::{median_in_place, ratio_regression, robust_rank_order, TimeSeries};
+use cornet_stats::{ratio_regression, robust_rank_order};
 use cornet_types::{CornetError, NodeId, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -117,26 +116,6 @@ pub struct KpiAnalysis {
 /// A per-node aligned series: (pre-change samples, post-change samples),
 /// normalized, in relative time.
 pub type Aligned = (Vec<f64>, Vec<f64>);
-
-/// Split one node's series at its change minute and normalize both halves
-/// by the pre-change median, so KPIs with different absolute levels (urban
-/// vs rural nodes) can be pooled and series from nodes changed on
-/// different days overlaid on one relative axis — the per-node half of
-/// Mercury-style alignment, and the crate's only aligner. `None` when
-/// either side is empty or the pre-change median is zero or undefined.
-pub(crate) fn aligned_normalized(series: &TimeSeries, at_minute: u64) -> Option<Aligned> {
-    let (pre, post) = (series.before(at_minute), series.after(at_minute));
-    if pre.is_empty() || post.is_empty() {
-        return None;
-    }
-    let mut clean: Vec<f64> = pre.iter().copied().filter(|v| !v.is_nan()).collect();
-    let baseline = median_in_place(&mut clean);
-    if !baseline.is_finite() || baseline == 0.0 {
-        return None;
-    }
-    let normalized = |xs: &[f64]| xs.iter().map(|v| v / baseline).collect();
-    Some((normalized(pre), normalized(post)))
-}
 
 /// Mean of the non-NaN values, summed in iteration order; NaN when every
 /// value is missing.
@@ -284,27 +263,11 @@ pub fn analyze_kpi(
     })
 }
 
-/// Location aggregation helper: averages several nodes' series into one
-/// virtual stream (used by per-attribute verdicts).
-pub fn aggregate_series(
-    adapter: &dyn DataAdapter,
-    nodes: &[NodeId],
-    kpi: &str,
-    carrier: Option<usize>,
-    agg: AggFn,
-) -> Option<TimeSeries> {
-    let series: Vec<TimeSeries> = nodes
-        .iter()
-        .filter_map(|&n| adapter.series(n, kpi, carrier))
-        .collect();
-    let refs: Vec<&TimeSeries> = series.iter().collect();
-    cornet_stats::series::merge(&refs, agg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adapter::ClosureAdapter;
+    use cornet_stats::TimeSeries;
 
     /// Synthetic feed: study nodes (id < 100) get `delta` added after
     /// their change minute; control nodes stay flat. Deterministic noise.
@@ -336,22 +299,6 @@ mod tests {
 
     fn controls() -> Vec<NodeId> {
         vec![NodeId(100), NodeId(101), NodeId(102)]
-    }
-
-    #[test]
-    fn align_and_normalize() {
-        let s = TimeSeries::new(1000, 10, vec![10.0, 10.0, 10.0, 20.0, 20.0]);
-        let (pre, post) = aligned_normalized(&s, 1030).unwrap();
-        assert_eq!(pre, vec![1.0, 1.0, 1.0]);
-        assert_eq!(post, vec![2.0, 2.0]);
-        assert!(aligned_normalized(&s, 1000).is_none(), "nothing before");
-        assert!(aligned_normalized(&s, 1050).is_none(), "nothing after");
-    }
-
-    #[test]
-    fn normalize_fails_on_zero_baseline() {
-        let s = TimeSeries::new(1000, 10, vec![0.0, 0.0, 5.0]);
-        assert!(aligned_normalized(&s, 1020).is_none());
     }
 
     #[test]
@@ -505,15 +452,5 @@ mod tests {
             &Default::default(),
         );
         assert!(matches!(err, Err(CornetError::DataIntegrity(_))), "{err:?}");
-    }
-
-    #[test]
-    fn aggregate_series_merges_nodes() {
-        let a = ClosureAdapter(|node: NodeId, _: &str, _: Option<usize>| {
-            Some(TimeSeries::new(0, 60, vec![node.0 as f64; 4]))
-        });
-        let merged =
-            aggregate_series(&a, &[NodeId(2), NodeId(4)], "thr", None, AggFn::Mean).unwrap();
-        assert_eq!(merged.values, vec![3.0; 4]);
     }
 }

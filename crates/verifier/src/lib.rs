@@ -44,6 +44,6 @@ pub use stream::{
     StreamDetection, StreamSample, StreamingVerifier,
 };
 pub use verify::{
-    verify_rule, verify_rule_sequential, verify_rule_traced, verify_rules, verify_rules_traced,
-    GoNoGo, VerificationReport,
+    verify_rule, verify_rule_sequential, verify_rules, verify_rules_traced, GoNoGo,
+    VerificationReport,
 };

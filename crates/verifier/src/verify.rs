@@ -127,36 +127,9 @@ pub fn verify_rule(
     inventory: &Inventory,
     topology: &Topology,
 ) -> Result<VerificationReport> {
-    verify_rule_traced(
-        adapter,
-        rule,
-        scope,
-        inventory,
-        topology,
-        &Tracer::noop(),
-        None,
-    )
-}
-
-/// [`verify_rule`] with observability: a `verify.rule` span (decision,
-/// unit count) with one `verify.unit` child per (KPI × location) unit,
-/// plus `series_cache.{hits,misses}` counters.
-pub fn verify_rule_traced(
-    adapter: &dyn DataAdapter,
-    rule: &VerificationRule,
-    scope: &ChangeScope,
-    inventory: &Inventory,
-    topology: &Topology,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-) -> Result<VerificationReport> {
     let cache = SeriesCache::new(adapter);
-    let report = verify_rule_impl(
-        &cache, rule, scope, inventory, topology, true, tracer, parent,
-    );
-    tracer.incr("series_cache.hits", cache.hits() as u64);
-    tracer.incr("series_cache.misses", cache.misses() as u64);
-    report
+    let noop = Tracer::noop();
+    verify_rule_impl(&cache, rule, scope, inventory, topology, true, &noop, None)
 }
 
 /// Sequential, memo-free reference implementation of [`verify_rule`]:
@@ -207,8 +180,9 @@ pub fn verify_rules(
 }
 
 /// [`verify_rules`] with observability: one `verify.rule` span per rule
-/// (all sharing `parent` and the campaign-wide series cache), with
-/// `series_cache.{hits,misses}` counters recorded once at the end.
+/// (decision, unit count; all sharing `parent` and the campaign-wide
+/// series cache) with one `verify.unit` child per (KPI × location) unit,
+/// and `series_cache.{hits,misses}` counters recorded once at the end.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_rules_traced(
     adapter: &dyn DataAdapter,
@@ -323,6 +297,10 @@ fn verify_rule_impl(
         }
         result
     };
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the verifier's one fan; the streaming pump applies its batch inline"
+    )]
     let results: Vec<Result<KpiAnalysis>> = if parallel {
         par::map_ordered(&units, analyze_unit)
     } else {
@@ -374,30 +352,6 @@ fn verify_rule_impl(
         decision,
         duration: started.elapsed(),
     })
-}
-
-/// Study-vs-control verdict labels used in accuracy experiments: did the
-/// verifier call match the injected ground truth?
-pub fn verdict_matches(expected_direction: i8, analysis: &KpiAnalysis, upward_good: bool) -> bool {
-    match expected_direction.signum() {
-        0 => analysis.verdict == ImpactVerdict::NoImpact,
-        1 => {
-            analysis.verdict
-                == if upward_good {
-                    ImpactVerdict::Improvement
-                } else {
-                    ImpactVerdict::Degradation
-                }
-        }
-        _ => {
-            analysis.verdict
-                == if upward_good {
-                    ImpactVerdict::Degradation
-                } else {
-                    ImpactVerdict::Improvement
-                }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -606,7 +560,6 @@ mod tests {
             let noop = Tracer::noop();
             verify_rule_impl(&cache, rule, &scope(), &inv, &topo, true, &noop, None).unwrap();
         }
-        assert_eq!(cache.streams_cached(), 16);
         assert_eq!(cache.misses(), 16);
         assert_eq!(fetches.load(Ordering::Relaxed), 32);
     }
@@ -625,7 +578,17 @@ mod tests {
         rule.location_attributes = vec!["market".into()];
         let a = adapter(15.0, 0.0);
         let tracer = Tracer::wall();
-        let report = verify_rule_traced(&a, &rule, &scope(), &inv, &topo, &tracer, None).unwrap();
+        let report = verify_rules_traced(
+            &a,
+            std::slice::from_ref(&rule),
+            &scope(),
+            &inv,
+            &topo,
+            &tracer,
+            None,
+        )
+        .unwrap()
+        .remove(0);
         assert_eq!(report.decision, GoNoGo::Go);
 
         let trace = tracer.snapshot();
@@ -651,24 +614,5 @@ mod tests {
         // The noop path still works and records nothing.
         let silent = verify_rule(&a, &rule, &scope(), &inv, &topo).unwrap();
         assert_eq!(silent.decision, report.decision);
-    }
-
-    #[test]
-    fn verdict_matches_ground_truth_labels() {
-        let analysis = KpiAnalysis {
-            kpi: "x".into(),
-            verdict: ImpactVerdict::Improvement,
-            p_value: 0.001,
-            relative_shift: 0.2,
-            decisive_timescale: 1,
-            nodes_used: 3,
-        };
-        assert!(verdict_matches(1, &analysis, true));
-        assert!(!verdict_matches(-1, &analysis, true));
-        assert!(
-            verdict_matches(-1, &analysis, false),
-            "up move on a downward-good KPI"
-        );
-        assert!(!verdict_matches(0, &analysis, true));
     }
 }

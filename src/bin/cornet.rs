@@ -31,7 +31,13 @@ use cornet::daemon::{DaemonClient, JournalScenario};
 use cornet::netsim::{Network, NetworkConfig};
 use cornet::obs::{write_trace, ChromeTraceSink, TraceSummary, Tracer};
 use cornet::planner::{analyze_intent, plan, BackendChoice, PlanIntent, PlanOptions};
-use cornet::types::{NfType, NodeId};
+use cornet::stats::TimeSeries;
+use cornet::types::{Attributes, Inventory, NfType, NodeId, Topology};
+use cornet::verifier::{
+    verify_rules, verify_rules_traced, ChangeScope, ClosureAdapter, DataAdapter, Expectation,
+    GoNoGo, KpiQuery, StreamConfig, StreamSample, StreamingVerifier, VerificationReport,
+    VerificationRule,
+};
 use cornet::workflow::{analyze, WarArtifact};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -819,104 +825,115 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `cornet verify` — the impact-verification demo: a synthetic KPI feed
-/// where study nodes shift by `--shift` after the change, verified
-/// against a topology-derived control group. With `--trace` every
-/// verify.rule / verify.unit span and the series-cache counters land in
-/// the Chrome trace.
-fn cmd_verify(flags: &BTreeMap<String, String>) -> ExitCode {
-    use cornet::stats::TimeSeries;
-    use cornet::types::{Attributes, Inventory, Topology};
-    use cornet::verifier::{
-        verify_rules_traced, ChangeScope, ClosureAdapter, Expectation, GoNoGo, KpiQuery,
-        VerificationRule,
-    };
+/// The synthetic roll-out both verify demos check: 8 study nodes across
+/// two markets, each linked to one of 8 controls, sampled hourly; from the
+/// change minute on, the study nodes' throughput rises and their latency
+/// falls by `shift`.
+#[derive(Clone, Copy)]
+struct VerifyDemo {
+    shift: f64,
+}
 
-    if flags.contains_key("follow") {
-        return cmd_verify_follow(flags);
-    }
-    let shift: f64 = flags
-        .get("shift")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(15.0);
-    let tracer = tracer_for(flags);
+impl VerifyDemo {
+    const NODES: u32 = 16;
+    const STUDY: u32 = 8;
+    const CHANGE_MINUTE: u64 = 6000;
+    const KPIS: [&'static str; 2] = ["throughput_mbps", "latency_ms"];
 
-    // 8 study nodes across two markets + 8 controls, linked pairwise.
-    let mut inv = Inventory::new();
-    for i in 0..16 {
-        inv.push(
-            format!("enb-{i}"),
-            NfType::ENodeB,
-            Attributes::new().with("market", if i % 2 == 0 { "NYC" } else { "DFW" }),
-        );
-    }
-    let mut topo = Topology::with_capacity(16);
-    for i in 0..8u32 {
-        topo.add_edge(NodeId(i), NodeId(i + 8));
-    }
-    let change_minute = 6000u64;
-    let adapter = ClosureAdapter(move |node: NodeId, kpi: &str, _: Option<usize>| {
-        let downward_good = kpi == "latency_ms";
-        let values: Vec<f64> = (0..200u64)
-            .map(|k| {
-                let minute = k * 60;
-                let wiggle = ((k * 11 + node.0 as u64 * 3) % 5) as f64 * 0.15;
-                let mut v = 100.0 + wiggle;
-                if node.0 < 8 && minute >= change_minute {
-                    v += if downward_good { -shift } else { shift };
-                }
-                v
-            })
-            .collect();
-        Some(TimeSeries::new(0, 60, values))
-    });
-    let study: Vec<NodeId> = (0..8).map(NodeId).collect();
-    let scope = ChangeScope::simultaneous(&study, change_minute);
-    let mut rule = VerificationRule::standard(
-        "post-upgrade",
-        vec![
-            KpiQuery::expecting("throughput_mbps", true, Expectation::Improve),
-            KpiQuery::expecting("latency_ms", false, Expectation::Improve),
-        ],
-    );
-    rule.location_attributes = vec!["market".into()];
-
-    let reports = match verify_rules_traced(&adapter, &[rule], &scope, &inv, &topo, &tracer, None) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("verification failed: {e}");
-            return ExitCode::FAILURE;
+    fn from_flags(flags: &BTreeMap<String, String>) -> VerifyDemo {
+        let shift = flags.get("shift").and_then(|s| s.parse().ok());
+        VerifyDemo {
+            shift: shift.unwrap_or(15.0),
         }
-    };
-    let mut no_go = false;
-    for report in &reports {
-        println!(
-            "rule '{}': {:?} ({} KPIs, verified in {:?})",
-            report.rule,
-            report.decision,
-            report.kpis.len(),
-            report.duration,
-        );
-        for kr in &report.kpis {
-            println!(
-                "  {:<16} {:?} (p={:.4}, shift {:+.1}%) expectation met: {}",
-                kr.query.kpi,
-                kr.overall.verdict,
-                kr.overall.p_value,
-                kr.overall.relative_shift * 100.0,
-                kr.meets_expectation,
+    }
+
+    fn inventory() -> Inventory {
+        let mut inv = Inventory::new();
+        for i in 0..Self::NODES {
+            inv.push(
+                format!("enb-{i}"),
+                NfType::ENodeB,
+                Attributes::new().with("market", if i % 2 == 0 { "NYC" } else { "DFW" }),
             );
         }
-        for (kpi, attr, value) in report.problem_locations() {
-            println!("  problem location: {kpi} @ {attr}={value}");
-        }
-        no_go |= report.decision == GoNoGo::NoGo;
+        inv
     }
-    if let Err(e) = finish_trace(flags, &tracer) {
+
+    fn topology() -> Topology {
+        let mut topo = Topology::with_capacity(Self::NODES as usize);
+        for i in 0..Self::STUDY {
+            topo.add_edge(NodeId(i), NodeId(i + Self::STUDY));
+        }
+        topo
+    }
+
+    fn scope() -> ChangeScope {
+        let study: Vec<NodeId> = (0..Self::STUDY).map(NodeId).collect();
+        ChangeScope::simultaneous(&study, Self::CHANGE_MINUTE)
+    }
+
+    fn rule() -> VerificationRule {
+        let mut rule = VerificationRule::standard(
+            "post-upgrade",
+            vec![
+                KpiQuery::expecting(Self::KPIS[0], true, Expectation::Improve),
+                KpiQuery::expecting(Self::KPIS[1], false, Expectation::Improve),
+            ],
+        );
+        rule.location_attributes = vec!["market".into()];
+        rule
+    }
+
+    /// Sample `k` of one stream.
+    fn value_at(self, node: NodeId, kpi: &str, k: u64) -> f64 {
+        let wiggle = ((k * 11 + node.0 as u64 * 3) % 5) as f64 * 0.15;
+        let shift = self.shift;
+        let mut v = 100.0 + wiggle;
+        if node.0 < Self::STUDY && k * 60 >= Self::CHANGE_MINUTE {
+            // Latency is downward-good: the upgrade lowers it.
+            v += if kpi == "latency_ms" { -shift } else { shift };
+        }
+        v
+    }
+
+    /// Every stream's first `ticks` samples as one series.
+    fn adapter(self, ticks: u64) -> impl DataAdapter {
+        ClosureAdapter(move |node: NodeId, kpi: &str, _: Option<usize>| {
+            let values = (0..ticks).map(|k| self.value_at(node, kpi, k)).collect();
+            Some(TimeSeries::new(0, 60, values))
+        })
+    }
+}
+
+/// Print a report's decision and per-KPI verdicts; true when it says halt.
+fn print_report(report: &VerificationReport) -> bool {
+    println!(
+        "rule '{}': {:?} ({} KPIs, verified in {:?})",
+        report.rule,
+        report.decision,
+        report.kpis.len(),
+        report.duration,
+    );
+    for kr in &report.kpis {
+        println!(
+            "  {:<16} {:?} (p={:.4}, shift {:+.1}%) expectation met: {}",
+            kr.query.kpi,
+            kr.overall.verdict,
+            kr.overall.p_value,
+            kr.overall.relative_shift * 100.0,
+            kr.meets_expectation,
+        );
+    }
+    report.decision == GoNoGo::NoGo
+}
+
+/// Write the trace, then print the roll-out decision as the exit code.
+fn finish_verify(flags: &BTreeMap<String, String>, tracer: &Tracer, halt: bool) -> ExitCode {
+    if let Err(e) = finish_trace(flags, tracer) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    if no_go {
+    if halt {
         println!("decision: NO-GO — halt the roll-out");
         ExitCode::FAILURE
     } else {
@@ -925,67 +942,60 @@ fn cmd_verify(flags: &BTreeMap<String, String>) -> ExitCode {
     }
 }
 
+/// `cornet verify` — the impact-verification demo: the [`VerifyDemo`]
+/// feed verified against its topology-derived control group. With
+/// `--trace` every verify.rule / verify.unit span and the series-cache
+/// counters land in the Chrome trace.
+fn cmd_verify(flags: &BTreeMap<String, String>) -> ExitCode {
+    if flags.contains_key("follow") {
+        return cmd_verify_follow(flags);
+    }
+    let demo = VerifyDemo::from_flags(flags);
+    let tracer = tracer_for(flags);
+    let reports = match verify_rules_traced(
+        &demo.adapter(200),
+        &[VerifyDemo::rule()],
+        &VerifyDemo::scope(),
+        &VerifyDemo::inventory(),
+        &VerifyDemo::topology(),
+        &tracer,
+        None,
+    ) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("verification failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut no_go = false;
+    for report in &reports {
+        no_go |= print_report(report);
+        for (kpi, attr, value) in report.problem_locations() {
+            println!("  problem location: {kpi} @ {attr}={value}");
+        }
+    }
+    finish_verify(flags, &tracer, no_go)
+}
+
 /// `cornet verify --follow` — the streaming demo: the same synthetic
 /// roll-out as `cornet verify`, but delivered sample-by-sample through
 /// the online engine. Live changepoint detections print as the feed
 /// advances; the final verdicts are checked bit-for-bit against a batch
 /// re-verification of the identical series.
 fn cmd_verify_follow(flags: &BTreeMap<String, String>) -> ExitCode {
-    use cornet::stats::TimeSeries;
-    use cornet::types::{Attributes, Inventory, Topology};
-    use cornet::verifier::{
-        verify_rules, ChangeScope, ClosureAdapter, Expectation, GoNoGo, KpiQuery, StreamConfig,
-        StreamSample, StreamingVerifier, VerificationRule,
-    };
-
-    let shift: f64 = flags
-        .get("shift")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(15.0);
+    let demo = VerifyDemo::from_flags(flags);
     let ticks: u64 = flags
         .get("ticks")
         .and_then(|s| s.parse().ok())
         .unwrap_or(200);
     let tracer = tracer_for(flags);
-
-    let mut inv = Inventory::new();
-    for i in 0..16 {
-        inv.push(
-            format!("enb-{i}"),
-            NfType::ENodeB,
-            Attributes::new().with("market", if i % 2 == 0 { "NYC" } else { "DFW" }),
-        );
-    }
-    let mut topo = Topology::with_capacity(16);
-    for i in 0..8u32 {
-        topo.add_edge(NodeId(i), NodeId(i + 8));
-    }
-    let change_minute = 6000u64;
-    let value_at = move |node: NodeId, kpi: &str, k: u64| {
-        let downward_good = kpi == "latency_ms";
-        let minute = k * 60;
-        let wiggle = ((k * 11 + node.0 as u64 * 3) % 5) as f64 * 0.15;
-        let mut v = 100.0 + wiggle;
-        if node.0 < 8 && minute >= change_minute {
-            v += if downward_good { -shift } else { shift };
-        }
-        v
-    };
-    let study: Vec<NodeId> = (0..8).map(NodeId).collect();
-    let scope = ChangeScope::simultaneous(&study, change_minute);
-    let rule = || {
-        let mut rule = VerificationRule::standard(
-            "post-upgrade",
-            vec![
-                KpiQuery::expecting("throughput_mbps", true, Expectation::Improve),
-                KpiQuery::expecting("latency_ms", false, Expectation::Improve),
-            ],
-        );
-        rule.location_attributes = vec!["market".into()];
-        rule
-    };
+    let (inv, topo, scope) = (
+        VerifyDemo::inventory(),
+        VerifyDemo::topology(),
+        VerifyDemo::scope(),
+    );
     let engine = StreamingVerifier::new(
-        vec![rule()],
+        vec![VerifyDemo::rule()],
         scope.clone(),
         inv.clone(),
         topo.clone(),
@@ -995,14 +1005,14 @@ fn cmd_verify_follow(flags: &BTreeMap<String, String>) -> ExitCode {
 
     println!("following synthetic feed: 16 streams x 2 KPIs, {ticks} samples each");
     for k in 0..ticks {
-        for n in 0..16u32 {
-            for kpi in ["throughput_mbps", "latency_ms"] {
+        for n in 0..VerifyDemo::NODES {
+            for kpi in VerifyDemo::KPIS {
                 engine.offer(StreamSample {
                     node: NodeId(n),
                     kpi: kpi.to_string(),
                     carrier: None,
                     minute: k * 60,
-                    value: value_at(NodeId(n), kpi, k),
+                    value: demo.value_at(NodeId(n), kpi, k),
                 });
             }
         }
@@ -1032,36 +1042,19 @@ fn cmd_verify_follow(flags: &BTreeMap<String, String>) -> ExitCode {
     };
     let mut no_go = false;
     for report in &streamed {
-        println!(
-            "rule '{}': {:?} ({} KPIs, verified in {:?})",
-            report.rule,
-            report.decision,
-            report.kpis.len(),
-            report.duration,
-        );
-        for kr in &report.kpis {
-            println!(
-                "  {:<16} {:?} (p={:.4}, shift {:+.1}%) expectation met: {}",
-                kr.query.kpi,
-                kr.overall.verdict,
-                kr.overall.p_value,
-                kr.overall.relative_shift * 100.0,
-                kr.meets_expectation,
-            );
-        }
-        no_go |= report.decision == GoNoGo::NoGo;
+        no_go |= print_report(report);
     }
 
     // Cross-check: a batch verification over the identical series must
     // agree bit-for-bit (the streaming engine's core promise).
-    let adapter = ClosureAdapter(move |node: NodeId, kpi: &str, _: Option<usize>| {
-        Some(TimeSeries::new(
-            0,
-            60,
-            (0..ticks).map(|k| value_at(node, kpi, k)).collect(),
-        ))
-    });
-    let consistent = match verify_rules(&adapter, &[rule()], &scope, &inv, &topo) {
+    let batch = verify_rules(
+        &demo.adapter(ticks),
+        &[VerifyDemo::rule()],
+        &scope,
+        &inv,
+        &topo,
+    );
+    let consistent = match batch {
         Ok(batch) => {
             streamed.len() == batch.len()
                 && streamed.iter().zip(&batch).all(|(s, b)| {
@@ -1085,17 +1078,7 @@ fn cmd_verify_follow(flags: &BTreeMap<String, String>) -> ExitCode {
             "MISMATCH"
         }
     );
-    if let Err(e) = finish_trace(flags, &tracer) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    if !consistent || no_go {
-        println!("decision: NO-GO — halt the roll-out");
-        ExitCode::FAILURE
-    } else {
-        println!("decision: GO");
-        ExitCode::SUCCESS
-    }
+    finish_verify(flags, &tracer, !consistent || no_go)
 }
 
 fn cmd_demo() -> ExitCode {

@@ -22,6 +22,9 @@
 //! pause with work in flight, and a journaled run whose log agrees with
 //! its report.
 
+// Test harness: gated executors are driven over channels and sleeps (clippy.toml bans these in library code).
+#![allow(clippy::disallowed_methods)]
+
 use cornet::catalog::builtin_catalog;
 use cornet::journal::{FsyncPolicy, Journal, JournalEvent};
 use cornet::orchestrator::{

@@ -10,6 +10,9 @@
 //! `POST /v1/shutdown`). Phase B reruns them, SIGKILLs the daemon while
 //! both are mid-flight, and verifies recovery against phase A.
 
+// Test harness: polling loops sleep between tries (clippy.toml bans these in library code).
+#![allow(clippy::disallowed_methods)]
+
 use cornet::daemon::DaemonClient;
 use cornet::journal::{scan, Journal, JournalEvent};
 use cornet::types::json::{parse, JsonValue};
@@ -444,6 +447,40 @@ fn hostile_bodies_get_400_and_the_daemon_keeps_serving() {
     );
     assert!(resp.body.contains("no_such_flow"), "{}", resp.body);
     assert!(started.elapsed() < Duration::from_secs(60));
+
+    let alice = daemon.client("alice");
+    let id = submit(
+        &alice,
+        "{\"name\":\"after\",\"scenario\":{\"nodes\":4,\"latency_ms\":1,\"fault_rate_milli\":0}}",
+    );
+    let snap = wait_terminal(&alice, &id, Duration::from_secs(60));
+    assert_eq!(phase_of(&snap), "completed");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A scenario sized past its bound is refused with a 400 at submission:
+/// 4 097 nodes is one past the bound, and 1e12 once saturated to
+/// `u32::MAX` nodes and asked for a 4.3 × 10⁹-entry schedule. The daemon
+/// runs under an address-space limit, so that allocation would abort it;
+/// another tenant's next submission is served by the same process.
+#[test]
+fn oversized_scenarios_get_400_and_the_daemon_keeps_serving() {
+    let dir = state_dir("oversized");
+    let daemon = Daemon::start_limited(&dir, 1_500_000);
+    let mallory = daemon.client("mallory");
+    for nodes in ["4097", "1e12"] {
+        let body = format!("{{\"name\":\"big\",\"scenario\":{{\"nodes\":{nodes}}}}}");
+        let resp = mallory
+            .post("/v1/campaigns", &body)
+            .expect("daemon answers an oversized scenario");
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body.contains("scenario.nodes: want 1..=4096"),
+            "{}",
+            resp.body
+        );
+    }
 
     let alice = daemon.client("alice");
     let id = submit(

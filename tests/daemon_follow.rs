@@ -7,6 +7,9 @@
 //! once the snapshot already answers the terminal phase with its outcome;
 //! and a foreign tenant gets a 403 before a byte streams.
 
+// Test harness: the early follower reports what it saw over a channel (clippy.toml bans these in library code).
+#![allow(clippy::disallowed_methods)]
+
 use cornet::daemon::{ApiServer, CampaignManager, DaemonClient, ManagerConfig};
 use cornet::journal::{Journal, JournalEvent};
 use cornet::types::json::{parse, JsonValue};

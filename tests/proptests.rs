@@ -1,6 +1,9 @@
 //! Cross-crate property tests: randomized inventories, intents, and
 //! schedules must uphold CORNET's semantic invariants end to end.
 
+// Test harness: a cancelling thread sleeps before it fires (clippy.toml bans these in library code).
+#![allow(clippy::disallowed_methods)]
+
 use cornet::planner::{
     heuristic_schedule, plan, translate, ConstraintRule, HeuristicConfig, PlanIntent, PlanOptions,
     TranslateOptions,
