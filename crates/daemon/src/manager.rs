@@ -708,7 +708,8 @@ impl CampaignManager {
                             let _ = journal.append(&JournalEvent::CampaignOpened {
                                 meta: manifest.meta.clone(),
                                 assignments,
-                                concurrency: scenario.concurrency as u32,
+                                concurrency: u32::try_from(scenario.concurrency)
+                                    .unwrap_or(u32::MAX),
                             });
                             let _ = journal.append(&JournalEvent::CampaignClosed);
                             let _ = journal.sync();

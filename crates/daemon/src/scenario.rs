@@ -30,12 +30,17 @@ use std::sync::Arc;
 /// What a submitted scenario may ask for. The schedule, the fault plan
 /// and every retry loop are sized by these keys, so a value past its
 /// bound is a 400 at submission, not an allocation the daemon dies of.
-/// `nodes` is the ingest session's bound.
+/// `nodes` is the ingest session's bound. No slot holds more instances
+/// than `PER_SLOT` allows, so no more workers than that can ever run one;
+/// a breaker threshold is a share, in thousandths.
 const NODES: RangeInclusive<u64> = 1..=4096;
 const PER_SLOT: RangeInclusive<u64> = 1..=4096;
 const ATTEMPTS: RangeInclusive<u64> = 1..=64;
 const LATENCY_MS: RangeInclusive<u64> = 0..=60_000;
 const FAULT_RATE_MILLI: RangeInclusive<u64> = 0..=1000;
+const CONCURRENCY: RangeInclusive<u64> = 1..=4096;
+const BREAKER_THRESHOLD_MILLI: RangeInclusive<u64> = 0..=1000;
+const BREAKER_MIN_SAMPLES: RangeInclusive<u64> = 0..=4096;
 
 /// JSON numbers are doubles: an integer past 2^53 arrives rounded, so it
 /// is refused rather than run as a different value.
@@ -113,19 +118,18 @@ impl JournalScenario {
                 "seed" => s.seed = n,
                 "nodes" => s.nodes = within(NODES)? as u32,
                 "per_slot" => s.per_slot = within(PER_SLOT)? as u32,
-                "concurrency" => s.concurrency = n as usize,
+                "concurrency" => s.concurrency = within(CONCURRENCY)? as usize,
                 "fault_rate_milli" => s.fault_rate_milli = within(FAULT_RATE_MILLI)? as u32,
                 "latency_ms" => s.latency_ms = within(LATENCY_MS)?,
                 "attempts" => s.attempts = within(ATTEMPTS)? as u32,
                 "breaker_threshold_milli" => {
-                    s.breaker_threshold_milli = within(0..=u32::MAX.into())? as u32
+                    s.breaker_threshold_milli = within(BREAKER_THRESHOLD_MILLI)? as u32
                 }
-                "breaker_min_samples" => s.breaker_min_samples = n as usize,
+                "breaker_min_samples" => {
+                    s.breaker_min_samples = within(BREAKER_MIN_SAMPLES)? as usize
+                }
                 other => return Err(format!("unknown scenario key {other:?}")),
             }
-        }
-        if s.concurrency == 0 {
-            return Err("scenario.concurrency must be positive".into());
         }
         Ok(s)
     }
@@ -370,6 +374,9 @@ mod tests {
             ("attempts", ATTEMPTS),
             ("latency_ms", LATENCY_MS),
             ("fault_rate_milli", FAULT_RATE_MILLI),
+            ("concurrency", CONCURRENCY),
+            ("breaker_threshold_milli", BREAKER_THRESHOLD_MILLI),
+            ("breaker_min_samples", BREAKER_MIN_SAMPLES),
         ] {
             for edge in [*bound.start(), *bound.end()] {
                 let s = scenario(&format!("{{\"{key}\": {edge}}}"));
@@ -389,6 +396,12 @@ mod tests {
         assert!(scenario(r#"{"seed": 1e16}"#).is_err());
         assert!(scenario(r#"{"seed": -1}"#).is_err());
         assert!(scenario(r#"{"concurrency": 0}"#).is_err());
+        // Once journaled `as u32`, this ran and recorded a concurrency of 0.
+        let wrapped = scenario(r#"{"concurrency": 4294967296}"#).unwrap_err();
+        assert_eq!(
+            wrapped,
+            "scenario.concurrency: want 1..=4096, got 4294967296"
+        );
     }
 
     #[test]

@@ -224,7 +224,11 @@ impl Model {
             if c.slope != 0 {
                 parts.push(format!("{} * {name}", c.slope));
             }
-            for (value, cost) in &c.table {
+            // Value order, with value 0's cost held inline between the
+            // negative values and the positive ones.
+            let zero = c.table.partition_point(|&(v, _)| v < 0);
+            let (below, above) = c.table.split_at(zero);
+            for (value, cost) in below.iter().chain([&(0, c.unscheduled)]).chain(above) {
                 if *cost != 0 {
                     parts.push(format!("(if {name} = {value} then {cost} else 0 endif)"));
                 }

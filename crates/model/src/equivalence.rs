@@ -1,9 +1,9 @@
 //! The dense objective and the lazily printed names against the
-//! representation they replaced: a sparse map of per-variable value maps,
-//! and a formatted string a variable. Random sequences of `add_var`,
-//! `slot_vars`, `add_slope` and `add_value_cost` — repeated values, zero
-//! and negative costs, variables nothing prices — must cost, and print,
-//! alike.
+//! representation they replaced: a sparse map of per-variable value maps
+//! (value 0 in the map like any other), and a formatted string a variable.
+//! Random sequences of `add_var`, `slot_vars`, `add_slope` and
+//! `add_value_cost` — repeated values, value 0 half the time, zero and
+//! negative costs, variables nothing prices — must cost, and print, alike.
 //!
 //! The suite runs the default case count, so CI raises it with
 //! `PROPTEST_CASES`.
@@ -134,7 +134,9 @@ fn play(seed: u64) -> (Model, Sparse) {
             }
             3 | 4 if n > 0 => {
                 let var = VarId(d.below(n) as u32);
-                let (value, cost) = (d.between(-1, 4), d.between(-3, 3));
+                // Value 0 — the unscheduled cost — is held apart.
+                let value = if d.below(2) == 0 { 0 } else { d.between(-1, 4) };
+                let cost = d.between(-3, 3);
                 model.objective.add_value_cost(var, value, cost);
                 let table = &mut sparse.terms.entry(var).or_default().1;
                 *table.entry(value).or_default() += cost;
@@ -156,8 +158,9 @@ proptest! {
         let d = &mut Dice(seed ^ 0x5eed);
         prop_assert_eq!(model.objective.is_trivial(), sparse.is_trivial());
         for (i, (_, lo, hi)) in sparse.vars.iter().enumerate() {
+            let var = VarId(i as u32);
+            prop_assert!(model.objective.term(var).table.iter().all(|&(v, _)| v != 0));
             for value in lo - 1..=hi + 1 {
-                let var = VarId(i as u32);
                 prop_assert_eq!(model.objective.var_cost(var, value), sparse.var_cost(var, value));
             }
         }

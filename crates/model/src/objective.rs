@@ -4,35 +4,43 @@
 //! i.e. every (variable, value) pair carries a cost: conflicting slots cost
 //! `BIGM`, later slots cost more than earlier ones, and staying unscheduled
 //! costs most of all. A per-variable cost of `slope · value + table[value]`
-//! expresses all of these exactly while keeping the solver's lower-bound
-//! computation trivial (sum of per-variable domain minima).
+//! (with value 0's entry held inline, as `unscheduled`) expresses all of
+//! these exactly while keeping the solver's lower-bound computation
+//! trivial (sum of per-variable domain minima).
 
 use crate::VarId;
 
-/// Cost contribution of one variable: `slope · value + table[value]`.
-/// Ordered so that equal terms can be interned (the solver keeps one cost
-/// row per distinct term, not per variable).
+/// Cost contribution of one variable: `slope · value`, plus `unscheduled`
+/// at value 0 and `table[value]` at any other value. Ordered so that
+/// equal terms can be interned (the solver keeps one cost row per
+/// distinct term, not per variable).
 #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct VarCost {
     /// Linear coefficient on the assigned value (completion-time pressure:
     /// later slots cost more). Usually the node weight.
     pub slope: i64,
-    /// Additive cost overrides for specific values (conflict penalties at
-    /// busy slots, the unscheduled penalty at value 0) as `(value, cost)`,
-    /// sorted by value, one entry a value. A translated model holds one or
-    /// two a variable.
+    /// Additive cost of value 0, staying unscheduled — priced on every
+    /// variable of a translated model, so it is held inline.
+    pub unscheduled: i64,
+    /// Additive cost overrides for other values (conflict penalties at
+    /// busy slots) as `(value, cost)`, sorted by value, one entry a value.
+    /// Never holds value 0: that cost is `unscheduled`.
     pub table: Vec<(i64, i64)>,
 }
 
 /// The term of a variable nothing prices.
 static ZERO: VarCost = VarCost {
     slope: 0,
+    unscheduled: 0,
     table: Vec::new(),
 };
 
 impl VarCost {
     /// Cost of assigning `value` to this variable.
     pub fn cost_of(&self, value: i64) -> i64 {
+        if value == 0 {
+            return self.unscheduled;
+        }
         let adjust = match self.table.binary_search_by_key(&value, |&(v, _)| v) {
             Ok(at) => self.table[at].1,
             Err(_) => 0,
@@ -81,7 +89,12 @@ impl Objective {
 
     /// Add a one-off cost for a specific value of a variable (accumulates).
     pub fn add_value_cost(&mut self, var: VarId, value: i64, cost: i64) {
-        let table = &mut self.term_mut(var).table;
+        let term = self.term_mut(var);
+        if value == 0 {
+            term.unscheduled += cost;
+            return;
+        }
+        let table = &mut term.table;
         match table.binary_search_by_key(&value, |&(v, _)| v) {
             Ok(at) => table[at].1 += cost,
             Err(at) => table.insert(at, (value, cost)),
@@ -149,17 +162,21 @@ mod tests {
         o.add_value_cost(VarId(2), 0, 7);
         assert_eq!(o.term(VarId(0)), &VarCost::default());
         assert_eq!(o.term(VarId(9)), &VarCost::default());
-        assert_eq!(o.term(VarId(2)).table, vec![(0, 7)]);
+        assert_eq!(o.term(VarId(2)).unscheduled, 7);
+        assert!(o.term(VarId(2)).table.is_empty(), "value 0 is held inline");
         assert_eq!(o.cost(&[5, 5, 0]), 7);
     }
 
     #[test]
     fn table_stays_sorted_by_value() {
         let mut o = Objective::default();
-        for value in [3, 0, 2, 0, 5] {
+        for value in [3, 0, -1, 2, 0, 5] {
             o.add_value_cost(VarId(0), value, 1);
         }
-        assert_eq!(o.term(VarId(0)).table, vec![(0, 2), (2, 1), (3, 1), (5, 1)]);
+        let term = o.term(VarId(0));
+        assert_eq!(term.table, vec![(-1, 1), (2, 1), (3, 1), (5, 1)]);
+        assert_eq!(term.unscheduled, 2);
+        assert_eq!(o.var_cost(VarId(0), 0), 2);
     }
 
     #[test]

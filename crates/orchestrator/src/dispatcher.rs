@@ -465,7 +465,9 @@ impl Dispatcher {
                         .iter()
                         .map(|(&n, &s)| (n.0, s.0))
                         .collect(),
-                    concurrency: self.concurrency as u32,
+                    // Past u32::MAX a worker pool is no larger in effect:
+                    // a slot never holds that many instances.
+                    concurrency: u32::try_from(self.concurrency).unwrap_or(u32::MAX),
                 },
             });
         }

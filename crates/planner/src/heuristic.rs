@@ -171,14 +171,15 @@ fn construct(
                 continue;
             }
             // Sort by conflicts on the current slot, then by size descending.
-            rem.sort_by_key(|&ti| {
+            // The key walks every node of a TAC: computed once an element.
+            rem.sort_by_cached_key(|&ti| {
                 (
                     tac_conflicts(&market.tacs[ti], curr),
                     usize::MAX - market.tacs[ti].size,
                 )
             });
             let mut progress = false;
-            for &ti in &rem.clone() {
+            for &ti in &rem {
                 let tac = &market.tacs[ti];
                 rem_bundles[ti].retain(|&bi| {
                     let id = tac.bundles[bi];

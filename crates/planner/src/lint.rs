@@ -102,7 +102,7 @@ pub fn analyze_intent(
                 }
                 let check_attr = |attr: &str, report: &mut Report| {
                     if attr != "common_id"
-                        && inventory.group_by(nodes, attr).group_count() == 0
+                        && inventory.group_ids(nodes, attr).count == 0
                         && !nodes.is_empty()
                     {
                         report.push(Diagnostic::error(
@@ -125,7 +125,7 @@ pub fn analyze_intent(
                 let per_slot = if base_attribute == &intent.schedulable_attribute {
                     match aggregate_attribute {
                         Some(agg) => {
-                            let groups = inventory.group_by(nodes, agg).group_count().max(1);
+                            let groups = inventory.group_ids(nodes, agg).count.max(1);
                             ((default_capacity + slots_per_granule - 1) / slots_per_granule)
                                 * groups as i64
                         }
@@ -143,20 +143,20 @@ pub fn analyze_intent(
                 let anchor = SourceRef::Rule {
                     rule: format!("consistency[{attribute}]"),
                 };
-                let groups = inventory.group_by(nodes, attribute);
-                if groups.group_count() == 0 && !nodes.is_empty() {
+                let groups = inventory.group_ids(nodes, attribute);
+                if groups.count == 0 && !nodes.is_empty() {
                     report.push(Diagnostic::error(
                         Code("CN0406"),
                         anchor,
                         format!("consistency attribute '{attribute}' is absent from the scope"),
                     ));
                 } else {
-                    let largest = groups.members().iter().map(Vec::len).max().unwrap_or(0);
+                    let largest = groups.sizes().into_iter().max().unwrap_or(0);
                     if largest > largest_consistency_group {
                         largest_consistency_group = largest;
                         consistency_attr = attribute.clone();
                     }
-                    if groups.group_count() == nodes.len() {
+                    if groups.count == nodes.len() {
                         report.push(Diagnostic::warning(
                             Code("CN0407"),
                             anchor,
@@ -214,20 +214,20 @@ pub fn analyze_intent(
                 let anchor = SourceRef::Rule {
                     rule: format!("localize[{attribute}]"),
                 };
-                let groups = inventory.group_by(nodes, attribute);
-                if groups.group_count() == 0 && !nodes.is_empty() {
+                let groups = inventory.group_ids(nodes, attribute);
+                if groups.count == 0 && !nodes.is_empty() {
                     report.push(Diagnostic::error(
                         Code("CN0406"),
                         anchor,
                         format!("localize attribute '{attribute}' is absent from the scope"),
                     ));
-                } else if groups.group_count() <= 1 {
+                } else if groups.count <= 1 {
                     report.push(Diagnostic::warning(
                         Code("CN0411"),
                         anchor,
                         format!(
                             "scope has {} group(s) of '{attribute}'; localize needs at least two to matter",
-                            groups.group_count()
+                            groups.count
                         ),
                     ));
                 }

@@ -21,7 +21,7 @@
 
 use crate::intent::{ConflictTolerance, ConstraintRule, PlanIntent};
 use cornet_model::{Model, ModelBuilder, VarId};
-use cornet_types::inventory::AttributeGroups;
+use cornet_types::inventory::GroupIds;
 use cornet_types::{
     ConflictTable, CornetError, Inventory, NodeId, Result, SchedulingWindow, SimTime, Timeslot,
     Topology,
@@ -147,6 +147,99 @@ pub(crate) fn tickets(busy: &SlotConflicts, node: NodeId, slot: usize) -> usize 
     busy.get(&node).map_or(0, |counts| counts[slot])
 }
 
+/// Schedulable units as one table: unit `u` is
+/// `nodes[starts[u]..starts[u + 1]]`, never empty.
+struct UnitTable {
+    starts: Vec<usize>,
+    nodes: Vec<NodeId>,
+}
+
+impl UnitTable {
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
+        self.starts.windows(2).map(|w| &self.nodes[w[0]..w[1]])
+    }
+
+    /// Regroup into `count` units by counting: unit `u` joins unit
+    /// `into[u]` (or is dropped, on `None`) after the units that joined
+    /// it before, so members keep their order and nothing is moved twice.
+    fn gather(&self, into: &[Option<usize>], count: usize) -> UnitTable {
+        let mut starts = vec![0; count + 1];
+        for (unit, to) in self.iter().zip(into) {
+            if let Some(to) = to {
+                starts[to + 1] += unit.len();
+            }
+        }
+        for u in 0..count {
+            starts[u + 1] += starts[u];
+        }
+        let (mut at, mut nodes) = (starts.clone(), vec![NodeId(0); starts[count]]);
+        for (unit, to) in self.iter().zip(into) {
+            if let Some(to) = *to {
+                nodes[at[to]..at[to] + unit.len()].copy_from_slice(unit);
+                at[to] += unit.len();
+            }
+        }
+        UnitTable { starts, nodes }
+    }
+}
+
+/// ESA grouping and consistency contraction of the active `nodes`: the
+/// units, and on the ablation path the unit positions each consistency
+/// group must keep equal.
+fn units_of(
+    intent: &PlanIntent,
+    inventory: &Inventory,
+    nodes: Vec<NodeId>,
+    options: &TranslateOptions,
+) -> Result<(UnitTable, Vec<Vec<usize>>)> {
+    let starts = (0..=nodes.len()).collect();
+    let mut units = UnitTable { starts, nodes };
+    let esa = &intent.schedulable_attribute;
+    if esa != "common_id" {
+        let groups = inventory.group_ids(&units.nodes, esa);
+        if groups.count == 0 && !units.nodes.is_empty() {
+            return Err(CornetError::UnknownReference(format!(
+                "schedulable attribute '{esa}' is absent from the inventory"
+            )));
+        }
+        units = units.gather(&groups.membership, groups.count);
+    }
+    let mut same_value_groups = Vec::new();
+    for rule in &intent.constraints {
+        let ConstraintRule::Consistency { attribute } = rule else {
+            continue;
+        };
+        let firsts: Vec<NodeId> = units.iter().map(|unit| unit[0]).collect();
+        let groups = inventory.group_ids(&firsts, attribute);
+        if !options.contract_consistency {
+            // Ablation path: keep units, record equality groups.
+            let members = groups.members().into_iter();
+            same_value_groups.extend(members.filter(|positions| positions.len() > 1));
+            continue;
+        }
+        // A unit joins the unit its group was first seen in; one without
+        // the attribute stays alone.
+        let (mut merged_of, mut count) = (vec![usize::MAX; groups.count], 0);
+        let mut into = Vec::with_capacity(units.len());
+        for g in groups.membership {
+            let mut alone = usize::MAX;
+            let merged = g.map_or(&mut alone, |g| &mut merged_of[g]);
+            if *merged == usize::MAX {
+                (*merged, count) = (count, count + 1);
+            }
+            into.push(Some(*merged));
+        }
+        if count < units.len() {
+            units = units.gather(&into, count);
+        }
+    }
+    Ok((units, same_value_groups))
+}
+
 /// Attribute grouping over *units*: every member of a unit must agree on
 /// the attribute, otherwise the intent is contradictory — a consistency
 /// rule has merged nodes that a localize/uniformity/concurrency rule needs
@@ -155,18 +248,16 @@ pub(crate) fn tickets(busy: &SlotConflicts, node: NodeId, slot: usize) -> usize 
 /// returned membership is per unit.
 fn group_units(
     inventory: &Inventory,
-    unit_nodes: &[Vec<NodeId>],
+    units: &UnitTable,
     attr: &str,
     rule_name: &str,
-) -> Result<AttributeGroups> {
-    let members: Vec<NodeId> = unit_nodes.iter().flatten().copied().collect();
-    let mut groups = inventory.group_by(&members, attr);
+) -> Result<GroupIds> {
+    let mut groups = inventory.group_ids(&units.nodes, attr);
     // Units that agree within themselves are first seen in node order, so
     // the node-level group ids are the unit-level ones.
-    let mut of_unit = Vec::with_capacity(unit_nodes.len());
-    let mut at = 0;
-    for unit in unit_nodes {
-        let of_members = &groups.membership[at..at + unit.len()];
+    let mut of_unit = Vec::with_capacity(units.len());
+    for (unit, at) in units.iter().zip(&units.starts) {
+        let of_members = &groups.membership[*at..at + unit.len()];
         if let Some(other) = of_members.iter().position(|g| *g != of_members[0]) {
             return Err(CornetError::InvalidIntent(format!(
                 "consistency grouped {} and {} together, but they disagree on \
@@ -175,7 +266,6 @@ fn group_units(
             )));
         }
         of_unit.push(of_members[0]);
-        at += unit.len();
     }
     groups.membership = of_unit;
     Ok(groups)
@@ -234,60 +324,9 @@ pub fn translate(
         (if out { &mut frozen_out } else { &mut active }).push(n);
     }
 
-    // --- ESA grouping.
-    let mut unit_nodes: Vec<Vec<NodeId>> = if intent.schedulable_attribute == "common_id" {
-        active.iter().map(|&n| vec![n]).collect()
-    } else {
-        let groups = inventory.group_by(&active, &intent.schedulable_attribute);
-        if groups.group_count() == 0 && !active.is_empty() {
-            return Err(CornetError::UnknownReference(format!(
-                "schedulable attribute '{}' is absent from the inventory",
-                intent.schedulable_attribute
-            )));
-        }
-        groups
-            .members()
-            .into_iter()
-            .map(|positions| positions.into_iter().map(|p| active[p]).collect())
-            .collect()
-    };
-
-    // --- consistency contraction (or deferred SameValue emission).
-    let mut same_value_groups: Vec<Vec<usize>> = Vec::new();
-    for rule in &intent.constraints {
-        if let ConstraintRule::Consistency { attribute } = rule {
-            let firsts: Vec<NodeId> = unit_nodes.iter().map(|u| u[0]).collect();
-            let groups = inventory.group_by(&firsts, attribute);
-            if options.contract_consistency {
-                // Merge all units sharing the attribute into one unit.
-                let mut merged: Vec<Vec<NodeId>> = Vec::new();
-                let mut merged_of = vec![usize::MAX; groups.group_count()];
-                for (unit, membership) in unit_nodes.into_iter().zip(&groups.membership) {
-                    match membership {
-                        Some(g) if merged_of[*g] != usize::MAX => {
-                            merged[merged_of[*g]].extend(unit)
-                        }
-                        Some(g) => {
-                            merged_of[*g] = merged.len();
-                            merged.push(unit);
-                        }
-                        None => merged.push(unit),
-                    }
-                }
-                unit_nodes = merged;
-            } else {
-                // Ablation path: keep units, record equality groups.
-                for positions in groups.members() {
-                    if positions.len() > 1 {
-                        same_value_groups.push(positions);
-                    }
-                }
-            }
-        }
-    }
-
-    let n_units = unit_nodes.len();
-    let weights: Vec<i64> = unit_nodes.iter().map(|u| u.len() as i64).collect();
+    let (units, same_value_groups) = units_of(intent, inventory, active, options)?;
+    let n_units = units.len();
+    let weights: Vec<i64> = units.iter().map(|u| u.len() as i64).collect();
     let total_weight: i64 = weights.iter().sum();
     let n_slots = slots.len() as u32;
 
@@ -353,7 +392,7 @@ pub fn translate(
                     }
                     // ESA concurrency within each aggregate group (Eq. 5).
                     (true, Some(agg)) => {
-                        let groups = group_units(inventory, &unit_nodes, agg, "concurrency")?;
+                        let groups = group_units(inventory, &units, agg, "concurrency")?;
                         for positions in groups.members() {
                             if positions.is_empty() {
                                 continue;
@@ -377,16 +416,17 @@ pub fn translate(
                     // Non-ESA concurrency: count distinct attribute groups
                     // per slot (Eq. 2–3 / Eq. 4).
                     (false, _) => {
-                        let AttributeGroups {
-                            values, membership, ..
-                        } = group_units(inventory, &unit_nodes, base_attribute, "concurrency")?;
-                        if values.is_empty() && !unit_nodes.is_empty() {
+                        let groups = group_units(inventory, &units, base_attribute, "concurrency")?;
+                        if groups.count == 0 && n_units > 0 {
                             return Err(CornetError::UnknownReference(format!(
                                 "concurrency attribute '{base_attribute}' absent from inventory"
                             )));
                         }
-                        let group_of: Vec<usize> =
-                            membership.iter().map(|m| m.unwrap_or(usize::MAX)).collect();
+                        let group_of: Vec<usize> = groups
+                            .membership
+                            .iter()
+                            .map(|m| m.unwrap_or(usize::MAX))
+                            .collect();
                         match options.strategy {
                             GroupStrategy::LinkingVars => {
                                 // Only units with the attribute participate.
@@ -405,20 +445,12 @@ pub fn translate(
                             }
                             GroupStrategy::HybridWeights => {
                                 // weight = 1000 / group size, cap = 1000·K.
-                                let mut size_of = vec![0i64; values.len()];
-                                for g in membership.iter().flatten() {
-                                    size_of[*g] += 1;
-                                }
-                                let sizes: BTreeMap<usize, i64> = size_of
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(g, c)| (g, (*c).max(1)))
-                                    .collect();
+                                let sizes = groups.sizes();
                                 let (pvars, pweights): (Vec<VarId>, Vec<i64>) = vars
                                     .iter()
                                     .zip(&group_of)
                                     .filter(|(_, g)| **g != usize::MAX)
-                                    .map(|(v, g)| (*v, 1000 / sizes[g]))
+                                    .map(|(v, g)| (*v, 1000 / sizes[*g].max(1) as i64))
                                     .unzip();
                                 if block > 1 {
                                     b.capacity_with_granules(
@@ -444,9 +476,9 @@ pub fn translate(
             ConstraintRule::Uniformity { attribute, value } => {
                 // Fail loudly when a consistency-merged unit spans metric
                 // values (cross-attribute dependency, §3.3.2).
-                group_units(inventory, &unit_nodes, attribute, "uniformity")?;
+                group_units(inventory, &units, attribute, "uniformity")?;
                 let mut metric = Vec::with_capacity(n_units);
-                for u in &unit_nodes {
+                for u in units.iter() {
                     let v = inventory
                         .attr_of(u[0], attribute)
                         .and_then(|a| a.as_f64())
@@ -466,7 +498,7 @@ pub fn translate(
                 );
             }
             ConstraintRule::Localize { attribute } => {
-                let groups = group_units(inventory, &unit_nodes, attribute, "localize")?;
+                let groups = group_units(inventory, &units, attribute, "localize")?;
                 let (pvars, pgroups): (Vec<VarId>, Vec<usize>) = vars
                     .iter()
                     .zip(&groups.membership)
@@ -488,7 +520,7 @@ pub fn translate(
     // minimize the number of generated conflicts", §3.3.1/Appendix B), so
     // each unit's unscheduled penalty is priced above its worst-case
     // conflict cost. Track that maximum as we price the slots.
-    let mut max_conflict_cost = vec![0i64; unit_nodes.len()];
+    let mut max_conflict_cost = vec![0i64; n_units];
     let periods: Vec<_> = slots.iter().map(|&s| window.slot_period(s)).collect();
     let busy = slot_conflicts(&conflicts, &periods);
     // Only a node that is busy, next to a busy one under service-chain
@@ -501,7 +533,7 @@ pub fn translate(
             touched.extend(topology.neighbors(n));
         }
     }
-    let touched_units = unit_nodes
+    let touched_units = units
         .iter()
         .enumerate()
         .filter(|(_, unit)| !touched.is_empty() && unit.iter().any(|n| touched.contains(n)));
@@ -550,20 +582,23 @@ pub fn translate(
         }
     }
 
-    let units = unit_nodes
-        .into_iter()
-        .zip(vars)
-        .map(|(nodes, var)| Unit { nodes, var })
-        .collect();
+    let units = units.iter().zip(vars);
+    let units = units.map(|(nodes, var)| Unit {
+        nodes: nodes.to_vec(),
+        var,
+    });
     Ok(Translation {
         model: b.build(),
-        units,
+        units: units.collect(),
         slots,
         window,
         frozen_out,
         busy: Arc::new(busy),
     })
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

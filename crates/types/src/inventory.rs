@@ -189,11 +189,30 @@ impl Inventory {
 
     /// The sparse ESA↔attribute mapping Q of §3.3.2: distinct attribute
     /// values in first-seen order, plus each node's group index (or `None`
-    /// when the node lacks the attribute).
+    /// when the node lacks the attribute) — [`Self::group_ids`] with the
+    /// names, for callers that print or rank them.
+    pub fn group_by(&self, nodes: &[NodeId], key: &str) -> AttributeGroups {
+        let GroupIds { membership, count } = self.group_ids(nodes, key);
+        let mut values = Vec::with_capacity(count);
+        for (&n, group) in nodes.iter().zip(&membership) {
+            // Groups are numbered first-seen: a node opens the next one.
+            if *group == Some(values.len()) {
+                values.extend(self.group_key_of(n, key));
+            }
+        }
+        AttributeGroups {
+            key: key.to_owned(),
+            values,
+            membership,
+        }
+    }
+
+    /// Each node's group under an attribute and the number of groups, as
+    /// [`Self::group_by`] numbers them, from interned ids without a name.
     ///
     /// Restricting to `nodes` keeps the mapping as small as the request:
     /// once the first caller has built the index, an array read a node.
-    pub fn group_by(&self, nodes: &[NodeId], key: &str) -> AttributeGroups {
+    pub fn group_ids(&self, nodes: &[NodeId], key: &str) -> GroupIds {
         let index = || {
             self.index.get_or_init(|| {
                 #[cfg(test)]
@@ -206,20 +225,18 @@ impl Inventory {
         match key {
             "common_id" => {
                 let id_of = |n: NodeId| if n.index() < len { n.0 } else { ABSENT };
-                renumber(nodes, key, len, id_of, |id| NodeId(id).to_string())
+                renumber(nodes, len, id_of)
             }
             "nf_type" => {
                 // `NfType::ALL` is in declaration order: discriminants index it.
                 let id_of = |n| self.get(n).map_or(ABSENT, |r| r.nf_type as u32);
-                let name_of = |id: u32| NfType::ALL[id as usize].name().to_owned();
-                renumber(nodes, key, NfType::ALL.len(), id_of, name_of)
+                renumber(nodes, NfType::ALL.len(), id_of)
             }
             _ => {
                 let nowhere = Column::default();
                 let column = index().get(key).unwrap_or(&nowhere);
                 let id_of = |n: NodeId| column.ids.get(n.index()).copied().unwrap_or(ABSENT);
-                let name_of = |id: u32| column.keys[id as usize].clone();
-                renumber(nodes, key, column.keys.len(), id_of, name_of)
+                renumber(nodes, column.keys.len(), id_of)
             }
         }
     }
@@ -232,30 +249,48 @@ impl Inventory {
 }
 
 /// Group `nodes` by the id `id_of` gives each (below `distinct`, or
-/// [`ABSENT`]), numbering the groups in first-seen order and naming each
-/// with `name_of` its id.
-fn renumber(
-    nodes: &[NodeId],
-    key: &str,
-    distinct: usize,
-    id_of: impl Fn(NodeId) -> u32,
-    name_of: impl Fn(u32) -> String,
-) -> AttributeGroups {
-    let mut group_of = vec![usize::MAX; distinct];
-    let mut values = Vec::new();
+/// [`ABSENT`]), numbering the groups in first-seen order.
+fn renumber(nodes: &[NodeId], distinct: usize, id_of: impl Fn(NodeId) -> u32) -> GroupIds {
+    let (mut group_of, mut count) = (vec![usize::MAX; distinct], 0);
     let mut group = |id: u32| {
         let group = group_of.get_mut(id as usize)?;
         if *group == usize::MAX {
-            *group = values.len();
-            values.push(name_of(id));
+            (*group, count) = (count, count + 1);
         }
         Some(*group)
     };
     let membership = nodes.iter().map(|&n| group(id_of(n))).collect();
-    AttributeGroups {
-        key: key.to_owned(),
-        values,
-        membership,
+    GroupIds { membership, count }
+}
+
+/// Each node's group under one attribute, without the names.
+#[derive(Clone, Debug, PartialEq)]
+pub struct GroupIds {
+    /// Per input node: its group id, or `None` where the attribute is absent.
+    pub membership: Vec<Option<usize>>,
+    /// Number of distinct groups.
+    pub count: usize,
+}
+
+impl GroupIds {
+    /// Indices of input nodes in each group (group id → node positions).
+    pub fn members(&self) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::new(); self.count];
+        for (pos, g) in self.membership.iter().enumerate() {
+            if let Some(g) = g {
+                out[*g].push(pos);
+            }
+        }
+        out
+    }
+
+    /// Number of input nodes in each group.
+    pub fn sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![0; self.count];
+        for g in self.membership.iter().flatten() {
+            sizes[*g] += 1;
+        }
+        sizes
     }
 }
 
@@ -277,17 +312,6 @@ impl AttributeGroups {
     /// Number of distinct groups.
     pub fn group_count(&self) -> usize {
         self.values.len()
-    }
-
-    /// Indices of input nodes in each group (group id → node positions).
-    pub fn members(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.values.len()];
-        for (pos, g) in self.membership.iter().enumerate() {
-            if let Some(g) = g {
-                out[*g].push(pos);
-            }
-        }
-        out
     }
 }
 
@@ -345,7 +369,9 @@ mod tests {
         let g = inv.group_by(&nodes, "market");
         assert_eq!(g.values, vec!["NYC", "DFW", "LAX"]);
         assert_eq!(g.membership, vec![Some(0), Some(0), Some(1), Some(2)]);
-        assert_eq!(g.members(), vec![vec![0, 1], vec![2], vec![3]]);
+        let ids = inv.group_ids(&nodes, "market");
+        assert_eq!(ids.members(), vec![vec![0, 1], vec![2], vec![3]]);
+        assert_eq!(ids.sizes(), vec![2, 1, 1]);
     }
 
     #[test]

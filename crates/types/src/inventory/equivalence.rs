@@ -1,6 +1,7 @@
 //! The attribute index is the loop it replaced, on every input: the loop
 //! is kept here as the oracle and [`Inventory::group_by`] is held to it
-//! field for field. The suite runs the default case count, so CI raises
+//! field for field, [`Inventory::group_ids`] to its membership and group
+//! count. The suite runs the default case count, so CI raises
 //! it with `PROPTEST_CASES`.
 
 use super::*;
@@ -103,10 +104,14 @@ proptest! {
         for _ in 0..2 {
             for key in KEYS.iter().chain(&["absent"]) {
                 let nodes = nodes(&mut dice, inv.len());
-                prop_assert_eq!(
-                    inv.group_by(&nodes, key),
-                    group_by_naive(&inv, &nodes, key)
-                );
+                let naive = group_by_naive(&inv, &nodes, key);
+                let ids = inv.group_ids(&nodes, key);
+                prop_assert_eq!(&ids.membership, &naive.membership);
+                prop_assert_eq!(ids.count, naive.group_count());
+                let mut sizes = vec![0; naive.group_count()];
+                naive.membership.iter().flatten().for_each(|g| sizes[*g] += 1);
+                prop_assert_eq!(ids.sizes(), sizes);
+                prop_assert_eq!(inv.group_by(&nodes, key), naive);
             }
             let attrs = Attributes::new().with("market", value(&mut dice));
             inv.push("late", NfType::Cpe, attrs);

@@ -493,6 +493,36 @@ fn oversized_scenarios_get_400_and_the_daemon_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A concurrency past `u32` was once accepted, ran, and journaled
+/// `"concurrency":0` — a value the dispatcher refuses. It is a 400 now,
+/// and the next submission, at the bound, runs.
+#[test]
+fn a_concurrency_past_its_bound_gets_400_and_the_next_submission_201() {
+    let dir = state_dir("wide");
+    let daemon = Daemon::start(&dir);
+    let alice = daemon.client("alice");
+    let resp = alice
+        .post(
+            "/v1/campaigns",
+            "{\"name\":\"wide\",\"scenario\":{\"concurrency\":4294967296}}",
+        )
+        .expect("daemon answers a too-wide scenario");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(
+        resp.body.contains("scenario.concurrency: want 1..=4096"),
+        "{}",
+        resp.body
+    );
+    let id = submit(
+        &alice,
+        "{\"name\":\"after\",\"scenario\":{\"nodes\":4,\"latency_ms\":1,\"fault_rate_milli\":0,\"concurrency\":4096}}",
+    );
+    let snap = wait_terminal(&alice, &id, Duration::from_secs(60));
+    assert_eq!(phase_of(&snap), "completed");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every `/events` line is the payload the campaign's `journal.wal` holds
 /// for the same record, byte for byte: the daemon's event log keeps what
 /// the journal encoded instead of encoding each event a second time. A

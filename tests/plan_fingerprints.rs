@@ -7,7 +7,9 @@
 //! assignments, leftovers and the conflict count), over seeded RAN
 //! networks of 200, 1 000 and 3 000 nodes, the intents that reach every
 //! arm of `translate`, and every backend whose answer is a function of its
-//! input. All budgets are node budgets, so debug and release agree.
+//! input. All budgets are node budgets, so debug and release agree. The
+//! last two lines, added later and generated by the planner of that time,
+//! pin the ≈ 50 000-node heuristic plan of the `fleet_plan` intent.
 //!
 //! Regenerate (only when a plan change is intended) with
 //! `UPDATE_GOLDEN=1 cargo test --test plan_fingerprints`.
@@ -74,14 +76,19 @@ struct Case {
     translate: TranslateOptions,
 }
 
+/// The `fleet_plan` intent: daily capacity for 1/25 of the scope, and a
+/// USID's nodes move together.
+fn plain_intent(nodes: &[NodeId]) -> PlanIntent {
+    let capacity = (nodes.len() as i64 / 25).max(4);
+    let mut intent = window_intent();
+    intent.constraints = vec![concurrency("common_id", None, capacity), consistency()];
+    intent
+}
+
 /// The intents that, between them, reach every arm of `translate`.
 fn cases(net: &Network, nodes: &[NodeId]) -> Vec<Case> {
     let capacity = (nodes.len() as i64 / 25).max(4);
-    let plain = || {
-        let mut intent = window_intent();
-        intent.constraints = vec![concurrency("common_id", None, capacity), consistency()];
-        intent
-    };
+    let plain = || plain_intent(nodes);
     let case = |name, intent| Case {
         name,
         intent,
@@ -350,9 +357,8 @@ fn unordered_inventory() -> Inventory {
     inv
 }
 
-/// Lines of the seeded RAN network of about `target` nodes.
-fn ran_lines(target: usize) -> String {
-    let mut out = String::new();
+/// The seeded RAN network of about `target` nodes and its base stations.
+fn ran_network(target: usize) -> (Network, Vec<NodeId>) {
     let config = NetworkConfig {
         seed: 23,
         ..NetworkConfig::default()
@@ -362,6 +368,13 @@ fn ran_lines(target: usize) -> String {
     let mut nodes = net.nodes_of_type(NfType::ENodeB);
     nodes.extend(net.nodes_of_type(NfType::GNodeB));
     nodes.sort();
+    (net, nodes)
+}
+
+/// Lines of the seeded RAN network of about `target` nodes.
+fn ran_lines(target: usize) -> String {
+    let mut out = String::new();
+    let (net, nodes) = ran_network(target);
     for case in cases(&net, &nodes) {
         case_lines(
             &mut out,
@@ -372,6 +385,39 @@ fn ran_lines(target: usize) -> String {
             &case,
         );
     }
+    out
+}
+
+/// The plain intent on a network of `fleet_plan`'s heuristic class, where
+/// only Algorithm 1 plans: its model line and its heuristic plan line.
+fn fleet_lines() -> String {
+    let mut out = String::new();
+    let (net, nodes) = ran_network(50_000);
+    let case = Case {
+        name: "plain",
+        intent: plain_intent(&nodes),
+        translate: TranslateOptions::default(),
+    };
+    let (inventory, topology) = (&net.inventory, &net.topology);
+    model_line(
+        &mut out,
+        "n50000.plain.model",
+        inventory,
+        topology,
+        &nodes,
+        &case,
+    );
+    let options = options(BackendChoice::Heuristic, false, &case.translate);
+    let label = "n50000.plain.heuristic";
+    plan_line(
+        &mut out,
+        label,
+        inventory,
+        topology,
+        &nodes,
+        &case.intent,
+        &options,
+    );
     out
 }
 
@@ -393,13 +439,14 @@ fn unordered_lines() -> String {
 
 #[test]
 fn every_plan_is_the_plan_before_the_attribute_index() {
-    // Four independent sections, rendered side by side.
+    // Five independent sections, rendered side by side.
     let rendered: String = std::thread::scope(|scope| {
         let sections = [
             scope.spawn(|| ran_lines(200)),
             scope.spawn(|| ran_lines(1_000)),
             scope.spawn(|| ran_lines(3_000)),
             scope.spawn(unordered_lines),
+            scope.spawn(fleet_lines),
         ];
         let rendered = sections
             .into_iter()
