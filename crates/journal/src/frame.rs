@@ -10,6 +10,7 @@
 
 use cornet_types::hash::fnv1a64;
 use std::io::Write as _;
+use std::ops::Range;
 
 /// Room in front of a payload for its `<len>:<crc>:` header: the digits of
 /// any `usize`, two colons and 16 hex digits.
@@ -18,38 +19,52 @@ const HEADER_GAP: usize = 20 + 1 + 16 + 1;
 /// Frame a payload as one journal record, trailing newline included.
 pub fn encode_record(payload: &str) -> String {
     let mut buf = String::with_capacity(HEADER_GAP + payload.len() + 1);
-    let start = frame_in_place(&mut buf, |out| out.push_str(payload));
-    buf.drain(..start);
+    let framed = frame_in_place(&mut buf, |out| out.push_str(payload));
+    buf.drain(..framed.start);
     buf
 }
 
-/// The one framer. `buf` is cleared, `write_payload` appends the payload
-/// after a gap, the checksum is taken over the payload where it lies, and
-/// the header is written into the end of the gap, so the record is one
-/// contiguous run of `buf` with no copy of the payload. Returns the
-/// offset the record starts at; it runs to the end of `buf`, and its
-/// payload is [`framed_payload`].
-pub(crate) fn frame_in_place(buf: &mut String, write_payload: impl FnOnce(&mut String)) -> usize {
-    buf.clear();
+/// Where [`frame_in_place`] left a record in its buffer.
+pub(crate) struct Framed {
+    /// Offset the record starts at; it runs to the end of the buffer.
+    pub start: usize,
+    /// Byte range of the record's payload.
+    pub payload: Range<usize>,
+}
+
+/// The one framer. `write_payload` appends the payload to `buf` after a
+/// gap, the checksum is taken over the payload where it lies, and the
+/// header is written into the gap, so a record costs no copy of its
+/// payload into a second buffer. The first record of an empty `buf`
+/// starts inside its gap, with the header in the gap's end, and no byte
+/// of it moves; a record framed after others closes its whole gap, so the
+/// records of one buffer follow each other with nothing between them and
+/// are one contiguous run from the first record's start to the end.
+pub(crate) fn frame_in_place(buf: &mut String, write_payload: impl FnOnce(&mut String)) -> Framed {
+    let gap = buf.len();
     buf.extend(std::iter::repeat_n(' ', HEADER_GAP));
     write_payload(buf);
-    let payload = &buf.as_bytes()[HEADER_GAP..];
+    let payload = &buf.as_bytes()[gap + HEADER_GAP..];
     let mut header = [0u8; HEADER_GAP];
     let mut rest = &mut header[..];
     write!(rest, "{}:{:016x}:", payload.len(), fnv1a64(payload)).expect("the gap fits any header");
     let len = HEADER_GAP - rest.len();
-    let start = HEADER_GAP - len;
+    let start = if gap == 0 { HEADER_GAP - len } else { gap };
     buf.replace_range(
-        start..HEADER_GAP,
+        start..gap + HEADER_GAP,
         std::str::from_utf8(&header[..len]).expect("the header is ASCII"),
     );
+    let payload = start + len..buf.len();
     buf.push('\n');
-    start
+    Framed { start, payload }
 }
 
-/// The payload of the record [`frame_in_place`] left in `buf`.
-pub(crate) fn framed_payload(buf: &str) -> &str {
-    &buf[HEADER_GAP..buf.len() - 1]
+/// Whether the bytes after a journal's last valid record are a torn tail.
+/// Zero bytes are not: they are space the writer allocated ahead of its
+/// records (see `Journal`'s growth-ahead) and never wrote. Any other byte
+/// there is what a crash, a short write or corruption left behind.
+pub(crate) fn is_torn_tail(tail: &[u8]) -> bool {
+    tail.iter().any(|&b| b != 0)
 }
 
 /// Result of scanning a journal byte stream for valid records.
@@ -62,7 +77,8 @@ pub struct ScanOutcome {
     /// a recovering writer should `set_len` to.
     pub valid_len: usize,
     /// True when trailing bytes after `valid_len` had to be discarded
-    /// (torn tail, flipped bits, or garbage).
+    /// (torn tail, flipped bits, or garbage). A tail of zero bytes is
+    /// unused space, not a torn tail.
     pub torn: bool,
 }
 
@@ -93,7 +109,7 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
         out.payloads.push(payload.to_owned());
         out.valid_len = end;
     }
-    out.torn = out.valid_len != bytes.len();
+    out.torn = is_torn_tail(&bytes[out.valid_len..]);
     out
 }
 
@@ -206,5 +222,45 @@ mod tests {
             assert_eq!(out.payloads.len(), k + 1);
             assert!(!out.torn);
         }
+    }
+
+    #[test]
+    fn records_framed_into_one_buffer_follow_each_other() {
+        let big = "x".repeat(12_345);
+        let payloads = ["{}", big.as_str(), "", "unicode: é😀"];
+        let mut buf = String::new();
+        let framed: Vec<Framed> = payloads
+            .iter()
+            .map(|p| frame_in_place(&mut buf, |out| out.push_str(p)))
+            .collect();
+        let joined: String = payloads.iter().map(|p| encode_record(p)).collect();
+        assert_eq!(&buf[framed[0].start..], joined);
+        for (f, p) in framed.iter().zip(payloads) {
+            assert_eq!(&buf[f.payload.clone()], p);
+        }
+    }
+
+    #[test]
+    fn a_zero_tail_is_unused_space_not_a_torn_tail() {
+        let log = encode_record("{\"a\":1}");
+        let mut bytes = log.clone().into_bytes();
+        bytes.resize(log.len() + 4096, 0);
+        let out = scan(&bytes);
+        assert_eq!(out.payloads, vec!["{\"a\":1}"]);
+        assert_eq!(out.valid_len, log.len());
+        assert!(!out.torn);
+        assert!(!scan(&[0; 64]).torn, "an all-zero file is an empty journal");
+    }
+
+    #[test]
+    fn half_a_record_followed_by_zeros_is_torn() {
+        let good = encode_record("{\"a\":1}");
+        let torn = encode_record("{\"b\":2}");
+        let mut bytes = good.clone().into_bytes();
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
+        bytes.resize(bytes.len() + 4096, 0);
+        let out = scan(&bytes);
+        assert_eq!(out.valid_len, good.len());
+        assert!(out.torn);
     }
 }

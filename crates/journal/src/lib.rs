@@ -4,7 +4,7 @@
 //! appends one record per lifecycle event — campaign opened, instance
 //! admitted, block completed (including retries, timeouts, and backout
 //! steps), breaker trips, campaign closed — so that a process crash at
-//! any byte loses at most the record being written. On reopen the reader
+//! any byte loses at most the `write` in flight. On reopen the reader
 //! scans the length-prefixed, checksummed frames, truncates the torn
 //! tail, and hands the surviving event stream to
 //! `Dispatcher::resume_from_journal`, which skips every block the log
@@ -18,7 +18,7 @@
 //!
 //! Crash testing is first-class: a [`CrashSwitch`] shared between the
 //! fault-injecting executor and the journal simulates `kill -9` (appends
-//! silently dropped) and torn writes (the next record cut in half), and
+//! silently dropped) and torn writes (the next `write` cut in half), and
 //! the frame scanner's [`frame::boundaries`] lets tests cut a journal at
 //! every byte offset and assert recovery behaves.
 

@@ -1,24 +1,26 @@
 //! The append-only journal writer and its crash/recovery entry points.
 
 use crate::event::{JournalEvent, Recovery};
-use crate::frame::{frame_in_place, framed_payload, records};
+use crate::frame::{frame_in_place, is_torn_tail, records, Framed};
 use cornet_obs::{ActiveSpan, SpanId, Tracer};
 use cornet_types::{CornetError, Result};
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Read;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// When the journal pushes appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// An append returns only once an `fsync` that started after its
     /// `write` has finished — strongest durability, slowest. Concurrent
-    /// appenders share syncs (see [`Journal::append`]).
+    /// appenders share syncs (see [`Journal::append_all`]).
     Always,
-    /// `fsync` after every N appends (and on [`Journal::sync`]).
+    /// `fsync` once every N records (and on [`Journal::sync`]).
     EveryN(u32),
     /// Appends never `fsync`; the OS flushes on its own schedule. An
     /// explicit [`Journal::sync`] still does — the dispatcher calls it when
@@ -82,10 +84,37 @@ pub type EventListener = Arc<dyn RecordListener>;
 /// not pin its size to the thread for good.
 const KEPT_RECORD_BUFFER: usize = 64 << 10;
 
-thread_local! {
-    /// The buffer each thread frames its records in, reused across appends.
-    static RECORD_BUFFER: Cell<String> = const { Cell::new(String::new()) };
+/// A batch framed for one `write`: the records' bytes, contiguous, and
+/// where each record lies in them.
+#[derive(Default)]
+struct Batch {
+    text: String,
+    records: Vec<Framed>,
 }
+
+thread_local! {
+    /// The buffer each thread frames its batches in, reused across appends.
+    static RECORD_BUFFER: Cell<Batch> = const {
+        Cell::new(Batch {
+            text: String::new(),
+            records: Vec::new(),
+        })
+    };
+}
+
+/// The first step a journal that syncs grows its file by ahead of its
+/// records; each later step doubles, up to [`LAST_GROWTH`].
+const FIRST_GROWTH: u64 = 64 << 10;
+/// The largest growth step.
+const LAST_GROWTH: u64 = 1 << 20;
+/// What a file grows by: one static block of zeros, written as many times
+/// as a step needs, so growing allocates nothing. It sits behind a lock
+/// nothing writes through because a static that can be written lands in
+/// the zero-filled `.bss`, whose untouched pages read as the kernel's
+/// shared zero page and cost no resident memory; a plain array static
+/// would sit in the executable's read-only data, 64 KiB of file pages
+/// resident once read.
+static ZEROS: RwLock<[u8; FIRST_GROWTH as usize]> = RwLock::new([0; FIRST_GROWTH as usize]);
 
 /// How an injected crash lands relative to the journal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,12 +175,25 @@ impl CrashSwitch {
     }
 }
 
+/// Where the records end, and how far the file reaches past them. What
+/// the append lock guards.
+struct Tail {
+    /// Records written.
+    records: u64,
+    /// Byte offset just past the last record written.
+    end: u64,
+    /// Length of the file: `end`, plus the zeros grown ahead of it.
+    len: u64,
+    /// The next growth step.
+    step: u64,
+}
+
 struct Inner {
     file: File,
     policy: FsyncPolicy,
     /// The append lock: it orders the `write`s, and holds how many records
-    /// have been written.
-    written: Mutex<u64>,
+    /// have been written and where they end.
+    written: Mutex<Tail>,
     /// Records known to be on stable storage. Held across the `fsync`
     /// that advances it, so concurrent syncs queue here, never on the
     /// append lock.
@@ -162,7 +204,14 @@ struct Inner {
 /// dispatcher's workers append from many threads, and the frame layer
 /// guarantees each record lands contiguously because every append is a
 /// single `write_all` under the append lock. Syncing happens outside that
-/// lock (group commit, see [`Journal::append`]).
+/// lock (group commit, see [`Journal::append_all`]).
+///
+/// Under the policies that sync as they go, `EveryN` and `Always`, the
+/// file is kept grown ahead of its records with zeros (64 KiB at first,
+/// each step twice the last, up to 1 MiB), so a record's `write` never
+/// changes the file's size and the sync after it flushes data, not the
+/// size. Recovery reads a tail of zeros as unused space;
+/// [`Journal::sync`] trims it.
 #[derive(Clone)]
 pub struct Journal {
     inner: Arc<Inner>,
@@ -182,7 +231,7 @@ impl Journal {
             .truncate(true)
             .open(path)
             .map_err(|e| io_err("create", path, &e))?;
-        Ok(Journal::from_file(file, path, policy))
+        Ok(Journal::from_file(file, path, policy, 0))
     }
 
     /// Open an existing journal for resume: scan it, drop any torn tail
@@ -193,36 +242,38 @@ impl Journal {
         policy: FsyncPolicy,
     ) -> Result<(Journal, Vec<JournalEvent>, Recovery)> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| io_err("read", path, &e))?;
-        let (events, recovery) = decode_scan(&bytes)?;
-        let mut file = OpenOptions::new()
+        let (bytes, len) = read_journal(path)?;
+        let (events, recovery) = decode_scan(&bytes, len)?;
+        let file = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| io_err("open", path, &e))?;
         file.set_len(recovery.valid_len)
             .map_err(|e| io_err("truncate", path, &e))?;
-        // Position after the valid prefix (set_len does not move the
-        // cursor of a fresh handle — it starts at 0, so seek explicitly).
-        file.seek(SeekFrom::Start(recovery.valid_len))
-            .map_err(|e| io_err("seek", path, &e))?;
-        Ok((Journal::from_file(file, path, policy), events, recovery))
+        let journal = Journal::from_file(file, path, policy, recovery.valid_len);
+        Ok((journal, events, recovery))
     }
 
     /// Read a journal without taking the write handle or truncating
     /// anything — for inspection (`cornet resume` peeks at the metadata
     /// before committing to a resume).
     pub fn read(path: impl AsRef<Path>) -> Result<(Vec<JournalEvent>, Recovery)> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| io_err("read", path, &e))?;
-        decode_scan(&bytes)
+        let (bytes, len) = read_journal(path.as_ref())?;
+        decode_scan(&bytes, len)
     }
 
-    fn from_file(file: File, path: &Path, policy: FsyncPolicy) -> Journal {
+    /// A writer appending at `end`, the length of `file`.
+    fn from_file(file: File, path: &Path, policy: FsyncPolicy, end: u64) -> Journal {
         Journal {
             inner: Arc::new(Inner {
                 file,
                 policy,
-                written: Mutex::default(),
+                written: Mutex::new(Tail {
+                    records: 0,
+                    end,
+                    len: end,
+                    step: FIRST_GROWTH,
+                }),
                 synced: Mutex::default(),
             }),
             path: Arc::new(path.to_owned()),
@@ -245,9 +296,9 @@ impl Journal {
     }
 
     /// Attach a listener called after each record reaches the file, with
-    /// the event and the payload the file holds for it. Dropped appends
-    /// (dead crash switch, torn writes) never notify, and the call is made
-    /// under the append lock, before the policy's sync: the listener sees
+    /// the event and the payload the file holds for it. Records a crash
+    /// drops or tears never notify, and the call is made under the append
+    /// lock, before the policy's sync: the listener sees
     /// exactly what a recovery scan after a process crash would, in the
     /// same order. It must be short and must not append to this journal.
     /// A closure `Fn(&JournalEvent)` is a listener.
@@ -266,95 +317,170 @@ impl Journal {
         &self.path
     }
 
-    /// Append one event. A dead crash switch silently drops the record —
-    /// only what reached the file before the crash matters for recovery.
-    ///
-    /// The event is encoded once, outside the append lock, straight into
-    /// this thread's record buffer behind a gap its header is framed into
-    /// (`frame::frame_in_place`), and the record is written with one
-    /// `write` under the lock, so it is in the page cache (safe from a
-    /// process crash) before this returns. When the policy wants it on
-    /// stable storage the sync runs with the append lock *released*: other
-    /// threads keep appending meanwhile, and one `fsync` covers every
-    /// record written before it started (group commit).
-    ///
-    /// The `journal.append` span opens before the lock wait, which it
-    /// measures, and the crash switch is consulted under the lock: an
-    /// append that queued while the journal was alive and is then dropped
-    /// or torn still records its span, with `bytes` what reached the file
-    /// (0, or the torn half).
+    /// Append one event: [`Journal::append_all`] of one record.
     pub fn append(&self, event: &JournalEvent) -> Result<()> {
-        if self.crash.is_dead() {
+        self.append_all(std::slice::from_ref(event))
+    }
+
+    /// Append `events` as consecutive records with one `write`. A dead
+    /// crash switch silently drops them — only what reached the file
+    /// before the crash matters for recovery.
+    ///
+    /// The events are encoded outside the append lock, straight into this
+    /// thread's record buffer, and framed in place one after another with
+    /// nothing between them (`frame::frame_in_place`). Under the lock the
+    /// file is grown if the batch would reach past its end (policies that
+    /// sync only), the batch is written with one `write` at the end of the
+    /// records, and the listener hears each record in file order. So every
+    /// record is in the page cache (safe from a process crash) before this
+    /// returns. When the policy wants them on stable storage the sync runs
+    /// with the append lock *released*: other threads keep appending
+    /// meanwhile, and one `fsync` covers every record written before it
+    /// started (group commit). Under `EveryN(n)` a batch that takes the
+    /// record count past one or more multiples of `n` leads one sync, or
+    /// is covered by one.
+    ///
+    /// The crash switch is read once a batch, under the lock. Dead, nothing
+    /// lands. A tear writes the first half of the batch's bytes, as a torn
+    /// `write` would: the whole records before the cut land, then one torn
+    /// record, then nothing. The `journal.append` span opens after that
+    /// verdict, one span a `write`, and its `records` and `bytes` — like
+    /// the `journal.bytes_written` counter — count the whole records that
+    /// landed.
+    pub fn append_all(&self, events: &[JournalEvent]) -> Result<()> {
+        if events.is_empty() || self.crash.is_dead() {
             return Ok(());
         }
-        let mut span = self.tracer.span("journal.append");
-        span.attr("event", event.kind());
-        let mut buf = RECORD_BUFFER.take();
-        let landed = self.write_record(event, &mut buf, &mut span);
-        if buf.capacity() <= KEPT_RECORD_BUFFER {
-            RECORD_BUFFER.set(buf);
+        let mut batch = RECORD_BUFFER.take();
+        let landed = self.write_batch(events, &mut batch);
+        if batch.text.capacity() <= KEPT_RECORD_BUFFER {
+            RECORD_BUFFER.set(batch);
         }
-        let Some((record, bytes)) = landed? else {
+        let Some((span, landed)) = landed? else {
             return Ok(());
         };
-        let due = match self.inner.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => record.is_multiple_of(u64::from(n.max(1))),
-            FsyncPolicy::Never => false,
-        };
-        self.tracer.incr("journal.bytes_written", bytes as u64);
+        self.tracer.incr("journal.writes", 1);
+        self.tracer.incr("journal.bytes_written", landed.bytes);
+        let due = !landed.torn
+            && match self.inner.policy {
+                FsyncPolicy::Always => true,
+                FsyncPolicy::EveryN(n) => {
+                    let n = u64::from(n.max(1));
+                    landed.records.end / n > landed.records.start / n
+                }
+                FsyncPolicy::Never => false,
+            };
         if due {
-            self.make_durable(record, Some(span.id()))?;
+            self.make_durable(landed.records.end, Some(span.id()))?;
         }
         span.finish();
         Ok(())
     }
 
-    /// Frame `event` in `buf` and write it under the append lock. Returns
-    /// the record's number and length once it landed whole; `None` when
-    /// the crash switch dropped or tore it.
-    fn write_record(
+    /// Frame `events` in `batch` and write them under the append lock.
+    /// Returns the `write`'s span and what landed; `None` when the crash
+    /// switch was dead.
+    fn write_batch(
         &self,
-        event: &JournalEvent,
-        buf: &mut String,
-        span: &mut ActiveSpan,
-    ) -> Result<Option<(u64, usize)>> {
-        let start = frame_in_place(buf, |out| event.encode_into(out));
-        let mut bytes = &buf.as_bytes()[start..];
-        let mut written = self.written();
+        events: &[JournalEvent],
+        batch: &mut Batch,
+    ) -> Result<Option<(ActiveSpan, Landed)>> {
+        batch.text.clear();
+        batch.records.clear();
+        for event in events {
+            let framed = frame_in_place(&mut batch.text, |out| event.encode_into(out));
+            batch.records.push(framed);
+        }
+        let start = batch.records[0].start;
+        let all = &batch.text.as_bytes()[start..];
+        // The end of each record, counted from the batch's first byte.
+        let end_of = |r: &Framed| r.payload.end + 1 - start;
+        let mut tail = self.written();
         // The switch is read under the lock: nothing lands after a tear.
-        let torn = match self.crash.take() {
-            DEAD => {
-                span.attr("bytes", 0i64);
-                return Ok(None);
+        let (bytes, whole) = match self.crash.take() {
+            DEAD => return Ok(None),
+            TEAR_NEXT => {
+                let cut = &all[..all.len() / 2];
+                let whole = batch.records.iter().take_while(|r| end_of(r) <= cut.len());
+                (cut, whole.count())
             }
-            state => state == TEAR_NEXT,
+            _ => (all, events.len()),
         };
-        if torn {
-            bytes = &bytes[..bytes.len() / 2];
+        let landed_bytes = batch.records[..whole].last().map_or(0, end_of);
+        let mut span = self.tracer.span("journal.append");
+        span.attr("event", events[0].kind());
+        span.attr("records", whole);
+        span.attr("bytes", landed_bytes);
+        let at = tail.end;
+        if self.inner.policy != FsyncPolicy::Never {
+            self.grow(&mut tail, at + bytes.len() as u64)?;
         }
-        span.attr("bytes", bytes.len() as i64);
-        (&self.inner.file)
-            .write_all(bytes)
+        self.inner
+            .file
+            .write_all_at(bytes, at)
             .map_err(|e| io_err("append", &self.path, &e))?;
-        if torn {
-            return Ok(None);
-        }
-        *written += 1;
+        tail.end += bytes.len() as u64;
+        tail.len = tail.len.max(tail.end);
+        let before = tail.records;
+        tail.records += whole as u64;
         // Still under the append lock: listeners hear records in the
         // order a recovery scan will read them, with the bytes it will.
         if let Some(listener) = &self.listener {
-            listener.record(event, framed_payload(buf));
+            for (event, framed) in events.iter().zip(&batch.records).take(whole) {
+                listener.record(event, &batch.text[framed.payload.clone()]);
+            }
         }
-        Ok(Some((*written, bytes.len())))
+        let landed = Landed {
+            records: before..tail.records,
+            bytes: landed_bytes as u64,
+            torn: whole < events.len(),
+        };
+        Ok(Some((span, landed)))
     }
 
-    /// Force everything appended so far to stable storage.
+    /// Grow the file with zeros until it reaches `need`, by whole steps.
+    /// Called under the append lock, before a `write` that would pass the
+    /// file's end.
+    fn grow(&self, tail: &mut Tail, need: u64) -> Result<()> {
+        // Nothing writes through the lock, so it is never poisoned.
+        let zeros = ZEROS.read().unwrap_or_else(|e| e.into_inner());
+        while tail.len < need {
+            let to = tail.len + tail.step;
+            while tail.len < to {
+                let n = (to - tail.len).min(zeros.len() as u64);
+                self.inner
+                    .file
+                    .write_all_at(&zeros[..n as usize], tail.len)
+                    .map_err(|e| io_err("grow", &self.path, &e))?;
+                tail.len += n;
+            }
+            tail.step = (tail.step * 2).min(LAST_GROWTH);
+        }
+        Ok(())
+    }
+
+    /// Trim the file to its last record, then force everything appended
+    /// so far to stable storage. Both callers close a campaign with it:
+    /// the dispatcher after `campaign_closed`, and the daemon when it
+    /// writes a cancelled campaign's tombstone journal. A closed journal
+    /// is therefore exactly its records, with no space grown ahead of
+    /// them; an append after this grows the file again. The trim takes no
+    /// sync of its own: zeros a crash leaves behind read as unused space.
     pub fn sync(&self) -> Result<()> {
         if self.crash.is_dead() {
             return Ok(());
         }
-        let written = *self.written();
+        let written = {
+            let mut tail = self.written();
+            if tail.len > tail.end {
+                self.inner
+                    .file
+                    .set_len(tail.end)
+                    .map_err(|e| io_err("trim", &self.path, &e))?;
+                tail.len = tail.end;
+            }
+            tail.records
+        };
         self.make_durable(written, None)
     }
 
@@ -369,7 +495,7 @@ impl Journal {
         if *synced >= record {
             return Ok(());
         }
-        let covers = *self.written();
+        let covers = self.written().records;
         let span = self.tracer.span_with_parent("journal.fsync", parent);
         #[allow(
             clippy::disallowed_methods,
@@ -385,9 +511,10 @@ impl Journal {
         Ok(())
     }
 
-    /// The append lock. The one update under it cannot panic half-way, so
-    /// a poisoned guard is still consistent.
-    fn written(&self) -> MutexGuard<'_, u64> {
+    /// The append lock. Each update under it follows the `write` it
+    /// describes, and the listener — the one call there that can panic —
+    /// runs after all of them, so a poisoned guard is still consistent.
+    fn written(&self) -> MutexGuard<'_, Tail> {
         self.inner.written.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -398,14 +525,57 @@ impl Journal {
     }
 }
 
+/// What one `write` put in the file.
+struct Landed {
+    /// Numbers of the whole records written (0-based, end exclusive).
+    records: Range<u64>,
+    /// Their bytes.
+    bytes: u64,
+    /// Whether a tear cut the `write` short.
+    torn: bool,
+}
+
 fn io_err(op: &str, path: &Path, e: &std::io::Error) -> CornetError {
     CornetError::ExecutionFailed(format!("journal {op} {}: {e}", path.display()))
 }
 
-/// Walk raw journal bytes once and decode the valid prefix. A record that
+/// A journal file's bytes up to its last non-zero byte, and the file's
+/// length. The zeros after that byte are space a journal that syncs grew
+/// ahead of its records, never a record, so a scan need not hold them in
+/// memory: the file is searched for its last non-zero byte from the end,
+/// one block at a time, and read only up to there.
+fn read_journal(path: &Path) -> Result<(Vec<u8>, u64)> {
+    let err = |op, e: std::io::Error| io_err(op, path, &e);
+    let file = File::open(path).map_err(|e| err("open", e))?;
+    let len = file.metadata().map_err(|e| err("stat", e))?.len();
+    let mut end = len;
+    let mut block = [0u8; 16 << 10];
+    while end > 0 {
+        let n = end.min(block.len() as u64);
+        let from = end - n;
+        let block = &mut block[..n as usize];
+        file.read_exact_at(block, from)
+            .map_err(|e| err("read", e))?;
+        if let Some(last) = block.iter().rposition(|&b| b != 0) {
+            end = from + last as u64 + 1;
+            break;
+        }
+        end = from;
+    }
+    let mut bytes = Vec::with_capacity(usize::try_from(end).unwrap_or(0));
+    (&file)
+        .take(end)
+        .read_to_end(&mut bytes)
+        .map_err(|e| err("read", e))?;
+    Ok((bytes, len))
+}
+
+/// Walk a journal's bytes once and decode the valid prefix. A record that
 /// frames correctly but fails to decode counts as corruption: the walk
-/// stops there and everything after it is treated as torn.
-fn decode_scan(bytes: &[u8]) -> Result<(Vec<JournalEvent>, Recovery)> {
+/// stops there and everything after it, up to the file's `len`, is torn —
+/// unless it is all zeros, the space a journal that syncs grows ahead of
+/// its records, which is neither torn nor dropped.
+fn decode_scan(bytes: &[u8], len: u64) -> Result<(Vec<JournalEvent>, Recovery)> {
     let mut events = Vec::new();
     let mut valid_len = 0usize;
     for (payload, end) in records(bytes) {
@@ -415,11 +585,12 @@ fn decode_scan(bytes: &[u8]) -> Result<(Vec<JournalEvent>, Recovery)> {
         events.push(event);
         valid_len = end;
     }
+    let torn = is_torn_tail(&bytes[valid_len..]);
     let recovery = Recovery {
         events: events.len(),
         valid_len: valid_len as u64,
-        dropped_bytes: (bytes.len() - valid_len) as u64,
-        torn: valid_len != bytes.len(),
+        dropped_bytes: if torn { len - valid_len as u64 } else { 0 },
+        torn,
     };
     Ok((events, recovery))
 }
@@ -571,6 +742,43 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_tail_is_neither_torn_nor_dropped_and_zeros_after_a_torn_one_are_dropped() {
+        let path = tmp("zero-tail");
+        let good = encode_record(&opened().encode());
+        let torn = encode_record(&JournalEvent::CampaignClosed.encode());
+        let zeros = vec![0u8; 100 << 10];
+        std::fs::write(&path, [good.as_bytes(), &zeros].concat()).unwrap();
+        let (events, rec) = Journal::read(&path).unwrap();
+        assert_eq!(events, [opened()]);
+        assert_eq!(
+            (rec.valid_len, rec.dropped_bytes, rec.torn),
+            (good.len() as u64, 0, false)
+        );
+        // Recovery still cuts the zeros: the writer appends after them.
+        let (journal, _, _) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
+        journal.append(&JournalEvent::CampaignClosed).unwrap();
+        drop(journal);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [good.as_bytes(), torn.as_bytes()].concat()
+        );
+
+        let half = &torn.as_bytes()[..torn.len() / 2];
+        let file = [good.as_bytes(), half, &zeros].concat();
+        std::fs::write(&path, &file).unwrap();
+        let (events, rec) = Journal::read(&path).unwrap();
+        assert_eq!(events.len(), 1);
+        assert!(rec.torn, "half a record followed by zeros is torn");
+        assert_eq!(rec.dropped_bytes, (file.len() - good.len()) as u64);
+        let empty = tmp("all-zero");
+        std::fs::write(&empty, &zeros).unwrap();
+        let (events, rec) = Journal::read(&empty).unwrap();
+        assert!(events.is_empty() && !rec.torn && rec.valid_len == 0);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&empty).ok();
+    }
+
+    #[test]
     fn crash_switch_kill_drops_appends_and_tear_halves_a_record() {
         let path = tmp("crash");
         let tracer = Tracer::with_clock(ManualClock::ticking(1));
@@ -587,23 +795,176 @@ mod tests {
             .unwrap();
         drop(journal);
 
-        // The torn append's span says what reached the file; an append
-        // that finds the journal dead on entry records none.
+        // A span counts the whole records its `write` landed: the torn
+        // append's none. An append that finds the journal dead on entry
+        // records no span.
         let trace = tracer.snapshot();
-        let bytes: Vec<_> = trace
+        let landed: Vec<_> = trace
             .spans_named("journal.append")
-            .map(|s| s.attr("bytes").cloned())
+            .map(|s| (s.attr("records").cloned(), s.attr("bytes").cloned()))
             .collect();
-        let half = encode_record(&JournalEvent::CampaignClosed.encode()).len() as i64 / 2;
         let whole = encode_record(&opened().encode()).len() as i64;
-        assert_eq!(
-            bytes,
-            [Some(AttrValue::Int(whole)), Some(AttrValue::Int(half))]
-        );
+        let int = |n| Some(AttrValue::Int(n));
+        assert_eq!(landed, [(int(1), int(whole)), (int(0), int(0))]);
+        let snap = trace.metrics;
+        assert_eq!(snap.counter("journal.bytes_written"), whole as u64);
+        assert_eq!(snap.counter("journal.writes"), 2);
 
         let (events, rec) = Journal::read(&path).unwrap();
         assert_eq!(events.len(), 1, "only the pre-crash record survives");
         assert!(rec.torn, "the half-written record is a torn tail");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn append_all_is_one_write_of_contiguous_records_heard_in_order() {
+        let path = tmp("batch");
+        let tracer = Tracer::with_clock(ManualClock::ticking(1));
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let tap = Arc::clone(&heard);
+        let journal = Journal::create(&path, FsyncPolicy::Never)
+            .unwrap()
+            .with_tracer(tracer.clone())
+            .with_listener(Arc::new(move |event: &JournalEvent| {
+                tap.lock().unwrap().push(event.kind());
+            }));
+        let events = every_kind();
+        journal.append(&events[0]).unwrap();
+        journal.append_all(&events[1..]).unwrap();
+        journal.append_all(&[]).unwrap();
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        let expected: String = events.iter().map(|e| encode_record(&e.encode())).collect();
+        assert_eq!(String::from_utf8(bytes).unwrap(), expected);
+        let kinds: Vec<_> = events.iter().map(JournalEvent::kind).collect();
+        assert_eq!(*heard.lock().unwrap(), kinds);
+        let trace = tracer.take();
+        assert_eq!(trace.metrics.counter("journal.writes"), 2);
+        assert_eq!(
+            trace.metrics.counter("journal.bytes_written"),
+            expected.len() as u64
+        );
+        let records: Vec<_> = trace
+            .spans_named("journal.append")
+            .map(|s| s.attr("records").cloned())
+            .collect();
+        let n = events.len() as i64 - 1;
+        assert_eq!(records, [Some(AttrValue::Int(1)), Some(AttrValue::Int(n))]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_torn_batch_keeps_the_whole_records_before_its_cut() {
+        let path = tmp("torn-batch");
+        let heard = Arc::new(Mutex::new(0usize));
+        let tap = Arc::clone(&heard);
+        let journal = Journal::create(&path, FsyncPolicy::EveryN(64))
+            .unwrap()
+            .with_listener(Arc::new(move |_: &JournalEvent| *tap.lock().unwrap() += 1));
+        // Two short records, then a block record longer than both: half
+        // the batch's bytes ends inside the third.
+        let events = every_kind();
+        let batch = [events[2].clone(), events[4].clone(), events[3].clone()];
+        let lens: Vec<usize> = batch
+            .iter()
+            .map(|e| encode_record(&e.encode()).len())
+            .collect();
+        assert!(lens[0] + lens[1] <= lens.iter().sum::<usize>() / 2);
+        journal.crash_switch().tear_next();
+        journal.append_all(&batch).unwrap();
+        journal.append(&opened()).unwrap();
+        drop(journal);
+        let (events, rec) = Journal::read(&path).unwrap();
+        assert_eq!(events, batch[..2]);
+        assert_eq!(*heard.lock().unwrap(), 2, "the listener hears what landed");
+        assert!(rec.torn, "the cut record is a torn tail");
+        assert_eq!(rec.valid_len, (lens[0] + lens[1]) as u64);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_n_takes_one_sync_for_a_batch_past_several_crossings() {
+        let path = tmp("every-n-batch");
+        let tracer = Tracer::with_clock(ManualClock::ticking(1));
+        let journal = Journal::create(&path, FsyncPolicy::EveryN(2))
+            .unwrap()
+            .with_tracer(tracer.clone());
+        let closed = JournalEvent::CampaignClosed;
+        journal.append(&closed).unwrap();
+        let fsyncs = || {
+            tracer
+                .metrics()
+                .unwrap()
+                .snapshot()
+                .counter("journal.fsyncs")
+        };
+        assert_eq!(fsyncs(), 0);
+        // Records 2..=6 cross 2, 4 and 6: one sync covers them all.
+        journal.append_all(&vec![closed.clone(); 5]).unwrap();
+        assert_eq!((fsyncs(), journal.synced()), (1, 6));
+        // Record 7 crosses nothing.
+        journal.append_all(&[closed]).unwrap();
+        assert_eq!(fsyncs(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_journal_that_syncs_grows_ahead_and_a_sync_trims_it_to_its_records() {
+        let block = every_kind().swap_remove(3);
+        let record = encode_record(&block.encode()).len() as u64;
+        for policy in [
+            FsyncPolicy::Always,
+            FsyncPolicy::EveryN(64),
+            FsyncPolicy::Never,
+        ] {
+            let path = tmp(&format!("grow-{policy}"));
+            let journal = Journal::create(&path, policy).unwrap();
+            let len = || std::fs::metadata(&path).unwrap().len();
+            let grows = policy != FsyncPolicy::Never;
+            journal.append(&block).unwrap();
+            assert_eq!(len(), if grows { 64 << 10 } else { record }, "{policy}");
+            // Past the first step the file grows by twice as much.
+            let records = (64 << 10) / record + 1;
+            for _ in 1..records {
+                journal.append(&block).unwrap();
+            }
+            let want = if grows { 192 << 10 } else { records * record };
+            assert_eq!(len(), want, "{policy}");
+            let (events, rec) = Journal::read(&path).unwrap();
+            assert_eq!(events.len() as u64, records);
+            assert!(!rec.torn && rec.dropped_bytes == 0, "{policy}: {rec:?}");
+            journal.sync().unwrap();
+            assert_eq!(len(), records * record, "{policy}: a sync trims");
+            // An append after a sync grows the file again.
+            journal.append(&block).unwrap();
+            let records = (records + 1) * record;
+            assert_eq!(len() > records, grows, "{policy}");
+            assert!(len() >= records);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn growth_steps_double_up_to_a_mebibyte() {
+        let path = tmp("grow-steps");
+        let journal = Journal::create(&path, FsyncPolicy::EveryN(1 << 20)).unwrap();
+        let big = JournalEvent::CampaignResumed {
+            meta: BTreeMap::from([("pad".to_string(), "x".repeat(4000))]),
+        };
+        let record = encode_record(&big.encode()).len() as u64;
+        let mut lens = Vec::new();
+        for _ in 0..(4 << 20) / record {
+            journal.append(&big).unwrap();
+            let len = std::fs::metadata(&path).unwrap().len();
+            if lens.last() != Some(&len) {
+                lens.push(len);
+            }
+        }
+        let kib = |k: u64| k << 10;
+        assert_eq!(
+            lens[..6],
+            [kib(64), kib(192), kib(448), kib(960), kib(1984), kib(3008)]
+        );
         std::fs::remove_file(&path).ok();
     }
 

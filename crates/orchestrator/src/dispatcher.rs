@@ -38,7 +38,7 @@
 //! operations teams, so slot N+1 never starts before slot N finished.
 
 use crate::control::{AdmissionSlots, CampaignControl, SlotGuard};
-use crate::engine::{BlockExecution, Engine, InstanceStatus, ReplayRow};
+use crate::engine::{BlockExecution, BlockSink, Engine, InstanceStatus, ReplayRow};
 use crate::executor::{ExecutorRegistry, GlobalState};
 use crate::falloutanalysis::FalloutAnalysis;
 use crate::recovery::{block_record, recover_campaign, status_parts, RecoveredCampaign};
@@ -49,7 +49,7 @@ use cornet_types::{CornetError, NodeId, Result, Schedule, Timeslot};
 use cornet_workflow::{WarArtifact, Workflow};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Result of one workflow instance run by the dispatcher.
 #[derive(Clone, Debug, PartialEq)]
@@ -166,6 +166,78 @@ enum SlotItem {
     },
 }
 
+/// An instance's journal records, held until the write-ahead rule needs
+/// them on file: *no executor runs while a block outcome of its own
+/// instance is unwritten*. They are written with one `write` just before
+/// an executor is invoked while a block outcome is pending, and when the
+/// instance finishes. So `instance_admitted` rides with the first block's
+/// record and `instance_finished` with the last block's, and a k-block
+/// instance costs k `write`s (and, under `Always`, k syncs).
+struct InstanceLog {
+    journal: Journal,
+    node: NodeId,
+    slot: Timeslot,
+    pending: Mutex<Vec<JournalEvent>>,
+}
+
+impl InstanceLog {
+    fn new(journal: &Journal, node: NodeId, slot: Timeslot) -> InstanceLog {
+        // Re-admission on resume writes a duplicate `instance_admitted`,
+        // which recovery treats idempotently.
+        let admitted = JournalEvent::InstanceAdmitted {
+            node: node.0,
+            slot: slot.0,
+        };
+        InstanceLog {
+            journal: journal.clone(),
+            node,
+            slot,
+            pending: Mutex::new(vec![admitted]),
+        }
+    }
+
+    /// Write the pending records with the instance's last one,
+    /// `instance_finished`.
+    fn finish(&self, status: &InstanceStatus) {
+        let (status, detail) = status_parts(status);
+        let mut pending = self.pending();
+        pending.push(JournalEvent::InstanceFinished {
+            node: self.node.0,
+            slot: self.slot.0,
+            status,
+            detail,
+        });
+        self.write(&mut pending);
+    }
+
+    /// One `write` for what is pending. A failed write is dropped like a
+    /// dead journal's: the records are what a resume finds missing.
+    fn write(&self, pending: &mut Vec<JournalEvent>) {
+        let _ = self.journal.append_all(pending);
+        pending.clear();
+    }
+
+    fn pending(&self) -> MutexGuard<'_, Vec<JournalEvent>> {
+        self.pending.lock().expect(
+            "only the instance's own thread holds its records, and it ends with a panic there",
+        )
+    }
+}
+
+impl BlockSink for InstanceLog {
+    fn before_execute(&self) {
+        let mut pending = self.pending();
+        if matches!(pending.last(), Some(JournalEvent::BlockCompleted(_))) {
+            self.write(&mut pending);
+        }
+    }
+
+    fn completed(&self, exec: &BlockExecution, state: &GlobalState, backout: bool) {
+        let record = block_record(self.node, self.slot, exec, state, backout);
+        self.pending().push(JournalEvent::BlockCompleted(record));
+    }
+}
+
 /// Run one workflow instance, folding engine-level errors (corrupt WAR,
 /// missing decision variable, dangling edge) into a failed report so
 /// fall-out analysis sees them instead of losing them.
@@ -181,15 +253,7 @@ fn run_instance(
     journal: Option<&Journal>,
     replay: Vec<ReplayRow>,
 ) -> InstanceReport {
-    if let Some(j) = journal {
-        // Write-ahead: the admission record lands before any block runs.
-        // Re-admission on resume appends a duplicate, which recovery
-        // treats idempotently.
-        let _ = j.append(&JournalEvent::InstanceAdmitted {
-            node: node.0,
-            slot: slot.0,
-        });
-    }
+    let log = journal.map(|j| Arc::new(InstanceLog::new(j, node, slot)));
     let mut span = tracer.span_with_parent("instance", parent);
     span.attr("node", node.0 as u64);
     span.attr("slot", slot.0);
@@ -198,13 +262,8 @@ fn run_instance(
         let mut engine = Engine::new(workflow.clone(), registry, inputs);
         engine.set_trace(tracer.clone(), span_id);
         engine.set_replay(replay);
-        if let Some(j) = journal {
-            let j = j.clone();
-            engine.set_block_sink(Arc::new(move |exec, state, backout| {
-                let _ = j.append(&JournalEvent::BlockCompleted(block_record(
-                    node, slot, exec, state, backout,
-                )));
-            }));
+        if let Some(log) = &log {
+            engine.set_block_sink(log.clone());
         }
         let status = engine.run()?.clone();
         if engine.replay_remaining() > 0 {
@@ -244,14 +303,8 @@ fn run_instance(
         span.finish();
         tracer.incr(&format!("instances.{}", report.status.label()), 1);
     }
-    if let Some(j) = journal {
-        let (status, detail) = status_parts(&report.status);
-        let _ = j.append(&JournalEvent::InstanceFinished {
-            node: node.0,
-            slot: slot.0,
-            status,
-            detail,
-        });
+    if let Some(log) = log {
+        log.finish(&report.status);
     }
     report
 }

@@ -4,15 +4,13 @@
 //! decisions → end. Each building block executes atomically; its status
 //! and wall-clock duration are logged ("we enhanced the Camunda-based
 //! workflow orchestrator to automatically log the status of execution for
-//! each building block along with the time taken", §3.4). A [`PauseHandle`]
-//! lets operations halt between blocks and resume after troubleshooting.
+//! each building block along with the time taken", §3.4).
 
 use crate::executor::{ExecutorRegistry, GlobalState};
 use cornet_obs::{SpanId, Tracer};
 use cornet_types::{CornetError, ParamValue, Result};
 use cornet_workflow::{NodeKind, WarArtifact, WfNodeId, Workflow};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,11 +29,20 @@ pub struct ReplayRow {
     pub backout: bool,
 }
 
-/// Callback invoked after every *freshly executed* block (never for
-/// replayed rows), used by the dispatcher to journal `BlockCompleted`
-/// records. Arguments: the log row, the post-block state, and whether the
-/// block ran inside a backout subgraph.
-pub type BlockSink = Arc<dyn Fn(&BlockExecution, &GlobalState, bool) + Send + Sync>;
+/// Hears the blocks an engine executes fresh — never replayed rows, which
+/// are already journaled. The dispatcher journals through it.
+pub trait BlockSink: Send + Sync {
+    /// A block is about to invoke its executor for the first time. Called
+    /// before the block's span opens, so what the sink does here is not
+    /// charged to the block: the dispatcher writes the outcomes it holds,
+    /// so that no executor runs while a block outcome of its instance is
+    /// unwritten.
+    fn before_execute(&self);
+
+    /// A block finished: its log row, the post-block state, and whether
+    /// it ran inside a backout subgraph.
+    fn completed(&self, exec: &BlockExecution, state: &GlobalState, backout: bool);
+}
 
 /// Outcome of one building-block execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,8 +104,6 @@ pub struct BlockExecution {
 pub enum InstanceStatus {
     /// Not yet started or mid-flight.
     Running,
-    /// Halted by a pause request; resumable.
-    Paused,
     /// Reached an end node — "completed through at least one start to end
     /// flow".
     Completed,
@@ -115,40 +120,10 @@ impl InstanceStatus {
     pub fn label(&self) -> &'static str {
         match self {
             InstanceStatus::Running => "running",
-            InstanceStatus::Paused => "paused",
             InstanceStatus::Completed => "completed",
             InstanceStatus::Failed(_) => "failed",
             InstanceStatus::RolledBack(_) => "rolled_back",
         }
-    }
-}
-
-/// Shared pause flag; clone freely across threads.
-#[derive(Clone, Default)]
-pub struct PauseHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl PauseHandle {
-    /// Create an un-paused handle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request a pause; takes effect at the next block boundary (blocks
-    /// are atomic).
-    pub fn pause(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Clear the pause request.
-    pub fn resume(&self) {
-        self.flag.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether a pause is requested.
-    pub fn is_paused(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -160,7 +135,6 @@ pub struct Engine {
     position: Option<WfNodeId>,
     status: InstanceStatus,
     log: Vec<BlockExecution>,
-    pause: PauseHandle,
     /// Virtual clock: simulated execution latency plus retry backoffs.
     sim_elapsed: Duration,
     /// Observability: block spans are recorded here, parented under
@@ -176,8 +150,8 @@ pub struct Engine {
     /// resumed instances never re-execute a completed (possibly mutating)
     /// block.
     replay: VecDeque<ReplayRow>,
-    /// Block-completion callback for fresh executions (journaling).
-    sink: Option<BlockSink>,
+    /// Hears fresh executions (journaling).
+    sink: Option<Arc<dyn BlockSink>>,
 }
 
 impl Engine {
@@ -191,7 +165,6 @@ impl Engine {
             position,
             status: InstanceStatus::Running,
             log: Vec::new(),
-            pause: PauseHandle::new(),
             sim_elapsed: Duration::ZERO,
             tracer: Tracer::noop(),
             span_parent: None,
@@ -215,9 +188,9 @@ impl Engine {
         self.replay.len()
     }
 
-    /// Attach a callback invoked after every freshly executed block
-    /// (replayed rows are skipped — they are already journaled).
-    pub fn set_block_sink(&mut self, sink: BlockSink) {
+    /// Attach a sink that hears every freshly executed block (replayed
+    /// rows are skipped — they are already journaled).
+    pub fn set_block_sink(&mut self, sink: Arc<dyn BlockSink>) {
         self.sink = Some(sink);
     }
 
@@ -268,11 +241,6 @@ impl Engine {
 
     /// Execute a single node and advance the token. Returns the new status.
     pub fn step(&mut self) -> Result<&InstanceStatus> {
-        if self.status == InstanceStatus::Paused {
-            return Err(CornetError::InvalidState(
-                "instance is paused; call resume() first".into(),
-            ));
-        }
         if self.status != InstanceStatus::Running {
             return Err(CornetError::InvalidState(format!(
                 "instance already finished: {:?}",
@@ -319,6 +287,9 @@ impl Engine {
                 }
                 let policy = self.registry.retry_policy_for(block).cloned();
                 let deadline = self.registry.deadline_for(block);
+                if let Some(sink) = &self.sink {
+                    sink.before_execute();
+                }
                 let mut span = self.tracer.span_with_parent("block", self.span_parent);
                 span.attr("block", block.as_str());
                 if self.in_backout {
@@ -328,9 +299,7 @@ impl Engine {
                 let mut exec_total = Duration::ZERO;
                 let mut backoff_total = Duration::ZERO;
                 // Retry loop: each attempt is atomic; transient errors
-                // retry under the block's policy, with the pause handle
-                // honored at retry boundaries (a retry boundary IS a
-                // block boundary — nothing has advanced yet).
+                // retry under the block's policy.
                 let outcome = loop {
                     attempts += 1;
                     let started = Instant::now();
@@ -362,18 +331,6 @@ impl Engine {
                                 .as_ref()
                                 .expect("retry implies policy")
                                 .backoff_for(block, attempts);
-                            if self.pause.is_paused() {
-                                // Pause lands at the retry boundary: no
-                                // log row, no token movement — resume()
-                                // restarts the block from a clean slate.
-                                // The span still records (status: paused)
-                                // so the trace shows the interruption.
-                                span.attr("status", "paused");
-                                span.attr("attempts", attempts);
-                                self.sim_elapsed += exec_total + backoff_total;
-                                self.status = InstanceStatus::Paused;
-                                return Ok(&self.status);
-                            }
                         }
                     }
                 };
@@ -438,7 +395,7 @@ impl Engine {
     /// only — replay never calls this).
     fn emit_to_sink(&self) {
         if let (Some(sink), Some(row)) = (&self.sink, self.log.last()) {
-            sink(row, &self.state, self.in_backout);
+            sink.completed(row, &self.state, self.in_backout);
         }
     }
 
@@ -529,49 +486,19 @@ impl Engine {
         Ok(())
     }
 
-    /// Run until completion, failure, or a pause request. Pause requests
-    /// are honored between blocks — never mid-block (atomicity, §3.4).
+    /// Run until completion or failure.
     ///
     /// Engine-level errors (missing decision variable, dangling edge) are
     /// both returned AND recorded in the instance status, so fall-out
     /// analysis never sees an errored instance stuck at `Running`.
     pub fn run(&mut self) -> Result<&InstanceStatus> {
         while self.status == InstanceStatus::Running {
-            if self.pause.is_paused() {
-                self.status = InstanceStatus::Paused;
-                break;
-            }
             if let Err(e) = self.step() {
                 self.status = InstanceStatus::Failed(format!("engine: {e}"));
                 return Err(e);
             }
         }
         Ok(&self.status)
-    }
-
-    /// Resume a paused instance and keep running.
-    ///
-    /// Only `Paused` instances are resumable. The error distinguishes the
-    /// two misuse classes so operations tooling can tell "nothing to do"
-    /// (already completed) from "wrong lifecycle call" (never paused).
-    pub fn resume(&mut self) -> Result<&InstanceStatus> {
-        match &self.status {
-            InstanceStatus::Paused => {}
-            InstanceStatus::Completed => {
-                return Err(CornetError::InvalidState(
-                    "cannot resume: instance already completed".into(),
-                ));
-            }
-            other => {
-                return Err(CornetError::InvalidState(format!(
-                    "cannot resume: instance was never paused (status: {})",
-                    other.label()
-                )));
-            }
-        }
-        self.pause.resume();
-        self.status = InstanceStatus::Running;
-        self.run()
     }
 }
 
@@ -676,30 +603,12 @@ mod tests {
     }
 
     #[test]
-    fn pause_between_blocks_and_resume() {
-        let cat = builtin_catalog();
-        let wf = software_upgrade_workflow(&cat);
-        let mut engine = Engine::new(wf, happy_registry(), inputs());
-        let handle = engine.pause.clone();
-        // Pause immediately: the run loop must halt before any block.
-        handle.pause();
-        assert_eq!(engine.run().unwrap(), &InstanceStatus::Paused);
-        assert!(engine.log().is_empty());
-        // step() while paused is an error.
-        assert!(engine.step().is_err());
-        // Resume finishes the flow.
-        assert_eq!(engine.resume().unwrap(), &InstanceStatus::Completed);
-        assert_eq!(engine.log().len(), 3);
-    }
-
-    #[test]
     fn finished_instance_rejects_further_steps() {
         let cat = builtin_catalog();
         let wf = software_upgrade_workflow(&cat);
         let mut engine = Engine::new(wf, happy_registry(), inputs());
         engine.run().unwrap();
         assert!(engine.step().is_err());
-        assert!(engine.resume().is_err());
     }
 
     #[test]
@@ -737,11 +646,26 @@ mod tests {
         assert_eq!(engine.run().unwrap(), &InstanceStatus::Completed);
     }
 
-    // --- Resilience: retries, deadlines, backout, pause-mid-retry. ---
+    // --- Resilience: retries, deadlines, backout. ---
 
     use crate::resilience::{add_sim_latency, RetryPolicy};
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Mutex;
+
+    /// A sink recording every fresh block as the row a resume replays.
+    struct Recorder(Arc<Mutex<Vec<ReplayRow>>>);
+
+    impl BlockSink for Recorder {
+        fn before_execute(&self) {}
+
+        fn completed(&self, exec: &BlockExecution, state: &GlobalState, backout: bool) {
+            self.0.lock().unwrap().push(ReplayRow {
+                exec: exec.clone(),
+                state: state.clone(),
+                backout,
+            });
+        }
+    }
 
     #[test]
     fn transient_failure_recovers_under_retry_policy() {
@@ -928,44 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_on_completed_instance_is_a_typed_error() {
-        let cat = builtin_catalog();
-        let wf = software_upgrade_workflow(&cat);
-        let mut engine = Engine::new(wf, happy_registry(), inputs());
-        assert_eq!(engine.run().unwrap(), &InstanceStatus::Completed);
-        let err = engine.resume().unwrap_err();
-        assert!(
-            matches!(&err, CornetError::InvalidState(m) if m.contains("already completed")),
-            "completed instances get the 'already completed' error: {err}"
-        );
-    }
-
-    #[test]
-    fn resume_on_never_paused_instance_is_a_typed_error() {
-        let cat = builtin_catalog();
-        let wf = software_upgrade_workflow(&cat);
-        // Still Running (never started, never paused).
-        let mut engine = Engine::new(wf.clone(), happy_registry(), inputs());
-        let err = engine.resume().unwrap_err();
-        assert!(
-            matches!(&err, CornetError::InvalidState(m) if m.contains("never paused")),
-            "running instances get the 'never paused' error: {err}"
-        );
-        // Failed instances report the same misuse class.
-        let mut reg = happy_registry();
-        reg.register("software_upgrade", |_| {
-            Err(CornetError::ExecutionFailed("bad image".into()))
-        });
-        let mut failed = Engine::new(wf, reg, inputs());
-        failed.run().unwrap();
-        let err = failed.resume().unwrap_err();
-        assert!(
-            matches!(&err, CornetError::InvalidState(m) if m.contains("never paused")),
-            "failed instances get the 'never paused' error: {err}"
-        );
-    }
-
-    #[test]
     fn replay_restores_outcomes_without_reexecution() {
         let cat = builtin_catalog();
         let wf = software_upgrade_workflow(&cat);
@@ -973,13 +859,7 @@ mod tests {
         let recorded: Arc<Mutex<Vec<ReplayRow>>> = Arc::new(Mutex::new(Vec::new()));
         let rows = recorded.clone();
         let mut engine = Engine::new(wf.clone(), happy_registry(), inputs());
-        engine.set_block_sink(Arc::new(move |exec, state, backout| {
-            rows.lock().unwrap().push(ReplayRow {
-                exec: exec.clone(),
-                state: state.clone(),
-                backout,
-            });
-        }));
+        engine.set_block_sink(Arc::new(Recorder(rows)));
         assert_eq!(engine.run().unwrap(), &InstanceStatus::Completed);
         let first_log = engine.log().to_vec();
         let first_state = engine.state().clone();
@@ -1019,6 +899,83 @@ mod tests {
         };
         assert_eq!(shape(resumed.log()), shape(&first_log));
         assert_eq!(resumed.state(), &first_state);
+    }
+
+    /// A sink that logs what it hears, in order.
+    struct Hearing(Mutex<Vec<String>>);
+
+    impl BlockSink for Hearing {
+        fn before_execute(&self) {
+            self.0.lock().unwrap().push("before".into());
+        }
+
+        fn completed(&self, exec: &BlockExecution, _: &GlobalState, backout: bool) {
+            let tag = if backout { "backout " } else { "" };
+            self.0.lock().unwrap().push(format!("{tag}{}", exec.block));
+        }
+    }
+
+    #[test]
+    fn the_sink_hears_before_each_fresh_block_once_and_never_before_a_replayed_one() {
+        let cat = builtin_catalog();
+        let mut wf = software_upgrade_workflow(&cat);
+        let mut backout = cornet_workflow::Workflow::new("upgrade-backout");
+        let s = backout.add_node("start", cornet_workflow::NodeKind::Start);
+        let rb = backout.add_node(
+            "roll_back",
+            cornet_workflow::NodeKind::Task {
+                block: "roll_back".into(),
+            },
+        );
+        let e = backout.add_node("end", cornet_workflow::NodeKind::End);
+        backout.add_edge(s, rb, None);
+        backout.add_edge(rb, e, None);
+        wf.set_backout(backout);
+        // One transient failure, retried, then a permanent one: the hook
+        // runs once a block, not once an attempt, and the backout's block
+        // hears it too.
+        let mut reg = happy_registry();
+        let calls = Arc::new(AtomicU32::new(0));
+        let c = calls.clone();
+        reg.register("health_check", move |s| {
+            if c.fetch_add(1, Ordering::SeqCst) == 0 {
+                return Err(CornetError::TransientFailure("blip".into()));
+            }
+            s.insert("healthy".into(), ParamValue::from(true));
+            Ok(())
+        });
+        reg.set_retry_policy("health_check", RetryPolicy::with_attempts(2));
+        reg.register("software_upgrade", |_| {
+            Err(CornetError::ExecutionFailed("bad image".into()))
+        });
+        let heard = Arc::new(Hearing(Mutex::default()));
+        let recorded = Arc::new(Mutex::new(Vec::new()));
+        let mut engine = Engine::new(wf.clone(), reg.clone(), inputs());
+        engine.set_block_sink(heard.clone());
+        engine.run().unwrap();
+        let log = std::mem::take(&mut *heard.0.lock().unwrap());
+        assert_eq!(
+            log,
+            [
+                "before",
+                "health_check",
+                "before",
+                "software_upgrade",
+                "before",
+                "backout roll_back"
+            ]
+        );
+        // Replaying the first two rows: the sink hears only the fresh one.
+        let mut first = Engine::new(wf.clone(), reg.clone(), inputs());
+        first.set_block_sink(Arc::new(Recorder(recorded.clone())));
+        first.run().unwrap();
+        let mut rows = recorded.lock().unwrap().clone();
+        rows.truncate(2);
+        let mut resumed = Engine::new(wf, reg, inputs());
+        resumed.set_replay(rows);
+        resumed.set_block_sink(heard.clone());
+        resumed.run().unwrap();
+        assert_eq!(*heard.0.lock().unwrap(), ["before", "backout roll_back"]);
     }
 
     #[test]
@@ -1070,13 +1027,7 @@ mod tests {
             Err(CornetError::ExecutionFailed("bad image".into()))
         });
         let mut engine = Engine::new(wf.clone(), reg.clone(), inputs());
-        engine.set_block_sink(Arc::new(move |exec, state, backout| {
-            rows.lock().unwrap().push(ReplayRow {
-                exec: exec.clone(),
-                state: state.clone(),
-                backout,
-            });
-        }));
+        engine.set_block_sink(Arc::new(Recorder(rows)));
         assert_eq!(
             engine.run().unwrap(),
             &InstanceStatus::RolledBack("software_upgrade".into())
@@ -1108,50 +1059,5 @@ mod tests {
         );
         assert_eq!(resumed.replay_remaining(), 0);
         assert_eq!(resumed.log(), first_log.as_slice());
-    }
-
-    #[test]
-    fn pause_mid_retry_lands_at_block_boundary_and_resumes_fresh() {
-        let cat = builtin_catalog();
-        let wf = software_upgrade_workflow(&cat);
-        let mut reg = happy_registry();
-        let handle_slot: Arc<Mutex<Option<PauseHandle>>> = Arc::new(Mutex::new(None));
-        let calls = Arc::new(AtomicU32::new(0));
-        let (slot, c) = (handle_slot.clone(), calls.clone());
-        // First invocation: request a pause from "operations", then fail
-        // transiently. The engine must honor the pause at the retry
-        // boundary instead of burning through attempts.
-        reg.register("software_upgrade", move |s| {
-            if c.fetch_add(1, Ordering::SeqCst) == 0 {
-                if let Some(h) = slot.lock().unwrap().as_ref() {
-                    h.pause();
-                }
-                return Err(CornetError::TransientFailure(
-                    "ssh connectivity lost".into(),
-                ));
-            }
-            s.insert("previous_version".into(), ParamValue::from("19.3"));
-            Ok(())
-        });
-        reg.set_retry_policy("software_upgrade", RetryPolicy::with_attempts(5));
-        let mut engine = Engine::new(wf, reg, inputs());
-        *handle_slot.lock().unwrap() = Some(engine.pause.clone());
-        assert_eq!(engine.run().unwrap(), &InstanceStatus::Paused);
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "pause preempted the retry");
-        assert!(
-            !engine.log().iter().any(|b| b.block == "software_upgrade"),
-            "no log row for the interrupted block: it never finished"
-        );
-        // Resume: the block restarts from a clean slate and succeeds
-        // without inheriting the pre-pause attempt count.
-        assert_eq!(engine.resume().unwrap(), &InstanceStatus::Completed);
-        let row = engine
-            .log()
-            .iter()
-            .find(|b| b.block == "software_upgrade")
-            .unwrap();
-        assert_eq!(row.status, BlockStatus::Success);
-        assert_eq!(row.attempts, 1, "attempt counter reset at the boundary");
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 }

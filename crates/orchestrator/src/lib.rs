@@ -4,9 +4,9 @@
 //! Camunda. It executes validated workflows deployed as WAR artifacts:
 //! token semantics from start to end, building blocks invoked through a
 //! pluggable executor registry, per-block status and timing logged for
-//! fall-out troubleshooting, pause/resume with atomic block execution, and
-//! a dispatcher that launches instances per timeslot under a concurrency
-//! limit.
+//! fall-out troubleshooting, atomic block execution, and a dispatcher
+//! that launches instances per timeslot under a concurrency limit, with
+//! campaign-level pause/resume between instances.
 //!
 //! [`resilience`] adds the robustness layer: per-block retry/backoff
 //! policies and deadlines, a circuit breaker that auto-halts roll-outs on
@@ -26,9 +26,7 @@ pub mod resilience;
 pub use analysis::{analyze_replay_safety, analyze_resilience, ResilienceSpec};
 pub use control::{AdmissionSlots, CampaignControl, ControlState, SlotGuard};
 pub use dispatcher::{CampaignOutcome, DispatchReport, Dispatcher, InstanceReport};
-pub use engine::{
-    BlockExecution, BlockSink, BlockStatus, Engine, InstanceStatus, PauseHandle, ReplayRow,
-};
+pub use engine::{BlockExecution, BlockSink, BlockStatus, Engine, InstanceStatus, ReplayRow};
 pub use executor::{ExecutorRegistry, GlobalState};
 pub use falloutanalysis::{BlockStats, FalloutAnalysis};
 pub use recovery::{recover_campaign, RecoveredCampaign};

@@ -125,12 +125,15 @@ proptest! {
 
     /// Kill the campaign at an arbitrary record boundary: replaying the
     /// surviving prefix and re-executing the rest reproduces the clean
-    /// run's report byte for byte, at any fault rate.
+    /// run's report byte for byte, at any fault rate. Each cut is followed
+    /// by zeros, as a journal that syncs leaves the space it grew ahead of
+    /// its records: that tail is unused space, not a torn one.
     #[test]
     fn resume_after_any_record_cut_reproduces_the_clean_report(
         seed in any::<u64>(),
         rate_millis in 0u32..500,
         cut_percent in 0u32..101,
+        zero_tail in 0usize..(1 << 20) + 1,
     ) {
         let plan = FaultPlan::transient(seed, rate_millis as f64 / 1000.0).with_latency_ms(5);
         let clean_path = tmp("cut-clean");
@@ -142,7 +145,13 @@ proptest! {
         // the full journal.
         let cut = cuts[(cut_percent as usize * (cuts.len() - 1)) / 100];
         let cut_path = tmp("cut-truncated");
-        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+        let mut cut_bytes = bytes[..cut].to_vec();
+        cut_bytes.resize(cut + zero_tail, 0);
+        std::fs::write(&cut_path, &cut_bytes).unwrap();
+        let (_, recovery) = Journal::read(&cut_path).unwrap();
+        prop_assert!(!recovery.torn);
+        prop_assert_eq!(recovery.dropped_bytes, 0);
+        prop_assert_eq!(recovery.valid_len, cut as u64);
         let (resumed, _) = resume(&plan, &cut_path);
         std::fs::remove_file(&clean_path).ok();
         std::fs::remove_file(&cut_path).ok();
@@ -205,5 +214,42 @@ fn torn_record_crash_resumes_to_the_clean_report() {
     // MidAppend half-writes the next record before dying; recovery must
     // truncate the torn tail and replay the intact prefix.
     let (clean, resumed) = crashed_then_resumed(CrashMode::MidAppend);
+    assert_eq!(clean, resumed);
+}
+
+#[test]
+fn a_journal_dropped_mid_campaign_under_every_n_resumes_to_the_clean_report() {
+    let plan = FaultPlan::transient(11, 0.2).with_latency_ms(5);
+    let clean_path = tmp("dropped-clean");
+    let clean = journaled_run(&plan, &clean_path);
+    std::fs::remove_file(&clean_path).ok();
+
+    // The process dies in node 5's upgrade and never closes its journal:
+    // the file still reaches past its records, into the zeros it grew.
+    let crash_plan = plan.clone().crash_at(
+        "software_upgrade",
+        &format!("enb-{}", NodeId(5)),
+        1,
+        CrashMode::MidBlock,
+    );
+    let path = tmp("dropped");
+    let journal = Journal::create(&path, FsyncPolicy::EveryN(4)).unwrap();
+    let switch = journal.crash_switch();
+    let reg = FaultyExecutor::wrap_with_crash(
+        &counting_registry(Arc::new(AtomicUsize::new(0))),
+        &crash_plan,
+        switch.clone(),
+    );
+    let _ = dispatcher(reg)
+        .with_journal(journal, BTreeMap::new())
+        .run(&schedule(), inputs)
+        .unwrap();
+    assert!(switch.is_dead(), "the armed crash point must fire");
+    let (_, recovery) = Journal::read(&path).unwrap();
+    assert!(!recovery.torn && recovery.dropped_bytes == 0);
+    assert!(std::fs::metadata(&path).unwrap().len() > recovery.valid_len);
+
+    let (resumed, _) = resume(&plan, &path);
+    std::fs::remove_file(&path).ok();
     assert_eq!(clean, resumed);
 }
