@@ -98,7 +98,10 @@ echo "== interference gate: racing live campaign refused, disjoint admitted =="
 # Two bundles that declare campaigns on the same inventory node at the
 # same slot (a CN0601 write-write race) and a third on a disjoint node.
 # Scenario latency is simulated (virtual clock), so wall-clock runtime
-# cannot keep the first campaign live; pausing it does, deterministically.
+# cannot keep the first campaign live; pausing it does, once the pause
+# lands. It must land before the campaign ends, so the campaign has 1 600
+# instances, far longer than a submit-then-pause round trip (at 160 a
+# campaign often completed first and the pause was refused).
 declared_bundle() {
   cat <<EOF
 {"name": "ci-blast-$1", "scenario": {"nodes": $3, "latency_ms": 1},
@@ -109,7 +112,7 @@ declared_bundle() {
  "campaigns": [{"workflow": "wave-$1", "assignments": [[0, 1]]}]}
 EOF
 }
-declared_bundle a smoke-enb-0 160 >"$WORK/decl-a.json"
+declared_bundle a smoke-enb-0 1600 >"$WORK/decl-a.json"
 declared_bundle b smoke-enb-0 6 >"$WORK/decl-b.json"
 declared_bundle c smoke-gnb-9 6 >"$WORK/decl-c.json"
 

@@ -9,17 +9,24 @@
 //!
 //! # Continuous admission, no hand-off
 //!
-//! A slot is run by `min(concurrency, runnable, admission capacity)`
-//! **self-admitting workers**, the calling thread among them. A worker
-//! runs one instance, then takes the slot's one lock and, under it:
-//! deposits its report in a reorder buffer, advances the contiguous completed prefix through the
-//! gate/breaker callback (once per instance, in dispatch order), asks the
-//! campaign control, and — if nobody halted — takes the next dispatch
-//! index *for itself*. There is no wave barrier, so one straggler never
-//! idles the other workers; and there is no queue, collector thread or
-//! condition variable between a completion and the next admission, so an
-//! instance costs one uncontended lock, not two thread wake-ups (DESIGN.md
-//! § *Continuous-admission dispatch* has the protocol and the arithmetic).
+//! A dispatch runs on a **crew**: the calling thread plus
+//! `min(concurrency, admission capacity) − 1` helper threads, started
+//! once per dispatch and parked between slots (none at concurrency 1). A
+//! slot is run by `min(concurrency, runnable, admission capacity)` of
+//! them as **self-admitting workers**. A worker runs one instance, then
+//! takes the crew's one lock and, under it: deposits its report in a
+//! reorder buffer, advances the contiguous completed prefix through the
+//! breaker (once per instance, in dispatch order), asks the campaign
+//! control, and — if nobody halted — takes the next dispatch index *for
+//! itself*. There is no wave barrier, so one straggler never idles the
+//! other workers; and there is no queue, collector thread or condition
+//! variable between a completion and the next admission, so an instance
+//! costs one uncontended lock, not two thread wake-ups. A slot costs a
+//! wake-up per helper it uses and one at its end, not a thread spawn and
+//! join (DESIGN.md § *Continuous-admission dispatch* has the protocol
+//! and the arithmetic). A panic on any worker ends the dispatch in a
+//! panic: the crew is told to quit, so nothing waits on a dead worker.
+//!
 //! Three invariants hold at every concurrency:
 //!
 //! * [`DispatchReport::instances`] is always in deterministic dispatch
@@ -48,8 +55,9 @@ use cornet_obs::{SpanId, Tracer};
 use cornet_types::{CornetError, NodeId, Result, Schedule, Timeslot};
 use cornet_workflow::{WarArtifact, Workflow};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Result of one workflow instance run by the dispatcher.
 #[derive(Clone, Debug, PartialEq)]
@@ -236,77 +244,6 @@ impl BlockSink for InstanceLog {
         let record = block_record(self.node, self.slot, exec, state, backout);
         self.pending().push(JournalEvent::BlockCompleted(record));
     }
-}
-
-/// Run one workflow instance, folding engine-level errors (corrupt WAR,
-/// missing decision variable, dangling edge) into a failed report so
-/// fall-out analysis sees them instead of losing them.
-#[allow(clippy::too_many_arguments)]
-fn run_instance(
-    workflow: &Workflow,
-    registry: ExecutorRegistry,
-    node: NodeId,
-    slot: Timeslot,
-    inputs: GlobalState,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-    journal: Option<&Journal>,
-    replay: Vec<ReplayRow>,
-) -> InstanceReport {
-    let log = journal.map(|j| Arc::new(InstanceLog::new(j, node, slot)));
-    let mut span = tracer.span_with_parent("instance", parent);
-    span.attr("node", node.0 as u64);
-    span.attr("slot", slot.0);
-    let span_id = span.is_recording().then(|| span.id());
-    let run = || -> Result<(InstanceStatus, Vec<BlockExecution>)> {
-        let mut engine = Engine::new(workflow.clone(), registry, inputs);
-        engine.set_trace(tracer.clone(), span_id);
-        engine.set_replay(replay);
-        if let Some(log) = &log {
-            engine.set_block_sink(log.clone());
-        }
-        let status = engine.run()?.clone();
-        if engine.replay_remaining() > 0 {
-            return Err(CornetError::DataIntegrity(format!(
-                "journal holds {} rows the workflow never reached",
-                engine.replay_remaining()
-            )));
-        }
-        Ok((status, engine.log().to_vec()))
-    };
-    let report = match run() {
-        Ok((status, blocks)) => InstanceReport {
-            node,
-            slot,
-            status,
-            blocks,
-        },
-        Err(e) => InstanceReport {
-            node,
-            slot,
-            status: InstanceStatus::Failed(format!("engine: {e}")),
-            blocks: Vec::new(),
-        },
-    };
-    if span.is_recording() {
-        span.attr("status", report.status.label());
-        span.attr("blocks", report.blocks.len());
-        let retries: u64 = report
-            .blocks
-            .iter()
-            .map(|b| b.attempts.saturating_sub(1) as u64)
-            .sum();
-        span.attr("retries", retries);
-        if let InstanceStatus::Failed(block) | InstanceStatus::RolledBack(block) = &report.status {
-            span.attr("failed_block", block.as_str());
-        }
-        span.finish();
-        tracer.incr(&format!("instances.{}", report.status.label()), 1);
-    }
-    if let Some(log) = log {
-        log.finish(&report.status);
-    }
-    report
 }
 
 /// The go/no-go question asked after a slot ran to its end, with the
@@ -499,9 +436,8 @@ impl Dispatcher {
         control: Option<&CampaignControl>,
         mut gate: Option<SlotGate<'_>>,
     ) -> Result<CampaignOutcome> {
-        // Unpack the WAR once; instances clone the in-memory graph instead
-        // of re-deserializing JSON per instance.
-        let workflow = self.war.unpack()?;
+        // Unpack the WAR once; every instance shares the in-memory graph.
+        let workflow = Arc::new(self.war.unpack()?);
         let (journal, resumed) = match resumed {
             Some((journal, campaign)) => (Some(journal), Some(campaign)),
             None => (self.journal.as_ref(), None),
@@ -536,62 +472,71 @@ impl Dispatcher {
         let dispatch_id = span.is_recording().then(|| span.id());
 
         let mut out = CampaignOutcome::default();
-        let mut analysis = FalloutAnalysis::default();
-        let mut trip: Option<BreakerTrip> = None;
         // The one walk of a schedule, slot by slot in slot order, nodes in
         // their deterministic order within a slot.
         let mut by_slot: BTreeMap<Timeslot, Vec<NodeId>> = BTreeMap::new();
         for (&node, &slot) in &schedule.assignments {
             by_slot.entry(slot).or_default().push(node);
         }
-        for (slot, nodes) in by_slot {
-            // Slot boundaries are admission points too: a pause blocks
-            // here between slots, a cancel stops before the next starts.
-            if control.is_some_and(|c| !c.admit()) {
-                out.halted = Some(slot);
-                break;
+        let crew = Crew {
+            dispatcher: self,
+            workflow,
+            journal,
+            inputs_for,
+            dispatch_span: dispatch_id,
+            admission: Mutex::new(Admission::new(control, breaker)),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+        };
+        // No slot runs more workers than it has instances, so no more
+        // helpers than the largest slot needs are started.
+        let largest = by_slot.values().map(Vec::len).max().unwrap_or(0);
+        let helpers = crew.workers(largest).saturating_sub(1);
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|| crew.help());
             }
-            let items = nodes
-                .into_iter()
-                .map(|node| {
-                    let key = (slot.0, node.0);
-                    match resumed.and_then(|c| c.completed.get(&key)) {
-                        Some(recorded) => SlotItem::Done(recorded.clone()),
-                        None => SlotItem::Run {
-                            node,
-                            replay: resumed
-                                .and_then(|c| c.partial.get(&key))
-                                .cloned()
-                                .unwrap_or_default(),
-                        },
-                    }
-                })
-                .collect();
-            let (mut instances, mut drained, halted) = self.run_slot(
-                &workflow,
-                slot,
-                items,
-                inputs_for,
-                dispatch_id,
-                journal,
-                control,
-                |instance| match breaker {
-                    Some(b) => {
-                        analysis.add_instance(instance);
-                        trip = b.check(&analysis);
-                        trip.is_none()
-                    }
-                    None => true,
-                },
-            );
-            out.report.instances.append(&mut instances);
-            out.report.drained.append(&mut drained);
-            if halted || gate.as_mut().is_some_and(|g| !g(slot, &out.report)) {
-                out.halted = Some(slot);
-                break;
+            // The scope joins the helpers only once they return: on a
+            // panic here they are told to, as at the end of the loop.
+            let _quit_on_unwind = QuitOnUnwind(&crew);
+            for (slot, nodes) in by_slot {
+                // Slot boundaries are admission points too: a pause blocks
+                // here between slots, a cancel stops before the next starts.
+                if control.is_some_and(|c| !c.admit()) {
+                    out.halted = Some(slot);
+                    break;
+                }
+                let items = nodes
+                    .into_iter()
+                    .map(|node| {
+                        let key = (slot.0, node.0);
+                        match resumed.and_then(|c| c.completed.get(&key)) {
+                            Some(recorded) => SlotItem::Done(recorded.clone()),
+                            None => SlotItem::Run {
+                                node,
+                                replay: resumed
+                                    .and_then(|c| c.partial.get(&key))
+                                    .cloned()
+                                    .unwrap_or_default(),
+                            },
+                        }
+                    })
+                    .collect();
+                let (mut instances, mut drained, halted) = crew.run_slot(slot, items);
+                out.report.instances.append(&mut instances);
+                out.report.drained.append(&mut drained);
+                if halted || gate.as_mut().is_some_and(|g| !g(slot, &out.report)) {
+                    out.halted = Some(slot);
+                    break;
+                }
             }
-        }
-        out.trip = trip;
+            crew.quit();
+        });
+        out.trip = crew
+            .admission
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .trip;
         out.cancelled = control.is_some_and(CampaignControl::is_cancelled);
 
         if let Some(slot) = out.halted {
@@ -627,170 +572,441 @@ impl Dispatcher {
         span.finish();
         Ok(out)
     }
+}
 
-    /// Run one slot with self-admitting workers.
+/// The workers of one dispatch: the calling thread and the helpers
+/// [`Dispatcher::drive`] starts once, in one `std::thread::scope`, for
+/// all of its slots — `min(concurrency, capacity, largest slot) − 1` of
+/// them, none at concurrency 1.
+///
+/// A slot's first `workers` instances are admitted at its start. The
+/// caller runs the first and publishes the rest as **starts** under the
+/// crew lock, waking one parked helper per start on `work`. A worker
+/// with a start runs instances until [`Admission::complete`] gives it no
+/// next one, then leaves the slot; the last to leave wakes the caller on
+/// `idle`. A start no helper has claimed by the time the caller's own
+/// run ends is run by the caller, so a slot never waits on a thread that
+/// has not been scheduled yet.
+struct Crew<'a, I> {
+    dispatcher: &'a Dispatcher,
+    workflow: Arc<Workflow>,
+    journal: Option<&'a Journal>,
+    inputs_for: &'a I,
+    dispatch_span: Option<SpanId>,
+    admission: Mutex<Admission<'a>>,
+    /// Helpers park here until a slot has a start for them, or the crew
+    /// quits.
+    work: Condvar,
+    /// The caller parks here until the slot's last worker has left.
+    idle: Condvar,
+}
+
+impl<'a, I: Fn(NodeId) -> GlobalState + Sync> Crew<'a, I> {
+    /// The crew lock. A worker that panicked holding it is on its way to
+    /// quitting the crew, which must not wait on the poison: the lock is
+    /// taken back, and the dispatch ends in that panic whatever it holds.
+    fn lock(&self) -> MutexGuard<'_, Admission<'a>> {
+        self.admission.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// How many workers a slot of `runnable` instances runs on:
+    /// `min(concurrency, runnable, admission capacity)`. A worker above
+    /// the capacity could only ever park in `acquire`.
+    fn workers(&self, runnable: usize) -> usize {
+        let d = self.dispatcher;
+        d.concurrency.min(runnable).min(
+            d.permits
+                .as_deref()
+                .map_or(usize::MAX, AdmissionSlots::capacity),
+        )
+    }
+
+    /// A helper's life: claim a start, run the slot with the others until
+    /// admission gives it nothing more, park; return once the crew quits.
+    fn help(&self) {
+        let _quit_on_unwind = QuitOnUnwind(self);
+        loop {
+            let mut admission = self.lock();
+            let ticket = loop {
+                if admission.quit {
+                    return;
+                }
+                if let Some(ticket) = admission.claim_start() {
+                    break ticket;
+                }
+                admission = self.work.wait(admission).unwrap_or_else(|e| e.into_inner());
+            };
+            drop(admission);
+            self.shift(ticket);
+        }
+    }
+
+    /// Run instances, each admitted by the completion of the one before,
+    /// until admission gives this worker none; then leave the slot.
+    fn shift(&self, mut ticket: Ticket) {
+        loop {
+            let (index, report) = {
+                // Hold a quota slot for exactly the execution.
+                let _slot = self.dispatcher.permits.as_deref().map(SlotGuard::acquire);
+                self.run_instance(ticket)
+            };
+            let mut admission = self.lock();
+            if admission.quit {
+                return;
+            }
+            match admission.complete(index, report) {
+                Some(next) => ticket = next,
+                None => {
+                    admission.busy -= 1;
+                    if admission.busy == 0 {
+                        self.idle.notify_one();
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Tell every helper to return once it is out of work: at the end of
+    /// the dispatch, and when a worker unwinds.
+    fn quit(&self) {
+        self.lock().quit = true;
+        self.work.notify_all();
+        self.idle.notify_all();
+    }
+
+    /// Run one slot on the crew.
     ///
     /// `min(concurrency, runnable, admission capacity)` workers — the
-    /// calling thread is the first — each start on one dispatch index. A
-    /// worker that finishes an instance takes the slot lock and
-    /// [`Admission::complete`]s it: the reorder buffer advances the
-    /// contiguous completed prefix through `on_complete` (once per
-    /// instance, in dispatch order), and only then
-    /// does the worker take the next index for itself. Nothing is handed
-    /// to another thread, so a completion costs no wake-up; every
-    /// completion still admits at most one instance, and a gate/breaker
-    /// verdict is always taken **before** the admission it could have
-    /// vetoed — at concurrency 1 this is literally the sequential
-    /// admit-check-admit loop, which is what makes the
-    /// dispatch-equivalence properties hold.
+    /// calling thread first, then the helpers that claim the slot's
+    /// starts — each begin on one dispatch index. A worker that finishes
+    /// an instance takes the crew lock and [`Admission::complete`]s it:
+    /// the reorder buffer advances the contiguous completed prefix
+    /// through the breaker (once per instance, in dispatch order), and
+    /// only then does the worker take the next index for itself. Nothing
+    /// is handed to another thread, so a completion costs no wake-up;
+    /// every completion still admits at most one instance, and a
+    /// gate/breaker verdict is always taken **before** the admission it
+    /// could have vetoed — at concurrency 1 this is literally the
+    /// sequential admit-check-admit loop, which is what makes the
+    /// dispatch-equivalence properties hold. A slot costs one wake-up per
+    /// helper it starts and one for the caller at its end; no thread is
+    /// spawned for it.
     ///
-    /// `on_complete` returning `false` halts admission: workers exit as
-    /// they finish, their instances land in the drained list, and the
-    /// ordered prefix is frozen at the halting instance.
+    /// A breaker trip halts admission: workers leave as they finish,
+    /// their instances land in the drained list, and the ordered prefix
+    /// is frozen at the halting instance.
     ///
     /// On resume, `items` may contain recorded [`SlotItem::Done`] reports:
-    /// they pre-fill the reorder buffer, so the gate consumes them in
+    /// they pre-fill the reorder buffer, so the breaker consumes them in
     /// dispatch order exactly as live completions — a recorded halt
     /// therefore vetoes every fresh admission it would have vetoed live,
     /// before any worker starts.
     ///
-    /// Returns `(ordered_prefix, drained, halted)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Returns `(ordered_prefix, drained, halted)`. Panics if a worker
+    /// panicked.
     fn run_slot(
         &self,
-        workflow: &Workflow,
         slot: Timeslot,
         items: Vec<SlotItem>,
-        inputs_for: &(impl Fn(NodeId) -> GlobalState + Sync),
-        dispatch_parent: Option<SpanId>,
-        journal: Option<&Journal>,
-        control: Option<&CampaignControl>,
-        on_complete: impl FnMut(&InstanceReport) -> bool + Send,
     ) -> (Vec<InstanceReport>, Vec<InstanceReport>, bool) {
         let n = items.len();
         if n == 0 {
             return (Vec::new(), Vec::new(), false);
         }
-        let mut slot_span = self.tracer.span_with_parent("slot", dispatch_parent);
+        let tracer = &self.dispatcher.tracer;
+        let mut slot_span = tracer.span_with_parent("slot", self.dispatch_span);
         slot_span.attr("slot", slot.0);
         slot_span.attr("nodes", n);
         let slot_id = slot_span.is_recording().then(|| slot_span.id());
-        // Dispatch indices that actually need a worker.
-        let run_indices: Vec<usize> = (0..n)
-            .filter(|&i| matches!(items[i], SlotItem::Run { .. }))
-            .collect();
-        // Phase 0: pre-fill the reorder buffer with recorded completions
-        // and advance the contiguous prefix through them, consulting the
-        // gate BEFORE any fresh admission it could veto.
-        let mut admission = Admission {
-            pending: items
-                .iter()
-                .map(|item| match item {
-                    SlotItem::Done(recorded) => Some(recorded.clone()),
-                    SlotItem::Run { .. } => None,
-                })
-                .collect(),
-            ordered: Vec::with_capacity(n),
-            drained: Vec::new(),
-            halted: false,
-            next: 0,
-            run_indices: &run_indices,
-            control,
-            on_complete,
-        };
-        admission.advance();
+        let mut admission = self.lock();
+        // Pre-fill the reorder buffer with recorded completions and
+        // advance the contiguous prefix through them, consulting the
+        // breaker BEFORE any fresh admission it could veto.
+        admission.open(slot, slot_id, items);
         // Admission point: a pause blocks here before any fresh work
         // starts; a cancel halts the slot before a worker does. After a
         // (recorded) halt nothing fresh runs, and recorded completions
         // past it drain exactly as live in-flight work would have.
-        if !admission.halted && control.is_some_and(|c| !c.admit()) {
+        if !admission.halted && admission.control.is_some_and(|c| !c.admit()) {
             admission.halted = true;
         }
-        let permits = self.permits.as_deref();
         let workers = if admission.halted {
             admission.drain_pending();
             0
         } else {
-            self.concurrency
-                .min(run_indices.len())
-                .min(permits.map_or(usize::MAX, AdmissionSlots::capacity))
+            self.workers(admission.runs.len())
         };
         admission.next = workers;
-        let admission = Mutex::new(admission);
-        let work = |mut i: usize| loop {
-            let SlotItem::Run { node, replay } = &items[i] else {
-                unreachable!("only Run indices are admitted");
-            };
-            let report = {
-                // Hold a quota slot for exactly the execution.
-                let _slot = permits.map(SlotGuard::acquire);
-                run_instance(
-                    workflow,
-                    self.registry.clone(),
-                    *node,
-                    slot,
-                    inputs_for(*node),
-                    &self.tracer,
-                    slot_id,
-                    journal,
-                    replay.clone(),
-                )
-            };
-            let mut admission = admission.lock().unwrap_or_else(|e| e.into_inner());
-            match admission.complete(i, report) {
-                Some(next) => i = next,
-                None => break,
+        if workers > 0 {
+            admission.starts = 1..workers;
+            admission.busy = 1;
+            let first = admission.ticket(0);
+            drop(admission);
+            for _ in 1..workers {
+                self.work.notify_one();
             }
-        };
-        std::thread::scope(|scope| {
-            let work = &work;
-            if let Some((&mine, others)) = run_indices[..workers].split_first() {
-                for &i in others {
-                    scope.spawn(move || work(i));
+            self.shift(first);
+            admission = self.lock();
+            loop {
+                assert!(!admission.quit, "a dispatch worker panicked");
+                if let Some(ticket) = admission.claim_start() {
+                    drop(admission);
+                    self.shift(ticket);
+                    admission = self.lock();
+                } else if admission.busy == 0 {
+                    break;
+                } else {
+                    admission = self.idle.wait(admission).unwrap_or_else(|e| e.into_inner());
                 }
-                work(mine);
             }
-        });
-        let Admission {
-            ordered,
-            mut drained,
-            halted,
-            ..
-        } = admission.into_inner().unwrap_or_else(|e| e.into_inner());
-        drained.sort_by_key(|&(i, _)| i);
-        let drained: Vec<InstanceReport> = drained.into_iter().map(|(_, r)| r).collect();
+        }
+        let (ordered, drained, halted) = admission.close();
+        drop(admission);
         if slot_span.is_recording() {
             slot_span.attr("completed", ordered.len());
             slot_span.attr("drained", drained.len());
             slot_span.attr("halted", halted);
-            self.tracer.incr("instances.drained", drained.len() as u64);
+            tracer.incr("instances.drained", drained.len() as u64);
         }
         (ordered, drained, halted)
     }
+
+    /// Run one workflow instance, folding engine-level errors (corrupt
+    /// WAR, missing decision variable, dangling edge) into a failed report
+    /// so fall-out analysis sees them instead of losing them. Returns the
+    /// instance's dispatch index with its report.
+    fn run_instance(&self, ticket: Ticket) -> (usize, InstanceReport) {
+        let Ticket {
+            index,
+            node,
+            slot,
+            parent,
+            replay,
+        } = ticket;
+        let tracer = &self.dispatcher.tracer;
+        let inputs = (self.inputs_for)(node);
+        let log = self
+            .journal
+            .map(|j| Arc::new(InstanceLog::new(j, node, slot)));
+        let mut span = tracer.span_with_parent("instance", parent);
+        span.attr("node", node.0 as u64);
+        span.attr("slot", slot.0);
+        let span_id = span.is_recording().then(|| span.id());
+        let run = || -> Result<(InstanceStatus, Vec<BlockExecution>)> {
+            let mut engine = Engine::new(
+                Arc::clone(&self.workflow),
+                self.dispatcher.registry.clone(),
+                inputs,
+            );
+            engine.set_trace(tracer.clone(), span_id);
+            engine.set_replay(replay);
+            if let Some(log) = &log {
+                engine.set_block_sink(log.clone());
+            }
+            let status = engine.run()?.clone();
+            if engine.replay_remaining() > 0 {
+                return Err(CornetError::DataIntegrity(format!(
+                    "journal holds {} rows the workflow never reached",
+                    engine.replay_remaining()
+                )));
+            }
+            Ok((status, engine.into_log()))
+        };
+        let report = match run() {
+            Ok((status, blocks)) => InstanceReport {
+                node,
+                slot,
+                status,
+                blocks,
+            },
+            Err(e) => InstanceReport {
+                node,
+                slot,
+                status: InstanceStatus::Failed(format!("engine: {e}")),
+                blocks: Vec::new(),
+            },
+        };
+        if span.is_recording() {
+            span.attr("status", report.status.label());
+            span.attr("blocks", report.blocks.len());
+            let retries: u64 = report
+                .blocks
+                .iter()
+                .map(|b| b.attempts.saturating_sub(1) as u64)
+                .sum();
+            span.attr("retries", retries);
+            if let InstanceStatus::Failed(block) | InstanceStatus::RolledBack(block) =
+                &report.status
+            {
+                span.attr("failed_block", block.as_str());
+            }
+            span.finish();
+            tracer.incr(&format!("instances.{}", report.status.label()), 1);
+        }
+        if let Some(log) = log {
+            log.finish(&report.status);
+        }
+        (index, report)
+    }
 }
 
-/// One slot's admission state — what the slot lock guards. Every worker
-/// that finishes an instance brings it here and leaves with the next
-/// dispatch index to run, or with none.
-struct Admission<'a, F> {
+/// Quits the crew when the thread holding it unwinds, so that a panic on
+/// any worker ends the dispatch in a panic instead of a hang: a parked
+/// helper is woken to return, and the caller stops waiting for a slot
+/// whose worker is gone.
+struct QuitOnUnwind<'c, 'a, I: Fn(NodeId) -> GlobalState + Sync>(&'c Crew<'a, I>);
+
+impl<I: Fn(NodeId) -> GlobalState + Sync> Drop for QuitOnUnwind<'_, '_, I> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.quit();
+        }
+    }
+}
+
+/// What a worker takes from the crew lock to run one instance.
+struct Ticket {
+    /// Dispatch index within the slot.
+    index: usize,
+    node: NodeId,
+    slot: Timeslot,
+    /// The slot's span, parent of the instance's.
+    parent: Option<SpanId>,
+    /// Journaled rows to replay before fresh execution.
+    replay: Vec<ReplayRow>,
+}
+
+/// A slot instance that needs a worker.
+struct Run {
+    /// Dispatch index within the slot.
+    index: usize,
+    node: NodeId,
+    /// Moved into the instance's ticket at its admission.
+    replay: Vec<ReplayRow>,
+}
+
+/// The dispatch's admission state — what the crew lock guards. Every
+/// worker that finishes an instance brings it here and leaves with the
+/// next instance to run, or with none. Its slot fields are reset by
+/// [`Admission::open`] at every slot.
+struct Admission<'a> {
+    slot: Timeslot,
+    slot_span: Option<SpanId>,
     /// Reorder buffer: completions waiting for the ones dispatched before
     /// them.
     pending: Vec<Option<InstanceReport>>,
-    /// The contiguous completed prefix, already shown to `on_complete`.
+    /// The slot's instances that need a worker, in dispatch order.
+    runs: Vec<Run>,
+    /// The contiguous completed prefix, already shown to the breaker.
     ordered: Vec<InstanceReport>,
     /// Completions quarantined by a halt, with their dispatch index.
     drained: Vec<(usize, InstanceReport)>,
     halted: bool,
-    /// Position in `run_indices` of the next instance to admit.
+    /// Position in `runs` of the next instance to admit.
     next: usize,
-    run_indices: &'a [usize],
+    /// Positions in `runs` admitted at the slot's start that no worker
+    /// has claimed yet.
+    starts: Range<usize>,
+    /// Workers in the slot, the caller among them.
+    busy: usize,
+    /// The dispatch is over, or a worker panicked: helpers return.
+    quit: bool,
     control: Option<&'a CampaignControl>,
-    on_complete: F,
+    breaker: Option<&'a CircuitBreaker>,
+    /// The running fall-out analysis the breaker checks.
+    analysis: FalloutAnalysis,
+    trip: Option<BreakerTrip>,
 }
 
-impl<F: FnMut(&InstanceReport) -> bool> Admission<'_, F> {
-    /// Advance the contiguous completed prefix, consulting the gate once
-    /// per instance in dispatch order; its `false` halts.
+impl<'a> Admission<'a> {
+    fn new(control: Option<&'a CampaignControl>, breaker: Option<&'a CircuitBreaker>) -> Self {
+        Admission {
+            slot: Timeslot(0),
+            slot_span: None,
+            pending: Vec::new(),
+            runs: Vec::new(),
+            ordered: Vec::new(),
+            drained: Vec::new(),
+            halted: false,
+            next: 0,
+            starts: 0..0,
+            busy: 0,
+            quit: false,
+            control,
+            breaker,
+            analysis: FalloutAnalysis::default(),
+            trip: None,
+        }
+    }
+
+    /// Start a slot: recorded completions pre-fill the reorder buffer and
+    /// advance the prefix, the rest wait for a worker.
+    fn open(&mut self, slot: Timeslot, slot_span: Option<SpanId>, items: Vec<SlotItem>) {
+        self.slot = slot;
+        self.slot_span = slot_span;
+        self.pending.clear();
+        self.runs.clear();
+        self.ordered = Vec::with_capacity(items.len());
+        self.halted = false;
+        self.next = 0;
+        for (index, item) in items.into_iter().enumerate() {
+            match item {
+                SlotItem::Done(recorded) => self.pending.push(Some(recorded)),
+                SlotItem::Run { node, replay } => {
+                    self.pending.push(None);
+                    self.runs.push(Run {
+                        index,
+                        node,
+                        replay,
+                    });
+                }
+            }
+        }
+        self.advance();
+    }
+
+    /// End a slot: `(ordered_prefix, drained, halted)`, drained in
+    /// dispatch order.
+    fn close(&mut self) -> (Vec<InstanceReport>, Vec<InstanceReport>, bool) {
+        let mut drained = std::mem::take(&mut self.drained);
+        drained.sort_by_key(|&(i, _)| i);
+        let drained = drained.into_iter().map(|(_, r)| r).collect();
+        (std::mem::take(&mut self.ordered), drained, self.halted)
+    }
+
+    /// The ticket of the instance at position `k` of `runs`.
+    fn ticket(&mut self, k: usize) -> Ticket {
+        let run = &mut self.runs[k];
+        Ticket {
+            index: run.index,
+            node: run.node,
+            slot: self.slot,
+            parent: self.slot_span,
+            replay: std::mem::take(&mut run.replay),
+        }
+    }
+
+    /// A start no worker has claimed yet, for the worker asking.
+    fn claim_start(&mut self) -> Option<Ticket> {
+        let k = self.starts.next()?;
+        self.busy += 1;
+        Some(self.ticket(k))
+    }
+
+    /// The breaker's verdict on one more completion in dispatch order;
+    /// `false` halts.
+    fn verdict(&mut self, instance: &InstanceReport) -> bool {
+        let Some(breaker) = self.breaker else {
+            return true;
+        };
+        self.analysis.add_instance(instance);
+        self.trip = breaker.check(&self.analysis);
+        self.trip.is_none()
+    }
+
+    /// Advance the contiguous completed prefix, consulting the breaker
+    /// once per instance in dispatch order; its `false` halts.
     fn advance(&mut self) {
         while !self.halted {
             let Some(next) = self
@@ -800,7 +1016,7 @@ impl<F: FnMut(&InstanceReport) -> bool> Admission<'_, F> {
             else {
                 break;
             };
-            self.halted = !(self.on_complete)(&next);
+            self.halted = !self.verdict(&next);
             self.ordered.push(next);
         }
     }
@@ -817,23 +1033,26 @@ impl<F: FnMut(&InstanceReport) -> bool> Admission<'_, F> {
 
     /// Deposit the report of dispatch index `i` and admit the depositing
     /// worker's next instance, unless the roll-out halted or none is left.
-    fn complete(&mut self, i: usize, report: InstanceReport) -> Option<usize> {
+    fn complete(&mut self, i: usize, report: InstanceReport) -> Option<Ticket> {
         self.pending[i] = Some(report);
         self.advance();
-        let next = self.run_indices.get(self.next).copied();
+        let more = self.next < self.runs.len();
         // Admission point: a pause blocks the worker here, holding the
         // lock — in-flight instances finish behind it, nothing new
         // starts — and a cancel vetoes the admission and drains like a
         // trip.
-        if !self.halted && next.is_some() && self.control.is_some_and(|c| !c.admit()) {
+        if !self.halted && more && self.control.is_some_and(|c| !c.admit()) {
             self.halted = true;
         }
         if self.halted {
             self.drain_pending();
             return None;
         }
+        if !more {
+            return None;
+        }
         self.next += 1;
-        next
+        Some(self.ticket(self.next - 1))
     }
 }
 
@@ -1304,6 +1523,74 @@ mod tests {
             slots.high_water.load(Ordering::SeqCst) <= 4,
             "never more in flight than the pool admits"
         );
+    }
+
+    /// Runs a one-slot dispatch of 6 nodes at concurrency 3 on a thread of
+    /// its own, whose id `registry` is handed first, and waits at most
+    /// ten seconds for `run` to end. `Some(panicked)` when it ended,
+    /// `None` when it hung. `run` ends only after its scope joined every
+    /// crew thread, so an ended run left none behind.
+    fn run_under_deadline(
+        registry: impl FnOnce(std::thread::ThreadId) -> ExecutorRegistry + Send + 'static,
+    ) -> Option<bool> {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (done, ended) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let cat = builtin_catalog();
+            let war = WarArtifact::package(&software_upgrade_workflow(&cat), &cat).unwrap();
+            let reg = registry(std::thread::current().id());
+            let d = Dispatcher::new(war, reg, 3).unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(|| d.run(&schedule(6, 6), inputs)));
+            let _ = done.send(outcome.is_err());
+        });
+        let ended = ended.recv_timeout(std::time::Duration::from_secs(10)).ok();
+        if ended.is_some() {
+            runner.join().unwrap();
+        }
+        ended
+    }
+
+    #[test]
+    fn crew_a_panic_on_a_helper_panics_the_run() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let outcome = run_under_deadline(|caller| {
+            let helper_ran = Arc::new(AtomicBool::new(false));
+            let mut reg = happy_registry();
+            reg.register("health_check", move |s| {
+                if std::thread::current().id() != caller {
+                    helper_ran.store(true, Ordering::SeqCst);
+                    panic!("executor panics on a helper");
+                }
+                // The caller holds its first instance until a helper ran
+                // one, so that a helper is sure to.
+                let waited = std::time::Instant::now();
+                while !helper_ran.load(Ordering::SeqCst)
+                    && waited.elapsed() < std::time::Duration::from_secs(5)
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                s.insert("healthy".into(), ParamValue::from(true));
+                Ok(())
+            });
+            reg
+        });
+        assert_eq!(outcome, Some(true), "the run panics, within the deadline");
+    }
+
+    #[test]
+    fn crew_a_panic_on_the_calling_thread_panics_the_run() {
+        let outcome = run_under_deadline(|caller| {
+            let mut reg = happy_registry();
+            reg.register("health_check", move |s| {
+                if std::thread::current().id() == caller {
+                    panic!("executor panics on the calling thread");
+                }
+                s.insert("healthy".into(), ParamValue::from(true));
+                Ok(())
+            });
+            reg
+        });
+        assert_eq!(outcome, Some(true), "the run panics, within the deadline");
     }
 
     #[test]

@@ -129,7 +129,8 @@ impl InstanceStatus {
 
 /// Executes one workflow instance.
 pub struct Engine {
-    workflow: Workflow,
+    /// Shared, never copied: every instance of a dispatch reads one graph.
+    workflow: Arc<Workflow>,
     registry: ExecutorRegistry,
     state: GlobalState,
     position: Option<WfNodeId>,
@@ -155,8 +156,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an engine over an already-validated workflow.
-    pub fn new(workflow: Workflow, registry: ExecutorRegistry, inputs: GlobalState) -> Self {
+    /// Create an engine over an already-validated workflow — owned, or
+    /// an `Arc` shared with the other instances of a dispatch.
+    pub fn new(
+        workflow: impl Into<Arc<Workflow>>,
+        registry: ExecutorRegistry,
+        inputs: GlobalState,
+    ) -> Self {
+        let workflow = workflow.into();
         let position = workflow.start();
         Engine {
             workflow,
@@ -223,6 +230,11 @@ impl Engine {
         &self.log
     }
 
+    /// The execution log, moved out of the finished engine.
+    pub fn into_log(self) -> Vec<BlockExecution> {
+        self.log
+    }
+
     /// Read a variable from the instance's global state.
     pub fn state_var(&self, key: &str) -> Option<&ParamValue> {
         self.state.get(key)
@@ -251,10 +263,13 @@ impl Engine {
             self.status = InstanceStatus::Failed("no start node".into());
             return Ok(&self.status);
         };
-        let node = self.workflow.node(pos).clone();
+        // The node is borrowed from the shared graph, so the arms below
+        // change the instance's own fields directly, never `&mut self`
+        // as a whole, until the node's last use.
+        let node = self.workflow.node(pos);
         match &node.kind {
             NodeKind::Start => {
-                self.advance(pos, None)?;
+                self.position = Some(next_node(&self.workflow, pos, None)?);
             }
             NodeKind::End => {
                 self.status = InstanceStatus::Completed;
@@ -279,13 +294,13 @@ impl Engine {
                     // already in the journal.
                     self.log.push(row.exec);
                     if succeeded {
-                        self.advance(pos, None)?;
+                        self.position = Some(next_node(&self.workflow, pos, None)?);
                     } else {
                         self.fail_block(block_name);
                     }
                     return Ok(&self.status);
                 }
-                let policy = self.registry.retry_policy_for(block).cloned();
+                let policy = self.registry.retry_policy_for(block);
                 let deadline = self.registry.deadline_for(block);
                 if let Some(sink) = &self.sink {
                     sink.before_execute();
@@ -352,7 +367,7 @@ impl Engine {
                             backoff: backoff_total,
                         });
                         self.emit_to_sink();
-                        self.advance(pos, None)?;
+                        self.position = Some(next_node(&self.workflow, pos, None)?);
                     }
                     Err(e) => {
                         let status = if matches!(e, CornetError::Timeout(_)) {
@@ -385,7 +400,7 @@ impl Engine {
                             "decision variable '{variable}' is not a bool in state"
                         ))
                     })?;
-                self.advance(pos, Some(value))?;
+                self.position = Some(next_node(&self.workflow, pos, Some(value))?);
             }
         }
         Ok(&self.status)
@@ -470,22 +485,6 @@ impl Engine {
         }
     }
 
-    fn advance(&mut self, from: WfNodeId, guard: Option<bool>) -> Result<()> {
-        let next = self
-            .workflow
-            .out_edges(from)
-            .find(|e| e.guard == guard)
-            .map(|e| e.to)
-            .ok_or_else(|| {
-                CornetError::InvalidWorkflow(format!(
-                    "no outgoing edge with guard {guard:?} from '{}'",
-                    self.workflow.node(from).label
-                ))
-            })?;
-        self.position = Some(next);
-        Ok(())
-    }
-
     /// Run until completion or failure.
     ///
     /// Engine-level errors (missing decision variable, dangling edge) are
@@ -500,6 +499,21 @@ impl Engine {
         }
         Ok(&self.status)
     }
+}
+
+/// The node the token moves to from `from` along the edge whose guard is
+/// `guard`.
+fn next_node(workflow: &Workflow, from: WfNodeId, guard: Option<bool>) -> Result<WfNodeId> {
+    workflow
+        .out_edges(from)
+        .find(|e| e.guard == guard)
+        .map(|e| e.to)
+        .ok_or_else(|| {
+            CornetError::InvalidWorkflow(format!(
+                "no outgoing edge with guard {guard:?} from '{}'",
+                workflow.node(from).label
+            ))
+        })
 }
 
 #[cfg(test)]

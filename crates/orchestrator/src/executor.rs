@@ -23,8 +23,17 @@ type BlockFn = dyn Fn(&mut GlobalState) -> Result<()> + Send + Sync;
 /// with the per-block resilience configuration the engine consults at
 /// execution time: retry policies (with an optional registry-wide
 /// default) and execution deadlines.
+///
+/// The tables sit behind one `Arc`: a clone — one per workflow instance —
+/// is a reference count, and `register`/`set_*` copy the tables on write
+/// when a clone shares them, so a clone never sees a later change.
 #[derive(Clone, Default)]
 pub struct ExecutorRegistry {
+    tables: Arc<Tables>,
+}
+
+#[derive(Clone, Default)]
+struct Tables {
     blocks: BTreeMap<String, Arc<BlockFn>>,
     policies: BTreeMap<String, RetryPolicy>,
     default_policy: Option<RetryPolicy>,
@@ -43,17 +52,19 @@ impl ExecutorRegistry {
     where
         F: Fn(&mut GlobalState) -> Result<()> + Send + Sync + 'static,
     {
-        self.blocks.insert(block.to_owned(), Arc::new(f));
+        self.tables_mut()
+            .blocks
+            .insert(block.to_owned(), Arc::new(f));
     }
 
     /// Whether a block has an implementation.
     pub fn has(&self, block: &str) -> bool {
-        self.blocks.contains_key(block)
+        self.tables.blocks.contains_key(block)
     }
 
     /// Execute a block against an instance's global state.
     pub fn execute(&self, block: &str, state: &mut GlobalState) -> Result<()> {
-        let f = self.blocks.get(block).ok_or_else(|| {
+        let f = self.tables.blocks.get(block).ok_or_else(|| {
             CornetError::ExecutionFailed(format!("no executor registered for block '{block}'"))
         })?;
         f(state)
@@ -61,35 +72,46 @@ impl ExecutorRegistry {
 
     /// Names of registered blocks.
     pub fn block_names(&self) -> Vec<&str> {
-        self.blocks.keys().map(String::as_str).collect()
+        self.tables.blocks.keys().map(String::as_str).collect()
     }
 
     /// Attach a retry policy to one block (replaces any previous policy).
     pub fn set_retry_policy(&mut self, block: &str, policy: RetryPolicy) {
-        self.policies.insert(block.to_owned(), policy);
+        self.tables_mut().policies.insert(block.to_owned(), policy);
     }
 
     /// Set the registry-wide default retry policy, used by blocks without
     /// a per-block policy.
     pub fn set_default_retry_policy(&mut self, policy: RetryPolicy) {
-        self.default_policy = Some(policy);
+        self.tables_mut().default_policy = Some(policy);
     }
 
     /// The retry policy in effect for a block: per-block first, then the
     /// registry default, then `None` (fail on first error).
     pub fn retry_policy_for(&self, block: &str) -> Option<&RetryPolicy> {
-        self.policies.get(block).or(self.default_policy.as_ref())
+        let tables = &*self.tables;
+        tables
+            .policies
+            .get(block)
+            .or(tables.default_policy.as_ref())
     }
 
     /// Attach an execution deadline to one block; the engine converts
     /// overruns into [`CornetError::Timeout`] failures.
     pub fn set_deadline(&mut self, block: &str, deadline: Duration) {
-        self.deadlines.insert(block.to_owned(), deadline);
+        self.tables_mut()
+            .deadlines
+            .insert(block.to_owned(), deadline);
     }
 
     /// The execution deadline for a block, if any.
     pub fn deadline_for(&self, block: &str) -> Option<Duration> {
-        self.deadlines.get(block).copied()
+        self.tables.deadlines.get(block).copied()
+    }
+
+    /// The tables to change, copied first if a clone shares them.
+    fn tables_mut(&mut self) -> &mut Tables {
+        Arc::make_mut(&mut self.tables)
     }
 }
 
@@ -145,6 +167,39 @@ mod tests {
         reg.register("noop", |_| Ok(()));
         let reg2 = reg.clone();
         assert!(reg2.has("noop"));
+    }
+
+    #[test]
+    fn changing_a_clone_leaves_the_original_alone() {
+        let mut original = ExecutorRegistry::new();
+        original.register("step", |s| {
+            s.insert("by".into(), ParamValue::from("original"));
+            Ok(())
+        });
+        original.set_retry_policy("step", RetryPolicy::with_attempts(2));
+        let mut copy = original.clone();
+        copy.register("step", |s| {
+            s.insert("by".into(), ParamValue::from("copy"));
+            Ok(())
+        });
+        copy.register("extra", |_| Ok(()));
+        copy.set_retry_policy("step", RetryPolicy::with_attempts(7));
+        copy.set_default_retry_policy(RetryPolicy::with_attempts(3));
+        copy.set_deadline("step", Duration::from_millis(5));
+
+        let ran_by = |reg: &ExecutorRegistry| {
+            let mut state = GlobalState::new();
+            reg.execute("step", &mut state).unwrap();
+            state["by"].as_str().unwrap().to_owned()
+        };
+        assert_eq!(ran_by(&original), "original");
+        assert_eq!(ran_by(&copy), "copy");
+        assert!(!original.has("extra") && copy.has("extra"));
+        assert_eq!(original.retry_policy_for("step").unwrap().max_attempts, 2);
+        assert_eq!(copy.retry_policy_for("step").unwrap().max_attempts, 7);
+        assert!(original.retry_policy_for("other").is_none());
+        assert_eq!(original.deadline_for("step"), None);
+        assert_eq!(original.block_names(), vec!["step"]);
     }
 
     #[test]

@@ -85,7 +85,11 @@ impl FalloutAnalysis {
             self.completed += 1;
         }
         for exec in &instance.blocks {
-            let stats = self.per_block.entry(exec.block.clone()).or_default();
+            // A block name is copied into the map on first sight only.
+            let stats = match self.per_block.get_mut(exec.block.as_str()) {
+                Some(stats) => stats,
+                None => self.per_block.entry(exec.block.clone()).or_default(),
+            };
             match exec.status {
                 BlockStatus::Success => stats.successes += 1,
                 BlockStatus::Recovered { .. } => {
@@ -97,13 +101,13 @@ impl FalloutAnalysis {
                     if exec.status == BlockStatus::TimedOut {
                         stats.timeouts += 1;
                     }
-                    let kind = exec
-                        .error
-                        .as_deref()
-                        .map(error_kind)
-                        .unwrap_or("unknown")
-                        .to_string();
-                    *stats.by_error.entry(kind).or_default() += 1;
+                    let kind = exec.error.as_deref().map_or("unknown", error_kind);
+                    match stats.by_error.get_mut(kind) {
+                        Some(count) => *count += 1,
+                        None => {
+                            stats.by_error.insert(kind.to_owned(), 1);
+                        }
+                    }
                 }
             }
         }

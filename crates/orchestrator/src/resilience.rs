@@ -18,8 +18,8 @@ use crate::executor::{ExecutorRegistry, GlobalState};
 use crate::falloutanalysis::FalloutAnalysis;
 use cornet_types::hash::fnv1a64;
 use cornet_types::{CornetError, ParamValue};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Reserved global-state key through which executors report simulated
@@ -294,7 +294,9 @@ impl FaultPlan {
 /// Fault decisions are keyed by `(seed, block, node, invocation counter)`
 /// where the counter is per (block, node): thread interleaving across
 /// instances cannot change which invocation fails, so a whole dispatch is
-/// reproducible from the seed alone.
+/// reproducible from the seed alone. Each wrapped block keeps its own
+/// counters, looked up by the borrowed node name: a call allocates only on
+/// a node's first invocation of the block.
 pub struct FaultyExecutor;
 
 impl FaultyExecutor {
@@ -331,9 +333,6 @@ impl FaultyExecutor {
         plan: &FaultPlan,
         crash: Option<(CrashPoint, cornet_journal::CrashSwitch)>,
     ) -> ExecutorRegistry {
-        let counters: Arc<Mutex<BTreeMap<(String, String), u64>>> =
-            Arc::new(Mutex::new(BTreeMap::new()));
-        let crash = Arc::new(crash);
         let mut wrapped = registry.clone();
         for block in registry
             .block_names()
@@ -346,26 +345,32 @@ impl FaultyExecutor {
             }
             let inner = registry.clone();
             let plan = plan.clone();
-            let counters = counters.clone();
-            let crash = crash.clone();
+            // Invocations of this block, per node: its own map, so the
+            // wrapped blocks never contend on one lock.
+            let counts: Mutex<HashMap<String, u64>> = Mutex::new(HashMap::new());
+            let crash = crash.clone().filter(|(point, _)| point.block == block);
+            let block_hash = fnv1a64(block.as_bytes());
             let name = block.clone();
             wrapped.register(&block, move |state: &mut GlobalState| {
-                let node = state
-                    .get("node")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("")
-                    .to_owned();
-                let invocation = {
-                    let mut c = counters.lock().unwrap_or_else(|e| e.into_inner());
-                    let n = c.entry((name.clone(), node.clone())).or_insert(0);
-                    *n += 1;
-                    *n
-                };
                 if plan.latency_ms > 0 {
                     add_sim_latency(state, plan.latency_ms);
                 }
-                if let Some((point, switch)) = crash.as_ref() {
-                    if point.block == name && point.node == node && point.invocation == invocation {
+                let node = state.get("node").and_then(|v| v.as_str()).unwrap_or("");
+                let invocation = {
+                    let mut counts = counts.lock().unwrap_or_else(|e| e.into_inner());
+                    match counts.get_mut(node) {
+                        Some(n) => {
+                            *n += 1;
+                            *n
+                        }
+                        None => {
+                            counts.insert(node.to_owned(), 1);
+                            1
+                        }
+                    }
+                };
+                if let Some((point, switch)) = &crash {
+                    if point.node == node && point.invocation == invocation {
                         match point.mode {
                             cornet_journal::CrashMode::MidBlock => {
                                 switch.kill();
@@ -378,10 +383,7 @@ impl FaultyExecutor {
                     }
                 }
                 let draw = unit_f64(splitmix(
-                    plan.seed
-                        ^ fnv1a64(name.as_bytes())
-                        ^ fnv1a64(node.as_bytes()).rotate_left(17)
-                        ^ invocation,
+                    plan.seed ^ block_hash ^ fnv1a64(node.as_bytes()).rotate_left(17) ^ invocation,
                 ));
                 let fail = match plan.kind {
                     FaultKind::Transient | FaultKind::Permanent => draw < plan.failure_rate,
@@ -616,6 +618,38 @@ mod tests {
         );
         // Latency accumulated over the three invocations of n-0.
         assert_eq!(take_sim_latency(&mut s), Some(Duration::from_millis(21)));
+    }
+
+    #[test]
+    fn flaky_then_recover_fails_each_block_and_node_once() {
+        let mut reg = ExecutorRegistry::new();
+        reg.register("a", |_| Ok(()));
+        reg.register("b", |_| Ok(()));
+        let plan = FaultPlan {
+            kind: FaultKind::FlakyThenRecover { failures: 1 },
+            ..FaultPlan::transient(5, 0.0)
+        };
+        let faulty = FaultyExecutor::wrap(&reg, &plan);
+        let call = |block: &str, node: &str| {
+            let mut s = GlobalState::new();
+            s.insert("node".into(), ParamValue::from(node));
+            faulty.execute(block, &mut s).is_ok()
+        };
+        // Interleaved so that no pair's count can leak into another's.
+        let calls = [
+            ("a", "n-0", false),
+            ("b", "n-0", false),
+            ("a", "n-1", false),
+            ("a", "n-0", true),
+            ("b", "n-1", false),
+            ("b", "n-0", true),
+            ("a", "n-1", true),
+            ("b", "n-1", true),
+            ("a", "n-0", true),
+        ];
+        for (block, node, ok) in calls {
+            assert_eq!(call(block, node), ok, "{block} on {node}");
+        }
     }
 
     #[test]
