@@ -17,6 +17,10 @@
 #   4. ingest    /v1/ingest accepts a JSONL sample feed, streams live
 #                detections, and reports a go verdict on a clean uplift
 #   5. shutdown  POST /v1/shutdown drains and the process exits cleanly
+#   6. restart   cornetd restarted on the same state dir reads every
+#                campaign's phase and outcome back from its journal: the
+#                GET /v1/campaigns list equals the one before the shutdown,
+#                the SIGKILL-resumed campaign included
 set -euo pipefail
 
 CORNET=${CORNET:-target/release/cornet}
@@ -49,6 +53,27 @@ start_daemon() {
 }
 
 cli() { "$CORNET" "$@" --daemon "$ADDR"; }
+
+# Every campaign of the default tenant: id, phase and outcome.
+campaigns() {
+  curl -s -H 'X-Cornet-Tenant: default' "http://$ADDR/v1/campaigns" \
+    | jq -S '[.[] | {id, phase, outcome}]'
+}
+
+# POST /v1/shutdown and wait for the process to exit.
+shutdown_daemon() {
+  local code
+  code=$(curl -s -o "$WORK/shutdown.json" -w '%{http_code}' -X POST "http://$ADDR/v1/shutdown")
+  [ "$code" = 202 ] || fail "POST /v1/shutdown returned HTTP $code"
+  for _ in $(seq 1 100); do
+    if ! kill -0 "$PID" 2>/dev/null; then
+      PID=""
+      return
+    fi
+    sleep 0.1
+  done
+  fail "cornetd still running after shutdown"
+}
 snap() { cli status "$1"; }
 
 # Poll a campaign to a terminal phase; print its final snapshot.
@@ -219,15 +244,21 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X DELETE -H 'X-Cornet-Tenant: smo
 echo "   ingested 400 samples, $DETS detections, verdict go"
 
 echo "== clean shutdown =="
-CODE=$(curl -s -o "$WORK/shutdown.json" -w '%{http_code}' -X POST "http://$ADDR/v1/shutdown")
-[ "$CODE" = 202 ] || fail "POST /v1/shutdown returned HTTP $CODE"
-for _ in $(seq 1 100); do
-  if ! kill -0 "$PID" 2>/dev/null; then
-    PID=""
-    break
-  fi
-  sleep 0.1
-done
-[ -z "$PID" ] || fail "cornetd still running after shutdown"
+BEFORE=$(campaigns)
+shutdown_daemon
 
-echo "daemon smoke OK: gate, completion, interference 409/201, SIGKILL+resume ($RECOVERED blocks recovered, fingerprint $FP), streaming ingest ($DETS detections, verdict go), clean shutdown"
+echo "== restart: every campaign reads its outcome back from its journal =="
+start_daemon
+AFTER=$(campaigns)
+COUNT=$(echo "$BEFORE" | jq length)
+[ "$COUNT" -ge 5 ] || fail "expected at least 5 campaigns before the restart: $BEFORE"
+echo "$BEFORE" | jq -e 'all(.[]; .phase == "completed" and .outcome != null)' >/dev/null \
+  || fail "a campaign was not completed before the restart: $BEFORE"
+echo "$BEFORE" | jq -e --arg k "$KID" 'any(.[]; .id == $k)' >/dev/null \
+  || fail "the SIGKILL-resumed campaign $KID is missing from the list"
+jq -e -n --argjson a "$BEFORE" --argjson b "$AFTER" '$a == $b' >/dev/null \
+  || fail "campaigns read back differently after a restart: before $BEFORE, after $AFTER"
+echo "   $COUNT campaigns read back the same phase and outcome, $KID included"
+shutdown_daemon
+
+echo "daemon smoke OK: gate, completion, interference 409/201, SIGKILL+resume ($RECOVERED blocks recovered, fingerprint $FP), streaming ingest ($DETS detections, verdict go), clean shutdown, restart ($COUNT campaigns read back)"

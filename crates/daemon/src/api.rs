@@ -158,7 +158,7 @@ fn route(
             if follow {
                 stream_events(manager, tenant, id, from)
             } else {
-                match manager.events_since(tenant, id, from) {
+                match manager.wait_events(tenant, id, from, Duration::ZERO) {
                     Ok((lines, _)) => full(Response::jsonl(200, jsonl(&lines))),
                     Err(e) => full(error_response(&e)),
                 }

@@ -33,11 +33,11 @@ pub mod stream;
 
 pub use api::ApiServer;
 pub use client::{ClientResponse, DaemonClient};
+pub use cornet_orchestrator::{report_fingerprint, CampaignResult};
 pub use http::{Handler, HttpServer, Reply, Request, Response};
 pub use manager::{
-    ApiError, CampaignManager, CampaignPhase, CampaignResult, CampaignSnapshot, ManagerConfig,
-    SubmitOutcome,
+    ApiError, CampaignManager, CampaignPhase, CampaignSnapshot, ManagerConfig, SubmitOutcome,
 };
 pub use quota::{QuotaBook, QuotaSnapshot, TenantSlots};
-pub use scenario::{report_fingerprint, ExecutionWitness, JournalScenario};
+pub use scenario::{ExecutionWitness, JournalScenario};
 pub use stream::{IngestReceipt, StreamHub, StreamSpec};

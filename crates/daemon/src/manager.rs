@@ -7,13 +7,20 @@
 //! campaign for execution. A fair-share scheduler starts queued campaigns
 //! round-robin across tenants up to a global concurrent-campaign limit;
 //! each running campaign journals into its own WAL and charges its
-//! instance executions to its tenant's admission quota. On restart the
-//! manager scans the store and resumes every interrupted campaign through
-//! [`Dispatcher::resume_campaign`] — completed blocks are replayed from
-//! the journal, never re-executed.
+//! instance executions to its tenant's admission quota.
+//!
+//! A campaign's journal is its state. Every record the journal writes is
+//! folded, as it lands, into the campaign's [`CampaignFold`] — progress
+//! counters, trip, close and outcome — and on restart the manager folds
+//! each stored journal the same way: a closed one is terminal with the
+//! outcome it folds to, an open one is resumed through
+//! [`Dispatcher::resume_campaign`] (completed blocks are replayed from the
+//! journal, never re-executed). The manifest is written once, at submit,
+//! and holds identity and the scenario. `Queued`, `Running` and `Paused`
+//! are the manager's own state: no journal record says them.
 
 use crate::quota::{QuotaBook, QuotaSnapshot};
-use crate::scenario::{report_fingerprint, JournalScenario};
+use crate::scenario::JournalScenario;
 use cornet_analysis::{Code, Diagnostic, Report, SourceRef};
 use cornet_core::blast::{campaign_blasts, conflicts_between, BlastConflict, CampaignBlast};
 use cornet_core::{bundle_from_value, gate, load_bundle};
@@ -21,8 +28,9 @@ use cornet_journal::{
     CampaignStore, EventListener, FsyncPolicy, Journal, JournalEvent, Manifest, RecordListener,
 };
 use cornet_obs::Tracer;
-use cornet_orchestrator::{recover_campaign, CampaignControl, DispatchReport, Dispatcher};
+use cornet_orchestrator::{CampaignControl, CampaignFold, CampaignResult, Dispatcher};
 use cornet_types::json::{parse, JsonWriter};
+use cornet_types::CornetError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -41,6 +49,13 @@ pub enum ApiError {
     Conflict(String),
     /// Daemon-side failure (500).
     Internal(String),
+}
+
+/// A store or journal failure behind a request is the daemon's (500).
+impl From<CornetError> for ApiError {
+    fn from(e: CornetError) -> Self {
+        ApiError::Internal(e.to_string())
+    }
 }
 
 impl std::fmt::Display for ApiError {
@@ -92,24 +107,6 @@ impl CampaignPhase {
             CampaignPhase::Completed | CampaignPhase::Cancelled | CampaignPhase::Failed
         )
     }
-}
-
-/// Terminal outcome summary of a campaign.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CampaignResult {
-    /// FNV-1a-64 fingerprint of the dispatch report (crash-recovery
-    /// equality witness).
-    pub fingerprint: u64,
-    /// Instances that completed the mainline flow.
-    pub completed: usize,
-    /// Instances that failed outright.
-    pub failed: usize,
-    /// Instances reverted by their backout flow.
-    pub rolled_back: usize,
-    /// Block that tripped the breaker, if it fired.
-    pub trip: Option<String>,
-    /// True when the campaign was cancelled.
-    pub cancelled: bool,
 }
 
 /// Point-in-time public view of one campaign.
@@ -202,11 +199,7 @@ struct Entry {
     scenario: JournalScenario,
     control: CampaignControl,
     phase: CampaignPhase,
-    /// Pending resume of an interrupted journal (vs a fresh first run).
-    resume: bool,
-    blocks_recovered: usize,
     log: Arc<EventLog>,
-    outcome: Option<CampaignResult>,
     error: Option<String>,
     /// Blast radii of the bundle's declared campaigns, when it declared
     /// any — the interference gate compares submissions against these
@@ -218,27 +211,43 @@ struct Entry {
 impl Entry {
     fn snapshot(&self) -> CampaignSnapshot {
         let log = self.log.lock();
+        let fold = &log.fold;
+        let ended = matches!(
+            self.phase,
+            CampaignPhase::Completed | CampaignPhase::Cancelled
+        );
         CampaignSnapshot {
             id: self.manifest.id.clone(),
             tenant: self.manifest.tenant.clone(),
             name: self.manifest.name.clone(),
             phase: self.phase,
             total_instances: self.scenario.nodes,
-            instances_done: log.instances_done,
-            blocks_live: log.blocks_live,
-            blocks_recovered: self.blocks_recovered,
-            events: log.lines.len(),
-            outcome: self.outcome.clone(),
+            instances_done: fold.instances_done(),
+            blocks_live: fold.blocks() - log.blocks_recovered,
+            blocks_recovered: log.blocks_recovered,
+            events: fold.events(),
+            outcome: fold.result().filter(|_| ended).cloned(),
             error: self.error.clone(),
         }
     }
 
-    /// Enter a terminal phase and end the event stream in one step: when a
-    /// follower's stream ends, the next snapshot has phase and outcome.
-    fn finish(&mut self, phase: CampaignPhase, outcome: Option<CampaignResult>) {
+    /// Enter the terminal phase the journal folds to — `Failed` with
+    /// `error` if the runner hit one — and end the event stream, in one
+    /// step under the manager lock: when a follower's stream ends, the
+    /// next snapshot has phase and outcome, and the scheduler and the
+    /// interference gate see the campaign terminal.
+    fn finish(&mut self, error: Option<String>) -> CampaignPhase {
+        let (phase, error) = match error {
+            Some(e) => (CampaignPhase::Failed, Some(e)),
+            None => self.log.terminal().unwrap_or_else(|| {
+                let open = "the dispatch ended with the campaign's journal open";
+                (CampaignPhase::Failed, Some(open.into()))
+            }),
+        };
         self.phase = phase;
-        self.outcome = outcome;
+        self.error = error;
         self.log.close();
+        phase
     }
 }
 
@@ -246,9 +255,9 @@ impl Entry {
 /// `block_completed`) can wait for a parked follower to look again.
 const FOLLOW_STALENESS: Duration = Duration::from_millis(100);
 
-/// One campaign's journal records as JSONL lines and the progress counters
-/// derived from them, behind its own lock. The journal listener writes and
-/// takes nothing else; readers take the manager mutex only to find the log.
+/// One campaign's journal records as JSONL lines and their fold, behind
+/// its own lock. The journal listener writes and takes nothing else;
+/// readers take the manager mutex only to find the log.
 #[derive(Default)]
 struct EventLog {
     state: Mutex<LogState>,
@@ -258,23 +267,38 @@ struct EventLog {
 #[derive(Default)]
 struct LogState {
     lines: Vec<String>,
-    /// `block_completed` records appended by this process.
-    blocks_live: usize,
-    instances_done: usize,
+    /// Every record of the journal, folded in order.
+    fold: CampaignFold,
+    /// The first record the fold refused: the campaign fails with it.
+    fault: Option<String>,
+    /// `block_completed` records the journal held when this process took
+    /// the campaign over (a prior run's completed work).
+    blocks_recovered: usize,
     /// The campaign is terminal: no line will follow.
     closed: bool,
+}
+
+impl LogState {
+    fn push(&mut self, event: &JournalEvent, line: String) {
+        self.lines.push(line);
+        if self.fault.is_none() {
+            if let Err(e) = self.fold.apply(event) {
+                self.fault = Some(format!("journal: {e}"));
+            }
+        }
+    }
 }
 
 impl EventLog {
     /// The log of a campaign whose journal already holds `events`.
     fn recovered(events: &[JournalEvent]) -> EventLog {
-        let finished = |e: &&JournalEvent| matches!(e, JournalEvent::InstanceFinished { .. });
+        let mut state = LogState::default();
+        for event in events {
+            state.push(event, event.encode());
+        }
+        state.blocks_recovered = state.fold.blocks();
         EventLog {
-            state: Mutex::new(LogState {
-                lines: events.iter().map(JournalEvent::encode).collect(),
-                instances_done: events.iter().filter(finished).count(),
-                ..LogState::default()
-            }),
+            state: Mutex::new(state),
             cond: Condvar::new(),
         }
     }
@@ -283,18 +307,31 @@ impl EventLog {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The terminal phase the journal folds to, or `None` while it is
+    /// open: `Completed` or `Cancelled` once it is closed, `Failed` if a
+    /// record did not fold.
+    fn terminal(&self) -> Option<(CampaignPhase, Option<String>)> {
+        let state = self.lock();
+        if let Some(fault) = &state.fault {
+            return Some((CampaignPhase::Failed, Some(fault.clone())));
+        }
+        state.fold.result().map(|r| {
+            let phase = if r.cancelled {
+                CampaignPhase::Cancelled
+            } else {
+                CampaignPhase::Completed
+            };
+            (phase, None)
+        })
+    }
+
     fn close(&self) {
         self.lock().closed = true;
         self.cond.notify_all();
     }
 
-    /// Lines from index `cursor` on, and whether the stream is complete.
-    fn since(&self, cursor: usize) -> (Vec<String>, bool) {
-        self.wait_since(cursor, Duration::ZERO)
-    }
-
-    /// [`EventLog::since`], parking up to `timeout` while it would return
-    /// nothing new.
+    /// Lines from index `cursor` on, and whether the stream is complete,
+    /// parking up to `timeout` while there would be nothing new.
     fn wait_since(&self, cursor: usize, timeout: Duration) -> (Vec<String>, bool) {
         let deadline = Instant::now() + timeout;
         let mut state = self.lock();
@@ -322,15 +359,12 @@ impl RecordListener for EventLog {
     fn record(&self, event: &JournalEvent, payload: &str) {
         let line = payload.to_owned();
         let mut state = self.lock();
-        state.lines.push(line);
-        match event {
-            JournalEvent::InstanceAdmitted { .. } => return,
-            JournalEvent::BlockCompleted(_) => {
-                state.blocks_live += 1;
-                return;
-            }
-            JournalEvent::InstanceFinished { .. } => state.instances_done += 1,
-            _ => {}
+        state.push(event, line);
+        if matches!(
+            event,
+            JournalEvent::InstanceAdmitted { .. } | JournalEvent::BlockCompleted(_)
+        ) {
+            return;
         }
         drop(state);
         self.cond.notify_all();
@@ -365,8 +399,7 @@ impl CampaignManager {
     /// Open the state directory, recover every stored campaign, and start
     /// runners for everything that was interrupted.
     pub fn start(config: ManagerConfig) -> Result<Arc<CampaignManager>, ApiError> {
-        let store = CampaignStore::open(&config.state_dir)
-            .map_err(|e| ApiError::Internal(e.to_string()))?;
+        let store = CampaignStore::open(&config.state_dir)?;
         let book = QuotaBook::new(
             config.pool,
             config.default_quota,
@@ -413,24 +446,15 @@ impl CampaignManager {
 
     /// Rebuild in-memory state from the store at startup.
     fn recover(self: &Arc<Self>) -> Result<(), ApiError> {
-        let manifests = self
-            .store
-            .scan()
-            .map_err(|e| ApiError::Internal(e.to_string()))?;
+        let manifests = self.store.scan()?;
         let mut state = self.lock();
         // Every directory name counts, with or without a manifest: an id
         // is never handed out twice, whatever a crash left behind.
-        state.last_id = self
-            .store
-            .highest_id()
-            .map_err(|e| ApiError::Internal(e.to_string()))?;
+        state.last_id = self.store.highest_id()?;
         for manifest in manifests {
             let scenario = JournalScenario::from_meta(&manifest.meta)
                 .map_err(|e| ApiError::Internal(format!("{}: {e}", manifest.id)))?;
-            let paths = self
-                .store
-                .paths(&manifest.id)
-                .map_err(|e| ApiError::Internal(e.to_string()))?;
+            let paths = self.store.paths(&manifest.id)?;
             // Recompute declared blast radii from the persisted spec so
             // the interference gate survives restarts.
             let blast = std::fs::read_to_string(&paths.spec)
@@ -438,42 +462,22 @@ impl CampaignManager {
                 .and_then(|body| load_bundle(&body).ok())
                 .filter(|b| !b.campaigns.is_empty())
                 .map(|b| campaign_blasts(&b));
-            let events = if paths.journal.exists() {
-                Journal::read(&paths.journal)
-                    .map(|(events, _)| events)
-                    .unwrap_or_default()
-            } else {
-                Vec::new()
-            };
+            // No journal yet (or none readable): a fresh campaign.
+            let events = Journal::read(&paths.journal)
+                .map(|(events, _)| events)
+                .unwrap_or_default();
             let mut entry = Entry {
                 scenario,
                 control: CampaignControl::new(),
                 phase: CampaignPhase::Queued,
-                resume: false,
-                blocks_recovered: events
-                    .iter()
-                    .filter(|e| matches!(e, JournalEvent::BlockCompleted(_)))
-                    .count(),
                 log: Arc::new(EventLog::recovered(&events)),
-                outcome: None,
                 error: None,
                 blast,
                 manifest,
             };
-            let closed = matches!(events.last(), Some(JournalEvent::CampaignClosed));
-            if let Some(outcome) = outcome_from_meta(&entry.manifest.meta) {
-                // Terminal with a persisted summary: nothing to do.
-                entry.finish(phase_from_meta(&entry.manifest.meta), Some(outcome));
-                entry.error = entry.manifest.meta.get("outcome_error").cloned();
-            } else if closed {
-                // The journal closed but the process died before the
-                // manifest update: reconstruct the summary from the log.
-                let (outcome, phase) = reconstruct_outcome(&events, entry.scenario.nodes);
-                entry.finish(phase, Some(outcome));
+            if entry.log.terminal().is_some() {
+                entry.finish(None);
             } else {
-                // Fresh (no records) or interrupted (records, not closed):
-                // queue it; interrupted ones resume instead of restarting.
-                entry.resume = !events.is_empty();
                 state.queue.push(entry.manifest.id.clone());
             }
             state.entries.insert(entry.manifest.id.clone(), entry);
@@ -549,10 +553,7 @@ impl CampaignManager {
             name,
             meta,
         };
-        let paths = self
-            .store
-            .create(&manifest)
-            .map_err(|e| ApiError::Internal(e.to_string()))?;
+        let paths = self.store.create(&manifest)?;
         std::fs::write(&paths.spec, body)
             .map_err(|e| ApiError::Internal(format!("writing spec: {e}")))?;
         state.entries.insert(
@@ -562,10 +563,7 @@ impl CampaignManager {
                 manifest,
                 control: CampaignControl::new(),
                 phase: CampaignPhase::Queued,
-                resume: false,
-                blocks_recovered: 0,
                 log: Arc::default(),
-                outcome: None,
                 error: None,
                 blast,
             },
@@ -635,13 +633,12 @@ impl CampaignManager {
     /// Resume a paused campaign.
     pub fn resume(self: &Arc<Self>, tenant: &str, id: &str) -> Result<CampaignSnapshot, ApiError> {
         let mut state = self.lock();
+        // A runner is attached iff the id left the queue.
+        let queued = state.queue.contains(&id.to_string());
         let entry = owned_entry_mut(&mut state, tenant, id)?;
         match entry.phase {
             CampaignPhase::Paused => {
                 entry.control.resume();
-                // A runner is attached iff the id left the queue.
-                let queued = state.queue.contains(&id.to_string());
-                let entry = owned_entry_mut(&mut state, tenant, id)?;
                 entry.phase = if queued {
                     CampaignPhase::Queued
                 } else {
@@ -652,9 +649,7 @@ impl CampaignManager {
                 self.schedule();
                 Ok(snap)
             }
-            CampaignPhase::Running | CampaignPhase::Queued => {
-                Ok(owned_entry(&state, tenant, id)?.snapshot())
-            }
+            CampaignPhase::Running | CampaignPhase::Queued => Ok(entry.snapshot()),
             other => Err(ApiError::Conflict(format!(
                 "campaign {id} is {}, cannot resume",
                 other.label()
@@ -663,8 +658,10 @@ impl CampaignManager {
     }
 
     /// Cancel a campaign. Running campaigns drain in-flight work and
-    /// close their journal (exactly like a breaker halt); queued ones are
-    /// tombstoned so a restart never starts them.
+    /// close their journal (exactly like a breaker halt). A queued one is
+    /// run cancelled: its dispatcher opens its journal — or reopens an
+    /// interrupted one — and closes it at once, `cancelled` with nothing
+    /// ordered, so a restart folds it cancelled and never starts it.
     pub fn cancel(self: &Arc<Self>, tenant: &str, id: &str) -> Result<CampaignSnapshot, ApiError> {
         let mut state = self.lock();
         let queued = state.queue.contains(&id.to_string());
@@ -672,51 +669,17 @@ impl CampaignManager {
         match entry.phase {
             CampaignPhase::Running | CampaignPhase::Paused if !queued => {
                 entry.control.cancel();
-                let snap = entry.snapshot();
-                drop(state);
-                Ok(snap)
+                Ok(entry.snapshot())
             }
             CampaignPhase::Queued | CampaignPhase::Paused => {
                 entry.control.cancel();
-                entry.finish(
-                    CampaignPhase::Cancelled,
-                    Some(CampaignResult {
-                        fingerprint: 0,
-                        completed: 0,
-                        failed: 0,
-                        rolled_back: 0,
-                        trip: None,
-                        cancelled: true,
-                    }),
-                );
-                let manifest = entry.manifest.clone();
-                let scenario = entry.scenario.clone();
-                let outcome = entry.outcome.clone();
+                // Under the manager lock: nothing sees the campaign between
+                // its close record and its terminal phase. No block runs.
+                let (manifest, scenario) = (&entry.manifest, &entry.scenario);
+                let closed = self.drive_campaign(manifest, scenario, &entry.control, &entry.log);
+                entry.finish(closed.err().map(|e| e.to_string()));
                 let snap = entry.snapshot();
                 state.queue.retain(|q| q != id);
-                drop(state);
-                // Tombstone the journal so restarts see a closed campaign.
-                if let Ok(paths) = self.store.paths(id) {
-                    if !paths.journal.exists() {
-                        if let Ok(journal) = Journal::create(&paths.journal, self.config.fsync) {
-                            let assignments = scenario
-                                .schedule()
-                                .assignments
-                                .iter()
-                                .map(|(n, s)| (n.0, s.0))
-                                .collect();
-                            let _ = journal.append(&JournalEvent::CampaignOpened {
-                                meta: manifest.meta.clone(),
-                                assignments,
-                                concurrency: u32::try_from(scenario.concurrency)
-                                    .unwrap_or(u32::MAX),
-                            });
-                            let _ = journal.append(&JournalEvent::CampaignClosed);
-                            let _ = journal.sync();
-                        }
-                    }
-                }
-                self.persist_outcome(&manifest, CampaignPhase::Cancelled, &outcome, &None);
                 Ok(snap)
             }
             other => Err(ApiError::Conflict(format!(
@@ -727,17 +690,7 @@ impl CampaignManager {
     }
 
     /// Journal-event JSONL lines starting at index `from`, plus whether
-    /// the campaign is terminal (stream complete).
-    pub fn events_since(
-        &self,
-        tenant: &str,
-        id: &str,
-        from: usize,
-    ) -> Result<(Vec<String>, bool), ApiError> {
-        Ok(self.log_of(tenant, id)?.since(from))
-    }
-
-    /// Like [`CampaignManager::events_since`], but blocks up to `timeout`
+    /// the campaign is terminal (stream complete), waiting up to `timeout`
     /// for new events when none are pending.
     pub fn wait_events(
         &self,
@@ -746,14 +699,9 @@ impl CampaignManager {
         from: usize,
         timeout: Duration,
     ) -> Result<(Vec<String>, bool), ApiError> {
-        Ok(self.log_of(tenant, id)?.wait_since(from, timeout))
-    }
-
-    /// One campaign's event log, to its owner: all that the event readers
-    /// need the manager mutex for.
-    fn log_of(&self, tenant: &str, id: &str) -> Result<Arc<EventLog>, ApiError> {
-        let state = self.lock();
-        owned_entry(&state, tenant, id).map(|entry| Arc::clone(&entry.log))
+        // The manager mutex only finds the log; the wait is on its own.
+        let log = Arc::clone(&owned_entry(&self.lock(), tenant, id)?.log);
+        Ok(log.wait_since(from, timeout))
     }
 
     /// Stop accepting submissions.
@@ -828,37 +776,22 @@ impl CampaignManager {
 
     /// Drive one campaign to a terminal state (runner thread body).
     fn run_one(self: &Arc<Self>, id: &str) {
-        let (manifest, scenario, control, resume) = {
+        let (manifest, scenario, control, log) = {
             let state = self.lock();
             let entry = &state.entries[id];
             (
                 entry.manifest.clone(),
                 entry.scenario.clone(),
                 entry.control.clone(),
-                entry.resume,
+                Arc::clone(&entry.log),
             )
         };
-        let result = self.drive_campaign(id, &manifest, &scenario, &control, resume);
-        let (phase, outcome, error) = match result {
-            Ok((outcome, trip_cancelled)) => {
-                let phase = if trip_cancelled {
-                    CampaignPhase::Cancelled
-                } else {
-                    CampaignPhase::Completed
-                };
-                (phase, Some(outcome), None)
-            }
-            Err(e) => (CampaignPhase::Failed, None, Some(e)),
-        };
-        // Announce first, persist second: a crash between the two is the
-        // closed-journal case `recover` rebuilds.
+        let result = self.drive_campaign(&manifest, &scenario, &control, &log);
         let mut state = self.lock();
         state.running -= 1;
         let entry = state.entries.get_mut(id).expect("runner entry exists");
-        entry.error = error.clone();
-        entry.finish(phase, outcome.clone());
+        let phase = entry.finish(result.err().map(|e| e.to_string()));
         drop(state);
-        self.persist_outcome(&manifest, phase, &outcome, &error);
         self.config.tracer.incr(
             &format!("daemon.tenant.{}.{}", manifest.tenant, phase.label()),
             1,
@@ -867,127 +800,61 @@ impl CampaignManager {
         self.schedule();
     }
 
-    /// Run or resume the dispatcher for one campaign. Returns the outcome
-    /// summary and whether it ended by cancellation.
+    /// Run or resume the dispatcher for one campaign, journaling into its
+    /// log: the outcome is what the journal folds to.
     fn drive_campaign(
-        self: &Arc<Self>,
-        id: &str,
+        &self,
         manifest: &Manifest,
         scenario: &JournalScenario,
         control: &CampaignControl,
-        resume: bool,
-    ) -> Result<(CampaignResult, bool), String> {
-        let paths = self.store.paths(id).map_err(|e| e.to_string())?;
-        let listener = self.progress_listener(id);
+        log: &Arc<EventLog>,
+    ) -> cornet_types::Result<()> {
+        let id = manifest.id.as_str();
+        // An interrupted journal (records, not closed) resumes.
+        let resume = log.lock().fold.events() > 0;
+        let paths = self.store.paths(id)?;
         let tracer = self.config.tracer.clone();
         let mut span = tracer.span("campaign");
         span.attr("campaign", id);
         span.attr("tenant", manifest.tenant.as_str());
         span.attr("resumed", resume);
-        let registry = scenario.registry(None, None);
-        let dispatcher = Dispatcher::new(
-            scenario.war().map_err(|e| e.to_string())?,
-            registry,
-            scenario.concurrency,
-        )
-        .map_err(|e| e.to_string())?
-        .with_tracer(tracer.clone())
-        .with_admission(self.book.handle(&manifest.tenant));
+        let war = scenario.war().map_err(CornetError::InvalidWorkflow)?;
+        let dispatcher = Dispatcher::new(war, scenario.registry(None, None), scenario.concurrency)?
+            .with_tracer(tracer.clone())
+            .with_admission(self.book.handle(&manifest.tenant));
         let breaker = scenario.breaker();
-        // Fresh or recovered, the write handle is ours: same tracer, same
-        // live-progress tap.
-        let tap = |journal: Journal| journal.with_tracer(tracer.clone()).with_listener(listener);
-        let outcome = if resume {
-            let (journal, events, recovery) =
-                Journal::recover(&paths.journal, self.config.fsync).map_err(|e| e.to_string())?;
-            dispatcher
-                .resume_campaign(
-                    (tap(journal), events, recovery),
-                    JournalScenario::inputs,
-                    Some(&breaker),
-                    Some(control),
-                )
-                .map_err(|e| e.to_string())?
+        // Fresh or recovered, the write handle is ours: same tracer, and
+        // the campaign's log as the journal's tap — only records that
+        // reached the file are folded, and replayed blocks never
+        // re-append.
+        let tap = |journal: Journal| {
+            journal
+                .with_tracer(tracer.clone())
+                .with_listener(Arc::clone(log) as EventListener)
+        };
+        let fsync = self.config.fsync;
+        if resume {
+            let (journal, events, recovery) = Journal::recover(&paths.journal, fsync)?;
+            let recovered = (tap(journal), events, recovery);
+            let inputs = JournalScenario::inputs;
+            dispatcher.resume_campaign(recovered, inputs, Some(&breaker), Some(control))?;
         } else {
-            let journal =
-                Journal::create(&paths.journal, self.config.fsync).map_err(|e| e.to_string())?;
+            let journal = tap(Journal::create(&paths.journal, fsync)?);
             dispatcher
-                .with_journal(tap(journal), manifest.meta.clone())
+                .with_journal(journal, manifest.meta.clone())
                 .run_campaign(
                     &scenario.schedule(),
                     JournalScenario::inputs,
                     Some(&breaker),
                     Some(control),
-                )
-                .map_err(|e| e.to_string())?
-        };
-        let result = CampaignResult {
-            fingerprint: report_fingerprint(&outcome.report),
-            completed: outcome.report.completed(),
-            failed: outcome.report.failures().len(),
-            rolled_back: outcome.report.rolled_back(),
-            trip: outcome.trip.map(|t| t.block),
-            cancelled: outcome.cancelled,
-        };
-        span.attr("fingerprint", format!("{:016x}", result.fingerprint));
-        span.attr("cancelled", result.cancelled);
+                )?;
+        }
+        if let Some(result) = log.lock().fold.result() {
+            span.attr("fingerprint", format!("{:016x}", result.fingerprint));
+            span.attr("cancelled", result.cancelled);
+        }
         span.finish();
-        Ok((result, outcome.cancelled))
-    }
-
-    /// The journal tap feeding live progress, the event stream, and the
-    /// zero-re-execution witness: only records that reached the file
-    /// notify, and replayed blocks never re-append. It is the campaign's
-    /// log, and takes nothing else.
-    fn progress_listener(&self, id: &str) -> EventListener {
-        Arc::clone(&self.lock().entries[id].log) as EventListener
-    }
-
-    /// Bake a terminal outcome into the manifest so restarts report it
-    /// without replaying the journal.
-    fn persist_outcome(
-        &self,
-        manifest: &Manifest,
-        phase: CampaignPhase,
-        outcome: &Option<CampaignResult>,
-        error: &Option<String>,
-    ) {
-        let mut manifest = manifest.clone();
-        manifest
-            .meta
-            .insert("outcome_phase".into(), phase.label().into());
-        if let Some(o) = outcome {
-            manifest.meta.insert(
-                "outcome_fingerprint".into(),
-                format!("{:016x}", o.fingerprint),
-            );
-            manifest
-                .meta
-                .insert("outcome_completed".into(), o.completed.to_string());
-            manifest
-                .meta
-                .insert("outcome_failed".into(), o.failed.to_string());
-            manifest
-                .meta
-                .insert("outcome_rolled_back".into(), o.rolled_back.to_string());
-            manifest
-                .meta
-                .insert("outcome_cancelled".into(), o.cancelled.to_string());
-            if let Some(trip) = &o.trip {
-                manifest.meta.insert("outcome_trip".into(), trip.clone());
-            }
-        }
-        if let Some(e) = error {
-            manifest.meta.insert("outcome_error".into(), e.clone());
-        }
-        if let Err(e) = self.store.update(&manifest) {
-            eprintln!("cornetd: persisting outcome for {}: {e}", manifest.id);
-        } else {
-            let mut state = self.lock();
-            if let Some(entry) = state.entries.get_mut(&manifest.id) {
-                entry.manifest = manifest;
-            }
-        }
+        Ok(())
     }
 }
 
@@ -1073,74 +940,14 @@ fn owned_entry_mut<'a>(
     tenant: &str,
     id: &str,
 ) -> Result<&'a mut Entry, ApiError> {
-    let entry = state
-        .entries
-        .get_mut(id)
-        .ok_or_else(|| ApiError::NotFound(format!("no campaign {id}")))?;
-    if entry.manifest.tenant != tenant {
-        return Err(ApiError::Forbidden(format!(
-            "campaign {id} belongs to another tenant"
-        )));
-    }
-    Ok(entry)
-}
-
-fn outcome_from_meta(meta: &BTreeMap<String, String>) -> Option<CampaignResult> {
-    let fingerprint = u64::from_str_radix(meta.get("outcome_fingerprint")?, 16).ok()?;
-    let count = |key: &str| meta.get(key).and_then(|v| v.parse().ok()).unwrap_or(0);
-    Some(CampaignResult {
-        fingerprint,
-        completed: count("outcome_completed"),
-        failed: count("outcome_failed"),
-        rolled_back: count("outcome_rolled_back"),
-        trip: meta.get("outcome_trip").cloned(),
-        cancelled: meta.get("outcome_cancelled").map(String::as_str) == Some("true"),
-    })
-}
-
-fn phase_from_meta(meta: &BTreeMap<String, String>) -> CampaignPhase {
-    match meta.get("outcome_phase").map(String::as_str) {
-        Some("cancelled") => CampaignPhase::Cancelled,
-        Some("failed") => CampaignPhase::Failed,
-        _ => CampaignPhase::Completed,
-    }
-}
-
-/// Rebuild a terminal summary from a closed journal (the process died
-/// between the journal close and the manifest update).
-fn reconstruct_outcome(events: &[JournalEvent], total: u32) -> (CampaignResult, CampaignPhase) {
-    let recovered = recover_campaign(events, Default::default()).ok();
-    let report = DispatchReport {
-        instances: recovered
-            .map(|c| c.completed.into_values().collect())
-            .unwrap_or_default(),
-        drained: Vec::new(),
-    };
-    let trip = events.iter().find_map(|e| match e {
-        JournalEvent::BreakerTripped { block, .. } => Some(block.clone()),
-        _ => None,
-    });
-    let halted = (report.instances.len() as u32) < total;
-    let cancelled = halted && trip.is_none();
-    let outcome = CampaignResult {
-        fingerprint: report_fingerprint(&report),
-        completed: report.completed(),
-        failed: report.failures().len(),
-        rolled_back: report.rolled_back(),
-        trip,
-        cancelled,
-    };
-    let phase = if cancelled {
-        CampaignPhase::Cancelled
-    } else {
-        CampaignPhase::Completed
-    };
-    (outcome, phase)
+    owned_entry(state, tenant, id)?;
+    Ok(state.entries.get_mut(id).expect("owned_entry found it"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cornet_journal::Halt;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cornet-mgr-{name}-{}", std::process::id()));
@@ -1260,12 +1067,9 @@ mod tests {
         assert!(manager.drain(Duration::from_secs(30)));
         drop(manager);
 
-        // Strip the persisted outcome and cut the journal mid-campaign so
-        // the restart sees an interrupted run.
+        // Cut the journal mid-campaign so the restart sees an interrupted
+        // run.
         let store = CampaignStore::open(&dir).unwrap();
-        let mut manifest = store.read_manifest(&id).unwrap();
-        manifest.meta.retain(|k, _| !k.starts_with("outcome_"));
-        store.update(&manifest).unwrap();
         let paths = store.paths(&id).unwrap();
         let (events, _) = Journal::read(&paths.journal).unwrap();
         let keep = events.len() / 2;
@@ -1497,12 +1301,9 @@ mod tests {
         manager.begin_shutdown();
         assert!(manager.drain(Duration::from_secs(30)));
         drop(manager);
-        // Make the second campaign look interrupted: no outcome, half a
-        // journal. And leave an orphan above both.
+        // Make the second campaign look interrupted: half a journal. And
+        // leave an orphan above both.
         let store = CampaignStore::open(&dir).unwrap();
-        let mut manifest = store.read_manifest(&interrupted).unwrap();
-        manifest.meta.retain(|k, _| !k.starts_with("outcome_"));
-        store.update(&manifest).unwrap();
         let journal_path = store.paths(&interrupted).unwrap().journal;
         let (events, _) = Journal::read(&journal_path).unwrap();
         let journal = Journal::create(&journal_path, FsyncPolicy::Never).unwrap();
@@ -1552,6 +1353,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn opened() -> JournalEvent {
+        JournalEvent::CampaignOpened {
+            meta: BTreeMap::new(),
+            assignments: vec![(0, 1), (1, 1)],
+            concurrency: 1,
+        }
+    }
+
     fn admitted(node: u32) -> JournalEvent {
         JournalEvent::InstanceAdmitted { node, slot: 1 }
     }
@@ -1595,25 +1404,59 @@ mod tests {
 
     #[test]
     fn the_log_counts_what_it_holds_and_closing_it_ends_every_wait() {
-        let log = EventLog::recovered(&[admitted(0), finished(0), admitted(1)]);
-        assert_eq!(log.since(1).0, [finished(0).encode(), admitted(1).encode()]);
-        assert_eq!(log.since(7), (Vec::new(), false));
+        let log = EventLog::recovered(&[opened(), admitted(0), finished(0), admitted(1)]);
+        assert_eq!(
+            log.wait_since(2, Duration::ZERO).0,
+            [finished(0).encode(), admitted(1).encode()]
+        );
+        assert_eq!(log.wait_since(7, Duration::ZERO), (Vec::new(), false));
         log.record(&finished(1), &finished(1).encode());
         {
             let state = log.lock();
-            assert_eq!((state.lines.len(), state.instances_done), (4, 2));
-            assert_eq!(state.blocks_live, 0, "recovered blocks are not live");
+            assert_eq!(state.lines.len(), 5);
+            assert_eq!((state.fold.events(), state.fold.instances_done()), (5, 2));
+            assert_eq!(state.fold.blocks() - state.blocks_recovered, 0);
+            assert!(state.fault.is_none());
         }
+        assert_eq!(log.terminal(), None, "open until its journal closes");
         // Nothing new and not closed: the wait runs to its (short) timeout.
         assert_eq!(
-            log.wait_since(4, Duration::from_millis(1)),
+            log.wait_since(5, Duration::from_millis(1)),
             (Vec::new(), false)
         );
         log.close();
         assert_eq!(
-            log.wait_since(4, Duration::from_secs(10)),
+            log.wait_since(5, Duration::from_secs(10)),
             (Vec::new(), true)
         );
-        assert_eq!(log.since(3), (vec![finished(1).encode()], true));
+        assert_eq!(
+            log.wait_since(4, Duration::ZERO),
+            (vec![finished(1).encode()], true)
+        );
+    }
+
+    #[test]
+    fn a_closed_journal_folds_to_its_phase_and_a_refused_record_fails_the_campaign() {
+        let cancelled = JournalEvent::CampaignClosed(Some(Halt {
+            ordered: 0,
+            cancelled: true,
+        }));
+        let log = EventLog::recovered(&[opened(), cancelled]);
+        assert_eq!(log.terminal(), Some((CampaignPhase::Cancelled, None)));
+        let (a, b) = (admitted(0), admitted(1));
+        let closed = JournalEvent::CampaignClosed(None);
+        let log = EventLog::recovered(&[opened(), a, finished(0), b, finished(1), closed]);
+        assert_eq!(log.terminal(), Some((CampaignPhase::Completed, None)));
+        // A bare close reports every instance: one that never finished is
+        // corruption, not an outcome.
+        let closed = JournalEvent::CampaignClosed(None);
+        let log = EventLog::recovered(&[opened(), admitted(0), finished(0), closed]);
+        let (phase, error) = log.terminal().expect("closed");
+        assert_eq!(phase, CampaignPhase::Failed);
+        assert!(error.unwrap().contains("never finished"));
+        let log = EventLog::recovered(&[admitted(0)]);
+        let (phase, error) = log.terminal().expect("a refused record ends the campaign");
+        assert_eq!(phase, CampaignPhase::Failed);
+        assert!(error.unwrap().contains("campaign_opened"));
     }
 }

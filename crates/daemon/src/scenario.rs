@@ -16,8 +16,7 @@ use cornet_journal::{CrashMode, CrashSwitch};
 use cornet_orchestrator::resilience::{
     BreakerTrip, CircuitBreaker, FaultPlan, FaultyExecutor, RetryPolicy,
 };
-use cornet_orchestrator::{DispatchReport, ExecutorRegistry, GlobalState};
-use cornet_types::hash::fnv1a64;
+use cornet_orchestrator::{report_fingerprint, DispatchReport, ExecutorRegistry, GlobalState};
 use cornet_types::json::JsonValue;
 use cornet_types::{NodeId, ParamValue, Schedule, Timeslot};
 use cornet_workflow::builtin::software_upgrade_workflow;
@@ -299,30 +298,6 @@ fn happy_upgrade_registry(witness: Option<ExecutionWitness>) -> ExecutorRegistry
         Ok(())
     });
     reg
-}
-
-/// FNV-1a-64 over the outcome rows of a dispatch report: node, status,
-/// and every block's name/status/attempts/sim-duration/backoff. Two runs
-/// with the same fingerprint produced the same campaign outcome, so crash
-/// recovery is verifiable by comparing two numbers.
-pub fn report_fingerprint(report: &DispatchReport) -> u64 {
-    use std::fmt::Write;
-    let mut text = String::new();
-    for i in &report.instances {
-        let _ = write!(text, "{}|{:?};", i.node.0, i.status);
-        for b in &i.blocks {
-            let _ = write!(
-                text,
-                "{}:{:?}:{}:{}:{};",
-                b.block,
-                b.status,
-                b.attempts,
-                b.duration.as_nanos(),
-                b.backoff.as_nanos()
-            );
-        }
-    }
-    fnv1a64(text.as_bytes())
 }
 
 #[cfg(test)]

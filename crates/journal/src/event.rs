@@ -108,9 +108,24 @@ pub enum JournalEvent {
         /// Instances sampled when the trip fired.
         samples: u64,
     },
-    /// The campaign ran to completion (or to a breaker halt) and the
-    /// report was handed back — nothing left to resume.
-    CampaignClosed,
+    /// The dispatch ended and its report was handed back — nothing left
+    /// to resume. A dispatch that ran every slot to its end closes bare
+    /// (`{"ev":"campaign_closed"}`, `None`); one that halted or was
+    /// cancelled writes the two facts its records cannot show, because
+    /// they depend on timing (see [`Halt`]).
+    CampaignClosed(Option<Halt>),
+}
+
+/// How a halted or cancelled dispatch ended: the optional fields of
+/// `campaign_closed`, written together.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Halt {
+    /// Length of the report's deterministic prefix (`ordered`): the
+    /// schedule's first `ordered` instances in dispatch order (slot, then
+    /// node) are the report; instances that finished past it drained.
+    pub ordered: u32,
+    /// A cancel halted the dispatch (`cancelled`), not a breaker or gate.
+    pub cancelled: bool,
 }
 
 impl JournalEvent {
@@ -123,7 +138,7 @@ impl JournalEvent {
             JournalEvent::BlockCompleted(_) => "block_completed",
             JournalEvent::InstanceFinished { .. } => "instance_finished",
             JournalEvent::BreakerTripped { .. } => "breaker_tripped",
-            JournalEvent::CampaignClosed => "campaign_closed",
+            JournalEvent::CampaignClosed(_) => "campaign_closed",
         }
     }
 
@@ -194,7 +209,12 @@ impl JournalEvent {
                 w.key("failure_rate").display(failure_rate);
                 w.key("samples").int(*samples);
             }
-            JournalEvent::CampaignClosed => {}
+            JournalEvent::CampaignClosed(halt) => {
+                if let Some(h) = halt {
+                    w.key("ordered").int(h.ordered);
+                    w.key("cancelled").bool(h.cancelled);
+                }
+            }
         }
         w.end_object();
     }
@@ -359,8 +379,23 @@ impl JournalEvent {
                 })
             }
             "campaign_closed" => {
-                fields(c, |_, _| Ok(false))?;
-                Ok(JournalEvent::CampaignClosed)
+                let (mut ordered, mut cancelled) = (None, None);
+                fields(c, |key, c| {
+                    match key {
+                        "ordered" if ordered.is_none() => ordered = Some(u32_at(c)?),
+                        "cancelled" if cancelled.is_none() => cancelled = Some(c.boolean()?),
+                        _ => return Ok(false),
+                    }
+                    Ok(true)
+                })?;
+                if ordered.is_none() && cancelled.is_some() {
+                    return Err(bad("campaign_closed: cancelled without ordered"));
+                }
+                let halt = ordered.map(|ordered| Halt {
+                    ordered,
+                    cancelled: cancelled.unwrap_or(false),
+                });
+                Ok(JournalEvent::CampaignClosed(halt))
             }
             other => Err(bad(&format!("unknown event kind '{other}'"))),
         }
@@ -596,7 +631,37 @@ mod tests {
             failure_rate: 0.8333333333333334,
             samples: 6,
         });
-        round_trip(JournalEvent::CampaignClosed);
+        round_trip(JournalEvent::CampaignClosed(None));
+        for cancelled in [false, true] {
+            round_trip(JournalEvent::CampaignClosed(Some(Halt {
+                ordered: u32::MAX,
+                cancelled,
+            })));
+        }
+    }
+
+    #[test]
+    fn a_bare_close_is_byte_stable_and_a_halted_close_carries_both_fields() {
+        assert_eq!(
+            JournalEvent::CampaignClosed(None).encode(),
+            r#"{"ev":"campaign_closed"}"#
+        );
+        let halted = JournalEvent::CampaignClosed(Some(Halt {
+            ordered: 5,
+            cancelled: true,
+        }));
+        assert_eq!(
+            halted.encode(),
+            r#"{"ev":"campaign_closed","ordered":5,"cancelled":true}"#
+        );
+        for not_a_u32 in ["-1", "4294967296", "2.5", "1e999"] {
+            let payload = format!(r#"{{"ev":"campaign_closed","ordered":{not_a_u32}}}"#);
+            let err = JournalEvent::decode(&payload).unwrap_err();
+            assert!(
+                matches!(err, CornetError::DataIntegrity(_)),
+                "{payload}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -676,6 +741,12 @@ mod tests {
             r#"{"ev":"wat"}"#,
             r#"{"ev":"instance_admitted","node":"x","slot":1}"#,
             r#"{"ev":"block_completed","node":1,"slot":1}"#,
+            r#"{"ev":"campaign_closed","ordered":-1,"cancelled":false}"#,
+            r#"{"ev":"campaign_closed","ordered":4294967296,"cancelled":false}"#,
+            r#"{"ev":"campaign_closed","ordered":2.5,"cancelled":false}"#,
+            r#"{"ev":"campaign_closed","ordered":"3","cancelled":false}"#,
+            r#"{"ev":"campaign_closed","ordered":3,"cancelled":"yes"}"#,
+            r#"{"ev":"campaign_closed","cancelled":true}"#,
         ] {
             assert!(
                 matches!(

@@ -70,7 +70,22 @@ fn decode_tree(payload: &str) -> Result<JournalEvent> {
                 .map_err(|_| bad("malformed failure_rate"))?,
             samples: req_str_or_num_u64(&v, "samples")?,
         }),
-        "campaign_closed" => Ok(JournalEvent::CampaignClosed),
+        "campaign_closed" => {
+            let ordered = v.get("ordered").map(num_u32).transpose()?;
+            let cancelled = match v.get("cancelled") {
+                None => None,
+                Some(JsonValue::Bool(b)) => Some(*b),
+                Some(_) => return Err(bad("expected a boolean")),
+            };
+            match (ordered, cancelled) {
+                (None, None) => Ok(JournalEvent::CampaignClosed(None)),
+                (Some(ordered), cancelled) => Ok(JournalEvent::CampaignClosed(Some(Halt {
+                    ordered,
+                    cancelled: cancelled.unwrap_or(false),
+                }))),
+                (None, Some(_)) => Err(bad("campaign_closed: cancelled without ordered")),
+            }
+        }
         other => Err(bad(&format!("unknown event kind '{other}'"))),
     }
 }
@@ -297,6 +312,15 @@ const EDGE_CASES: &[&str] = &[
     r#"{"ev":"breaker_tripped","block":"b","failure_rate":"NaN","samples":null}"#,
     r#"{"ev":"campaign_closed","anything":[true,false,null]}"#,
     r#"{"ev":"campaign_closed",}"#,
+    r#"{"ev":"campaign_closed","ordered":7,"cancelled":true}"#,
+    r#"{"ev":"campaign_closed","cancelled":false,"ordered":0}"#,
+    r#"{"ev":"campaign_closed","ordered":3}"#,
+    r#"{"ev":"campaign_closed","cancelled":true}"#,
+    r#"{"ev":"campaign_closed","ordered":3,"ordered":"x","cancelled":1,"cancelled":true}"#,
+    r#"{"ev":"campaign_closed","ordered":4294967295,"cancelled":null}"#,
+    r#"{"ev":"campaign_closed","ordered":4294967296,"cancelled":false}"#,
+    r#"{"ev":"campaign_closed","ordered":-1,"cancelled":false}"#,
+    r#"{"ev":"campaign_closed","ordered":1.5}"#,
     r#"{"ev":"nonsense"}"#,
     r#"{"ev":"campaign_closed""#,
     r#"{"EV":"campaign_closed"}"#,
@@ -353,12 +377,12 @@ fn state_nested_past_the_depth_cap_is_an_error_and_recovery_cuts_it_as_torn() {
         "cornet-journal-deep-state-{}.log",
         std::process::id()
     ));
-    let clean = encode_record(&JournalEvent::CampaignClosed.encode());
+    let clean = encode_record(&JournalEvent::CampaignClosed(None).encode());
     let deep = encode_record(&nested_state_payload(MAX_DEPTH));
     std::fs::write(&path, format!("{clean}{deep}")).unwrap();
     let (journal, events, recovery) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
     drop(journal);
-    assert_eq!(events, [JournalEvent::CampaignClosed]);
+    assert_eq!(events, [JournalEvent::CampaignClosed(None)]);
     assert!(recovery.torn);
     assert_eq!(recovery.valid_len, clean.len() as u64);
     assert_eq!(recovery.dropped_bytes, deep.len() as u64);
@@ -485,7 +509,10 @@ impl Dice {
                 failure_rate: self.float(),
                 samples: [u64::from(self.u32()), u64::MAX][self.below(2) as usize],
             },
-            _ => JournalEvent::CampaignClosed,
+            _ => JournalEvent::CampaignClosed((self.below(2) == 0).then(|| Halt {
+                ordered: self.u32(),
+                cancelled: self.below(2) == 0,
+            })),
         }
     }
 }

@@ -30,7 +30,7 @@ pub mod frame;
 pub mod store;
 pub mod writer;
 
-pub use event::{BlockRecord, JournalEvent, Recovery, StateMap};
+pub use event::{BlockRecord, Halt, JournalEvent, Recovery, StateMap};
 pub use frame::{boundaries, encode_record, scan, ScanOutcome};
 pub use store::{CampaignPaths, CampaignStore, Manifest};
 pub use writer::{CrashMode, CrashSwitch, EventListener, FsyncPolicy, Journal, RecordListener};

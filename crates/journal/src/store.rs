@@ -14,9 +14,10 @@
 //! ```
 //!
 //! The manifest is written once at submit time, before the first journal
-//! append, and is deliberately tiny: everything needed to *re-run* the
-//! campaign lives in the journal's `campaign_opened` meta and the spec
-//! file. Recovery scans `campaigns/*/manifest.json`; a directory without a
+//! append, and never again. It is deliberately tiny: everything needed to
+//! *re-run* the campaign lives in the journal's `campaign_opened` meta and
+//! the spec file, and everything that happened to it lives in the
+//! journal. Recovery scans `campaigns/*/manifest.json`; a directory without a
 //! readable manifest is skipped (a crash between `mkdir` and the manifest
 //! write leaves an empty shell that never held journal records).
 
@@ -176,29 +177,6 @@ impl CampaignStore {
         fs::create_dir_all(&paths.dir).map_err(|e| io_err("create", &paths.dir, &e))?;
         write_atomic(&paths.manifest, &manifest.encode())?;
         Ok(paths)
-    }
-
-    /// Atomically rewrite an existing campaign's manifest — the daemon
-    /// bakes outcome summaries into the meta map when a campaign reaches
-    /// a terminal state, so restarts can report results without replaying
-    /// the journal.
-    pub fn update(&self, manifest: &Manifest) -> Result<()> {
-        let paths = self.paths(&manifest.id)?;
-        if !paths.dir.is_dir() {
-            return Err(CornetError::InvalidInput(format!(
-                "campaign {} does not exist",
-                manifest.id
-            )));
-        }
-        write_atomic(&paths.manifest, &manifest.encode())
-    }
-
-    /// Read one campaign's manifest.
-    pub fn read_manifest(&self, id: &str) -> Result<Manifest> {
-        let paths = self.paths(id)?;
-        let text =
-            fs::read_to_string(&paths.manifest).map_err(|e| io_err("read", &paths.manifest, &e))?;
-        Manifest::decode(&text)
     }
 
     /// All campaigns with a readable manifest, sorted by id. Directories

@@ -241,25 +241,35 @@ impl Journal {
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
     ) -> Result<(Journal, Vec<JournalEvent>, Recovery)> {
+        let (events, recovery) = Journal::read(&path)?;
+        let journal = Journal::reopen(path, policy, &recovery)?;
+        Ok((journal, events, recovery))
+    }
+
+    /// Read a journal without taking the write handle or truncating
+    /// anything — for inspection (`cornet resume` checks what it holds
+    /// before committing to a resume).
+    pub fn read(path: impl AsRef<Path>) -> Result<(Vec<JournalEvent>, Recovery)> {
+        let (bytes, len) = read_journal(path.as_ref())?;
+        decode_scan(&bytes, len)
+    }
+
+    /// The second half of [`Journal::recover`]: take the write handle of
+    /// the journal that [`Journal::read`] returned `recovery` for,
+    /// dropping its torn tail, positioned to append after its records.
+    pub fn reopen(
+        path: impl AsRef<Path>,
+        policy: FsyncPolicy,
+        recovery: &Recovery,
+    ) -> Result<Journal> {
         let path = path.as_ref();
-        let (bytes, len) = read_journal(path)?;
-        let (events, recovery) = decode_scan(&bytes, len)?;
         let file = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| io_err("open", path, &e))?;
         file.set_len(recovery.valid_len)
             .map_err(|e| io_err("truncate", path, &e))?;
-        let journal = Journal::from_file(file, path, policy, recovery.valid_len);
-        Ok((journal, events, recovery))
-    }
-
-    /// Read a journal without taking the write handle or truncating
-    /// anything — for inspection (`cornet resume` peeks at the metadata
-    /// before committing to a resume).
-    pub fn read(path: impl AsRef<Path>) -> Result<(Vec<JournalEvent>, Recovery)> {
-        let (bytes, len) = read_journal(path.as_ref())?;
-        decode_scan(&bytes, len)
+        Ok(Journal::from_file(file, path, policy, recovery.valid_len))
     }
 
     /// A writer appending at `end`, the length of `file`.
@@ -460,9 +470,9 @@ impl Journal {
     }
 
     /// Trim the file to its last record, then force everything appended
-    /// so far to stable storage. Both callers close a campaign with it:
-    /// the dispatcher after `campaign_closed`, and the daemon when it
-    /// writes a cancelled campaign's tombstone journal. A closed journal
+    /// so far to stable storage. Its caller closes a campaign with it:
+    /// the dispatcher after `campaign_closed`, also for a queued campaign
+    /// the daemon runs cancelled. A closed journal
     /// is therefore exactly its records, with no space grown ahead of
     /// them; an append after this grows the file again. The trim takes no
     /// sync of its own: zeros a crash leaves behind read as unused space.
@@ -652,7 +662,7 @@ mod tests {
                 failure_rate: 0.5,
                 samples: 4,
             },
-            JournalEvent::CampaignClosed,
+            JournalEvent::CampaignClosed(None),
         ]
     }
 
@@ -696,7 +706,7 @@ mod tests {
         journal
             .append(&JournalEvent::InstanceAdmitted { node: 0, slot: 1 })
             .unwrap();
-        journal.append(&JournalEvent::CampaignClosed).unwrap();
+        journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
         drop(journal);
 
         let (journal, events, rec) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
@@ -732,12 +742,12 @@ mod tests {
         assert_eq!(events.len(), 1, "torn admitted record dropped");
         assert!(rec.torn);
         assert!(rec.dropped_bytes > 0);
-        journal.append(&JournalEvent::CampaignClosed).unwrap();
+        journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
         drop(journal);
         let (events, rec) = Journal::read(&path).unwrap();
         assert!(!rec.torn, "file is clean again after recovery");
         assert_eq!(events.len(), 2);
-        assert!(matches!(events[1], JournalEvent::CampaignClosed));
+        assert!(matches!(events[1], JournalEvent::CampaignClosed(None)));
         std::fs::remove_file(&path).ok();
     }
 
@@ -745,7 +755,7 @@ mod tests {
     fn a_zero_tail_is_neither_torn_nor_dropped_and_zeros_after_a_torn_one_are_dropped() {
         let path = tmp("zero-tail");
         let good = encode_record(&opened().encode());
-        let torn = encode_record(&JournalEvent::CampaignClosed.encode());
+        let torn = encode_record(&JournalEvent::CampaignClosed(None).encode());
         let zeros = vec![0u8; 100 << 10];
         std::fs::write(&path, [good.as_bytes(), &zeros].concat()).unwrap();
         let (events, rec) = Journal::read(&path).unwrap();
@@ -756,7 +766,7 @@ mod tests {
         );
         // Recovery still cuts the zeros: the writer appends after them.
         let (journal, _, _) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
-        journal.append(&JournalEvent::CampaignClosed).unwrap();
+        journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
         drop(journal);
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -788,7 +798,7 @@ mod tests {
         journal.append(&opened()).unwrap();
         let switch = journal.crash_switch();
         switch.tear_next();
-        journal.append(&JournalEvent::CampaignClosed).unwrap();
+        journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
         assert!(switch.is_dead(), "tear is one-shot, then dead");
         journal
             .append(&JournalEvent::InstanceAdmitted { node: 9, slot: 9 })
@@ -889,7 +899,7 @@ mod tests {
         let journal = Journal::create(&path, FsyncPolicy::EveryN(2))
             .unwrap()
             .with_tracer(tracer.clone());
-        let closed = JournalEvent::CampaignClosed;
+        let closed = JournalEvent::CampaignClosed(None);
         journal.append(&closed).unwrap();
         let fsyncs = || {
             tracer
@@ -981,7 +991,7 @@ mod tests {
                 .unwrap()
                 .with_tracer(tracer.clone());
             for _ in 0..appends {
-                journal.append(&JournalEvent::CampaignClosed).unwrap();
+                journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
             }
             let snap = tracer.metrics().unwrap().snapshot();
             assert_eq!(snap.counter("journal.fsyncs"), expect_fsyncs, "{policy:?}");
@@ -1143,7 +1153,7 @@ mod tests {
                 scope.spawn(|| {
                     barrier.wait();
                     for _ in 0..50 {
-                        journal.append(&JournalEvent::CampaignClosed).unwrap();
+                        journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
                     }
                 });
             }
@@ -1156,7 +1166,7 @@ mod tests {
         assert_eq!(rec.valid_len, clean_len);
         // Every racing append carried the same record: exactly one half of
         // it follows the clean prefix, and nothing follows that.
-        let record = encode_record(&JournalEvent::CampaignClosed.encode());
+        let record = encode_record(&JournalEvent::CampaignClosed(None).encode());
         assert_eq!(rec.dropped_bytes, record.len() as u64 / 2);
         std::fs::remove_file(&path).ok();
     }

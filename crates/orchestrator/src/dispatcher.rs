@@ -50,7 +50,7 @@ use crate::executor::{ExecutorRegistry, GlobalState};
 use crate::falloutanalysis::FalloutAnalysis;
 use crate::recovery::{block_record, recover_campaign, status_parts, RecoveredCampaign};
 use crate::resilience::{BreakerTrip, CircuitBreaker};
-use cornet_journal::{FsyncPolicy, Journal, JournalEvent, Recovery};
+use cornet_journal::{FsyncPolicy, Halt, Journal, JournalEvent, Recovery};
 use cornet_obs::{SpanId, Tracer};
 use cornet_types::{CornetError, NodeId, Result, Schedule, Timeslot};
 use cornet_workflow::{WarArtifact, Workflow};
@@ -557,7 +557,9 @@ impl Dispatcher {
 
         // Trip (if any) and close records, then force the log to stable
         // storage — a journal ending in `campaign_closed` needs no resume.
-        // The `dispatch` span covers the close.
+        // A halted or cancelled dispatch closes with the two facts its
+        // records cannot show: how long the report's prefix is, and
+        // whether a cancel ended it. The `dispatch` span covers the close.
         if let Some(j) = journal {
             if let Some(t) = &out.trip {
                 let _ = j.append(&JournalEvent::BreakerTripped {
@@ -566,7 +568,11 @@ impl Dispatcher {
                     samples: t.samples as u64,
                 });
             }
-            let _ = j.append(&JournalEvent::CampaignClosed);
+            let halt = (out.halted.is_some() || out.cancelled).then(|| Halt {
+                ordered: u32::try_from(out.report.instances.len()).unwrap_or(u32::MAX),
+                cancelled: out.cancelled,
+            });
+            let _ = j.append(&JournalEvent::CampaignClosed(halt));
             let _ = j.sync();
         }
         span.finish();

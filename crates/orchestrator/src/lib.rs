@@ -29,7 +29,9 @@ pub use dispatcher::{CampaignOutcome, DispatchReport, Dispatcher, InstanceReport
 pub use engine::{BlockExecution, BlockSink, BlockStatus, Engine, InstanceStatus, ReplayRow};
 pub use executor::{ExecutorRegistry, GlobalState};
 pub use falloutanalysis::{BlockStats, FalloutAnalysis};
-pub use recovery::{recover_campaign, RecoveredCampaign};
+pub use recovery::{
+    recover_campaign, report_fingerprint, CampaignFold, CampaignResult, RecoveredCampaign,
+};
 pub use resilience::{
     add_sim_latency, take_sim_latency, BreakerTrip, CircuitBreaker, CrashPoint, FaultKind,
     FaultPlan, FaultyExecutor, RetryPolicy, SIM_LATENCY_KEY,

@@ -604,7 +604,7 @@ fn cmd_run_journaled(flags: &BTreeMap<String, String>, path: &str) -> ExitCode {
 /// line (including fingerprint) a clean uninterrupted run prints.
 fn cmd_resume(path: Option<&str>, flags: &BTreeMap<String, String>) -> ExitCode {
     use cornet::journal::Journal;
-    use cornet::orchestrator::{recover_campaign, Dispatcher};
+    use cornet::orchestrator::{CampaignFold, Dispatcher};
 
     let Some(path) = path else {
         eprintln!("usage: cornet resume <journal> [--fsync P] [--trace F]");
@@ -617,16 +617,26 @@ fn cmd_resume(path: Option<&str>, flags: &BTreeMap<String, String>) -> ExitCode 
             return ExitCode::from(2);
         }
     };
-    let campaign = match Journal::read(path)
-        .and_then(|(events, recovery)| recover_campaign(&events, recovery))
-    {
-        Ok(c) => c,
+    // One read of the journal: its fold gives the banner, and its records
+    // and the write handle go to the resume. The handle is taken (and a
+    // torn tail cut) only once the records are known to be a campaign.
+    let (events, recovery) = match Journal::read(path) {
+        Ok(read) => read,
         Err(e) => {
             eprintln!("error: reading journal {path}: {e}");
             return ExitCode::from(2);
         }
     };
-    let scenario = match JournalScenario::from_meta(&campaign.meta) {
+    let mut fold = CampaignFold::default();
+    if let Err(e) = events.iter().try_for_each(|event| fold.apply(event)) {
+        eprintln!("error: reading journal {path}: {e}");
+        return ExitCode::from(2);
+    }
+    let Some(meta) = fold.meta() else {
+        eprintln!("error: reading journal {path}: it holds no campaign_opened record");
+        return ExitCode::from(2);
+    };
+    let scenario = match JournalScenario::from_meta(meta) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -644,15 +654,29 @@ fn cmd_resume(path: Option<&str>, flags: &BTreeMap<String, String>) -> ExitCode 
     };
     println!(
         "=== resuming campaign from {path}: {} instance(s) already complete, {} in flight ===",
-        campaign.completed.len(),
-        campaign.partial.len(),
+        fold.instances_done(),
+        fold.in_flight(),
     );
     let breaker = scenario.breaker();
+    let journal = match Journal::reopen(path, fsync, &recovery) {
+        Ok(journal) => journal.with_tracer(tracer.clone()),
+        Err(e) => {
+            eprintln!("resume failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let result = Dispatcher::new(war, reg, scenario.concurrency)
         .map(|d| d.with_tracer(tracer.clone()))
-        .and_then(|d| d.resume_from_journal(path, fsync, JournalScenario::inputs, Some(&breaker)));
+        .and_then(|d| {
+            d.resume_campaign(
+                (journal, events, recovery),
+                JournalScenario::inputs,
+                Some(&breaker),
+                None,
+            )
+        });
     let (report, trip) = match result {
-        Ok(r) => r,
+        Ok(o) => (o.report, o.trip),
         Err(e) => {
             eprintln!("resume failed: {e}");
             return ExitCode::FAILURE;

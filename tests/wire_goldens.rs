@@ -149,7 +149,7 @@ fn every_event_kind() -> Vec<JournalEvent> {
             failure_rate: 1.0,
             samples: u64::MAX,
         },
-        JournalEvent::CampaignClosed,
+        JournalEvent::CampaignClosed(None),
     ]
 }
 
