@@ -9,11 +9,13 @@
 #   2b. blast    a bundle whose declared campaign races a live one is
 #                refused (409 + CN0601 JSONL) while a disjoint bundle is
 #                admitted (201); blast radii are owner-only (403 foreign)
-#   3. kill      SIGKILL mid-campaign, restart on the same state dir; the
-#                campaign resumes from its journal (blocks_recovered > 0)
-#                and lands on the same fingerprint as an uninterrupted run
-#                of the same spec — submitted past a campaign directory
-#                that a crash left without a manifest (201, not a 500)
+#   3. kill      follow a 1 600-instance campaign's events and SIGKILL
+#                cornetd at its 30th block record; restart on the same
+#                state dir: the campaign resumes from its journal (some
+#                blocks recovered, not all of them) and lands on the same
+#                fingerprint as an uninterrupted run of the same spec —
+#                submitted past an empty journal that has no submission
+#                record (201, and an id above it)
 #   4. ingest    /v1/ingest accepts a JSONL sample feed, streams live
 #                detections, and reports a go verdict on a clean uplift
 #   5. shutdown  POST /v1/shutdown drains and the process exits cleanly
@@ -173,36 +175,48 @@ wait_terminal "$DID" >/dev/null
 echo "   racing bundle refused with 409/CN0601, disjoint admitted as $DID, blast owner-only"
 
 echo "== kill-safety: SIGKILL mid-campaign, restart, resume =="
-cat >"$WORK/big.json" <<'EOF'
-{"name": "ci-kill-smoke", "scenario": {"nodes": 160, "latency_ms": 1, "fault_rate_milli": 0}}
+# Under --fsync always a 160-instance campaign ran in about 40 ms, less
+# than one `jq` start, so a kill sent after polling its snapshot usually
+# came after its end; 1 600 instances run for 0.15-0.4 s.
+KILL_NODES=1600
+KILL_AT=30
+cat >"$WORK/big.json" <<EOF
+{"name": "ci-kill-smoke", "scenario": {"nodes": $KILL_NODES, "latency_ms": 1, "fault_rate_milli": 0}}
 EOF
-KID=$(cli submit "$WORK/big.json" | jq -r .id)
-LIVE=0
-for _ in $(seq 1 600); do
-  LIVE=$(snap "$KID" | jq -r .blocks_live)
-  [ "$LIVE" -ge 1 ] && break
-  sleep 0.05
-done
-[ "$LIVE" -ge 1 ] || fail "campaign $KID never got a block in flight"
-# What a crash between mkdir and the manifest write leaves behind: the id
-# allocator must count past it, not collide with it.
-mkdir "$STATE/campaigns/c999990"
-{ kill -9 "$PID" && wait "$PID"; } 2>/dev/null || true
-echo "   killed cornetd with $LIVE blocks journaled on campaign $KID"
+# Submitted with curl and its id cut out by the shell: the follower must
+# attach within milliseconds, not after a `cornet` and a `jq` start.
+KID=$(curl -s -H 'X-Cornet-Tenant: default' --data-binary @"$WORK/big.json" \
+  "http://$ADDR/v1/campaigns")
+KID=${KID#*\"id\":\"}
+KID=${KID%%\"*}
+# A journal without a submission record (its record lost, or the file
+# copied in): the id allocator must count past it.
+: >"$STATE/campaigns/c999990.wal"
+# The follow stream starts at the campaign's first record: the kill lands
+# right after its KILL_AT-th block record, or at once if that is past.
+# (`grep -c`, not `grep >/dev/null`: GNU grep writing to /dev/null reads
+# on to the end of the stream.)
+curl -sN -H 'X-Cornet-Tenant: default' "http://$ADDR/v1/campaigns/$KID/events?follow=1" \
+  | { SEEN=$(grep -c -m "$KILL_AT" -F '"ev":"block_completed"' || true)
+      kill -9 "$PID" 2>/dev/null || true
+      echo "   killed cornetd at block record $SEEN of campaign $KID"; } || true
+{ wait "$PID"; } 2>/dev/null || true
 
 start_daemon
 FINAL=$(wait_terminal "$KID")
 RECOVERED=$(echo "$FINAL" | jq -r .blocks_recovered)
 FP=$(echo "$FINAL" | jq -r .outcome.fingerprint)
 [ "$RECOVERED" -ge 1 ] || fail "resumed campaign recovered no journaled blocks"
+[ "$RECOVERED" -lt $((KILL_NODES * 3)) ] \
+  || fail "campaign $KID had journaled all $RECOVERED blocks before the kill: nothing resumed"
 
 # An uninterrupted run of the same spec must land on the same fingerprint.
 RID=$(cli submit "$WORK/big.json" | jq -r .id) \
-  || fail "submission after a restart over an orphan campaign directory was refused"
-[ "$RID" = c999991 ] || fail "post-restart campaign is $RID (want c999991, past the orphan)"
+  || fail "submission after a restart over a journal without a record was refused"
+[ "$RID" = c999991 ] || fail "post-restart campaign is $RID (want c999991, past the orphan journal)"
 REF=$(wait_terminal "$RID" | jq -r .outcome.fingerprint)
 [ "$FP" = "$REF" ] || fail "fingerprint mismatch: resumed $FP vs uninterrupted $REF"
-echo "   resumed $RECOVERED recovered blocks, fingerprint $FP matches clean run"
+echo "   resumed after $RECOVERED of $((KILL_NODES * 3)) blocks, fingerprint $FP matches clean run"
 
 echo "== streaming ingest =="
 # 100 ticks × 4 streams (2 study + 2 control) on a 60-minute grid; the

@@ -26,7 +26,6 @@
 use crate::http::{Handler, HttpServer, Reply, Request, Response};
 use crate::manager::{ApiError, CampaignManager, CampaignSnapshot, SubmitOutcome};
 use crate::stream::StreamHub;
-use cornet_obs::Tracer;
 use cornet_types::json::JsonWriter;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -76,7 +75,7 @@ impl ApiServer {
 /// Build the routing handler (exposed for in-process tests).
 pub fn handler(manager: Arc<CampaignManager>, shutdown_tx: mpsc::Sender<()>) -> Handler {
     let shutdown_tx = Mutex::new(shutdown_tx);
-    let hub = StreamHub::new(Tracer::noop());
+    let hub = StreamHub::new(manager.tracer().clone());
     Arc::new(move |req: Request| route(&manager, &hub, &shutdown_tx, req))
 }
 

@@ -3,10 +3,10 @@
 //!
 //! One manager owns one state directory. Submission runs the `cornet
 //! check` gate (bundles with error diagnostics are refused before any
-//! state is created), allocates a campaign directory, and queues the
-//! campaign for execution. A fair-share scheduler starts queued campaigns
-//! round-robin across tenants up to a global concurrent-campaign limit;
-//! each running campaign journals into its own WAL and charges its
+//! state is created), appends the campaign to the store's submissions
+//! log, and queues it for execution. A fair-share scheduler starts queued
+//! campaigns round-robin across tenants up to a global concurrent-campaign
+//! limit; each running campaign journals into its own WAL and charges its
 //! instance executions to its tenant's admission quota.
 //!
 //! A campaign's journal is its state. Every record the journal writes is
@@ -15,9 +15,10 @@
 //! each stored journal the same way: a closed one is terminal with the
 //! outcome it folds to, an open one is resumed through
 //! [`Dispatcher::resume_campaign`] (completed blocks are replayed from the
-//! journal, never re-executed). The manifest is written once, at submit,
-//! and holds identity and the scenario. `Queued`, `Running` and `Paused`
-//! are the manager's own state: no journal record says them.
+//! journal, never re-executed). The submission record is written once,
+//! at submit, and holds identity, the scenario and the spec. `Queued`,
+//! `Running` and `Paused` are the manager's own state: no journal record
+//! says them.
 
 use crate::quota::{QuotaBook, QuotaSnapshot};
 use crate::scenario::JournalScenario;
@@ -26,6 +27,7 @@ use cornet_core::blast::{campaign_blasts, conflicts_between, BlastConflict, Camp
 use cornet_core::{bundle_from_value, gate, load_bundle};
 use cornet_journal::{
     CampaignStore, EventListener, FsyncPolicy, Journal, JournalEvent, Manifest, RecordListener,
+    Submission,
 };
 use cornet_obs::Tracer;
 use cornet_orchestrator::{CampaignControl, CampaignFold, CampaignResult, Dispatcher};
@@ -203,7 +205,7 @@ struct Entry {
     error: Option<String>,
     /// Blast radii of the bundle's declared campaigns, when it declared
     /// any — the interference gate compares submissions against these
-    /// while the campaign is live. Recomputed from `spec.json` on
+    /// while the campaign is live. Recomputed from the stored spec on
     /// restart.
     blast: Option<Vec<CampaignBlast>>,
 }
@@ -399,7 +401,7 @@ impl CampaignManager {
     /// Open the state directory, recover every stored campaign, and start
     /// runners for everything that was interrupted.
     pub fn start(config: ManagerConfig) -> Result<Arc<CampaignManager>, ApiError> {
-        let store = CampaignStore::open(&config.state_dir)?;
+        let (store, submissions) = CampaignStore::open(&config.state_dir)?;
         let book = QuotaBook::new(
             config.pool,
             config.default_quota,
@@ -420,7 +422,7 @@ impl CampaignManager {
             cond: Condvar::new(),
             config,
         });
-        manager.recover()?;
+        manager.recover(submissions)?;
         manager.schedule();
         Ok(manager)
     }
@@ -444,26 +446,24 @@ impl CampaignManager {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Rebuild in-memory state from the store at startup.
-    fn recover(self: &Arc<Self>) -> Result<(), ApiError> {
-        let manifests = self.store.scan()?;
+    /// Rebuild in-memory state from the store's submissions at startup.
+    fn recover(self: &Arc<Self>, submissions: Vec<Submission>) -> Result<(), ApiError> {
         let mut state = self.lock();
-        // Every directory name counts, with or without a manifest: an id
+        // Every id the store holds counts, with or without a record: an id
         // is never handed out twice, whatever a crash left behind.
-        state.last_id = self.store.highest_id()?;
-        for manifest in manifests {
+        state.last_id = self.store.highest_id();
+        for Submission { manifest, spec } in submissions {
             let scenario = JournalScenario::from_meta(&manifest.meta)
                 .map_err(|e| ApiError::Internal(format!("{}: {e}", manifest.id)))?;
-            let paths = self.store.paths(&manifest.id)?;
-            // Recompute declared blast radii from the persisted spec so
-            // the interference gate survives restarts.
-            let blast = std::fs::read_to_string(&paths.spec)
+            // Recompute declared blast radii from the stored spec so the
+            // interference gate survives restarts.
+            let blast = load_bundle(&spec)
                 .ok()
-                .and_then(|body| load_bundle(&body).ok())
                 .filter(|b| !b.campaigns.is_empty())
                 .map(|b| campaign_blasts(&b));
             // No journal yet (or none readable): a fresh campaign.
-            let events = Journal::read(&paths.journal)
+            let journal = CampaignStore::journal_path(&self.config.state_dir, &manifest.id)?;
+            let events = Journal::read(&journal)
                 .map(|(events, _)| events)
                 .unwrap_or_default();
             let mut entry = Entry {
@@ -553,9 +553,7 @@ impl CampaignManager {
             name,
             meta,
         };
-        let paths = self.store.create(&manifest)?;
-        std::fs::write(&paths.spec, body)
-            .map_err(|e| ApiError::Internal(format!("writing spec: {e}")))?;
+        self.store.create(&manifest, body)?;
         state.entries.insert(
             id.clone(),
             Entry {
@@ -812,7 +810,7 @@ impl CampaignManager {
         let id = manifest.id.as_str();
         // An interrupted journal (records, not closed) resumes.
         let resume = log.lock().fold.events() > 0;
-        let paths = self.store.paths(id)?;
+        let path = CampaignStore::journal_path(&self.config.state_dir, id)?;
         let tracer = self.config.tracer.clone();
         let mut span = tracer.span("campaign");
         span.attr("campaign", id);
@@ -834,12 +832,12 @@ impl CampaignManager {
         };
         let fsync = self.config.fsync;
         if resume {
-            let (journal, events, recovery) = Journal::recover(&paths.journal, fsync)?;
+            let (journal, events, recovery) = Journal::recover(&path, fsync)?;
             let recovered = (tap(journal), events, recovery);
             let inputs = JournalScenario::inputs;
             dispatcher.resume_campaign(recovered, inputs, Some(&breaker), Some(control))?;
         } else {
-            let journal = tap(Journal::create(&paths.journal, fsync)?);
+            let journal = tap(Journal::create(&path, fsync)?);
             dispatcher
                 .with_journal(journal, manifest.meta.clone())
                 .run_campaign(
@@ -1069,11 +1067,10 @@ mod tests {
 
         // Cut the journal mid-campaign so the restart sees an interrupted
         // run.
-        let store = CampaignStore::open(&dir).unwrap();
-        let paths = store.paths(&id).unwrap();
-        let (events, _) = Journal::read(&paths.journal).unwrap();
+        let path = CampaignStore::journal_path(&dir, &id).unwrap();
+        let (events, _) = Journal::read(&path).unwrap();
         let keep = events.len() / 2;
-        let journal = Journal::create(&paths.journal, FsyncPolicy::Never).unwrap();
+        let journal = Journal::create(&path, FsyncPolicy::Never).unwrap();
         for event in &events[..keep] {
             journal.append(event).unwrap();
         }
@@ -1278,15 +1275,18 @@ mod tests {
     }
 
     #[test]
-    fn a_directory_without_a_manifest_still_holds_its_id() {
+    fn a_journal_or_a_directory_without_a_record_still_holds_its_id() {
         let dir = tmp_dir("orphan");
-        // The crash window `CampaignStore::scan` documents: `mkdir`
-        // happened, the manifest write did not.
-        std::fs::create_dir_all(dir.join("campaigns/c000007")).unwrap();
+        // What a lost record, or a crash of an older build between its
+        // `mkdir` and its manifest write, leaves behind.
+        std::fs::create_dir_all(dir.join("campaigns/c000003")).unwrap();
+        std::fs::write(dir.join("campaigns/c000007.wal"), "").unwrap();
         let manager = CampaignManager::start(config(&dir)).unwrap();
         assert!(manager.list("acme").is_empty(), "an orphan is no campaign");
-        assert_eq!(accepted(&manager), "c000008");
-        assert_eq!(accepted(&manager), "c000009");
+        for id in ["c000008", "c000009"] {
+            assert_eq!(accepted(&manager), id);
+            wait_terminal(&manager, "acme", id);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1303,15 +1303,14 @@ mod tests {
         drop(manager);
         // Make the second campaign look interrupted: half a journal. And
         // leave an orphan above both.
-        let store = CampaignStore::open(&dir).unwrap();
-        let journal_path = store.paths(&interrupted).unwrap().journal;
+        let journal_path = CampaignStore::journal_path(&dir, &interrupted).unwrap();
         let (events, _) = Journal::read(&journal_path).unwrap();
         let journal = Journal::create(&journal_path, FsyncPolicy::Never).unwrap();
         for event in &events[..events.len() / 2] {
             journal.append(event).unwrap();
         }
         drop(journal);
-        std::fs::create_dir(store.campaigns_dir().join("c000005")).unwrap();
+        std::fs::write(dir.join("campaigns/c000005.wal"), "").unwrap();
 
         let manager = CampaignManager::start(config(&dir)).unwrap();
         assert_eq!(accepted(&manager), "c000006");
@@ -1326,17 +1325,15 @@ mod tests {
     }
 
     /// What a submission costs must not depend on what the store holds:
-    /// it used to read and parse every manifest, under the manager mutex.
-    /// Timing that is noise on a shared disk, so the witness is a manifest
-    /// that blocks whoever opens it — a FIFO with no writer.
+    /// it opens no file of another campaign. Timing that is noise on a
+    /// shared disk, so the witness is a journal that blocks whoever opens
+    /// it — a FIFO with no writer.
     #[test]
-    fn submit_opens_no_manifest() {
+    fn submit_opens_no_other_campaigns_file() {
         let dir = tmp_dir("fifo");
         let manager = CampaignManager::start(config(&dir)).unwrap();
-        let campaign = dir.join("campaigns/c000041");
-        std::fs::create_dir_all(&campaign).unwrap();
         let fifo = std::process::Command::new("mkfifo")
-            .arg(campaign.join("manifest.json"))
+            .arg(dir.join("campaigns/c000041.wal"))
             .status();
         if !fifo.is_ok_and(|status| status.success()) {
             eprintln!("skipped: no mkfifo on this machine");

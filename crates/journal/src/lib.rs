@@ -32,5 +32,5 @@ pub mod writer;
 
 pub use event::{BlockRecord, Halt, JournalEvent, Recovery, StateMap};
 pub use frame::{boundaries, encode_record, scan, ScanOutcome};
-pub use store::{CampaignPaths, CampaignStore, Manifest};
+pub use store::{CampaignStore, Manifest, Submission};
 pub use writer::{CrashMode, CrashSwitch, EventListener, FsyncPolicy, Journal, RecordListener};

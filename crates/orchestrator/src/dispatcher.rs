@@ -362,17 +362,18 @@ impl Dispatcher {
 
     /// Resume a journaled campaign after a crash.
     ///
-    /// Recovers the journal at `path` (truncating any torn tail), rebuilds
-    /// the campaign from the surviving records, and re-runs the schedule
-    /// through the same continuous-admission pool — except that instances
-    /// the log proves finished are re-admitted as recorded reports (their
-    /// blocks never re-execute), and interrupted instances replay their
-    /// journaled block prefix before fresh execution takes over. Gate and
-    /// breaker decisions are re-taken over the same dispatch-order stream
-    /// of completions, so a resumed campaign produces the same
-    /// deterministic report prefix as an uninterrupted run — including
-    /// re-tripping (and re-arming) the breaker at the same instance when
-    /// `breaker` is supplied.
+    /// Reads the journal at `path`, rebuilds the campaign from its valid
+    /// records, and only then takes the write handle, truncating any torn
+    /// tail: a file whose records do not fold is refused as it is. Then it
+    /// re-runs the schedule through the same continuous-admission pool —
+    /// except that instances the log proves finished are re-admitted as
+    /// recorded reports (their blocks never re-execute), and interrupted
+    /// instances replay their journaled block prefix before fresh execution
+    /// takes over. Gate and breaker decisions are re-taken over the same
+    /// dispatch-order stream of completions, so a resumed campaign produces
+    /// the same deterministic report prefix as an uninterrupted run —
+    /// including re-tripping (and re-arming) the breaker at the same
+    /// instance when `breaker` is supplied.
     ///
     /// The dispatcher's own WAR and registry are used for the re-run; the
     /// caller is responsible for supplying the same workflow and executors
@@ -385,10 +386,19 @@ impl Dispatcher {
         inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
         breaker: Option<&CircuitBreaker>,
     ) -> Result<(DispatchReport, Option<BreakerTrip>)> {
-        let (journal, events, recovery) = Journal::recover(&path, policy)?;
-        let journal = journal.with_tracer(self.tracer.clone());
-        self.resume_campaign((journal, events, recovery), inputs_for, breaker, None)
-            .map(|o| (o.report, o.trip))
+        let (events, recovery) = Journal::read(&path)?;
+        let campaign = recover_campaign(&events, recovery)?;
+        let journal = Journal::reopen(&path, policy, &recovery)?.with_tracer(self.tracer.clone());
+        let resumed = Some((&journal, &campaign));
+        self.drive(
+            &campaign.schedule,
+            resumed,
+            &inputs_for,
+            breaker,
+            None,
+            None,
+        )
+        .map(|o| (o.report, o.trip))
     }
 
     /// Resume a journaled campaign under lifecycle control — the

@@ -14,7 +14,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use cornet::daemon::DaemonClient;
-use cornet::journal::{scan, Journal, JournalEvent};
+use cornet::journal::{scan, CampaignStore, Journal, JournalEvent};
 use cornet::types::json::{parse, JsonValue};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -169,7 +169,7 @@ fn fingerprint_of(snap: &JsonValue) -> String {
 /// Durable `block_completed` count in a campaign's WAL — what a
 /// restarted daemon will replay instead of re-executing.
 fn surviving_blocks(state: &Path, id: &str) -> u64 {
-    let wal = state.join("campaigns").join(id).join("journal.wal");
+    let wal = CampaignStore::journal_path(state, id).unwrap();
     let (events, _recovery) = Journal::read(&wal).expect("journal readable");
     events
         .iter()
@@ -523,7 +523,7 @@ fn a_concurrency_past_its_bound_gets_400_and_the_next_submission_201() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every `/events` line is the payload the campaign's `journal.wal` holds
+/// Every `/events` line is the payload the campaign's journal holds
 /// for the same record, byte for byte: the daemon's event log keeps what
 /// the journal encoded instead of encoding each event a second time. A
 /// faulty campaign, so retried blocks are among the records.
@@ -543,7 +543,7 @@ fn every_event_line_is_the_payload_of_its_journal_record() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     let lines: Vec<&str> = resp.body.lines().collect();
 
-    let wal = std::fs::read(dir.join("campaigns").join(&id).join("journal.wal")).unwrap();
+    let wal = std::fs::read(CampaignStore::journal_path(&dir, &id).unwrap()).unwrap();
     let journal = scan(&wal);
     assert!(!journal.torn);
     assert!(

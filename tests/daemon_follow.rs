@@ -3,7 +3,7 @@
 //! `GET /v1/campaigns/{id}/events?follow=1` over real HTTP against an
 //! in-process `cornetd`: whatever cursor a follower starts from and
 //! whenever it attaches, it receives exactly the lines the campaign's
-//! `journal.wal` decodes to, in file order, once each; its stream ends only
+//! journal decodes to, in file order, once each; its stream ends only
 //! once the snapshot already answers the terminal phase with its outcome;
 //! and a foreign tenant gets a 403 before a byte streams.
 
@@ -11,7 +11,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use cornet::daemon::{ApiServer, CampaignManager, DaemonClient, ManagerConfig};
-use cornet::journal::{Journal, JournalEvent};
+use cornet::journal::{CampaignStore, Journal, JournalEvent};
 use cornet::types::json::{parse, JsonValue};
 use std::sync::mpsc;
 
@@ -115,7 +115,7 @@ fn every_follower_receives_the_journal_from_its_cursor() {
         ([early.0, late.0, offset.0], [early.1, late.1, offset.1])
     });
 
-    let wal = state_dir.join("campaigns").join(&id).join("journal.wal");
+    let wal = CampaignStore::journal_path(&state_dir, &id).unwrap();
     let (events, recovery) = Journal::read(&wal).expect("journal readable");
     assert!(!recovery.torn);
     let journal: Vec<String> = events.iter().map(JournalEvent::encode).collect();

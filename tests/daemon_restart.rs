@@ -3,8 +3,9 @@
 //!
 //! * Every terminal campaign — breaker-halted ones with drained
 //!   instances, one cancelled mid-run — reads back the phase and outcome
-//!   of its live snapshot after a restart, with the manifest as submit
-//!   wrote it (identity and scenario, nothing a run added).
+//!   of its live snapshot after a restart, from its journal and the
+//!   record submit appended (identity, scenario and spec, nothing a run
+//!   added).
 //! * A campaign cancelled while queued for resume stays cancelled across
 //!   a restart and executes no block.
 
@@ -13,7 +14,7 @@
 use cornet::daemon::{
     CampaignManager, CampaignPhase, CampaignSnapshot, JournalScenario, ManagerConfig, SubmitOutcome,
 };
-use cornet::journal::{CampaignStore, FsyncPolicy, Journal, JournalEvent, Manifest};
+use cornet::journal::{CampaignStore, FsyncPolicy, Journal, JournalEvent};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,19 +73,6 @@ fn wait_terminal(manager: &Arc<CampaignManager>, id: &str) -> CampaignSnapshot {
 fn stop(manager: Arc<CampaignManager>) {
     manager.begin_shutdown();
     assert!(manager.drain(Duration::from_secs(60)));
-}
-
-/// Put back what submit wrote into `manifest.json`: identity and the
-/// scenario's meta, nothing a run added.
-fn rewrite_manifest_as_submitted(dir: &Path, id: &str) {
-    let path = CampaignStore::open(dir)
-        .unwrap()
-        .paths(id)
-        .unwrap()
-        .manifest;
-    let mut manifest = Manifest::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    manifest.meta.retain(|key, _| !key.starts_with("outcome_"));
-    std::fs::write(path, manifest.encode()).unwrap();
 }
 
 /// What a restart must read back exactly: everything but the split of
@@ -154,9 +142,6 @@ fn every_terminal_campaign_reads_back_its_live_snapshot_after_a_restart() {
     assert!(outcome.completed < 4096, "cancelled mid-run: {outcome:?}");
     stop(manager);
 
-    for id in &ids {
-        rewrite_manifest_as_submitted(&dir, id);
-    }
     let manager = CampaignManager::start(config(&dir, 4)).unwrap();
     for (id, before) in ids.iter().zip(&live) {
         let after = manager.snapshot("acme", id).unwrap();
@@ -188,13 +173,8 @@ fn a_campaign_cancelled_while_queued_for_resume_stays_cancelled_and_runs_nothing
     wait_terminal(&manager, &id);
     stop(manager);
 
-    // Interrupted: half its journal, and the manifest as submitted.
-    rewrite_manifest_as_submitted(&dir, &id);
-    let journal_path = CampaignStore::open(&dir)
-        .unwrap()
-        .paths(&id)
-        .unwrap()
-        .journal;
+    // Interrupted: half its journal.
+    let journal_path = CampaignStore::journal_path(&dir, &id).unwrap();
     let (events, _) = Journal::read(&journal_path).unwrap();
     let journal = Journal::create(&journal_path, FsyncPolicy::Never).unwrap();
     for event in &events[..events.len() / 2] {

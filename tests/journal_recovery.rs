@@ -11,12 +11,14 @@
 //! 3. **Crash points**: the seeded `FaultyExecutor` kill-switch (mid-block
 //!    and mid-append torn record) produces journals that resume to the
 //!    same report as a run that never crashed.
+//! 4. **Not a journal**: a file whose records do not fold is refused with
+//!    its bytes untouched, never truncated first.
 
 use cornet::catalog::builtin_catalog;
 use cornet::journal::{boundaries, CrashMode, FsyncPolicy, Journal};
 use cornet::orchestrator::resilience::{FaultPlan, FaultyExecutor, RetryPolicy};
 use cornet::orchestrator::{DispatchReport, Dispatcher, ExecutorRegistry, GlobalState};
-use cornet::types::{NodeId, ParamValue, Schedule, Timeslot};
+use cornet::types::{CornetError, NodeId, ParamValue, Schedule, Timeslot};
 use cornet::workflow::builtin::software_upgrade_workflow;
 use cornet::workflow::{Designer, WarArtifact};
 use proptest::prelude::*;
@@ -252,4 +254,20 @@ fn a_journal_dropped_mid_campaign_under_every_n_resumes_to_the_clean_report() {
     let (resumed, _) = resume(&plan, &path);
     std::fs::remove_file(&path).ok();
     assert_eq!(clean, resumed);
+}
+
+#[test]
+fn a_file_that_is_not_a_journal_is_refused_with_its_bytes_unchanged() {
+    let path = tmp("not-a-journal");
+    let text = b"deploy notes\nnode enb-5: upgrade to 17.3\n";
+    std::fs::write(&path, text).unwrap();
+    let reg = counting_registry(Arc::new(AtomicUsize::new(0)));
+    let refused = dispatcher(reg).resume_from_journal(&path, FsyncPolicy::Always, inputs, None);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(refused, Err(CornetError::DataIntegrity(_))),
+        "{refused:?}"
+    );
+    assert_eq!(bytes, text, "the refused file is left as it was");
 }
