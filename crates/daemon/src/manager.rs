@@ -13,8 +13,8 @@
 //! folded, as it lands, into the campaign's [`CampaignFold`] — progress
 //! counters, trip, close and outcome — and on restart the manager folds
 //! each stored journal the same way: a closed one is terminal with the
-//! outcome it folds to, an open one is resumed through
-//! [`Dispatcher::resume_campaign`] (completed blocks are replayed from the
+//! outcome it folds to, an open one is reopened with its records and run
+//! again, which resumes it (completed blocks are replayed from the
 //! journal, never re-executed). The submission record is written once,
 //! at submit, and holds identity, the scenario and the spec. `Queued`,
 //! `Running` and `Paused` are the manager's own state: no journal record
@@ -36,6 +36,7 @@ use cornet_types::CornetError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Errors the API maps onto HTTP status codes.
@@ -378,6 +379,10 @@ struct ManagerState {
     /// Submission-ordered queue of campaign ids awaiting a runner.
     queue: Vec<String>,
     running: usize,
+    /// The runner threads not yet joined: `lock` drops the finished ones
+    /// (the thread has exited; its handle only holds its result), and
+    /// `drain` joins the rest.
+    runners: Vec<JoinHandle<()>>,
     /// Fair-share bookkeeping: the scheduler tick at which each tenant
     /// was last served.
     served: BTreeMap<String, u64>,
@@ -414,6 +419,7 @@ impl CampaignManager {
                 entries: BTreeMap::new(),
                 queue: Vec::new(),
                 running: 0,
+                runners: Vec::new(),
                 served: BTreeMap::new(),
                 tick: 0,
                 accepting: true,
@@ -442,8 +448,12 @@ impl CampaignManager {
         &self.config.tracer
     }
 
+    /// Lock the manager's state, first dropping finished runners' handles:
+    /// kept any longer, they raised `tenant_mix`'s peak RSS.
     fn lock(&self) -> std::sync::MutexGuard<'_, ManagerState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.runners.retain(|runner| !runner.is_finished());
+        state
     }
 
     /// Rebuild in-memory state from the store's submissions at startup.
@@ -707,24 +717,32 @@ impl CampaignManager {
         self.lock().accepting = false;
     }
 
-    /// Wait up to `timeout` for all runners to finish. Returns true when
-    /// the manager drained completely. Journals make an impatient exit
-    /// safe either way.
+    /// Wait up to `timeout` for all runners to finish, and join their
+    /// threads. Returns true when the manager drained completely: no
+    /// campaign runs and no runner thread is left. Journals make an
+    /// impatient exit safe either way.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        while state.running > 0 {
-            let now = Instant::now();
-            if now >= deadline {
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (mut state, wait) = self
+                .cond
+                .wait_timeout_while(self.lock(), left, |s| s.running > 0)
+                .unwrap_or_else(|e| e.into_inner());
+            if wait.timed_out() {
                 return false;
             }
-            let (next, _) = self
-                .cond
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = next;
+            // Every runner has ended its campaign; what is left of each
+            // thread is its last `schedule`, which may start another.
+            let runners = std::mem::take(&mut state.runners);
+            if runners.is_empty() {
+                return true;
+            }
+            drop(state);
+            for runner in runners {
+                let _ = runner.join();
+            }
         }
-        true
     }
 
     /// Start queued campaigns while scheduler slots are free, choosing
@@ -760,15 +778,17 @@ impl CampaignManager {
             entry.phase = CampaignPhase::Running;
             let tenant = entry.manifest.tenant.clone();
             state.served.insert(tenant.clone(), tick);
+            // Started under the lock, so `drain` never misses its handle.
+            let manager = Arc::clone(self);
+            let runner = std::thread::Builder::new()
+                .name(format!("campaign-{id}"))
+                .spawn(move || manager.run_one(&id))
+                .expect("spawn campaign runner");
+            state.runners.push(runner);
             drop(state);
             self.config
                 .tracer
                 .incr(&format!("daemon.tenant.{tenant}.started"), 1);
-            let manager = Arc::clone(self);
-            std::thread::Builder::new()
-                .name(format!("campaign-{id}"))
-                .spawn(move || manager.run_one(&id))
-                .expect("spawn campaign runner");
         }
     }
 
@@ -817,36 +837,29 @@ impl CampaignManager {
         span.attr("tenant", manifest.tenant.as_str());
         span.attr("resumed", resume);
         let war = scenario.war().map_err(CornetError::InvalidWorkflow)?;
-        let dispatcher = Dispatcher::new(war, scenario.registry(None, None), scenario.concurrency)?
-            .with_tracer(tracer.clone())
-            .with_admission(self.book.handle(&manifest.tenant));
-        let breaker = scenario.breaker();
-        // Fresh or recovered, the write handle is ours: same tracer, and
-        // the campaign's log as the journal's tap — only records that
-        // reached the file are folded, and replayed blocks never
-        // re-append.
-        let tap = |journal: Journal| {
-            journal
-                .with_tracer(tracer.clone())
-                .with_listener(Arc::clone(log) as EventListener)
-        };
+        // Fresh or reopened with its records (which the run resumes), the
+        // write handle is ours: same tracer, and the campaign's log as the
+        // journal's tap — only records that reached the file are folded,
+        // and replayed blocks never re-append.
         let fsync = self.config.fsync;
-        if resume {
-            let (journal, events, recovery) = Journal::recover(&path, fsync)?;
-            let recovered = (tap(journal), events, recovery);
-            let inputs = JournalScenario::inputs;
-            dispatcher.resume_campaign(recovered, inputs, Some(&breaker), Some(control))?;
+        let journal = if resume {
+            Journal::reopen(&path, fsync, Journal::read(&path)?)?
         } else {
-            let journal = tap(Journal::create(&path, fsync)?);
-            dispatcher
-                .with_journal(journal, manifest.meta.clone())
-                .run_campaign(
-                    &scenario.schedule(),
-                    JournalScenario::inputs,
-                    Some(&breaker),
-                    Some(control),
-                )?;
-        }
+            Journal::create(&path, fsync)?
+        };
+        let journal = journal
+            .with_tracer(tracer.clone())
+            .with_listener(Arc::clone(log) as EventListener);
+        Dispatcher::new(war, scenario.registry(None, None), scenario.concurrency)?
+            .with_tracer(tracer.clone())
+            .with_admission(self.book.handle(&manifest.tenant))
+            .with_journal(journal, manifest.meta.clone())
+            .run_campaign(
+                &scenario.schedule(),
+                JournalScenario::inputs,
+                Some(&scenario.breaker()),
+                Some(control),
+            )?;
         if let Some(result) = log.lock().fold.result() {
             span.attr("fingerprint", format!("{:016x}", result.fingerprint));
             span.attr("cancelled", result.cancelled);
@@ -1007,6 +1020,25 @@ mod tests {
         assert!(snap.blocks_live > 0, "listener saw live appends");
         assert_eq!(snap.blocks_recovered, 0);
         assert!(snap.events > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_drained_manager_has_joined_every_runner_thread() {
+        let dir = tmp_dir("drain-joins");
+        let manager = CampaignManager::start(ManagerConfig {
+            max_campaigns: 2,
+            ..config(&dir)
+        })
+        .unwrap();
+        for _ in 0..5 {
+            manager.submit("acme", &small_spec()).unwrap();
+        }
+        manager.begin_shutdown();
+        assert!(manager.drain(Duration::from_secs(60)));
+        assert!(manager.lock().runners.is_empty());
+        // Each runner thread holds the manager until it has returned.
+        assert_eq!(Arc::strong_count(&manager), 1, "a runner outlived drain");
         std::fs::remove_dir_all(&dir).ok();
     }
 

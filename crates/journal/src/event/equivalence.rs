@@ -377,12 +377,17 @@ fn state_nested_past_the_depth_cap_is_an_error_and_recovery_cuts_it_as_torn() {
         "cornet-journal-deep-state-{}.log",
         std::process::id()
     ));
-    let clean = encode_record(&JournalEvent::CampaignClosed(None).encode());
+    let opened = JournalEvent::CampaignOpened {
+        meta: BTreeMap::new(),
+        assignments: Vec::new(),
+        concurrency: 1,
+    };
+    let clean = encode_record(&opened.encode());
     let deep = encode_record(&nested_state_payload(MAX_DEPTH));
     std::fs::write(&path, format!("{clean}{deep}")).unwrap();
-    let (journal, events, recovery) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
-    drop(journal);
-    assert_eq!(events, [JournalEvent::CampaignClosed(None)]);
+    let (events, recovery) = Journal::read(&path).unwrap();
+    drop(Journal::reopen(&path, FsyncPolicy::Never, (events.clone(), recovery)).unwrap());
+    assert_eq!(events, [opened]);
     assert!(recovery.torn);
     assert_eq!(recovery.valid_len, clean.len() as u64);
     assert_eq!(recovery.dropped_bytes, deep.len() as u64);

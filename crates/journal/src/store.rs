@@ -27,7 +27,8 @@ use cornet_types::json::{parse, JsonValue, JsonWriter};
 use cornet_types::{CornetError, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -70,8 +71,9 @@ pub struct Submission {
 
 /// The state directory: the submissions log and the campaigns' journals.
 pub struct CampaignStore {
-    /// The log's append handle, and every id the store holds.
-    log: Mutex<(File, BTreeSet<String>)>,
+    /// The log's write handle, where its last whole record ends, and every
+    /// id the store holds.
+    log: Mutex<(File, u64, BTreeSet<String>)>,
 }
 
 const LOG: &str = "submissions.log";
@@ -84,8 +86,9 @@ impl CampaignStore {
         let log_path = state_dir.as_ref().join(LOG);
         let mut file = OpenOptions::new()
             .read(true)
-            .append(true)
+            .write(true)
             .create(true)
+            .truncate(false)
             .open(&log_path)
             .map_err(|e| io_err("open", &log_path, &e))?;
         let mut bytes = Vec::new();
@@ -105,8 +108,9 @@ impl CampaignStore {
             .map(|payload| decode_submission(payload))
             .collect::<Result<Vec<_>>>()?;
         // Cut a torn or zero tail: the next record follows the last valid one.
+        let end = scanned.valid_len as u64;
         if scanned.valid_len < bytes.len() {
-            file.set_len(scanned.valid_len as u64)
+            file.set_len(end)
                 .map_err(|e| io_err("truncate", &log_path, &e))?;
         }
         let mut ids: BTreeSet<String> = submissions.iter().map(|s| s.manifest.id.clone()).collect();
@@ -120,7 +124,7 @@ impl CampaignStore {
             let name = path.file_name().unwrap_or_default().to_string_lossy();
             ids.insert(name.strip_suffix(".wal").unwrap_or(&name).to_owned());
         }
-        let log = Mutex::new((file, ids));
+        let log = Mutex::new((file, end, ids));
         Ok((CampaignStore { log }, submissions))
     }
 
@@ -129,7 +133,7 @@ impl CampaignStore {
     /// allocator to count on from.
     pub fn highest_id(&self) -> u64 {
         let log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        log.1.iter().filter_map(|id| number(id)).max().unwrap_or(0)
+        log.2.iter().filter_map(|id| number(id)).max().unwrap_or(0)
     }
 
     /// The id of campaign number `n` (`c000001`, …).
@@ -150,7 +154,10 @@ impl CampaignStore {
     }
 
     /// Record an accepted campaign: one append to the submissions log.
-    /// An id the store already holds is refused.
+    /// An id the store already holds is refused. The record is written
+    /// where the last whole one ends, and the end moves only once the
+    /// `write` succeeds: what a failed one left is cut if it can be, and
+    /// written over by the next record if not.
     pub fn create(&self, manifest: &Manifest, spec: &str) -> Result<()> {
         Self::journal_path("", &manifest.id)?;
         let mut payload = String::new();
@@ -161,13 +168,17 @@ impl CampaignStore {
         w.end_object();
         let record = encode_record(&payload);
         let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        if !log.1.insert(manifest.id.clone()) {
+        let (file, end, ids) = &mut *log;
+        if !ids.insert(manifest.id.clone()) {
             let taken = format!("campaign {} already exists", manifest.id);
             return Err(CornetError::InvalidInput(taken));
         }
-        log.0
-            .write_all(record.as_bytes())
-            .map_err(|e| io_err("append", Path::new(LOG), &e))
+        if let Err(e) = file.write_all_at(record.as_bytes(), *end) {
+            let _ = file.set_len(*end);
+            return Err(io_err("append", Path::new(LOG), &e));
+        }
+        *end += record.len() as u64;
+        Ok(())
     }
 }
 
@@ -288,6 +299,23 @@ mod tests {
         let err = CampaignStore::open(&dir).err().expect("refused");
         assert!(matches!(err, CornetError::DataIntegrity(_)), "{err}");
         assert_eq!(std::fs::read(&log).unwrap(), b"not a log\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_after_a_failed_append_lands_after_the_last_whole_one() {
+        let dir = tmp_dir("failed-append");
+        let (store, _) = CampaignStore::open(&dir).unwrap();
+        store.create(&manifest("c000002", "a"), "{}").unwrap();
+        // What a short `write` leaves: part of a record past the last whole one.
+        let log = dir.join(LOG);
+        let mut file = OpenOptions::new().append(true).open(&log).unwrap();
+        std::io::Write::write_all(&mut file, b"\x00\x01 part of a record").unwrap();
+        store.create(&manifest("c000003", "a"), "{}").unwrap();
+        drop(store);
+        let (_, stored) = CampaignStore::open(&dir).unwrap();
+        let ids: Vec<_> = stored.iter().map(|s| s.manifest.id.as_str()).collect();
+        assert_eq!(ids, ["c000002", "c000003"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -198,6 +198,9 @@ struct Inner {
     /// that advances it, so concurrent syncs queue here, never on the
     /// append lock.
     synced: Mutex<u64>,
+    /// The records a reopened journal was read with, until a run takes
+    /// them.
+    carried: Mutex<Option<(Vec<JournalEvent>, Recovery)>>,
 }
 
 /// Append-only campaign journal. Clone-cheap and thread-safe: the
@@ -234,18 +237,6 @@ impl Journal {
         Ok(Journal::from_file(file, path, policy, 0))
     }
 
-    /// Open an existing journal for resume: scan it, drop any torn tail
-    /// (physically truncating the file), and return the surviving events
-    /// together with the writer positioned to append after them.
-    pub fn recover(
-        path: impl AsRef<Path>,
-        policy: FsyncPolicy,
-    ) -> Result<(Journal, Vec<JournalEvent>, Recovery)> {
-        let (events, recovery) = Journal::read(&path)?;
-        let journal = Journal::reopen(path, policy, &recovery)?;
-        Ok((journal, events, recovery))
-    }
-
     /// Read a journal without taking the write handle or truncating
     /// anything — for inspection (`cornet resume` checks what it holds
     /// before committing to a resume).
@@ -254,22 +245,48 @@ impl Journal {
         decode_scan(&bytes, len)
     }
 
-    /// The second half of [`Journal::recover`]: take the write handle of
-    /// the journal that [`Journal::read`] returned `recovery` for,
-    /// dropping its torn tail, positioned to append after its records.
+    /// Take the write handle of the journal that [`Journal::read`]
+    /// returned `read` for, dropping its torn tail, positioned to append
+    /// after its records. A read whose first record is not
+    /// `campaign_opened` is refused before the file is touched. The
+    /// journal carries the records until a run takes them
+    /// ([`Journal::take_records`]): handed to a dispatcher, it resumes
+    /// that campaign.
     pub fn reopen(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
-        recovery: &Recovery,
+        read: (Vec<JournalEvent>, Recovery),
     ) -> Result<Journal> {
         let path = path.as_ref();
+        if !matches!(read.0.first(), Some(JournalEvent::CampaignOpened { .. })) {
+            return Err(CornetError::DataIntegrity(format!(
+                "{}: no campaign_opened record first; left as it is",
+                path.display()
+            )));
+        }
         let file = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| io_err("open", path, &e))?;
-        file.set_len(recovery.valid_len)
+        file.set_len(read.1.valid_len)
             .map_err(|e| io_err("truncate", path, &e))?;
-        Ok(Journal::from_file(file, path, policy, recovery.valid_len))
+        let journal = Journal::from_file(file, path, policy, read.1.valid_len);
+        *journal
+            .inner
+            .carried
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = Some(read);
+        Ok(journal)
+    }
+
+    /// The records [`Journal::reopen`] was given, once: the first call
+    /// takes them, and a journal [`Journal::create`] made has none.
+    pub fn take_records(&self) -> Option<(Vec<JournalEvent>, Recovery)> {
+        self.inner
+            .carried
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
     }
 
     /// A writer appending at `end`, the length of `file`.
@@ -278,6 +295,7 @@ impl Journal {
             inner: Arc::new(Inner {
                 file,
                 policy,
+                carried: Mutex::default(),
                 written: Mutex::new(Tail {
                     records: 0,
                     end,
@@ -699,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn append_recover_round_trips_and_is_idempotent() {
+    fn append_reopen_round_trips_and_is_idempotent() {
         let path = tmp("round-trip");
         let journal = Journal::create(&path, FsyncPolicy::Always).unwrap();
         journal.append(&opened()).unwrap();
@@ -709,12 +727,16 @@ mod tests {
         journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
         drop(journal);
 
-        let (journal, events, rec) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
+        let (events, rec) = Journal::read(&path).unwrap();
         assert_eq!(events.len(), 3);
         assert_eq!(rec.events, 3);
         assert_eq!(rec.dropped_bytes, 0);
         assert!(!rec.torn);
-        // Appending after recovery extends, not overwrites.
+        let journal = Journal::reopen(&path, FsyncPolicy::Never, (events.clone(), rec)).unwrap();
+        // The records ride with the journal until one run takes them.
+        assert_eq!(journal.clone().take_records(), Some((events, rec)));
+        assert_eq!(journal.take_records(), None);
+        // Appending after a reopen extends, not overwrites.
         journal
             .append(&JournalEvent::InstanceAdmitted { node: 1, slot: 1 })
             .unwrap();
@@ -726,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_truncates_a_torn_tail() {
+    fn reopen_truncates_a_torn_tail() {
         let path = tmp("torn");
         let journal = Journal::create(&path, FsyncPolicy::Never).unwrap();
         journal.append(&opened()).unwrap();
@@ -738,16 +760,35 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
-        let (journal, events, rec) = Journal::recover(&path, FsyncPolicy::Always).unwrap();
+        let (events, rec) = Journal::read(&path).unwrap();
         assert_eq!(events.len(), 1, "torn admitted record dropped");
         assert!(rec.torn);
         assert!(rec.dropped_bytes > 0);
+        let journal = Journal::reopen(&path, FsyncPolicy::Always, (events, rec)).unwrap();
         journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
         drop(journal);
         let (events, rec) = Journal::read(&path).unwrap();
         assert!(!rec.torn, "file is clean again after recovery");
         assert_eq!(events.len(), 2);
         assert!(matches!(events[1], JournalEvent::CampaignClosed(None)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reopen_refuses_what_does_not_open_a_campaign_and_leaves_it_as_it_is() {
+        let path = tmp("not-opened");
+        let closed = encode_record(&JournalEvent::CampaignClosed(None).encode());
+        let torn = [closed.as_bytes(), b"half a rec"].concat();
+        for bytes in [b"deploy notes\n".as_slice(), &torn, b""] {
+            std::fs::write(&path, bytes).unwrap();
+            let read = Journal::read(&path).unwrap();
+            let err = Journal::reopen(&path, FsyncPolicy::Never, read).err();
+            assert!(
+                matches!(err, Some(CornetError::DataIntegrity(_))),
+                "{err:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -764,8 +805,8 @@ mod tests {
             (rec.valid_len, rec.dropped_bytes, rec.torn),
             (good.len() as u64, 0, false)
         );
-        // Recovery still cuts the zeros: the writer appends after them.
-        let (journal, _, _) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
+        // A reopen still cuts the zeros: the writer appends after them.
+        let journal = Journal::reopen(&path, FsyncPolicy::Never, (events, rec)).unwrap();
         journal.append(&JournalEvent::CampaignClosed(None)).unwrap();
         drop(journal);
         assert_eq!(
@@ -1178,10 +1219,10 @@ mod tests {
         let mut log = crate::frame::encode_record(&opened().encode());
         log.push_str(&crate::frame::encode_record("{\"ev\":\"nonsense\"}"));
         std::fs::write(&path, &log).unwrap();
-        let (journal, events, rec) = Journal::recover(&path, FsyncPolicy::Never).unwrap();
+        let (events, rec) = Journal::read(&path).unwrap();
         assert_eq!(events.len(), 1);
         assert!(rec.torn);
-        drop(journal);
+        drop(Journal::reopen(&path, FsyncPolicy::Never, (events, rec)).unwrap());
         assert!(std::fs::metadata(&path).unwrap().len() < log.len() as u64);
         std::fs::remove_file(&path).ok();
     }

@@ -48,9 +48,9 @@ use crate::control::{AdmissionSlots, CampaignControl, SlotGuard};
 use crate::engine::{BlockExecution, BlockSink, Engine, InstanceStatus, ReplayRow};
 use crate::executor::{ExecutorRegistry, GlobalState};
 use crate::falloutanalysis::FalloutAnalysis;
-use crate::recovery::{block_record, recover_campaign, status_parts, RecoveredCampaign};
+use crate::recovery::{block_record, recover_campaign, status_parts};
 use crate::resilience::{BreakerTrip, CircuitBreaker};
-use cornet_journal::{FsyncPolicy, Halt, Journal, JournalEvent, Recovery};
+use cornet_journal::{FsyncPolicy, Halt, Journal, JournalEvent};
 use cornet_obs::{SpanId, Tracer};
 use cornet_types::{CornetError, NodeId, Result, Schedule, Timeslot};
 use cornet_workflow::{WarArtifact, Workflow};
@@ -281,9 +281,19 @@ impl Dispatcher {
     /// Attach a durable journal: every subsequent run write-ahead-logs its
     /// lifecycle (campaign opened, admissions, block completions with
     /// state snapshots, instance finishes, breaker trips, campaign
-    /// closed), making the campaign resumable after a crash via
-    /// [`Dispatcher::resume_from_journal`]. `meta` is free-form campaign
-    /// identity recorded in the opening record.
+    /// closed), making the campaign resumable after a crash. `meta` is
+    /// free-form campaign identity recorded in the opening record.
+    ///
+    /// A journal from [`Journal::reopen`] carries the records it was read
+    /// with, and the next run resumes that campaign instead of opening
+    /// one: on the journal's schedule and meta, not the run's. Instances
+    /// the log proves finished are re-admitted as recorded reports (their
+    /// blocks never re-execute), interrupted ones replay their journaled
+    /// block prefix before fresh execution takes over, and breaker,
+    /// control and gate decisions are re-taken over the same
+    /// dispatch-order stream of completions — so a resumed campaign
+    /// reports the same deterministic prefix as an uninterrupted run,
+    /// re-tripping the breaker at the same instance.
     pub fn with_journal(mut self, journal: Journal, meta: BTreeMap<String, String>) -> Self {
         self.journal = Some(journal);
         self.meta = meta;
@@ -360,20 +370,10 @@ impl Dispatcher {
         self.drive(schedule, None, &inputs_for, breaker, control, None)
     }
 
-    /// Resume a journaled campaign after a crash.
-    ///
-    /// Reads the journal at `path`, rebuilds the campaign from its valid
-    /// records, and only then takes the write handle, truncating any torn
-    /// tail: a file whose records do not fold is refused as it is. Then it
-    /// re-runs the schedule through the same continuous-admission pool —
-    /// except that instances the log proves finished are re-admitted as
-    /// recorded reports (their blocks never re-execute), and interrupted
-    /// instances replay their journaled block prefix before fresh execution
-    /// takes over. Gate and breaker decisions are re-taken over the same
-    /// dispatch-order stream of completions, so a resumed campaign produces
-    /// the same deterministic report prefix as an uninterrupted run —
-    /// including re-tripping (and re-arming) the breaker at the same
-    /// instance when `breaker` is supplied.
+    /// Resume a journaled campaign after a crash: [`Journal::read`] the
+    /// file at `path`, [`Journal::reopen`] it with those records, and run
+    /// it as [`Dispatcher::with_journal`] runs such a journal. A file that
+    /// does not begin a campaign is refused as it is.
     ///
     /// The dispatcher's own WAR and registry are used for the re-run; the
     /// caller is responsible for supplying the same workflow and executors
@@ -386,61 +386,27 @@ impl Dispatcher {
         inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
         breaker: Option<&CircuitBreaker>,
     ) -> Result<(DispatchReport, Option<BreakerTrip>)> {
-        let (events, recovery) = Journal::read(&path)?;
-        let campaign = recover_campaign(&events, recovery)?;
-        let journal = Journal::reopen(&path, policy, &recovery)?.with_tracer(self.tracer.clone());
-        let resumed = Some((&journal, &campaign));
-        self.drive(
-            &campaign.schedule,
-            resumed,
-            &inputs_for,
-            breaker,
-            None,
-            None,
-        )
-        .map(|o| (o.report, o.trip))
-    }
-
-    /// Resume a journaled campaign under lifecycle control — the
-    /// controlled-campaign counterpart of
-    /// [`Dispatcher::resume_from_journal`], sharing its replay semantics
-    /// and [`Dispatcher::run_campaign`]'s pause/cancel behaviour.
-    ///
-    /// `recovered` is what [`Journal::recover`] returned: the caller owns
-    /// the recovered write handle exactly as it owns a fresh one passed to
-    /// [`Dispatcher::with_journal`], and attaches its tracer and listener
-    /// to it the same way before handing it over.
-    pub fn resume_campaign(
-        &self,
-        recovered: (Journal, Vec<JournalEvent>, Recovery),
-        inputs_for: impl Fn(NodeId) -> GlobalState + Sync,
-        breaker: Option<&CircuitBreaker>,
-        control: Option<&CampaignControl>,
-    ) -> Result<CampaignOutcome> {
-        let (journal, events, recovery) = recovered;
-        let campaign = recover_campaign(&events, recovery)?;
-        self.drive(
-            &campaign.schedule,
-            Some((&journal, &campaign)),
-            &inputs_for,
-            breaker,
-            control,
-            None,
-        )
+        let journal = Journal::reopen(&path, policy, Journal::read(&path)?)?;
+        let journal = Some(journal.with_tracer(self.tracer.clone()));
+        // A reopened journal runs its own schedule, not the one it is given.
+        let none = Schedule::default();
+        self.drive(&none, journal.as_ref(), &inputs_for, breaker, None, None)
+            .map(|o| (o.report, o.trip))
     }
 
     /// The one campaign loop, behind every `run*` and `resume*` entry
-    /// point: open the attached journal (or re-open the recovered one a
-    /// resume brings, with what it proved), walk the schedule slot by
-    /// slot — re-admitting journaled completions without execution,
-    /// replaying partial prefixes, consulting breaker and control on the
-    /// deterministic dispatch-order completion stream and the gate after
-    /// each slot that ran to its end — then close the `dispatch` span and
-    /// the journal.
+    /// point. Its journal is `reopened` if given, else the attached one:
+    /// records that journal carries are folded once and their campaign
+    /// resumes, on its own schedule; otherwise the journal is opened. Then
+    /// walk the schedule slot by slot — re-admitting journaled completions
+    /// without execution, replaying partial prefixes, consulting breaker
+    /// and control on the deterministic dispatch-order completion stream
+    /// and the gate after each slot that ran to its end — then close the
+    /// `dispatch` span and the journal.
     fn drive(
         &self,
         schedule: &Schedule,
-        resumed: Option<(&Journal, &RecoveredCampaign)>,
+        reopened: Option<&Journal>,
         inputs_for: &(impl Fn(NodeId) -> GlobalState + Sync),
         breaker: Option<&CircuitBreaker>,
         control: Option<&CampaignControl>,
@@ -448,10 +414,13 @@ impl Dispatcher {
     ) -> Result<CampaignOutcome> {
         // Unpack the WAR once; every instance shares the in-memory graph.
         let workflow = Arc::new(self.war.unpack()?);
-        let (journal, resumed) = match resumed {
-            Some((journal, campaign)) => (Some(journal), Some(campaign)),
-            None => (self.journal.as_ref(), None),
-        };
+        let journal = reopened.or(self.journal.as_ref());
+        let resumed = journal
+            .and_then(Journal::take_records)
+            .map(|(events, recovery)| recover_campaign(&events, recovery))
+            .transpose()?;
+        let resumed = resumed.as_ref();
+        let schedule = resumed.map_or(schedule, |c| &c.schedule);
         if let Some(j) = journal {
             let _ = j.append(&match resumed {
                 Some(campaign) => JournalEvent::CampaignResumed {

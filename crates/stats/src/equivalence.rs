@@ -1,15 +1,14 @@
 //! Property tests pinning the fast statistics kernels to their naive
 //! reference implementations.
 //!
-//! The PR that introduced the O((n+m) log(n+m)) rank placements, the
-//! selection-based median, and the sampled Theil–Sen promises *bit
-//! identity* on the fast/exact paths and bounded drift on the sampled
-//! path; these properties are that promise, executable.
+//! The O((n+m) log(n+m)) rank placements, the selection-based median, and
+//! the sampled Theil–Sen promise *bit identity* on the fast/exact paths
+//! and bounded drift on the sampled path; these properties are that
+//! promise, executable.
 
-use cornet_stats::{
-    median, quantile, robust_rank_order, robust_rank_order_naive, theil_sen, theil_sen_exact,
-    theil_sen_seeded,
-};
+use crate::rank::robust_rank_order_naive;
+use crate::regression::theil_sen_exact;
+use crate::{median, quantile, ratio_regression, robust_rank_order, theil_sen, theil_sen_seeded};
 use proptest::prelude::*;
 
 /// Deterministic sample vector from a seed: either a smooth spread or a
@@ -123,6 +122,6 @@ proptest! {
         let _ = robust_rank_order(&xs, &ys);
         let _ = median(&xs);
         let _ = theil_sen(&xs, &ys);
-        let _ = cornet_stats::ratio_regression(&xs, &ys);
+        let _ = ratio_regression(&xs, &ys);
     }
 }

@@ -21,6 +21,8 @@
 #![forbid(unsafe_code)]
 pub mod changepoint;
 pub mod descriptive;
+#[cfg(test)]
+mod equivalence;
 pub mod normal;
 pub mod online;
 pub mod rank;
@@ -36,8 +38,8 @@ pub use online::{
     replay_level_shifts, DetectorPush, MultiTimescaleDetector, OnlineLevelShiftDetector,
     TimescaleShift,
 };
-pub use rank::{mann_whitney_u, robust_rank_order, robust_rank_order_naive, RankTestResult};
+pub use rank::{mann_whitney_u, robust_rank_order, RankTestResult};
 pub use regression::{
-    ratio_regression, theil_sen, theil_sen_exact, theil_sen_seeded, RobustFit, THEIL_SEN_PAIR_CAP,
+    ratio_regression, theil_sen, theil_sen_seeded, RobustFit, THEIL_SEN_PAIR_CAP,
 };
 pub use series::TimeSeries;

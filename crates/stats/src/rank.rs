@@ -107,8 +107,8 @@ fn sorted_copy(xs: &[f64]) -> Vec<f64> {
 ///
 /// Placements are computed by sorting each sample once and binary-searching
 /// (O((n+m)·log(n+m))) instead of the naive all-pairs scan (O(n·m)); the two
-/// paths are bit-identical (see [`robust_rank_order_naive`] and the
-/// equivalence property tests). Inputs containing NaN fall back to the
+/// paths are bit-identical (the naive scan is kept as the reference of the
+/// crate's equivalence property tests). Inputs containing NaN fall back to the
 /// naive scan, which treats NaN comparisons as "not below, not tied".
 ///
 /// Returns a degenerate result (NaN statistic) when either sample has fewer
@@ -135,10 +135,9 @@ pub fn robust_rank_order(xs: &[f64], ys: &[f64]) -> RankTestResult {
 }
 
 /// Reference implementation of [`robust_rank_order`] with O(n·m) placement
-/// scans. Public because `tests/kernel_equivalence.rs`, its one caller,
-/// is outside the crate; production code should call
-/// [`robust_rank_order`].
-pub fn robust_rank_order_naive(xs: &[f64], ys: &[f64]) -> RankTestResult {
+/// scans, for the equivalence property tests.
+#[cfg(test)]
+pub(crate) fn robust_rank_order_naive(xs: &[f64], ys: &[f64]) -> RankTestResult {
     if xs.len() < 2 || ys.len() < 2 {
         return RankTestResult::degenerate(xs, ys);
     }

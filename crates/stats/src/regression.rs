@@ -11,8 +11,7 @@
 //!   pairwise slopes), useful when KPIs have an additive offset. Exact up
 //!   to [`THEIL_SEN_PAIR_CAP`] pairwise slopes, seeded-sampled beyond it
 //!   so multi-timescale series of tens of thousands of points stay
-//!   tractable ([`theil_sen_exact`] / [`theil_sen_seeded`] give explicit
-//!   control).
+//!   tractable ([`theil_sen_seeded`] gives explicit control).
 //!
 //! None of the estimators panic: a study/control length mismatch is a data
 //! fault that must not abort a campaign mid-flight, so mismatched inputs
@@ -107,10 +106,9 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> RobustFit {
     theil_sen_seeded(xs, ys, THEIL_SEN_PAIR_CAP, THEIL_SEN_DEFAULT_SEED)
 }
 
-/// Exact Theil–Sen over every pairwise slope, whatever the cost. Reference
-/// implementation for the sampled path; prefer [`theil_sen`] in production
-/// code.
-pub fn theil_sen_exact(xs: &[f64], ys: &[f64]) -> RobustFit {
+/// Exact Theil–Sen over every pairwise slope, whatever the cost: what
+/// [`theil_sen_seeded`] runs when every pair fits its cap.
+pub(crate) fn theil_sen_exact(xs: &[f64], ys: &[f64]) -> RobustFit {
     if xs.len() != ys.len() {
         return degenerate_line(ys);
     }
@@ -130,7 +128,7 @@ pub fn theil_sen_exact(xs: &[f64], ys: &[f64]) -> RobustFit {
 /// Theil–Sen with an explicit pairwise-slope budget and sampling seed.
 ///
 /// When the full pair count `n(n−1)/2` fits within `pair_cap` the estimate
-/// is exact (identical to [`theil_sen_exact`]); otherwise `pair_cap`
+/// is exact (every pairwise slope); otherwise `pair_cap`
 /// pairs are drawn from a splitmix64 stream keyed on `seed`, so the
 /// sampled estimate is deterministic per `(input, cap, seed)`. Pairs with
 /// `dx == 0` are skipped, not redrawn, keeping the draw count bounded.

@@ -23,7 +23,7 @@
 //! every location slice its own median change minute: one control stream
 //! is then aligned at several minutes within one rule. A cache lives as
 //! long as the call that made it — one [`verify_rule`](crate::verify_rule),
-//! one [`verify_rules`](crate::verify_rules) campaign, one
+//! one [`verify_rules_traced`](crate::verify_rules_traced) campaign, one
 //! [`poll_verdicts`](crate::StreamingVerifier::poll_verdicts) — and its
 //! memos are dropped with it, so nothing outlives the data it was computed
 //! from.

@@ -44,6 +44,5 @@ pub use stream::{
     StreamDetection, StreamSample, StreamingVerifier,
 };
 pub use verify::{
-    verify_rule, verify_rule_sequential, verify_rules, verify_rules_traced, GoNoGo,
-    VerificationReport,
+    verify_rule, verify_rule_sequential, verify_rules_traced, GoNoGo, VerificationReport,
 };

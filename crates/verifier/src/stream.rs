@@ -35,11 +35,11 @@
 //! **Correctness bar:** after replaying a feed sample-by-sample (any
 //! delivery order, any pump cadence), `poll_verdicts` is
 //! verdict-identical — p-value bits included — to
-//! [`verify_rules`](crate::verify_rules) over the assembled batch, because
-//! both paths share one implementation and the store reassembles the
-//! exact series. The per-sample detectors are a latency optimization
-//! (they gate verdict recomputation and surface live change events),
-//! never a different answer.
+//! [`verify_rules_traced`](crate::verify_rules_traced) over the assembled
+//! batch, because both paths share one implementation and the store
+//! reassembles the exact series. The per-sample detectors are a latency
+//! optimization (they gate verdict recomputation and surface live change
+//! events), never a different answer.
 
 use crate::adapter::DataAdapter;
 use crate::analysis::ChangeScope;
@@ -614,7 +614,7 @@ impl StreamingVerifier {
     /// returned. The fan is the batch [`verify_rules_traced`] over the
     /// store (one [`SeriesCache`](crate::SeriesCache) per poll), so a full
     /// replay is verdict- and p-value-bit-identical to
-    /// [`verify_rules`](crate::verify_rules).
+    /// [`verify_rules_traced`](crate::verify_rules_traced).
     pub fn poll_verdicts(&self) -> Result<Vec<VerificationReport>> {
         if !self.dirty.swap(false, Ordering::AcqRel) {
             if let Some(cached) = &*self
@@ -690,7 +690,7 @@ mod tests {
     use super::*;
     use crate::adapter::ClosureAdapter;
     use crate::rules::{Expectation, KpiQuery};
-    use crate::verify::{verify_rules, GoNoGo};
+    use crate::verify::{verify_rules_traced, GoNoGo};
     use cornet_types::{Attributes, NfType};
 
     fn fixture() -> (Inventory, Topology) {
@@ -767,7 +767,9 @@ mod tests {
                 (0..200u64).map(|k| feed_value(node, k, delta)).collect(),
             ))
         });
-        let batch = verify_rules(&adapter, &[rule()], &scope(), &inv, &topo).unwrap();
+        let noop = Tracer::noop();
+        let batch =
+            verify_rules_traced(&adapter, &[rule()], &scope(), &inv, &topo, &noop, None).unwrap();
         assert_eq!(streamed.len(), batch.len());
         for (s, b) in streamed.iter().zip(&batch) {
             assert_eq!(s.decision, b.decision);

@@ -13,8 +13,8 @@
 //!
 //! Every entry point but the sequential reference wraps its adapter in one
 //! [`SeriesCache`] for the duration of the call — one rule for
-//! [`verify_rule`], the whole campaign for [`verify_rules`], one poll for
-//! the streaming engine — and the units read through it: each
+//! [`verify_rule`], the whole campaign for [`verify_rules_traced`], one
+//! poll for the streaming engine — and the units read through it: each
 //! (node, KPI, carrier) stream is fetched once, aligned once per alignment
 //! minute, and each control group stacked once per reference minute,
 //! however many units, slices and rules ask (`adapter.rs` has the memo
@@ -161,28 +161,11 @@ pub fn verify_rule_sequential(
 /// across the entire campaign, no matter how many rules, location slices,
 /// or timescales touch it. Reports come back in rule order; the first
 /// rule-level error aborts the campaign.
-pub fn verify_rules(
-    adapter: &dyn DataAdapter,
-    rules: &[VerificationRule],
-    scope: &ChangeScope,
-    inventory: &Inventory,
-    topology: &Topology,
-) -> Result<Vec<VerificationReport>> {
-    verify_rules_traced(
-        adapter,
-        rules,
-        scope,
-        inventory,
-        topology,
-        &Tracer::noop(),
-        None,
-    )
-}
-
-/// [`verify_rules`] with observability: one `verify.rule` span per rule
-/// (decision, unit count; all sharing `parent` and the campaign-wide
-/// series cache) with one `verify.unit` child per (KPI × location) unit,
-/// and `series_cache.{hits,misses}` counters recorded once at the end.
+///
+/// One `verify.rule` span per rule (decision, unit count; all sharing
+/// `parent` and the campaign-wide series cache) with one `verify.unit`
+/// child per (KPI × location) unit, and `series_cache.{hits,misses}`
+/// counters recorded once at the end; [`Tracer::noop`] records nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_rules_traced(
     adapter: &dyn DataAdapter,
@@ -544,7 +527,16 @@ mod tests {
         );
         rule.location_attributes = vec!["market".into()];
         let rules = vec![rule.clone(), rule];
-        let reports = verify_rules(&counting, &rules, &scope(), &inv, &topo).unwrap();
+        let reports = verify_rules_traced(
+            &counting,
+            &rules,
+            &scope(),
+            &inv,
+            &topo,
+            &Tracer::noop(),
+            None,
+        )
+        .unwrap();
         assert_eq!(reports.len(), 2);
         // 8 inventory nodes × 2 KPIs = 16 distinct streams; overall +
         // 2 location slices × 2 rules would be 6× that uncached.

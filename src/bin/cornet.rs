@@ -28,15 +28,15 @@
 
 use cornet::catalog::builtin_catalog;
 use cornet::daemon::{DaemonClient, JournalScenario};
+use cornet::journal::{FsyncPolicy, Journal};
 use cornet::netsim::{Network, NetworkConfig};
 use cornet::obs::{write_trace, ChromeTraceSink, TraceSummary, Tracer};
 use cornet::planner::{analyze_intent, plan, BackendChoice, PlanIntent, PlanOptions};
 use cornet::stats::TimeSeries;
 use cornet::types::{Attributes, Inventory, NfType, NodeId, Topology};
 use cornet::verifier::{
-    verify_rules, verify_rules_traced, ChangeScope, ClosureAdapter, DataAdapter, Expectation,
-    GoNoGo, KpiQuery, StreamConfig, StreamSample, StreamingVerifier, VerificationReport,
-    VerificationRule,
+    verify_rules_traced, ChangeScope, ClosureAdapter, DataAdapter, Expectation, GoNoGo, KpiQuery,
+    StreamConfig, StreamSample, StreamingVerifier, VerificationReport, VerificationRule,
 };
 use cornet::workflow::{analyze, WarArtifact};
 use std::collections::BTreeMap;
@@ -88,16 +88,20 @@ fn tracer_for(flags: &BTreeMap<String, String>) -> Tracer {
 }
 
 /// If `--trace <path>` was given, export the collected spans as a Chrome
-/// trace and print the span-level summary.
-fn finish_trace(flags: &BTreeMap<String, String>, tracer: &Tracer) -> Result<(), String> {
+/// trace and print the span-level summary. The exit code of a command
+/// that got this far: a failure only if the trace could not be written.
+fn finish_trace(flags: &BTreeMap<String, String>, tracer: &Tracer) -> ExitCode {
     let Some(path) = flags.get("trace") else {
-        return Ok(());
+        return ExitCode::SUCCESS;
     };
     let trace = tracer.snapshot();
-    write_trace(path, &ChromeTraceSink, &trace).map_err(|e| format!("writing {path}: {e}"))?;
+    if let Err(e) = write_trace(path, &ChromeTraceSink, &trace) {
+        eprintln!("error: writing {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     print!("{}", TraceSummary::from_trace(&trace).render());
     println!("trace written to {path} (open in Perfetto or chrome://tracing)");
-    Ok(())
+    ExitCode::SUCCESS
 }
 
 fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
@@ -485,11 +489,7 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> ExitCode {
                     }
                 }
             }
-            if let Err(e) = finish_trace(flags, &tracer) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
+            finish_trace(flags, &tracer)
         }
         Err(e) => {
             eprintln!("planning failed: {e}");
@@ -511,17 +511,6 @@ fn scenario_from_flags(flags: &BTreeMap<String, String>) -> JournalScenario {
     s
 }
 
-/// `--fsync always|every-n=N|never`, defaulting to `every-n=64`.
-fn fsync_from_flags(
-    flags: &BTreeMap<String, String>,
-) -> Result<cornet::journal::FsyncPolicy, String> {
-    use cornet::journal::FsyncPolicy;
-    match flags.get("fsync") {
-        Some(text) => FsyncPolicy::parse(text).map_err(|e| e.to_string()),
-        None => Ok(FsyncPolicy::EveryN(64)),
-    }
-}
-
 /// `cornet run --journal <path>` — the kill-safe variant of the roll-out
 /// demo: one journaled fault-storm campaign. With `--crash-at <n>` the
 /// simulated process dies at node n's first upgrade invocation (the
@@ -529,51 +518,107 @@ fn fsync_from_flags(
 /// `cornet resume <path>` then finishes the campaign and must print the
 /// same fingerprint as an uninterrupted run.
 fn cmd_run_journaled(flags: &BTreeMap<String, String>, path: &str) -> ExitCode {
-    use cornet::journal::Journal;
-    use cornet::orchestrator::Dispatcher;
-
     let scenario = scenario_from_flags(flags);
+    println!(
+        "=== journaled campaign: {} nodes, {}% transient faults, journal {path} ===",
+        scenario.nodes,
+        scenario.fault_rate_milli / 10,
+    );
+    let crash_at: Option<u32> = flags.get("crash-at").and_then(|s| s.parse().ok());
+    run_journaled(flags, &scenario, crash_at, |fsync| {
+        Journal::create(path, fsync)
+    })
+}
+
+/// `cornet resume <journal>` — recover a journaled campaign: replay every
+/// completed block without re-executing it, re-admit interrupted
+/// instances, and finish the remaining work. Prints the same summary
+/// line (including fingerprint) a clean uninterrupted run prints.
+fn cmd_resume(path: Option<&str>, flags: &BTreeMap<String, String>) -> ExitCode {
+    use cornet::orchestrator::CampaignFold;
+
+    let Some(path) = path else {
+        eprintln!("usage: cornet resume <journal> [--fsync P] [--trace F]");
+        return ExitCode::from(2);
+    };
+    // One read of the journal: its fold gives the banner and the scenario,
+    // and its records go with the write handle to the run, which resumes
+    // them. The handle is taken (and a torn tail cut) only once the
+    // records are known to be a campaign.
+    let mut fold = CampaignFold::default();
+    let read = Journal::read(path)
+        .map_err(|e| e.to_string())
+        .and_then(|read| {
+            let apply = read.0.iter().try_for_each(|event| fold.apply(event));
+            apply.map_err(|e| e.to_string())?;
+            let meta = fold.meta().ok_or("it holds no campaign_opened record")?;
+            Ok((read, JournalScenario::from_meta(meta)?))
+        });
+    let (read, scenario) = match read {
+        Ok(read) => read,
+        Err(e) => {
+            eprintln!("error: reading journal {path}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    println!(
+        "=== resuming campaign from {path}: {} instance(s) already complete, {} in flight ===",
+        fold.instances_done(),
+        fold.in_flight(),
+    );
+    run_journaled(flags, &scenario, None, |fsync| {
+        Journal::reopen(path, fsync, read)
+    })
+}
+
+/// The run both `cornet run --journal` and `cornet resume` end in, which
+/// differ only in how they `open` the journal under the `--fsync` policy
+/// (a reopened one resumes): one campaign, its summary line, and the
+/// trace. With `crash_at`, the simulated process dies at that node's
+/// first upgrade invocation.
+fn run_journaled(
+    flags: &BTreeMap<String, String>,
+    scenario: &JournalScenario,
+    crash_at: Option<u32>,
+    open: impl FnOnce(FsyncPolicy) -> cornet::types::Result<Journal>,
+) -> ExitCode {
+    use cornet::orchestrator::Dispatcher;
+    use cornet::types::CornetError;
+
     let tracer = tracer_for(flags);
-    let fsync = match fsync_from_flags(flags) {
+    // `--fsync always|every-n=N|never`, defaulting to `every-n=64`.
+    let fsync = flags.get("fsync").map_or("every-n=64", String::as_str);
+    let fsync = match FsyncPolicy::parse(fsync) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let journal = match Journal::create(path, fsync) {
-        Ok(j) => j.with_tracer(tracer.clone()),
-        Err(e) => {
-            eprintln!("error: creating journal {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let switch = journal.crash_switch();
-    let crash_at: Option<u32> = flags.get("crash-at").and_then(|s| s.parse().ok());
-    let reg = scenario.registry(crash_at.map(|n| (n, switch.clone())), None);
-    let war = match scenario.war() {
-        Ok(w) => w,
+    let journal = match open(fsync) {
+        Ok(journal) => journal.with_tracer(tracer.clone()),
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "=== journaled campaign: {} nodes, {}% transient faults, journal {path} ===",
-        scenario.nodes,
-        scenario.fault_rate_milli / 10,
-    );
+    let switch = journal.crash_switch();
+    let path = journal.path().display().to_string();
+    let reg = scenario.registry(crash_at.map(|n| (n, switch.clone())), None);
     let breaker = scenario.breaker();
-    let result = Dispatcher::new(war, reg, scenario.concurrency)
-        .map(|d| d.with_tracer(tracer.clone()))
-        .map(|d| d.with_journal(journal, scenario.meta()))
+    let result = scenario
+        .war()
+        .map_err(CornetError::InvalidWorkflow)
+        .and_then(|war| Dispatcher::new(war, reg, scenario.concurrency))
         .and_then(|d| {
-            d.run_campaign(
-                &scenario.schedule(),
-                JournalScenario::inputs,
-                Some(&breaker),
-                None,
-            )
+            d.with_tracer(tracer.clone())
+                .with_journal(journal, scenario.meta())
+                .run_campaign(
+                    &scenario.schedule(),
+                    JournalScenario::inputs,
+                    Some(&breaker),
+                    None,
+                )
         });
     let (report, trip) = match result {
         Ok(o) => (o.report, o.trip),
@@ -591,103 +636,7 @@ fn cmd_run_journaled(flags: &BTreeMap<String, String>, path: &str) -> ExitCode {
     } else {
         println!("{}", JournalScenario::summary_line(&report, trip.as_ref()));
     }
-    if let Err(e) = finish_trace(flags, &tracer) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `cornet resume <journal>` — recover a journaled campaign: replay every
-/// completed block without re-executing it, re-admit interrupted
-/// instances, and finish the remaining work. Prints the same summary
-/// line (including fingerprint) a clean uninterrupted run prints.
-fn cmd_resume(path: Option<&str>, flags: &BTreeMap<String, String>) -> ExitCode {
-    use cornet::journal::Journal;
-    use cornet::orchestrator::{CampaignFold, Dispatcher};
-
-    let Some(path) = path else {
-        eprintln!("usage: cornet resume <journal> [--fsync P] [--trace F]");
-        return ExitCode::from(2);
-    };
-    let fsync = match fsync_from_flags(flags) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // One read of the journal: its fold gives the banner, and its records
-    // and the write handle go to the resume. The handle is taken (and a
-    // torn tail cut) only once the records are known to be a campaign.
-    let (events, recovery) = match Journal::read(path) {
-        Ok(read) => read,
-        Err(e) => {
-            eprintln!("error: reading journal {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut fold = CampaignFold::default();
-    if let Err(e) = events.iter().try_for_each(|event| fold.apply(event)) {
-        eprintln!("error: reading journal {path}: {e}");
-        return ExitCode::from(2);
-    }
-    let Some(meta) = fold.meta() else {
-        eprintln!("error: reading journal {path}: it holds no campaign_opened record");
-        return ExitCode::from(2);
-    };
-    let scenario = match JournalScenario::from_meta(meta) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let tracer = tracer_for(flags);
-    let reg = scenario.registry(None, None);
-    let war = match scenario.war() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "=== resuming campaign from {path}: {} instance(s) already complete, {} in flight ===",
-        fold.instances_done(),
-        fold.in_flight(),
-    );
-    let breaker = scenario.breaker();
-    let journal = match Journal::reopen(path, fsync, &recovery) {
-        Ok(journal) => journal.with_tracer(tracer.clone()),
-        Err(e) => {
-            eprintln!("resume failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = Dispatcher::new(war, reg, scenario.concurrency)
-        .map(|d| d.with_tracer(tracer.clone()))
-        .and_then(|d| {
-            d.resume_campaign(
-                (journal, events, recovery),
-                JournalScenario::inputs,
-                Some(&breaker),
-                None,
-            )
-        });
-    let (report, trip) = match result {
-        Ok(o) => (o.report, o.trip),
-        Err(e) => {
-            eprintln!("resume failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", JournalScenario::summary_line(&report, trip.as_ref()));
-    if let Err(e) = finish_trace(flags, &tracer) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_trace(flags, &tracer)
 }
 
 /// `cornet run` — the resilient roll-out demo: a staggered software
@@ -842,11 +791,7 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
         None => println!("  breaker never tripped"),
     }
 
-    if let Err(e) = finish_trace(flags, &tracer) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_trace(flags, &tracer)
 }
 
 /// The synthetic roll-out both verify demos check: 8 study nodes across
@@ -953,8 +898,7 @@ fn print_report(report: &VerificationReport) -> bool {
 
 /// Write the trace, then print the roll-out decision as the exit code.
 fn finish_verify(flags: &BTreeMap<String, String>, tracer: &Tracer, halt: bool) -> ExitCode {
-    if let Err(e) = finish_trace(flags, tracer) {
-        eprintln!("error: {e}");
+    if finish_trace(flags, tracer) == ExitCode::FAILURE {
         return ExitCode::FAILURE;
     }
     if halt {
@@ -1071,12 +1015,14 @@ fn cmd_verify_follow(flags: &BTreeMap<String, String>) -> ExitCode {
 
     // Cross-check: a batch verification over the identical series must
     // agree bit-for-bit (the streaming engine's core promise).
-    let batch = verify_rules(
+    let batch = verify_rules_traced(
         &demo.adapter(ticks),
         &[VerifyDemo::rule()],
         &scope,
         &inv,
         &topo,
+        &Tracer::noop(),
+        None,
     );
     let consistent = match batch {
         Ok(batch) => {

@@ -17,7 +17,12 @@ use cornet::obs::Tracer;
 use cornet::orchestrator::{
     CampaignControl, DispatchReport, Dispatcher, ExecutorRegistry, GlobalState,
 };
-use cornet::types::{NodeId, Schedule};
+use cornet::stats::{robust_rank_order, theil_sen, MultiTimescaleDetector, TimeSeries};
+use cornet::types::{Inventory, NodeId, Schedule, Topology};
+use cornet::verifier::{
+    verify_rules_traced, ChangeScope, ClosureAdapter, ImpactVerdict, IngestStats, KpiAnalysis,
+    KpiQuery, StreamConfig, StreamSample, StreamingVerifier, VerificationReport, VerificationRule,
+};
 use cornet::workflow::WarArtifact;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -98,10 +103,85 @@ fn dispatch(
     Ok(())
 }
 
+/// `kpi_verify` and the `verifier.*`/`stats.*` layer rows.
+fn verify(
+    study: &[NodeId],
+    inventory: Inventory,
+    topology: Topology,
+    tracer: Tracer,
+) -> Result<(), String> {
+    let mut rule = VerificationRule::standard(
+        "session",
+        vec![
+            KpiQuery::monitor("thr", true),
+            KpiQuery::monitor("lat", false),
+        ],
+    );
+    rule.location_attributes = vec!["market".into()];
+    let scope = ChangeScope::simultaneous(study, 600);
+    let engine = StreamingVerifier::new(
+        vec![rule.clone()],
+        scope.clone(),
+        inventory.clone(),
+        topology.clone(),
+        StreamConfig {
+            step_minutes: 60,
+            queue_capacity: 1_000,
+            ..StreamConfig::default()
+        },
+        tracer.clone(),
+    );
+    engine.offer(StreamSample {
+        node: NodeId(0),
+        kpi: "thr".to_string(),
+        carrier: None,
+        minute: 60,
+        value: 1.0,
+    });
+    engine.pump();
+    let streamed: Vec<VerificationReport> = engine.poll_verdicts().map_err(|e| e.to_string())?;
+    let stats: IngestStats = engine.stats();
+    let _: (u64, u64, u64) = (stats.processed, stats.shed, stats.accepted);
+    let _: Option<f64> = engine.detection_latency_quantile(0.99);
+    let series: Vec<TimeSeries> = Vec::new();
+    let adapter = ClosureAdapter(|node: NodeId, _kpi: &str, _: Option<usize>| {
+        series.get(node.0 as usize).cloned()
+    });
+    let batch: Vec<VerificationReport> = verify_rules_traced(
+        &adapter,
+        std::slice::from_ref(&rule),
+        &scope,
+        &inventory,
+        &topology,
+        &tracer,
+        None,
+    )
+    .map_err(|e| e.to_string())?;
+    for (s, b) in streamed.iter().zip(&batch) {
+        let _ = (s.decision == b.decision, &s.rule);
+        for k in &s.kpis {
+            let overall: &KpiAnalysis = &k.overall;
+            let _ = (overall.verdict == ImpactVerdict::NoImpact, overall.p_value);
+            let _ = (&k.query.kpi, k.per_location.len());
+        }
+    }
+    let (xs, ys) = ([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]);
+    let _ = robust_rank_order(&xs, &ys);
+    let _ = theil_sen(&xs, &ys);
+    let mut detector = MultiTimescaleDetector::new(&[1, 24], 8, 5.0);
+    let _ = detector.push(1.0);
+    Ok(())
+}
+
 #[test]
 fn the_names_the_benchmark_calls_keep_their_shapes() {
     // Taking each function as a pointer type-checks every call in it.
     let _ = daemon as fn(&Path, Tracer, &str) -> Result<(), String>;
     let _ = dispatch
         as fn(WarArtifact, ExecutorRegistry, &Path, Tracer, &Schedule) -> Result<(), String>;
+}
+
+#[test]
+fn the_verifier_and_stats_names_the_benchmark_calls_keep_their_shapes() {
+    let _ = verify as fn(&[NodeId], Inventory, Topology, Tracer) -> Result<(), String>;
 }

@@ -3,8 +3,8 @@
 //! The streaming engine's contract (DESIGN.md) is that after a full
 //! replay of a sample feed — in *any* arrival order, torn across any
 //! pump cadence, with duplicated deliveries — `poll_verdicts()` is
-//! bit-for-bit identical to running the batch `verify_rules` over the
-//! same series. These properties drive randomized feeds through both
+//! bit-for-bit identical to running the batch `verify_rules_traced` over
+//! the same series. These properties drive randomized feeds through both
 //! paths and compare every verdict field down to the f64 bit pattern,
 //! including p-values, relative shifts, and per-location breakdowns.
 //!
@@ -18,9 +18,9 @@ use cornet::obs::Tracer;
 use cornet::stats::TimeSeries;
 use cornet::types::{Attributes, CornetError, Inventory, NfType, NodeId, Topology};
 use cornet::verifier::{
-    verify_rule, verify_rule_sequential, verify_rules, ChangeScope, ClosureAdapter, DataAdapter,
-    Expectation, KpiQuery, StreamConfig, StreamDetection, StreamSample, StreamingVerifier,
-    VerificationReport, VerificationRule,
+    verify_rule, verify_rule_sequential, verify_rules_traced, ChangeScope, ClosureAdapter,
+    DataAdapter, Expectation, KpiQuery, StreamConfig, StreamDetection, StreamSample,
+    StreamingVerifier, VerificationReport, VerificationRule,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -175,7 +175,7 @@ fn run_batch(feed: &Feed) -> Result<Vec<VerificationReport>, CornetError> {
             (0..f.ticks).map(|k| value_at(&f, node.0, k)).collect(),
         ))
     });
-    verify_rules(&adapter, &rules, &scope, &inv, &topo)
+    verify_rules_traced(&adapter, &rules, &scope, &inv, &topo, &Tracer::noop(), None)
 }
 
 /// Every field that feeds an operations decision must agree to the bit.
