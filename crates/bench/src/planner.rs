@@ -378,8 +378,8 @@ fn winner(r: &PlanResult) -> &str {
     won.map_or("nobody", |run| run.backend)
 }
 
-/// The exact backend proves its plan in milliseconds and a portfolio race
-/// is decided by cost and member order, not by timing.
+/// The exact backend proves its plan in milliseconds and a portfolio's
+/// winner is decided by cost and member order, not by timing.
 pub fn backends(scale: Scale) -> Vec<Row> {
     let (targets, budget) = match scale {
         Scale::Quick => ([120, 400, 1_200], Duration::from_secs(2)),

@@ -994,14 +994,17 @@ mod tests {
     }
 
     fn wait_terminal(manager: &Arc<CampaignManager>, tenant: &str, id: &str) -> CampaignSnapshot {
-        for _ in 0..600 {
-            let snap = manager.snapshot(tenant, id).unwrap();
-            if snap.phase.is_terminal() {
-                return snap;
+        // A campaign's event stream ends when it turns terminal.
+        let mut from = 0;
+        loop {
+            let waited = manager.wait_events(tenant, id, from, Duration::from_secs(30));
+            let (lines, done) = waited.unwrap();
+            if done {
+                return manager.snapshot(tenant, id).unwrap();
             }
-            std::thread::sleep(Duration::from_millis(10));
+            assert!(!lines.is_empty(), "campaign {id} wrote nothing for 30 s");
+            from += lines.len();
         }
-        panic!("campaign {id} never reached a terminal phase");
     }
 
     #[test]

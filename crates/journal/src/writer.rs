@@ -10,8 +10,10 @@ use std::io::Read;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+#[cfg(test)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// When the journal pushes appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -198,6 +200,14 @@ struct Inner {
     /// that advances it, so concurrent syncs queue here, never on the
     /// append lock.
     synced: Mutex<u64>,
+    /// The first failed `fsync`. A failed sync may have dropped dirty
+    /// pages and cleared the error, so a retry could succeed over records
+    /// that never reached the disk: from then on the journal writes and
+    /// syncs nothing.
+    poisoned: OnceLock<String>,
+    /// Fail the next `fsync`.
+    #[cfg(test)]
+    fail_next_sync: AtomicBool,
     /// The records a reopened journal was read with, until a run takes
     /// them.
     carried: Mutex<Option<(Vec<JournalEvent>, Recovery)>>,
@@ -303,6 +313,9 @@ impl Journal {
                     step: FIRST_GROWTH,
                 }),
                 synced: Mutex::default(),
+                poisoned: OnceLock::new(),
+                #[cfg(test)]
+                fail_next_sync: AtomicBool::new(false),
             }),
             path: Arc::new(path.to_owned()),
             tracer: Tracer::noop(),
@@ -352,7 +365,8 @@ impl Journal {
 
     /// Append `events` as consecutive records with one `write`. A dead
     /// crash switch silently drops them — only what reached the file
-    /// before the crash matters for recovery.
+    /// before the crash matters for recovery. After a failed `fsync` they
+    /// are refused with an error naming that failure.
     ///
     /// The events are encoded outside the append lock, straight into this
     /// thread's record buffer, and framed in place one after another with
@@ -424,6 +438,7 @@ impl Journal {
         // The end of each record, counted from the batch's first byte.
         let end_of = |r: &Framed| r.payload.end + 1 - start;
         let mut tail = self.written();
+        self.check_poisoned()?;
         // The switch is read under the lock: nothing lands after a tear.
         let (bytes, whole) = match self.crash.take() {
             DEAD => return Ok(None),
@@ -494,12 +509,15 @@ impl Journal {
     /// is therefore exactly its records, with no space grown ahead of
     /// them; an append after this grows the file again. The trim takes no
     /// sync of its own: zeros a crash leaves behind read as unused space.
+    /// After a failed `fsync` it trims and syncs nothing and returns an
+    /// error naming that failure.
     pub fn sync(&self) -> Result<()> {
         if self.crash.is_dead() {
             return Ok(());
         }
         let written = {
             let mut tail = self.written();
+            self.check_poisoned()?;
             if tail.len > tail.end {
                 self.inner
                     .file
@@ -517,26 +535,46 @@ impl Journal {
     /// been written, syncs, and publishes that count. A follower that
     /// finds its record already covered — by a sync that read the count,
     /// and therefore started, after the record's `write` — returns without
-    /// a system call.
+    /// a system call. The first sync that fails poisons the journal: no
+    /// leader syncs again.
     fn make_durable(&self, record: u64, parent: Option<SpanId>) -> Result<()> {
         let mut synced = self.inner.synced.lock().unwrap_or_else(|e| e.into_inner());
         if *synced >= record {
             return Ok(());
         }
+        self.check_poisoned()?;
         let covers = self.written().records;
         let span = self.tracer.span_with_parent("journal.fsync", parent);
         #[allow(
             clippy::disallowed_methods,
             reason = "the journal's one sync, taken with the append lock released"
         )]
-        self.inner
-            .file
-            .sync_data()
-            .map_err(|e| io_err("fsync", &self.path, &e))?;
+        let result = self.inner.file.sync_data();
+        #[cfg(test)]
+        let result = match self.inner.fail_next_sync.swap(false, Ordering::SeqCst) {
+            true => Err(std::io::Error::other("injected fsync failure")),
+            false => result,
+        };
+        if let Err(e) = result {
+            let failure = io_err("fsync", &self.path, &e);
+            let _ = self.inner.poisoned.set(failure.to_string());
+            return Err(failure);
+        }
         *synced = covers;
         self.tracer.incr("journal.fsyncs", 1);
         span.finish();
         Ok(())
+    }
+
+    /// Refuse with the first failed `fsync`, once there has been one.
+    fn check_poisoned(&self) -> Result<()> {
+        match self.inner.poisoned.get() {
+            Some(first) => Err(CornetError::ExecutionFailed(format!(
+                "journal {} refuses writes after a failed sync: {first}",
+                self.path.display()
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// The append lock. Each update under it follows the `write` it
@@ -1048,6 +1086,30 @@ mod tests {
             );
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_journal_and_nothing_lands_after_it() {
+        let path = tmp("poisoned");
+        let journal = Journal::create(&path, FsyncPolicy::Always).unwrap();
+        journal.append(&opened()).unwrap();
+        journal.inner.fail_next_sync.store(true, Ordering::SeqCst);
+        let failed = journal.append(&opened()).unwrap_err().to_string();
+        assert!(failed.contains("injected fsync failure"), "{failed}");
+        let bytes = std::fs::read(&path).unwrap();
+        // A retried sync could succeed over pages the failed one dropped:
+        // every later call is refused, names the failure, writes nothing.
+        let refused = [
+            journal.append(&opened()),
+            journal.append_all(&[opened(), opened()]),
+            journal.sync(),
+        ];
+        for result in refused {
+            let e = result.unwrap_err().to_string();
+            assert!(e.contains(&failed), "{e} does not name {failed}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the file moved");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -4,26 +4,21 @@
 //! interchangeable optimization backends (OR-Tools CP, CBC) plus the
 //! Appendix C heuristic. This module is that seam for the workspace: every
 //! solving strategy implements [`SolverBackend`] over the shared
-//! [`Translation`] IR, and [`PortfolioBackend`] races them with cooperative
-//! cancellation and shared-incumbent pruning.
+//! [`Translation`] IR, and [`PortfolioBackend`] runs several of them in
+//! turn on the calling thread.
 //!
 //! Determinism contract: a backend's *result* (assignment + outcome for a
 //! completed search) must not depend on wall-clock timing. The portfolio
 //! therefore
 //!
-//! * waits for every member (it only cancels the race — one child of the
-//!   caller's token, shared by all members — once the exact backend has
-//!   *proved* optimality, in which case the exact result wins selection
-//!   no matter what the others would have returned);
-//! * lets only the exact backend prune against the shared incumbent — and
-//!   the solver prunes strictly (`bound >` incumbent), so an equal-cost
-//!   optimum is never cut and a completed exact search returns the same
-//!   incumbent it would have found running solo;
-//! * publishes a member's cost to the shared incumbent only after
-//!   `model.check` passes, so an infeasible heuristic sketch can never
-//!   prune the true optimum;
+//! * runs its members in their fixed order, and a member runs only if no
+//!   member before it proved optimality — a proved optimum cannot be
+//!   beaten and wins every tie, so what the later members would have
+//!   returned cannot change the result;
+//! * reports a member that did not run as `Unknown`, with no cost and
+//!   zeroed counters, so every member keeps its one entry in the runs;
 //! * picks the winner by (feasibility, model cost, fixed member order) —
-//!   never by who finished first.
+//!   never by elapsed time.
 
 use crate::decompose::{reconcile, shard_translation, solve_parts, TranslationPart};
 use crate::heuristic::{place_bundles, HeuristicConfig};
@@ -31,7 +26,7 @@ use crate::intent::PlanIntent;
 use crate::translate::Translation;
 use cornet_model::Model;
 use cornet_obs::{ActiveSpan, SpanId, Tracer};
-use cornet_solver::{solve, CancelToken, Outcome, SearchStats, SharedIncumbent, SolverConfig};
+use cornet_solver::{solve, Outcome, SearchStats, SolverConfig};
 use cornet_types::{CornetError, Inventory, NodeId, Result};
 use std::time::{Duration, Instant};
 
@@ -44,9 +39,10 @@ pub enum BackendChoice {
     /// Algorithm 1 (Appendix C): timezone-sequenced market-permutation
     /// local search over the translation's units.
     Heuristic,
-    /// Race exact and heuristic; deterministic winner.
+    /// Exact, then heuristic unless exact proved optimality;
+    /// deterministic winner.
     Portfolio,
-    /// Shard the translation by timezone/market, race a portfolio per
+    /// Shard the translation by timezone/market, run a portfolio per
     /// shard with apportioned capacities, then reconcile shared capacity
     /// across shards (§3.3.3 idea (b) taken past independent components).
     Sharded,
@@ -133,9 +129,6 @@ pub struct SolveContext<'a> {
     pub inventory: &'a Inventory,
     /// The source intent (capacity and tolerance knobs).
     pub intent: &'a PlanIntent,
-    /// Shared-incumbent hook, set by the portfolio driver. Only the exact
-    /// backend prunes against it; see the module docs for why.
-    pub incumbent: Option<SharedIncumbent>,
     /// Observability handle; every backend run records a `solve.<name>`
     /// span on it (noop by default).
     pub tracer: Tracer,
@@ -145,8 +138,8 @@ pub struct SolveContext<'a> {
 }
 
 impl<'a> SolveContext<'a> {
-    /// Context over a translation: no shared incumbent, no tracer — set
-    /// the fields to attach them.
+    /// Context over a translation with no tracer — set the fields to
+    /// attach one.
     pub fn new(
         translation: &'a Translation,
         inventory: &'a Inventory,
@@ -156,7 +149,6 @@ impl<'a> SolveContext<'a> {
             translation,
             inventory,
             intent,
-            incumbent: None,
             tracer: Tracer::noop(),
             span_parent: None,
         }
@@ -170,14 +162,13 @@ fn open_solve_span(ctx: &SolveContext<'_>, name: &'static str) -> ActiveSpan {
 }
 
 /// Close a backend-run span with the outcome attributes shared by every
-/// backend: termination category, cost, feasibility, budget consumption
-/// and whether the run was cancelled under it.
+/// backend: termination category, cost, feasibility and budget
+/// consumption.
 fn close_solve_span(
     ctx: &SolveContext<'_>,
     mut span: ActiveSpan,
     name: &'static str,
     budget: &Budget,
-    cancel: &CancelToken,
     result: &BackendResult,
 ) {
     if !span.is_recording() {
@@ -195,13 +186,12 @@ fn close_solve_span(
     span.attr("bound_prunes", result.stats.bound_prunes);
     span.attr("budget_nodes", budget.max_nodes);
     span.attr("solutions", result.stats.solutions);
-    span.attr("cancelled", cancel.is_cancelled());
     span.finish();
     ctx.tracer.incr(&format!("solves.{name}"), 1);
 }
 
-/// One backend's contribution to a (possibly racing) solve — the
-/// per-backend statistics `PlanResult` records.
+/// One backend's contribution to a solve — the per-backend statistics
+/// `PlanResult` records.
 #[derive(Clone, Debug)]
 pub struct BackendRun {
     /// Backend name (`exact`, `heuristic`, `sharded`).
@@ -214,8 +204,8 @@ pub struct BackendRun {
     pub feasible: bool,
     /// Search counters.
     pub stats: SearchStats,
-    /// Wall-clock time this run consumed (for portfolio members, the
-    /// member's full race time including cancellation latency).
+    /// Wall-clock time this run consumed (for portfolio members, what the
+    /// portfolio spent on the member).
     pub elapsed: Duration,
     /// Shard index when the run solved one shard of a sharded solve.
     pub shard: Option<usize>,
@@ -283,17 +273,15 @@ pub trait SolverBackend: Send + Sync {
     /// Stable backend name for stats and logs.
     fn name(&self) -> &'static str;
 
-    /// Search for a schedule within `budget`, checking `cancel`
-    /// cooperatively. Must be deterministic given the same context and an
-    /// uncancelled run.
-    fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget, cancel: &CancelToken)
-        -> BackendResult;
+    /// Search for a schedule within `budget`. Must be deterministic given
+    /// the same context and a search the budget did not cut.
+    fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget) -> BackendResult;
 }
 
 /// The exact branch & bound CP solver.
 #[derive(Clone, Debug, Default)]
 pub struct ExactBackend {
-    /// Base solver knobs; budget and hooks are overlaid per solve.
+    /// Base solver knobs; the budget is overlaid per solve.
     pub config: SolverConfig,
 }
 
@@ -302,18 +290,11 @@ impl SolverBackend for ExactBackend {
         "exact"
     }
 
-    fn solve(
-        &self,
-        ctx: &SolveContext<'_>,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> BackendResult {
+    fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget) -> BackendResult {
         let span = open_solve_span(ctx, "exact");
         let config = SolverConfig {
             max_nodes: budget.max_nodes,
             time_limit: budget.time_limit,
-            cancel: Some(cancel.clone()),
-            incumbent: ctx.incumbent.clone(),
             ..self.config.clone()
         };
         let model = &ctx.translation.model;
@@ -324,7 +305,7 @@ impl SolverBackend for ExactBackend {
             BackendRun::solo("exact", r.outcome, cost, feasible, r.stats),
             assignment,
         );
-        close_solve_span(ctx, span, "exact", budget, cancel, &result);
+        close_solve_span(ctx, span, "exact", budget, &result);
         result
     }
 }
@@ -346,22 +327,11 @@ impl SolverBackend for HeuristicBackend {
         "heuristic"
     }
 
-    fn solve(
-        &self,
-        ctx: &SolveContext<'_>,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> BackendResult {
+    fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget) -> BackendResult {
         let span = open_solve_span(ctx, "heuristic");
-        let (run, assignment) = if cancel.is_cancelled() {
-            let idle = SearchStats::default();
-            let run = BackendRun::solo("heuristic", Outcome::Unknown, None, false, idle);
-            (run, None)
-        } else {
-            self.sketch(ctx)
-        };
+        let (run, assignment) = self.sketch(ctx);
         let result = BackendResult::from_run(run, assignment);
-        close_solve_span(ctx, span, "heuristic", budget, cancel, &result);
+        close_solve_span(ctx, span, "heuristic", budget, &result);
         result
     }
 }
@@ -408,7 +378,8 @@ impl HeuristicBackend {
     }
 }
 
-/// Race several backends on threads; deterministic winner.
+/// Run several backends in turn on the calling thread; deterministic
+/// winner.
 pub struct PortfolioBackend {
     /// Members in fixed tie-break order (earlier wins ties).
     pub members: Vec<Box<dyn SolverBackend>>,
@@ -448,115 +419,87 @@ impl SolverBackend for PortfolioBackend {
         "portfolio"
     }
 
-    fn solve(
-        &self,
-        ctx: &SolveContext<'_>,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> BackendResult {
+    fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget) -> BackendResult {
         let mut span = open_solve_span(ctx, "portfolio");
         span.attr("members", self.members.len());
-        let span_id = span.is_recording().then(|| span.id());
-        let model = &ctx.translation.model;
-        let incumbent = ctx.incumbent.clone().unwrap_or_default();
-        // One token for the whole race, a child of the caller's: members
-        // see an external cancellation on their next node, and a member
-        // that ends the race cancels nothing outside it.
-        let race = cancel.child();
-
-        let results: Vec<Option<BackendResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .members
-                .iter()
-                .map(|member| {
-                    let mut member_ctx = ctx.clone();
-                    // Only the exact backend prunes against the shared
-                    // bound (it ignores `incumbent` otherwise).
-                    member_ctx.incumbent = Some(incumbent.clone());
-                    // Member spans nest under the portfolio's own span.
-                    member_ctx.span_parent = span_id;
-                    let (incumbent, race) = (&incumbent, &race);
-                    scope.spawn(move || {
-                        let member_started = Instant::now();
-                        let mut result = member.solve(&member_ctx, budget, race);
-                        // Per-member race time: the satellite metric
-                        // `PlanResult.backend_runs[].elapsed` reports.
-                        if result.runs.len() == 1 {
-                            result.runs[0].elapsed = member_started.elapsed();
-                        }
-                        // Publish only checked-feasible costs: an
-                        // infeasible sketch must never prune the optimum.
-                        if let (Some(a), Some(c)) = (&result.assignment, result.cost) {
-                            if model.check(a).is_ok() {
-                                incumbent.publish(c);
-                                member_ctx.tracer.incr("incumbent.published", 1);
-                            }
-                        }
-                        // A proved optimum cannot be beaten and wins every
-                        // tie (exact is first in member order), so the
-                        // other members' answers no longer matter — the
-                        // race is over.
-                        if result.outcome == Outcome::Optimal {
-                            race.cancel();
-                        }
-                        result
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().ok()).collect()
-        });
+        // Member spans nest under the portfolio's own span.
+        let mut member_ctx = ctx.clone();
+        member_ctx.span_parent = span.is_recording().then(|| span.id());
+        let mut proved = false;
+        let results: Vec<BackendResult> = self
+            .members
+            .iter()
+            .map(|member| {
+                let started = Instant::now();
+                // A proved optimum cannot be beaten and wins every tie, so
+                // the members after it do not run.
+                let mut result = if proved {
+                    skipped(&member_ctx, member.name(), budget)
+                } else {
+                    member.solve(&member_ctx, budget)
+                };
+                proved |= result.outcome == Outcome::Optimal;
+                // Per-member time: what `PlanResult.backend_runs[].elapsed`
+                // reports.
+                if result.runs.len() == 1 {
+                    result.runs[0].elapsed = started.elapsed();
+                }
+                result
+            })
+            .collect();
 
         // Deterministic winner: best (infeasibility, cost, member order).
         // Wall-clock never participates.
         let winner = results
             .iter()
             .enumerate()
-            .filter_map(|(i, result)| {
-                let result = result.as_ref()?;
-                Some(match (&result.assignment, result.cost) {
-                    (Some(_), Some(cost)) => ((!result.runs[0].feasible) as u8, cost, i),
-                    _ => (2, i64::MAX, i),
-                })
+            .map(|(i, result)| match (&result.assignment, result.cost) {
+                (Some(_), Some(cost)) => ((!result.runs[0].feasible) as u8, cost, i),
+                _ => (2, i64::MAX, i),
             })
             .min()
             .map(|(_, _, i)| i);
         let winner_name = winner.map(|i| self.members[i].name());
         let runs: Vec<BackendRun> = results
             .iter()
-            .flatten()
             .flat_map(|result| &result.runs)
             .map(|run| BackendRun {
                 winner: Some(run.backend) == winner_name,
                 ..run.clone()
             })
             .collect();
-        // Why members stopped early: an external caller cancelling the
-        // whole race, or one member proving optimality and ending it.
-        let cancel_cause = if cancel.is_cancelled() {
-            "external"
-        } else if race.is_cancelled() {
-            "optimal_member"
-        } else {
-            "none"
-        };
-        span.attr("cancel_cause", cancel_cause);
         if let Some(name) = winner_name {
             span.attr("winner", name);
         }
-        let result = match winner.and_then(|i| results.into_iter().nth(i).flatten()) {
+        let result = match winner.and_then(|i| results.into_iter().nth(i)) {
             Some(won) => BackendResult { runs, ..won },
             None => BackendResult {
-                outcome: Outcome::Unknown,
-                assignment: None,
-                cost: None,
-                stats: SearchStats::default(),
                 runs,
-                parts: 1,
+                ..unrun("portfolio")
             },
         };
-        close_solve_span(ctx, span, "portfolio", budget, cancel, &result);
+        close_solve_span(ctx, span, "portfolio", budget, &result);
         result
     }
+}
+
+/// What a member that did not run reports: `Unknown`, no cost, zeroed
+/// counters.
+fn unrun(backend: &'static str) -> BackendResult {
+    let idle = SearchStats::default();
+    BackendResult::from_run(
+        BackendRun::solo(backend, Outcome::Unknown, None, false, idle),
+        None,
+    )
+}
+
+/// A portfolio member that a proved optimum before it left out, recorded
+/// under its own span like a member that ran.
+fn skipped(ctx: &SolveContext<'_>, name: &'static str, budget: &Budget) -> BackendResult {
+    let span = open_solve_span(ctx, name);
+    let result = unrun(name);
+    close_solve_span(ctx, span, name, budget, &result);
+    result
 }
 
 /// Schedule-quality rank of a full-model assignment candidate:
@@ -568,7 +511,7 @@ fn candidate_rank(model: &Model, assignment: &[i64], feasible: bool) -> (bool, u
 }
 
 /// Sharded portfolio solving: partition the translation by timezone and
-/// market, race a portfolio per shard with apportioned capacity shares,
+/// market, run a portfolio per shard with apportioned capacity shares,
 /// merge the shard plans and reconcile shared capacity globally.
 ///
 /// Capacity soundness is by construction: a cross-shard capacity
@@ -601,7 +544,6 @@ impl ShardedBackend {
         &self,
         ctx: &SolveContext<'_>,
         budget: &Budget,
-        cancel: &CancelToken,
         order: Option<&[usize]>,
     ) -> BackendResult {
         let started = Instant::now();
@@ -614,11 +556,11 @@ impl ShardedBackend {
 
         let Some(split) = shard_translation(ctx.translation, ctx.inventory) else {
             // One timezone/market, or a cross-shard constraint we cannot
-            // apportion — fall back to the plain portfolio race.
+            // apportion — fall back to the plain portfolio.
             span.attr("fallback", "portfolio");
             let inner = PortfolioBackend::standard(&self.solver, &self.heuristic);
-            let result = inner.solve(&inner_ctx, budget, cancel);
-            close_solve_span(ctx, span, "sharded", budget, cancel, &result);
+            let result = inner.solve(&inner_ctx, budget);
+            close_solve_span(ctx, span, "sharded", budget, &result);
             return result;
         };
         let shards = &split.shards;
@@ -641,14 +583,14 @@ impl ShardedBackend {
             order,
             &fan_budget,
             |si, sctx, sbudget| {
-                // Per shard: the standard race, its heuristic member packing
-                // against the shard's apportioned capacity share.
-                let race = PortfolioBackend::lineup(
+                // Per shard: the standard lineup, its heuristic member
+                // packing against the shard's apportioned capacity share.
+                let lineup = PortfolioBackend::lineup(
                     &self.solver,
                     &self.heuristic,
                     shards[si].heuristic_cap,
                 );
-                let mut result = race.solve(sctx, sbudget, cancel);
+                let mut result = lineup.solve(sctx, sbudget);
                 for run in &mut result.runs {
                     (run.shard, run.winner) = (Some(si), false);
                 }
@@ -672,8 +614,7 @@ impl ShardedBackend {
             config: self.heuristic.clone(),
             capacity_override: None,
         };
-        inner_ctx.incumbent = None;
-        let net_result = net.solve(&inner_ctx, budget, cancel);
+        let net_result = net.solve(&inner_ctx, budget);
 
         let merged_rank = candidate_rank(model, &assignment, rec.feasible);
         let merged_wins = match net_result.assignment.as_deref() {
@@ -721,7 +662,7 @@ impl ShardedBackend {
         } else {
             BackendResult { runs, ..net_result }
         };
-        close_solve_span(ctx, span, "sharded", budget, cancel, &result);
+        close_solve_span(ctx, span, "sharded", budget, &result);
         result
     }
 }
@@ -731,13 +672,8 @@ impl SolverBackend for ShardedBackend {
         "sharded"
     }
 
-    fn solve(
-        &self,
-        ctx: &SolveContext<'_>,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> BackendResult {
-        self.solve_ordered(ctx, budget, cancel, None)
+    fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget) -> BackendResult {
+        self.solve_ordered(ctx, budget, None)
     }
 }
 
@@ -788,7 +724,7 @@ mod tests {
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
         let ctx = SolveContext::new(&translation, &inv, &intent);
         let backend = choice.instantiate(&SolverConfig::default(), &HeuristicConfig::default());
-        backend.solve(&ctx, &Budget::default(), &CancelToken::new())
+        backend.solve(&ctx, &Budget::default())
     }
 
     #[test]
@@ -893,12 +829,10 @@ mod tests {
         let translation =
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
         let ctx = SolveContext::new(&translation, &inv, &intent);
-        let exact = ExactBackend::default().solve(&ctx, &Budget::default(), &CancelToken::new());
-        let sharded = ShardedBackend::standard(
-            &SolverConfig::default(),
-            &HeuristicConfig::default(),
-        )
-        .solve(&ctx, &Budget::default(), &CancelToken::new());
+        let exact = ExactBackend::default().solve(&ctx, &Budget::default());
+        let sharded =
+            ShardedBackend::standard(&SolverConfig::default(), &HeuristicConfig::default())
+                .solve(&ctx, &Budget::default());
         assert_eq!(sharded.outcome, Outcome::Optimal);
         assert_eq!(sharded.cost, exact.cost);
     }
@@ -911,10 +845,8 @@ mod tests {
         let ctx = SolveContext::new(&translation, &inv, &intent);
         let backend =
             ShardedBackend::standard(&SolverConfig::default(), &HeuristicConfig::default());
-        let fwd =
-            backend.solve_ordered(&ctx, &Budget::default(), &CancelToken::new(), Some(&[0, 1]));
-        let rev =
-            backend.solve_ordered(&ctx, &Budget::default(), &CancelToken::new(), Some(&[1, 0]));
+        let fwd = backend.solve_ordered(&ctx, &Budget::default(), Some(&[0, 1]));
+        let rev = backend.solve_ordered(&ctx, &Budget::default(), Some(&[1, 0]));
         assert_eq!(fwd.assignment, rev.assignment);
         assert_eq!(fwd.cost, rev.cost);
     }
@@ -939,7 +871,7 @@ mod tests {
             translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
         let ctx = SolveContext::new(&translation, &inv, &intent);
         let r = ShardedBackend::standard(&SolverConfig::default(), &HeuristicConfig::default())
-            .solve(&ctx, &Budget::default(), &CancelToken::new());
+            .solve(&ctx, &Budget::default());
         assert_eq!(r.outcome, Outcome::Optimal, "portfolio fallback completes");
         assert!(r.assignment.is_some());
     }
@@ -977,7 +909,7 @@ mod tests {
         let solve = |choice: BackendChoice| {
             choice
                 .instantiate(&SolverConfig::default(), &HeuristicConfig::default())
-                .solve(&ctx, &budget, &CancelToken::new())
+                .solve(&ctx, &budget)
         };
         let exact = solve(BackendChoice::Exact);
         assert_eq!(
@@ -986,9 +918,9 @@ mod tests {
             "the budget truncates exact"
         );
 
-        // The sketch (112) costs more than exact's first dive (110), so
-        // its published bound cuts nothing exact's own incumbent does not:
-        // the race's exact member is the solo search, node for node.
+        // Exact proves nothing, so the heuristic runs after it; its sketch
+        // (112) costs more than exact's first dive (110), so the solo
+        // search wins.
         let race = solve(BackendChoice::Portfolio);
         assert_eq!(race.runs.len(), 2, "one race, two members");
         assert_eq!(
@@ -1007,39 +939,6 @@ mod tests {
         for si in 0..shards {
             let members = sharded.runs.iter().filter(|run| run.shard == Some(si));
             assert_eq!(members.count(), 2, "shard {si} races two members");
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_portfolio_returns_unknown() {
-        use cornet_obs::AttrValue;
-        let (intent, inv, topo, nodes) = fixture(4, 2);
-        let translation =
-            translate(&intent, &inv, &topo, &nodes, &TranslateOptions::default()).unwrap();
-        let tracer = Tracer::wall();
-        let mut ctx = SolveContext::new(&translation, &inv, &intent);
-        ctx.tracer = tracer.clone();
-        let backend = BackendChoice::Portfolio
-            .instantiate(&SolverConfig::default(), &HeuristicConfig::default());
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let r = backend.solve(&ctx, &Budget::default(), &cancel);
-        assert!(
-            r.assignment.is_none() || r.outcome != Outcome::Optimal,
-            "a cancelled race must not claim optimality"
-        );
-        // Every member started cancelled — through the race's child token,
-        // nobody copied anything — and every member is still reported.
-        assert_eq!(r.runs.len(), 2);
-        assert!(r.runs.iter().all(|run| run.outcome != Outcome::Optimal));
-        let trace = tracer.snapshot();
-        let race = trace.spans_named("solve.portfolio").next().unwrap();
-        assert_eq!(
-            race.attr("cancel_cause"),
-            Some(&AttrValue::Str("external".into()))
-        );
-        for member in trace.children_of(race.id) {
-            assert_eq!(member.attr("cancelled"), Some(&AttrValue::Bool(true)));
         }
     }
 }

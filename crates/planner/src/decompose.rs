@@ -20,7 +20,7 @@
 use crate::backend::{BackendResult, Budget, SolveContext, SolverBackend};
 use crate::translate::{Translation, Unit};
 use cornet_model::{Constraint, Model, VarCost, VarId};
-use cornet_solver::{CancelToken, Outcome, SearchStats};
+use cornet_solver::{Outcome, SearchStats};
 use cornet_types::{par, Inventory, NodeId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -220,10 +220,10 @@ const PART_TIME_FLOOR: Duration = Duration::from_millis(50);
 /// parent translation.
 ///
 /// Each part is solved in its own [`SolveContext`] — its sub-translation,
-/// no shared incumbent, spans under `ctx.span_parent`. `budget.max_nodes`
-/// is per part; `budget.time_limit` is **one deadline for the whole fan**,
-/// taken here: parts beyond the pool wait their turn, so a part gets what
-/// is left of the deadline when it starts, floored at [`PART_TIME_FLOOR`].
+/// spans under `ctx.span_parent`. `budget.max_nodes` is per part;
+/// `budget.time_limit` is **one deadline for the whole fan**, taken here:
+/// parts beyond the pool wait their turn, so a part gets what is left of
+/// the deadline when it starts, floored at [`PART_TIME_FLOOR`].
 /// The fan therefore returns within `time_limit + parts × 50 ms` of a
 /// backend that honours its budget. `order` is the visiting order (part
 /// order when `None`); the merge is in part order regardless, so it never
@@ -253,7 +253,6 @@ where
     let mut solved: Vec<(usize, BackendResult)> = par::map_ordered(&part_order, |&i| {
         let part_ctx = SolveContext {
             translation: &parts[i].translation,
-            incumbent: None,
             ..ctx.clone()
         };
         let part_budget = Budget {
@@ -303,21 +302,16 @@ impl SolverBackend for Decomposed {
         self.0.name()
     }
 
-    fn solve(
-        &self,
-        ctx: &SolveContext<'_>,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> BackendResult {
+    fn solve(&self, ctx: &SolveContext<'_>, budget: &Budget) -> BackendResult {
         let parts = split_translation(ctx.translation);
         if parts.len() < 2 {
-            return self.0.solve(ctx, budget, cancel);
+            return self.0.solve(ctx, budget);
         }
         // Unconstrained units are singleton parts, so this can be a part
         // per node: the fan's bounded pool, not a thread each.
         let parts: Vec<&TranslationPart> = parts.iter().collect();
         solve_parts(ctx, &parts, None, budget, |_, part_ctx, part_budget| {
-            self.0.solve(part_ctx, part_budget, cancel)
+            self.0.solve(part_ctx, part_budget)
         })
     }
 }

@@ -14,7 +14,7 @@ use cornet_planner::heuristic::HeuristicConfig;
 use cornet_planner::intent::{ConstraintRule, PlanIntent};
 use cornet_planner::translate::{translate, TranslateOptions, Translation};
 use cornet_planner::SolverBackend;
-use cornet_solver::{CancelToken, SolverConfig};
+use cornet_solver::SolverConfig;
 use cornet_types::{Attributes, Granularity, Inventory, NfType, NodeId, Topology};
 use proptest::prelude::*;
 
@@ -125,13 +125,13 @@ proptest! {
     ) {
         let f = fixture(n, markets, cap, 12, true);
         let ctx = SolveContext::new(&f.translation, &f.inventory, &f.intent);
-        let exact = ExactBackend::default().solve(&ctx, &budget(120_000), &CancelToken::new());
+        let exact = ExactBackend::default().solve(&ctx, &budget(120_000));
         // The equality claim is about the proved optimum; skip the rare
         // case where the node budget cut the unsharded proof short.
         if exact.outcome != cornet_solver::Outcome::Optimal {
             return Ok(());
         }
-        let shard = sharded().solve(&ctx, &budget(120_000), &CancelToken::new());
+        let shard = sharded().solve(&ctx, &budget(120_000));
         let ea = exact.assignment.expect("exact plan");
         let sa = shard.assignment.expect("sharded plan");
         prop_assert_eq!(f.translation.model.cost(&sa), f.translation.model.cost(&ea));
@@ -158,8 +158,8 @@ proptest! {
             config: HeuristicConfig::default(),
             capacity_override: None,
         }
-        .solve(&ctx, &budget(60_000), &CancelToken::new());
-        let shard = sharded().solve(&ctx, &budget(60_000), &CancelToken::new());
+        .solve(&ctx, &budget(60_000));
+        let shard = sharded().solve(&ctx, &budget(60_000));
         let ha = heuristic.assignment.expect("heuristic plan");
         let sa = shard.assignment.expect("sharded plan");
         prop_assert!(
@@ -187,8 +187,8 @@ proptest! {
         let forward: Vec<usize> = (0..shard_count).collect();
         let mut rotated = forward.clone();
         rotated.rotate_left(seed % shard_count.max(1));
-        let a = backend.solve_ordered(&ctx, &budget(60_000), &CancelToken::new(), Some(&forward));
-        let b = backend.solve_ordered(&ctx, &budget(60_000), &CancelToken::new(), Some(&rotated));
+        let a = backend.solve_ordered(&ctx, &budget(60_000), Some(&forward));
+        let b = backend.solve_ordered(&ctx, &budget(60_000), Some(&rotated));
         prop_assert_eq!(a.assignment, b.assignment);
         prop_assert_eq!(a.cost, b.cost);
         prop_assert_eq!(a.outcome, b.outcome);

@@ -56,9 +56,7 @@ pub mod search;
 pub mod state;
 
 pub use propagate::Propagation;
-pub use search::{
-    solve, CancelToken, Outcome, SearchStats, SharedIncumbent, Solution, SolveResult, SolverConfig,
-};
+pub use search::{solve, Outcome, SearchStats, Solution, SolveResult, SolverConfig};
 pub use state::{Conflict, State};
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! branch values at every node and bounds with the per-variable minima
 //! over the declared domains.
 
-use crate::search::{CancelToken, Outcome, SearchStats, Solution, SolveResult, SolverConfig};
+use crate::search::{Outcome, SearchStats, Solution, SolveResult, SolverConfig};
 use crate::state::{Conflict, State};
 use cornet_model::{CmpOp, Constraint, Model, VarId};
 use std::time::{Duration, Instant};
@@ -456,15 +456,6 @@ impl<'a> Searcher<'a> {
             self.aborted = true;
             return true;
         }
-        if self
-            .config
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            self.aborted = true;
-            return true;
-        }
         // Instant::now is not free, so read the clock on a node stride.
         // The stride adapts to the measured time between reads (target
         // ~1 ms), which bounds the budget overrun in wall-clock terms no
@@ -512,9 +503,6 @@ impl<'a> Searcher<'a> {
             self.best = Some(Solution { assignment, cost });
             self.stats.solutions += 1;
             self.stats.time_to_best = self.start.elapsed();
-            if let Some(inc) = &self.config.incumbent {
-                inc.publish(cost);
-            }
         }
     }
 
@@ -539,17 +527,6 @@ impl<'a> Searcher<'a> {
             }
             let branch_lb = lb_acc - self.root_min[var] + self.model.objective.var_cost(vid, v);
             if self.best.as_ref().is_some_and(|b| branch_lb >= b.cost) {
-                continue;
-            }
-            // Shared-incumbent pruning is strict (`>`), so an equal-cost
-            // solution of our own stays reachable — the final incumbent
-            // never depends on when a competitor published its bound.
-            if self
-                .config
-                .incumbent
-                .as_ref()
-                .is_some_and(|inc| branch_lb > inc.bound())
-            {
                 continue;
             }
             let mark = self.state.mark();

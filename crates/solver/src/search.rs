@@ -12,98 +12,7 @@ use crate::propagate::Propagation;
 use crate::state::State;
 use cornet_model::{Constraint, Model, VarCost, VarId};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cooperative cancellation handle: cloned into each racing backend, set
-/// once by whoever decides the race is over. A cancelled solve keeps its
-/// incumbent and reports [`Outcome::Feasible`] (or [`Outcome::Unknown`]
-/// when nothing was found yet) — cancellation never loses a solution.
-///
-/// Tokens nest: a [`child`](CancelToken::child) is cancelled when it or
-/// any ancestor is, so a race inside a race needs nobody to copy the outer
-/// cancellation inwards.
-#[derive(Clone, Default)]
-pub struct CancelToken(Arc<CancelFlag>);
-
-#[derive(Default)]
-struct CancelFlag {
-    set: AtomicBool,
-    parent: Option<CancelToken>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A token that reports cancelled when it or `self` is. Cancelling the
-    /// child leaves `self` (and its other children) untouched.
-    pub fn child(&self) -> Self {
-        CancelToken(Arc::new(CancelFlag {
-            set: AtomicBool::new(false),
-            parent: Some(self.clone()),
-        }))
-    }
-
-    /// Request cancellation (idempotent).
-    pub fn cancel(&self) {
-        self.0.set.store(true, Ordering::Relaxed);
-    }
-
-    /// Has cancellation been requested, here or on an ancestor?
-    pub fn is_cancelled(&self) -> bool {
-        self.0.set.load(Ordering::Relaxed) || self.0.parent.as_ref().is_some_and(Self::is_cancelled)
-    }
-}
-
-impl fmt::Debug for CancelToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CancelToken({})", self.is_cancelled())
-    }
-}
-
-/// Shared objective upper bound for portfolio racing: backends publish the
-/// cost of every *checked-feasible* solution they find, and the exact
-/// search prunes branches that provably cannot beat it. Pruning is strict
-/// (`lb > bound` survives only `lb ≤ bound`) so an equal-cost incumbent is
-/// still reachable — that keeps the final incumbent independent of *when*
-/// a competitor published its bound, which is what makes portfolio racing
-/// deterministic for completed searches.
-#[derive(Clone)]
-pub struct SharedIncumbent(Arc<AtomicI64>);
-
-impl SharedIncumbent {
-    /// A fresh bound at +∞ (no incumbent yet).
-    pub fn new() -> Self {
-        SharedIncumbent(Arc::new(AtomicI64::new(i64::MAX)))
-    }
-
-    /// Publish a feasible solution's cost; keeps the minimum.
-    pub fn publish(&self, cost: i64) {
-        self.0.fetch_min(cost, Ordering::Relaxed);
-    }
-
-    /// Current best published cost (`i64::MAX` when none).
-    pub fn bound(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for SharedIncumbent {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for SharedIncumbent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharedIncumbent({})", self.bound())
-    }
-}
 
 /// Search configuration.
 #[derive(Clone, Debug)]
@@ -116,11 +25,6 @@ pub struct SolverConfig {
     /// greedy plan). When false, values are tried in ascending numeric
     /// order — the ablation baseline for that design choice.
     pub cost_value_order: bool,
-    /// Cooperative cancellation hook (portfolio racing).
-    pub cancel: Option<CancelToken>,
-    /// Shared-incumbent bound hook: prune against (and publish to) the
-    /// best checked-feasible cost any racing backend has found.
-    pub incumbent: Option<SharedIncumbent>,
 }
 
 impl Default for SolverConfig {
@@ -129,8 +33,6 @@ impl Default for SolverConfig {
             max_nodes: 1_000_000,
             time_limit: Duration::from_secs(30),
             cost_value_order: true,
-            cancel: None,
-            incumbent: None,
         }
     }
 }
@@ -145,7 +47,7 @@ pub struct SearchStats {
     /// `bound_prunes`, not here.
     pub backtracks: u64,
     /// Branches skipped because their lower bound could not beat the
-    /// incumbent (the solver's own or the shared one).
+    /// incumbent.
     pub bound_prunes: u64,
     /// Propagator executions, root fixpoint included.
     pub propagations: u64,
@@ -498,15 +400,6 @@ impl<'a> Searcher<'a> {
             self.aborted = true;
             return true;
         }
-        if self
-            .config
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            self.aborted = true;
-            return true;
-        }
         // Instant::now is not free, so read the clock on a node stride.
         // The stride adapts to the measured time between reads (target
         // ~1 ms), which bounds the budget overrun in wall-clock terms no
@@ -529,8 +422,8 @@ impl<'a> Searcher<'a> {
         false
     }
 
-    /// A leaf: when it beats the incumbent, keep it, publish its cost and
-    /// stop the search if it meets the global bound.
+    /// A leaf: when it beats the incumbent, keep it and stop the search if
+    /// it meets the global bound.
     fn record_solution(&mut self) {
         let assignment = self.state.assignment();
         let cost = self.model.cost(&assignment);
@@ -540,9 +433,6 @@ impl<'a> Searcher<'a> {
         self.best = Some(Solution { assignment, cost });
         self.stats.solutions += 1;
         self.stats.time_to_best = self.start.elapsed();
-        if let Some(inc) = &self.config.incumbent {
-            inc.publish(cost);
-        }
         self.proved = cost <= self.global_lb;
     }
 
@@ -603,16 +493,7 @@ impl<'a> Searcher<'a> {
             let top = self.stack.len() - 1;
             let (var, lb) = (self.stack[top].var as usize, self.stack[top].lb);
             let branch_lb = lb - self.root_min[var] + self.row(var).cost_of(value);
-            // Shared-incumbent pruning is strict (`>`), so an equal-cost
-            // solution of our own stays reachable — the final incumbent
-            // never depends on when a competitor published its bound.
-            if self.best.as_ref().is_some_and(|b| branch_lb >= b.cost)
-                || self
-                    .config
-                    .incumbent
-                    .as_ref()
-                    .is_some_and(|inc| branch_lb > inc.bound())
-            {
+            if self.best.as_ref().is_some_and(|b| branch_lb >= b.cost) {
                 self.stats.bound_prunes += 1;
                 continue;
             }
@@ -848,99 +729,6 @@ mod tests {
         let r = solve(&m, &tight);
         assert!(r.stats.nodes <= 51);
         assert!(matches!(r.outcome, Outcome::Feasible | Outcome::Unknown));
-    }
-
-    #[test]
-    fn cancellation_keeps_incumbent() {
-        // Large-ish search space with instant first solutions: cancel from
-        // another thread mid-search and check the incumbent survives.
-        let m = fragmented(14, 16);
-        let cancel = CancelToken::new();
-        let cfg = SolverConfig {
-            cancel: Some(cancel.clone()),
-            max_nodes: u64::MAX,
-            ..Default::default()
-        };
-        let r = std::thread::scope(|scope| {
-            let h = scope.spawn(|| solve(&m, &cfg));
-            std::thread::sleep(Duration::from_millis(30));
-            cancel.cancel();
-            h.join().expect("solver thread")
-        });
-        assert!(r.best.is_some(), "cancellation must not lose the incumbent");
-        assert!(m.check(&r.solution().assignment).is_ok());
-        assert!(matches!(r.outcome, Outcome::Feasible | Outcome::Optimal));
-    }
-
-    #[test]
-    fn pre_cancelled_solve_returns_unknown() {
-        let mut b = ModelBuilder::new("t", 3);
-        let vs = b.slot_vars("X", 3);
-        b.require_scheduled(&vs);
-        let m = b.build();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let cfg = SolverConfig {
-            cancel: Some(cancel),
-            ..Default::default()
-        };
-        let r = solve(&m, &cfg);
-        assert_eq!(r.outcome, Outcome::Unknown);
-        assert!(r.best.is_none());
-    }
-
-    #[test]
-    fn child_token_sees_its_ancestors_but_not_the_reverse() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        let sibling = parent.child();
-        let grandchild = child.child();
-
-        child.cancel();
-        assert!(child.is_cancelled() && grandchild.is_cancelled());
-        assert!(!parent.is_cancelled(), "a child never cancels its parent");
-        assert!(!sibling.is_cancelled(), "nor its sibling");
-        assert_eq!(format!("{sibling:?}"), "CancelToken(false)");
-
-        parent.cancel();
-        assert!(sibling.is_cancelled() && sibling.child().is_cancelled());
-        assert_eq!(
-            format!("{sibling:?}"),
-            "CancelToken(true)",
-            "Debug prints the effective state, not the token's own flag"
-        );
-        // A clone shares the flag; a child does not.
-        let clone = CancelToken::new();
-        clone.clone().cancel();
-        assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn shared_incumbent_prunes_but_allows_equal_cost() {
-        // Publish the known optimum as an external bound before solving:
-        // strict pruning must still let the solver find its own equal-cost
-        // solution, so the result matches the un-hooked solve exactly.
-        let mut b = ModelBuilder::new("t", 5);
-        let vs = b.slot_vars("X", 4);
-        b.capacity("cap", vs.clone(), vec![1; 4], 1);
-        b.require_scheduled(&vs);
-        b.completion_objective(&vs, &[1; 4], 100);
-        let m = b.build();
-        let solo = solve(&m, &cfg());
-        let inc = SharedIncumbent::new();
-        inc.publish(solo.solution().cost);
-        let hooked = SolverConfig {
-            incumbent: Some(inc.clone()),
-            ..Default::default()
-        };
-        let r = solve(&m, &hooked);
-        assert_eq!(r.outcome, Outcome::Optimal);
-        assert_eq!(r.solution().assignment, solo.solution().assignment);
-        assert_eq!(inc.bound(), solo.solution().cost);
-        assert!(
-            r.stats.nodes <= solo.stats.nodes,
-            "external bound may only shrink the search"
-        );
     }
 
     #[test]

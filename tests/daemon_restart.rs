@@ -9,8 +9,6 @@
 //! * A campaign cancelled while queued for resume stays cancelled across
 //!   a restart and executes no block.
 
-#![allow(clippy::disallowed_methods)]
-
 use cornet::daemon::{
     CampaignManager, CampaignPhase, CampaignSnapshot, JournalScenario, ManagerConfig, SubmitOutcome,
 };
@@ -60,14 +58,17 @@ fn submit(manager: &Arc<CampaignManager>, body: &str) -> String {
 }
 
 fn wait_terminal(manager: &Arc<CampaignManager>, id: &str) -> CampaignSnapshot {
-    for _ in 0..6000 {
-        let snap = manager.snapshot("acme", id).unwrap();
-        if snap.phase.is_terminal() {
-            return snap;
+    // A campaign's event stream ends when it turns terminal.
+    let mut from = 0;
+    loop {
+        let waited = manager.wait_events("acme", id, from, Duration::from_secs(30));
+        let (lines, done) = waited.unwrap();
+        if done {
+            return manager.snapshot("acme", id).unwrap();
         }
-        std::thread::sleep(Duration::from_millis(5));
+        assert!(!lines.is_empty(), "campaign {id} wrote nothing for 30 s");
+        from += lines.len();
     }
-    panic!("campaign {id} never reached a terminal phase");
 }
 
 fn stop(manager: Arc<CampaignManager>) {
@@ -118,11 +119,21 @@ fn every_terminal_campaign_reads_back_its_live_snapshot_after_a_restart() {
         &manager,
         r#"{"name": "cancelled", "scenario": {"nodes": 4096, "concurrency": 4, "latency_ms": 1}}"#,
     );
-    for _ in 0..6000 {
-        if manager.snapshot("acme", &long).unwrap().instances_done > 0 {
+    let mut from = 0;
+    loop {
+        let waited = manager.wait_events("acme", &long, from, Duration::from_secs(30));
+        let (lines, done) = waited.unwrap();
+        assert!(
+            !done && !lines.is_empty(),
+            "no instance finished before the stream ended or stalled"
+        );
+        if lines
+            .iter()
+            .any(|l| l.starts_with(r#"{"ev":"instance_finished""#))
+        {
             break;
         }
-        std::thread::sleep(Duration::from_millis(1));
+        from += lines.len();
     }
     manager.pause("acme", &long).unwrap();
     manager.cancel("acme", &long).unwrap();

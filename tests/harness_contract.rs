@@ -17,8 +17,14 @@ use cornet::obs::Tracer;
 use cornet::orchestrator::{
     CampaignControl, DispatchReport, Dispatcher, ExecutorRegistry, GlobalState,
 };
+use cornet::planner::heuristic::heuristic_schedule_units;
+use cornet::planner::{
+    plan, translate, BackendChoice, ConstraintRule, HeuristicConfig, PlanIntent, PlanOptions,
+    PlanResult, TranslateOptions,
+};
+use cornet::solver::{solve, Outcome, SolverConfig};
 use cornet::stats::{robust_rank_order, theil_sen, MultiTimescaleDetector, TimeSeries};
-use cornet::types::{Inventory, NodeId, Schedule, Topology};
+use cornet::types::{Granularity, Inventory, NodeId, Schedule, Topology};
 use cornet::verifier::{
     verify_rules_traced, ChangeScope, ClosureAdapter, ImpactVerdict, IngestStats, KpiAnalysis,
     KpiQuery, StreamConfig, StreamSample, StreamingVerifier, VerificationReport, VerificationRule,
@@ -173,6 +179,84 @@ fn verify(
     Ok(())
 }
 
+/// `fleet_plan` and the `planner.*`/`model.*`/`solver.*` layer rows.
+fn planner(
+    inventory: &Inventory,
+    topology: &Topology,
+    nodes: &[NodeId],
+    tracer: Tracer,
+) -> Result<(), String> {
+    let mut intent = PlanIntent::from_json("{}").map_err(|e| e.to_string())?;
+    intent.constraints = vec![
+        ConstraintRule::Concurrency {
+            base_attribute: "common_id".into(),
+            aggregate_attribute: None,
+            operator: "<=".into(),
+            granularity: Granularity::daily(),
+            default_capacity: 4,
+        },
+        ConstraintRule::Consistency {
+            attribute: "usid".into(),
+        },
+    ];
+    for backend in [
+        BackendChoice::Exact,
+        BackendChoice::Heuristic,
+        BackendChoice::Portfolio,
+        BackendChoice::Sharded,
+    ] {
+        let options = PlanOptions {
+            solver: SolverConfig {
+                max_nodes: 20_000,
+                time_limit: Duration::from_secs(120),
+                ..SolverConfig::default()
+            },
+            backend,
+            heuristic: HeuristicConfig {
+                iterations: 4,
+                seed: 7,
+                ..HeuristicConfig::default()
+            },
+            tracer: tracer.clone(),
+            ..PlanOptions::default()
+        };
+        let result: PlanResult =
+            plan(&intent, inventory, topology, nodes, &options).map_err(|e| e.to_string())?;
+        let schedule: &Schedule = &result.schedule;
+        let _ = (
+            schedule.assignments.len(),
+            schedule.leftovers.len(),
+            schedule.conflicts,
+        );
+        let _: bool = result.outcome == Outcome::Optimal;
+        let _: (u64, u64) = (result.search_stats.nodes, result.search_stats.backtracks);
+        for run in &result.backend_runs {
+            let _: (Duration, bool) = (run.elapsed, run.winner);
+        }
+    }
+    let translation = translate(
+        &intent,
+        inventory,
+        topology,
+        nodes,
+        &TranslateOptions::default(),
+    )
+    .map_err(|e| e.to_string())?;
+    let model = &translation.model;
+    let _: (usize, usize) = (model.var_count(), model.constraint_count());
+    let units: Vec<Vec<NodeId>> = translation.units.iter().map(|u| u.nodes.clone()).collect();
+    let conflicts = intent.conflicts().map_err(|e| e.to_string())?;
+    let config = HeuristicConfig {
+        seed: 7,
+        slot_capacity: 4,
+        iterations: 4,
+    };
+    let _ = heuristic_schedule_units(inventory, &units, &conflicts, &translation.window, &config);
+    let solved = solve(model, &SolverConfig::default());
+    let _: (u64, bool) = (solved.stats.nodes, solved.outcome == Outcome::Optimal);
+    Ok(())
+}
+
 #[test]
 fn the_names_the_benchmark_calls_keep_their_shapes() {
     // Taking each function as a pointer type-checks every call in it.
@@ -184,4 +268,9 @@ fn the_names_the_benchmark_calls_keep_their_shapes() {
 #[test]
 fn the_verifier_and_stats_names_the_benchmark_calls_keep_their_shapes() {
     let _ = verify as fn(&[NodeId], Inventory, Topology, Tracer) -> Result<(), String>;
+}
+
+#[test]
+fn the_planner_and_solver_names_the_benchmark_calls_keep_their_shapes() {
+    let _ = planner as fn(&Inventory, &Topology, &[NodeId], Tracer) -> Result<(), String>;
 }

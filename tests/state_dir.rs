@@ -9,8 +9,6 @@
 //!   garbage in the log's place and the older per-campaign directory
 //!   layout are refused, their bytes untouched.
 
-#![allow(clippy::disallowed_methods)]
-
 use cornet::daemon::{
     ApiError, CampaignManager, CampaignPhase, CampaignSnapshot, ManagerConfig, SubmitOutcome,
 };
@@ -60,14 +58,17 @@ fn accepted(manager: &Arc<CampaignManager>, body: &str) -> String {
 }
 
 fn wait_terminal(manager: &Arc<CampaignManager>, id: &str) -> CampaignSnapshot {
-    for _ in 0..6000 {
-        let snap = manager.snapshot("acme", id).unwrap();
-        if snap.phase.is_terminal() {
-            return snap;
+    // A campaign's event stream ends when it turns terminal.
+    let mut from = 0;
+    loop {
+        let waited = manager.wait_events("acme", id, from, Duration::from_secs(30));
+        let (lines, done) = waited.unwrap();
+        if done {
+            return manager.snapshot("acme", id).unwrap();
         }
-        std::thread::sleep(Duration::from_millis(5));
+        assert!(!lines.is_empty(), "campaign {id} wrote nothing for 30 s");
+        from += lines.len();
     }
-    panic!("campaign {id} never reached a terminal phase");
 }
 
 /// Every file and directory under `dir`, relative to it.
